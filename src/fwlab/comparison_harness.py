@@ -21,6 +21,7 @@ from scipy import optimize
 from . import fourier_metric as fm
 from ._optim import project_simplex, projected_gradient_ascent
 from ._rng import substream
+from .filtering_sim import LQParams, lq_riccati, lq_value
 from .measures import SignedAtomicMeasure
 from .reports import CheckReport
 
@@ -105,6 +106,12 @@ class FixedSupportMetric:
         return (t1 - t2) ** 2 + float(dm @ dm) + self.rho_sq(w1, w2)
 
 
+# at most this many of the starts are diagonal probes (theta = iota)
+_N_DIAGONAL_PROBES = 16
+_FD_STEP = 1e-6
+_STEP0 = 0.25
+
+
 @dataclass(frozen=True)
 class DoublingConfig:
     horizon: float = 1.0
@@ -112,9 +119,6 @@ class DoublingConfig:
     n_starts: int = 32
     max_iters: int = 150
     seed: int = 0
-    fd_step: float = 1e-6
-    step0: float = 0.25
-    n_diagonal_probes: int = 16
     n_polish: int = 6  # best ascent results refined by a constrained local solver
     metric: fm.FourierConfig | None = None
 
@@ -152,9 +156,9 @@ def doubling_maximize(
 
     H(theta, iota) = u(theta) - v(iota) - (1/2 eps) d_F^2 - delta (moment
     penalties), maximized over both copies of [0, T] x simplex^n x box by
-    multistart projected gradient with finite-difference gradients.  Diagonal
-    probes are included among the starts, so the report value dominates the
-    diagonal probe set by construction.
+    multistart projected gradient with finite-difference gradients.  The
+    first min(16, n_starts) starts are diagonal probes, so the report value
+    dominates the diagonal probe set by construction.
     """
     if eps <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
@@ -195,13 +199,14 @@ def doubling_maximize(
         return z
 
     rng = substream(cfg.seed, 0)
+    n_diagonal = min(_N_DIAGONAL_PROBES, cfg.n_starts)
     starts = []
-    for _ in range(cfg.n_diagonal_probes):
+    for _ in range(n_diagonal):
         t0 = rng.uniform(0.0, T)
         w0 = rng.dirichlet(np.ones(n))
         m0 = rng.uniform(-cfg.m_box, cfg.m_box, size=d)
         starts.append(np.concatenate([[t0], w0, m0, [t0], w0, m0]))
-    for _ in range(cfg.n_starts - cfg.n_diagonal_probes):
+    for _ in range(cfg.n_starts - n_diagonal):
         z = np.concatenate(
             [
                 [rng.uniform(0.0, T)],
@@ -221,8 +226,8 @@ def doubling_maximize(
             x0,
             project,
             max_iters=cfg.max_iters,
-            step0=cfg.step0,
-            fd_step=cfg.fd_step,
+            step0=_STEP0,
+            fd_step=_FD_STEP,
         )
         results.append((fx, idx, x, conv))
     results.sort(key=lambda r: (-r[0], r[1]))
@@ -375,8 +380,6 @@ def lq_discretized_candidate(
     ``osc=None`` keeps the raw scale), plus a constant slack and an optional
     extra term ``shift_fn(t, w, m)``.
     """
-    from .filtering_sim import LQParams, _riccati_path
-
     if not isinstance(lq, LQParams):
         raise TypeError("lq must be LQParams")
     support = np.atleast_2d(np.asarray(support, dtype=float))
@@ -384,22 +387,18 @@ def lq_discretized_candidate(
         raise ValueError("the LQ candidate is scalar")
     x = support[:, 0]
     x2 = x * x
-    ts, P, c = _riccati_path(lq)
-    s2, T = lq.sigma**2, lq.horizon
     raw_bound = (
         (float(np.max(np.abs(x))) + m_box) ** 2
-        + float(c[0])
+        + float(lq_riccati(0.0, lq)[1])
         + float(np.max(x2))
-        + s2 * T
+        + lq.sigma**2 * lq.horizon
     )
     scale = osc / raw_bound if osc is not None else 1.0
 
     def eval_fn(t, w, m):
-        Pt = float(np.interp(t, ts, P))
-        ct = float(np.interp(t, ts, c))
         mean = float(w @ x) + float(np.atleast_1d(m)[0])
         var = float(w @ x2) - float(w @ x) ** 2
-        val = scale * (Pt * mean * mean + ct + var + s2 * (T - t)) + slack
+        val = scale * lq_value(t, mean, var, lq)[0] + slack
         if shift_fn is not None:
             val += shift_fn(t, w, m)
         return val

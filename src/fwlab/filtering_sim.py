@@ -28,6 +28,8 @@ __all__ = [
     "simulate_conditional_law",
     "estimate_cost",
     "LQParams",
+    "lq_riccati",
+    "lq_value",
     "lqg_value_oracle",
     "lqg_feedback_policy",
     "SmoothCandidate",
@@ -44,7 +46,6 @@ class LawSummary:
 
     mean: np.ndarray
     cov: np.ndarray
-    atoms: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,6 @@ class SimConfig:
     horizon: float
     runs: int = 1
     seed: int = 0
-    record_atoms: bool = False
 
     def __post_init__(self):
         if self.dt <= 0 or self.dt > self.horizon + 1e-15:
@@ -108,11 +108,11 @@ class ParticleEnsemble:
         if not np.all(np.isfinite(self.states)):
             raise ValueError("particle states must be finite")
 
-    def summary(self, with_atoms: bool = False) -> LawSummary:
+    def summary(self) -> LawSummary:
         mean = self.states.mean(axis=0)
         centered = self.states - mean
         cov = centered.T @ centered / max(self.states.shape[0], 1)
-        return LawSummary(mean, cov, self.states.copy() if with_atoms else None)
+        return LawSummary(mean, cov)
 
     def empirical_measure(self) -> SignedAtomicMeasure:
         w = np.full(self.n_particles, 1.0 / self.n_particles)
@@ -152,7 +152,7 @@ def _run_paths(
     sqdt = math.sqrt(cfg.dt)
     dW = rng_w.standard_normal((n_steps, coeffs.d2)) * sqdt
     ens = ParticleEnsemble(cfg.n_particles, X, dW, b_key, cfg.dt, t)
-    a = policy(ens.clock, ens.summary(cfg.record_atoms))
+    a = policy(ens.clock, ens.summary())
     yield ens.clock, ens, a
     for step in range(n_steps):
         dB = rng_b.standard_normal((cfg.n_particles, coeffs.d1)) * sqdt
@@ -167,7 +167,7 @@ def _run_paths(
         ens = ParticleEnsemble(
             cfg.n_particles, X, dW, b_key, cfg.dt, t + (step + 1) * cfg.dt
         )
-        a = policy(ens.clock, ens.summary(cfg.record_atoms))
+        a = policy(ens.clock, ens.summary())
         yield ens.clock, ens, a
 
 
@@ -255,37 +255,42 @@ class LQParams:
             raise ValueError("noise loadings must be nonnegative")
 
 
-def _riccati_path(lq: LQParams, n_steps: int = 2048) -> tuple:
-    """Backward RK4 for dP/dt = P^2/rho, dc/dt = -sigma_tilde^2 P, P(T) = 1, c(T) = 0."""
+def lq_riccati(t, lq: LQParams) -> tuple:
+    """Exact Riccati pair (P(t), c(t)) of the scalar LQ family.
+
+    P = rho / (rho + T - t) and c = sigma_tilde^2 rho ln((rho + T - t) / rho)
+    solve dP/dt = P^2/rho, dc/dt = -sigma_tilde^2 P with P(T) = 1, c(T) = 0;
+    both extend smoothly past [0, T] for t < T + rho.
+    """
     rho = lq.control_weight
-    ts = np.linspace(0.0, lq.horizon, n_steps + 1)
-    P = np.empty(n_steps + 1)
-    c = np.empty(n_steps + 1)
-    P[-1], c[-1] = 1.0, 0.0
-    h = lq.horizon / n_steps
+    s = rho + (lq.horizon - t)
+    return rho / s, lq.sigma_tilde**2 * rho * np.log(s / rho)
 
-    def rhs(p):
-        return p * p / rho
 
-    for k in range(n_steps, 0, -1):
-        p = P[k]
-        k1 = rhs(p)
-        k2 = rhs(p - 0.5 * h * k1)
-        k3 = rhs(p - 0.5 * h * k2)
-        k4 = rhs(p - h * k3)
-        P[k - 1] = p - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # c integrates sigma_tilde^2 * P backward; trapezoid on the fine grid
-        c[k - 1] = c[k] + 0.5 * h * lq.sigma_tilde**2 * (P[k] + P[k - 1])
-    return ts, P, c
+def lq_value(t, mean: float, var: float, lq: LQParams) -> tuple:
+    """Optimal cost of the scalar LQ family from a law with this mean and variance.
+
+    Returns (V, dV/dt, dV/dmean, d^2V/dmean^2) for
+    V = P(t) mean^2 + c(t) + var + sigma^2 (T - t).
+    """
+    P, c = lq_riccati(t, lq)
+    value = P * mean * mean + c + var + lq.sigma**2 * (lq.horizon - t)
+    dt = (P * P / lq.control_weight) * mean * mean - lq.sigma_tilde**2 * P - lq.sigma**2
+    return value, dt, 2.0 * P * mean, 2.0 * P
+
+
+def _mean_var(mu: SignedAtomicMeasure) -> tuple:
+    mean = float(mu.mean()[0])
+    return mean, mu.second_moment() - mean * mean
 
 
 def lqg_value_oracle(t: float, mu: SignedAtomicMeasure, lq: LQParams) -> float:
     """Reference optimal cost for the scalar LQ family.
 
-    Backward integration of the Riccati/offset pair for the conditional-mean
-    problem, plus the closed contribution of the conditional variance:
-    P(t) mean^2 + c(t) + Var(mu) + sigma^2 (T - t).
-    Validate against the control-grid dynamic program before relying on it.
+    The closed-form Riccati pair of the conditional-mean problem plus the
+    contribution of the conditional variance, ``lq_value`` at the mean and
+    variance of mu.  Validate against the control-grid dynamic program
+    before relying on it.
     """
     if not isinstance(lq, LQParams):
         raise TypeError("lqg_value_oracle needs LQParams")
@@ -295,20 +300,15 @@ def lqg_value_oracle(t: float, mu: SignedAtomicMeasure, lq: LQParams) -> float:
         raise ValueError("initial condition must be a probability measure")
     if t < 0 or t > lq.horizon + 1e-12:
         raise ValueError("time outside [0, horizon]")
-    ts, P, c = _riccati_path(lq)
-    Pt = float(np.interp(t, ts, P))
-    ct = float(np.interp(t, ts, c))
-    mean = float(mu.mean()[0])
-    var = mu.second_moment() - mean * mean
-    return Pt * mean * mean + ct + var + lq.sigma**2 * (lq.horizon - t)
+    return float(lq_value(t, *_mean_var(mu), lq)[0])
 
 
 def lqg_feedback_policy(lq: LQParams) -> ControlPolicy:
     """Optimal mean-feedback a = -P(t) mean / control_weight, clipped to the box."""
-    ts, P, _ = _riccati_path(lq)
 
     def rule(t, summary: LawSummary):
-        return -float(np.interp(t, ts, P)) * float(summary.mean[0]) / lq.control_weight
+        slope = lq_value(t, float(summary.mean[0]), 0.0, lq)[2]
+        return -float(slope) / (2.0 * lq.control_weight)
 
     return ControlPolicy(rule, np.atleast_1d(-lq.control_bound), np.atleast_1d(lq.control_bound))
 
@@ -414,30 +414,20 @@ def viscosity_residual(
 
 def lq_candidate(lq: LQParams) -> SmoothCandidate:
     """The LQ reference value as a smooth candidate with analytic derivatives."""
-    ts, P, c = _riccati_path(lq)
-    rho = lq.control_weight
-
-    def interp(t):
-        return float(np.interp(t, ts, P)), float(np.interp(t, ts, c))
 
     def value(t, mu):
-        Pt, ct = interp(t)
-        mean = float(mu.mean()[0])
-        var = mu.second_moment() - mean * mean
-        return Pt * mean * mean + ct + var + lq.sigma**2 * (lq.horizon - t)
+        return float(lq_value(t, *_mean_var(mu), lq)[0])
 
     def dt(t, mu):
-        Pt, _ = interp(t)
-        mean = float(mu.mean()[0])
-        return (Pt * Pt / rho) * mean * mean - lq.sigma_tilde**2 * Pt - lq.sigma**2
+        return float(lq_value(t, *_mean_var(mu), lq)[1])
 
     def p(t, mu):
-        Pt, _ = interp(t)
-        mean = float(mu.mean()[0])
+        mean, var = _mean_var(mu)
+        slope = lq_value(t, mean, var, lq)[2]
 
         def field(X):
             X = np.atleast_2d(X)
-            return 2.0 * Pt * mean + 2.0 * (X - mean)
+            return slope + 2.0 * (X - mean)
 
         return field
 
@@ -449,7 +439,6 @@ def lq_candidate(lq: LQParams) -> SmoothCandidate:
         return field
 
     def hess_m(t, mu):
-        Pt, _ = interp(t)
-        return np.array([[2.0 * Pt]])
+        return np.array([[lq_value(t, *_mean_var(mu), lq)[3]]])
 
     return SmoothCandidate(value, dt, p, q, hess_m)

@@ -40,6 +40,7 @@ __all__ = [
     "G_regret",
     "RegretSolverConfig",
     "check_assumptions_regret",
+    "regret_samples",
     "linear_growth_norm",
     "subset_vectors",
     "vertex_action",
@@ -639,6 +640,48 @@ def check_assumptions_regret(
         },
         failures=failures,
     )
+
+
+def regret_samples(K: int, n: int, rng: np.random.Generator) -> list:
+    """``n`` random samples in the format ``check_assumptions_regret`` reads.
+
+    Each pairs two 1-3 atom probability measures with equal weights on
+    [-2, 2]^K, two fields q(X) = sin(X . c) B and two matrices M (B, M
+    symmetric), a scale eps in [0.05, 0.5], an action index and a mixed action.
+    """
+
+    def sym():
+        A = rng.standard_normal((K, K))
+        return 0.5 * (A + A.T)
+
+    def field(c, B):
+        return lambda X: np.sin(np.atleast_2d(X) @ c)[:, None, None] * B
+
+    samples = []
+    for _ in range(n):
+        n_atoms = int(rng.integers(1, 4))
+        locs = rng.uniform(-2.0, 2.0, size=(n_atoms, K))
+        w = rng.dirichlet(np.ones(n_atoms))
+        locs2 = rng.uniform(-2.0, 2.0, size=(n_atoms, K))
+        M1, M2 = sym(), sym()
+        c1, c2 = rng.standard_normal(K), rng.standard_normal(K)
+        B1, B2 = sym(), sym()
+        samples.append(
+            {
+                "K": K,
+                "mu": SignedAtomicMeasure(K, locs, w, probability=True),
+                "nu": SignedAtomicMeasure(K, locs2, w, probability=True),
+                "q1": field(c1, B1),
+                "q2": field(c2, B2),
+                "M1": M1,
+                "M2": M2,
+                "M": M1,
+                "eps": float(rng.uniform(0.05, 0.5)),
+                "i": int(rng.integers(1, K + 1)),
+                "a": SimplexAction(K, rng.dirichlet(np.ones(2**K))),
+            }
+        )
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,25 @@ def test_equal_candidates_diagonal_maximum():
     assert rep.value == pytest.approx(-2 * 0.02 * 1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("n_starts", [4, 18])
+def test_doubling_runs_n_starts_ascents(monkeypatch, n_starts):
+    # the first min(16, n_starts) starts are diagonal: both copies
+    # (t, 3 weights, 1 shift) coincide
+    diagonal = []
+    ascent = ch.projected_gradient_ascent
+
+    def counted(objective, x0, *args, **kwargs):
+        diagonal.append(np.array_equal(x0[:5], x0[5:]))
+        return ascent(objective, x0, *args, **kwargs)
+
+    monkeypatch.setattr(ch, "projected_gradient_ascent", counted)
+    u, v = _pair()
+    cfg = ch.DoublingConfig(horizon=1.0, m_box=1.5, n_starts=n_starts, max_iters=2, n_polish=1)
+    ch.doubling_maximize(u, v, 0.1, 0.02, cfg)
+    assert len(diagonal) == n_starts
+    assert diagonal == [True] * min(16, n_starts) + [False] * max(n_starts - 16, 0)
+
+
 def test_constant_difference_value():
     support = SUPPORT
     c = 1.7

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import lq_total_value_dp
 from conftest import random_probability_measure
@@ -175,6 +177,25 @@ def test_oracle_high_control_penalty_matches_uncontrolled():
     coeffs = ham.make_lq_coeffs(sigma=1.0, sigma_tilde=0.5)
     est, err = fs.estimate_cost(0.0, MU2, fs.constant_policy(0.0), coeffs, cfg)
     assert abs(est - uncontrolled) <= 3 * max(err, 1e-3) + 0.05
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rho=st.floats(0.05, 20.0),
+    sigma_tilde=st.floats(0.0, 3.0),
+    horizon=st.floats(0.05, 10.0),
+    frac=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_lq_riccati_solves_the_riccati_pair(rho, sigma_tilde, horizon, frac):
+    lq = fs.LQParams(sigma_tilde=sigma_tilde, horizon=horizon, control_weight=rho)
+    assert fs.lq_riccati(horizon, lq) == (1.0, 0.0)
+    t = frac * horizon
+    P, _ = fs.lq_riccati(t, lq)
+    # central differences with a step relative to rho + T - t, the scale of P
+    h = 1e-4 * (rho + horizon - t)
+    (P_hi, c_hi), (P_lo, c_lo) = fs.lq_riccati(t + h, lq), fs.lq_riccati(t - h, lq)
+    assert (P_hi - P_lo) / (2 * h) == pytest.approx(P * P / rho, rel=1e-6)
+    assert (c_hi - c_lo) / (2 * h) == pytest.approx(-(sigma_tilde**2) * P, rel=1e-6, abs=1e-12)
 
 
 def test_oracle_matches_control_grid_dp():

@@ -353,10 +353,8 @@ def test_G_regret_relabeling_invariance(rng):
 
 
 def test_check_assumptions_regret_small_sample(rng):
-    from fwlab.cli import _regret_samples
-
     cfgs = {2: fm.default_config(2)}
-    samples = _regret_samples(2, 25, rng)
+    samples = ham.regret_samples(2, 25, rng)
     rep = ham.check_assumptions_regret(samples, cfgs)
     assert rep.passed, rep.failures[:3]
     assert rep.stats["max_sign_gap"] <= 1e-9

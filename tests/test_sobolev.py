@@ -183,12 +183,6 @@ def test_leibniz_unit_second_factor(rng):
     assert rep.passed
 
 
-def test_leibniz_higher_order_rejected(rng):
-    f, h = _pair(rng)
-    with pytest.raises(ValueError):
-        sb.leibniz_identity_check(f, h, k=2)
-
-
 def test_commutator_trivial_cases(rng):
     _, g = _pair(rng)
     const = sb.GridFunction(BOX, np.full(BOX.nodes, 2.0))

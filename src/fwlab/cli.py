@@ -6,7 +6,8 @@ CSV rows plus a JSON summary into the output directory.  Outputs embed the
 tool version, the hash of the resolved scenario, and the seed, and are
 byte-identical for identical (scenario, seed, version).
 
-Exit codes: 0 success, 1 input error, 2 a numerical check failed.
+Exit codes: 0 success, 1 input error, 2 a numerical check failed, 3 an
+internal numerical fault (a diverging simulation or a failed stage-game LP).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .measures import Theta, measure_from_json, measure_to_json
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_CHECK_FAILED = 2
+EXIT_NUMERICAL_FAULT = 3
 
 
 class ScenarioError(Exception):
@@ -413,6 +415,11 @@ def run(
     except (ScenarioError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (RecursionError, NotImplementedError):
+        raise
+    except (FloatingPointError, RuntimeError) as exc:
+        print(f"error: numerical fault: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAULT
 
 
 def main(argv=None) -> int:

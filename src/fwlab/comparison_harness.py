@@ -288,7 +288,10 @@ def penalty_decay_check(
     ``decay_factor`` times the first-scale penalty plus ``abs_tol``, and the
     maximizer separation shrinks overall.  Non-decay flags either a candidate
     outside the semicontinuous bounded class or an optimizer failure, which
-    the per-scale convergence flags help distinguish.
+    the per-scale convergence flags help distinguish.  For Lipschitz
+    candidates the penalty falls only in proportion to eps, so with the
+    default ``decay_factor`` the sequence must span well over 10x: eps 0.5
+    to 0.05 on the scalar LQ pair gives a penalty ratio of 0.128 and fails.
     """
     eps_sequence = list(eps_sequence)
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):

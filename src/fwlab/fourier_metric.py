@@ -250,49 +250,38 @@ def make_kappa(
 
 
 def kappa_eval(kernel: KappaKernel, x, order: int = 0):
-    """kappa(x), grad kappa(x) or Hessian kappa(x), by differentiating the quadrature.
+    """kappa, grad kappa or Hessian kappa at points x of shape (..., d).
 
-    order 0 returns a float, 1 a (d,) vector, 2 a (d, d) symmetric matrix.
+    Differentiates the quadrature; order 0 returns shape (...), a float for a
+    single point, order 1 shape (..., d) and order 2 symmetric (..., d, d).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = kernel.config.dim
-    if x.size != d:
+    if x.shape[-1] != d:
         raise ValueError("evaluation point dimension mismatch")
     if not np.all(np.isfinite(x)):
         raise ValueError("evaluation point must be finite")
     nodes, wtilde = _quadrature(kernel.config)
-    pref = (2.0 * np.pi) ** (-d / 2.0)
-    coeff = wtilde * pref
-    phase = np.exp(-1j * (nodes @ x))
+    coeff = wtilde * (2.0 * np.pi) ** (-d / 2.0)
+    wave = kernel.eta_hat * np.exp(-1j * (x @ nodes.T))
     if order == 0:
-        return float(coeff @ (kernel.eta_hat * phase).real) / kernel.epsilon
+        val = (wave.real @ coeff) / kernel.epsilon
+        return float(val) if val.ndim == 0 else val
     if order == 1:
-        inner = coeff * ((-1j) * kernel.eta_hat * phase).real
-        return (inner @ nodes) / kernel.epsilon
+        return ((coeff * wave.imag) @ nodes) / kernel.epsilon
     if order == 2:
-        inner = coeff * (kernel.eta_hat * phase).real
-        return -np.einsum("j,jp,jq->pq", inner, nodes, nodes) / kernel.epsilon
+        return -np.einsum("...j,jp,jq->...pq", coeff * wave.real, nodes, nodes) / kernel.epsilon
     raise ValueError("order must be 0, 1 or 2")
 
 
 def kappa_gradient_field(kernel: KappaKernel):
     """Batched closure X (n,d) -> (n,d) evaluating grad kappa at each row."""
-
-    def field(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([kappa_eval(kernel, row, 1) for row in X])
-
-    return field
+    return lambda X: kappa_eval(kernel, np.atleast_2d(X), 1)
 
 
 def kappa_hessian_field(kernel: KappaKernel):
     """Batched closure X (n,d) -> (n,d,d) evaluating the Hessian of kappa."""
-
-    def field(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([kappa_eval(kernel, row, 2) for row in X])
-
-    return field
+    return lambda X: kappa_eval(kernel, np.atleast_2d(X), 2)
 
 
 def parallelogram_check(

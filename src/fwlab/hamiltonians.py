@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -193,23 +194,25 @@ class JetArgs:
         return JetArgs(lambda X: p(np.atleast_2d(X) - m), lambda X: q(np.atleast_2d(X) - m), self.M)
 
 
-def K_filtering(a, mu: SignedAtomicMeasure, jet: JetArgs, coeffs: FilteringCoeffs) -> float:
+def K_filtering(controls, mu: SignedAtomicMeasure, jet: JetArgs, coeffs: FilteringCoeffs):
     """Per-control pairing: running cost, drift against p, diffusion against q,
-    plus the common-noise trace against M; exact on the atoms."""
+    plus the common-noise trace against M; exact on the atoms.  ``controls`` is
+    one control (float result) or a 1-d array (one value per control); the jet
+    fields p and q are evaluated once."""
     if not mu.probability:
         raise ValueError("K_filtering expects a probability measure")
-    X = mu.locations
-    w = mu.weights
-    rv = np.asarray(coeffs.r(X, a), dtype=float)
-    bv = np.asarray(coeffs.b(X, a), dtype=float)
-    sv = np.asarray(coeffs.sigma(X, a), dtype=float)
+    X, w = mu.locations, mu.weights
     pv = np.asarray(jet.p(X), dtype=float)
     qv = np.asarray(jet.q(X), dtype=float)
-    ssT = np.einsum("nij,nkj->nik", sv, sv)
-    integrand = rv + np.einsum("ni,ni->n", bv, pv) + 0.5 * np.einsum("nik,nki->n", qv, ssT)
-    st = np.asarray(coeffs.sigma_tilde(a), dtype=float)
-    trace_term = 0.5 * float(np.trace(st @ st.T @ jet.M))
-    return float(w @ integrand) + trace_term
+    values = []
+    for a in np.atleast_1d(controls):
+        sv = np.asarray(coeffs.sigma(X, a), dtype=float)
+        drift = np.einsum("ni,ni->n", np.asarray(coeffs.b(X, a), dtype=float), pv)
+        diffusion = np.einsum("nik,nki->n", qv, np.einsum("nij,nkj->nik", sv, sv))
+        integrand = np.asarray(coeffs.r(X, a), dtype=float) + drift + 0.5 * diffusion
+        st = np.asarray(coeffs.sigma_tilde(a), dtype=float)
+        values.append(float(w @ integrand) + 0.5 * float(np.trace(st @ st.T @ jet.M)))
+    return np.array(values) if np.ndim(controls) else values[0]
 
 
 def G_filtering(
@@ -217,10 +220,10 @@ def G_filtering(
 ) -> float:
     """Infimum of K_filtering over a finite control grid (non-increasing under
     grid refinement)."""
-    grid = list(np.atleast_1d(control_grid))
-    if not grid:
+    grid = np.atleast_1d(control_grid)
+    if not grid.size:
         raise ValueError("control grid must be nonempty")
-    return min(K_filtering(a, mu, jet, coeffs) for a in grid)
+    return float(np.min(K_filtering(grid, mu, jet, coeffs)))
 
 
 def Ge_extend(
@@ -280,16 +283,12 @@ def check_assumption_i_filtering(
 
 @dataclass
 class HamiltonianGapRecord:
-    """One evaluation of the doubled Hamiltonian difference and its majorant parts."""
+    """One evaluation of the doubled Hamiltonian difference and its modulus argument."""
 
     difference: float
     d_F: float
     z: float  # (1/eps) d_F^2 + d_F, the modulus argument
     moment_factor: float  # 1 + |m| + |n| + int |x| d(mu + nu)
-    measure_part: float  # K^e gap from mu -> nu at the minimizing control
-    shift_part: float  # K^e gap from m -> n at the same control
-    grad_bound: float
-    hess_bound: float
     epsilon: float
 
 
@@ -306,9 +305,7 @@ def check_assumption_ii_filtering(
 
     Returns the raw difference together with the modulus argument
     z = d_F^2/eps + d_F and the moment factor; a linear modulus is fitted
-    over a family of records by the caller.  The record also carries the
-    split of the gap into measure-difference and shift parts at the control
-    minimizing the iota side, plus the kernel derivative sup bounds.
+    over a family of records by the caller.
     """
     mu, nu = theta.measure, iota.measure
     kernel = fm.make_kappa(mu, nu, eps, cfg)
@@ -319,16 +316,6 @@ def check_assumption_ii_filtering(
     )
     g_theta = Ge_extend(mu, theta.m, jet, coeffs, control_grid)
     g_iota = Ge_extend(nu, iota.m, jet, coeffs, control_grid)
-
-    # control achieving the iota-side infimum, used to split the gap
-    grid = list(np.atleast_1d(control_grid))
-    shifted_nu_n = pushforward_shift(nu, iota.m)
-    jet_n = jet.shifted(iota.m)
-    best_a = min(grid, key=lambda a: K_filtering(a, shifted_nu_n, jet_n, coeffs))
-    k_mu_m = K_filtering(best_a, pushforward_shift(mu, theta.m), jet.shifted(theta.m), coeffs)
-    k_nu_m = K_filtering(best_a, pushforward_shift(nu, theta.m), jet.shifted(theta.m), coeffs)
-    k_nu_n = K_filtering(best_a, pushforward_shift(nu, iota.m), jet.shifted(iota.m), coeffs)
-
     dist = fm.d_F(theta, iota, cfg)
     z = dist * dist / eps + dist
     moment = (
@@ -339,15 +326,7 @@ def check_assumption_ii_filtering(
         + nu.abs_moment()
     )
     return HamiltonianGapRecord(
-        difference=g_theta - g_iota,
-        d_F=dist,
-        z=z,
-        moment_factor=moment,
-        measure_part=k_mu_m - k_nu_m,
-        shift_part=k_nu_m - k_nu_n,
-        grad_bound=kernel.gradient_sup_bound(),
-        hess_bound=kernel.hessian_sup_bound(),
-        epsilon=eps,
+        difference=g_theta - g_iota, d_F=dist, z=z, moment_factor=moment, epsilon=eps
     )
 
 
@@ -405,13 +384,12 @@ class SimplexAction:
         object.__setattr__(self, "weights", w)
 
 
+@lru_cache(maxsize=None)
 def subset_vectors(K: int) -> np.ndarray:
-    """(2^K, K) matrix whose row ``mask`` is the indicator vector of the subset."""
-    E = np.zeros((2**K, K))
-    for mask in range(2**K):
-        for i in range(K):
-            if mask >> i & 1:
-                E[mask, i] = 1.0
+    """Read-only (2^K, K) matrix whose row ``mask`` is the indicator vector of
+    the subset: column i-1 holds bit i-1 of the mask, i.e. action i."""
+    E = (np.arange(2**K)[:, None] >> np.arange(K) & 1).astype(float)
+    E.setflags(write=False)
     return E
 
 
@@ -428,8 +406,7 @@ def uniform_action(K: int) -> SimplexAction:
 def _member_mask(K: int, i: int) -> np.ndarray:
     if not (1 <= i <= K):
         raise ValueError(f"action index {i} out of 1..{K}")
-    masks = np.arange(2**K)
-    return (masks >> (i - 1) & 1).astype(bool)
+    return subset_vectors(K)[:, i - 1].astype(bool)
 
 
 def hat_weights(a: SimplexAction, i: int) -> tuple:

@@ -94,8 +94,8 @@ def step(
         raise ValueError("adversary action has wrong number of base actions")
     i_real = int(rng.choice(K, p=b / b.sum())) + 1
     mask = int(rng.choice(2**K, p=a.weights / a.weights.sum()))
-    in_j = np.array([(mask >> (j - 1)) & 1 for j in range(1, K + 1)], dtype=float)
-    success = bool((mask >> (i_real - 1)) & 1)
+    in_j = subset_vectors(K)[mask]
+    success = bool(in_j[i_real - 1])
     gaps = state.gaps + in_j - (1.0 if success else 0.0)
     y = i_real if success else -i_real
     new_state = GameState(K, gaps, state.t + 1, state.history + ((a, y),))
@@ -198,8 +198,7 @@ def _posterior_update(belief: dict, a: SimplexAction, y: int, round_digits: int)
     i = abs(y)
     success = y > 0
     E = subset_vectors(K)
-    masks = np.arange(2**K)
-    member = (masks >> (i - 1) & 1).astype(bool)
+    member = E[:, i - 1].astype(bool)
     sel = member if success else ~member
     wsel = a.weights[sel]
     total = wsel.sum()
@@ -324,7 +323,7 @@ def follow_the_leader_forecaster(K: int) -> ForecasterStrategy:
     def rule(m0, history):
         scores = np.zeros(K)
         for a, _y in history:
-            scores += np.array([hat_weights(a, i)[0] for i in range(1, K + 1)])
+            scores += a.weights @ subset_vectors(K)
         out = np.zeros(K)
         out[int(np.argmax(scores))] = 1.0
         return out
@@ -338,7 +337,7 @@ def exp_weights_forecaster(K: int, eta: float = 0.5) -> ForecasterStrategy:
     def rule(m0, history):
         scores = np.zeros(K)
         for a, y in history:
-            est = np.array([hat_weights(a, i)[0] for i in range(1, K + 1)])
+            est = a.weights @ subset_vectors(K)
             est[abs(y) - 1] = 1.0 if y > 0 else 0.0
             scores += est
         w = np.exp(eta * (scores - scores.max()))

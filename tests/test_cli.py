@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from fwlab import cli
+from fwlab import prediction_game as pg
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RHO_D0_D1 = 0.17007722980167875
@@ -73,6 +75,28 @@ def test_engineered_check_failure_exits_2(tmp_path):
     assert cli.run(path, out_dir=tmp_path) == cli.EXIT_OK
     code = cli.run(path, overrides=["constant_scale=1e-6"], out_dir=tmp_path)
     assert code == cli.EXIT_CHECK_FAILED
+
+
+def test_diverging_simulation_exits_3(tmp_path, capsys):
+    code = cli.run(
+        SCENARIOS / "filter_sim.json",
+        overrides=["coeffs_params.sigma=1e8", "lq.sigma=1e8"],
+        out_dir=tmp_path,
+    )
+    assert code == cli.EXIT_NUMERICAL_FAULT
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical fault: ") and err.count("\n") == 1
+
+
+def test_failed_stage_game_lp_exits_3(tmp_path, capsys, monkeypatch):
+    def failing_linprog(*args, **kwargs):
+        return SimpleNamespace(success=False, message="forced failure")
+
+    monkeypatch.setattr(pg, "linprog", failing_linprog)
+    code = cli.run(SCENARIOS / "dp_value.json", out_dir=tmp_path)
+    assert code == cli.EXIT_NUMERICAL_FAULT
+    err = capsys.readouterr().err
+    assert err == "error: numerical fault: matrix game LP failed: forced failure\n"
 
 
 def test_set_override_changes_output(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import rho_f_point_masses_1d
 from conftest import random_probability_measure
@@ -212,6 +214,26 @@ def test_kappa_real_valued(cfg1d, rng):
     ker = fm.make_kappa(mu, nu, 0.3, cfg1d)
     val = fm.kappa_eval(ker, np.array([1.2]), 0)
     assert isinstance(val, float)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2]), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_kappa_eval_on_point_arrays_matches_each_point(d, n, seed):
+    rng = np.random.default_rng(seed)
+    cfg = fm.default_config(d)
+    mu = random_probability_measure(rng, dim=d)
+    nu = random_probability_measure(rng, dim=d)
+    ker = fm.make_kappa(mu, nu, float(rng.uniform(0.05, 0.5)), cfg)
+    X = rng.uniform(-4.0, 4.0, size=(n, d))
+    for order, shape in ((0, (n,)), (1, (n, d)), (2, (n, d, d))):
+        batch = fm.kappa_eval(ker, X, order)
+        rows = np.array([fm.kappa_eval(ker, x, order) for x in X])
+        assert batch.shape == shape
+        scale = max(1.0, float(np.max(np.abs(rows))))
+        assert np.max(np.abs(batch - rows)) <= 1e-12 * scale
+    grad, hess = fm.kappa_gradient_field(ker)(X), fm.kappa_hessian_field(ker)(X)
+    assert np.array_equal(grad, fm.kappa_eval(ker, X, 1))
+    assert np.array_equal(hess, fm.kappa_eval(ker, X, 2))
 
 
 def test_kappa_invalid_order(cfg1d, rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import simplex_lattice
 from conftest import random_probability_measure
@@ -210,6 +212,47 @@ def test_assumption_ii_bounded_coeffs_fit(cfg1d, rng):
     assert ham.verify_linear_modulus(records, c).passed
 
 
+def _kappa_jet(rng, cfg):
+    mu, nu = (random_probability_measure(rng) for _ in range(2))
+    ker = fm.make_kappa(mu, nu, float(rng.uniform(0.02, 0.5)), cfg)
+    M = rng.uniform(-1.0, 1.0, (1, 1))
+    return ham.JetArgs(fm.kappa_gradient_field(ker), fm.kappa_hessian_field(ker), M)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_controls=st.integers(1, 41))
+def test_K_filtering_over_controls_matches_each_control(cfg1d, seed, n_controls):
+    rng = np.random.default_rng(seed)
+    coeffs = ham.make_bounded_filter_coeffs()
+    mu = random_probability_measure(rng)
+    jet = _kappa_jet(rng, cfg1d)
+    controls = rng.uniform(-2.0, 2.0, n_controls)
+    values = ham.K_filtering(controls, mu, jet, coeffs)
+    each = [ham.K_filtering(float(a), mu, jet, coeffs) for a in controls]
+    assert values.shape == (n_controls,)
+    assert all(isinstance(v, float) for v in each)
+    assert np.array_equal(values, each)
+    assert ham.G_filtering(mu, jet, coeffs, controls) == min(each)
+
+
+def test_G_filtering_evaluates_the_jet_once(cfg1d, rng):
+    calls = {"p": 0, "q": 0}
+    jet = _kappa_jet(rng, cfg1d)
+
+    def counted(name, field):
+        def wrapped(X):
+            calls[name] += 1
+            return field(X)
+
+        return wrapped
+
+    counting = ham.JetArgs(counted("p", jet.p), counted("q", jet.q), jet.M)
+    mu = random_probability_measure(rng)
+    grid = np.linspace(-2.0, 2.0, 41)
+    ham.G_filtering(mu, counting, ham.make_bounded_filter_coeffs(), grid)
+    assert calls == {"p": 1, "q": 1}
+
+
 def test_coefficient_checker_accepts_and_rejects(rng):
     ok = ham.check_coefficient_assumptions(LQ, GRID[::40], rng)
     assert ok.passed, ok.failures
@@ -249,6 +292,18 @@ def test_hat_weights_partition_exact(rng):
         for i in range(1, K + 1):
             hi, hmi = ham.hat_weights(a, i)
             assert hi + hmi == 1.0
+
+
+def test_subset_vectors_table():
+    for K in range(1, 5):
+        E = ham.subset_vectors(K)
+        assert E.shape == (2**K, K)
+        assert not E.flags.writeable
+        for mask in range(2**K):
+            for i in range(1, K + 1):
+                assert E[mask, i - 1] == (mask >> (i - 1)) & 1
+        with pytest.raises(ValueError):
+            E[0, 0] = 1.0
 
 
 def test_V_vectors_examples():

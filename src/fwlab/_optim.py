@@ -1,4 +1,9 @@
-"""Projected-gradient multistart ascent over products of simple convex sets."""
+"""Projected-gradient multistart ascent over products of simple convex sets.
+
+The ascent takes the objective's gradient from the caller.  The only
+finite-difference gradient left is the one ``multistart_ascent`` builds for
+its callers that have no analytic form.
+"""
 
 from __future__ import annotations
 
@@ -32,53 +37,55 @@ def projected_gradient_ascent(
     objective,
     x0: np.ndarray,
     project,
+    *,
+    gradient,
     max_iters: int = 300,
     step0: float = 0.5,
-    fd_step: float = 1e-5,
     grad_tol: float = 1e-8,
     shrink: float = 0.5,
     max_backtracks: int = 30,
 ):
-    """Maximize ``objective`` with finite-difference gradients along projected arcs.
+    """Maximize ``objective`` along projected gradient arcs.
 
-    The step grows on accepted trials and backtracks otherwise; convergence
-    means the unit-step projected gradient mapping became smaller than
-    ``grad_tol``.  Returns (x, value, converged).
+    ``gradient(x)`` is called once per iteration, at the accepted point.  The
+    step grows on accepted trials and backtracks otherwise.  ``converged``
+    is True only when the unit-step projected gradient mapping became
+    smaller than ``grad_tol``; an ascent that runs out of iterations, or
+    stalls because no backtrack along the arc ascends, reports False.
+    Returns (x, value, converged).
     """
     x = project(np.asarray(x0, dtype=float))
     fx = objective(x)
-    converged = False
     step = step0
     for _ in range(max_iters):
-        grad = _fd_gradient(objective, x, fd_step)
+        grad = gradient(x)
         pg = project(x + grad) - x
         if float(np.linalg.norm(pg)) < grad_tol:
-            converged = True
-            break
-        moved = False
-        trial = step
+            return x, fx, True
         for _ in range(max_backtracks):
-            cand = project(x + trial * grad)
+            cand = project(x + step * grad)
             direction = float(grad @ (cand - x))
             fc = objective(cand)
             if direction > 0 and fc >= fx + 1e-4 * direction:
                 x, fx = cand, fc
-                step = trial * 2.0
-                moved = True
+                step *= 2.0
                 break
-            trial *= shrink
-        if not moved:
-            # no ascent along the projected arc at any scale: stationary
-            converged = True
+            step *= shrink
+        else:
             break
-    return x, fx, converged
+    return x, fx, False
 
 
 def multistart_ascent(objective, starts, project, **kwargs):
-    """Run the ascent from each start; ties broken by lowest start index."""
+    """Run the ascent from each start, with central-difference gradients at
+    step 1e-5; ties broken by lowest start index."""
+
+    def gradient(x):
+        return _fd_gradient(objective, x, 1e-5)
+
     best = None
     for idx, x0 in enumerate(starts):
-        x, fx, conv = projected_gradient_ascent(objective, x0, project, **kwargs)
+        x, fx, conv = projected_gradient_ascent(objective, x0, project, gradient=gradient, **kwargs)
         if best is None or fx > best[1]:
             best = (x, fx, conv, idx)
     return best

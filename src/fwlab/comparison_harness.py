@@ -30,6 +30,7 @@ __all__ = [
     "FixedSupportMetric",
     "DoublingConfig",
     "DoublingReport",
+    "doubled_objective",
     "doubling_maximize",
     "penalty_decay_check",
     "ordering_check",
@@ -40,11 +41,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscretizedFunction:
-    """A bounded function of (t, weights-on-support, shift).
+    """A bounded function of (t, weights-on-support, shift) with its gradient.
 
     ``support`` fixes the atom locations; ``eval_fn(t, w, m)`` evaluates the
-    extended candidate at the measure with those weights, translated by m.
-    ``bound`` is the declared sup bound on the optimization domain.
+    extended candidate at the measure with those weights, translated by m,
+    and returns ``(value, d/dt, d/dw, d/dm)`` with the weight and shift
+    gradients shaped like w and m.  Calling the function returns the value
+    alone.  ``bound`` is the declared sup bound on the optimization domain.
     """
 
     support: np.ndarray  # (n, d)
@@ -67,7 +70,7 @@ class DiscretizedFunction:
         return self.support.shape[1]
 
     def __call__(self, t: float, w: np.ndarray, m: np.ndarray) -> float:
-        return float(self.eval_fn(t, np.asarray(w, dtype=float), np.asarray(m, dtype=float)))
+        return float(self.eval_fn(t, np.asarray(w, dtype=float), np.asarray(m, dtype=float))[0])
 
     def measure(self, w: np.ndarray) -> SignedAtomicMeasure:
         return SignedAtomicMeasure(self.dim, self.support, np.asarray(w, dtype=float), False)
@@ -136,13 +139,58 @@ class DoublingReport:
     best_start: int
 
 
-def _second_moment(support: np.ndarray, w: np.ndarray) -> float:
-    return float(np.asarray(w) @ np.sum(support * support, axis=1))
+def _unpack(z: np.ndarray, n: int, d: int) -> tuple:
+    """(t1, w1, m1, t2, w2, m2) as views into the packed point z."""
+    return (
+        z[0],
+        z[1 : 1 + n],
+        z[1 + n : 1 + n + d],
+        z[1 + n + d],
+        z[2 + n + d : 2 + 2 * n + d],
+        z[2 + 2 * n + d :],
+    )
 
 
-def _vartheta(support: np.ndarray, w: np.ndarray, m: np.ndarray) -> float:
-    m = np.asarray(m, dtype=float)
-    return 1.0 + float(m @ m) + _second_moment(support, w)
+def doubled_objective(
+    u: DiscretizedFunction, v: DiscretizedFunction, gram: np.ndarray, eps: float, delta: float
+) -> Callable:
+    """Value and exact gradient of the doubled penalized objective.
+
+    The returned ``value_and_grad(z)`` takes the packed point
+    z = (t1, w1, m1, t2, w2, m2) and evaluates each copy once.
+    H = u(t1, w1, m1) - v(t2, w2, m2) - d_F^2 / (2 eps)
+    - delta (vartheta(w1, m1) + vartheta(w2, m2)), where
+    d_F^2 = (t1 - t2)^2 + |m1 - m2|^2 + (w1 - w2)^T Gram (w1 - w2) and
+    vartheta(w, m) = 1 + |m|^2 + sum_i w_i |x_i|^2 over the support atoms x_i.
+    """
+    n, d = u.n_atoms, u.dim
+    sq_norms = np.sum(u.support * u.support, axis=1)
+
+    def value_and_grad(z):
+        t1, w1, m1, t2, w2, m2 = _unpack(z, n, d)
+        u_val, u_t, u_w, u_m = u.eval_fn(t1, w1, m1)
+        v_val, v_t, v_w, v_m = v.eval_fn(t2, w2, m2)
+        dt, dw, dm = t1 - t2, w1 - w2, m1 - m2
+        gram_dw = gram @ dw
+        d_F_sq = dt * dt + float(dm @ dm) + max(float(dw @ gram_dw), 0.0)
+        val = u_val - v_val - d_F_sq / (2.0 * eps)
+        val -= delta * (
+            (1.0 + float(m1 @ m1) + float(w1 @ sq_norms))
+            + (1.0 + float(m2 @ m2) + float(w2 @ sq_norms))
+        )
+        grad = np.concatenate(
+            [
+                [u_t - dt / eps],
+                u_w - gram_dw / eps - delta * sq_norms,
+                u_m - dm / eps - 2.0 * delta * m1,
+                [dt / eps - v_t],
+                gram_dw / eps - v_w - delta * sq_norms,
+                dm / eps - v_m - 2.0 * delta * m2,
+            ]
+        )
+        return float(val), grad
+
+    return value_and_grad
 
 
 def doubling_maximize(
@@ -156,9 +204,10 @@ def doubling_maximize(
 
     H(theta, iota) = u(theta) - v(iota) - (1/2 eps) d_F^2 - delta (moment
     penalties), maximized over both copies of [0, T] x simplex^n x box by
-    multistart projected gradient with finite-difference gradients.  The
-    first min(16, n_starts) starts are diagonal probes, so the report value
-    dominates the diagonal probe set by construction.
+    multistart projected gradient ascent and an SLSQP polish, both on the
+    exact gradient of ``doubled_objective``.  The first min(16, n_starts)
+    starts are diagonal probes, so the report value dominates the diagonal
+    probe set by construction.
     """
     if eps <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
@@ -169,24 +218,26 @@ def doubling_maximize(
     n, d = u.n_atoms, u.dim
     metric_cfg = cfg.metric or fm.default_config(d)
     metric = FixedSupportMetric(u.support, metric_cfg)
-    support = u.support
+    value_and_grad = doubled_objective(u, v, metric.gram, eps, delta)
     T = cfg.horizon
 
-    def unpack(z):
-        t1 = z[0]
-        w1 = z[1 : 1 + n]
-        m1 = z[1 + n : 1 + n + d]
-        t2 = z[1 + n + d]
-        w2 = z[2 + n + d : 2 + 2 * n + d]
-        m2 = z[2 + 2 * n + d :]
-        return t1, w1, m1, t2, w2, m2
+    # the ascent asks for the gradient at the point it last accepted, which is
+    # the point it last evaluated; keep that gradient instead of re-evaluating
+    last = [None, None]
 
     def objective(z):
-        t1, w1, m1, t2, w2, m2 = unpack(z)
-        val = u(t1, w1, m1) - v(t2, w2, m2)
-        val -= metric.d_F_sq(t1, w1, m1, t2, w2, m2) / (2.0 * eps)
-        val -= delta * (_vartheta(support, w1, m1) + _vartheta(support, w2, m2))
+        val, grad = value_and_grad(z)
+        last[:] = [z.copy(), grad]
         return val
+
+    def gradient(z):
+        if last[0] is None or not np.array_equal(z, last[0]):
+            objective(z)
+        return last[1]
+
+    def negated(z):
+        val, grad = value_and_grad(z)
+        return -val, -grad
 
     def project(z):
         z = np.asarray(z, dtype=float).copy()
@@ -225,9 +276,9 @@ def doubling_maximize(
             objective,
             x0,
             project,
+            gradient=gradient,
             max_iters=cfg.max_iters,
             step0=_STEP0,
-            fd_step=_FD_STEP,
         )
         results.append((fx, idx, x, conv))
     results.sort(key=lambda r: (-r[0], r[1]))
@@ -237,15 +288,17 @@ def doubling_maximize(
     bounds = (
         [(0.0, T)] + [(0.0, 1.0)] * n + [(-cfg.m_box, cfg.m_box)] * d
     ) * 2
-    constraints = [
-        {"type": "eq", "fun": lambda z: float(np.sum(z[1 : 1 + n]) - 1.0)},
-        {"type": "eq", "fun": lambda z: float(np.sum(z[2 + n + d : 2 + 2 * n + d]) - 1.0)},
-    ]
+    # each copy's weights sum to one
+    sums = np.zeros((2, 2 * (1 + n + d)))
+    sums[0, 1 : 1 + n] = 1.0
+    sums[1, 2 + n + d : 2 + 2 * n + d] = 1.0
+    constraints = {"type": "eq", "fun": lambda z: sums @ z - 1.0, "jac": lambda z: sums}
     best = None
     for fx, idx, x, conv in results[: max(cfg.n_polish, 1)]:
         res = optimize.minimize(
-            lambda z: -objective(z),
+            negated,
             x,
+            jac=True,
             method="SLSQP",
             bounds=bounds,
             constraints=constraints,
@@ -258,7 +311,7 @@ def doubling_maximize(
         if best is None or fc > best[0]:
             best = (fc, cand, conv or res.success, idx)
     val, z, conv, idx = best
-    t1, w1, m1, t2, w2, m2 = unpack(z)
+    t1, w1, m1, t2, w2, m2 = _unpack(z, n, d)
     dsq = metric.d_F_sq(t1, w1, m1, t2, w2, m2)
     return DoublingReport(
         epsilon=eps,
@@ -381,7 +434,9 @@ def lq_discretized_candidate(
     ``osc`` (the doubling machinery presumes bounded candidates, and the raw
     value's quadratic growth would otherwise dominate every penalty;
     ``osc=None`` keeps the raw scale), plus a constant slack and an optional
-    extra term ``shift_fn(t, w, m)``.
+    extra term ``shift_fn(t)`` of time alone.  The gradient is exact by the
+    chain rule through mean = w.x + m and var = w.x^2 - (w.x)^2, except for
+    the t-derivative of ``shift_fn``, a central difference at step 1e-6.
     """
     if not isinstance(lq, LQParams):
         raise TypeError("lq must be LQParams")
@@ -399,12 +454,17 @@ def lq_discretized_candidate(
     scale = osc / raw_bound if osc is not None else 1.0
 
     def eval_fn(t, w, m):
-        mean = float(w @ x) + float(np.atleast_1d(m)[0])
-        var = float(w @ x2) - float(w @ x) ** 2
-        val = scale * lq_value(t, mean, var, lq)[0] + slack
+        wx = float(w @ x)
+        mean = wx + float(np.atleast_1d(m)[0])
+        var = float(w @ x2) - wx**2
+        value, v_t, v_mean, _ = lq_value(t, mean, var, lq)
+        val = scale * value + slack
+        d_t = scale * v_t
         if shift_fn is not None:
-            val += shift_fn(t, w, m)
-        return val
+            val += shift_fn(t)
+            d_t += (shift_fn(t + _FD_STEP) - shift_fn(t - _FD_STEP)) / (2.0 * _FD_STEP)
+        d_w = scale * (v_mean * x + x2 - 2.0 * wx * x)
+        return val, d_t, d_w, np.array([scale * v_mean])
 
     return DiscretizedFunction(support, eval_fn, 1.0 + abs(slack) + scale * raw_bound, label)
 

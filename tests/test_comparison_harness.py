@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwlab import comparison_harness as ch
 from fwlab import filtering_sim as fs
@@ -15,6 +17,76 @@ def _pair(slack=0.25):
     u = ch.lq_discretized_candidate(SUPPORT, LQ, slack=slack, m_box=CFG.m_box, osc=0.25)
     v = ch.lq_discretized_candidate(SUPPORT, LQ, slack=0.0, m_box=CFG.m_box, osc=0.25)
     return u, v
+
+
+# where the gradient tests place a point: inside the domain, on either time
+# boundary, or at a vertex of the weight simplex
+POINT_KINDS = ("interior", "t=0", "t=T", "vertex")
+
+
+def _central_differences(f, x, h):
+    return np.array([(f(x + h * e) - f(x - h * e)) / (2.0 * h) for e in np.eye(x.size)])
+
+
+def _random_point(rng, n, m_box, kind):
+    t = {"t=0": 0.0, "t=T": 1.0}.get(kind, rng.uniform(0.0, 1.0))
+    w = np.eye(n)[rng.integers(n)] if kind == "vertex" else rng.dirichlet(np.ones(n))
+    return np.concatenate([[t], w, rng.uniform(-m_box, m_box, 1)])
+
+
+def _random_lq_pair(rng, shifted):
+    """A random support and LQ pair at osc 0.25, with the candidates' common
+    rescale factor osc / raw_bound as lq_discretized_candidate defines it."""
+    n = int(rng.integers(2, 6))
+    support = rng.uniform(-1.5, 1.5, (n, 1))
+    lq = fs.LQParams(sigma=1.0, sigma_tilde=float(rng.uniform(0.2, 1.0)), horizon=1.0)
+    shift = (lambda t: 0.1 * np.sin(3.0 * t)) if shifted else None
+    kw = {"m_box": 1.5, "osc": 0.25}
+    slack = float(rng.uniform(0.0, 0.5))
+    u = ch.lq_discretized_candidate(support, lq, slack=slack, shift_fn=shift, **kw)
+    v = ch.lq_discretized_candidate(support, lq, **kw)
+    x = support[:, 0]
+    raw_bound = (
+        (np.max(np.abs(x)) + 1.5) ** 2
+        + fs.lq_riccati(0.0, lq)[1]
+        + np.max(x * x)
+        + lq.sigma**2 * lq.horizon
+    )
+    return u, v, 0.25 / raw_bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(POINT_KINDS), shifted=st.booleans())
+def test_lq_candidate_gradient_matches_central_differences(seed, kind, shifted):
+    rng = np.random.default_rng(seed)
+    u, _, scale = _random_lq_pair(rng, shifted)
+    n = u.n_atoms
+    z = _random_point(rng, n, 1.5, kind)
+    val, d_t, d_w, d_m = u.eval_fn(z[0], z[1 : 1 + n], z[1 + n :])
+    assert val == u(z[0], z[1 : 1 + n], z[1 + n :])
+    fd = _central_differences(lambda y: u(y[0], y[1 : 1 + n], y[1 + n :]), z, 1e-6)
+    assert np.max(np.abs(np.concatenate([[d_t], d_w, d_m]) - fd)) <= 1e-7 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.tuples(st.sampled_from(POINT_KINDS), st.sampled_from(POINT_KINDS)),
+    shifted=st.booleans(),
+    eps=st.floats(0.02, 1.0),
+    delta=st.floats(0.005, 0.2),
+)
+def test_doubled_objective_gradient_matches_central_differences(seed, kinds, shifted, eps, delta):
+    rng = np.random.default_rng(seed)
+    u, v, scale = _random_lq_pair(rng, shifted)
+    gram = ch.FixedSupportMetric(u.support, fm.default_config(1)).gram
+    value_and_grad = ch.doubled_objective(u, v, gram, eps, delta)
+    z = np.concatenate([_random_point(rng, u.n_atoms, 1.5, kind) for kind in kinds])
+    _, grad = value_and_grad(z)
+    # the coupling and moment terms are quadratic, so a wider step costs them
+    # nothing and keeps the rounding in the 1/eps penalty small
+    fd = _central_differences(lambda y: value_and_grad(y)[0], z, 1e-5)
+    assert np.max(np.abs(grad - fd)) <= 1e-7 * scale * (1.0 + 1.0 / eps)
 
 
 def test_equal_candidates_diagonal_maximum():
@@ -50,8 +122,8 @@ def test_doubling_runs_n_starts_ascents(monkeypatch, n_starts):
 def test_constant_difference_value():
     support = SUPPORT
     c = 1.7
-    u = ch.DiscretizedFunction(support, lambda t, w, m: c, c)
-    v = ch.DiscretizedFunction(support, lambda t, w, m: 0.0, 0.0)
+    u = ch.DiscretizedFunction(support, lambda t, w, m: (c, 0.0, np.zeros(3), np.zeros(1)), c)
+    v = ch.DiscretizedFunction(support, lambda t, w, m: (0.0, 0.0, np.zeros(3), np.zeros(1)), 0.0)
     rep = ch.doubling_maximize(u, v, 0.1, 0.02, CFG)
     assert rep.value == pytest.approx(c - 2 * 0.02 * 1.0, abs=1e-6)
     assert rep.penalty <= 1e-8
@@ -136,7 +208,7 @@ def test_penalty_decay_with_usc_jump():
         slack=0.25,
         m_box=CFG.m_box,
         osc=0.25,
-        shift_fn=lambda t, w, m: 0.05 if t <= 0.5 else 0.0,
+        shift_fn=lambda t: 0.05 if t <= 0.5 else 0.0,
     )
     v = ch.lq_discretized_candidate(SUPPORT, LQ, slack=0.0, m_box=CFG.m_box, osc=0.25)
     rep = ch.penalty_decay_check(u, v, 0.02, [0.5, 0.1, 0.02], CFG)
@@ -167,7 +239,7 @@ def test_ordering_check_margin_pair(rng):
     c = 0.3
     above = ch.lq_discretized_candidate(
         SUPPORT, LQ, slack=0.0, m_box=1.5, osc=1.0,
-        shift_fn=lambda t, w, m: c * (1.0 - t),
+        shift_fn=lambda t: c * (1.0 - t),
     )
     rep = ch.ordering_check(base, above, _probes(rng), horizon=1.0)
     assert rep.passed
@@ -181,7 +253,7 @@ def test_ordering_check_equality_and_h_shift(rng):
     h = 0.12
     lowered = ch.lq_discretized_candidate(
         SUPPORT, LQ, slack=0.0, m_box=1.5, osc=1.0,
-        shift_fn=lambda t, w, m: -h * (1.0 - t + 1.0),
+        shift_fn=lambda t: -h * (1.0 - t + 1.0),
     )
     rep = ch.ordering_check(lowered, base, _probes(rng), horizon=1.0)
     assert rep.passed

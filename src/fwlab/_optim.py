@@ -1,8 +1,7 @@
-"""Projected-gradient multistart ascent over products of simple convex sets.
+"""Projected-gradient ascent over products of simple convex sets.
 
-The ascent takes the objective's gradient from the caller.  The only
-finite-difference gradient left is the one ``multistart_ascent`` builds for
-its callers that have no analytic form.
+The ascent takes the objective's gradient from the caller, and every caller
+passes an exact one: the package has no finite-difference gradient left.
 """
 
 from __future__ import annotations
@@ -21,16 +20,6 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     rho = int(ind[cond][-1])
     theta = css[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
-
-
-def _fd_gradient(objective, x, h):
-    n = x.size
-    grad = np.empty(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        grad[j] = (objective(x + e) - objective(x - e)) / (2.0 * h)
-    return grad
 
 
 def projected_gradient_ascent(
@@ -75,17 +64,3 @@ def projected_gradient_ascent(
             break
     return x, fx, False
 
-
-def multistart_ascent(objective, starts, project, **kwargs):
-    """Run the ascent from each start, with central-difference gradients at
-    step 1e-5; ties broken by lowest start index."""
-
-    def gradient(x):
-        return _fd_gradient(objective, x, 1e-5)
-
-    best = None
-    for idx, x0 in enumerate(starts):
-        x, fx, conv = projected_gradient_ascent(objective, x0, project, gradient=gradient, **kwargs)
-        if best is None or fx > best[1]:
-            best = (x, fx, conv, idx)
-    return best

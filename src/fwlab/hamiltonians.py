@@ -3,8 +3,11 @@
 Filtering side: the per-control generator pairing K, its infimum G over a
 control grid, and the extension G^e that evaluates G at a translated measure
 with translated derivative arguments.  Prediction side: subset-weight
-bookkeeping on mixed adversary actions, the per-direction quadratic form K,
-and its supremum over action index and mixed action.
+bookkeeping on mixed adversary actions, the per-direction quadratic form K in
+closed form over arrays of actions with its exact gradient, and its supremum
+over action index and mixed action, found by projected ascent on that
+gradient.  K_filtering takes an array of controls and K_regret an array of
+actions.
 
 The continuity conditions the comparison argument needs are *fitted* here:
 checking one means estimating its constant on a sample family and verifying
@@ -21,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import fourier_metric as fm
-from ._optim import multistart_ascent, project_simplex
+from . import _optim
 from .measures import SignedAtomicMeasure, Theta, pushforward_shift
 from .reports import CheckReport
 
@@ -36,7 +39,6 @@ __all__ = [
     "check_assumption_i_filtering",
     "check_assumption_ii_filtering",
     "hat_weights",
-    "V_vectors",
     "K_regret",
     "G_regret",
     "RegretSolverConfig",
@@ -360,6 +362,21 @@ def verify_linear_modulus(records: list, constant: float, rtol: float = 1e-9) ->
 # ---------------------------------------------------------------------------
 
 
+def _validated_weights(K: int, w, ndim: int) -> np.ndarray:
+    """Mixed actions over the 2^K subsets as an ``ndim``-d float array, one
+    action per row if 2-d: nonnegative weights summing to one within 1e-12."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != ndim or w.shape[-1] != 2**K:
+        raise ValueError(f"need {2 ** K} weights per action in {ndim} dims, got shape {w.shape}")
+    if (w < 0).any():
+        raise ValueError("weights must be nonnegative")
+    sums = w.sum(axis=-1)
+    off = abs(sums - 1.0)
+    if (off > 1e-12).any():
+        raise ValueError(f"weights sum to {float(np.ravel(sums)[np.argmax(off)])!r} != 1")
+    return w
+
+
 @dataclass(frozen=True)
 class SimplexAction:
     """Mixed subset choice: 2^K weights indexed by subset bitmask.
@@ -372,14 +389,7 @@ class SimplexAction:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if w.size != 2**self.n_actions:
-            raise ValueError(f"need {2 ** self.n_actions} weights, got {w.size}")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(float(np.sum(w)) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {float(np.sum(w))!r} != 1")
-        w = w.copy()
+        w = _validated_weights(self.n_actions, np.ravel(self.weights), 1).copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -393,6 +403,20 @@ def subset_vectors(K: int) -> np.ndarray:
     return E
 
 
+@lru_cache(maxsize=None)
+def _direction(K: int, i: int) -> tuple:
+    """Read-only mask of the subsets containing action i, and the (2^K, K)
+    matrix C whose row j is e_{j^C} for those subsets and e_j for the rest."""
+    if not (1 <= i <= K):
+        raise ValueError(f"action index {i} out of 1..{K}")
+    E = subset_vectors(K)
+    member = E[:, i - 1].astype(bool)
+    C = np.where(member[:, None], 1.0 - E, E)
+    member.setflags(write=False)
+    C.setflags(write=False)
+    return member, C
+
+
 def vertex_action(K: int, mask: int) -> SimplexAction:
     w = np.zeros(2**K)
     w[mask] = 1.0
@@ -403,12 +427,6 @@ def uniform_action(K: int) -> SimplexAction:
     return SimplexAction(K, np.full(2**K, 1.0 / 2**K))
 
 
-def _member_mask(K: int, i: int) -> np.ndarray:
-    if not (1 <= i <= K):
-        raise ValueError(f"action index {i} out of 1..{K}")
-    return subset_vectors(K)[:, i - 1].astype(bool)
-
-
 def hat_weights(a: SimplexAction, i: int) -> tuple:
     """Total weight on subsets containing i, and its complement.
 
@@ -416,87 +434,88 @@ def hat_weights(a: SimplexAction, i: int) -> tuple:
     exactly in floating point; it agrees with the direct sum over subsets not
     containing i up to the simplex mass tolerance.
     """
-    sel = _member_mask(a.n_actions, i)
-    hat_i = float(np.sum(a.weights[sel]))
+    member, _ = _direction(a.n_actions, i)
+    hat_i = float(np.sum(a.weights[member]))
     return hat_i, 1.0 - hat_i
 
 
-def V_vectors(a: SimplexAction, i: int) -> tuple:
-    """Conditional mean complement/member indicator vectors (V_i, V_{-i}).
+def _regret_data(mu: SignedAtomicMeasure, q, M) -> tuple:
+    """The mean matrix of q under mu and M, checked against mu's dimension."""
+    if not mu.probability:
+        raise ValueError("regret pairing expects a probability measure")
+    M = np.asarray(M, dtype=float)
+    if M.shape != (mu.dim, mu.dim):
+        raise ValueError(f"M must be {mu.dim}x{mu.dim}, got shape {M.shape}")
+    qbar = np.einsum("n,nij->ij", mu.weights, np.asarray(q(mu.locations), dtype=float))
+    if qbar.shape != M.shape:
+        raise ValueError(f"q must take {mu.dim}x{mu.dim} values, got shape {qbar.shape}")
+    return qbar, M
 
-    V_i averages e_{complement of j} over subsets j containing i with weights
-    a(j)/hat(i); the zero-vector convention applies where the conditioning
-    weight vanishes, which makes the weight-cleared form of the quadratic
-    pairing continuous there.
+
+def _pairing(i: int, W: np.ndarray, qbar: np.ndarray, M: np.ndarray) -> tuple:
+    """Direction-i pairing of each row of the (B, 2^K) weights W, and its gradient.
+
+    With c_j = e_{j^C} for subsets j containing i and c_j = e_j otherwise,
+    S = M - qbar, l_j = c_j^T qbar c_j, h = sum_{j ∋ i} a_j,
+    u = sum_{j ∋ i} a_j c_j and u' = sum_{j ∌ i} a_j c_j, the pairing is
+
+        K = (a.l + u^T S u / h + u'^T S u' / (1 - h)) / 2,
+
+    a term with a zero denominator being 0.  The gradient is that of the form
+    homogeneous on each side, dividing by the side's own weight, which on the
+    simplex differs from the derivative of K only along (1, ..., 1), a
+    direction the simplex projection ignores; on a side of zero weight it is
+    the one-sided derivative (l_j + c_j^T S c_j) / 2.  Returns the (B,) values
+    and the (B, 2^K) gradients.
     """
-    K = a.n_actions
-    E = subset_vectors(K)
-    sel = _member_mask(K, i)
-    hat_i, hat_mi = hat_weights(a, i)
-    u_i = a.weights[sel] @ (1.0 - E[sel])  # sum a(j) e_{j^C} over j containing i
-    u_mi = a.weights[~sel] @ E[~sel]  # sum a(j) e_j over j not containing i
-    v_i = u_i / hat_i if hat_i > 0 else np.zeros(K)
-    v_mi = u_mi / hat_mi if hat_mi > 0 else np.zeros(K)
-    return v_i, v_mi
+    member, C = _direction(qbar.shape[0], i)
+    S = M - qbar
+    ell = np.einsum("jp,pq,jq->j", C, qbar, C)
+    values = W @ ell
+    grads = np.tile(ell, (W.shape[0], 1))
+    h = np.sum(W[:, member], axis=1)
+    for side, denom in ((member, h), (~member, 1.0 - h)):
+        Cs, Ws = C[side], W[:, side]
+        u = Ws @ Cs
+        quad = np.einsum("bp,pq,bq->b", u, S, u)
+        values += np.where(denom > 0, quad, 0.0) / np.where(denom > 0, denom, 1.0)
+        mass = np.sum(Ws, axis=1)[:, None]
+        live = mass > 0
+        mass = np.where(live, mass, 1.0)
+        slope = (u @ (S + S.T)) @ Cs.T / mass - quad[:, None] / (mass * mass)
+        grads[:, side] += np.where(live, slope, np.einsum("jp,pq,jq->j", Cs, S, Cs))
+    return 0.5 * values, 0.5 * grads
 
 
-def _mean_matrix(mu: SignedAtomicMeasure, q) -> np.ndarray:
-    qv = np.asarray(q(mu.locations), dtype=float)
-    return np.einsum("n,nij->ij", mu.weights, qv)
-
-
-def K_regret(i: int, a: SimplexAction, mu: SignedAtomicMeasure, q, M: np.ndarray) -> float:
-    """Per-direction quadratic pairing of a mixed subset action with (q, M).
+def K_regret(i: int, a, mu: SignedAtomicMeasure, q, M: np.ndarray):
+    """Per-direction quadratic pairing of mixed subset actions with (q, M).
 
     ``q`` is a batched matrix field X (n,K) -> (n,K,K) integrated against mu;
-    terms conditioned on zero-probability sides vanish (weight-cleared form).
+    terms conditioned on zero-probability sides vanish (weight-cleared form,
+    see ``_pairing``).  ``a`` is one ``SimplexAction`` (float result) or a
+    (B, 2^K) weight array (one value per row).
     """
-    if not mu.probability:
-        raise ValueError("K_regret expects a probability measure")
-    K_n = a.n_actions
-    if mu.dim != K_n:
-        raise ValueError("measure dimension must equal the number of actions")
-    M = np.asarray(M, dtype=float)
-    qbar = _mean_matrix(mu, q)
-    E = subset_vectors(K_n)
-    sel = _member_mask(K_n, i)
-    hat_i, hat_mi = hat_weights(a, i)
-    v_i, v_mi = V_vectors(a, i)
+    if isinstance(a, SimplexAction):
+        if a.n_actions != mu.dim:
+            raise ValueError("measure dimension must equal the number of actions")
+        W = a.weights[None]
+    else:
+        W = _validated_weights(mu.dim, a, 2)
+    values, _ = _pairing(i, W, *_regret_data(mu, q, M))
+    return float(values[0]) if isinstance(a, SimplexAction) else values
 
-    comp = 1.0 - E[sel]  # e_{j^C} for subsets j containing i
-    pair_i = np.einsum("jp,pq,jq->j", comp, qbar, comp - v_i)
-    term_i = 0.5 * (hat_i * float(v_i @ M @ v_i) + float(a.weights[sel] @ pair_i))
-    mem = E[~sel]  # e_j for subsets j not containing i
-    pair_mi = np.einsum("jp,pq,jq->j", mem, qbar, mem - v_mi)
-    term_mi = 0.5 * (hat_mi * float(v_mi @ M @ v_mi) + float(a.weights[~sel] @ pair_mi))
-    return term_i + term_mi
+
+# projected-gradient ascent budget of G_regret, per start
+_ASCENT_ITERS = 150
+_ASCENT_STEP0 = 0.25
 
 
 @dataclass(frozen=True)
 class RegretSolverConfig:
-    """Budget for the supremum over (direction, mixed action)."""
+    """Multistart budget and seed for the supremum over (direction, mixed action)."""
 
     multistarts: int = 16
-    max_iters: int = 150
     seed: int = 0
-    step0: float = 0.25
-    refine: bool = True  # run projected-gradient ascent after probing
-    grid_step: float | None = None  # include a dense simplex grid in the probes
-
-
-def _simplex_grid(dim: int, step: float) -> np.ndarray:
-    """All points of the simplex lattice with the given resolution."""
-    levels = int(round(1.0 / step))
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + [k], remaining - k, slots - 1)
-
-    pts = np.array(list(rec([], levels, dim)), dtype=float) / levels
-    return pts
 
 
 def G_regret(
@@ -507,39 +526,34 @@ def G_regret(
 ) -> float:
     """Supremum of K_regret over directions and the mixed-action simplex.
 
-    Vertex actions are always probed; interior multistart ascent refines when
-    enabled; the result dominates every probed point by construction and is
-    deterministic given the seed.
+    Per direction the vertex actions are probed in one batch, then projected
+    gradient ascent on the exact gradient runs from the uniform action and
+    ``cfg.multistarts`` Dirichlet draws; the result dominates every vertex by
+    construction and is deterministic given the seed.
     """
-    K_n = mu.dim
-    n_w = 2**K_n
+    qbar, M = _regret_data(mu, q, M)
+    n_w = 2**mu.dim
     best = -math.inf
     rng = np.random.default_rng(cfg.seed)
-    grid_pts = _simplex_grid(n_w, cfg.grid_step) if cfg.grid_step else None
-    for i in range(1, K_n + 1):
+    for i in range(1, mu.dim + 1):
+        best = max(best, float(np.max(_pairing(i, np.eye(n_w), qbar, M)[0])))
 
         def objective(w, i=i):
-            w = np.maximum(np.asarray(w, dtype=float), 0.0)
-            s = float(np.sum(w))
-            w = w / s if s > 0 else np.full(n_w, 1.0 / n_w)
-            return K_regret(i, SimplexAction(K_n, w), mu, q, M)
+            return float(_pairing(i, w[None], qbar, M)[0][0])
 
-        for mask in range(n_w):
-            w = np.zeros(n_w)
-            w[mask] = 1.0
-            best = max(best, objective(w))
-        if grid_pts is not None:
-            for w in grid_pts:
-                best = max(best, objective(w))
-        if cfg.refine:
-            starts = [np.full(n_w, 1.0 / n_w)]
-            starts += [rng.dirichlet(np.ones(n_w)) for _ in range(cfg.multistarts)]
-            _, val, _, _ = multistart_ascent(
+        def gradient(w, i=i):
+            return _pairing(i, w[None], qbar, M)[1][0]
+
+        starts = [np.full(n_w, 1.0 / n_w)]
+        starts += [rng.dirichlet(np.ones(n_w)) for _ in range(cfg.multistarts)]
+        for x0 in starts:
+            _, val, _ = _optim.projected_gradient_ascent(
                 objective,
-                starts,
-                project_simplex,
-                max_iters=cfg.max_iters,
-                step0=cfg.step0,
+                x0,
+                _optim.project_simplex,
+                gradient=gradient,
+                max_iters=_ASCENT_ITERS,
+                step0=_ASCENT_STEP0,
             )
             best = max(best, val)
     return best
@@ -572,18 +586,13 @@ def check_assumptions_regret(
         mu, nu = s["mu"], s["nu"]
         if K_n not in probe_cache:
             n_w = 2**K_n
-            probes = [vertex_action(K_n, m) for m in range(n_w)]
-            probes += [
-                SimplexAction(K_n, rng_master.dirichlet(np.ones(n_w)))
-                for _ in range(probe_batch)
-            ]
-            probe_cache[K_n] = probes
+            draws = [rng_master.dirichlet(np.ones(n_w)) for _ in range(probe_batch)]
+            probe_cache[K_n] = _validated_weights(K_n, np.vstack([np.eye(n_w), *draws]), 2)
         probes = probe_cache[K_n]
 
         def sup_over_probes(q, M):
-            return max(
-                K_regret(i, a, mu, q, M) for i in range(1, K_n + 1) for a in probes
-            )
+            qbar, M = _regret_data(mu, q, M)
+            return max(float(np.max(_pairing(i, probes, qbar, M)[0])) for i in range(1, K_n + 1))
 
         g1 = sup_over_probes(s["q1"], s["M1"])
         g2 = sup_over_probes(s["q2"], s["M2"])

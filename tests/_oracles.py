@@ -261,13 +261,65 @@ def lq_total_value_dp(t0, mu_mean, mu_var, lq, **kw) -> float:
 
 
 def simplex_lattice(dim: int, levels: int) -> np.ndarray:
-    """All compositions of ``levels`` into ``dim`` parts, normalized."""
-    pts = [
-        combo
-        for combo in itertools.product(range(levels + 1), repeat=dim)
-        if sum(combo) == levels
-    ]
-    return np.asarray(pts, dtype=float) / levels
+    """All compositions of ``levels`` into ``dim`` parts, normalized.
+
+    Stars and bars: each choice of dim - 1 bar positions among levels + dim - 1
+    slots is one composition, the part sizes being the gaps between bars.
+    """
+    combos = list(itertools.combinations(range(levels + dim - 1), dim - 1))
+    bars = np.array(combos, dtype=int).reshape(len(combos), dim - 1)
+    edges = np.hstack(
+        [np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), levels + dim - 1)]
+    )
+    return (np.diff(edges, axis=1) - 1).astype(float) / levels
+
+
+# ---------------------------------------------------------------------------
+# the prediction pairing in its conditional-mean form
+# ---------------------------------------------------------------------------
+
+
+def V_vectors(a, i: int) -> tuple:
+    """Conditional mean complement/member indicator vectors (V_i, V_{-i}).
+
+    ``a`` carries ``n_actions`` and the 2^K subset weights ``weights``.  V_i
+    averages e_{complement of j} over subsets j containing i with weights
+    a(j)/hat(i); the zero vector stands where the conditioning weight
+    vanishes.
+    """
+    K = a.n_actions
+    E = np.array([_subset_vec(K, mask) for mask in range(2**K)])
+    sel = E[:, i - 1].astype(bool)
+    hat_i = float(np.sum(a.weights[sel]))
+    hat_mi = 1.0 - hat_i
+    u_i = a.weights[sel] @ (1.0 - E[sel])  # sum a(j) e_{j^C} over j containing i
+    u_mi = a.weights[~sel] @ E[~sel]  # sum a(j) e_j over j not containing i
+    v_i = u_i / hat_i if hat_i > 0 else np.zeros(K)
+    v_mi = u_mi / hat_mi if hat_mi > 0 else np.zeros(K)
+    return v_i, v_mi
+
+
+def K_regret_conditional(i: int, a, mu, q, M) -> float:
+    """(1/2) sum over both sides of hat V^T M V + sum_j a(j) c_j^T qbar (c_j - V).
+
+    c_j is e_{j^C} on the subsets containing i and e_j on the others, and
+    qbar integrates the batched field q against mu.
+    """
+    K = a.n_actions
+    E = np.array([_subset_vec(K, mask) for mask in range(2**K)])
+    sel = E[:, i - 1].astype(bool)
+    qbar = np.einsum("n,nij->ij", mu.weights, np.asarray(q(mu.locations), dtype=float))
+    M = np.asarray(M, dtype=float)
+    hat_i = float(np.sum(a.weights[sel]))
+    hat_mi = 1.0 - hat_i
+    v_i, v_mi = V_vectors(a, i)
+    comp = 1.0 - E[sel]
+    pair_i = np.einsum("jp,pq,jq->j", comp, qbar, comp - v_i)
+    term_i = 0.5 * (hat_i * float(v_i @ M @ v_i) + float(a.weights[sel] @ pair_i))
+    mem = E[~sel]
+    pair_mi = np.einsum("jp,pq,jq->j", mem, qbar, mem - v_mi)
+    term_mi = 0.5 * (hat_mi * float(v_mi @ M @ v_mi) + float(a.weights[~sel] @ pair_mi))
+    return term_i + term_mi
 
 
 def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from fwlab import cli
@@ -183,3 +184,29 @@ def test_hamiltonian_filtering_cli(tmp_path):
     rows = (tmp_path / "hamiltonian.csv").read_text().splitlines()
     assert rows[-1].startswith("origin,G_filtering,")
     assert float(rows[-1].split(",")[2]) == pytest.approx(1.0)
+
+
+def _regret_scenario(tmp_path, mu_dim, M):
+    mu = {"dim": mu_dim, "atoms": [[0.3] * mu_dim + [0.5], [-0.2] * mu_dim + [0.5]], "probability": True}
+    cases = [{"name": "psd", "mu": mu, "M": M, "q_const": np.zeros_like(np.asarray(M)).tolist()}]
+    return _write(
+        tmp_path, "regret.json", {"target": "hamiltonian", "schema": 1, "kind": "regret", "cases": cases}
+    )
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_hamiltonian_regret_cli_with_zero_q(tmp_path, K):
+    # q = 0 and PSD M: the sup is half the largest 1_S^T M 1_S over proper subsets S
+    A = np.random.default_rng(K).standard_normal((K, K))
+    M = A @ A.T
+    assert cli.run(_regret_scenario(tmp_path, K, M.tolist()), out_dir=tmp_path) == cli.EXIT_OK
+    row = (tmp_path / "hamiltonian.csv").read_text().splitlines()[-1].split(",")
+    assert row[:2] == ["psd", "G_regret"]
+    subsets = [np.array([(mask >> j) & 1 for j in range(K)], dtype=float) for mask in range(2**K - 1)]
+    assert float(row[2]) == pytest.approx(max(0.5 * e @ M @ e for e in subsets), abs=1e-9)
+
+
+def test_hamiltonian_regret_cli_rejects_M_of_the_wrong_shape(tmp_path, capsys):
+    path = _regret_scenario(tmp_path, 2, np.eye(3).tolist())
+    assert cli.run(path, out_dir=tmp_path) == cli.EXIT_INPUT_ERROR
+    assert "(3, 3)" in capsys.readouterr().err

@@ -167,27 +167,32 @@ def test_grid_oracle_cross_validation():
     rep = ch.doubling_maximize(u, v, eps, delta, cfg)
     metric = ch.FixedSupportMetric(support, fm.default_config(1))
     x2 = support[:, 0] ** 2
-    ts = np.linspace(0, 1, 7)
-    ws = np.linspace(0, 1, 9)
-    msh = np.linspace(-1.0, 1.0, 9)
-    best = -np.inf
-    for t1 in ts:
-        for w1 in ws:
-            for m1 in msh:
-                wv1 = np.array([w1, 1 - w1])
-                u_val = u(t1, wv1, np.array([m1]))
-                vth1 = 1 + m1 * m1 + wv1 @ x2
-                for t2 in ts:
-                    for w2 in ws:
-                        for m2 in msh:
-                            wv2 = np.array([w2, 1 - w2])
-                            h = (
-                                u_val
-                                - v(t2, wv2, np.array([m2]))
-                                - metric.d_F_sq(t1, wv1, [m1], t2, wv2, [m2]) / (2 * eps)
-                                - delta * (vth1 + 1 + m2 * m2 + wv2 @ x2)
-                            )
-                            best = max(best, h)
+    # every single-copy grid point, each candidate evaluated once per point
+    grid = [
+        (t, np.array([w, 1 - w]), np.array([m]))
+        for t in np.linspace(0, 1, 7)
+        for w in np.linspace(0, 1, 9)
+        for m in np.linspace(-1.0, 1.0, 9)
+    ]
+    ts = np.array([t for t, _, _ in grid])
+    wvs = np.array([wv for _, wv, _ in grid])
+    ms_ = np.array([m[0] for _, _, m in grid])
+    u_vals = np.array([u(*point) for point in grid])
+    v_vals = np.array([v(*point) for point in grid])
+    vth = 1 + ms_**2 + wvs @ x2
+    # the coupling over all pairs from the Gram form, spot-checked pairwise
+    dw = wvs[:, None, :] - wvs[None, :, :]
+    d_sq = (
+        (ts[:, None] - ts[None, :]) ** 2
+        + (ms_[:, None] - ms_[None, :]) ** 2
+        + np.maximum(np.einsum("abi,ij,abj->ab", dw, metric.gram, dw), 0.0)
+    )
+    for a, b in np.random.default_rng(0).integers(len(grid), size=(200, 2)):
+        t1, wv1, m1 = grid[a]
+        t2, wv2, m2 = grid[b]
+        assert d_sq[a, b] == pytest.approx(metric.d_F_sq(t1, wv1, m1, t2, wv2, m2), rel=1e-12, abs=1e-15)
+    h = u_vals[:, None] - v_vals[None, :] - d_sq / (2 * eps) - delta * (vth[:, None] + vth[None, :])
+    best = float(np.max(h))
     assert rep.value >= best - 1e-9
     assert rep.value <= best + 0.05  # grid is coarse; the optimizer refines it
 

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import simplex_lattice
+from _oracles import K_regret_conditional, V_vectors, finite_diff_gradient, simplex_lattice
 from conftest import random_probability_measure
 from fwlab import fourier_metric as fm
 from fwlab import hamiltonians as ham
@@ -307,13 +309,13 @@ def test_subset_vectors_table():
 
 
 def test_V_vectors_examples():
-    v1, vm1 = ham.V_vectors(ham.vertex_action(2, 0b01), 1)
+    v1, vm1 = V_vectors(ham.vertex_action(2, 0b01), 1)
     assert np.array_equal(v1, [0.0, 1.0])
     assert np.array_equal(vm1, [0.0, 0.0])
-    v1u, _ = ham.V_vectors(ham.uniform_action(2), 1)
+    v1u, _ = V_vectors(ham.uniform_action(2), 1)
     assert np.allclose(v1u, [0.0, 0.5], atol=1e-15)
     # vanishing conditioning weight: zero-vector convention
-    v1e, vm1e = ham.V_vectors(ham.vertex_action(2, 0), 1)
+    v1e, vm1e = V_vectors(ham.vertex_action(2, 0), 1)
     assert np.array_equal(v1e, [0.0, 0.0])
     assert np.array_equal(vm1e, [0.0, 0.0])
 
@@ -326,12 +328,81 @@ def test_V_vectors_norm_bound_and_cleared_identity(rng):
         masks = np.arange(2**K)
         for i in range(1, K + 1):
             hi, hmi = ham.hat_weights(a, i)
-            vi, vmi = ham.V_vectors(a, i)
+            vi, vmi = V_vectors(a, i)
             assert np.linalg.norm(vi) <= 2.0 ** (K - 1) + 1e-12
             assert np.linalg.norm(vmi) <= 2.0 ** (K - 1) + 1e-12
             member = (masks >> (i - 1) & 1).astype(bool)
             cleared = a.weights[member] @ (1.0 - E[member])
             assert np.allclose(hi * vi, cleared, atol=2e-16, rtol=4e-16)
+
+
+def _regret_problem(K, seed):
+    """A 1-3 atom probability measure on [-2, 2]^K, a field q(X) = sin(X . c) B
+    and a matrix M, with B and M symmetric."""
+    rng = np.random.default_rng(seed)
+    n_atoms = int(rng.integers(1, 4))
+    mu = ms.SignedAtomicMeasure(
+        K, rng.uniform(-2, 2, (n_atoms, K)), rng.dirichlet(np.ones(n_atoms)), probability=True
+    )
+    c = rng.standard_normal(K)
+    B = rng.standard_normal((K, K))
+    B = B + B.T
+    M = rng.standard_normal((K, K))
+    M = M + M.T
+    return rng, mu, (lambda X: np.sin(np.atleast_2d(X) @ c)[:, None, None] * B), M, B
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_batched_K_regret_matches_rows_and_conditional_oracle(K, seed):
+    rng, mu, q, M, B = _regret_problem(K, seed)
+    n_w = 2**K
+    member = (np.arange(n_w) >> (int(rng.integers(K))) & 1).astype(bool)
+    rows = [rng.dirichlet(np.ones(n_w)) for _ in range(4)]
+    rows.append(np.eye(n_w)[rng.integers(n_w)])
+    for side in (member, ~member):  # hat = 0 and hat = 1 for that action
+        w = np.where(side, rng.dirichlet(np.ones(n_w)), 0.0)
+        rows.append(w / w.sum())
+    W = np.array(rows)
+    scale = K * (1.0 + np.linalg.norm(M) + np.linalg.norm(B))
+    for i in range(1, K + 1):
+        batched = ham.K_regret(i, W, mu, q, M)
+        assert batched.shape == (len(W),)
+        for w, value in zip(W, batched):
+            a = ham.SimplexAction(K, w)
+            assert abs(value - ham.K_regret(i, a, mu, q, M)) <= 1e-12 * scale
+            assert abs(value - K_regret_conditional(i, a, mu, q, M)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_pairing_gradient_matches_finite_differences_along_the_simplex(K, seed):
+    rng, mu, q, M, B = _regret_problem(K, seed)
+    n_w = 2**K
+    qbar = np.einsum("n,nij->ij", mu.weights, q(mu.locations))
+    # interior: every weight at least half the uniform one
+    w = 0.5 * rng.dirichlet(np.ones(n_w)) + 0.5 / n_w
+    scale = K * (1.0 + np.linalg.norm(M) + np.linalg.norm(B))
+    for i in range(1, K + 1):
+
+        def value(x):
+            return ham._pairing(i, x[None], qbar, M)[0][0]
+
+        _, grads = ham._pairing(i, w[None], qbar, M)
+        # only the tangent part of a gradient on the simplex is defined
+        diff = grads[0] - finite_diff_gradient(value, w)
+        assert np.max(np.abs(diff - diff.mean())) <= 1e-9 * scale
+        # on a face where one side carries no weight: the one-sided derivative
+        # toward every vertex
+        member = (np.arange(n_w) >> (i - 1) & 1).astype(bool)
+        for side in (member, ~member):
+            face = np.where(side, 0.0, w)
+            face /= face.sum()
+            _, grads = ham._pairing(i, face[None], qbar, M)
+            for j in range(n_w):
+                d = np.eye(n_w)[j] - face
+                forward = (value(face + 1e-7 * d) - value(face)) / 1e-7
+                assert abs(forward - grads[0] @ d) <= 1e-5 * scale
 
 
 def test_K_regret_trivial_and_vertex():
@@ -364,7 +435,7 @@ def test_G_regret_trivial_and_dominates_vertices(rng):
     q0 = lambda X: np.zeros((np.atleast_2d(X).shape[0], 2, 2))
     assert ham.G_regret(mu, q0, np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-12)
     M = np.array([[0.7, -0.2], [-0.2, 0.3]])
-    cfg = ham.RegretSolverConfig(seed=3, multistarts=6, max_iters=60)
+    cfg = ham.RegretSolverConfig(seed=3, multistarts=6)
     val = ham.G_regret(mu, q0, M, cfg)
     for mask in range(4):
         for i in (1, 2):
@@ -378,17 +449,28 @@ def test_G_regret_matches_dense_grid_oracle():
     M = np.diag([1.0, 0.0])
     solver = ham.G_regret(mu, q0, M, ham.RegretSolverConfig(seed=0))
     # independent brute force over the simplex lattice
-    best = -np.inf
-    for w in simplex_lattice(4, 50):
-        a = ham.SimplexAction(2, w)
-        for i in (1, 2):
-            best = max(best, ham.K_regret(i, a, mu, q0, M))
+    lattice = simplex_lattice(4, 50)
+    best = max(float(np.max(ham.K_regret(i, lattice, mu, q0, M))) for i in (1, 2))
     assert solver == pytest.approx(best, abs=1e-3)
     assert best == pytest.approx(0.5, abs=1e-9)
 
 
+def test_simplex_lattice_matches_filtered_product():
+    for dim, levels in ((1, 3), (2, 4), (3, 5), (4, 6), (5, 4)):
+        product = {
+            combo
+            for combo in itertools.product(range(levels + 1), repeat=dim)
+            if sum(combo) == levels
+        }
+        lattice = simplex_lattice(dim, levels)
+        assert len(lattice) == len(product)
+        assert {tuple(int(v) for v in np.rint(row * levels)) for row in lattice} == product
+        assert np.array_equal(lattice, np.array(sorted(product), dtype=float) / levels)
+
+
 def test_G_regret_relabeling_invariance(rng):
-    # swap the two actions everywhere; dense-probe mode is permutation stable
+    # swap the two actions everywhere: the measure's coordinates, the fields,
+    # M, the direction and the subset masks
     locs = rng.uniform(-1, 1, (3, 2))
     w = rng.dirichlet(np.ones(3))
     mu = ms.SignedAtomicMeasure(2, locs, w, probability=True)
@@ -401,10 +483,30 @@ def test_G_regret_relabeling_invariance(rng):
     qp = lambda X: np.broadcast_to(Bp, (np.atleast_2d(X).shape[0], 2, 2))
     M = rng.standard_normal((2, 2))
     M = 0.5 * (M + M.T)
-    cfg = ham.RegretSolverConfig(refine=False, grid_step=0.1)
-    assert ham.G_regret(mu, q, M, cfg) == pytest.approx(
-        ham.G_regret(mu_p, qp, P @ M @ P, cfg), rel=1e-12
-    )
+    lattice = simplex_lattice(4, 10)
+    swapped = lattice[:, [0b00, 0b10, 0b01, 0b11]]
+    sup = max(float(np.max(ham.K_regret(i, lattice, mu, q, M))) for i in (1, 2))
+    sup_p = max(float(np.max(ham.K_regret(i, swapped, mu_p, qp, P @ M @ P))) for i in (1, 2))
+    assert sup == pytest.approx(sup_p, rel=1e-12)
+
+
+def test_regret_rejects_M_of_the_wrong_shape():
+    mu = ms.dirac(np.zeros(2))
+    q0 = lambda X: np.zeros((np.atleast_2d(X).shape[0], 2, 2))
+    with pytest.raises(ValueError, match=r"\(3, 3\)"):
+        ham.K_regret(1, ham.uniform_action(2), mu, q0, np.eye(3))
+    with pytest.raises(ValueError, match=r"\(3, 3\)"):
+        ham.G_regret(mu, q0, np.eye(3))
+    with pytest.raises(ValueError, match=r"\(2,\)"):
+        ham.G_regret(mu, q0, np.ones(2))
+
+
+def test_K_regret_validates_action_arrays():
+    mu = ms.dirac(np.zeros(2))
+    q0 = lambda X: np.zeros((np.atleast_2d(X).shape[0], 2, 2))
+    for bad in ([[0.5, 0.5, 0.5, -0.5]], [[0.5, 0.5, 0.5, 0.5]], [[0.5, 0.5]], [0.25] * 4):
+        with pytest.raises(ValueError):
+            ham.K_regret(1, np.array(bad), mu, q0, np.eye(2))
 
 
 def test_check_assumptions_regret_small_sample(rng):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from . import fourier_metric as fm
 from . import hamiltonians as ham
 from . import prediction_game as pg
 from . import sobolev as sb
-from ._rng import substream
+from ._rng import mean_stderr, substream
 from .measures import Theta, measure_from_json, measure_to_json
 
 EXIT_OK = 0
@@ -76,6 +77,18 @@ def read_csv_meta(path: Path) -> dict:
     return meta
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ScenarioError(f"non-finite number {text} is not allowed")
+    return value
+
+
+def _loads(raw: str):
+    """Parse JSON, rejecting NaN, Infinity and numbers that overflow to them."""
+    return json.loads(raw, parse_constant=_finite_float, parse_float=_finite_float)
+
+
 def _apply_override(scenario: dict, key: str, raw: str) -> None:
     node = scenario
     parts = key.split(".")
@@ -84,7 +97,7 @@ def _apply_override(scenario: dict, key: str, raw: str) -> None:
         if not isinstance(node, dict):
             raise ScenarioError(f"override path {key!r} crosses a non-object")
     try:
-        val = json.loads(raw)
+        val = _loads(raw)
     except json.JSONDecodeError:
         val = raw
     node[parts[-1]] = val
@@ -264,19 +277,9 @@ def _run_filter_sim(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
     mu = measure_from_json(scenario["mu"])
     t0 = float(scenario.get("t", 0.0))
 
-    rows = []
-    cost_to_date = 0.0
-    prev = None
-    for clock, ens, a in fs._run_paths(t0, mu, policy, coeffs, cfg, 0, None, None, None):
-        if prev is not None:
-            cost_to_date += float(np.mean(coeffs.r(prev[0], prev[1]))) * cfg.dt
-        mean = ens.states.mean(axis=0)
-        var = float(np.mean((ens.states - mean) ** 2))
-        rows.append([clock, float(mean[0]), var, cost_to_date])
-        prev = (ens.states, a)
+    costs, rows = fs.sample_costs(t0, mu, policy, coeffs, cfg)
     _write_csv(out / "filter_sim.csv", ["time", "mean", "variance", "cost_to_date"], rows, meta)
-
-    est, stderr = fs.estimate_cost(t0, mu, policy, coeffs, cfg)
+    est, stderr = mean_stderr(costs)
     _write_json(
         out / "filter_sim_summary.json",
         {"estimate": est, "std_error": stderr, **meta},
@@ -387,8 +390,8 @@ def run(
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        scenario = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        scenario = _loads(raw)
+    except (json.JSONDecodeError, ScenarioError) as exc:
         print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

@@ -5,7 +5,8 @@ observation is the common path itself, the conditional law given that path is
 exactly the mixture over initial condition and idiosyncratic noise: particles
 driven by one shared W path and independent B paths represent it with no
 reweighting.  Policies only ever see a summary of the empirical law, so
-adaptedness to the common filtration is enforced structurally.
+adaptedness to the common filtration is enforced structurally.  A run steps
+a plain (N, d) state array and the per-particle running cost beside it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import mean_stderr, substream
 from .hamiltonians import FilteringCoeffs, G_filtering, JetArgs
 from .measures import SignedAtomicMeasure
 
@@ -24,8 +25,8 @@ __all__ = [
     "LawSummary",
     "ControlPolicy",
     "SimConfig",
-    "ParticleEnsemble",
     "simulate_conditional_law",
+    "sample_costs",
     "estimate_cost",
     "LQParams",
     "lq_riccati",
@@ -84,49 +85,10 @@ class SimConfig:
             raise ValueError("runs and particle count must be >= 1")
 
 
-@dataclass
-class ParticleEnsemble:
-    """State of one run: particle positions plus the noise bookkeeping.
-
-    ``common_increments`` is the full pre-drawn shared-noise path of the run;
-    ``idio_seed_key`` records the (seed, run, stream) tuple the per-particle
-    increments derive from, so a run is reconstructible from the ensemble.
-    """
-
-    n_particles: int
-    states: np.ndarray  # (N, d)
-    common_increments: np.ndarray  # (steps, d2)
-    idio_seed_key: tuple
-    dt: float
-    clock: float
-
-    def __post_init__(self):
-        if self.n_particles < 1 or self.states.shape[0] != self.n_particles:
-            raise ValueError("particle count mismatch")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if not np.all(np.isfinite(self.states)):
-            raise ValueError("particle states must be finite")
-
-    def summary(self) -> LawSummary:
-        mean = self.states.mean(axis=0)
-        centered = self.states - mean
-        cov = centered.T @ centered / max(self.states.shape[0], 1)
-        return LawSummary(mean, cov)
-
-    def empirical_measure(self) -> SignedAtomicMeasure:
-        w = np.full(self.n_particles, 1.0 / self.n_particles)
-        return SignedAtomicMeasure(self.states.shape[1], self.states.copy(), w, True)
-
-
-def _draw_initial(mu: SignedAtomicMeasure, n: int, rng: np.random.Generator) -> np.ndarray:
-    idx = rng.choice(mu.n_atoms, size=n, p=mu.weights / mu.weights.sum())
-    return mu.locations[idx].astype(float)
-
-
-def _steps(t: float, cfg: SimConfig) -> int:
-    n = int(round((cfg.horizon - t) / cfg.dt))
-    return max(n, 0)
+def _law_summary(X: np.ndarray) -> LawSummary:
+    mean = X.mean(axis=0)
+    centered = X - mean
+    return LawSummary(mean, centered.T @ centered / X.shape[0])
 
 
 def _run_paths(
@@ -136,39 +98,41 @@ def _run_paths(
     coeffs: FilteringCoeffs,
     cfg: SimConfig,
     run: int,
-    w_seed: int | None,
-    init_seed: int | None,
-    b_seed: int | None,
+    w_seed: int | None = None,
+    init_seed: int | None = None,
+    b_seed: int | None = None,
 ):
-    """Generator of (time, ensemble, control) along one Euler path."""
+    """Generator of (time, states, running cost per particle) along one Euler path.
+
+    The running cost is the left-endpoint quadrature of r along each
+    particle's path up to the yielded time.  A state that is not finite or
+    exceeds the divergence guard in absolute value raises FloatingPointError.
+    """
     if not mu.probability:
         raise ValueError("initial condition must be a probability measure")
-    n_steps = _steps(t, cfg)
-    b_key = (cfg.seed if b_seed is None else b_seed, run, 2)
+    n_steps = max(int(round((cfg.horizon - t) / cfg.dt)), 0)
     rng_w = substream(cfg.seed if w_seed is None else w_seed, run, 0)
     rng_init = substream(cfg.seed if init_seed is None else init_seed, run, 1)
-    rng_b = substream(*b_key)
-    X = _draw_initial(mu, cfg.n_particles, rng_init)
+    rng_b = substream(cfg.seed if b_seed is None else b_seed, run, 2)
+    p0 = mu.weights / mu.weights.sum()
+    X = mu.locations[rng_init.choice(mu.n_atoms, size=cfg.n_particles, p=p0)]
     sqdt = math.sqrt(cfg.dt)
     dW = rng_w.standard_normal((n_steps, coeffs.d2)) * sqdt
-    ens = ParticleEnsemble(cfg.n_particles, X, dW, b_key, cfg.dt, t)
-    a = policy(ens.clock, ens.summary())
-    yield ens.clock, ens, a
+    running = np.zeros(cfg.n_particles)
+    yield t, X, running
     for step in range(n_steps):
+        a = policy(t + step * cfg.dt, _law_summary(X))
         dB = rng_b.standard_normal((cfg.n_particles, coeffs.d1)) * sqdt
         drift = np.asarray(coeffs.b(X, a), dtype=float)
         diff = np.asarray(coeffs.sigma(X, a), dtype=float)
         common = np.asarray(coeffs.sigma_tilde(a), dtype=float)
+        running = running + np.asarray(coeffs.r(X, a), dtype=float) * cfg.dt
         X = X + drift * cfg.dt + np.einsum("nij,nj->ni", diff, dB) + common @ dW[step]
-        if np.max(np.abs(X)) > _DIVERGENCE_GUARD:
+        if not np.all(np.abs(X) <= _DIVERGENCE_GUARD):
             raise FloatingPointError(
-                f"particle state exceeded {_DIVERGENCE_GUARD:g}; check coefficients"
+                f"particle state is not finite or exceeded {_DIVERGENCE_GUARD:g}; check coefficients"
             )
-        ens = ParticleEnsemble(
-            cfg.n_particles, X, dW, b_key, cfg.dt, t + (step + 1) * cfg.dt
-        )
-        a = policy(ens.clock, ens.summary())
-        yield ens.clock, ens, a
+        yield t + (step + 1) * cfg.dt, X, running
 
 
 def simulate_conditional_law(
@@ -188,10 +152,39 @@ def simulate_conditional_law(
     particle; reproducible from (seed, cfg); the optional seed overrides
     split the three noise sources for variance and determinism studies.
     """
-    out = []
-    for clock, ens, _ in _run_paths(t, mu, policy, coeffs, cfg, run, w_seed, init_seed, b_seed):
-        out.append((clock, ens.empirical_measure()))
-    return out
+    w = np.full(cfg.n_particles, 1.0 / cfg.n_particles)
+    return [
+        (clock, SignedAtomicMeasure(X.shape[1], X, w, True))
+        for clock, X, _ in _run_paths(t, mu, policy, coeffs, cfg, run, w_seed, init_seed, b_seed)
+    ]
+
+
+def sample_costs(
+    t: float,
+    mu: SignedAtomicMeasure,
+    policy: ControlPolicy,
+    coeffs: FilteringCoeffs,
+    cfg: SimConfig,
+) -> tuple:
+    """Per-run costs (running + terminal) and run 0's trajectory rows.
+
+    Each run's cost is the particle average of its running cost plus the
+    terminal cost l.  Run 0 also records (time, mean, variance, cost_to_date)
+    at every Euler step: the first coordinate of the particle mean, the
+    particle variance and the particle average of the running cost so far.
+    """
+    costs, rows = [], []
+    for run in range(cfg.runs):
+        for clock, X, running in _run_paths(t, mu, policy, coeffs, cfg, run):
+            if run == 0:
+                mean = X.mean(axis=0)
+                var = float(np.mean((X - mean) ** 2))
+                rows.append((clock, float(mean[0]), var, float(running.mean())))
+        cost = float((running + np.asarray(coeffs.l(X), dtype=float)).mean())
+        if not math.isfinite(cost):
+            raise FloatingPointError(f"run {run} has a non-finite cost; check coefficients")
+        costs.append(cost)
+    return costs, rows
 
 
 def estimate_cost(
@@ -207,25 +200,7 @@ def estimate_cost(
     mean over runs of per-run particle averages, aggregated with exact
     summation so the result does not depend on run ordering.
     """
-    per_run = []
-    for run in range(cfg.runs):
-        running = np.zeros(cfg.n_particles)
-        last_states = None
-        prev = None
-        for clock, ens, a in _run_paths(t, mu, policy, coeffs, cfg, run, None, None, None):
-            if prev is not None:
-                running += np.asarray(coeffs.r(prev[0], prev[1]), dtype=float) * cfg.dt
-            prev = (ens.states, a)
-            last_states = ens.states
-        total = running + np.asarray(coeffs.l(last_states), dtype=float)
-        per_run.append(float(total.mean()))
-    est = math.fsum(per_run) / cfg.runs
-    if cfg.runs > 1:
-        var = math.fsum((v - est) ** 2 for v in per_run) / (cfg.runs - 1)
-        stderr = math.sqrt(var / cfg.runs)
-    else:
-        stderr = 0.0
-    return est, stderr
+    return mean_stderr(sample_costs(t, mu, policy, coeffs, cfg)[0])
 
 
 # ---------------------------------------------------------------------------

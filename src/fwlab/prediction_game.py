@@ -2,10 +2,12 @@
 
 Per round the forecaster mixes over actions, the adversary mixes over winning
 subsets; the forecaster observes the adversary's mixture and a signed success
-signal, never the realized subset.  Shipped: the exact step dynamics, Monte
-Carlo regret under strategy pairs, exact small-instance values by backward
-induction over public histories with stage matrix games, and the arithmetic
-rescaling to the long-horizon normalization.
+signal, never the realized subset.  Shipped: the exact step dynamics on a gap
+vector, Monte Carlo regret of a forecaster against a fixed mixed subset action,
+exact small-instance values by backward induction over public histories with
+stage matrix games, and the arithmetic rescaling to the long-horizon
+normalization.  Forecasters read a running (K,) score vector, never the game
+history, so a run of T rounds costs O(T).
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import linprog
 
-from ._rng import substream
-from .hamiltonians import SimplexAction, hat_weights, subset_vectors, vertex_action
+from ._rng import mean_stderr, substream
+from .hamiltonians import SimplexAction, hat_weights, subset_vectors, uniform_action, vertex_action
 from .measures import SignedAtomicMeasure
 
 __all__ = [
-    "GameState",
     "ForecasterStrategy",
-    "AdversaryStrategy",
     "step",
     "monte_carlo_regret",
     "exact_value_small",
@@ -35,59 +35,38 @@ __all__ = [
     "uniform_forecaster",
     "follow_the_leader_forecaster",
     "exp_weights_forecaster",
-    "constant_adversary",
     "FORECASTER_REGISTRY",
     "ADVERSARY_REGISTRY",
 ]
 
 
 @dataclass(frozen=True)
-class GameState:
-    """Gap vector (per-action total gain minus forecaster total gain) plus history."""
-
-    n_actions: int
-    gaps: np.ndarray
-    t: int
-    history: tuple  # ((SimplexAction, signed index), ...)
-
-    def __post_init__(self):
-        g = np.asarray(self.gaps, dtype=float).ravel()
-        if g.size != self.n_actions:
-            raise ValueError("gap vector length mismatch")
-        if self.t != len(self.history):
-            raise ValueError("round index must equal history length")
-        g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "gaps", g)
-
-
-@dataclass(frozen=True)
 class ForecasterStrategy:
-    """history -> probability vector over the K actions."""
+    """A forecaster driven by a running score vector.
+
+    ``rule(scores)`` maps the (K,) scores to a probability vector over the K
+    actions; after each round ``gain(a, y)`` (the adversary's mixture and the
+    signal) is added to the scores, which start at zero.
+    """
 
     rule: Callable
+    gain: Callable
     name: str = "forecaster"
 
 
-@dataclass(frozen=True)
-class AdversaryStrategy:
-    """history -> mixed subset action."""
-
-    rule: Callable
-    name: str = "adversary"
-
-
-def step(
-    state: GameState, b: np.ndarray, a: SimplexAction, rng: np.random.Generator
-) -> tuple:
+def step(gaps: np.ndarray, b: np.ndarray, a: SimplexAction, rng: np.random.Generator) -> tuple:
     """One round: sample the action and the subset, update gaps, emit the signal.
 
-    Gap coordinate i moves by 1_{i in J} - 1_{I in J}; the signal is +I on
-    success and -I on failure, so the realized action index is always
-    recoverable from its magnitude.
+    ``gaps`` is the (K,) vector of per-action total gain minus the
+    forecaster's total gain.  Gap coordinate i moves by 1_{i in J} - 1_{I in J};
+    the signal is +I on success and -I on failure, so the realized action
+    index is always recoverable from its magnitude.  Returns (new gaps, signal).
     """
-    K = state.n_actions
+    gaps = np.asarray(gaps, dtype=float)
+    K = gaps.size
     b = np.asarray(b, dtype=float).ravel()
+    if gaps.ndim != 1:
+        raise ValueError("gaps must be a vector")
     if b.size != K or np.any(b < -1e-12) or abs(b.sum() - 1.0) > 1e-9:
         raise ValueError("forecaster mixture must be a probability vector over [K]")
     if a.n_actions != K:
@@ -96,45 +75,39 @@ def step(
     mask = int(rng.choice(2**K, p=a.weights / a.weights.sum()))
     in_j = subset_vectors(K)[mask]
     success = bool(in_j[i_real - 1])
-    gaps = state.gaps + in_j - (1.0 if success else 0.0)
     y = i_real if success else -i_real
-    new_state = GameState(K, gaps, state.t + 1, state.history + ((a, y),))
-    return new_state, y
+    return gaps + in_j - (1.0 if success else 0.0), y
 
 
 def monte_carlo_regret(
     T: int,
     m0: SignedAtomicMeasure,
     forecaster: ForecasterStrategy,
-    adversary: AdversaryStrategy,
+    adversary: SimplexAction,
     runs: int,
     seed: int,
 ) -> tuple:
     """Average of max_i gaps_i at the horizon over independent runs.
 
-    Runs derive independent substreams from (seed, run) so the estimate is
+    The adversary plays the same mixed subset action every round.  Runs
+    derive independent substreams from (seed, run) so the estimate is
     reproducible and invariant to run ordering.
     """
     if T < 0 or runs < 1:
         raise ValueError("need T >= 0 and runs >= 1")
     K = m0.dim
+    if adversary.n_actions != K:
+        raise ValueError("adversary action has wrong number of base actions")
     per_run = []
     for run in range(runs):
         rng = substream(seed, run)
-        g0 = m0.locations[int(rng.choice(m0.n_atoms, p=m0.weights / m0.weights.sum()))]
-        state = GameState(K, g0, 0, ())
+        gaps = m0.locations[int(rng.choice(m0.n_atoms, p=m0.weights / m0.weights.sum()))]
+        scores = np.zeros(K)
         for _ in range(T):
-            b = np.asarray(forecaster.rule(m0, state.history), dtype=float)
-            a = adversary.rule(m0, state.history)
-            state, _ = step(state, b, a, rng)
-        per_run.append(float(np.max(state.gaps)))
-    est = math.fsum(per_run) / runs
-    if runs > 1:
-        var = math.fsum((v - est) ** 2 for v in per_run) / (runs - 1)
-        stderr = math.sqrt(var / runs)
-    else:
-        stderr = 0.0
-    return est, stderr
+            gaps, y = step(gaps, forecaster.rule(scores), adversary, rng)
+            scores = scores + forecaster.gain(adversary, y)
+        per_run.append(float(np.max(gaps)))
+    return mean_stderr(per_run)
 
 
 # ---------------------------------------------------------------------------
@@ -312,46 +285,42 @@ def rescaled_value(values: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _expected_gains(a: SimplexAction, y: int) -> np.ndarray:
+    """The exactly known expected per-action gains hat a(i) of the mixture."""
+    return a.weights @ subset_vectors(a.n_actions)
+
+
+def _observed_gains(a: SimplexAction, y: int) -> np.ndarray:
+    """Expected gains with the played action's entry replaced by its outcome."""
+    est = _expected_gains(a, y)
+    est[abs(y) - 1] = 1.0 if y > 0 else 0.0
+    return est
+
+
 def uniform_forecaster(K: int) -> ForecasterStrategy:
     probs = np.full(K, 1.0 / K)
-    return ForecasterStrategy(lambda m0, h: probs, name="uniform")
+    return ForecasterStrategy(lambda scores: probs, lambda a, y: 0.0, name="uniform")
 
 
 def follow_the_leader_forecaster(K: int) -> ForecasterStrategy:
     """Greedy on the exactly-known expected per-action gains sum_s hat a_s(i)."""
 
-    def rule(m0, history):
-        scores = np.zeros(K)
-        for a, _y in history:
-            scores += a.weights @ subset_vectors(K)
+    def rule(scores):
         out = np.zeros(K)
         out[int(np.argmax(scores))] = 1.0
         return out
 
-    return ForecasterStrategy(rule, name="follow-the-leader")
+    return ForecasterStrategy(rule, _expected_gains, name="follow-the-leader")
 
 
 def exp_weights_forecaster(K: int, eta: float = 0.5) -> ForecasterStrategy:
     """Exponential weights on the observed-mixture gain estimates."""
 
-    def rule(m0, history):
-        scores = np.zeros(K)
-        for a, y in history:
-            est = a.weights @ subset_vectors(K)
-            est[abs(y) - 1] = 1.0 if y > 0 else 0.0
-            scores += est
+    def rule(scores):
         w = np.exp(eta * (scores - scores.max()))
         return w / w.sum()
 
-    return ForecasterStrategy(rule, name="exp-weights")
-
-
-def constant_adversary(a: SimplexAction) -> AdversaryStrategy:
-    return AdversaryStrategy(lambda m0, h: a, name="constant")
-
-
-def full_set_adversary(K: int) -> AdversaryStrategy:
-    return constant_adversary(vertex_action(K, 2**K - 1))
+    return ForecasterStrategy(rule, _observed_gains, name="exp-weights")
 
 
 FORECASTER_REGISTRY = {
@@ -360,11 +329,10 @@ FORECASTER_REGISTRY = {
     "exp-weights": exp_weights_forecaster,
 }
 
+# fixed mixed subset actions, played every round
 ADVERSARY_REGISTRY = {
-    "full-set": full_set_adversary,
-    "empty-set": lambda K: constant_adversary(vertex_action(K, 0)),
-    "first-action": lambda K: constant_adversary(vertex_action(K, 1)),
-    "uniform": lambda K: constant_adversary(
-        SimplexAction(K, np.full(2**K, 1.0 / 2**K))
-    ),
+    "full-set": lambda K: vertex_action(K, 2**K - 1),
+    "empty-set": lambda K: vertex_action(K, 0),
+    "first-action": lambda K: vertex_action(K, 1),
+    "uniform": uniform_action,
 }

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's own code paths for the
 quantity it checks: the spectral-distance oracle integrates over the full
 line with adaptive quadrature, the game oracle solves one sequence-form
-linear program over the whole tree instead of stagewise matrix games, and
-the mean-problem oracle is a dense backward dynamic program.
+linear program over the whole tree instead of stagewise matrix games, the
+mean-problem oracle is a dense backward dynamic program, and the forecaster
+oracles rescan the game history instead of keeping running scores.
 """
 
 from __future__ import annotations
@@ -196,6 +197,44 @@ def sequence_form_value(T: int, g0, grid_weights: list) -> float:
     if not res.success:
         raise RuntimeError(f"sequence-form LP failed: {res.message}")
     return float(res.fun)
+
+
+# ---------------------------------------------------------------------------
+# forecasters that rescan the whole game history every round
+# ---------------------------------------------------------------------------
+
+
+def history_forecaster(name: str, K: int, eta: float = 0.5):
+    """The shipped forecasters as rules on the history of (weights, signal) pairs.
+
+    Each call rebuilds its scores from the whole history: follow-the-leader
+    sums the mixtures' expected per-action gains, exp-weights the same gains
+    with the played action's entry replaced by its realized outcome.
+    """
+    E = np.array([_subset_vec(K, mask) for mask in range(2**K)])
+
+    def uniform(history):
+        return np.full(K, 1.0 / K)
+
+    def follow_the_leader(history):
+        scores = np.zeros(K)
+        for w, _y in history:
+            scores += w @ E
+        out = np.zeros(K)
+        out[int(np.argmax(scores))] = 1.0
+        return out
+
+    def exp_weights(history):
+        scores = np.zeros(K)
+        for w, y in history:
+            est = w @ E
+            est[abs(y) - 1] = 1.0 if y > 0 else 0.0
+            scores += est
+        p = np.exp(eta * (scores - scores.max()))
+        return p / p.sum()
+
+    rules = {"uniform": uniform, "follow-the-leader": follow_the_leader, "exp-weights": exp_weights}
+    return rules[name]
 
 
 # ---------------------------------------------------------------------------

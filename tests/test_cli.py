@@ -32,11 +32,19 @@ def test_metric_scenario_pinned_value(tmp_path):
     assert text.endswith("\n") and "\r" not in text
 
 
-def test_outputs_byte_identical(tmp_path):
+SMALL_OVERRIDES = {"filter_sim.json": ["sim.runs=3", "sim.n_particles=60", "sim.dt=0.1"]}
+
+
+@pytest.mark.parametrize("name", ["metric.json", "game_sim.json", "dp_value.json", "filter_sim.json"])
+def test_outputs_byte_identical(tmp_path, name):
+    overrides = SMALL_OVERRIDES.get(name, [])
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.run(SCENARIOS / "metric.json", out_dir=out1) == 0
-    assert cli.run(SCENARIOS / "metric.json", out_dir=out2) == 0
-    assert (out1 / "metric.csv").read_bytes() == (out2 / "metric.csv").read_bytes()
+    assert cli.run(SCENARIOS / name, overrides, out_dir=out1) == 0
+    assert cli.run(SCENARIOS / name, overrides, out_dir=out2) == 0
+    files = sorted(p.name for p in out1.iterdir())
+    assert files and files == sorted(p.name for p in out2.iterdir())
+    for f in files:
+        assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
 
 
 def test_config_hash_round_trip(tmp_path):
@@ -87,6 +95,33 @@ def test_diverging_simulation_exits_3(tmp_path, capsys):
     assert code == cli.EXIT_NUMERICAL_FAULT
     err = capsys.readouterr().err
     assert err.startswith("error: numerical fault: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_override_exits_1(tmp_path, capsys, literal):
+    code = cli.main(
+        [
+            "filter-sim",
+            "--scenario",
+            str(SCENARIOS / "filter_sim.json"),
+            "--set",
+            f"coeffs_params.sigma={literal}",
+            "--out",
+            str(tmp_path),
+        ]
+    )
+    assert code == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_scenario_literal_exits_1(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text((SCENARIOS / "filter_sim.json").read_text().replace('"sigma": 1.0', '"sigma": NaN', 1))
+    assert cli.run(path, out_dir=tmp_path / "out") == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_failed_stage_game_lp_exits_3(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ from conftest import random_probability_measure
 from fwlab import filtering_sim as fs
 from fwlab import hamiltonians as ham
 from fwlab import measures as ms
+from fwlab._rng import mean_stderr
 
 LQ = fs.LQParams(sigma=1.0, sigma_tilde=0.5, horizon=1.0)
 MU2 = ms.SignedAtomicMeasure(1, [[0.0], [0.6]], [0.5, 0.5], probability=True)
@@ -79,6 +80,31 @@ def test_cost_reproducible_and_order_invariant():
     assert a == b
 
 
+def test_per_run_costs_do_not_depend_on_the_run_count():
+    coeffs = ham.make_lq_coeffs(sigma=1.0, sigma_tilde=0.5)
+    policy = fs.lqg_feedback_policy(LQ)
+    few = fs.SimConfig(dt=0.05, n_particles=40, horizon=0.5, runs=3, seed=9)
+    many = fs.SimConfig(dt=0.05, n_particles=40, horizon=0.5, runs=5, seed=9)
+    costs3, rows3 = fs.sample_costs(0.0, MU2, policy, coeffs, few)
+    costs5, rows5 = fs.sample_costs(0.0, MU2, policy, coeffs, many)
+    assert costs3 == costs5[:3]
+    assert rows3 == rows5
+
+
+def test_run_zero_rows_match_the_simulated_path():
+    coeffs = ham.make_lq_coeffs(sigma=1.0, sigma_tilde=0.5)
+    policy = fs.lqg_feedback_policy(LQ)
+    cfg = fs.SimConfig(dt=0.05, n_particles=40, horizon=0.5, runs=2, seed=9)
+    costs, rows = fs.sample_costs(0.0, MU2, policy, coeffs, cfg)
+    path = fs.simulate_conditional_law(0.0, MU2, policy, coeffs, cfg)
+    assert [r[0] for r in rows] == [clock for clock, _ in path]
+    assert [r[1] for r in rows] == [float(m.locations.mean()) for _, m in path]
+    assert rows[0][3] == 0.0
+    # cost_to_date is nondecreasing for the nonnegative running cost a^2
+    assert all(b[3] >= a[3] for a, b in zip(rows, rows[1:]))
+    assert fs.estimate_cost(0.0, MU2, policy, coeffs, cfg) == mean_stderr(costs)
+
+
 def test_particle_exchangeability(rng):
     cfg = fs.SimConfig(dt=0.1, n_particles=32, horizon=0.2, seed=3)
     coeffs = ham.make_lq_coeffs()
@@ -143,6 +169,27 @@ def test_divergence_guard():
     cfg = fs.SimConfig(dt=0.1, n_particles=4, horizon=0.3, seed=0)
     with pytest.raises(FloatingPointError):
         fs.simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), blow, cfg)
+
+
+def test_non_finite_coefficients_raise_floating_point_error():
+    nan_drift = ham.FilteringCoeffs(
+        1,
+        1,
+        1,
+        b=lambda X, a: np.full((np.atleast_2d(X).shape[0], 1), np.nan),
+        sigma=lambda X, a: np.zeros((np.atleast_2d(X).shape[0], 1, 1)),
+        sigma_tilde=lambda a: np.zeros((1, 1)),
+        r=lambda X, a: np.zeros(np.atleast_2d(X).shape[0]),
+        l=lambda X: np.zeros(np.atleast_2d(X).shape[0]),
+    )
+    cfg = fs.SimConfig(dt=0.1, n_particles=4, horizon=0.3, runs=2, seed=0)
+    with pytest.raises(FloatingPointError):
+        fs.simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), nan_drift, cfg)
+    with pytest.raises(FloatingPointError):
+        fs.estimate_cost(0.0, MU2, fs.constant_policy(0.0), nan_drift, cfg)
+    nan_cost = _null_coeffs(r_const=np.nan)
+    with pytest.raises(FloatingPointError):
+        fs.estimate_cost(0.0, MU2, fs.constant_policy(0.0), nan_cost, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from _oracles import sequence_form_value
+from _oracles import history_forecaster, sequence_form_value
 from fwlab import hamiltonians as ham
 from fwlab import measures as ms
 from fwlab import prediction_game as pg
@@ -14,36 +15,47 @@ ZERO2 = ms.dirac(np.zeros(2))
 
 
 def test_step_full_and_empty_sets_freeze_gaps(rng):
-    state = pg.GameState(2, np.array([0.5, -0.5]), 0, ())
+    gaps = np.array([0.5, -0.5])
     for mask in (0b11, 0b00):
-        nxt, y = pg.step(state, np.array([0.5, 0.5]), ham.vertex_action(2, mask), rng)
-        assert np.array_equal(nxt.gaps, state.gaps)
+        nxt, y = pg.step(gaps, np.array([0.5, 0.5]), ham.vertex_action(2, mask), rng)
+        assert np.array_equal(nxt, gaps)
         assert abs(y) in (1, 2)
 
 
 def test_step_forced_outcome():
-    state = pg.GameState(2, np.zeros(2), 0, ())
+    gaps = np.zeros(2)
     rng = substream(0, 0)
-    nxt, y = pg.step(state, np.array([0.0, 1.0]), ham.vertex_action(2, 0b01), rng)
-    assert np.array_equal(nxt.gaps, [1.0, 0.0])
+    nxt, y = pg.step(gaps, np.array([0.0, 1.0]), ham.vertex_action(2, 0b01), rng)
+    assert np.array_equal(nxt, [1.0, 0.0])
     assert y == -2
-    assert nxt.t == 1 and len(nxt.history) == 1
+    assert np.array_equal(gaps, [0.0, 0.0])
 
 
 def test_step_invariants_random(rng):
-    state = pg.GameState(3, np.zeros(3), 0, ())
+    gaps = np.zeros(3)
     for _ in range(200):
         b = rng.dirichlet(np.ones(3))
         a = ham.SimplexAction(3, rng.dirichlet(np.ones(8)))
-        nxt, y = pg.step(state, b, a, rng)
-        delta = nxt.gaps - state.gaps
+        nxt, y = pg.step(gaps, b, a, rng)
+        delta = nxt - gaps
         assert set(np.unique(delta)).issubset({-1.0, 0.0, 1.0})
         i, success = abs(y), y > 0
         # the chosen action's own gap never moves
         assert delta[i - 1] == 0.0
         # success means everyone is debited; failure means nobody is
         assert np.all(delta <= 0.0) if success else np.all(delta >= 0.0)
-        state = nxt
+        gaps = nxt
+
+
+def test_step_rejects_mismatched_sizes(rng):
+    with pytest.raises(ValueError):
+        pg.step(np.zeros(2), np.array([0.2, 0.3, 0.5]), ham.vertex_action(2, 1), rng)
+    with pytest.raises(ValueError):
+        pg.step(np.zeros(2), np.array([0.5, 0.5]), ham.vertex_action(3, 1), rng)
+    with pytest.raises(ValueError):
+        pg.monte_carlo_regret(
+            1, ZERO2, pg.uniform_forecaster(2), pg.ADVERSARY_REGISTRY["full-set"](3), 4, 0
+        )
 
 
 def test_monte_carlo_T0_exact():
@@ -105,28 +117,53 @@ def test_monte_carlo_reproducible():
 
 def test_relabeling_equivariance_two_sample():
     # swap action labels in every ingredient; distributions must match
-    m0 = ms.dirac(np.array([0.4, -0.1]))
-    m0_swapped = ms.dirac(np.array([-0.1, 0.4]))
-
-    def adversary(swapped):
-        mask = 0b10 if swapped else 0b01
-        return pg.constant_adversary(ham.vertex_action(2, mask))
-
-    def collect(m0_, swapped, seed):
+    def collect(g0, mask, b, seed):
+        a = ham.vertex_action(2, mask)
+        g0, b = np.asarray(g0), np.asarray(b)
         out = []
         for run in range(10_000):
             rng_run = substream(seed, run)
-            g = m0_.locations[0].copy()
-            state = pg.GameState(2, g, 0, ())
+            gaps = g0
             for _ in range(3):
-                b = np.array([0.3, 0.7]) if not swapped else np.array([0.7, 0.3])
-                state, _ = pg.step(state, b, adversary(swapped).rule(m0_, state.history), rng_run)
-            out.append(float(np.max(state.gaps)))
+                gaps, _ = pg.step(gaps, b, a, rng_run)
+            out.append(float(np.max(gaps)))
         return np.asarray(out)
 
-    base = collect(m0, False, 5)
-    swapped = collect(m0_swapped, True, 6)
+    base = collect([0.4, -0.1], 0b01, [0.3, 0.7], 5)
+    swapped = collect([-0.1, 0.4], 0b10, [0.7, 0.3], 6)
     assert stats.ks_2samp(base, swapped).pvalue > 0.01
+
+
+def _rescan_regret(T, m0, rule, a, runs, seed):
+    """Monte Carlo regret of a history-rescan rule, transcribing the score engine's loop."""
+    per_run = []
+    for run in range(runs):
+        rng = substream(seed, run)
+        gaps = m0.locations[int(rng.choice(m0.n_atoms, p=m0.weights / m0.weights.sum()))]
+        history = ()
+        for _ in range(T):
+            gaps, y = pg.step(gaps, rule(history), a, rng)
+            history += ((a.weights, y),)
+        per_run.append(float(np.max(gaps)))
+    est = math.fsum(per_run) / runs
+    var = math.fsum((v - est) ** 2 for v in per_run) / (runs - 1)
+    return est, math.sqrt(var / runs)
+
+
+ADVERSARIES = dict(pg.ADVERSARY_REGISTRY, mixed=lambda K: ham.SimplexAction(K, [0.1, 0.4, 0.3, 0.2]))
+
+
+@pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+@pytest.mark.parametrize("forecaster", sorted(pg.FORECASTER_REGISTRY))
+def test_score_engine_matches_history_rescan(forecaster, adversary):
+    m0 = ms.SignedAtomicMeasure(2, [[0.0, 0.0], [0.5, -0.25]], [0.4, 0.6], probability=True)
+    kwargs = {"eta": 0.7} if forecaster == "exp-weights" else {}
+    a = ADVERSARIES[adversary](2)
+    rule = history_forecaster(forecaster, 2, **kwargs)
+    main = pg.monte_carlo_regret(
+        8, m0, pg.FORECASTER_REGISTRY[forecaster](2, **kwargs), a, 40, 11
+    )
+    assert main == _rescan_regret(8, m0, rule, a, 40, 11)
 
 
 def test_exact_value_T0_and_frozen_grid():

@@ -1,0 +1,24 @@
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fwlab._rng import mean_stderr
+
+
+def test_mean_stderr_small_cases():
+    assert mean_stderr([2.5]) == (2.5, 0.0)
+    est, err = mean_stderr([1.0, 2.0, 3.0, 4.0])
+    assert est == 2.5
+    assert err == math.sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3 / 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40).flatmap(
+        lambda xs: st.tuples(st.just(xs), st.permutations(xs))
+    )
+)
+def test_mean_stderr_is_bit_identical_under_permutation(pair):
+    values, permuted = pair
+    assert mean_stderr(permuted) == mean_stderr(values)

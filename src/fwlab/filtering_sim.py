@@ -5,8 +5,10 @@ observation is the common path itself, the conditional law given that path is
 exactly the mixture over initial condition and idiosyncratic noise: particles
 driven by one shared W path and independent B paths represent it with no
 reweighting.  Policies only ever see a summary of the empirical law, so
-adaptedness to the common filtration is enforced structurally.  A run steps
-a plain (N, d) state array and the per-particle running cost beside it.
+adaptedness to the common filtration is enforced structurally.  All runs
+advance together: one Euler step moves a (runs, N, d) state array and the
+(runs, N) running cost beside it, while every run draws from its own
+substreams, so a run's path does not depend on the other runs.
 """
 
 from __future__ import annotations
@@ -43,31 +45,32 @@ _DIVERGENCE_GUARD = 1e6
 
 @dataclass(frozen=True)
 class LawSummary:
-    """What a policy is allowed to see: moments of the empirical conditional law."""
+    """What a policy is allowed to see: the empirical conditional law's mean,
+    one (d,) row per run."""
 
     mean: np.ndarray
-    cov: np.ndarray
 
 
 @dataclass(frozen=True)
 class ControlPolicy:
     """Measurable feedback on the empirical conditional law.
 
-    ``rule(t, summary)`` must return a control inside the box [lo, hi]
-    (clipped defensively on use).
+    ``rule(t, summary)`` sees the summaries of all runs at once and returns
+    one scalar control per run, as a (runs,) array, or one scalar for every
+    run.  Controls must lie inside [lo, hi] (clipped defensively on use).
     """
 
     rule: Callable
-    lo: np.ndarray
-    hi: np.ndarray
+    lo: float
+    hi: float
 
-    def __call__(self, t: float, summary: LawSummary):
-        a = np.clip(np.atleast_1d(np.asarray(self.rule(t, summary), dtype=float)), self.lo, self.hi)
-        return a if a.size > 1 else float(a[0])
+    def __call__(self, t: float, summary: LawSummary) -> np.ndarray:
+        a = np.asarray(self.rule(t, summary), dtype=float)
+        return np.clip(np.broadcast_to(a, summary.mean.shape[:1]), self.lo, self.hi)
 
 
 def constant_policy(value: float, lo: float = -4.0, hi: float = 4.0) -> ControlPolicy:
-    return ControlPolicy(lambda t, s: value, np.atleast_1d(lo), np.atleast_1d(hi))
+    return ControlPolicy(lambda t, s: value, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -85,50 +88,64 @@ class SimConfig:
             raise ValueError("runs and particle count must be >= 1")
 
 
-def _law_summary(X: np.ndarray) -> LawSummary:
-    mean = X.mean(axis=0)
-    centered = X - mean
-    return LawSummary(mean, centered.T @ centered / X.shape[0])
-
-
 def _run_paths(
     t: float,
     mu: SignedAtomicMeasure,
     policy: ControlPolicy,
     coeffs: FilteringCoeffs,
     cfg: SimConfig,
-    run: int,
+    runs,
     w_seed: int | None = None,
     init_seed: int | None = None,
     b_seed: int | None = None,
 ):
-    """Generator of (time, states, running cost per particle) along one Euler path.
+    """Generator of (time, states, running cost per particle) along the Euler
+    paths of the given runs, stepped together.
 
-    The running cost is the left-endpoint quadrature of r along each
-    particle's path up to the yielded time.  A state that is not finite or
-    exceeds the divergence guard in absolute value raises FloatingPointError.
+    States have shape (len(runs), N, d) and running costs (len(runs), N).
+    Batch row k draws from the substreams (seed, runs[k], 0..2), so it does
+    not depend on which other runs share the batch.  The running cost is the
+    left-endpoint quadrature of r along each particle's path up to the
+    yielded time.  A state that is not finite or exceeds the divergence guard
+    in absolute value raises FloatingPointError.
     """
     if not mu.probability:
         raise ValueError("initial condition must be a probability measure")
     n_steps = max(int(round((cfg.horizon - t) / cfg.dt)), 0)
-    rng_w = substream(cfg.seed if w_seed is None else w_seed, run, 0)
-    rng_init = substream(cfg.seed if init_seed is None else init_seed, run, 1)
-    rng_b = substream(cfg.seed if b_seed is None else b_seed, run, 2)
+    R, N, d = len(runs), cfg.n_particles, coeffs.d
+
+    def streams(seed, source):
+        return [substream(cfg.seed if seed is None else seed, run, source) for run in runs]
+
+    rng_w, rng_init, rng_b = streams(w_seed, 0), streams(init_seed, 1), streams(b_seed, 2)
     p0 = mu.weights / mu.weights.sum()
-    X = mu.locations[rng_init.choice(mu.n_atoms, size=cfg.n_particles, p=p0)]
+    X = np.stack([mu.locations[g.choice(mu.n_atoms, size=N, p=p0)] for g in rng_init])
     sqdt = math.sqrt(cfg.dt)
-    dW = rng_w.standard_normal((n_steps, coeffs.d2)) * sqdt
-    running = np.zeros(cfg.n_particles)
+    # (R, n_steps, d2, 1): one column per run and step for the common loading
+    dW = np.stack([g.standard_normal((n_steps, coeffs.d2)) for g in rng_w])[..., None] * sqdt
+    dB = np.empty((R * N, coeffs.d1))
+    running = np.zeros((R, N))
     yield t, X, running
     for step in range(n_steps):
-        a = policy(t + step * cfg.dt, _law_summary(X))
-        dB = rng_b.standard_normal((cfg.n_particles, coeffs.d1)) * sqdt
-        drift = np.asarray(coeffs.b(X, a), dtype=float)
-        diff = np.asarray(coeffs.sigma(X, a), dtype=float)
+        a = policy(t + step * cfg.dt, LawSummary(X.mean(axis=1)))
+        for k, g in enumerate(rng_b):
+            g.standard_normal(out=dB[k * N : (k + 1) * N])
+        dB *= sqdt
+        flat, per_point = X.reshape(R * N, d), np.repeat(a, N)
+        running = running + np.asarray(
+            coeffs.r(flat, per_point), dtype=float
+        ).reshape(R, N) * cfg.dt
+        diff = np.asarray(coeffs.sigma(flat, per_point), dtype=float)
         common = np.asarray(coeffs.sigma_tilde(a), dtype=float)
-        running = running + np.asarray(coeffs.r(X, a), dtype=float) * cfg.dt
-        X = X + drift * cfg.dt + np.einsum("nij,nj->ni", diff, dB) + common @ dW[step]
-        if not np.all(np.abs(X) <= _DIVERGENCE_GUARD):
+        common = np.broadcast_to(common, (R, d, coeffs.d2))
+        # X + b dt + sigma dB + sigma_tilde dW, added in this order into one
+        # new array so that few (runs * N)-sized temporaries are alive at once
+        moved = np.asarray(coeffs.b(flat, per_point), dtype=float) * cfg.dt
+        moved += flat
+        moved += np.einsum("nij,nj->ni", diff, dB)
+        X = moved.reshape(R, N, d)
+        X += (common @ dW[:, step])[:, None, :, 0]
+        if not (X.max() <= _DIVERGENCE_GUARD and X.min() >= -_DIVERGENCE_GUARD):
             raise FloatingPointError(
                 f"particle state is not finite or exceeded {_DIVERGENCE_GUARD:g}; check coefficients"
             )
@@ -154,8 +171,8 @@ def simulate_conditional_law(
     """
     w = np.full(cfg.n_particles, 1.0 / cfg.n_particles)
     return [
-        (clock, SignedAtomicMeasure(X.shape[1], X, w, True))
-        for clock, X, _ in _run_paths(t, mu, policy, coeffs, cfg, run, w_seed, init_seed, b_seed)
+        (clock, SignedAtomicMeasure(coeffs.d, X[0], w, True))
+        for clock, X, _ in _run_paths(t, mu, policy, coeffs, cfg, [run], w_seed, init_seed, b_seed)
     ]
 
 
@@ -173,17 +190,16 @@ def sample_costs(
     at every Euler step: the first coordinate of the particle mean, the
     particle variance and the particle average of the running cost so far.
     """
-    costs, rows = [], []
-    for run in range(cfg.runs):
-        for clock, X, running in _run_paths(t, mu, policy, coeffs, cfg, run):
-            if run == 0:
-                mean = X.mean(axis=0)
-                var = float(np.mean((X - mean) ** 2))
-                rows.append((clock, float(mean[0]), var, float(running.mean())))
-        cost = float((running + np.asarray(coeffs.l(X), dtype=float)).mean())
+    rows = []
+    for clock, X, running in _run_paths(t, mu, policy, coeffs, cfg, range(cfg.runs)):
+        mean = X[0].mean(axis=0)
+        var = float(np.mean((X[0] - mean) ** 2))
+        rows.append((clock, float(mean[0]), var, float(running[0].mean())))
+    terminal = np.asarray(coeffs.l(X.reshape(-1, coeffs.d)), dtype=float).reshape(running.shape)
+    costs = (running + terminal).mean(axis=1).tolist()
+    for run, cost in enumerate(costs):
         if not math.isfinite(cost):
             raise FloatingPointError(f"run {run} has a non-finite cost; check coefficients")
-        costs.append(cost)
     return costs, rows
 
 
@@ -282,10 +298,10 @@ def lqg_feedback_policy(lq: LQParams) -> ControlPolicy:
     """Optimal mean-feedback a = -P(t) mean / control_weight, clipped to the box."""
 
     def rule(t, summary: LawSummary):
-        slope = lq_value(t, float(summary.mean[0]), 0.0, lq)[2]
-        return -float(slope) / (2.0 * lq.control_weight)
+        slope = lq_value(t, summary.mean[:, 0], 0.0, lq)[2]
+        return -slope / (2.0 * lq.control_weight)
 
-    return ControlPolicy(rule, np.atleast_1d(-lq.control_bound), np.atleast_1d(lq.control_bound))
+    return ControlPolicy(rule, -lq.control_bound, lq.control_bound)
 
 
 POLICY_REGISTRY = {

@@ -61,9 +61,11 @@ __all__ = [
 class FilteringCoeffs:
     """Coefficient bundle (b, sigma, sigma_tilde, r, l) for the filtering problem.
 
-    Closures are batched over states: ``b(X, a)`` takes X of shape (n, d) and
-    returns (n, d); ``sigma(X, a)`` returns (n, d, d1); ``sigma_tilde(a)``
-    returns (d, d2); ``r(X, a)`` returns (n,); ``l(X)`` returns (n,).
+    Closures are batched over states and controls: ``b(X, a)`` takes X of
+    shape (n, d) and a scalar control or an (n,) array of per-point controls,
+    and returns (n, d); ``sigma(X, a)`` returns (n, d, d1); ``r(X, a)``
+    returns (n,); ``l(X)`` returns (n,).  ``sigma_tilde(a)`` returns (d, d2)
+    for a scalar control and (m, d, d2) for an (m,) control array.
     ``bounds`` and ``lip`` declare per-coefficient sup bounds and Lipschitz
     constants (in x, uniform over controls); ``delta`` the ellipticity
     constant of sigma sigma^T.
@@ -200,21 +202,26 @@ def K_filtering(controls, mu: SignedAtomicMeasure, jet: JetArgs, coeffs: Filteri
     """Per-control pairing: running cost, drift against p, diffusion against q,
     plus the common-noise trace against M; exact on the atoms.  ``controls`` is
     one control (float result) or a 1-d array (one value per control); the jet
-    fields p and q are evaluated once."""
+    fields p and q are evaluated once, and each coefficient closure once on
+    the atoms tiled over the controls."""
     if not mu.probability:
         raise ValueError("K_filtering expects a probability measure")
+    grid = np.atleast_1d(np.asarray(controls, dtype=float))
     X, w = mu.locations, mu.weights
-    pv = np.asarray(jet.p(X), dtype=float)
-    qv = np.asarray(jet.q(X), dtype=float)
-    values = []
-    for a in np.atleast_1d(controls):
-        sv = np.asarray(coeffs.sigma(X, a), dtype=float)
-        drift = np.einsum("ni,ni->n", np.asarray(coeffs.b(X, a), dtype=float), pv)
-        diffusion = np.einsum("nik,nki->n", qv, np.einsum("nij,nkj->nik", sv, sv))
-        integrand = np.asarray(coeffs.r(X, a), dtype=float) + drift + 0.5 * diffusion
-        st = np.asarray(coeffs.sigma_tilde(a), dtype=float)
-        values.append(float(w @ integrand) + 0.5 * float(np.trace(st @ st.T @ jet.M)))
-    return np.array(values) if np.ndim(controls) else values[0]
+    C, n = grid.size, X.shape[0]
+    Xc, ac = np.tile(X, (C, 1)), np.repeat(grid, n)
+    pv = np.tile(np.asarray(jet.p(X), dtype=float), (C, 1))
+    qv = np.tile(np.asarray(jet.q(X), dtype=float), (C, 1, 1))
+    sv = np.asarray(coeffs.sigma(Xc, ac), dtype=float)
+    drift = np.einsum("ni,ni->n", np.asarray(coeffs.b(Xc, ac), dtype=float), pv)
+    diffusion = np.einsum("nik,nki->n", qv, np.einsum("nij,nkj->nik", sv, sv))
+    integrand = np.asarray(coeffs.r(Xc, ac), dtype=float) + drift + 0.5 * diffusion
+    st = np.asarray(coeffs.sigma_tilde(grid), dtype=float)
+    st = np.broadcast_to(st, (C, coeffs.d, coeffs.d2))
+    common = np.trace(st @ np.swapaxes(st, 1, 2) @ jet.M, axis1=1, axis2=2)
+    # one dot product per control, so a control's value does not depend on the batch
+    values = np.vecdot(integrand.reshape(C, n), w) + 0.5 * common
+    return values if np.ndim(controls) else float(values[0])
 
 
 def G_filtering(
@@ -675,6 +682,12 @@ def regret_samples(K: int, n: int, rng: np.random.Generator) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _control_column(a, X: np.ndarray) -> np.ndarray:
+    """A scalar control or an (n,) array of per-point controls as an (n, 1)
+    column beside the (n, d) points X (a read-only view)."""
+    return np.broadcast_to(np.reshape(np.asarray(a, dtype=float), (-1, 1)), (X.shape[0], 1))
+
+
 def make_lq_coeffs(
     sigma: float = 1.0,
     sigma_tilde: float = 1.0,
@@ -688,19 +701,17 @@ def make_lq_coeffs(
     """
 
     def b(X, a):
-        X = np.atleast_2d(X)
-        return np.full((X.shape[0], 1), float(a))
+        return _control_column(a, np.atleast_2d(X)).copy()
 
     def sig(X, a):
         X = np.atleast_2d(X)
         return np.full((X.shape[0], 1, 1), sigma)
 
     def sig_t(a):
-        return np.array([[sigma_tilde]])
+        return np.broadcast_to(np.array([[sigma_tilde]]), np.shape(a) + (1, 1))
 
     def r(X, a):
-        X = np.atleast_2d(X)
-        return np.full(X.shape[0], control_weight * float(a) ** 2)
+        return control_weight * _control_column(a, np.atleast_2d(X))[:, 0] ** 2
 
     if saturate_terminal is None:
 
@@ -738,18 +749,19 @@ def make_bounded_filter_coeffs() -> FilteringCoeffs:
 
     def b(X, a):
         X = np.atleast_2d(X)
-        return float(a) * (0.5 + 0.5 / (1.0 + X * X)) + 0.4 * np.sin(X)
+        return _control_column(a, X) * (0.5 + 0.5 / (1.0 + X * X)) + 0.4 * np.sin(X)
 
     def sig(X, a):
         X = np.atleast_2d(X)
         return (1.0 + 0.3 * np.sin(X))[:, :, None]
 
     def sig_t(a):
-        return np.array([[0.5]])
+        return np.broadcast_to(np.array([[0.5]]), np.shape(a) + (1, 1))
 
     def r(X, a):
         X = np.atleast_2d(X)
-        return 0.3 * np.cos(X[:, 0]) + float(a) ** 2 * (1.0 + 0.2 * np.cos(X[:, 0])) / 1.2
+        a = _control_column(a, X)[:, 0]
+        return 0.3 * np.cos(X[:, 0]) + a**2 * (1.0 + 0.2 * np.cos(X[:, 0])) / 1.2
 
     def l(X):
         X = np.atleast_2d(X)

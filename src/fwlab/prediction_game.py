@@ -6,8 +6,9 @@ signal, never the realized subset.  Shipped: the exact step dynamics on a gap
 vector, Monte Carlo regret of a forecaster against a fixed mixed subset action,
 exact small-instance values by backward induction over public histories with
 stage matrix games, and the arithmetic rescaling to the long-horizon
-normalization.  Forecasters read a running (K,) score vector, never the game
-history, so a run of T rounds costs O(T).
+normalization.  Forecasters read a running score vector, never the game
+history, so a run of T rounds costs O(T), and all Monte Carlo runs advance
+together as (runs, K) arrays, each run on uniforms from its own substream.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ForecasterStrategy:
-    """A forecaster driven by a running score vector.
+    """A forecaster driven by a running score vector, one row per run.
 
-    ``rule(scores)`` maps the (K,) scores to a probability vector over the K
-    actions; after each round ``gain(a, y)`` (the adversary's mixture and the
-    signal) is added to the scores, which start at zero.
+    ``rule(scores)`` maps the (R, K) scores to (R, K) probability vectors
+    over the K actions; after each round ``gain(a, y)`` (the adversary's
+    mixture and the (R,) signals) is added to the scores, which start at
+    zero.
     """
 
     rule: Callable
@@ -54,29 +56,43 @@ class ForecasterStrategy:
     name: str = "forecaster"
 
 
-def step(gaps: np.ndarray, b: np.ndarray, a: SimplexAction, rng: np.random.Generator) -> tuple:
-    """One round: sample the action and the subset, update gaps, emit the signal.
+def _sample(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index drawn by each uniform in u from the matching row of weights, as
+    ``Generator.choice(k, p=p)`` draws with its next uniform from
+    p = weights / weights.sum(): the number of entries of
+    cumsum(p) / cumsum(p)[-1] at or below u (searchsorted, side="right")."""
+    cdf = np.cumsum(weights / weights.sum(axis=-1, keepdims=True), axis=-1)
+    cdf = cdf / cdf[..., -1:]
+    return (cdf <= u[..., None]).sum(axis=-1)
 
-    ``gaps`` is the (K,) vector of per-action total gain minus the
-    forecaster's total gain.  Gap coordinate i moves by 1_{i in J} - 1_{I in J};
-    the signal is +I on success and -I on failure, so the realized action
-    index is always recoverable from its magnitude.  Returns (new gaps, signal).
+
+def step(gaps: np.ndarray, b: np.ndarray, a: SimplexAction, u: np.ndarray) -> tuple:
+    """One round of R runs: sample the actions and the subsets, update gaps, emit the signals.
+
+    ``gaps`` is the (R, K) array of per-action total gain minus the
+    forecaster's total gain, ``b`` the (R, K) forecaster mixtures and ``u``
+    the (R, 2) uniforms that draw each run's action and subset.  Gap
+    coordinate i moves by 1_{i in J} - 1_{I in J}; the signal is +I on
+    success and -I on failure, so the realized action index is always
+    recoverable from its magnitude.  Returns (new gaps, (R,) signals).
     """
     gaps = np.asarray(gaps, dtype=float)
-    K = gaps.size
-    b = np.asarray(b, dtype=float).ravel()
-    if gaps.ndim != 1:
-        raise ValueError("gaps must be a vector")
-    if b.size != K or np.any(b < -1e-12) or abs(b.sum() - 1.0) > 1e-9:
-        raise ValueError("forecaster mixture must be a probability vector over [K]")
+    b = np.asarray(b, dtype=float)
+    if gaps.ndim != 2:
+        raise ValueError("gaps must be an (R, K) array")
+    R, K = gaps.shape
+    if b.shape != gaps.shape or np.any(b < -1e-12) or np.any(np.abs(b.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("forecaster mixtures must be probability vectors over [K]")
     if a.n_actions != K:
         raise ValueError("adversary action has wrong number of base actions")
-    i_real = int(rng.choice(K, p=b / b.sum())) + 1
-    mask = int(rng.choice(2**K, p=a.weights / a.weights.sum()))
-    in_j = subset_vectors(K)[mask]
-    success = bool(in_j[i_real - 1])
-    y = i_real if success else -i_real
-    return gaps + in_j - (1.0 if success else 0.0), y
+    u = np.asarray(u, dtype=float)
+    if u.shape != (R, 2):
+        raise ValueError("need two uniforms per run")
+    i_real = _sample(b, u[:, 0]) + 1
+    in_j = subset_vectors(K)[_sample(a.weights, u[:, 1])]
+    success = in_j[np.arange(R), i_real - 1]
+    y = np.where(success > 0, i_real, -i_real)
+    return gaps + in_j - success[:, None], y
 
 
 def monte_carlo_regret(
@@ -89,25 +105,23 @@ def monte_carlo_regret(
 ) -> tuple:
     """Average of max_i gaps_i at the horizon over independent runs.
 
-    The adversary plays the same mixed subset action every round.  Runs
-    derive independent substreams from (seed, run) so the estimate is
-    reproducible and invariant to run ordering.
+    The adversary plays the same mixed subset action every round.  Run r
+    draws its 1 + 2T uniforms (initial gaps, then action and subset per
+    round) from the substream (seed, r), so the estimate is reproducible and
+    invariant to run ordering; all runs advance together.
     """
     if T < 0 or runs < 1:
         raise ValueError("need T >= 0 and runs >= 1")
     K = m0.dim
     if adversary.n_actions != K:
         raise ValueError("adversary action has wrong number of base actions")
-    per_run = []
-    for run in range(runs):
-        rng = substream(seed, run)
-        gaps = m0.locations[int(rng.choice(m0.n_atoms, p=m0.weights / m0.weights.sum()))]
-        scores = np.zeros(K)
-        for _ in range(T):
-            gaps, y = step(gaps, forecaster.rule(scores), adversary, rng)
-            scores = scores + forecaster.gain(adversary, y)
-        per_run.append(float(np.max(gaps)))
-    return mean_stderr(per_run)
+    u = np.stack([substream(seed, run).random(1 + 2 * T) for run in range(runs)])
+    gaps = m0.locations[_sample(m0.weights, u[:, 0])]
+    scores = np.zeros((runs, K))
+    for t in range(T):
+        gaps, y = step(gaps, forecaster.rule(scores), adversary, u[:, 1 + 2 * t : 3 + 2 * t])
+        scores = scores + forecaster.gain(adversary, y)
+    return mean_stderr(gaps.max(axis=1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +192,15 @@ def _posterior_update(belief: dict, a: SimplexAction, y: int, round_digits: int)
     if total <= 0:
         raise ValueError("observed signal has zero probability under the mixture")
     incs = E[sel] - (1.0 if success else 0.0)
+    support = np.array(list(belief))
+    # every (support point, increment) child rounded at once and accumulated
+    # support-major; the masses stay numpy floats because _belief_key rounds
+    # them with round(), which rounds numpy and Python floats differently
+    children = np.round(support[:, None, :] + incs, round_digits).reshape(-1, K)
+    mass = (np.fromiter(belief.values(), float, len(belief))[:, None] * (wsel / total)).ravel()
     out: dict = {}
-    for gaps, p in belief.items():
-        g = np.asarray(gaps)
-        for w, inc in zip(wsel / total, incs):
-            key = tuple(np.round(g + inc, round_digits))
-            out[key] = out.get(key, 0.0) + p * w
+    for key, p in zip(map(tuple, children.tolist()), mass):
+        out[key] = out.get(key, 0.0) + p
     return out
 
 
@@ -285,30 +302,29 @@ def rescaled_value(values: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _expected_gains(a: SimplexAction, y: int) -> np.ndarray:
+def _expected_gains(a: SimplexAction, y: np.ndarray) -> np.ndarray:
     """The exactly known expected per-action gains hat a(i) of the mixture."""
     return a.weights @ subset_vectors(a.n_actions)
 
 
-def _observed_gains(a: SimplexAction, y: int) -> np.ndarray:
-    """Expected gains with the played action's entry replaced by its outcome."""
-    est = _expected_gains(a, y)
-    est[abs(y) - 1] = 1.0 if y > 0 else 0.0
+def _observed_gains(a: SimplexAction, y: np.ndarray) -> np.ndarray:
+    """Expected gains with each run's played entry replaced by its outcome."""
+    est = np.repeat(_expected_gains(a, y)[None], y.size, axis=0)
+    est[np.arange(y.size), np.abs(y) - 1] = y > 0
     return est
 
 
 def uniform_forecaster(K: int) -> ForecasterStrategy:
-    probs = np.full(K, 1.0 / K)
-    return ForecasterStrategy(lambda scores: probs, lambda a, y: 0.0, name="uniform")
+    return ForecasterStrategy(
+        lambda scores: np.full(scores.shape, 1.0 / K), lambda a, y: 0.0, name="uniform"
+    )
 
 
 def follow_the_leader_forecaster(K: int) -> ForecasterStrategy:
     """Greedy on the exactly-known expected per-action gains sum_s hat a_s(i)."""
 
     def rule(scores):
-        out = np.zeros(K)
-        out[int(np.argmax(scores))] = 1.0
-        return out
+        return np.eye(K)[np.argmax(scores, axis=1)]
 
     return ForecasterStrategy(rule, _expected_gains, name="follow-the-leader")
 
@@ -317,8 +333,8 @@ def exp_weights_forecaster(K: int, eta: float = 0.5) -> ForecasterStrategy:
     """Exponential weights on the observed-mixture gain estimates."""
 
     def rule(scores):
-        w = np.exp(eta * (scores - scores.max()))
-        return w / w.sum()
+        w = np.exp(eta * (scores - scores.max(axis=1, keepdims=True)))
+        return w / w.sum(axis=1, keepdims=True)
 
     return ForecasterStrategy(rule, _observed_gains, name="exp-weights")
 

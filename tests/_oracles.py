@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own code paths for the
 quantity it checks: the spectral-distance oracle integrates over the full
 line with adaptive quadrature, the game oracle solves one sequence-form
 linear program over the whole tree instead of stagewise matrix games, the
-mean-problem oracle is a dense backward dynamic program, and the forecaster
-oracles rescan the game history instead of keeping running scores.
+mean-problem oracle is a dense backward dynamic program, the forecaster
+oracles rescan the game history instead of keeping running scores, and the
+particle-filter oracle steps one run at a time with scalar controls.
 """
 
 from __future__ import annotations
@@ -235,6 +236,51 @@ def history_forecaster(name: str, K: int, eta: float = 0.5):
 
     rules = {"uniform": uniform, "follow-the-leader": follow_the_leader, "exp-weights": exp_weights}
     return rules[name]
+
+
+# ---------------------------------------------------------------------------
+# the particle filter one run at a time
+# ---------------------------------------------------------------------------
+
+
+def _run_stream(seed: int, run: int, source: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(seed, spawn_key=(run, source))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def scalar_run_costs(t, mu, policy, coeffs, cfg, law_summary) -> tuple:
+    """Per-run costs and run 0's (time, mean, variance, cost_to_date) rows,
+    stepping each run's (N, d) particles on its own with a scalar control.
+
+    ``law_summary(mean)`` builds what the policy sees from a run's (d,)
+    particle mean; the policy answers for a batch of one.
+    """
+    costs, rows = [], []
+    for run in range(cfg.runs):
+        n_steps = max(int(round((cfg.horizon - t) / cfg.dt)), 0)
+        rng_w, rng_init, rng_b = (_run_stream(cfg.seed, run, source) for source in range(3))
+        p0 = mu.weights / mu.weights.sum()
+        X = mu.locations[rng_init.choice(mu.n_atoms, size=cfg.n_particles, p=p0)]
+        sqdt = math.sqrt(cfg.dt)
+        dW = rng_w.standard_normal((n_steps, coeffs.d2)) * sqdt
+        running = np.zeros(cfg.n_particles)
+        path = [(t, X, running)]
+        for step in range(n_steps):
+            a = float(policy(t + step * cfg.dt, law_summary(X.mean(axis=0)[None]))[0])
+            dB = rng_b.standard_normal((cfg.n_particles, coeffs.d1)) * sqdt
+            drift = np.asarray(coeffs.b(X, a), dtype=float)
+            diff = np.asarray(coeffs.sigma(X, a), dtype=float)
+            common = np.asarray(coeffs.sigma_tilde(a), dtype=float)
+            running = running + np.asarray(coeffs.r(X, a), dtype=float) * cfg.dt
+            X = X + drift * cfg.dt + np.einsum("nij,nj->ni", diff, dB) + common @ dW[step]
+            path.append((t + (step + 1) * cfg.dt, X, running))
+        if run == 0:
+            for clock, Xs, run_cost in path:
+                mean = Xs.mean(axis=0)
+                var = float(np.mean((Xs - mean) ** 2))
+                rows.append((clock, float(mean[0]), var, float(run_cost.mean())))
+        costs.append(float((running + np.asarray(coeffs.l(X), dtype=float)).mean()))
+    return costs, rows
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import lq_total_value_dp
+from _oracles import lq_total_value_dp, scalar_run_costs
 from conftest import random_probability_measure
 from fwlab import filtering_sim as fs
 from fwlab import hamiltonians as ham
@@ -89,6 +89,25 @@ def test_per_run_costs_do_not_depend_on_the_run_count():
     costs5, rows5 = fs.sample_costs(0.0, MU2, policy, coeffs, many)
     assert costs3 == costs5[:3]
     assert rows3 == rows5
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    runs=st.integers(1, 4),
+    n_particles=st.integers(1, 30),
+    n_steps=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    coeffs_name=st.sampled_from(sorted(ham.COEFFS_REGISTRY)),
+)
+def test_sample_costs_match_the_scalar_run_loop(runs, n_particles, n_steps, seed, coeffs_name):
+    coeffs = ham.COEFFS_REGISTRY[coeffs_name]()
+    cfg = fs.SimConfig(dt=0.05, n_particles=n_particles, horizon=0.05 * max(n_steps, 1),
+                       runs=runs, seed=seed)
+    t = 0.05 if n_steps == 0 else 0.0
+    policy = fs.lqg_feedback_policy(LQ)
+    assert fs.sample_costs(t, MU2, policy, coeffs, cfg) == scalar_run_costs(
+        t, MU2, policy, coeffs, cfg, fs.LawSummary
+    )
 
 
 def test_run_zero_rows_match_the_simulated_path():

@@ -237,6 +237,27 @@ def test_K_filtering_over_controls_matches_each_control(cfg1d, seed, n_controls)
     assert ham.G_filtering(mu, jet, coeffs, controls) == min(each)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ham.COEFFS_REGISTRY)),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+)
+def test_closures_on_per_point_controls_match_scalar_calls(name, seed, n):
+    coeffs = ham.COEFFS_REGISTRY[name]()
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-3.0, 3.0, (n, coeffs.d))
+    a = rng.uniform(-4.0, 4.0, n)
+    for f in (coeffs.b, coeffs.sigma, coeffs.r):
+        each = np.concatenate([np.asarray(f(X[k : k + 1], float(a[k]))) for k in range(n)])
+        assert np.array_equal(np.asarray(f(X, a)), each)
+        # a scalar control applies to every point
+        assert np.array_equal(np.asarray(f(X, float(a[0]))), np.asarray(f(X, np.full(n, a[0]))))
+    st_each = np.stack([np.asarray(coeffs.sigma_tilde(float(v))) for v in a])
+    assert st_each.shape == (n, coeffs.d, coeffs.d2)
+    assert np.array_equal(np.asarray(coeffs.sigma_tilde(a)), st_each)
+
+
 def test_G_filtering_evaluates_the_jet_once(cfg1d, rng):
     calls = {"p": 0, "q": 0}
     jet = _kappa_jet(rng, cfg1d)
@@ -294,6 +315,28 @@ def test_hat_weights_partition_exact(rng):
         for i in range(1, K + 1):
             hi, hmi = ham.hat_weights(a, i)
             assert hi + hmi == 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    action=st.integers(1, 3).flatmap(
+        lambda K: st.tuples(
+            st.just(K),
+            st.lists(st.floats(0.0, 1e3), min_size=2**K, max_size=2**K).filter(
+                lambda w: sum(w) > 0
+            ),
+        )
+    )
+)
+def test_hat_weights_sum_to_one(action):
+    K, raw = action
+    w = np.asarray(raw) / np.sum(raw)
+    a = ham.SimplexAction(K, w)
+    masks = np.arange(2**K)
+    for i in range(1, K + 1):
+        hi, hmi = ham.hat_weights(a, i)
+        assert hi + hmi == 1.0
+        assert hmi == pytest.approx(np.sum(a.weights[(masks >> (i - 1) & 1) == 0]), abs=1e-12)
 
 
 def test_subset_vectors_table():

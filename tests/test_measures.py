@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_probability_measure
 from fwlab import measures as ms
@@ -158,6 +160,31 @@ def test_json_round_trip(rng):
     back = ms.measure_from_json(doc)
     assert ms.measures_close(mu, back)
     assert back.probability
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_measure_json_round_trip_is_exact(data):
+    dim = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(0, 5))
+    coord = st.floats(-1e6, 1e6)
+    locs = np.array(
+        data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=n, max_size=n)),
+        dtype=float,
+    ).reshape(n, dim)
+    probability = n > 0 and data.draw(st.booleans())
+    if probability:
+        raw = data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+        )
+        weights = np.asarray(raw) / np.sum(raw)
+    else:
+        weights = np.array(data.draw(st.lists(coord, min_size=n, max_size=n)), dtype=float)
+    mu = ms.SignedAtomicMeasure(dim, locs, weights, probability)
+    back = ms.measure_from_json(ms.measure_to_json(mu))
+    assert (back.dim, back.probability) == (dim, probability)
+    assert np.array_equal(back.locations, mu.locations)
+    assert np.array_equal(back.weights, mu.weights)
 
 
 def test_measures_close_merging():

@@ -15,31 +15,32 @@ ZERO2 = ms.dirac(np.zeros(2))
 
 
 def test_step_full_and_empty_sets_freeze_gaps(rng):
-    gaps = np.array([0.5, -0.5])
+    gaps = np.array([[0.5, -0.5]])
     for mask in (0b11, 0b00):
-        nxt, y = pg.step(gaps, np.array([0.5, 0.5]), ham.vertex_action(2, mask), rng)
+        a = ham.vertex_action(2, mask)
+        nxt, y = pg.step(gaps, np.array([[0.5, 0.5]]), a, rng.random((1, 2)))
         assert np.array_equal(nxt, gaps)
-        assert abs(y) in (1, 2)
+        assert abs(y[0]) in (1, 2)
 
 
 def test_step_forced_outcome():
-    gaps = np.zeros(2)
-    rng = substream(0, 0)
-    nxt, y = pg.step(gaps, np.array([0.0, 1.0]), ham.vertex_action(2, 0b01), rng)
-    assert np.array_equal(nxt, [1.0, 0.0])
-    assert y == -2
-    assert np.array_equal(gaps, [0.0, 0.0])
+    gaps = np.zeros((1, 2))
+    u = substream(0, 0).random((1, 2))
+    nxt, y = pg.step(gaps, np.array([[0.0, 1.0]]), ham.vertex_action(2, 0b01), u)
+    assert np.array_equal(nxt, [[1.0, 0.0]])
+    assert y.tolist() == [-2]
+    assert np.array_equal(gaps, [[0.0, 0.0]])
 
 
 def test_step_invariants_random(rng):
-    gaps = np.zeros(3)
+    gaps = np.zeros((1, 3))
     for _ in range(200):
-        b = rng.dirichlet(np.ones(3))
+        b = rng.dirichlet(np.ones(3))[None]
         a = ham.SimplexAction(3, rng.dirichlet(np.ones(8)))
-        nxt, y = pg.step(gaps, b, a, rng)
-        delta = nxt - gaps
+        nxt, y = pg.step(gaps, b, a, rng.random((1, 2)))
+        delta = nxt[0] - gaps[0]
         assert set(np.unique(delta)).issubset({-1.0, 0.0, 1.0})
-        i, success = abs(y), y > 0
+        i, success = abs(y[0]), y[0] > 0
         # the chosen action's own gap never moves
         assert delta[i - 1] == 0.0
         # success means everyone is debited; failure means nobody is
@@ -47,11 +48,32 @@ def test_step_invariants_random(rng):
         gaps = nxt
 
 
+def test_step_samples_as_generator_choice_does(rng):
+    # one row per draw: the action and the subset step draws from a run's two
+    # uniforms are the ones Generator.choice draws from the same generator
+    for K in (1, 2, 3):
+        R = 500
+        b = rng.dirichlet(np.ones(K), R)
+        a = ham.SimplexAction(K, rng.dirichlet(np.ones(2**K)))
+        seeds = rng.integers(2**31, size=R)
+        u = np.stack([substream(int(s)).random(2) for s in seeds])
+        nxt, y = pg.step(np.zeros((R, K)), b, a, u)
+        in_j = nxt + (y > 0)[:, None]
+        mask = (in_j.astype(int) << np.arange(K)).sum(axis=1)
+        for r, s in enumerate(seeds):
+            g = substream(int(s))
+            assert abs(y[r]) == g.choice(K, p=b[r] / b[r].sum()) + 1
+            assert mask[r] == g.choice(2**K, p=a.weights / a.weights.sum())
+
+
 def test_step_rejects_mismatched_sizes(rng):
+    u = rng.random((1, 2))
     with pytest.raises(ValueError):
-        pg.step(np.zeros(2), np.array([0.2, 0.3, 0.5]), ham.vertex_action(2, 1), rng)
+        pg.step(np.zeros((1, 2)), np.array([[0.2, 0.3, 0.5]]), ham.vertex_action(2, 1), u)
     with pytest.raises(ValueError):
-        pg.step(np.zeros(2), np.array([0.5, 0.5]), ham.vertex_action(3, 1), rng)
+        pg.step(np.zeros((1, 2)), np.array([[0.5, 0.5]]), ham.vertex_action(3, 1), u)
+    with pytest.raises(ValueError):
+        pg.step(np.zeros((1, 2)), np.array([[0.5, 0.5]]), ham.vertex_action(2, 1), u[:, :1])
     with pytest.raises(ValueError):
         pg.monte_carlo_regret(
             1, ZERO2, pg.uniform_forecaster(2), pg.ADVERSARY_REGISTRY["full-set"](3), 4, 0
@@ -119,15 +141,12 @@ def test_relabeling_equivariance_two_sample():
     # swap action labels in every ingredient; distributions must match
     def collect(g0, mask, b, seed):
         a = ham.vertex_action(2, mask)
-        g0, b = np.asarray(g0), np.asarray(b)
-        out = []
-        for run in range(10_000):
-            rng_run = substream(seed, run)
-            gaps = g0
-            for _ in range(3):
-                gaps, _ = pg.step(gaps, b, a, rng_run)
-            out.append(float(np.max(gaps)))
-        return np.asarray(out)
+        runs = 10_000
+        u = np.stack([substream(seed, run).random(6) for run in range(runs)])
+        gaps, b = np.tile(g0, (runs, 1)), np.tile(b, (runs, 1))
+        for t in range(3):
+            gaps, _ = pg.step(gaps, b, a, u[:, 2 * t : 2 * t + 2])
+        return gaps.max(axis=1)
 
     base = collect([0.4, -0.1], 0b01, [0.3, 0.7], 5)
     swapped = collect([-0.1, 0.4], 0b10, [0.7, 0.3], 6)
@@ -135,15 +154,17 @@ def test_relabeling_equivariance_two_sample():
 
 
 def _rescan_regret(T, m0, rule, a, runs, seed):
-    """Monte Carlo regret of a history-rescan rule, transcribing the score engine's loop."""
+    """Monte Carlo regret of a history-rescan rule, one run at a time: the
+    initial gaps from ``Generator.choice``, then a batch-of-one ``step`` per
+    round on two fresh uniforms of the run's own generator."""
     per_run = []
     for run in range(runs):
         rng = substream(seed, run)
-        gaps = m0.locations[int(rng.choice(m0.n_atoms, p=m0.weights / m0.weights.sum()))]
+        gaps = m0.locations[[rng.choice(m0.n_atoms, p=m0.weights / m0.weights.sum())]]
         history = ()
         for _ in range(T):
-            gaps, y = pg.step(gaps, rule(history), a, rng)
-            history += ((a.weights, y),)
+            gaps, y = pg.step(gaps, rule(history)[None], a, rng.random((1, 2)))
+            history += ((a.weights, int(y[0])),)
         per_run.append(float(np.max(gaps)))
     est = math.fsum(per_run) / runs
     var = math.fsum((v - est) ** 2 for v in per_run) / (runs - 1)

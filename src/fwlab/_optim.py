@@ -1,12 +1,19 @@
 """Projected-gradient ascent over products of simple convex sets.
 
-The ascent takes the objective's gradient from the caller, and every caller
-passes an exact one: the package has no finite-difference gradient left.
+The caller passes one ``value_and_grad(x)`` callable that returns the
+objective and its exact gradient together; the package has no
+finite-difference gradient left.  The ascent evaluates each point it tries
+exactly once and keeps the gradient of the point it accepts.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_STEP0 = 0.25  # first trial step along the projected arc
+_GRAD_TOL = 1e-8  # converged when the unit-step projected gradient is smaller
+_SHRINK = 0.5  # step factor after a rejected trial
+_MAX_BACKTRACKS = 30
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -22,45 +29,33 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def projected_gradient_ascent(
-    objective,
-    x0: np.ndarray,
-    project,
-    *,
-    gradient,
-    max_iters: int = 300,
-    step0: float = 0.5,
-    grad_tol: float = 1e-8,
-    shrink: float = 0.5,
-    max_backtracks: int = 30,
-):
-    """Maximize ``objective`` along projected gradient arcs.
+def projected_gradient_ascent(value_and_grad, x0: np.ndarray, project, *, max_iters: int):
+    """Maximize along projected gradient arcs.
 
-    ``gradient(x)`` is called once per iteration, at the accepted point.  The
-    step grows on accepted trials and backtracks otherwise.  ``converged``
-    is True only when the unit-step projected gradient mapping became
-    smaller than ``grad_tol``; an ascent that runs out of iterations, or
-    stalls because no backtrack along the arc ascends, reports False.
+    ``value_and_grad(x)`` returns ``(value, gradient)`` and is called once
+    per point: at the projected start and at each trial point.  The step
+    grows on accepted trials and backtracks otherwise.  ``converged`` is True
+    only when the unit-step projected gradient mapping became smaller than
+    1e-8; an ascent that runs out of iterations, or stalls because no
+    backtrack along the arc ascends, reports False.
     Returns (x, value, converged).
     """
     x = project(np.asarray(x0, dtype=float))
-    fx = objective(x)
-    step = step0
+    fx, grad = value_and_grad(x)
+    step = _STEP0
     for _ in range(max_iters):
-        grad = gradient(x)
         pg = project(x + grad) - x
-        if float(np.linalg.norm(pg)) < grad_tol:
+        if float(np.linalg.norm(pg)) < _GRAD_TOL:
             return x, fx, True
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = project(x + step * grad)
             direction = float(grad @ (cand - x))
-            fc = objective(cand)
+            fc, gc = value_and_grad(cand)
             if direction > 0 and fc >= fx + 1e-4 * direction:
-                x, fx = cand, fc
+                x, fx, grad = cand, fc, gc
                 step *= 2.0
                 break
-            step *= shrink
+            step *= _SHRINK
         else:
             break
     return x, fx, False
-

@@ -322,13 +322,10 @@ def _run_dp_value(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
         grid = [ham.vertex_action(K, 2**K - 1)]
     else:
         raise ScenarioError(f"unknown adversary grid {grid_name!r}")
-    cfg = pg.ExactValueConfig(dump_table=dump)
-    result = pg.exact_value_small(T, m0, grid, cfg)
+    table = {} if dump else None
+    value = pg.exact_value_small(T, m0, grid, table)
     if dump:
-        value, table = result
         _write_json(out / "dp_value_table.json", {"value": value, "n_nodes": len(table)})
-    else:
-        value = result
     _write_csv(out / "dp_value.csv", ["T", "value"], [[T, value]], meta)
     return EXIT_OK
 
@@ -340,8 +337,8 @@ def _run_comparison_doubling(scenario: dict, out: Path, meta: dict, dump: bool) 
     lq = fs.LQParams(**scenario.get("lq", {}))
     slack = float(scenario.get("slack", 0.5))
     m_box = float(scenario.get("m_box", 2.0))
-    u = ch.lq_discretized_candidate(support, lq, slack=slack, m_box=m_box, label="u")
-    v = ch.lq_discretized_candidate(support, lq, slack=0.0, m_box=m_box, label="v")
+    u = ch.lq_discretized_candidate(support, lq, slack=slack, m_box=m_box)
+    v = ch.lq_discretized_candidate(support, lq, slack=0.0, m_box=m_box)
     cfg = ch.DoublingConfig(
         horizon=lq.horizon,
         m_box=m_box,

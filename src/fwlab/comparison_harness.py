@@ -22,7 +22,6 @@ from . import fourier_metric as fm
 from ._optim import project_simplex, projected_gradient_ascent
 from ._rng import substream
 from .filtering_sim import LQParams, lq_riccati, lq_value
-from .measures import SignedAtomicMeasure
 from .reports import CheckReport
 
 __all__ = [
@@ -53,7 +52,6 @@ class DiscretizedFunction:
     support: np.ndarray  # (n, d)
     eval_fn: Callable
     bound: float
-    label: str = ""
 
     def __post_init__(self):
         sup = np.atleast_2d(np.asarray(self.support, dtype=float))
@@ -71,9 +69,6 @@ class DiscretizedFunction:
 
     def __call__(self, t: float, w: np.ndarray, m: np.ndarray) -> float:
         return float(self.eval_fn(t, np.asarray(w, dtype=float), np.asarray(m, dtype=float))[0])
-
-    def measure(self, w: np.ndarray) -> SignedAtomicMeasure:
-        return SignedAtomicMeasure(self.dim, self.support, np.asarray(w, dtype=float), False)
 
 
 class FixedSupportMetric:
@@ -112,7 +107,6 @@ class FixedSupportMetric:
 # at most this many of the starts are diagonal probes (theta = iota)
 _N_DIAGONAL_PROBES = 16
 _FD_STEP = 1e-6
-_STEP0 = 0.25
 
 
 @dataclass(frozen=True)
@@ -123,7 +117,6 @@ class DoublingConfig:
     max_iters: int = 150
     seed: int = 0
     n_polish: int = 6  # best ascent results refined by a constrained local solver
-    metric: fm.FourierConfig | None = None
 
 
 @dataclass
@@ -136,7 +129,6 @@ class DoublingReport:
     penalty: float  # (1/2 eps) d_F^2 at the maximizer
     d_F: float
     converged: bool
-    best_start: int
 
 
 def _unpack(z: np.ndarray, n: int, d: int) -> tuple:
@@ -216,85 +208,58 @@ def doubling_maximize(
     if not np.allclose(u.support, v.support):
         raise ValueError("candidates must share the support atoms")
     n, d = u.n_atoms, u.dim
-    metric_cfg = cfg.metric or fm.default_config(d)
-    metric = FixedSupportMetric(u.support, metric_cfg)
+    metric = FixedSupportMetric(u.support, fm.default_config(d))
     value_and_grad = doubled_objective(u, v, metric.gram, eps, delta)
     T = cfg.horizon
-
-    # the ascent asks for the gradient at the point it last accepted, which is
-    # the point it last evaluated; keep that gradient instead of re-evaluating
-    last = [None, None]
-
-    def objective(z):
-        val, grad = value_and_grad(z)
-        last[:] = [z.copy(), grad]
-        return val
-
-    def gradient(z):
-        if last[0] is None or not np.array_equal(z, last[0]):
-            objective(z)
-        return last[1]
 
     def negated(z):
         val, grad = value_and_grad(z)
         return -val, -grad
 
+    # the box of one copy is [0, T] x [0, 1]^n x [-m_box, m_box]^d; the
+    # weights are projected onto the simplex instead of clipped
+    bounds = ([(0.0, T)] + [(0.0, 1.0)] * n + [(-cfg.m_box, cfg.m_box)] * d) * 2
+    lo, hi = np.array(bounds).T
+    weights = (slice(1, 1 + n), slice(2 + n + d, 2 + 2 * n + d))
+
     def project(z):
-        z = np.asarray(z, dtype=float).copy()
-        z[0] = min(max(z[0], 0.0), T)
-        z[1 : 1 + n] = project_simplex(z[1 : 1 + n])
-        z[1 + n : 1 + n + d] = np.clip(z[1 + n : 1 + n + d], -cfg.m_box, cfg.m_box)
-        z[1 + n + d] = min(max(z[1 + n + d], 0.0), T)
-        z[2 + n + d : 2 + 2 * n + d] = project_simplex(z[2 + n + d : 2 + 2 * n + d])
-        z[2 + 2 * n + d :] = np.clip(z[2 + 2 * n + d :], -cfg.m_box, cfg.m_box)
-        return z
+        out = np.clip(z, lo, hi)
+        for s in weights:
+            out[s] = project_simplex(z[s])
+        return out
 
     rng = substream(cfg.seed, 0)
-    n_diagonal = min(_N_DIAGONAL_PROBES, cfg.n_starts)
-    starts = []
-    for _ in range(n_diagonal):
-        t0 = rng.uniform(0.0, T)
-        w0 = rng.dirichlet(np.ones(n))
-        m0 = rng.uniform(-cfg.m_box, cfg.m_box, size=d)
-        starts.append(np.concatenate([[t0], w0, m0, [t0], w0, m0]))
-    for _ in range(cfg.n_starts - n_diagonal):
-        z = np.concatenate(
+
+    def draw():
+        return np.concatenate(
             [
-                [rng.uniform(0.0, T)],
-                rng.dirichlet(np.ones(n)),
-                rng.uniform(-cfg.m_box, cfg.m_box, size=d),
                 [rng.uniform(0.0, T)],
                 rng.dirichlet(np.ones(n)),
                 rng.uniform(-cfg.m_box, cfg.m_box, size=d),
             ]
         )
-        starts.append(z)
+
+    n_diagonal = min(_N_DIAGONAL_PROBES, cfg.n_starts)
+    starts = [np.tile(draw(), 2) for _ in range(n_diagonal)]
+    starts += [np.concatenate([draw(), draw()]) for _ in range(cfg.n_starts - n_diagonal)]
 
     results = []
     for idx, x0 in enumerate(starts):
         x, fx, conv = projected_gradient_ascent(
-            objective,
-            x0,
-            project,
-            gradient=gradient,
-            max_iters=cfg.max_iters,
-            step0=_STEP0,
+            value_and_grad, x0, project, max_iters=cfg.max_iters
         )
         results.append((fx, idx, x, conv))
     results.sort(key=lambda r: (-r[0], r[1]))
 
     # the coupling makes the landscape stiff across scales; a constrained local
-    # solve from the leading ascent results pins the maximizer down
-    bounds = (
-        [(0.0, T)] + [(0.0, 1.0)] * n + [(-cfg.m_box, cfg.m_box)] * d
-    ) * 2
-    # each copy's weights sum to one
+    # solve from the leading ascent results pins the maximizer down, with
+    # each copy's weights summing to one
     sums = np.zeros((2, 2 * (1 + n + d)))
-    sums[0, 1 : 1 + n] = 1.0
-    sums[1, 2 + n + d : 2 + 2 * n + d] = 1.0
+    for row, s in enumerate(weights):
+        sums[row, s] = 1.0
     constraints = {"type": "eq", "fun": lambda z: sums @ z - 1.0, "jac": lambda z: sums}
     best = None
-    for fx, idx, x, conv in results[: max(cfg.n_polish, 1)]:
+    for fx, _, x, conv in results[: max(cfg.n_polish, 1)]:
         res = optimize.minimize(
             negated,
             x,
@@ -305,12 +270,12 @@ def doubling_maximize(
             options={"maxiter": 300, "ftol": 1e-14},
         )
         cand = project(res.x) if res.success else x
-        fc = objective(cand)
+        fc = value_and_grad(cand)[0]
         if fc < fx:
             cand, fc = x, fx
         if best is None or fc > best[0]:
-            best = (fc, cand, conv or res.success, idx)
-    val, z, conv, idx = best
+            best = (fc, cand, conv or res.success)
+    val, z, conv = best
     t1, w1, m1, t2, w2, m2 = _unpack(z, n, d)
     dsq = metric.d_F_sq(t1, w1, m1, t2, w2, m2)
     return DoublingReport(
@@ -322,7 +287,6 @@ def doubling_maximize(
         penalty=dsq / (2.0 * eps),
         d_F=math.sqrt(max(dsq, 0.0)),
         converged=bool(conv),
-        best_start=int(idx),
     )
 
 
@@ -425,7 +389,6 @@ def lq_discretized_candidate(
     m_box: float = 2.0,
     osc: float | None = 1.0,
     shift_fn=None,
-    label: str = "",
 ) -> DiscretizedFunction:
     """Reference optimal-cost candidate restricted to a fixed support.
 
@@ -466,7 +429,7 @@ def lq_discretized_candidate(
         d_w = scale * (v_mean * x + x2 - 2.0 * wx * x)
         return val, d_t, d_w, np.array([scale * v_mean])
 
-    return DiscretizedFunction(support, eval_fn, 1.0 + abs(slack) + scale * raw_bound, label)
+    return DiscretizedFunction(support, eval_fn, 1.0 + abs(slack) + scale * raw_bound)
 
 
 def ishii_matrix_check(

@@ -106,8 +106,9 @@ def _run_paths(
     Batch row k draws from the substreams (seed, runs[k], 0..2), so it does
     not depend on which other runs share the batch.  The running cost is the
     left-endpoint quadrature of r along each particle's path up to the
-    yielded time.  A state that is not finite or exceeds the divergence guard
-    in absolute value raises FloatingPointError.
+    yielded time; it is one array updated in place, so a consumer that keeps
+    it past the next step must copy it.  A state that is not finite or
+    exceeds the divergence guard in absolute value raises FloatingPointError.
     """
     if not mu.probability:
         raise ValueError("initial condition must be a probability measure")
@@ -132,9 +133,7 @@ def _run_paths(
             g.standard_normal(out=dB[k * N : (k + 1) * N])
         dB *= sqdt
         flat, per_point = X.reshape(R * N, d), np.repeat(a, N)
-        running = running + np.asarray(
-            coeffs.r(flat, per_point), dtype=float
-        ).reshape(R, N) * cfg.dt
+        running += np.asarray(coeffs.r(flat, per_point), dtype=float).reshape(R, N) * cfg.dt
         diff = np.asarray(coeffs.sigma(flat, per_point), dtype=float)
         common = np.asarray(coeffs.sigma_tilde(a), dtype=float)
         common = np.broadcast_to(common, (R, d, coeffs.d2))

@@ -514,7 +514,6 @@ def K_regret(i: int, a, mu: SignedAtomicMeasure, q, M: np.ndarray):
 
 # projected-gradient ascent budget of G_regret, per start
 _ASCENT_ITERS = 150
-_ASCENT_STEP0 = 0.25
 
 
 @dataclass(frozen=True)
@@ -545,22 +544,15 @@ def G_regret(
     for i in range(1, mu.dim + 1):
         best = max(best, float(np.max(_pairing(i, np.eye(n_w), qbar, M)[0])))
 
-        def objective(w, i=i):
-            return float(_pairing(i, w[None], qbar, M)[0][0])
-
-        def gradient(w, i=i):
-            return _pairing(i, w[None], qbar, M)[1][0]
+        def value_and_grad(w, i=i):
+            val, grad = _pairing(i, w[None], qbar, M)
+            return float(val[0]), grad[0]
 
         starts = [np.full(n_w, 1.0 / n_w)]
         starts += [rng.dirichlet(np.ones(n_w)) for _ in range(cfg.multistarts)]
         for x0 in starts:
             _, val, _ = _optim.projected_gradient_ascent(
-                objective,
-                x0,
-                _optim.project_simplex,
-                gradient=gradient,
-                max_iters=_ASCENT_ITERS,
-                step0=_ASCENT_STEP0,
+                value_and_grad, x0, _optim.project_simplex, max_iters=_ASCENT_ITERS
             )
             best = max(best, val)
     return best

@@ -170,16 +170,14 @@ def solve_matrix_game(M: np.ndarray) -> tuple:
     return value, row_mix, col_mix
 
 
-@dataclass(frozen=True)
-class ExactValueConfig:
-    max_actions: int = 3
-    max_horizon: int = 6
-    max_tree_nodes: int = 2_000_000
-    belief_round: int = 12
-    dump_table: bool = False
+# size limits of exact_value_small, and the digits beliefs are rounded to
+_MAX_ACTIONS = 3
+_MAX_HORIZON = 6
+_MAX_TREE_NODES = 2_000_000
+_BELIEF_ROUND = 12
 
 
-def _posterior_update(belief: dict, a: SimplexAction, y: int, round_digits: int) -> dict:
+def _posterior_update(belief: dict, a: SimplexAction, y: int) -> dict:
     """Push a belief over gap vectors through one observed (mixture, signal) pair."""
     K = a.n_actions
     i = abs(y)
@@ -196,7 +194,7 @@ def _posterior_update(belief: dict, a: SimplexAction, y: int, round_digits: int)
     # every (support point, increment) child rounded at once and accumulated
     # support-major; the masses stay numpy floats because _belief_key rounds
     # them with round(), which rounds numpy and Python floats differently
-    children = np.round(support[:, None, :] + incs, round_digits).reshape(-1, K)
+    children = np.round(support[:, None, :] + incs, _BELIEF_ROUND).reshape(-1, K)
     mass = (np.fromiter(belief.values(), float, len(belief))[:, None] * (wsel / total)).ravel()
     out: dict = {}
     for key, p in zip(map(tuple, children.tolist()), mass):
@@ -204,42 +202,43 @@ def _posterior_update(belief: dict, a: SimplexAction, y: int, round_digits: int)
     return out
 
 
-def _belief_key(belief: dict, digits: int) -> tuple:
-    return tuple(sorted((g, round(p, digits)) for g, p in belief.items()))
+def _belief_key(belief: dict) -> tuple:
+    return tuple(sorted((g, round(p, _BELIEF_ROUND)) for g, p in belief.items()))
 
 
 def exact_value_small(
     T: int,
     m0: SignedAtomicMeasure,
     adversary_grid: list,
-    cfg: ExactValueConfig = ExactValueConfig(),
-):
+    table: dict | None = None,
+) -> float:
     """Exact inf-sup regret value against a finite adversary grid.
 
     Backward induction over public belief states: each stage is a finite
     zero-sum matrix game between the K pure forecaster actions and the grid
     actions, with chance resolving the signal.  The grid restricts the
     adversary, so the result lower-bounds the unrestricted value.  Point-mass
-    initial distributions only.
+    initial distributions only, K <= 3 and T <= 6.  A ``table`` dict passed
+    in is filled with one entry per solved stage game, keyed by its public
+    history of (grid index, signal) pairs: {"value": v, "matrix": rows}.
     """
     if m0.n_atoms != 1:
         raise ValueError("exact values need a point-mass initial distribution")
     K = m0.dim
-    if K > cfg.max_actions or T > cfg.max_horizon:
-        raise ValueError(f"instance exceeds size limits K<={cfg.max_actions}, T<={cfg.max_horizon}")
+    if K > _MAX_ACTIONS or T > _MAX_HORIZON:
+        raise ValueError(f"instance exceeds size limits K<={_MAX_ACTIONS}, T<={_MAX_HORIZON}")
     if not adversary_grid:
         raise ValueError("adversary grid must be nonempty")
     est_nodes = (2 * K * len(adversary_grid)) ** T
-    if est_nodes > cfg.max_tree_nodes:
+    if est_nodes > _MAX_TREE_NODES:
         raise ValueError(f"history tree too large ({est_nodes} nodes)")
     hats = [[hat_weights(a, i) for i in range(1, K + 1)] for a in adversary_grid]
     memo: dict = {}
-    table: dict = {}
 
     def value(belief: dict, rounds_left: int, label: tuple) -> float:
         if rounds_left == 0:
             return math.fsum(p * max(g) for g, p in belief.items())
-        key = (rounds_left, _belief_key(belief, cfg.belief_round))
+        key = (rounds_left, _belief_key(belief))
         if key in memo:
             return memo[key]
         M = np.zeros((K, len(adversary_grid)))
@@ -248,23 +247,20 @@ def exact_value_small(
                 hat_i, hat_mi = hats[ai][i - 1]
                 v_succ = v_fail = 0.0
                 if hat_i > 0:
-                    child = _posterior_update(belief, a, +i, cfg.belief_round)
+                    child = _posterior_update(belief, a, +i)
                     v_succ = value(child, rounds_left - 1, label + ((ai, +i),))
                 if hat_mi > 0:
-                    child = _posterior_update(belief, a, -i, cfg.belief_round)
+                    child = _posterior_update(belief, a, -i)
                     v_fail = value(child, rounds_left - 1, label + ((ai, -i),))
                 M[i - 1, ai] = hat_i * v_succ + hat_mi * v_fail
         val, _, _ = solve_matrix_game(M)
         memo[key] = val
-        if cfg.dump_table:
+        if table is not None:
             table[label] = {"value": val, "matrix": M.tolist()}
         return val
 
     root_belief = {tuple(m0.locations[0]): 1.0}
-    root = value(root_belief, T, ())
-    if cfg.dump_table:
-        return root, table
-    return root
+    return value(root_belief, T, ())
 
 
 # ---------------------------------------------------------------------------

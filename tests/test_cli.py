@@ -32,10 +32,16 @@ def test_metric_scenario_pinned_value(tmp_path):
     assert text.endswith("\n") and "\r" not in text
 
 
-SMALL_OVERRIDES = {"filter_sim.json": ["sim.runs=3", "sim.n_particles=60", "sim.dt=0.1"]}
+SMALL_OVERRIDES = {
+    "filter_sim.json": ["sim.runs=3", "sim.n_particles=60", "sim.dt=0.1"],
+    "comparison_doubling.json": ["n_starts=4", "max_iters=10"],
+}
 
 
-@pytest.mark.parametrize("name", ["metric.json", "game_sim.json", "dp_value.json", "filter_sim.json"])
+@pytest.mark.parametrize(
+    "name",
+    ["metric.json", "game_sim.json", "dp_value.json", "filter_sim.json", "comparison_doubling.json"],
+)
 def test_outputs_byte_identical(tmp_path, name):
     overrides = SMALL_OVERRIDES.get(name, [])
     out1, out2 = tmp_path / "a", tmp_path / "b"

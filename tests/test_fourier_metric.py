@@ -26,13 +26,17 @@ def test_rho_identity(cfg1d, rng):
     assert fm.rho_F(mu, mu, cfg1d) == 0.0
 
 
-def test_rho_symmetry(cfg1d, rng):
-    for _ in range(50):
-        mu = random_probability_measure(rng)
-        nu = random_probability_measure(rng)
-        assert fm.rho_F(mu, nu, cfg1d) == pytest.approx(
-            fm.rho_F(nu, mu, cfg1d), abs=1e-12
-        )
+MEASURE_DRAWS = {"d": st.sampled_from([1, 2]), "seed": st.integers(0, 2**32 - 1)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(**MEASURE_DRAWS)
+def test_rho_symmetry(d, seed):
+    rng = np.random.default_rng(seed)
+    cfg = fm.default_config(d)
+    mu, nu = (random_probability_measure(rng, dim=d) for _ in range(2))
+    forward = fm.rho_F(mu, nu, cfg)
+    assert abs(forward - fm.rho_F(nu, mu, cfg)) <= 1e-12 * max(1.0, forward)
 
 
 def test_rho_point_mass_pinned_value(cfg1d):
@@ -105,11 +109,14 @@ def test_parallelogram_equality_at_diagonal(cfg1d, rng):
     assert abs(rep.stats["gap"]) < 1e-10
 
 
-def test_parallelogram_random_quadruples(cfg1d, rng):
-    for _ in range(100):
-        mu, nu, ms_, ns_ = (random_probability_measure(rng) for _ in range(4))
-        rep = fm.parallelogram_check(mu, nu, ms_, ns_, cfg1d)
-        assert rep.passed, rep.stats
+@settings(max_examples=100, deadline=None)
+@given(**MEASURE_DRAWS)
+def test_parallelogram_random_quadruples(d, seed):
+    rng = np.random.default_rng(seed)
+    cfg = fm.default_config(d)
+    mu, nu, ms_, ns_ = (random_probability_measure(rng, dim=d) for _ in range(4))
+    rep = fm.parallelogram_check(mu, nu, ms_, ns_, cfg)
+    assert rep.passed, rep.stats
 
 
 def test_parallelogram_all_equal(cfg1d, rng):
@@ -119,12 +126,14 @@ def test_parallelogram_all_equal(cfg1d, rng):
     assert rep.stats["lhs"] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_triangle_inequality(cfg1d, rng):
-    for _ in range(100):
-        a, b, c = (random_probability_measure(rng) for _ in range(3))
-        assert fm.rho_F(a, c, cfg1d) <= fm.rho_F(a, b, cfg1d) + fm.rho_F(
-            b, c, cfg1d
-        ) + 1e-9
+@settings(max_examples=100, deadline=None)
+@given(**MEASURE_DRAWS)
+def test_triangle_inequality(d, seed):
+    rng = np.random.default_rng(seed)
+    cfg = fm.default_config(d)
+    a, b, c = (random_probability_measure(rng, dim=d) for _ in range(3))
+    detour = fm.rho_F(a, b, cfg) + fm.rho_F(b, c, cfg)
+    assert fm.rho_F(a, c, cfg) <= detour + 1e-12 * max(1.0, detour)
 
 
 def test_uniform_boundedness(cfg1d, rng):

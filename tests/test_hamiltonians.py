@@ -129,6 +129,19 @@ def test_Ge_translation_consistency(rng):
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.floats(-3.0, 3.0))
+def test_Ge_extend_with_x_free_coefficients_is_G(cfg1d, seed, m):
+    # lq1d coefficients do not depend on x, so translating the measure and the
+    # jet together changes nothing but the rounding of (x + m) - m
+    rng = np.random.default_rng(seed)
+    mu = random_probability_measure(rng)
+    jet = _kappa_jet(rng, cfg1d)
+    grid = np.linspace(-2.0, 2.0, 41)
+    G = ham.G_filtering(mu, jet, LQ, grid)
+    assert abs(ham.Ge_extend(mu, np.array([m]), jet, LQ, grid) - G) <= 1e-12 * max(1.0, abs(G))
+
+
 def test_assumption_i_identical_jets(rng):
     mu = random_probability_measure(rng)
     jet = _standard_jet()
@@ -484,6 +497,33 @@ def test_G_regret_trivial_and_dominates_vertices(rng):
         for i in (1, 2):
             probe = ham.K_regret(i, ham.vertex_action(2, mask), mu, q0, M)
             assert val >= probe - 1e-12
+
+
+def test_G_regret_evaluates_each_point_once(monkeypatch, rng):
+    # one _pairing call per direction for the vertex batch, then exactly one
+    # per point the ascent tries: value and gradient come from the same call
+    counts = {"pairing": 0, "ascent": 0}
+    pairing, ascent = ham._pairing, ham._optim.projected_gradient_ascent
+
+    def counted_pairing(*args):
+        counts["pairing"] += 1
+        return pairing(*args)
+
+    def counted_ascent(value_and_grad, *args, **kwargs):
+        def counted(w):
+            counts["ascent"] += 1
+            return value_and_grad(w)
+
+        return ascent(counted, *args, **kwargs)
+
+    monkeypatch.setattr(ham, "_pairing", counted_pairing)
+    monkeypatch.setattr(ham._optim, "projected_gradient_ascent", counted_ascent)
+    mu = random_probability_measure(rng, dim=2)
+    q = lambda X: np.tile(np.array([[0.2, 0.1], [0.1, -0.3]]), (np.atleast_2d(X).shape[0], 1, 1))
+    M = np.array([[0.7, -0.2], [-0.2, -0.5]])
+    ham.G_regret(mu, q, M, ham.RegretSolverConfig(seed=3, multistarts=4))
+    assert counts["ascent"] > 2 * 5  # 2 directions x 5 starts, and the ascents move
+    assert counts["pairing"] == 2 + counts["ascent"]
 
 
 def test_G_regret_matches_dense_grid_oracle():

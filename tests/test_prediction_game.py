@@ -240,11 +240,11 @@ def test_exact_value_size_limits():
 
 def test_exact_value_dump_table():
     grid = [ham.vertex_action(2, m) for m in range(4)]
-    value, table = pg.exact_value_small(
-        1, ZERO2, grid, pg.ExactValueConfig(dump_table=True)
-    )
+    table = {}
+    value = pg.exact_value_small(1, ZERO2, grid, table)
     assert value == pytest.approx(0.5)
     assert () in table and "matrix" in table[()]
+    assert table[()]["value"] == value == pg.exact_value_small(1, ZERO2, grid)
 
 
 def test_rescaled_value_arithmetic():

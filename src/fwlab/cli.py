@@ -7,7 +7,7 @@ tool version, the hash of the resolved scenario, and the seed, and are
 byte-identical for identical (scenario, seed, version).
 
 Exit codes: 0 success, 1 input error, 2 a numerical check failed, 3 an
-internal numerical fault (a diverging simulation or a failed stage-game LP).
+internal numerical fault (a diverging simulation or a non-finite stage-game value).
 """
 
 from __future__ import annotations

@@ -92,8 +92,6 @@ class FixedSupportMetric:
             cosd = np.cos(phases - phases[:, a][:, None])
             gram[a] = pref * (wtilde @ cosd)
         self.gram = 0.5 * (gram + gram.T)
-        self.cfg = cfg
-        self.support = support
 
     def rho_sq(self, w1: np.ndarray, w2: np.ndarray) -> float:
         dw = np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float)
@@ -125,7 +123,6 @@ class DoublingReport:
     delta: float
     value: float
     theta_star: tuple  # (t, weights, m)
-    iota_star: tuple
     penalty: float  # (1/2 eps) d_F^2 at the maximizer
     d_F: float
     converged: bool
@@ -283,7 +280,6 @@ def doubling_maximize(
         delta=delta,
         value=val,
         theta_star=(float(t1), w1.copy(), m1.copy()),
-        iota_star=(float(t2), w2.copy(), m2.copy()),
         penalty=dsq / (2.0 * eps),
         d_F=math.sqrt(max(dsq, 0.0)),
         converged=bool(conv),

@@ -5,16 +5,19 @@ subsets; the forecaster observes the adversary's mixture and a signed success
 signal, never the realized subset.  Shipped: the exact step dynamics on a gap
 vector, Monte Carlo regret of a forecaster against a fixed mixed subset action,
 exact small-instance values by backward induction over public histories with
-stage matrix games, and the arithmetic rescaling to the long-horizon
-normalization.  Forecasters read a running score vector, never the game
-history, so a run of T rounds costs O(T), and all Monte Carlo runs advance
-together as (runs, K) arrays, each run on uniforms from its own substream.
+stage matrix games, each of at most three rows and solved exactly by vertex
+enumeration, and the arithmetic rescaling to the long-horizon normalization.
+Forecasters read a running score vector, never the game history, so a run of
+T rounds costs O(T), and all Monte Carlo runs advance together as (runs, K)
+arrays, each run on uniforms from its own substream.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -130,10 +133,13 @@ def monte_carlo_regret(
 
 
 def solve_matrix_game(M: np.ndarray) -> tuple:
-    """Value and optimal mixtures of min_rows max_cols b^T M c.
+    """Value and optimal mixtures of min_rows max_cols b^T M c, any size.
 
-    Pure saddle points are returned exactly; everything else goes through the
-    standard linear program.
+    The general linear-program solver: pure saddle points are returned
+    exactly, everything else goes through the standard linear program.  The
+    belief-state DP reads only stage values and takes them from
+    ``_stage_value``; this solver stays for callers that need the mixtures
+    and as the independent oracle for ``_stage_value``.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n_rows, n_cols = M.shape
@@ -174,7 +180,59 @@ def solve_matrix_game(M: np.ndarray) -> tuple:
 _MAX_ACTIONS = 3
 _MAX_HORIZON = 6
 _MAX_TREE_NODES = 2_000_000
+_MAX_VERTEX_SYSTEMS = 100_000
 _BELIEF_ROUND = 12
+# a solved vertex counts as a mixture when no weight is below -_MIX_TOL
+_MIX_TOL = 1e-9
+
+
+def _n_vertex_systems(K: int, n: int) -> int:
+    """Candidate vertices of a K x n stage game: s >= 1 of the n columns
+    tight and K - s of the K rows zero."""
+    return sum(math.comb(n, s) * math.comb(K, s) for s in range(1, K + 1))
+
+
+@lru_cache(maxsize=16)
+def _vertex_rows(K: int, n: int) -> np.ndarray:
+    """Rows of the constraint bank [M^T, -1; I_K, 0] tight at each candidate
+    vertex of {(b, v) : v >= M^T b, b >= 0, sum b = 1}: s >= 1 columns with
+    (M^T b)_j = v and K - s rows with b_i = 0, one read-only (K,) index row
+    per choice."""
+    rows = np.array(
+        [
+            cols + tuple(n + i for i in zeros)
+            for s in range(1, K + 1)
+            for cols in itertools.combinations(range(n), s)
+            for zeros in itertools.combinations(range(K), K - s)
+        ]
+    )
+    rows.setflags(write=False)
+    return rows
+
+
+def _stage_value(M: np.ndarray) -> float:
+    """Exact value min over b in the simplex of max_j (M^T b)_j of a K x n game.
+
+    The minimum sits at a vertex of the pointed polyhedron {(b, v) : v >=
+    M^T b, b >= 0, sum b = 1}, where sum b = 1 and K more tight constraints,
+    at least one a column, form a nonsingular (K+1) x (K+1) system.  All the
+    candidate systems are solved in one batch, singular ones skipped, and
+    the value is the least max_j (M^T b)_j over the solutions b that are
+    mixtures, each clipped onto the simplex so that no term undercuts the
+    value.  Returns inf or nan if M is not finite.
+    """
+    K, n = M.shape
+    rows = _vertex_rows(K, n)
+    bank = np.vstack([np.hstack([M.T, -np.ones((n, 1))]), np.eye(K, K + 1)])
+    A = np.empty((len(rows), K + 1, K + 1))
+    A[:, 0, :K], A[:, 0, K] = 1.0, 0.0
+    A[:, 1:] = bank[rows]
+    with np.errstate(divide="ignore"):  # det takes the log of a subnormal pivot product
+        A = A[np.linalg.det(A) != 0.0]
+    b = np.linalg.solve(A, np.eye(K + 1, 1))[:, :K, 0]
+    b = np.maximum(b[np.all(b >= -_MIX_TOL, axis=1)], 0.0)
+    b /= b.sum(axis=1, keepdims=True)
+    return float(np.min((b @ M).max(axis=1), initial=math.inf))
 
 
 def _posterior_update(belief: dict, a: SimplexAction, y: int) -> dict:
@@ -216,11 +274,17 @@ def exact_value_small(
 
     Backward induction over public belief states: each stage is a finite
     zero-sum matrix game between the K pure forecaster actions and the grid
-    actions, with chance resolving the signal.  The grid restricts the
-    adversary, so the result lower-bounds the unrestricted value.  Point-mass
-    initial distributions only, K <= 3 and T <= 6.  A ``table`` dict passed
-    in is filled with one entry per solved stage game, keyed by its public
-    history of (grid index, signal) pairs: {"value": v, "matrix": rows}.
+    actions, with chance resolving the signal, and its value is found
+    exactly by ``_stage_value`` without a linear program.  With one round
+    left the stage matrix is one broadcast over the belief, M[i, a] =
+    sum_g p_g sum_J w_aJ max_k(g_k + E_Jk - E_Ji), with no posterior built.
+    The grid restricts the adversary, so the result lower-bounds the
+    unrestricted value.  Point-mass initial distributions only, K <= 3,
+    T <= 6, and at most 100 000 candidate vertices per stage game (grids of
+    up to 82 actions at K = 3, 445 at K = 2).  A ``table`` dict passed in is
+    filled with one entry per solved stage game, keyed by its public history
+    of (grid index, signal) pairs: {"value": v, "matrix": rows}.  Raises
+    FloatingPointError if a stage value is not finite.
     """
     if m0.n_atoms != 1:
         raise ValueError("exact values need a point-mass initial distribution")
@@ -229,38 +293,54 @@ def exact_value_small(
         raise ValueError(f"instance exceeds size limits K<={_MAX_ACTIONS}, T<={_MAX_HORIZON}")
     if not adversary_grid:
         raise ValueError("adversary grid must be nonempty")
-    est_nodes = (2 * K * len(adversary_grid)) ** T
+    n = len(adversary_grid)
+    est_nodes = (2 * K * n) ** T
     if est_nodes > _MAX_TREE_NODES:
         raise ValueError(f"history tree too large ({est_nodes} nodes)")
+    if _n_vertex_systems(K, n) > _MAX_VERTEX_SYSTEMS:
+        raise ValueError(f"adversary grid too large ({n} actions) for exact stage games")
+    if T == 0:
+        return float(max(m0.locations[0]))
     hats = [[hat_weights(a, i) for i in range(1, K + 1)] for a in adversary_grid]
+    weights = np.array([a.weights for a in adversary_grid])
+    E = subset_vectors(K)
+    incs = E[:, None, :] - E[:, :, None]  # [J, i, k] = E_Jk - E_Ji, the last round's gap moves
     memo: dict = {}
 
+    def last_round(belief: dict) -> np.ndarray:
+        support = np.array(list(belief))
+        p = np.fromiter(belief.values(), float, len(belief))
+        final = (support[:, None, None, :] + incs).max(axis=3)  # [g, J, i]
+        return (weights @ np.tensordot(p, final, axes=1)).T
+
     def value(belief: dict, rounds_left: int, label: tuple) -> float:
-        if rounds_left == 0:
-            return math.fsum(p * max(g) for g, p in belief.items())
         key = (rounds_left, _belief_key(belief))
         if key in memo:
             return memo[key]
-        M = np.zeros((K, len(adversary_grid)))
-        for ai, a in enumerate(adversary_grid):
-            for i in range(1, K + 1):
-                hat_i, hat_mi = hats[ai][i - 1]
-                v_succ = v_fail = 0.0
-                if hat_i > 0:
-                    child = _posterior_update(belief, a, +i)
-                    v_succ = value(child, rounds_left - 1, label + ((ai, +i),))
-                if hat_mi > 0:
-                    child = _posterior_update(belief, a, -i)
-                    v_fail = value(child, rounds_left - 1, label + ((ai, -i),))
-                M[i - 1, ai] = hat_i * v_succ + hat_mi * v_fail
-        val, _, _ = solve_matrix_game(M)
+        if rounds_left == 1:
+            M = last_round(belief)
+        else:
+            M = np.zeros((K, n))
+            for ai, a in enumerate(adversary_grid):
+                for i in range(1, K + 1):
+                    hat_i, hat_mi = hats[ai][i - 1]
+                    v_succ = v_fail = 0.0
+                    if hat_i > 0:
+                        child = _posterior_update(belief, a, +i)
+                        v_succ = value(child, rounds_left - 1, label + ((ai, +i),))
+                    if hat_mi > 0:
+                        child = _posterior_update(belief, a, -i)
+                        v_fail = value(child, rounds_left - 1, label + ((ai, -i),))
+                    M[i - 1, ai] = hat_i * v_succ + hat_mi * v_fail
+        val = _stage_value(M)
+        if not math.isfinite(val):
+            raise FloatingPointError(f"stage game after history {label} has value {val}")
         memo[key] = val
         if table is not None:
             table[label] = {"value": val, "matrix": M.tolist()}
         return val
 
-    root_belief = {tuple(m0.locations[0]): 1.0}
-    return value(root_belief, T, ())
+    return value({tuple(m0.locations[0]): 1.0}, T, ())
 
 
 # ---------------------------------------------------------------------------

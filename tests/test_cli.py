@@ -1,6 +1,5 @@
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,15 +129,12 @@ def test_non_finite_scenario_literal_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_failed_stage_game_lp_exits_3(tmp_path, capsys, monkeypatch):
-    def failing_linprog(*args, **kwargs):
-        return SimpleNamespace(success=False, message="forced failure")
-
-    monkeypatch.setattr(pg, "linprog", failing_linprog)
+def test_non_finite_stage_value_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pg, "_stage_value", lambda M: float("nan"))
     code = cli.run(SCENARIOS / "dp_value.json", out_dir=tmp_path)
     assert code == cli.EXIT_NUMERICAL_FAULT
     err = capsys.readouterr().err
-    assert err == "error: numerical fault: matrix game LP failed: forced failure\n"
+    assert err == "error: numerical fault: stage game after history ((0, -1),) has value nan\n"
 
 
 def test_set_override_changes_output(tmp_path):
@@ -177,7 +173,7 @@ def test_dp_value_and_dump(tmp_path):
     assert not (tmp_path / "dp_value_table.json").exists()
     assert cli.run(SCENARIOS / "dp_value.json", out_dir=tmp_path, dump=True) == 0
     table = json.loads((tmp_path / "dp_value_table.json").read_text())
-    assert table["value"] == pytest.approx(0.5)
+    assert table == {"n_nodes": 9, "value": 0.5}
 
 
 def test_sobolev_and_commutator_checks(tmp_path):

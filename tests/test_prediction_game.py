@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
+from scipy.optimize import linprog
 
 from _oracles import history_forecaster, sequence_form_value
 from fwlab import hamiltonians as ham
@@ -194,18 +198,59 @@ def test_exact_value_T0_and_frozen_grid():
     assert pg.exact_value_small(3, point, frozen) == 1.2
 
 
+def _vertex_grid(K):
+    return [ham.vertex_action(K, m) for m in range(2**K)]
+
+
 def test_exact_value_matches_sequence_form_lp():
-    grid = [ham.vertex_action(2, m) for m in range(4)]
-    gw = [g.weights for g in grid]
-    for T in (1, 2):
-        main = pg.exact_value_small(T, ZERO2, grid)
-        oracle = sequence_form_value(T, np.zeros(2), gw)
-        assert main == pytest.approx(oracle, abs=5e-9)
+    # the mixed action's hat weights (0.6, 0.5) lie strictly inside (0, 1),
+    # so the last round weighs both signals of each action
     mix = ham.SimplexAction(2, np.array([0.1, 0.4, 0.3, 0.2]))
     grid2 = [ham.vertex_action(2, 1), ham.vertex_action(2, 2), mix]
-    main = pg.exact_value_small(2, ZERO2, grid2)
-    oracle = sequence_form_value(2, np.zeros(2), [g.weights for g in grid2])
-    assert main == pytest.approx(oracle, abs=5e-9)
+    cases = [
+        (1, np.zeros(2), _vertex_grid(2)),
+        (2, np.zeros(2), _vertex_grid(2)),
+        (4, np.array([0.25, -0.5]), _vertex_grid(2)),
+        (2, np.array([0.3, -0.2, 0.1]), _vertex_grid(3)),
+        (2, np.zeros(2), grid2),
+        (3, np.zeros(2), grid2),
+    ]
+    for T, g0, grid in cases:
+        main = pg.exact_value_small(T, ms.dirac(g0), grid)
+        oracle = sequence_form_value(T, g0, [g.weights for g in grid])
+        assert main == pytest.approx(oracle, abs=5e-9)
+
+
+@pytest.mark.parametrize("K, T", [(2, 4), (3, 2)])
+def test_exact_value_solves_no_linear_program(monkeypatch, K, T):
+    calls = []
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(args)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(pg, "linprog", counting_linprog)
+    pg.exact_value_small(T, ms.dirac(np.full(K, 0.1)), _vertex_grid(K))
+    assert calls == []
+    pg.solve_matrix_game(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert len(calls) == 1
+
+
+_ENTRIES = st.one_of(
+    st.floats(-3.0, 3.0, allow_nan=False),
+    # small integers make ties, degenerate vertices and pure saddles common
+    st.integers(-2, 2).map(float),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    M=st.tuples(st.integers(2, 3), st.integers(1, 8)).flatmap(
+        lambda shape: hnp.arrays(float, shape, elements=_ENTRIES)
+    )
+)
+def test_stage_value_matches_the_matrix_game_lp(M):
+    assert pg._stage_value(M) == pytest.approx(pg.solve_matrix_game(M)[0], abs=1e-9)
 
 
 def test_exact_value_saddle_certificate():
@@ -236,6 +281,9 @@ def test_exact_value_size_limits():
         pg.exact_value_small(1, spread, big_grid)
     with pytest.raises(ValueError):
         pg.exact_value_small(1, ZERO2, [])
+    # 83 actions at K = 3 make 102 339 candidate vertices per stage game
+    with pytest.raises(ValueError, match="grid too large"):
+        pg.exact_value_small(1, ms.dirac(np.zeros(3)), [ham.vertex_action(3, 0)] * 83)
 
 
 def test_exact_value_dump_table():

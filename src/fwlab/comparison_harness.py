@@ -105,6 +105,9 @@ class FixedSupportMetric:
 # at most this many of the starts are diagonal probes (theta = iota)
 _N_DIAGONAL_PROBES = 16
 _FD_STEP = 1e-6
+# penalty_decay_check: the last penalty must be at most factor * first + tol
+_DECAY_FACTOR = 0.1
+_DECAY_ABS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -292,18 +295,16 @@ def penalty_decay_check(
     delta: float,
     eps_sequence,
     cfg: DoublingConfig = DoublingConfig(),
-    decay_factor: float = 0.1,
-    abs_tol: float = 1e-6,
 ) -> CheckReport:
     """Run the doubling maximization along a decreasing scale sequence.
 
     Passes when the coupling penalty at the last scale is at most
-    ``decay_factor`` times the first-scale penalty plus ``abs_tol``, and the
-    maximizer separation shrinks overall.  Non-decay flags either a candidate
+    ``_DECAY_FACTOR`` (0.1) times the first-scale penalty plus
+    ``_DECAY_ABS_TOL`` (1e-6), and the maximizer separation shrinks overall.  Non-decay flags either a candidate
     outside the semicontinuous bounded class or an optimizer failure, which
     the per-scale convergence flags help distinguish.  For Lipschitz
     candidates the penalty falls only in proportion to eps, so with the
-    default ``decay_factor`` the sequence must span well over 10x: eps 0.5
+    factor 0.1 the sequence must span well over 10x: eps 0.5
     to 0.05 on the scalar LQ pair gives a penalty ratio of 0.128 and fails.
     """
     eps_sequence = list(eps_sequence)
@@ -312,7 +313,7 @@ def penalty_decay_check(
     reports = [doubling_maximize(u, v, eps, delta, cfg) for eps in eps_sequence]
     penalties = [r.penalty for r in reports]
     seps = [r.d_F for r in reports]
-    decayed = penalties[-1] <= decay_factor * penalties[0] + abs_tol
+    decayed = penalties[-1] <= _DECAY_FACTOR * penalties[0] + _DECAY_ABS_TOL
     sep_shrinks = seps[-1] <= seps[0] + 1e-9
     passed = decayed and sep_shrinks
     return CheckReport(

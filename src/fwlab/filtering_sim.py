@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _DIVERGENCE_GUARD = 1e6
+# viscosity_residual's spot check of the derivative closures
+_CONSISTENCY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -387,7 +389,6 @@ def viscosity_residual(
     mu: SignedAtomicMeasure,
     coeffs: FilteringCoeffs,
     control_grid,
-    consistency_tol: float = 1e-3,
 ) -> float:
     """Equation residual -dt(phi) - G(mu, derivatives of phi) at (t, mu).
 
@@ -397,7 +398,7 @@ def viscosity_residual(
     classical solution drives the residual to zero as the control grid
     refines.
     """
-    _consistency_check(phi, t, mu, consistency_tol)
+    _consistency_check(phi, t, mu, _CONSISTENCY_TOL)
     jet = JetArgs(phi.p(t, mu), phi.q(t, mu), np.atleast_2d(phi.hess_m(t, mu)))
     return -phi.dt(t, mu) - G_filtering(mu, jet, coeffs, control_grid)
 

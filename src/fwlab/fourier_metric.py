@@ -3,8 +3,9 @@
 The squared distance is the integral of |F_k(mu - nu)|^2 / (1 + |k|^2)^lambda
 over wave vectors k, with F_k the (2*pi)^{-d/2}-normalized characteristic
 function.  The integral is truncated at radius R and discretized by a tensor
-quadrature; defaults choose R so the truncation tail is below 1e-10, which is
-the only part of the construction not pinned down analytically.
+quadrature; defaults take R from the closed-form tail (an inverse incomplete
+beta function), rounded up so the truncated tail is below 1e-10, which is the
+only part of the construction not pinned down analytically.
 
 The kernel kappa built from a pair (mu, nu) and a penalization scale eps is
 the smoothed density of mu - nu against the same spectral weight; its
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .measures import SignedAtomicMeasure, Theta, char_fn_batch
 from .reports import CheckReport
@@ -75,25 +76,22 @@ class FourierConfig:
             raise ValueError("lam must be a positive integer")
 
 
+def _sphere_area(d: int) -> float:
+    """Surface area 2 pi^(d/2) / Gamma(d/2) of the unit sphere in R^d."""
+    return 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
+
+
 def _tail_radius(d: int, lam: int, target: float = 1e-10) -> float:
-    """Smallest R with 4 (2 pi)^-d * integral over |k|>R of the weight < target."""
-    surf = 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
-    pref = 4.0 * (2.0 * math.pi) ** (-d) * surf
+    """R with 4 (2 pi)^-d * integral over |k|>R of the weight equal to target.
 
-    def tail(r):
-        val, _ = integrate.quad(lambda s: s ** (d - 1) * (1 + s * s) ** (-lam), r, np.inf)
-        return pref * val
-
-    lo, hi = 1.0, 4.0
-    while tail(hi) > target:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if tail(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    With t = 1 / (1 + s^2), integral_R^inf s^(d-1) (1+s^2)^-lam ds is
+    B(lam - d/2, d/2) / 2 times the regularized incomplete beta function
+    I_{1/(1+R^2)}(lam - d/2, d/2), which ``betaincinv`` inverts.
+    """
+    a, b = lam - d / 2.0, d / 2.0
+    scale = 4.0 * (2.0 * math.pi) ** (-d) * _sphere_area(d) * 0.5 * special.beta(a, b)
+    y = special.betaincinv(a, b, target / scale)
+    return math.sqrt(1.0 / y - 1.0)
 
 
 @lru_cache(maxsize=32)
@@ -142,15 +140,17 @@ def weight_mass(cfg: FourierConfig) -> float:
 
 
 def moment_constant(cfg: FourierConfig, power: int) -> float:
-    """sqrt of the full-space integral of |k|^power * (1+|k|^2)^{-lam}."""
+    """sqrt of the full-space integral of |k|^power * (1+|k|^2)^{-lam}.
+
+    In polar form the integral is surf * integral_0^inf s^(power+d-1)
+    (1+s^2)^-lam ds = surf * B(a, lam - a) / 2 with a = (power + d) / 2,
+    finite exactly when power + d < 2 lam.
+    """
     d, lam = cfg.dim, cfg.lam
-    if power + d - 1 >= 2 * lam:
+    if power + d >= 2 * lam:
         raise ValueError("moment integral diverges for this (power, lam)")
-    surf = 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
-    val, _ = integrate.quad(
-        lambda s: s ** (power + d - 1) * (1 + s * s) ** (-lam), 0.0, np.inf
-    )
-    return math.sqrt(surf * val)
+    a = (power + d) / 2.0
+    return math.sqrt(_sphere_area(d) * 0.5 * special.beta(a, lam - a))
 
 
 def _check_dims(cfg: FourierConfig, *measures: SignedAtomicMeasure):

@@ -84,12 +84,15 @@ class FilteringCoeffs:
     delta: float = 0.0
 
 
+# random state pairs drawn by check_coefficient_assumptions, uniform on [-3, 3]^d
+_COEFF_PROBE_POINTS = 64
+_COEFF_PROBE_SCALE = 3.0
+
+
 def check_coefficient_assumptions(
     coeffs: FilteringCoeffs,
     control_grid: np.ndarray,
     rng: np.random.Generator,
-    n_points: int = 64,
-    x_scale: float = 3.0,
 ) -> CheckReport:
     """Sampled boundedness, Lipschitz and ellipticity verification.
 
@@ -97,8 +100,7 @@ def check_coefficient_assumptions(
     pairs for every control on the grid; ellipticity of sigma sigma^T is
     checked against ``coeffs.delta`` on random directions.
     """
-    X = rng.uniform(-x_scale, x_scale, size=(n_points, coeffs.d))
-    Y = rng.uniform(-x_scale, x_scale, size=(n_points, coeffs.d))
+    X, Y = rng.uniform(-_COEFF_PROBE_SCALE, _COEFF_PROBE_SCALE, (2, _COEFF_PROBE_POINTS, coeffs.d))
     failures = []
     worst = {"b": 0.0, "sigma": 0.0, "r": 0.0, "l": 0.0, "lip": 0.0}
     min_ell = math.inf
@@ -558,11 +560,14 @@ def G_regret(
     return best
 
 
+# Dirichlet weight draws added to the vertices in check_assumptions_regret's probe set
+_REGRET_PROBE_DRAWS = 32
+_REGRET_PROBE_SEED = 1234
+
+
 def check_assumptions_regret(
     samples: list,
     metric_cfgs: dict,
-    probe_batch: int = 32,
-    probe_seed: int = 1234,
     rtol: float = 1e-9,
     sign_tol: float = 1e-9,
 ) -> CheckReport:
@@ -578,14 +583,14 @@ def check_assumptions_regret(
     failures = []
     max_lip_ratio = 0.0
     max_sign_gap = -math.inf
-    rng_master = np.random.default_rng(probe_seed)
+    rng_master = np.random.default_rng(_REGRET_PROBE_SEED)
     probe_cache: dict = {}
     for idx, s in enumerate(samples):
         K_n = s["K"]
         mu, nu = s["mu"], s["nu"]
         if K_n not in probe_cache:
             n_w = 2**K_n
-            draws = [rng_master.dirichlet(np.ones(n_w)) for _ in range(probe_batch)]
+            draws = [rng_master.dirichlet(np.ones(n_w)) for _ in range(_REGRET_PROBE_DRAWS)]
             probe_cache[K_n] = _validated_weights(K_n, np.vstack([np.eye(n_w), *draws]), 2)
         probes = probe_cache[K_n]
 

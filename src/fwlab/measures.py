@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 _PROB_MASS_TOL = 1e-12
+# measures_close: atoms merge within _LOCATION_TOL (relative), weights vanish within _WEIGHT_TOL
+_WEIGHT_TOL = 1e-12
+_LOCATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -191,27 +194,22 @@ def vartheta(theta: Theta) -> float:
     return 1.0 + float(theta.m @ theta.m) + theta.measure.second_moment()
 
 
-def measures_close(
-    a: SignedAtomicMeasure,
-    b: SignedAtomicMeasure,
-    weight_tol: float = 1e-12,
-    location_tol: float = 1e-9,
-) -> bool:
+def measures_close(a: SignedAtomicMeasure, b: SignedAtomicMeasure) -> bool:
     """Equality up to atom permutation and merging (test assertions only)."""
     if a.dim != b.dim:
         return False
     diff = linear_combination([1.0, -1.0], [a, b])
-    merged = _merge_atoms(diff, location_tol)
-    return bool(np.all(np.abs(merged.weights) <= weight_tol)) if merged.n_atoms else True
+    merged = _merge_atoms(diff)
+    return bool(np.all(np.abs(merged.weights) <= _WEIGHT_TOL)) if merged.n_atoms else True
 
 
-def _merge_atoms(m: SignedAtomicMeasure, location_tol: float) -> SignedAtomicMeasure:
+def _merge_atoms(m: SignedAtomicMeasure) -> SignedAtomicMeasure:
     order = np.lexsort(m.locations.T[::-1])
     locs = m.locations[order]
     ws = m.weights[order]
     out_loc, out_w = [], []
     for x, w in zip(locs, ws):
-        if out_loc and np.linalg.norm(x - out_loc[-1]) <= location_tol * (
+        if out_loc and np.linalg.norm(x - out_loc[-1]) <= _LOCATION_TOL * (
             1.0 + np.linalg.norm(x)
         ):
             out_w[-1] += w

@@ -6,7 +6,8 @@ signal, never the realized subset.  Shipped: the exact step dynamics on a gap
 vector, Monte Carlo regret of a forecaster against a fixed mixed subset action,
 exact small-instance values by backward induction over public histories with
 stage matrix games, each of at most three rows and solved exactly by vertex
-enumeration, and the arithmetic rescaling to the long-horizon normalization.
+enumeration, on beliefs held as arrays of integer gap offsets from the initial
+point mass, and the arithmetic rescaling to the long-horizon normalization.
 Forecasters read a running score vector, never the game history, so a run of
 T rounds costs O(T), and all Monte Carlo runs advance together as (runs, K)
 arrays, each run on uniforms from its own substream.
@@ -163,7 +164,9 @@ def solve_matrix_game(M: np.ndarray) -> tuple:
     A_eq = np.zeros((1, n_rows + 1))
     A_eq[0, :n_rows] = 1.0
     bounds = [(0, None)] * n_rows + [(None, None)]
-    res = linprog(c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0], bounds=bounds, method="highs")
+    # HiGHS's default 1e-7 feasibility tolerances move the value by ~1e-8
+    tols = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0], bounds=bounds, options=tols)
     if not res.success:
         raise RuntimeError(f"matrix game LP failed: {res.message}")
     value = float(res.x[-1])
@@ -176,11 +179,13 @@ def solve_matrix_game(M: np.ndarray) -> tuple:
     return value, row_mix, col_mix
 
 
-# size limits of exact_value_small, and the digits beliefs are rounded to
+# size limits of exact_value_small: actions, rounds, candidate vertex systems
+# per stage game and over all stage games; and the digits belief masses are
+# rounded to in the memo keys
 _MAX_ACTIONS = 3
 _MAX_HORIZON = 6
-_MAX_TREE_NODES = 2_000_000
 _MAX_VERTEX_SYSTEMS = 100_000
+_MAX_STAGE_SYSTEMS = 450_000
 _BELIEF_ROUND = 12
 # a solved vertex counts as a mixture when no weight is below -_MIX_TOL
 _MIX_TOL = 1e-9
@@ -235,35 +240,6 @@ def _stage_value(M: np.ndarray) -> float:
     return float(np.min((b @ M).max(axis=1), initial=math.inf))
 
 
-def _posterior_update(belief: dict, a: SimplexAction, y: int) -> dict:
-    """Push a belief over gap vectors through one observed (mixture, signal) pair."""
-    K = a.n_actions
-    i = abs(y)
-    success = y > 0
-    E = subset_vectors(K)
-    member = E[:, i - 1].astype(bool)
-    sel = member if success else ~member
-    wsel = a.weights[sel]
-    total = wsel.sum()
-    if total <= 0:
-        raise ValueError("observed signal has zero probability under the mixture")
-    incs = E[sel] - (1.0 if success else 0.0)
-    support = np.array(list(belief))
-    # every (support point, increment) child rounded at once and accumulated
-    # support-major; the masses stay numpy floats because _belief_key rounds
-    # them with round(), which rounds numpy and Python floats differently
-    children = np.round(support[:, None, :] + incs, _BELIEF_ROUND).reshape(-1, K)
-    mass = (np.fromiter(belief.values(), float, len(belief))[:, None] * (wsel / total)).ravel()
-    out: dict = {}
-    for key, p in zip(map(tuple, children.tolist()), mass):
-        out[key] = out.get(key, 0.0) + p
-    return out
-
-
-def _belief_key(belief: dict) -> tuple:
-    return tuple(sorted((g, round(p, _BELIEF_ROUND)) for g, p in belief.items()))
-
-
 def exact_value_small(
     T: int,
     m0: SignedAtomicMeasure,
@@ -275,13 +251,19 @@ def exact_value_small(
     Backward induction over public belief states: each stage is a finite
     zero-sum matrix game between the K pure forecaster actions and the grid
     actions, with chance resolving the signal, and its value is found
-    exactly by ``_stage_value`` without a linear program.  With one round
-    left the stage matrix is one broadcast over the belief, M[i, a] =
-    sum_g p_g sum_J w_aJ max_k(g_k + E_Jk - E_Ji), with no posterior built.
-    The grid restricts the adversary, so the result lower-bounds the
-    unrestricted value.  Point-mass initial distributions only, K <= 3,
-    T <= 6, and at most 100 000 candidate vertices per stage game (grids of
-    up to 82 actions at K = 3, 445 at K = 2).  A ``table`` dict passed in is
+    exactly by ``_stage_value`` without a linear program.  A belief is a
+    sorted array of codes of integer offsets o in [-T, T]^K of the gap vector
+    from m0's atom, so every gap g0 + o is exact, and the matching masses; a
+    child belief is one ``np.unique`` over the codes plus the shifts of a
+    signal table built once.  Beliefs with equal codes and masses equal to 12
+    decimals share one stage game.  With one round left the stage matrix is
+    one broadcast over the belief, M[i, a] = sum_g p_g sum_J w_aJ
+    max_k(g_k + E_Jk - E_Ji).  The grid restricts the adversary, so the
+    result lower-bounds the unrestricted value.  Point-mass initial
+    distributions only, K <= 3, T <= 6, at most 100 000 candidate vertices
+    per stage game (grids of up to 82 actions at K = 3, 445 at K = 2) and
+    450 000 over all stage games, checked before each new one (T = 6 at K = 2
+    and T = 4 at K = 3 on the vertex grids).  A ``table`` dict passed in is
     filled with one entry per solved stage game, keyed by its public history
     of (grid index, signal) pairs: {"value": v, "matrix": rows}.  Raises
     FloatingPointError if a stage value is not finite.
@@ -291,47 +273,59 @@ def exact_value_small(
     K = m0.dim
     if K > _MAX_ACTIONS or T > _MAX_HORIZON:
         raise ValueError(f"instance exceeds size limits K<={_MAX_ACTIONS}, T<={_MAX_HORIZON}")
-    if not adversary_grid:
-        raise ValueError("adversary grid must be nonempty")
+    if not adversary_grid or any(a.n_actions != K for a in adversary_grid):
+        raise ValueError(f"adversary grid must be a nonempty list of {K}-action mixtures")
     n = len(adversary_grid)
-    est_nodes = (2 * K * n) ** T
-    if est_nodes > _MAX_TREE_NODES:
-        raise ValueError(f"history tree too large ({est_nodes} nodes)")
-    if _n_vertex_systems(K, n) > _MAX_VERTEX_SYSTEMS:
+    n_systems = _n_vertex_systems(K, n)
+    if n_systems > _MAX_VERTEX_SYSTEMS:
         raise ValueError(f"adversary grid too large ({n} actions) for exact stage games")
     if T == 0:
         return float(max(m0.locations[0]))
-    hats = [[hat_weights(a, i) for i in range(1, K + 1)] for a in adversary_grid]
-    weights = np.array([a.weights for a in adversary_grid])
+    g0, base = m0.locations[0], 2 * T + 1
+    powers = base ** np.arange(K, dtype=np.int64)  # offset o has code sum_k (o_k + T) base^k
     E = subset_vectors(K)
+    subset_codes = E.astype(np.int64) @ powers
+    # per signal of positive probability, in stage-matrix order: grid index,
+    # i - 1, signal, probability, the code shifts E_J - 1_{i in J} of the
+    # subsets J it allows and their conditional weights; the last round needs none
+    signals = []
+    for ai, a in enumerate(adversary_grid if T > 1 else []):
+        for i in range(1, K + 1):
+            member = E[:, i - 1].astype(bool)
+            for y, prob, sel in zip((i, -i), hat_weights(a, i), (member, ~member)):
+                w = a.weights[sel]
+                if prob > 0:
+                    if w.sum() <= 0:
+                        raise ValueError("observed signal has zero probability under the mixture")
+                    shift = subset_codes[sel] - (y > 0) * powers.sum()
+                    signals.append((ai, i - 1, y, prob, shift, w / w.sum()))
+    weights = np.array([a.weights for a in adversary_grid])
     incs = E[:, None, :] - E[:, :, None]  # [J, i, k] = E_Jk - E_Ji, the last round's gap moves
     memo: dict = {}
+    n_games = 0
 
-    def last_round(belief: dict) -> np.ndarray:
-        support = np.array(list(belief))
-        p = np.fromiter(belief.values(), float, len(belief))
-        final = (support[:, None, None, :] + incs).max(axis=3)  # [g, J, i]
-        return (weights @ np.tensordot(p, final, axes=1)).T
+    def last_round(codes: np.ndarray, mass: np.ndarray) -> np.ndarray:
+        gaps = g0 + (codes[:, None] // powers % base - T)
+        final = (gaps[:, None, None, :] + incs).max(axis=3)  # [g, J, i]
+        return (weights @ np.tensordot(mass, final, axes=1)).T
 
-    def value(belief: dict, rounds_left: int, label: tuple) -> float:
-        key = (rounds_left, _belief_key(belief))
+    def value(codes: np.ndarray, mass: np.ndarray, rounds_left: int, label: tuple) -> float:
+        nonlocal n_games
+        key = (rounds_left, codes.tobytes(), np.round(mass, _BELIEF_ROUND).tobytes())
         if key in memo:
             return memo[key]
+        n_games += 1
+        if n_games * n_systems > _MAX_STAGE_SYSTEMS:
+            raise ValueError(f"exact value needs over {_MAX_STAGE_SYSTEMS} candidate vertex "
+                             f"systems in its stage games ({n_systems} per game)")
         if rounds_left == 1:
-            M = last_round(belief)
+            M = last_round(codes, mass)
         else:
             M = np.zeros((K, n))
-            for ai, a in enumerate(adversary_grid):
-                for i in range(1, K + 1):
-                    hat_i, hat_mi = hats[ai][i - 1]
-                    v_succ = v_fail = 0.0
-                    if hat_i > 0:
-                        child = _posterior_update(belief, a, +i)
-                        v_succ = value(child, rounds_left - 1, label + ((ai, +i),))
-                    if hat_mi > 0:
-                        child = _posterior_update(belief, a, -i)
-                        v_fail = value(child, rounds_left - 1, label + ((ai, -i),))
-                    M[i - 1, ai] = hat_i * v_succ + hat_mi * v_fail
+            for ai, row, y, prob, shifts, cond in signals:
+                child, where = np.unique((codes[:, None] + shifts).ravel(), return_inverse=True)
+                child_mass = np.bincount(where, (mass[:, None] * cond).ravel())
+                M[row, ai] += prob * value(child, child_mass, rounds_left - 1, label + ((ai, y),))
         val = _stage_value(M)
         if not math.isfinite(val):
             raise FloatingPointError(f"stage game after history {label} has value {val}")
@@ -340,7 +334,7 @@ def exact_value_small(
             table[label] = {"value": val, "matrix": M.tolist()}
         return val
 
-    return value({tuple(m0.locations[0]): 1.0}, T, ())
+    return value(np.array([T * powers.sum()]), np.ones(1), T, ())
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .reports import CheckReport
 __all__ = [
     "Box",
     "GridFunction",
-    "SobolevNorm",
     "bessel_potential",
     "sobolev_norm",
     "spectral_derivative",
@@ -130,16 +129,6 @@ class GridFunction:
         return not np.iscomplexobj(self.values)
 
 
-@dataclass(frozen=True)
-class SobolevNorm:
-    order: float
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("norm value must be nonnegative")
-
-
 def _freq_sq(box: Box) -> np.ndarray:
     axes = box.freq_axes()
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -195,7 +184,7 @@ def l2_norm(f: GridFunction) -> float:
     return math.sqrt(max(l2_inner(f, f), 0.0))
 
 
-def sobolev_norm(f: GridFunction, s: float) -> SobolevNorm:
+def sobolev_norm(f: GridFunction, s: float) -> float:
     """|f|_s as the grid L^2 norm of the order-s multiplier applied to f."""
     _require_scalar(f)
     fhat = np.fft.fftn(f.values)
@@ -203,7 +192,7 @@ def sobolev_norm(f: GridFunction, s: float) -> SobolevNorm:
     # Parseval on the grid: |J_{-s} f|_{L^2}^2 = cellvol/N * sum (1+|xi|^2)^s |fhat|^2
     total = float(np.sum(mult * (fhat.real**2 + fhat.imag**2)))
     n_total = float(np.prod(f.box.nodes))
-    return SobolevNorm(s, math.sqrt(max(total * f.box.cell_volume() / n_total, 0.0)))
+    return math.sqrt(max(total * f.box.cell_volume() / n_total, 0.0))
 
 
 def mollify(eta: SignedAtomicMeasure, eps: float, box: Box) -> GridFunction:
@@ -254,11 +243,11 @@ def multiplication_ratio(
             raise ValueError(f"product-estimate constraint violated: {msg}")
     if u.box != v.box:
         raise ValueError("grid mismatch")
-    denom = sobolev_norm(u, s1).value * sobolev_norm(v, s2).value
+    denom = sobolev_norm(u, s1) * sobolev_norm(v, s2)
     if denom == 0.0:
         return 0.0
     prod = GridFunction(u.box, u.values * v.values)
-    return sobolev_norm(prod, s).value / denom
+    return sobolev_norm(prod, s) / denom
 
 
 def leibniz_identity_check(f: GridFunction, h: GridFunction, tol: float = 1e-8) -> CheckReport:
@@ -305,8 +294,8 @@ def commutator_residual(f: GridFunction, g: GridFunction, k: int) -> tuple:
     lhs = bessel_potential(prod, -2.0 * k).values - f.values * smooth_g.values
     residual = float(np.sum(np.abs(lhs) ** 2) * f.box.cell_volume())
     bound = (
-        sobolev_norm(f, 2.0 * k + d / 2.0 + 1.0).value ** 2
-        * sobolev_norm(g, -2.0 * k - 0.5).value ** 2
+        sobolev_norm(f, 2.0 * k + d / 2.0 + 1.0) ** 2
+        * sobolev_norm(g, -2.0 * k - 0.5) ** 2
     )
     return residual, bound
 
@@ -363,8 +352,8 @@ def dissipation_check(
         b_term += b.values[..., i] * grads[i].values
 
     lhs = float(np.sum((a_term + b_term) * dens.values) * box.cell_volume())
-    n_loss = sobolev_norm(dens, 1.0 - lam).value ** 2
-    n_weak = sobolev_norm(dens, -float(lam)).value ** 2
+    n_loss = sobolev_norm(dens, 1.0 - lam) ** 2
+    n_weak = sobolev_norm(dens, -float(lam)) ** 2
     mass_defect = float(np.sum(dens.values) * box.cell_volume() - eta.total_mass())
     return DissipationRecord(lhs, n_loss, n_weak, mass_defect, ell)
 

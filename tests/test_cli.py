@@ -137,6 +137,17 @@ def test_non_finite_stage_value_exits_3(tmp_path, capsys, monkeypatch):
     assert err == "error: numerical fault: stage game after history ((0, -1),) has value nan\n"
 
 
+def test_dp_value_over_the_stage_game_budget_exits_1(tmp_path, capsys):
+    # T = 5 on the eight-vertex grid at K = 3
+    scenario = json.loads((SCENARIOS / "dp_value.json").read_text())
+    scenario.update(K=3, T=5, m0={"dim": 3, "atoms": [[0.0, 0.0, 0.0, 1.0]], "probability": True})
+    code = cli.run(_write(tmp_path, "dp3.json", scenario), out_dir=tmp_path / "out")
+    assert code == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{pg._MAX_STAGE_SYSTEMS} candidate vertex systems" in err
+
+
 def test_set_override_changes_output(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cli.run(SCENARIOS / "game_sim.json", out_dir=out1)

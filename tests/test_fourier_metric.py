@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from _oracles import rho_f_point_masses_1d
 from conftest import random_probability_measure
@@ -266,3 +269,33 @@ def test_moment_constant_divergence_guard():
     cfg = fm.default_config(1)
     with pytest.raises(ValueError):
         fm.moment_constant(cfg, 8)
+    # at the boundary: integral of s^7 (1+s^2)^-4 over [0, inf) diverges logarithmically
+    with pytest.raises(ValueError, match="diverges"):
+        fm.moment_constant(cfg, 7)
+    assert math.isfinite(fm.moment_constant(cfg, 6))
+
+
+def _radial_quad(d, lam, power, lo):
+    """Adaptive quadrature of s^(power+d-1) (1+s^2)^-lam over [lo, inf), to
+    relative precision (the default absolute tolerance 1.5e-8 is far above
+    the 1e-10 tails)."""
+    return integrate.quad(
+        lambda s: s ** (power + d - 1) * (1 + s * s) ** (-lam),
+        lo, np.inf, epsabs=0, epsrel=1e-12, limit=200,
+    )[0]
+
+
+@pytest.mark.parametrize("d, lam", [(1, 4), (2, 4), (3, 4), (1, 2), (1, 3), (2, 3), (3, 3), (4, 6)])
+def test_closed_forms_match_quadrature(d, lam):
+    surf = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
+    cfg = fm.FourierConfig(d, lam, 10.0, 16)
+    for power in range(2 * lam - d):
+        quad = math.sqrt(surf * _radial_quad(d, lam, power, 0.0))
+        assert fm.moment_constant(cfg, power) == pytest.approx(quad, rel=1e-12)
+    radius = fm._tail_radius(d, lam)
+    tail = 4 * (2 * math.pi) ** (-d) * surf * _radial_quad(d, lam, 0, radius)
+    assert tail == pytest.approx(1e-10, rel=1e-9)
+
+
+def test_default_radii():
+    assert [fm.default_config(d).k_radius for d in (1, 2, 3)] == [22.0, 32.0, 53.0]

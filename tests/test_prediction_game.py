@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
@@ -249,6 +249,17 @@ _ENTRIES = st.one_of(
         lambda shape: hnp.arrays(float, shape, elements=_ENTRIES)
     )
 )
+# HiGHS at its default 1e-7 feasibility tolerances returned 2.2e-8 here
+# against the exact 2.9597e-8
+@example(
+    M=np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.43959563e-08],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, -1.0],
+        ]
+    )
+)
 def test_stage_value_matches_the_matrix_game_lp(M):
     assert pg._stage_value(M) == pytest.approx(pg.solve_matrix_game(M)[0], abs=1e-9)
 
@@ -281,9 +292,58 @@ def test_exact_value_size_limits():
         pg.exact_value_small(1, spread, big_grid)
     with pytest.raises(ValueError):
         pg.exact_value_small(1, ZERO2, [])
+    with pytest.raises(ValueError, match="2-action mixtures"):
+        pg.exact_value_small(2, ZERO2, [ham.vertex_action(3, 1)])
     # 83 actions at K = 3 make 102 339 candidate vertices per stage game
     with pytest.raises(ValueError, match="grid too large"):
         pg.exact_value_small(1, ms.dirac(np.zeros(3)), [ham.vertex_action(3, 0)] * 83)
+
+
+@pytest.mark.parametrize("K, counts", [(2, [1, 9, 43, 147]), (3, [1, 25, 250])], ids=["K2", "K3"])
+def test_exact_value_memo_counts(K, counts):
+    # distinct stage games solved from zero gaps on the vertex grid, T = 1, 2, ...
+    for T, count in enumerate(counts, start=1):
+        table = {}
+        pg.exact_value_small(T, ms.dirac(np.zeros(K)), _vertex_grid(K), table)
+        assert len(table) == count
+
+
+def _grid_actions(K):
+    """Vertex actions, or mixtures with every subset weight positive."""
+    vertex = st.integers(0, 2**K - 1).map(lambda mask: ham.vertex_action(K, mask))
+    mixed = st.lists(st.floats(0.05, 1.0), min_size=2**K, max_size=2**K).map(
+        lambda w: ham.SimplexAction(K, np.array(w) / np.sum(w))
+    )
+    return st.lists(st.one_of(vertex, mixed), min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]).flatmap(
+        lambda kt: st.tuples(
+            st.just(kt[1]),
+            st.lists(st.integers(-100, 100), min_size=kt[0], max_size=kt[0]),
+            st.one_of(st.just(_vertex_grid(kt[0])), _grid_actions(kt[0])),
+        )
+    )
+)
+def test_exact_value_matches_sequence_form_lp_on_random_instances(case):
+    T, start, grid = case
+    g0 = np.array(start) / 100.0
+    main = pg.exact_value_small(T, ms.dirac(g0), grid)
+    oracle = sequence_form_value(T, g0, [g.weights for g in grid])
+    assert main == pytest.approx(oracle, abs=5e-9)
+
+
+def test_exact_value_stage_game_budget():
+    table = {}
+    value = pg.exact_value_small(6, ZERO2, _vertex_grid(2), table)
+    assert value == pytest.approx(0.9375, abs=1e-12)
+    assert len(table) == 966
+    # T = 5 on the eight-vertex grid at K = 3 needs 6 760 stage games of 164
+    # candidate vertex systems each
+    with pytest.raises(ValueError, match="candidate vertex systems"):
+        pg.exact_value_small(5, ms.dirac(np.zeros(3)), _vertex_grid(3))
 
 
 def test_exact_value_dump_table():

@@ -37,6 +37,8 @@ __all__ = [
     "lqg_feedback_policy",
     "SmoothCandidate",
     "viscosity_residual",
+    "constant_policy",
+    "lq_candidate",
     "POLICY_REGISTRY",
 ]
 

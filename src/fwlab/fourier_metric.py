@@ -36,6 +36,8 @@ __all__ = [
     "L_functional",
     "make_kappa",
     "kappa_eval",
+    "kappa_gradient_field",
+    "kappa_hessian_field",
     "parallelogram_check",
     "weight_mass",
     "moment_constant",
@@ -159,12 +161,17 @@ def _check_dims(cfg: FourierConfig, *measures: SignedAtomicMeasure):
             raise ValueError(f"measure dim {m.dim} != config dim {cfg.dim}")
 
 
+def _seminorm(wtilde: np.ndarray, coeffs: np.ndarray) -> float:
+    """sqrt(int |c_k|^2 weight dk) for spectral coefficients c at the quadrature nodes."""
+    return math.sqrt(max(float(wtilde @ (coeffs.real**2 + coeffs.imag**2)), 0.0))
+
+
 def rho_F_norm(eta: SignedAtomicMeasure, cfg: FourierConfig) -> float:
     """Spectral seminorm sqrt(int |F_k(eta)|^2 weight dk) of a signed measure."""
     _check_dims(cfg, eta)
     nodes, wtilde = _quadrature(cfg)
     fhat = char_fn_batch(eta, nodes)
-    return math.sqrt(max(float(wtilde @ (fhat.real**2 + fhat.imag**2)), 0.0))
+    return _seminorm(wtilde, fhat)
 
 
 def rho_F(mu: SignedAtomicMeasure, nu: SignedAtomicMeasure, cfg: FourierConfig) -> float:
@@ -172,7 +179,7 @@ def rho_F(mu: SignedAtomicMeasure, nu: SignedAtomicMeasure, cfg: FourierConfig) 
     _check_dims(cfg, mu, nu)
     nodes, wtilde = _quadrature(cfg)
     dhat = char_fn_batch(mu, nodes) - char_fn_batch(nu, nodes)
-    return math.sqrt(max(float(wtilde @ (dhat.real**2 + dhat.imag**2)), 0.0))
+    return _seminorm(wtilde, dhat)
 
 
 def d_F(theta: Theta, iota: Theta, cfg: FourierConfig) -> float:
@@ -245,8 +252,7 @@ def make_kappa(
     _check_dims(cfg, mu, nu)
     nodes, wtilde = _quadrature(cfg)
     eta_hat = char_fn_batch(mu, nodes) - char_fn_batch(nu, nodes)
-    rho = math.sqrt(max(float(wtilde @ (eta_hat.real**2 + eta_hat.imag**2)), 0.0))
-    return KappaKernel(cfg, mu, nu, epsilon, eta_hat, rho)
+    return KappaKernel(cfg, mu, nu, epsilon, eta_hat, _seminorm(wtilde, eta_hat))
 
 
 def kappa_eval(kernel: KappaKernel, x, order: int = 0):

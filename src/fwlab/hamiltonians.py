@@ -38,6 +38,9 @@ __all__ = [
     "check_coefficient_assumptions",
     "check_assumption_i_filtering",
     "check_assumption_ii_filtering",
+    "HamiltonianGapRecord",
+    "fit_linear_modulus",
+    "verify_linear_modulus",
     "hat_weights",
     "K_regret",
     "G_regret",
@@ -48,6 +51,8 @@ __all__ = [
     "subset_vectors",
     "vertex_action",
     "uniform_action",
+    "make_lq_coeffs",
+    "make_bounded_filter_coeffs",
     "COEFFS_REGISTRY",
 ]
 
@@ -94,11 +99,11 @@ def check_coefficient_assumptions(
     control_grid: np.ndarray,
     rng: np.random.Generator,
 ) -> CheckReport:
-    """Sampled boundedness, Lipschitz and ellipticity verification.
+    """Sampled boundedness and Lipschitz checks, exact ellipticity.
 
     Declared bounds and Lipschitz constants are sup-checked on random state
-    pairs for every control on the grid; ellipticity of sigma sigma^T is
-    checked against ``coeffs.delta`` on random directions.
+    pairs for every control on the grid; the least eigenvalue of
+    sigma sigma^T at each probe point is checked against ``coeffs.delta``.
     """
     X, Y = rng.uniform(-_COEFF_PROBE_SCALE, _COEFF_PROBE_SCALE, (2, _COEFF_PROBE_POINTS, coeffs.d))
     failures = []
@@ -122,10 +127,7 @@ def check_coefficient_assumptions(
             float(np.max(np.abs(rx - ry) / dist)),
         )
         ssT = np.einsum("nij,nkj->nik", sx, sx)
-        xi = rng.standard_normal((8, coeffs.d))
-        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-        quad = np.einsum("kp,npq,kq->nk", xi, ssT, xi)
-        min_ell = min(min_ell, float(np.min(quad)))
+        min_ell = min(min_ell, float(np.min(np.linalg.eigvalsh(ssT))))
     worst["l"] = float(np.max(np.abs(coeffs.l(X))))
     for key in ("b", "sigma", "r", "l"):
         declared = coeffs.bounds.get(key)

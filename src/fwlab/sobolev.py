@@ -2,19 +2,20 @@
 
 The whole space is replaced by a large periodic box; functions and mollified
 measures are confined to the central half of the box so boundary wrap stays
-below tolerance.  Fourier multipliers (1 + |xi|^2)^{s/2} with box frequencies
-2*pi*integer/length realize the smoothing scale, norms, and the product,
-Leibniz, commutator, and dissipation checks.
+below tolerance.  Every operator is one Fourier multiplier built from the box
+frequencies xi = 2*pi*integer/length: (1 + |xi|^2)^{s/2} realizes the
+smoothing scale, i xi_j a derivative and -|xi|^2 the Laplacian, and Sobolev
+norms follow from the same weights by Parseval.  They back the product,
+Leibniz, commutator and dissipation checks; the dissipation pairing and both
+of its norms come from a single transform of the mollified density.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .reports import CheckReport
 
 __all__ = [
     "Box",
+    "box1d",
     "GridFunction",
     "bessel_potential",
     "sobolev_norm",
@@ -34,12 +36,12 @@ __all__ = [
     "multiplication_ratio",
     "leibniz_identity_check",
     "commutator_residual",
+    "DissipationRecord",
     "dissipation_check",
     "dissipation_constant_check",
     "random_dipoles",
     "random_band_limited",
-    "save_grid_function",
-    "load_grid_function",
+    "refine_grid",
 ]
 
 
@@ -57,9 +59,8 @@ class Box:
         nodes = tuple(int(n) for n in np.atleast_1d(self.nodes))
         if not (len(origin) == len(lengths) == len(nodes)):
             raise ValueError("origin/lengths/nodes must have equal length")
-        for length in lengths:
-            if length <= 0:
-                raise ValueError("box lengths must be positive")
+        if min(lengths) <= 0:
+            raise ValueError("box lengths must be positive")
         for n in nodes:
             if n < 2 or (n & (n - 1)) != 0:
                 raise ValueError(f"node count {n} is not a power of two")
@@ -81,13 +82,6 @@ class Box:
         return [
             o + np.arange(n) * (length / n)
             for o, length, n in zip(self.origin, self.lengths, self.nodes)
-        ]
-
-    def freq_axes(self) -> list:
-        """Angular frequencies 2*pi*j/length in FFT order, per axis."""
-        return [
-            2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-            for n, length in zip(self.nodes, self.lengths)
         ]
 
 
@@ -129,19 +123,31 @@ class GridFunction:
         return not np.iscomplexobj(self.values)
 
 
-def _freq_sq(box: Box) -> np.ndarray:
-    axes = box.freq_axes()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return sum(m * m for m in mesh)
+@functools.lru_cache(maxsize=8)
+def _wave_numbers(box: Box) -> tuple:
+    """Angular frequencies 2*pi*j/length in FFT order, one per axis shaped to
+    broadcast over the grid, and |xi|^2 on the full grid (read-only, cached)."""
+    xis = []
+    for axis, (n, length) in enumerate(zip(box.nodes, box.lengths)):
+        shape = [1] * box.dim
+        shape[axis] = n
+        xis.append(2.0 * np.pi * np.fft.fftfreq(n, d=length / n).reshape(shape))
+    xi_sq = sum(xi * xi for xi in xis)
+    for arr in (*xis, xi_sq):
+        arr.setflags(write=False)
+    return tuple(xis), xi_sq
 
 
-def _require_scalar(f: GridFunction):
+def _spectrum(f: GridFunction) -> np.ndarray:
     if not f.is_scalar():
         raise ValueError("spectral operators act on scalar grid functions")
+    return np.fft.fftn(f.values)
 
 
-def _maybe_real(out: np.ndarray, template: np.ndarray) -> np.ndarray:
-    return out.real if not np.iscomplexobj(template) else out
+def _multiply(f: GridFunction, mult) -> GridFunction:
+    """The Fourier multiplier ``mult`` applied to f; real f gives a real result."""
+    out = np.fft.ifftn(mult * _spectrum(f))
+    return GridFunction(f.box, out if np.iscomplexobj(f.values) else out.real)
 
 
 def bessel_potential(f: GridFunction, s: float) -> GridFunction:
@@ -150,28 +156,17 @@ def bessel_potential(f: GridFunction, s: float) -> GridFunction:
     Positive s roughens, negative s smooths; composition adds orders and the
     map is invertible on the grid for every real s.
     """
-    _require_scalar(f)
-    if s == 0.0:
+    if s == 0.0 and f.is_scalar():
         return f
-    mult = (1.0 + _freq_sq(f.box)) ** (s / 2.0)
-    out = np.fft.ifftn(mult * np.fft.fftn(f.values))
-    return GridFunction(f.box, _maybe_real(out, f.values))
+    return _multiply(f, (1.0 + _wave_numbers(f.box)[1]) ** (s / 2.0))
 
 
 def spectral_derivative(f: GridFunction, axis: int) -> GridFunction:
-    _require_scalar(f)
-    freqs = f.box.freq_axes()[axis]
-    shape = [1] * f.dim
-    shape[axis] = -1
-    mult = 1j * freqs.reshape(shape)
-    out = np.fft.ifftn(mult * np.fft.fftn(f.values))
-    return GridFunction(f.box, _maybe_real(out, f.values))
+    return _multiply(f, 1j * _wave_numbers(f.box)[0][axis])
 
 
 def spectral_laplacian(f: GridFunction) -> GridFunction:
-    _require_scalar(f)
-    out = np.fft.ifftn(-_freq_sq(f.box) * np.fft.fftn(f.values))
-    return GridFunction(f.box, _maybe_real(out, f.values))
+    return _multiply(f, -_wave_numbers(f.box)[1])
 
 
 def l2_inner(f: GridFunction, g: GridFunction) -> float:
@@ -184,15 +179,16 @@ def l2_norm(f: GridFunction) -> float:
     return math.sqrt(max(l2_inner(f, f), 0.0))
 
 
+def _norm_sq(fhat: np.ndarray, box: Box, s: float) -> float:
+    """|f|_s^2 from the grid spectrum fhat = fftn(f) by Parseval on the grid:
+    |J_{-s} f|_{L^2}^2 = cellvol/N * sum (1+|xi|^2)^s |fhat|^2."""
+    total = float(np.sum((1.0 + _wave_numbers(box)[1]) ** s * (fhat.real**2 + fhat.imag**2)))
+    return total * box.cell_volume() / float(np.prod(box.nodes))
+
+
 def sobolev_norm(f: GridFunction, s: float) -> float:
     """|f|_s as the grid L^2 norm of the order-s multiplier applied to f."""
-    _require_scalar(f)
-    fhat = np.fft.fftn(f.values)
-    mult = (1.0 + _freq_sq(f.box)) ** s
-    # Parseval on the grid: |J_{-s} f|_{L^2}^2 = cellvol/N * sum (1+|xi|^2)^s |fhat|^2
-    total = float(np.sum(mult * (fhat.real**2 + fhat.imag**2)))
-    n_total = float(np.prod(f.box.nodes))
-    return math.sqrt(max(total * f.box.cell_volume() / n_total, 0.0))
+    return math.sqrt(max(_norm_sq(_spectrum(f), f.box, s), 0.0))
 
 
 def mollify(eta: SignedAtomicMeasure, eps: float, box: Box) -> GridFunction:
@@ -256,11 +252,10 @@ def leibniz_identity_check(f: GridFunction, h: GridFunction, tol: float = 1e-8) 
         raise ValueError("grid mismatch")
     lhs = GridFunction(f.box, f.values * h.values)
     lhs = GridFunction(f.box, lhs.values - spectral_laplacian(lhs).values)
-    grad_dot = np.zeros(f.box.nodes, dtype=np.result_type(f.values, h.values))
-    for axis in range(f.dim):
-        grad_dot = grad_dot + (
-            spectral_derivative(f, axis).values * spectral_derivative(h, axis).values
-        )
+    grad_dot = sum(
+        spectral_derivative(f, axis).values * spectral_derivative(h, axis).values
+        for axis in range(f.dim)
+    )
     rhs = (
         f.values * (h.values - spectral_laplacian(h).values)
         - 2.0 * grad_dot
@@ -325,8 +320,9 @@ def dissipation_check(
     (d, d) matrix field, ``b`` of a (d,) vector field.  A single constant c
     fitted across a family must give
     lhs + (delta/4) |eta|_{1-lam}^2 <= c |eta|_{-lam}^2
-    (see ``dissipation_constant_check``).  Non-elliptic ``a`` (sampled) is
-    rejected.
+    (see ``dissipation_constant_check``).  ``a`` whose least quadratic form
+    falls below ``delta`` is rejected.  Both norms and the pairing come from
+    one transform of the mollified density.
     """
     box = a.box
     d = box.dim
@@ -334,26 +330,25 @@ def dissipation_check(
         raise ValueError("matrix field must have shape nodes + (d, d)")
     if b.values.shape != box.nodes + (d,):
         raise ValueError("vector field must have shape nodes + (d,)")
-    ell = _ellipticity_minimum(a.values, d)
+    ell = _ellipticity_minimum(a.values)
     if ell < delta - 1e-12:
         raise ValueError(f"matrix field not {delta}-elliptic (min quadratic form {ell})")
 
     dens = mollify(eta, eps_moll, box)
-    smoothed = bessel_potential(dens, -2.0 * lam)
-
-    grads = [spectral_derivative(smoothed, axis) for axis in range(d)]
-    a_term = np.zeros(box.nodes)
-    for i in range(d):
-        di = grads[i]
-        for j in range(d):
-            a_term += 0.5 * a.values[..., i, j] * spectral_derivative(di, j).values
-    b_term = np.zeros(box.nodes)
-    for i in range(d):
-        b_term += b.values[..., i] * grads[i].values
+    dhat = np.fft.fftn(dens.values)
+    xis, xi_sq = _wave_numbers(box)
+    xi = np.stack(np.broadcast_arrays(*xis))
+    # the smoothed spectrum J_{2 lam} dens and its gradient and Hessian, each
+    # component axis leading and transformed back over the grid axes only
+    smoothed = (1.0 + xi_sq) ** (-float(lam)) * dhat
+    grad = np.fft.ifftn(1j * xi * smoothed, axes=tuple(range(1, d + 1))).real
+    hess = np.fft.ifftn(-xi[:, None] * xi[None] * smoothed, axes=tuple(range(2, d + 2))).real
+    a_term = 0.5 * np.einsum("...ij,ij...->...", a.values, hess)
+    b_term = np.einsum("...i,i...->...", b.values, grad)
 
     lhs = float(np.sum((a_term + b_term) * dens.values) * box.cell_volume())
-    n_loss = sobolev_norm(dens, 1.0 - lam) ** 2
-    n_weak = sobolev_norm(dens, -float(lam)) ** 2
+    n_loss = _norm_sq(dhat, box, 1.0 - lam)
+    n_weak = _norm_sq(dhat, box, -float(lam))
     mass_defect = float(np.sum(dens.values) * box.cell_volume() - eta.total_mass())
     return DissipationRecord(lhs, n_loss, n_weak, mass_defect, ell)
 
@@ -421,29 +416,19 @@ def dissipation_constant_check(
     )
 
 
-def _ellipticity_minimum(avals: np.ndarray, d: int, n_dirs: int = 16) -> float:
-    """Minimum of xi^T a(x) xi / |xi|^2 over grid points and sampled directions."""
-    flat = avals.reshape(-1, d, d)
-    if d == 1:
-        return float(np.min(flat[:, 0, 0]))
-    rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((n_dirs, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs = np.vstack([np.eye(d), dirs])
-    vals = np.einsum("kp,npq,kq->nk", dirs, flat, dirs)
-    return float(np.min(vals))
+def _ellipticity_minimum(avals: np.ndarray) -> float:
+    """Minimum of xi^T a(x) xi / |xi|^2 over grid points and unit directions:
+    the least eigenvalue of the symmetric part of the (d, d) field ``avals``."""
+    sym = 0.5 * (avals + np.swapaxes(avals, -1, -2))
+    return float(np.min(np.linalg.eigvalsh(sym)))
 
 
 def random_band_limited(box: Box, band: int, rng: np.random.Generator) -> GridFunction:
     """Real random function with spectrum supported on frequency indices <= band."""
     shape = box.nodes
     spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    idx = np.meshgrid(
-        *[np.minimum(np.arange(n), n - np.arange(n)) for n in shape], indexing="ij"
-    )
-    mask = np.ones(shape, dtype=bool)
-    for m in idx:
-        mask &= m <= band
+    low = [np.minimum(np.arange(n), n - np.arange(n)) <= band for n in shape]
+    mask = np.logical_and.reduce(np.meshgrid(*low, indexing="ij"))
     spec = np.where(mask, spec, 0.0)
     vals = np.fft.ifftn(spec).real
     scale = max(float(np.max(np.abs(vals))), 1e-300)
@@ -457,57 +442,9 @@ def refine_grid(f: GridFunction, factor: int = 2) -> GridFunction:
     if factor == 1:
         return f
     old = f.box.nodes
-    new = tuple(n * factor for n in old)
-    spec = np.fft.fftn(f.values)
-    out = np.zeros(new, dtype=complex)
-    slices_old, slices_new = [], []
-    for n in old:
-        half = n // 2
-        slices_old.append((slice(0, half), slice(n - half, n)))
-        slices_new.append((slice(0, half), slice(-half, None)))
-    # copy each low/high frequency block into the enlarged spectrum
-    for combo in itertools.product(range(2), repeat=len(old)):
-        src = tuple(slices_old[ax][c] for ax, c in enumerate(combo))
-        dst = tuple(slices_new[ax][c] for ax, c in enumerate(combo))
-        out[dst] = spec[src]
-    vals = np.fft.ifftn(out) * (factor ** len(old))
-    box = Box(f.box.origin, f.box.lengths, new)
+    # zero-pad the centred spectrum; the Nyquist bin lands on -n/2
+    pad = [((factor - 1) * n // 2,) * 2 for n in old]
+    spec = np.fft.ifftshift(np.pad(np.fft.fftshift(_spectrum(f)), pad))
+    vals = np.fft.ifftn(spec) * (factor ** len(old))
+    box = Box(f.box.origin, f.box.lengths, tuple(n * factor for n in old))
     return GridFunction(box, vals.real if f.is_real() else vals)
-
-
-def save_grid_function(f: GridFunction, path) -> None:
-    """Flat binary layout with a JSON sidecar describing the same geometry."""
-    if not f.is_real():
-        raise ValueError("binary layout stores real-valued grids only")
-    if not f.is_scalar():
-        raise ValueError("binary layout stores scalar grids only")
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<q", f.dim))
-        for n, o, length in zip(f.box.nodes, f.box.origin, f.box.lengths):
-            fh.write(struct.pack("<qdd", n, o, length))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-    sidecar = {
-        "dim": f.dim,
-        "nodes": list(f.box.nodes),
-        "origin": list(f.box.origin),
-        "lengths": list(f.box.lengths),
-        "dtype": "float64",
-        "layout": "row-major",
-    }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
-
-
-def load_grid_function(path) -> GridFunction:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        (dim,) = struct.unpack("<q", fh.read(8))
-        nodes, origin, lengths = [], [], []
-        for _ in range(dim):
-            n, o, length = struct.unpack("<qdd", fh.read(24))
-            nodes.append(n)
-            origin.append(o)
-            lengths.append(length)
-        count = int(np.prod(nodes))
-        vals = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(nodes)
-    return GridFunction(Box(tuple(origin), tuple(lengths), tuple(nodes)), vals)

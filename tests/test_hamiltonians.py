@@ -308,6 +308,41 @@ def test_coefficient_checker_accepts_and_rejects(rng):
     assert not rep.passed
 
 
+# sigma sigma^T with eigenvalues (OFF_AXIS_DELTA - 1e-3, 4) along axes rotated
+# off the coordinate ones, so only a near-worst direction sees the defect
+OFF_AXIS_DELTA = 0.5
+
+
+def _off_axis_coeffs(declared):
+    theta = 0.7
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    sig = rot @ np.diag([np.sqrt(OFF_AXIS_DELTA - 1e-3), 2.0])
+    return ham.FilteringCoeffs(
+        d=2,
+        d1=2,
+        d2=1,
+        b=lambda X, a: np.zeros_like(X),
+        sigma=lambda X, a: np.broadcast_to(sig, (len(X), 2, 2)),
+        sigma_tilde=lambda a: np.zeros((2, 1)),
+        r=lambda X, a: np.zeros(len(X)),
+        l=lambda X: np.zeros(len(X)),
+        delta=declared,
+    )
+
+
+def test_coefficient_checker_rejects_off_axis_ellipticity_in_2d(rng):
+    rep = ham.check_coefficient_assumptions(_off_axis_coeffs(OFF_AXIS_DELTA), GRID[::40], rng)
+    assert not rep.passed
+    assert [f["coefficient"] for f in rep.failures] == ["ellipticity"]
+
+
+def test_coefficient_checker_ellipticity_is_exact_in_2d(rng):
+    rep = ham.check_coefficient_assumptions(_off_axis_coeffs(OFF_AXIS_DELTA), GRID[::40], rng)
+    assert rep.stats["ellipticity_min"] == pytest.approx(OFF_AXIS_DELTA - 1e-3, rel=1e-12)
+    rep = ham.check_coefficient_assumptions(_off_axis_coeffs(OFF_AXIS_DELTA - 1e-3), GRID[::40], rng)
+    assert rep.passed, rep.failures
+
+
 # ---------------------------------------------------------------------------
 # prediction side
 # ---------------------------------------------------------------------------

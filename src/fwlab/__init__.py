@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .measures import (  # noqa: F401
     SignedAtomicMeasure,
     Theta,
-    char_fn,
     dirac,
     linear_combination,
     pushforward_shift,

@@ -1,13 +1,13 @@
 """Scenario-driven command line front end.
 
-Every subcommand reads one JSON scenario file (one schema per subcommand,
-versioned by the ``schema`` field), applies ``--set`` overrides, and writes
-CSV rows plus a JSON summary into the output directory.  Outputs embed the
-tool version, the hash of the resolved scenario, and the seed, and are
-byte-identical for identical (scenario, seed, version).
+Every subcommand reads one JSON scenario file (``schema`` 1, one per
+subcommand), applies ``--set`` overrides, and writes CSV rows into the output
+directory (``filter-sim`` adds a JSON summary, ``dp-value --dump`` its value
+table).  Outputs embed the tool version, the hash of the resolved scenario,
+and the seed, and are byte-identical for identical (scenario, seed, version).
 
-Exit codes: 0 success, 1 input error, 2 a numerical check failed, 3 an
-internal numerical fault (a diverging simulation or a non-finite stage-game value).
+Exit codes: 0 success, 1 input or usage error, 2 a numerical check failed, 3
+an internal numerical fault (a diverging simulation or a non-finite stage-game value).
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ EXIT_NUMERICAL_FAULT = 3
 
 class ScenarioError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error: one line, exit 1
+        self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
 
 
 def _config_hash(scenario: dict) -> str:
@@ -120,7 +125,7 @@ def _metric_config(scenario: dict, dim: int) -> fm.FourierConfig:
 # ---------------------------------------------------------------------------
 
 
-def _run_metric(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
+def _run_metric(scenario: dict, out: Path, meta: dict) -> int:
     dim = int(scenario.get("dim", 1))
     cfg = _metric_config(scenario, dim)
     rows = []
@@ -148,23 +153,23 @@ def _random_grid_pair(scenario: dict, rng) -> tuple:
     return sb.random_band_limited(box, band, rng), sb.random_band_limited(box, band, rng)
 
 
-def _run_sobolev_check(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
+def _run_sobolev_check(scenario: dict, out: Path, meta: dict) -> int:
     rng = substream(int(scenario.get("seed", 0)), 0)
     count = int(scenario.get("count", 10))
     tol = float(scenario.get("tol", 1e-8))
     rows = []
-    worst = 0.0
+    passed = True
     for case in range(count):
         f, h = _random_grid_pair(scenario, rng)
         rep = sb.leibniz_identity_check(f, h, tol)
-        resid = rep.stats["max_residual"]
-        worst = max(worst, resid)
-        rows.append([f"case{case}", resid, tol, resid / tol])
+        resid, bound = rep.stats["max_residual"], rep.stats["bound"]
+        passed = passed and rep.passed
+        rows.append([f"case{case}", resid, bound, resid / bound])
     _write_csv(out / "sobolev_check.csv", ["case", "residual", "bound", "ratio"], rows, meta)
-    return EXIT_OK if worst <= tol else EXIT_CHECK_FAILED
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _run_commutator_check(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
+def _run_commutator_check(scenario: dict, out: Path, meta: dict) -> int:
     rng = substream(int(scenario.get("seed", 0)), 0)
     count = int(scenario.get("count", 20))
     k = int(scenario.get("k", 2))
@@ -178,7 +183,7 @@ def _run_commutator_check(scenario: dict, out: Path, meta: dict, dump: bool) -> 
     return EXIT_OK
 
 
-def _run_dissipation_check(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
+def _run_dissipation_check(scenario: dict, out: Path, meta: dict) -> int:
     rng = substream(int(scenario.get("seed", 0)), 0)
     box = sb.box1d(float(scenario.get("length", 32.0)), int(scenario.get("n", 1024)))
     report = sb.dissipation_constant_check(
@@ -201,7 +206,7 @@ def _run_dissipation_check(scenario: dict, out: Path, meta: dict, dump: bool) ->
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _run_hamiltonian(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
+def _run_hamiltonian(scenario: dict, out: Path, meta: dict) -> int:
     kind = scenario.get("kind", "filtering")
     seed = int(scenario.get("seed", 0))
     rows = []
@@ -255,7 +260,7 @@ def _run_hamiltonian(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
     return status
 
 
-def _run_filter_sim(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
+def _run_filter_sim(scenario: dict, out: Path, meta: dict) -> int:
     factory = ham.COEFFS_REGISTRY.get(scenario.get("coeffs", "lq1d"))
     if factory is None:
         raise ScenarioError(f"unknown coefficient set {scenario.get('coeffs')!r}")
@@ -287,7 +292,7 @@ def _run_filter_sim(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
     return EXIT_OK
 
 
-def _run_game_sim(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
+def _run_game_sim(scenario: dict, out: Path, meta: dict) -> int:
     K = int(scenario["K"])
     T = int(scenario["T"])
     runs = int(scenario.get("runs", 1000))
@@ -311,7 +316,7 @@ def _run_game_sim(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
     return EXIT_OK
 
 
-def _run_dp_value(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
+def _run_dp_value(scenario: dict, out: Path, meta: dict, dump: bool = False) -> int:
     K = int(scenario["K"])
     T = int(scenario["T"])
     m0 = measure_from_json(scenario["m0"])
@@ -330,7 +335,7 @@ def _run_dp_value(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
     return EXIT_OK
 
 
-def _run_comparison_doubling(scenario: dict, out: Path, meta: dict, dump: bool) -> int:
+def _run_comparison_doubling(scenario: dict, out: Path, meta: dict) -> int:
     support = np.asarray(scenario["support"], dtype=float)
     if support.ndim == 1:
         support = support[:, None]
@@ -404,6 +409,10 @@ def run(
             raise ScenarioError(
                 f"scenario targets {target!r} but the {expected_target!r} subcommand was invoked"
             )
+        if scenario.get("schema", 1) != 1:
+            raise ScenarioError(f"scenario schema {scenario['schema']!r} is not 1")
+        if dump and target != "dp-value":
+            raise ScenarioError(f"only dp-value writes a dump, not {target}")
         out = Path(out_dir) if out_dir else Path.cwd()
         out.mkdir(parents=True, exist_ok=True)
         meta = {
@@ -411,7 +420,7 @@ def run(
             "config_hash": _config_hash(scenario),
             "seed": int(scenario.get("seed", scenario.get("sim", {}).get("seed", 0))),
         }
-        return DISPATCH[target](scenario, out, meta, dump)
+        return DISPATCH[target](scenario, out, meta, *((dump,) if dump else ()))
     except (ScenarioError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -423,9 +432,7 @@ def run(
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="fwlab", description="Scenario runner for the numerical laboratory"
-    )
+    parser = _Parser(prog="fwlab", description="Scenario runner for the numerical laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in DISPATCH:
         p = sub.add_parser(name, help=f"run a {name} scenario")
@@ -439,15 +446,10 @@ def main(argv=None) -> int:
             help="override a scenario key (dotted paths allowed, repeatable)",
         )
         p.add_argument("--out", default=None, help="output directory (default: cwd)")
-        p.add_argument("--dump", action="store_true", help="emit full value tables")
+        if name == "dp-value":
+            p.add_argument("--dump", action="store_true", help="also write the value table")
     args = parser.parse_args(argv)
-    code = run(
-        args.scenario,
-        args.overrides,
-        args.out,
-        args.dump,
-        expected_target=args.command,
-    )
+    code = run(args.scenario, args.overrides, args.out, getattr(args, "dump", False), args.command)
     if code == EXIT_CHECK_FAILED:
         print("one or more checks failed", file=sys.stderr)
     return code

@@ -108,6 +108,8 @@ _FD_STEP = 1e-6
 # penalty_decay_check: the last penalty must be at most factor * first + tol
 _DECAY_FACTOR = 0.1
 _DECAY_ABS_TOL = 1e-6
+_ORDERING_TOL = 1e-9  # ordering_check: allowed excess of u_sub over v_super
+_ISHII_TOL = 1e-10  # ishii_matrix_check: allowed negative eigenvalue of either side
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,6 @@ class DoublingConfig:
 
 @dataclass
 class DoublingReport:
-    epsilon: float
-    delta: float
     value: float
     theta_star: tuple  # (t, weights, m)
     penalty: float  # (1/2 eps) d_F^2 at the maximizer
@@ -279,8 +279,6 @@ def doubling_maximize(
     t1, w1, m1, t2, w2, m2 = _unpack(z, n, d)
     dsq = metric.d_F_sq(t1, w1, m1, t2, w2, m2)
     return DoublingReport(
-        epsilon=eps,
-        delta=delta,
         value=val,
         theta_star=(float(t1), w1.copy(), m1.copy()),
         penalty=dsq / (2.0 * eps),
@@ -337,7 +335,6 @@ def ordering_check(
     v_super: DiscretizedFunction,
     probes,
     horizon: float,
-    tol: float = 1e-9,
 ) -> CheckReport:
     """Terminal ordering on probes implies ordering everywhere on the probes.
 
@@ -349,7 +346,7 @@ def ordering_check(
     terminal_bad = [
         (t, w, m)
         for t, w, m in probes
-        if u_sub(horizon, w, m) > v_super(horizon, w, m) + tol
+        if u_sub(horizon, w, m) > v_super(horizon, w, m) + _ORDERING_TOL
     ]
     if terminal_bad:
         t, w, m = terminal_bad[0]
@@ -366,7 +363,7 @@ def ordering_check(
         if gap < margin:
             margin = gap
             witness = (t, w, m)
-    passed = margin >= -tol
+    passed = margin >= -_ORDERING_TOL
     failures = []
     if not passed and witness is not None:
         t, w, m = witness
@@ -384,7 +381,7 @@ def lq_discretized_candidate(
     lq,
     slack: float = 0.0,
     m_box: float = 2.0,
-    osc: float | None = 1.0,
+    osc: float = 1.0,
     shift_fn=None,
 ) -> DiscretizedFunction:
     """Reference optimal-cost candidate restricted to a fixed support.
@@ -392,11 +389,11 @@ def lq_discretized_candidate(
     Evaluates the scalar LQ value at the weighted support measure translated
     by m, rescaled so its oscillation over the harness domain is about
     ``osc`` (the doubling machinery presumes bounded candidates, and the raw
-    value's quadratic growth would otherwise dominate every penalty;
-    ``osc=None`` keeps the raw scale), plus a constant slack and an optional
-    extra term ``shift_fn(t)`` of time alone.  The gradient is exact by the
-    chain rule through mean = w.x + m and var = w.x^2 - (w.x)^2, except for
-    the t-derivative of ``shift_fn``, a central difference at step 1e-6.
+    value's quadratic growth would otherwise dominate every penalty), plus a
+    constant slack and an optional extra term ``shift_fn(t)`` of time alone.
+    The gradient is exact by the chain rule through mean = w.x + m and
+    var = w.x^2 - (w.x)^2, except for the t-derivative of ``shift_fn``, a
+    central difference at step 1e-6.
     """
     if not isinstance(lq, LQParams):
         raise TypeError("lq must be LQParams")
@@ -411,7 +408,7 @@ def lq_discretized_candidate(
         + float(np.max(x2))
         + lq.sigma**2 * lq.horizon
     )
-    scale = osc / raw_bound if osc is not None else 1.0
+    scale = osc / raw_bound
 
     def eval_fn(t, w, m):
         wx = float(w @ x)
@@ -429,9 +426,7 @@ def lq_discretized_candidate(
     return DiscretizedFunction(support, eval_fn, 1.0 + abs(slack) + scale * raw_bound)
 
 
-def ishii_matrix_check(
-    X: np.ndarray, Y: np.ndarray, eps: float, alpha: float, tol: float = 1e-10
-) -> bool:
+def ishii_matrix_check(X: np.ndarray, Y: np.ndarray, eps: float, alpha: float) -> bool:
     """Exact eigenvalue test of the coupled second-order bound.
 
     Checks -(1/alpha + 2/eps) I <= blockdiag(X, Y) <= (1/eps + 2 alpha/eps^2)
@@ -448,8 +443,8 @@ def ishii_matrix_check(
     block[:d, :d] = X
     block[d:, d:] = Y
     lower = block + (1.0 / alpha + 2.0 / eps) * np.eye(2 * d)
-    if float(np.linalg.eigvalsh(lower)[0]) < -tol:
+    if float(np.linalg.eigvalsh(lower)[0]) < -_ISHII_TOL:
         return False
     coupling = np.block([[np.eye(d), -np.eye(d)], [-np.eye(d), np.eye(d)]])
     upper = (1.0 / eps + 2.0 * alpha / eps**2) * coupling - block
-    return float(np.linalg.eigvalsh(upper)[0]) >= -tol
+    return float(np.linalg.eigvalsh(upper)[0]) >= -_ISHII_TOL

@@ -73,8 +73,11 @@ class ControlPolicy:
         return np.clip(np.broadcast_to(a, summary.mean.shape[:1]), self.lo, self.hi)
 
 
-def constant_policy(value: float, lo: float = -4.0, hi: float = 4.0) -> ControlPolicy:
-    return ControlPolicy(lambda t, s: value, lo, hi)
+_CONSTANT_CONTROL_BOUND = 4.0  # constant_policy clips its control to [-4, 4]
+
+
+def constant_policy(value: float) -> ControlPolicy:
+    return ControlPolicy(lambda t, s: value, -_CONSTANT_CONTROL_BOUND, _CONSTANT_CONTROL_BOUND)
 
 
 @dataclass(frozen=True)

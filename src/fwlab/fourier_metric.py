@@ -55,6 +55,8 @@ def lambda_for_dim(d: int) -> int:
 
 
 _DEFAULT_NODES = {1: 384, 2: 48, 3: 24}
+_TAIL_TARGET = 1e-10  # spectral tail mass beyond default_config's radius
+_PARALLELOGRAM_TOL = 1e-10  # parallelogram_check: allowed shortfall of the left side
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ def _sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
 
 
-def _tail_radius(d: int, lam: int, target: float = 1e-10) -> float:
-    """R with 4 (2 pi)^-d * integral over |k|>R of the weight equal to target.
+def _tail_radius(d: int, lam: int) -> float:
+    """R with 4 (2 pi)^-d * integral over |k|>R of the weight equal to 1e-10.
 
     With t = 1 / (1 + s^2), integral_R^inf s^(d-1) (1+s^2)^-lam ds is
     B(lam - d/2, d/2) / 2 times the regularized incomplete beta function
@@ -92,23 +94,19 @@ def _tail_radius(d: int, lam: int, target: float = 1e-10) -> float:
     """
     a, b = lam - d / 2.0, d / 2.0
     scale = 4.0 * (2.0 * math.pi) ** (-d) * _sphere_area(d) * 0.5 * special.beta(a, b)
-    y = special.betaincinv(a, b, target / scale)
+    y = special.betaincinv(a, b, _TAIL_TARGET / scale)
     return math.sqrt(1.0 / y - 1.0)
 
 
 @lru_cache(maxsize=32)
-def default_config(
-    d: int,
-    lam: int | None = None,
-    k_nodes_per_axis: int | None = None,
-    quadrature_rule: str = "tensor-gauss",
-) -> FourierConfig:
-    """Per-dimension default: radius from the 1e-10 tail bound, node counts sized
-    so doubling them moves distances by far less than 1e-6 on unit-scale atoms."""
-    lam = lambda_for_dim(d) if lam is None else lam
+def default_config(d: int, k_nodes_per_axis: int | None = None) -> FourierConfig:
+    """Per-dimension default: exponent ``lambda_for_dim(d)``, Gauss nodes, radius
+    from the 1e-10 tail bound, node counts sized so doubling them moves
+    distances by far less than 1e-6 on unit-scale atoms."""
+    lam = lambda_for_dim(d)
     nodes = _DEFAULT_NODES.get(d, 12) if k_nodes_per_axis is None else k_nodes_per_axis
     radius = math.ceil(_tail_radius(d, lam))
-    return FourierConfig(d, lam, float(radius), nodes, quadrature_rule)
+    return FourierConfig(d, lam, float(radius), nodes)
 
 
 @lru_cache(maxsize=64)
@@ -216,8 +214,6 @@ class KappaKernel:
     """
 
     config: FourierConfig
-    mu: SignedAtomicMeasure
-    nu: SignedAtomicMeasure
     epsilon: float
     eta_hat: np.ndarray  # F_k(mu - nu) per quadrature node
     rho: float  # rho_F(mu, nu) under the same quadrature
@@ -252,7 +248,7 @@ def make_kappa(
     _check_dims(cfg, mu, nu)
     nodes, wtilde = _quadrature(cfg)
     eta_hat = char_fn_batch(mu, nodes) - char_fn_batch(nu, nodes)
-    return KappaKernel(cfg, mu, nu, epsilon, eta_hat, _seminorm(wtilde, eta_hat))
+    return KappaKernel(cfg, epsilon, eta_hat, _seminorm(wtilde, eta_hat))
 
 
 def kappa_eval(kernel: KappaKernel, x, order: int = 0):
@@ -296,12 +292,11 @@ def parallelogram_check(
     mu_star: SignedAtomicMeasure,
     nu_star: SignedAtomicMeasure,
     cfg: FourierConfig,
-    tol: float = 1e-10,
 ) -> CheckReport:
     """Spectral parallelogram inequality between a pair and an anchor pair.
 
     Asserts 2 rho^2(mu,mu*) + 2 rho^2(nu,nu*) + L(mu,mu*,nu*) - L(nu,mu*,nu*)
-    >= rho^2(mu,nu) + rho^2(mu*,nu*) - tol, with equality within tol when
+    >= rho^2(mu,nu) + rho^2(mu*,nu*) - 1e-10, with equality within 1e-10 when
     (mu, nu) = (mu*, nu*).  A violation signals either a quadrature config
     with negative weights (impossible for the shipped rules) or a bug.
     """
@@ -313,10 +308,10 @@ def parallelogram_check(
     )
     rhs = rho_F(mu, nu, cfg) ** 2 + rho_F(mu_star, nu_star, cfg) ** 2
     gap = lhs - rhs
-    passed = gap >= -tol
+    passed = gap >= -_PARALLELOGRAM_TOL
     return CheckReport(
         name="parallelogram",
         passed=bool(passed),
-        stats={"lhs": lhs, "rhs": rhs, "gap": gap, "tol": tol},
+        stats={"lhs": lhs, "rhs": rhs, "gap": gap, "tol": _PARALLELOGRAM_TOL},
         failures=[] if passed else [{"lhs": lhs, "rhs": rhs}],
     )

@@ -312,9 +312,9 @@ def check_assumption_ii_filtering(
     eps: float,
     cfg: fm.FourierConfig,
     control_grid,
-    M: np.ndarray | None = None,
 ) -> HamiltonianGapRecord:
-    """Evaluate G^e(theta) - G^e(iota) at the pair's penalization kernel jets.
+    """Evaluate G^e(theta) - G^e(iota) at the pair's penalization kernel jets,
+    with M = 0.
 
     Returns the raw difference together with the modulus argument
     z = d_F^2/eps + d_F and the moment factor; a linear modulus is fitted
@@ -325,7 +325,7 @@ def check_assumption_ii_filtering(
     jet = JetArgs(
         fm.kappa_gradient_field(kernel),
         fm.kappa_hessian_field(kernel),
-        np.zeros((mu.dim, mu.dim)) if M is None else M,
+        np.zeros((mu.dim, mu.dim)),
     )
     g_theta = Ge_extend(mu, theta.m, jet, coeffs, control_grid)
     g_iota = Ge_extend(nu, iota.m, jet, coeffs, control_grid)
@@ -353,12 +353,15 @@ def fit_linear_modulus(records: list) -> float:
     return best
 
 
-def verify_linear_modulus(records: list, constant: float, rtol: float = 1e-9) -> CheckReport:
+_MODULUS_RTOL = 1e-9  # verify_linear_modulus: relative slack on each record's bound
+
+
+def verify_linear_modulus(records: list, constant: float) -> CheckReport:
     """No record may exceed difference <= constant * z * moment_factor."""
     failures = [
         {"difference": rec.difference, "bound": constant * rec.z * rec.moment_factor, "eps": rec.epsilon}
         for rec in records
-        if rec.difference > constant * rec.z * rec.moment_factor * (1.0 + rtol) + 1e-12
+        if rec.difference > constant * rec.z * rec.moment_factor * (1.0 + _MODULUS_RTOL) + 1e-12
     ]
     return CheckReport(
         "filtering-doubling-modulus",
@@ -565,21 +568,18 @@ def G_regret(
 # Dirichlet weight draws added to the vertices in check_assumptions_regret's probe set
 _REGRET_PROBE_DRAWS = 32
 _REGRET_PROBE_SEED = 1234
+_REGRET_RTOL = 1e-9  # check_assumptions_regret: relative slack on the Lipschitz bound
+_REGRET_SIGN_TOL = 1e-9  # and absolute slack on the sign gap
 
 
-def check_assumptions_regret(
-    samples: list,
-    metric_cfgs: dict,
-    rtol: float = 1e-9,
-    sign_tol: float = 1e-9,
-) -> CheckReport:
+def check_assumptions_regret(samples: list, metric_cfgs: dict) -> CheckReport:
     """Two-sided verification on sampled problem data.
 
     Each sample is a dict with keys (K, mu, nu, q1, q2, M1, M2, M, eps, i, a).
     (i) the supremum over a fixed common probe set satisfies the dimension-
     dependent Lipschitz bound 2^{3K-2} (1 + int |x| dmu)(|q1-q2|_l + |M1-M2|);
     (ii) swapping mu for nu in the pairing with the pair's own penalization
-    Hessian never increases it beyond ``sign_tol``.  ``metric_cfgs`` maps K to
+    Hessian never increases it beyond 1e-9.  ``metric_cfgs`` maps K to
     the spectral quadrature used for the kernels.
     """
     failures = []
@@ -611,7 +611,7 @@ def check_assumptions_regret(
         lhs = abs(g1 - g2)
         if bound > 0:
             max_lip_ratio = max(max_lip_ratio, lhs / bound)
-        if lhs > bound * (1.0 + rtol) + 1e-15:
+        if lhs > bound * (1.0 + _REGRET_RTOL) + 1e-15:
             failures.append({"sample": idx, "check": "lipschitz", "lhs": lhs, "bound": bound})
 
         kernel = fm.make_kappa(mu, nu, s["eps"], metric_cfgs[K_n])
@@ -620,7 +620,7 @@ def check_assumptions_regret(
             s["i"], s["a"], nu, hess, s["M"]
         )
         max_sign_gap = max(max_sign_gap, gap)
-        if gap > sign_tol:
+        if gap > _REGRET_SIGN_TOL:
             failures.append({"sample": idx, "check": "sign", "gap": gap})
     return CheckReport(
         "regret-hamiltonian-assumptions",

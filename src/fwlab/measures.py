@@ -10,7 +10,7 @@ operation is pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "SignedAtomicMeasure",
     "Theta",
-    "char_fn",
     "char_fn_batch",
     "pushforward_shift",
     "vartheta",
@@ -108,11 +107,6 @@ class SignedAtomicMeasure:
         """sum_i w_i |x_i| with Euclidean atom norms."""
         return float(self.weights @ np.linalg.norm(self.locations, axis=1))
 
-    def integrate(self, f) -> float:
-        """Integrate a batched scalar function f((n,d) -> (n,)) against the measure."""
-        vals = np.asarray(f(self.locations), dtype=float).ravel()
-        return float(self.weights @ vals)
-
 
 def dirac(x, probability: bool = True) -> SignedAtomicMeasure:
     """Point mass at x (x may be a scalar for d=1)."""
@@ -141,7 +135,6 @@ class Theta:
     t: float
     measure: SignedAtomicMeasure
     m: np.ndarray
-    horizon: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         m = np.atleast_1d(np.asarray(self.m, dtype=float))
@@ -151,27 +144,17 @@ class Theta:
             raise ValueError("Theta requires a probability measure")
         if not (self.t >= 0.0):
             raise ValueError(f"time {self.t} out of [0, T]")
-        if self.horizon is not None and self.t > self.horizon + 1e-15:
-            raise ValueError(f"time {self.t} exceeds horizon {self.horizon}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
 
-def char_fn(measure: SignedAtomicMeasure, k) -> complex:
-    """Spectral coefficient (2*pi)^{-d/2} sum_i w_i exp(i k.x_i).
-
-    The modulus is bounded by (2*pi)^{-d/2} times the total variation.
-    """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    if k.size != measure.dim:
-        raise ValueError(f"wave vector has dim {k.size}, measure has dim {measure.dim}")
-    phases = np.exp(1j * (measure.locations @ k))
-    return complex((2.0 * np.pi) ** (-measure.dim / 2.0) * (measure.weights @ phases))
-
-
 def char_fn_batch(measure: SignedAtomicMeasure, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized ``char_fn`` over a (M, d) array of wave vectors."""
+    """Spectral coefficients (2*pi)^{-d/2} sum_i w_i exp(i k.x_i), one per row k
+    of the (M, d) wave vectors ``nodes``.
+
+    Each modulus is bounded by (2*pi)^{-d/2} times the total variation.
+    """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or nodes.shape[1] != measure.dim:
         raise ValueError("nodes must have shape (M, d)")

@@ -57,7 +57,6 @@ class ForecasterStrategy:
 
     rule: Callable
     gain: Callable
-    name: str = "forecaster"
 
 
 def _sample(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -385,9 +384,7 @@ def _observed_gains(a: SimplexAction, y: np.ndarray) -> np.ndarray:
 
 
 def uniform_forecaster(K: int) -> ForecasterStrategy:
-    return ForecasterStrategy(
-        lambda scores: np.full(scores.shape, 1.0 / K), lambda a, y: 0.0, name="uniform"
-    )
+    return ForecasterStrategy(lambda scores: np.full(scores.shape, 1.0 / K), lambda a, y: 0.0)
 
 
 def follow_the_leader_forecaster(K: int) -> ForecasterStrategy:
@@ -396,7 +393,7 @@ def follow_the_leader_forecaster(K: int) -> ForecasterStrategy:
     def rule(scores):
         return np.eye(K)[np.argmax(scores, axis=1)]
 
-    return ForecasterStrategy(rule, _expected_gains, name="follow-the-leader")
+    return ForecasterStrategy(rule, _expected_gains)
 
 
 def exp_weights_forecaster(K: int, eta: float = 0.5) -> ForecasterStrategy:
@@ -406,7 +403,7 @@ def exp_weights_forecaster(K: int, eta: float = 0.5) -> ForecasterStrategy:
         w = np.exp(eta * (scores - scores.max(axis=1, keepdims=True)))
         return w / w.sum(axis=1, keepdims=True)
 
-    return ForecasterStrategy(rule, _observed_gains, name="exp-weights")
+    return ForecasterStrategy(rule, _observed_gains)
 
 
 FORECASTER_REGISTRY = {

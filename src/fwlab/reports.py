@@ -18,7 +18,3 @@ class CheckReport:
     stats: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
-    def summary(self) -> str:
-        tag = "PASS" if self.passed else "FAIL"
-        parts = ", ".join(f"{k}={v!r}" for k, v in sorted(self.stats.items()))
-        return f"[{tag}] {self.name}: {parts}"

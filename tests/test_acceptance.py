@@ -54,7 +54,7 @@ def test_criterion_02_fourier_metric_suite():
         if not fm.parallelogram_check(mu, nu, mu_s, nu_s, cfg).passed:
             ok, _ = False, detail.append("parallelogram")
     mu, nu = (random_probability_measure(rng) for _ in range(2))
-    diag = fm.parallelogram_check(mu, nu, mu, nu, cfg, tol=1e-10)
+    diag = fm.parallelogram_check(mu, nu, mu, nu, cfg)
     if abs(diag.stats["gap"]) > 1e-10:
         ok, _ = False, detail.append("diagonal equality")
 
@@ -241,7 +241,7 @@ def test_criterion_07_regret_hamiltonian():
     cfgs = {2: fm.default_config(2), 3: fm.default_config(3)}
     rng = substream(2024, 7)
     samples = ham.regret_samples(2, 100, rng) + ham.regret_samples(3, 100, rng)
-    rep = ham.check_assumptions_regret(samples, cfgs, rtol=1e-9, sign_tol=1e-9)
+    rep = ham.check_assumptions_regret(samples, cfgs)
 
     mu = ms.dirac(np.zeros(2))
     q0 = lambda X: np.zeros((np.atleast_2d(X).shape[0], 2, 2))

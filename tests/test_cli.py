@@ -37,10 +37,7 @@ SMALL_OVERRIDES = {
 }
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["metric.json", "game_sim.json", "dp_value.json", "filter_sim.json", "comparison_doubling.json"],
-)
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
 def test_outputs_byte_identical(tmp_path, name):
     overrides = SMALL_OVERRIDES.get(name, [])
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -74,6 +71,38 @@ def test_unknown_target_exits_1(tmp_path):
 
 def test_missing_file_exits_1(tmp_path):
     assert cli.run(tmp_path / "nope.json", out_dir=tmp_path) == cli.EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric", "--scenario", str(SCENARIOS / "metric.json"), "--bogus"],
+        ["metric"],
+        ["metric", "--scenario", str(SCENARIOS / "metric.json"), "--dump"],
+    ],
+    ids=["unknown-flag", "no-scenario", "dump-off-dp-value"],
+)
+def test_usage_error_exits_1(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_dump_outside_dp_value_exits_1(tmp_path, capsys):
+    assert cli.run(SCENARIOS / "metric.json", out_dir=tmp_path, dump=True) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("schema", [0, 2, "1"])
+def test_unknown_schema_exits_1(tmp_path, capsys, schema):
+    code = cli.run(SCENARIOS / "metric.json", [f"schema={json.dumps(schema)}"], out_dir=tmp_path / "out")
+    assert code == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "schema" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_subcommand_target_mismatch(tmp_path):
@@ -185,6 +214,24 @@ def test_dp_value_and_dump(tmp_path):
     assert cli.run(SCENARIOS / "dp_value.json", out_dir=tmp_path, dump=True) == 0
     table = json.loads((tmp_path / "dp_value_table.json").read_text())
     assert table == {"n_nodes": 9, "value": 0.5}
+
+
+def _sobolev_rows(out):
+    lines = (out / "sobolev_check.csv").read_text().splitlines()
+    return [[float(v) for v in line.split(",")[1:]] for line in lines[_header_index(lines) + 1 :]]
+
+
+def test_sobolev_check_verdict_is_the_reports(tmp_path):
+    # the CSV carries each report's own bound tol * max(|lhs|, 1), and the
+    # exit code follows those reports
+    argv = ["sobolev-check", "--scenario", str(SCENARIOS / "sobolev_check.json"), "--out"]
+    assert cli.main(argv + [str(tmp_path / "a"), "--set", "tol=1e-13"]) == cli.EXIT_OK
+    rows = _sobolev_rows(tmp_path / "a")
+    assert rows and all(bound > 1e-13 and ratio <= 1.0 for _, bound, ratio in rows)
+    for resid, bound, ratio in rows:
+        assert ratio == resid / bound
+    assert cli.main(argv + [str(tmp_path / "b"), "--set", "tol=1e-16"]) == cli.EXIT_CHECK_FAILED
+    assert max(ratio for *_, ratio in _sobolev_rows(tmp_path / "b")) > 1.0
 
 
 def test_sobolev_and_commutator_checks(tmp_path):

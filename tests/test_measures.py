@@ -11,16 +11,21 @@ from fwlab import measures as ms
 TWO_PI = 2.0 * np.pi
 
 
+def _char_fn(mu, k):
+    """The spectral coefficient at one wave vector k, as a one-row node array."""
+    return ms.char_fn_batch(mu, np.atleast_1d(np.asarray(k, dtype=float))[None])[0]
+
+
 def test_char_fn_point_mass_any_k():
     d0 = ms.dirac(0.0)
     for k in (0.0, 1.0, -3.7, 12.0):
-        assert ms.char_fn(d0, k) == pytest.approx(TWO_PI**-0.5, abs=1e-15)
+        assert _char_fn(d0, k) == pytest.approx(TWO_PI**-0.5, abs=1e-15)
 
 
 def test_char_fn_unit_mass_at_zero_frequency(rng):
     for dim in (1, 2, 3):
         mu = random_probability_measure(rng, dim=dim)
-        assert ms.char_fn(mu, np.zeros(dim)) == pytest.approx(
+        assert _char_fn(mu, np.zeros(dim)) == pytest.approx(
             TWO_PI ** (-dim / 2.0), abs=1e-14
         )
 
@@ -29,13 +34,13 @@ def test_char_fn_two_atom_cancellation():
     mu = ms.SignedAtomicMeasure(
         1, np.array([[0.0], [np.pi]]), np.array([0.5, 0.5]), probability=True
     )
-    assert abs(ms.char_fn(mu, 1.0)) < 1e-15
+    assert abs(_char_fn(mu, 1.0)) < 1e-15
 
 
 def test_char_fn_dimension_mismatch():
     mu = ms.dirac(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        ms.char_fn(mu, np.array([1.0]))
+        ms.char_fn_batch(mu, np.array([[1.0]]))
 
 
 def test_char_fn_modulus_bound(rng):
@@ -45,15 +50,15 @@ def test_char_fn_modulus_bound(rng):
             1, rng.uniform(-3, 3, (n, 1)), rng.standard_normal(n)
         )
         k = rng.uniform(-5, 5)
-        assert abs(ms.char_fn(mu, k)) <= TWO_PI**-0.5 * mu.total_variation() + 1e-14
+        assert abs(_char_fn(mu, k)) <= TWO_PI**-0.5 * mu.total_variation() + 1e-14
 
 
 def test_char_fn_conjugate_symmetry(rng):
     mu = random_probability_measure(rng, dim=2)
     for _ in range(10):
         k = rng.uniform(-4, 4, size=2)
-        assert ms.char_fn(mu, -k) == pytest.approx(
-            np.conj(ms.char_fn(mu, k)), abs=1e-14
+        assert _char_fn(mu, -k) == pytest.approx(
+            np.conj(_char_fn(mu, k)), abs=1e-14
         )
 
 
@@ -64,8 +69,8 @@ def test_char_fn_linearity(rng):
     combo = ms.linear_combination([alpha, beta], [mu, nu])
     for _ in range(10):
         k = rng.uniform(-4, 4)
-        lhs = ms.char_fn(combo, k)
-        rhs = alpha * ms.char_fn(mu, k) + beta * ms.char_fn(nu, k)
+        lhs = _char_fn(combo, k)
+        rhs = alpha * _char_fn(mu, k) + beta * _char_fn(nu, k)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -139,8 +144,6 @@ def test_probability_validation():
 def test_theta_validation():
     with pytest.raises(ValueError):
         ms.Theta(-0.1, ms.dirac(0.0), np.zeros(1))
-    with pytest.raises(ValueError):
-        ms.Theta(2.0, ms.dirac(0.0), np.zeros(1), horizon=1.0)
     signed = ms.SignedAtomicMeasure(1, [[0.0]], [1.0], probability=False)
     with pytest.raises(ValueError):
         ms.Theta(0.1, signed, np.zeros(1))

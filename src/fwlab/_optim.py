@@ -1,9 +1,9 @@
 """Projected-gradient ascent over products of simple convex sets.
 
-The caller passes one ``value_and_grad(x)`` callable that returns the
-objective and its exact gradient together; the package has no
-finite-difference gradient left.  The ascent evaluates each point it tries
-exactly once and keeps the gradient of the point it accepts.
+The caller passes one ``value_and_grad(X)`` callable that returns the
+objective and its exact gradient together for each row of a batch of points;
+the package has no finite-difference gradient left.  All starts advance in
+lockstep, and each point is evaluated exactly once.
 """
 
 from __future__ import annotations
@@ -17,45 +17,66 @@ _MAX_BACKTRACKS = 30
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto the probability simplex."""
+    """Euclidean projection onto the probability simplex along the last axis."""
     v = np.asarray(v, dtype=float)
-    n = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
+    n = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
     ind = np.arange(1, n + 1)
     cond = u - css / ind > 0
-    rho = int(ind[cond][-1])
-    theta = css[rho - 1] / rho
+    # rho is the last index where cond holds
+    rho = n - np.argmax(cond[..., ::-1], axis=-1)
+    theta = np.take_along_axis(css, (rho - 1)[..., None], axis=-1) / rho[..., None]
     return np.maximum(v - theta, 0.0)
 
 
 def projected_gradient_ascent(value_and_grad, x0: np.ndarray, project, *, max_iters: int):
-    """Maximize along projected gradient arcs.
+    """Maximize along projected gradient arcs from each row of the (S, p) starts x0.
 
-    ``value_and_grad(x)`` returns ``(value, gradient)`` and is called once
-    per point: at the projected start and at each trial point.  The step
-    grows on accepted trials and backtracks otherwise.  ``converged`` is True
-    only when the unit-step projected gradient mapping became smaller than
-    1e-8; an ascent that runs out of iterations, or stalls because no
-    backtrack along the arc ascends, reports False.
-    Returns (x, value, converged).
+    ``value_and_grad(X)`` maps a (B, p) batch to ``(values (B,), gradients
+    (B, p))`` and ``project`` maps a (B, p) batch row by row.  Each tick calls
+    ``value_and_grad`` once, on the trial points of the starts still running,
+    so every point is evaluated once.  Each start keeps its own step,
+    iteration and backtrack counts, so its path does not depend on the other
+    rows: the step grows on accepted trials and backtracks otherwise.  A
+    start converged when its unit-step projected gradient mapping fell below
+    1e-8, not when it ran out of iterations or stalled because no backtrack
+    ascends.  Returns (X (S, p), values (S,), converged), where the one bool
+    ``converged`` is True only when every start converged.
     """
-    x = project(np.asarray(x0, dtype=float))
-    fx, grad = value_and_grad(x)
-    step = _STEP0
-    for _ in range(max_iters):
-        pg = project(x + grad) - x
-        if float(np.linalg.norm(pg)) < _GRAD_TOL:
-            return x, fx, True
-        for _ in range(_MAX_BACKTRACKS):
-            cand = project(x + step * grad)
-            direction = float(grad @ (cand - x))
-            fc, gc = value_and_grad(cand)
-            if direction > 0 and fc >= fx + 1e-4 * direction:
-                x, fx, grad = cand, fc, gc
-                step *= 2.0
-                break
-            step *= _SHRINK
-        else:
-            break
-    return x, fx, False
+    X = project(np.array(x0, dtype=float))
+    F, G = (np.array(a, dtype=float) for a in value_and_grad(X))
+    S = X.shape[0]
+    step = np.full(S, _STEP0)
+    iters, tries = np.zeros((2, S), dtype=int)
+    converged = np.zeros(S, dtype=bool)
+    active = np.ones(S, dtype=bool)
+
+    def begin_iteration(rows):
+        # the loop head of one start: budget, then the convergence test
+        out = iters[rows] >= max_iters
+        rows, done = rows[~out], rows[out]
+        pg = project(X[rows] + G[rows]) - X[rows]
+        conv = np.sqrt(np.sum(pg * pg, axis=1)) < _GRAD_TOL
+        converged[rows[conv]] = True
+        active[done] = active[rows[conv]] = False
+        rows = rows[~conv]
+        iters[rows] += 1
+        tries[rows] = 0
+
+    begin_iteration(np.arange(S))
+    while active.any():
+        rows = np.flatnonzero(active)
+        x, grad = X[rows], G[rows]
+        cand = project(x + step[rows, None] * grad)
+        direction = np.sum(grad * (cand - x), axis=1)
+        fc, gc = value_and_grad(cand)
+        ok = (direction > 0) & (fc >= F[rows] + 1e-4 * direction)
+        up, down = rows[ok], rows[~ok]
+        X[up], F[up], G[up] = cand[ok], fc[ok], gc[ok]
+        step[up] *= 2.0
+        step[down] *= _SHRINK
+        tries[down] += 1
+        active[down[tries[down] >= _MAX_BACKTRACKS]] = False
+        begin_iteration(up)
+    return X, F, bool(converged.all())

@@ -156,12 +156,12 @@ def _random_grid_pair(scenario: dict, rng) -> tuple:
 def _run_sobolev_check(scenario: dict, out: Path, meta: dict) -> int:
     rng = substream(int(scenario.get("seed", 0)), 0)
     count = int(scenario.get("count", 10))
-    tol = float(scenario.get("tol", 1e-8))
+    tol = {"tol": float(scenario["tol"])} if "tol" in scenario else {}
     rows = []
     passed = True
     for case in range(count):
         f, h = _random_grid_pair(scenario, rng)
-        rep = sb.leibniz_identity_check(f, h, tol)
+        rep = sb.leibniz_identity_check(f, h, **tol)
         resid, bound = rep.stats["max_residual"], rep.stats["bound"]
         passed = passed and rep.passed
         rows.append([f"case{case}", resid, bound, resid / bound])
@@ -344,12 +344,9 @@ def _run_comparison_doubling(scenario: dict, out: Path, meta: dict) -> int:
     m_box = float(scenario.get("m_box", 2.0))
     u = ch.lq_discretized_candidate(support, lq, slack=slack, m_box=m_box)
     v = ch.lq_discretized_candidate(support, lq, slack=0.0, m_box=m_box)
+    keys = ("seed", "n_starts", "max_iters")
     cfg = ch.DoublingConfig(
-        horizon=lq.horizon,
-        m_box=m_box,
-        seed=int(scenario.get("seed", 0)),
-        n_starts=int(scenario.get("n_starts", 32)),
-        max_iters=int(scenario.get("max_iters", 300)),
+        horizon=lq.horizon, m_box=m_box, **{k: int(scenario[k]) for k in keys if k in scenario}
     )
     delta = float(scenario.get("delta", 0.01))
     rows = []

@@ -43,10 +43,11 @@ class DiscretizedFunction:
     """A bounded function of (t, weights-on-support, shift) with its gradient.
 
     ``support`` fixes the atom locations; ``eval_fn(t, w, m)`` evaluates the
-    extended candidate at the measure with those weights, translated by m,
-    and returns ``(value, d/dt, d/dw, d/dm)`` with the weight and shift
-    gradients shaped like w and m.  Calling the function returns the value
-    alone.  ``bound`` is the declared sup bound on the optimization domain.
+    extended candidate at a batch of B points, the measures with weights
+    w (B, n) translated by m (B, d) at times t (B,), and returns
+    ``(value, d/dt, d/dw, d/dm)`` shaped (B,), (B,), (B, n) and (B, d).
+    Calling the function evaluates one point and returns its value.
+    ``bound`` is the declared sup bound on the optimization domain.
     """
 
     support: np.ndarray  # (n, d)
@@ -68,7 +69,8 @@ class DiscretizedFunction:
         return self.support.shape[1]
 
     def __call__(self, t: float, w: np.ndarray, m: np.ndarray) -> float:
-        return float(self.eval_fn(t, np.asarray(w, dtype=float), np.asarray(m, dtype=float))[0])
+        w, m = (np.asarray(a, dtype=float)[None] for a in (w, m))
+        return float(self.eval_fn(np.array([t], dtype=float), w, m)[0][0])
 
 
 class FixedSupportMetric:
@@ -81,16 +83,14 @@ class FixedSupportMetric:
 
     def __init__(self, support: np.ndarray, cfg: fm.FourierConfig):
         support = np.atleast_2d(np.asarray(support, dtype=float))
-        n, d = support.shape
+        d = support.shape[1]
         if cfg.dim != d:
             raise ValueError("config dimension does not match support")
         nodes, wtilde = fm._quadrature(cfg)
         pref = (2.0 * math.pi) ** (-d)
         phases = nodes @ support.T  # (M, n)
-        gram = np.empty((n, n))
-        for a in range(n):
-            cosd = np.cos(phases - phases[:, a][:, None])
-            gram[a] = pref * (wtilde @ cosd)
+        cosd = np.cos(phases[:, None, :] - phases[:, :, None])  # (M, n, n)
+        gram = pref * np.tensordot(wtilde, cosd, axes=1)
         self.gram = 0.5 * (gram + gram.T)
 
     def rho_sq(self, w1: np.ndarray, w2: np.ndarray) -> float:
@@ -131,15 +131,15 @@ class DoublingReport:
     converged: bool
 
 
-def _unpack(z: np.ndarray, n: int, d: int) -> tuple:
-    """(t1, w1, m1, t2, w2, m2) as views into the packed point z."""
+def _unpack(Z: np.ndarray, n: int, d: int) -> tuple:
+    """(t1, w1, m1, t2, w2, m2) as views into packed points along the last axis."""
     return (
-        z[0],
-        z[1 : 1 + n],
-        z[1 + n : 1 + n + d],
-        z[1 + n + d],
-        z[2 + n + d : 2 + 2 * n + d],
-        z[2 + 2 * n + d :],
+        Z[..., 0],
+        Z[..., 1 : 1 + n],
+        Z[..., 1 + n : 1 + n + d],
+        Z[..., 1 + n + d],
+        Z[..., 2 + n + d : 2 + 2 * n + d],
+        Z[..., 2 + 2 * n + d :],
     )
 
 
@@ -148,8 +148,9 @@ def doubled_objective(
 ) -> Callable:
     """Value and exact gradient of the doubled penalized objective.
 
-    The returned ``value_and_grad(z)`` takes the packed point
-    z = (t1, w1, m1, t2, w2, m2) and evaluates each copy once.
+    The returned ``value_and_grad(Z)`` takes a (B, p) batch of packed points
+    z = (t1, w1, m1, t2, w2, m2), evaluates each copy once on the whole
+    batch and returns the (B,) values and (B, p) gradients of
     H = u(t1, w1, m1) - v(t2, w2, m2) - d_F^2 / (2 eps)
     - delta (vartheta(w1, m1) + vartheta(w2, m2)), where
     d_F^2 = (t1 - t2)^2 + |m1 - m2|^2 + (w1 - w2)^T Gram (w1 - w2) and
@@ -158,29 +159,30 @@ def doubled_objective(
     n, d = u.n_atoms, u.dim
     sq_norms = np.sum(u.support * u.support, axis=1)
 
-    def value_and_grad(z):
-        t1, w1, m1, t2, w2, m2 = _unpack(z, n, d)
+    def value_and_grad(Z):
+        t1, w1, m1, t2, w2, m2 = _unpack(Z, n, d)
         u_val, u_t, u_w, u_m = u.eval_fn(t1, w1, m1)
         v_val, v_t, v_w, v_m = v.eval_fn(t2, w2, m2)
         dt, dw, dm = t1 - t2, w1 - w2, m1 - m2
-        gram_dw = gram @ dw
-        d_F_sq = dt * dt + float(dm @ dm) + max(float(dw @ gram_dw), 0.0)
+        gram_dw = dw @ gram  # the Gram matrix is symmetric
+        d_F_sq = dt * dt + np.sum(dm * dm, axis=1) + np.maximum(np.sum(dw * gram_dw, axis=1), 0.0)
         val = u_val - v_val - d_F_sq / (2.0 * eps)
         val -= delta * (
-            (1.0 + float(m1 @ m1) + float(w1 @ sq_norms))
-            + (1.0 + float(m2 @ m2) + float(w2 @ sq_norms))
+            (1.0 + np.sum(m1 * m1, axis=1) + w1 @ sq_norms)
+            + (1.0 + np.sum(m2 * m2, axis=1) + w2 @ sq_norms)
         )
         grad = np.concatenate(
             [
-                [u_t - dt / eps],
+                (u_t - dt / eps)[:, None],
                 u_w - gram_dw / eps - delta * sq_norms,
                 u_m - dm / eps - 2.0 * delta * m1,
-                [dt / eps - v_t],
+                (dt / eps - v_t)[:, None],
                 gram_dw / eps - v_w - delta * sq_norms,
                 dm / eps - v_m - 2.0 * delta * m2,
-            ]
+            ],
+            axis=1,
         )
-        return float(val), grad
+        return val, grad
 
     return value_and_grad
 
@@ -196,10 +198,13 @@ def doubling_maximize(
 
     H(theta, iota) = u(theta) - v(iota) - (1/2 eps) d_F^2 - delta (moment
     penalties), maximized over both copies of [0, T] x simplex^n x box by
-    multistart projected gradient ascent and an SLSQP polish, both on the
-    exact gradient of ``doubled_objective``.  The first min(16, n_starts)
-    starts are diagonal probes, so the report value dominates the diagonal
-    probe set by construction.
+    one batched projected gradient ascent over all ``n_starts`` starts and an
+    SLSQP polish of the best ``n_polish`` results, one point at a time, both
+    on the exact gradient of ``doubled_objective``.  The first
+    min(16, n_starts) starts are diagonal probes, so the report value
+    dominates the diagonal probe set by construction.  ``converged`` is the
+    SLSQP status of the reported point; where the polish was rejected it is
+    the ascent's flag, True only if every start converged.
     """
     if eps <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
@@ -213,8 +218,8 @@ def doubling_maximize(
     T = cfg.horizon
 
     def negated(z):
-        val, grad = value_and_grad(z)
-        return -val, -grad
+        val, grad = value_and_grad(z[None])
+        return -val[0], -grad[0]
 
     # the box of one copy is [0, T] x [0, 1]^n x [-m_box, m_box]^d; the
     # weights are projected onto the simplex instead of clipped
@@ -222,10 +227,10 @@ def doubling_maximize(
     lo, hi = np.array(bounds).T
     weights = (slice(1, 1 + n), slice(2 + n + d, 2 + 2 * n + d))
 
-    def project(z):
-        out = np.clip(z, lo, hi)
+    def project(Z):
+        out = np.clip(Z, lo, hi)
         for s in weights:
-            out[s] = project_simplex(z[s])
+            out[..., s] = project_simplex(Z[..., s])
         return out
 
     rng = substream(cfg.seed, 0)
@@ -242,14 +247,9 @@ def doubling_maximize(
     n_diagonal = min(_N_DIAGONAL_PROBES, cfg.n_starts)
     starts = [np.tile(draw(), 2) for _ in range(n_diagonal)]
     starts += [np.concatenate([draw(), draw()]) for _ in range(cfg.n_starts - n_diagonal)]
-
-    results = []
-    for idx, x0 in enumerate(starts):
-        x, fx, conv = projected_gradient_ascent(
-            value_and_grad, x0, project, max_iters=cfg.max_iters
-        )
-        results.append((fx, idx, x, conv))
-    results.sort(key=lambda r: (-r[0], r[1]))
+    X, F, ascent_converged = projected_gradient_ascent(
+        value_and_grad, np.array(starts), project, max_iters=cfg.max_iters
+    )
 
     # the coupling makes the landscape stiff across scales; a constrained local
     # solve from the leading ascent results pins the maximizer down, with
@@ -259,7 +259,8 @@ def doubling_maximize(
         sums[row, s] = 1.0
     constraints = {"type": "eq", "fun": lambda z: sums @ z - 1.0, "jac": lambda z: sums}
     best = None
-    for fx, _, x, conv in results[: max(cfg.n_polish, 1)]:
+    for idx in np.argsort(-F, kind="stable")[: max(cfg.n_polish, 1)]:
+        fx, x = float(F[idx]), X[idx]
         res = optimize.minimize(
             negated,
             x,
@@ -269,12 +270,14 @@ def doubling_maximize(
             constraints=constraints,
             options={"maxiter": 300, "ftol": 1e-14},
         )
-        cand = project(res.x) if res.success else x
-        fc = value_and_grad(cand)[0]
-        if fc < fx:
-            cand, fc = x, fx
-        if best is None or fc > best[0]:
-            best = (fc, cand, conv or res.success)
+        found = (fx, x, ascent_converged)
+        if res.success:
+            cand = project(res.x)
+            fc = float(value_and_grad(cand[None])[0][0])
+            if fc >= fx:
+                found = (fc, cand, True)
+        if best is None or found[0] > best[0]:
+            best = found
     val, z, conv = best
     t1, w1, m1, t2, w2, m2 = _unpack(z, n, d)
     dsq = metric.d_F_sq(t1, w1, m1, t2, w2, m2)
@@ -338,36 +341,31 @@ def ordering_check(
 ) -> CheckReport:
     """Terminal ordering on probes implies ordering everywhere on the probes.
 
-    ``probes`` is an iterable of (t, weights, m).  The terminal slice is
-    checked first (precondition); a violation anywhere is returned with its
-    witness.
+    ``probes`` is a non-empty iterable of (t, weights, m), evaluated as one
+    batch.  The terminal slice is checked first (precondition); a violation
+    anywhere is returned with its witness, the first probe attaining it.
     """
-    probes = [(float(t), np.asarray(w, float), np.asarray(m, float)) for t, w, m in probes]
-    terminal_bad = [
-        (t, w, m)
-        for t, w, m in probes
-        if u_sub(horizon, w, m) > v_super(horizon, w, m) + _ORDERING_TOL
-    ]
-    if terminal_bad:
-        t, w, m = terminal_bad[0]
+    probes = list(probes)
+    if not probes:
+        raise ValueError("ordering_check needs at least one probe")
+    t, w, m = (np.array([p[k] for p in probes], dtype=float) for k in range(3))
+    end = np.full(t.shape, float(horizon))
+    u_end, v_end = u_sub.eval_fn(end, w, m)[0], v_super.eval_fn(end, w, m)[0]
+    bad = np.flatnonzero(u_end > v_end + _ORDERING_TOL)
+    if bad.size:
         return CheckReport(
             "ordering",
             False,
             stats={"stage": "terminal-precondition"},
-            failures=[{"t": horizon, "w": w.tolist(), "m": m.tolist()}],
+            failures=[{"t": horizon, "w": w[bad[0]].tolist(), "m": m[bad[0]].tolist()}],
         )
-    margin = math.inf
-    witness = None
-    for t, w, m in probes:
-        gap = v_super(t, w, m) - u_sub(t, w, m)
-        if gap < margin:
-            margin = gap
-            witness = (t, w, m)
+    gaps = v_super.eval_fn(t, w, m)[0] - u_sub.eval_fn(t, w, m)[0]
+    i = int(np.argmin(gaps))
+    margin = float(gaps[i])
     passed = margin >= -_ORDERING_TOL
     failures = []
-    if not passed and witness is not None:
-        t, w, m = witness
-        failures.append({"t": t, "w": w.tolist(), "m": m.tolist(), "gap": margin})
+    if not passed:
+        failures.append({"t": float(t[i]), "w": w[i].tolist(), "m": m[i].tolist(), "gap": margin})
     return CheckReport(
         "ordering",
         bool(passed),
@@ -390,7 +388,8 @@ def lq_discretized_candidate(
     by m, rescaled so its oscillation over the harness domain is about
     ``osc`` (the doubling machinery presumes bounded candidates, and the raw
     value's quadratic growth would otherwise dominate every penalty), plus a
-    constant slack and an optional extra term ``shift_fn(t)`` of time alone.
+    constant slack and an optional extra term ``shift_fn(t)`` of time alone,
+    which maps an array of times to an array of values.
     The gradient is exact by the chain rule through mean = w.x + m and
     var = w.x^2 - (w.x)^2, except for the t-derivative of ``shift_fn``, a
     central difference at step 1e-6.
@@ -411,17 +410,17 @@ def lq_discretized_candidate(
     scale = osc / raw_bound
 
     def eval_fn(t, w, m):
-        wx = float(w @ x)
-        mean = wx + float(np.atleast_1d(m)[0])
-        var = float(w @ x2) - wx**2
+        wx = w @ x
+        mean = wx + m[:, 0]
+        var = w @ x2 - wx**2
         value, v_t, v_mean, _ = lq_value(t, mean, var, lq)
         val = scale * value + slack
         d_t = scale * v_t
         if shift_fn is not None:
             val += shift_fn(t)
             d_t += (shift_fn(t + _FD_STEP) - shift_fn(t - _FD_STEP)) / (2.0 * _FD_STEP)
-        d_w = scale * (v_mean * x + x2 - 2.0 * wx * x)
-        return val, d_t, d_w, np.array([scale * v_mean])
+        d_w = scale * (v_mean[:, None] * x + x2 - 2.0 * wx[:, None] * x)
+        return val, d_t, d_w, scale * v_mean[:, None]
 
     return DiscretizedFunction(support, eval_fn, 1.0 + abs(slack) + scale * raw_bound)
 

@@ -539,10 +539,10 @@ def G_regret(
 ) -> float:
     """Supremum of K_regret over directions and the mixed-action simplex.
 
-    Per direction the vertex actions are probed in one batch, then projected
-    gradient ascent on the exact gradient runs from the uniform action and
-    ``cfg.multistarts`` Dirichlet draws; the result dominates every vertex by
-    construction and is deterministic given the seed.
+    Per direction the vertex actions are probed in one batch, then one
+    projected gradient ascent on the exact gradient runs from the uniform
+    action and ``cfg.multistarts`` Dirichlet draws as one batch; the result
+    dominates every vertex by construction and is deterministic given the seed.
     """
     qbar, M = _regret_data(mu, q, M)
     n_w = 2**mu.dim
@@ -550,18 +550,15 @@ def G_regret(
     rng = np.random.default_rng(cfg.seed)
     for i in range(1, mu.dim + 1):
         best = max(best, float(np.max(_pairing(i, np.eye(n_w), qbar, M)[0])))
-
-        def value_and_grad(w, i=i):
-            val, grad = _pairing(i, w[None], qbar, M)
-            return float(val[0]), grad[0]
-
         starts = [np.full(n_w, 1.0 / n_w)]
         starts += [rng.dirichlet(np.ones(n_w)) for _ in range(cfg.multistarts)]
-        for x0 in starts:
-            _, val, _ = _optim.projected_gradient_ascent(
-                value_and_grad, x0, _optim.project_simplex, max_iters=_ASCENT_ITERS
-            )
-            best = max(best, val)
+        _, values, _ = _optim.projected_gradient_ascent(
+            lambda W, i=i: _pairing(i, W, qbar, M),
+            np.array(starts),
+            _optim.project_simplex,
+            max_iters=_ASCENT_ITERS,
+        )
+        best = max(best, float(np.max(values)))
     return best
 
 

@@ -246,7 +246,7 @@ def multiplication_ratio(
     return sobolev_norm(prod, s) / denom
 
 
-def leibniz_identity_check(f: GridFunction, h: GridFunction, tol: float = 1e-8) -> CheckReport:
+def leibniz_identity_check(f: GridFunction, h: GridFunction, tol: float = 1e-11) -> CheckReport:
     """Pointwise check of (I - Lap)(f h) = f (I - Lap) h - 2 grad f . grad h - Lap f h.
 
     Passes when the largest residual is at most ``bound`` = tol * max(|lhs|, 1).

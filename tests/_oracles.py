@@ -6,7 +6,8 @@ line with adaptive quadrature, the game oracle solves one sequence-form
 linear program over the whole tree instead of stagewise matrix games, the
 mean-problem oracle is a dense backward dynamic program, the forecaster
 oracles rescan the game history instead of keeping running scores, and the
-particle-filter oracle steps one run at a time with scalar controls.
+particle-filter oracle steps one run at a time with scalar controls, and
+the ascent oracle runs one start at a time on scalar points.
 """
 
 from __future__ import annotations
@@ -415,3 +416,38 @@ def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         e[j] = h
         g[j] = (f(x + e) - f(x - e)) / (2 * h)
     return g
+
+
+# ---------------------------------------------------------------------------
+# projected-gradient ascent, one start at a time
+# ---------------------------------------------------------------------------
+
+
+def scalar_projected_gradient_ascent(value_and_grad, x0, project, *, max_iters: int) -> tuple:
+    """The per-start rule the batched ascent follows, on 1-d points.
+
+    ``value_and_grad(x)`` returns ``(value, gradient)`` for one point.  Step
+    0.25, doubled on an accepted trial (Armijo constant 1e-4 along the
+    projected arc) and halved on a rejected one, at most 30 backtracks per
+    iteration, converged when the unit-step projected gradient mapping is
+    below 1e-8.  Returns (x, value, converged).
+    """
+    x = project(np.asarray(x0, dtype=float))
+    fx, grad = value_and_grad(x)
+    step = 0.25
+    for _ in range(max_iters):
+        pg = project(x + grad) - x
+        if float(np.linalg.norm(pg)) < 1e-8:
+            return x, fx, True
+        for _ in range(30):
+            cand = project(x + step * grad)
+            direction = float(grad @ (cand - x))
+            fc, gc = value_and_grad(cand)
+            if direction > 0 and fc >= fx + 1e-4 * direction:
+                x, fx, grad = cand, fc, gc
+                step *= 2.0
+                break
+            step *= 0.5
+        else:
+            break
+    return x, fx, False

@@ -62,7 +62,7 @@ def test_lq_candidate_gradient_matches_central_differences(seed, kind, shifted):
     u, _, scale = _random_lq_pair(rng, shifted)
     n = u.n_atoms
     z = _random_point(rng, n, 1.5, kind)
-    val, d_t, d_w, d_m = u.eval_fn(z[0], z[1 : 1 + n], z[1 + n :])
+    val, d_t, d_w, d_m = (a[0] for a in u.eval_fn(z[:1], z[None, 1 : 1 + n], z[None, 1 + n :]))
     assert val == u(z[0], z[1 : 1 + n], z[1 + n :])
     fd = _central_differences(lambda y: u(y[0], y[1 : 1 + n], y[1 + n :]), z, 1e-6)
     assert np.max(np.abs(np.concatenate([[d_t], d_w, d_m]) - fd)) <= 1e-7 * scale
@@ -82,11 +82,11 @@ def test_doubled_objective_gradient_matches_central_differences(seed, kinds, shi
     gram = ch.FixedSupportMetric(u.support, fm.default_config(1)).gram
     value_and_grad = ch.doubled_objective(u, v, gram, eps, delta)
     z = np.concatenate([_random_point(rng, u.n_atoms, 1.5, kind) for kind in kinds])
-    _, grad = value_and_grad(z)
+    _, grad = value_and_grad(z[None])
     # the coupling and moment terms are quadratic, so a wider step costs them
     # nothing and keeps the rounding in the 1/eps penalty small
-    fd = _central_differences(lambda y: value_and_grad(y)[0], z, 1e-5)
-    assert np.max(np.abs(grad - fd)) <= 1e-7 * scale * (1.0 + 1.0 / eps)
+    fd = _central_differences(lambda y: value_and_grad(y[None])[0][0], z, 1e-5)
+    assert np.max(np.abs(grad[0] - fd)) <= 1e-7 * scale * (1.0 + 1.0 / eps)
 
 
 def test_equal_candidates_diagonal_maximum():
@@ -102,19 +102,21 @@ def test_equal_candidates_diagonal_maximum():
 
 @pytest.mark.parametrize("n_starts", [4, 18])
 def test_doubling_runs_n_starts_ascents(monkeypatch, n_starts):
-    # the first min(16, n_starts) starts are diagonal: both copies
-    # (t, 3 weights, 1 shift) coincide
-    diagonal = []
+    # one ascent call whose rows are the n_starts starts; the first
+    # min(16, n_starts) are diagonal: both copies (t, 3 weights, 1 shift) coincide
+    calls = []
     ascent = ch.projected_gradient_ascent
 
     def counted(objective, x0, *args, **kwargs):
-        diagonal.append(np.array_equal(x0[:5], x0[5:]))
+        calls.append([np.array_equal(x[:5], x[5:]) for x in x0])
         return ascent(objective, x0, *args, **kwargs)
 
     monkeypatch.setattr(ch, "projected_gradient_ascent", counted)
     u, v = _pair()
     cfg = ch.DoublingConfig(horizon=1.0, m_box=1.5, n_starts=n_starts, max_iters=2, n_polish=1)
     ch.doubling_maximize(u, v, 0.1, 0.02, cfg)
+    assert len(calls) == 1
+    diagonal = calls[0]
     assert len(diagonal) == n_starts
     assert diagonal == [True] * min(16, n_starts) + [False] * max(n_starts - 16, 0)
 
@@ -122,8 +124,15 @@ def test_doubling_runs_n_starts_ascents(monkeypatch, n_starts):
 def test_constant_difference_value():
     support = SUPPORT
     c = 1.7
-    u = ch.DiscretizedFunction(support, lambda t, w, m: (c, 0.0, np.zeros(3), np.zeros(1)), c)
-    v = ch.DiscretizedFunction(support, lambda t, w, m: (0.0, 0.0, np.zeros(3), np.zeros(1)), 0.0)
+
+    def constant(value):
+        def eval_fn(t, w, m):
+            return np.full(t.shape, value), np.zeros(t.shape), np.zeros_like(w), np.zeros_like(m)
+
+        return eval_fn
+
+    u = ch.DiscretizedFunction(support, constant(c), c)
+    v = ch.DiscretizedFunction(support, constant(0.0), 0.0)
     rep = ch.doubling_maximize(u, v, 0.1, 0.02, CFG)
     assert rep.value == pytest.approx(c - 2 * 0.02 * 1.0, abs=1e-6)
     assert rep.penalty <= 1e-8
@@ -213,7 +222,7 @@ def test_penalty_decay_with_usc_jump():
         slack=0.25,
         m_box=CFG.m_box,
         osc=0.25,
-        shift_fn=lambda t: 0.05 if t <= 0.5 else 0.0,
+        shift_fn=lambda t: np.where(t <= 0.5, 0.05, 0.0),
     )
     v = ch.lq_discretized_candidate(SUPPORT, LQ, slack=0.0, m_box=CFG.m_box, osc=0.25)
     rep = ch.penalty_decay_check(u, v, 0.02, [0.5, 0.1, 0.02], CFG)
@@ -273,6 +282,35 @@ def test_ordering_check_reports_witness(rng):
     rep = ch.ordering_check(above, base, _probes(rng), horizon=1.0)
     assert not rep.passed
     assert rep.failures
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.floats(-0.2, 0.2), n_probes=st.integers(1, 30))
+def test_ordering_check_matches_each_probe(seed, c, n_probes):
+    # the batched check against scalar calls of the candidates, probe by probe
+    rng = np.random.default_rng(seed)
+    base = ch.lq_discretized_candidate(SUPPORT, LQ, slack=0.0, m_box=1.5, osc=1.0)
+    other = ch.lq_discretized_candidate(
+        SUPPORT, LQ, slack=0.0, m_box=1.5, osc=1.0, shift_fn=lambda t: c * np.sin(5.0 * t)
+    )
+    probes = _probes(rng, n_probes)
+    rep = ch.ordering_check(base, other, probes, horizon=1.0)
+    terminal = [base(1.0, w, m) - other(1.0, w, m) for _, w, m in probes]
+    if max(terminal) > 1e-9:
+        assert not rep.passed and rep.stats["stage"] == "terminal-precondition"
+        return
+    gaps = [other(t, w, m) - base(t, w, m) for t, w, m in probes]
+    assert rep.stats["min_margin"] == pytest.approx(min(gaps), rel=0.0, abs=1e-12)
+    assert rep.passed == (min(gaps) >= -1e-9)
+    if not rep.passed:
+        t, w, m = probes[int(np.argmin(gaps))]
+        assert rep.failures[0]["t"] == t and rep.failures[0]["w"] == w.tolist()
+
+
+def test_ordering_check_needs_a_probe():
+    base = ch.lq_discretized_candidate(SUPPORT, LQ, osc=1.0)
+    with pytest.raises(ValueError):
+        ch.ordering_check(base, base, [], horizon=1.0)
 
 
 def test_ishii_matrix_examples():

@@ -535,19 +535,19 @@ def test_G_regret_trivial_and_dominates_vertices(rng):
 
 
 def test_G_regret_evaluates_each_point_once(monkeypatch, rng):
-    # one _pairing call per direction for the vertex batch, then exactly one
-    # per point the ascent tries: value and gradient come from the same call
+    # one vertex batch per direction, then exactly one evaluated row per point
+    # the ascent tries: value and gradient come from the same _pairing call
     counts = {"pairing": 0, "ascent": 0}
     pairing, ascent = ham._pairing, ham._optim.projected_gradient_ascent
 
-    def counted_pairing(*args):
-        counts["pairing"] += 1
-        return pairing(*args)
+    def counted_pairing(i, W, *args):
+        counts["pairing"] += len(W)
+        return pairing(i, W, *args)
 
     def counted_ascent(value_and_grad, *args, **kwargs):
-        def counted(w):
-            counts["ascent"] += 1
-            return value_and_grad(w)
+        def counted(W):
+            counts["ascent"] += len(W)
+            return value_and_grad(W)
 
         return ascent(counted, *args, **kwargs)
 
@@ -558,7 +558,7 @@ def test_G_regret_evaluates_each_point_once(monkeypatch, rng):
     M = np.array([[0.7, -0.2], [-0.2, -0.5]])
     ham.G_regret(mu, q, M, ham.RegretSolverConfig(seed=3, multistarts=4))
     assert counts["ascent"] > 2 * 5  # 2 directions x 5 starts, and the ascents move
-    assert counts["pairing"] == 2 + counts["ascent"]
+    assert counts["pairing"] == 2 * 4 + counts["ascent"]  # 4 vertices per direction
 
 
 def test_G_regret_matches_dense_grid_oracle():

@@ -5,45 +5,55 @@ from hypothesis import strategies as st
 
 from fwlab._optim import project_simplex, projected_gradient_ascent
 
-
-def _concave(x):
-    return -float((x - 0.3) @ (x - 0.3)), -2.0 * (x - 0.3)
+from _oracles import scalar_projected_gradient_ascent
 
 
-def _downhill(x):
+def _concave(X):
+    return -np.sum((X - 0.3) * (X - 0.3), axis=1), -2.0 * (X - 0.3)
+
+
+def _downhill(X):
     # the concave value with the gradient pointing the wrong way
-    value, grad = _concave(x)
+    value, grad = _concave(X)
     return value, -grad
 
 
-def _identity(x):
-    return np.asarray(x, dtype=float)
+def _identity(X):
+    return np.asarray(X, dtype=float)
+
+
+START = np.array([[2.0, -1.0]])
+STARTS = np.array([[2.0, -1.0], [-0.5, 0.7], [0.3, 4.0]])
 
 
 def test_ascent_converges_on_a_concave_quadratic():
-    x, fx, converged = projected_gradient_ascent(
-        _concave, np.array([2.0, -1.0]), _identity, max_iters=300
-    )
+    X, F, converged = projected_gradient_ascent(_concave, START, _identity, max_iters=300)
     assert converged
-    assert np.allclose(x, 0.3, atol=1e-8)
-    assert fx >= -1e-16
+    assert np.allclose(X, 0.3, atol=1e-8)
+    assert F[0] >= -1e-16
 
 
 def test_ascent_with_a_downhill_gradient_reports_no_convergence():
     # every backtrack along the wrong direction lowers the objective, so the
     # ascent stalls at its start
-    x0 = np.array([2.0, -1.0])
-    x, fx, converged = projected_gradient_ascent(_downhill, x0, _identity, max_iters=300)
+    X, F, converged = projected_gradient_ascent(_downhill, START, _identity, max_iters=300)
     assert not converged
-    assert np.array_equal(x, x0)
-    assert fx == _concave(x0)[0]
+    assert np.array_equal(X, START)
+    assert F[0] == _concave(START)[0][0]
 
 
 def test_ascent_out_of_iterations_reports_no_convergence():
-    _, _, converged = projected_gradient_ascent(
-        _concave, np.array([2.0, -1.0]), _identity, max_iters=1
-    )
+    _, _, converged = projected_gradient_ascent(_concave, START, _identity, max_iters=1)
     assert not converged
+
+
+def test_ascent_converged_only_when_every_start_converged():
+    # a start on the maximizer converges at once; the other runs out of iterations
+    starts = np.array([[0.3, 0.3], [2.0, -1.0]])
+    _, _, converged = projected_gradient_ascent(_concave, starts, _identity, max_iters=1)
+    assert not converged
+    _, _, converged = projected_gradient_ascent(_concave, starts[:1], _identity, max_iters=1)
+    assert converged
 
 
 @pytest.mark.parametrize("value_and_grad", [_concave, _downhill])
@@ -51,20 +61,98 @@ def test_ascent_out_of_iterations_reports_no_convergence():
 def test_ascent_evaluates_each_point_once(value_and_grad, max_iters):
     seen = []
 
-    def counted(x):
-        seen.append(x.tobytes())
-        return value_and_grad(x)
+    def counted(X):
+        seen.extend(row.tobytes() for row in X)
+        return value_and_grad(X)
 
-    x, fx, _ = projected_gradient_ascent(
-        counted, np.array([2.0, -1.0]), _identity, max_iters=max_iters
-    )
+    X, F, _ = projected_gradient_ascent(counted, STARTS, _identity, max_iters=max_iters)
     # every trial point differs from the accepted one, so a repeat would be a
     # re-evaluation of an accepted point
-    assert len(seen) > 1
+    assert len(seen) > len(STARTS)
     assert len(seen) == len(set(seen))
-    # the returned point is one that was evaluated, with its value
-    assert x.tobytes() in seen
-    assert fx == value_and_grad(x)[0]
+    # each returned row is a point that was evaluated, with its value
+    for x, fx in zip(X, F):
+        assert x.tobytes() in seen
+        assert fx == value_and_grad(x[None])[0][0]
+
+
+def _box_simplex_problem(seed, k, n, indefinite):
+    """A random quadratic -x^T A x / 2 + b^T x over [-1, 1]^k x simplex^n, whose
+    batched value and gradient treat each row alone."""
+    rng = np.random.default_rng(seed)
+    p = k + n
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    eig = rng.uniform(0.1, 5.0, p)
+    if indefinite:
+        eig[: max(1, p // 2)] *= -1.0
+    A = (Q * eig) @ Q.T
+    A = 0.5 * (A + A.T)
+    b = rng.standard_normal(p)
+
+    def value_and_grad(X):
+        AX = np.sum(A * X[:, None, :], axis=2)
+        return np.sum(X * (b - 0.5 * AX), axis=1), b - AX
+
+    def project(X):
+        out = np.array(X, dtype=float)
+        out[..., :k] = np.clip(out[..., :k], -1.0, 1.0)
+        out[..., k:] = project_simplex(out[..., k:])
+        return out
+
+    starts = np.concatenate(
+        [rng.uniform(-2.0, 2.0, (6, k)), rng.normal(0.3, 1.0, (6, n))], axis=1
+    )
+    return value_and_grad, project, starts
+
+
+PROBLEMS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 3),
+    n=st.integers(1, 4),
+    indefinite=st.booleans(),
+    max_iters=st.integers(0, 60),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**PROBLEMS)
+def test_each_row_of_a_batch_runs_as_if_alone(seed, k, n, indefinite, max_iters):
+    value_and_grad, project, starts = _box_simplex_problem(seed, k, n, indefinite)
+    X, F, converged = projected_gradient_ascent(
+        value_and_grad, starts, project, max_iters=max_iters
+    )
+    alone_converged = []
+    for row, x0 in enumerate(starts):
+        x, fx, conv = projected_gradient_ascent(
+            value_and_grad, x0[None], project, max_iters=max_iters
+        )
+        assert x.tobytes() == X[row : row + 1].tobytes()
+        assert fx.tobytes() == F[row : row + 1].tobytes()
+        alone_converged.append(conv)
+    assert converged == all(alone_converged)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**PROBLEMS)
+def test_batched_ascent_matches_the_per_start_oracle(seed, k, n, indefinite, max_iters):
+    value_and_grad, project, starts = _box_simplex_problem(seed, k, n, indefinite)
+    X, F, converged = projected_gradient_ascent(
+        value_and_grad, starts, project, max_iters=max_iters
+    )
+
+    def one_point(x):
+        value, grad = value_and_grad(x[None])
+        return value[0], grad[0]
+
+    oracle_converged = []
+    for row, x0 in enumerate(starts):
+        x, fx, conv = scalar_projected_gradient_ascent(
+            one_point, x0, project, max_iters=max_iters
+        )
+        assert np.max(np.abs(X[row] - x)) <= 1e-12
+        assert abs(F[row] - fx) <= 1e-12
+        oracle_converged.append(conv)
+    assert converged == all(oracle_converged)
 
 
 @settings(max_examples=200, deadline=None)
@@ -79,3 +167,9 @@ def test_project_simplex_is_the_nearest_feasible_point(seed, n, spread):
     # variational inequality of the projection onto a convex set
     for q in rng.dirichlet(np.ones(n), size=20):
         assert float((v - p) @ (q - p)) <= 1e-12
+    # on a 2-d input each row is projected alone
+    V = spread * rng.standard_normal((5, n))
+    V[0] = v
+    P = project_simplex(V)
+    for row, vec in zip(P, V):
+        assert np.array_equal(row, project_simplex(vec))

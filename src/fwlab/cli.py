@@ -208,7 +208,6 @@ def _run_dissipation_check(scenario: dict, out: Path, meta: dict) -> int:
 
 def _run_hamiltonian(scenario: dict, out: Path, meta: dict) -> int:
     kind = scenario.get("kind", "filtering")
-    seed = int(scenario.get("seed", 0))
     rows = []
     status = EXIT_OK
     if kind == "filtering":
@@ -238,13 +237,13 @@ def _run_hamiltonian(scenario: dict, out: Path, meta: dict) -> int:
             M = np.asarray(case["M"], dtype=float)
             qc = np.asarray(case.get("q_const", np.zeros_like(M)), dtype=float)
             q = lambda X, qc=qc: np.broadcast_to(qc, (np.atleast_2d(X).shape[0],) + qc.shape)
-            val = ham.G_regret(mu, q, M, ham.RegretSolverConfig(seed=seed))
+            val = ham.G_regret(mu, q, M)
             rows.append([case.get("name", "case"), "G_regret", val])
     elif kind == "regret-check":
         K = int(scenario.get("K", 2))
         n_samples = int(scenario.get("samples", 25))
         scale = float(scenario.get("constant_scale", 1.0))
-        rng = substream(seed, 1)
+        rng = substream(int(scenario.get("seed", 0)), 1)
         cfgs = {K: fm.default_config(K)}
         samples = ham.regret_samples(K, n_samples, rng)
         report = ham.check_assumptions_regret(samples, cfgs)

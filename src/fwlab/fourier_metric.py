@@ -218,24 +218,6 @@ class KappaKernel:
     eta_hat: np.ndarray  # F_k(mu - nu) per quadrature node
     rho: float  # rho_F(mu, nu) under the same quadrature
 
-    def gradient_sup_bound(self) -> float:
-        """Uniform bound C * rho_F / eps on |grad kappa| with the |k|^2 moment."""
-        return moment_constant(self.config, 2) * self.rho / self.epsilon
-
-    def hessian_sup_bound(self) -> float:
-        """Uniform bound C * rho_F / eps on the Hessian Frobenius norm."""
-        return moment_constant(self.config, 4) * self.rho / self.epsilon
-
-    def hessian_pairing_spectral(self) -> np.ndarray:
-        """-(1/eps) int |F_k(mu-nu)|^2 k k^T weight dk, computed spectrally.
-
-        Equals the integral of the Hessian of kappa against mu - nu; negative
-        semidefinite by construction.
-        """
-        nodes, wtilde = _quadrature(self.config)
-        mag = wtilde * (self.eta_hat.real**2 + self.eta_hat.imag**2)
-        return -np.einsum("j,jp,jq->pq", mag, nodes, nodes) / self.epsilon
-
 
 def make_kappa(
     mu: SignedAtomicMeasure,

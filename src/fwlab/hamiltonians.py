@@ -4,9 +4,9 @@ Filtering side: the per-control generator pairing K, its infimum G over a
 control grid, and the extension G^e that evaluates G at a translated measure
 with translated derivative arguments.  Prediction side: subset-weight
 bookkeeping on mixed adversary actions, the per-direction quadratic form K in
-closed form over arrays of actions with its exact gradient, and its supremum
-over action index and mixed action, found by projected ascent on that
-gradient.  K_filtering takes an array of controls and K_regret an array of
+closed form over arrays of actions, and its exact supremum over action index
+and mixed action, found among the KKT points of the faces of the action
+simplex.  K_filtering takes an array of controls and K_regret an array of
 actions.
 
 The continuity conditions the comparison argument needs are *fitted* here:
@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from . import fourier_metric as fm
-from . import _optim
 from .measures import SignedAtomicMeasure, Theta, pushforward_shift
 from .reports import CheckReport
 
@@ -466,8 +465,8 @@ def _regret_data(mu: SignedAtomicMeasure, q, M) -> tuple:
     return qbar, M
 
 
-def _pairing(i: int, W: np.ndarray, qbar: np.ndarray, M: np.ndarray) -> tuple:
-    """Direction-i pairing of each row of the (B, 2^K) weights W, and its gradient.
+def _pairing(i: int, W: np.ndarray, qbar: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Direction-i pairing of each row of the (B, 2^K) weights W.
 
     With c_j = e_{j^C} for subsets j containing i and c_j = e_j otherwise,
     S = M - qbar, l_j = c_j^T qbar c_j, h = sum_{j ∋ i} a_j,
@@ -475,30 +474,18 @@ def _pairing(i: int, W: np.ndarray, qbar: np.ndarray, M: np.ndarray) -> tuple:
 
         K = (a.l + u^T S u / h + u'^T S u' / (1 - h)) / 2,
 
-    a term with a zero denominator being 0.  The gradient is that of the form
-    homogeneous on each side, dividing by the side's own weight, which on the
-    simplex differs from the derivative of K only along (1, ..., 1), a
-    direction the simplex projection ignores; on a side of zero weight it is
-    the one-sided derivative (l_j + c_j^T S c_j) / 2.  Returns the (B,) values
-    and the (B, 2^K) gradients.
+    a term with a zero denominator being 0.  Returns the (B,) values.
     """
     member, C = _direction(qbar.shape[0], i)
     S = M - qbar
     ell = np.einsum("jp,pq,jq->j", C, qbar, C)
     values = W @ ell
-    grads = np.tile(ell, (W.shape[0], 1))
     h = np.sum(W[:, member], axis=1)
     for side, denom in ((member, h), (~member, 1.0 - h)):
-        Cs, Ws = C[side], W[:, side]
-        u = Ws @ Cs
+        u = W[:, side] @ C[side]
         quad = np.einsum("bp,pq,bq->b", u, S, u)
         values += np.where(denom > 0, quad, 0.0) / np.where(denom > 0, denom, 1.0)
-        mass = np.sum(Ws, axis=1)[:, None]
-        live = mass > 0
-        mass = np.where(live, mass, 1.0)
-        slope = (u @ (S + S.T)) @ Cs.T / mass - quad[:, None] / (mass * mass)
-        grads[:, side] += np.where(live, slope, np.einsum("jp,pq,jq->j", Cs, S, Cs))
-    return 0.5 * values, 0.5 * grads
+    return 0.5 * values
 
 
 def K_regret(i: int, a, mu: SignedAtomicMeasure, q, M: np.ndarray):
@@ -515,56 +502,83 @@ def K_regret(i: int, a, mu: SignedAtomicMeasure, q, M: np.ndarray):
         W = a.weights[None]
     else:
         W = _validated_weights(mu.dim, a, 2)
-    values, _ = _pairing(i, W, *_regret_data(mu, q, M))
+    values = _pairing(i, W, *_regret_data(mu, q, M))
     return float(values[0]) if isinstance(a, SimplexAction) else values
-
-
-# projected-gradient ascent budget of G_regret, per start
-_ASCENT_ITERS = 150
 
 
 @dataclass(frozen=True)
 class RegretSolverConfig:
-    """Multistart budget and seed for the supremum over (direction, mixed action)."""
+    """Ignored: ``G_regret`` is exact and takes no budget or seed.  Kept so
+    that callers which still pass one keep working."""
 
     multistarts: int = 16
     seed: int = 0
+
+
+_FACE_TOL = 1e-12  # _regret_argmax: how far a face's KKT point may sit outside the simplex
+
+
+def _regret_argmax(qbar: np.ndarray, M: np.ndarray) -> tuple:
+    """Exact supremum of ``_pairing`` as (value, direction i, weights attaining it).
+
+    For fixed i and p = a/h on the side of subsets containing i, that side
+    contributes h phi(p) with phi(p) = p.l + p^T (C S C^T) p, the other side
+    (1 - h) phi(p'): both sides carry the vectors {e_k : k ∌ i}.  So the
+    supremum is half the maximum of phi over the simplex on the subsets
+    without i, at h = 0.  That maximum is a KKT point of some face F:
+    2 Q_FF p - lambda 1 = -l_F, 1^T p = 1, whose system is nonsingular on a
+    smallest such face.  Each face of each direction, padded with p_j = 0 off
+    F, is one (n+1) x (n+1) system of one batched solve; the solutions in the
+    simplex (within ``_FACE_TOL``, then clipped onto it) are scored by
+    ``_pairing``.  K <= 4, as there are 2^(2^(K-1)) - 1 faces per direction.
+    """
+    K = qbar.shape[0]
+    if K > 4:
+        raise ValueError(f"the exact regret supremum needs K <= 4, got K = {K}")
+    n = 2 ** (K - 1)
+    faces = subset_vectors(n)[1:]  # bit rows of 1 .. 2^n - 1: every nonempty face
+    sides = np.array([np.flatnonzero(~_direction(K, i)[0]) for i in range(1, K + 1)])
+    Es = subset_vectors(K)[sides]
+    Q = Es @ (M - qbar) @ np.swapaxes(Es, 1, 2)
+    ell = np.einsum("ijp,pq,ijq->ij", Es, qbar, Es)
+    A = np.zeros((K, len(faces), n + 1, n + 1))
+    A[..., :n, :n] = np.where(
+        faces[:, :, None], (Q + np.swapaxes(Q, 1, 2))[:, None] * faces[:, None, :], np.eye(n)
+    )
+    A[..., :n, n], A[..., n, :n] = -faces, faces
+    rhs = np.append(np.where(faces, -ell[:, None], 0.0), np.ones((K, len(faces), 1)), axis=2)
+    direction = np.repeat(np.arange(K), len(faces))
+    A, rhs = A.reshape(-1, n + 1, n + 1), rhs.reshape(-1, n + 1, 1)
+    with np.errstate(divide="ignore"):  # det takes the log of a subnormal pivot product
+        live = np.linalg.det(A) != 0.0
+    p = np.linalg.solve(A[live], rhs[live])[:, :n, 0]
+    inside = np.all((p >= -_FACE_TOL) & (p <= 1.0 + _FACE_TOL), axis=1) & (p.max(axis=1) > 0)
+    p = np.maximum(p[inside], 0.0)
+    direction = direction[live][inside]  # still sorted, so values line up with W
+    W = np.zeros((len(p), 2**K))
+    W[np.arange(len(p))[:, None], sides[direction]] = p / p.sum(axis=1, keepdims=True)
+    values = np.concatenate([_pairing(i + 1, W[direction == i], qbar, M) for i in range(K)])
+    k = int(np.argmax(values))
+    i, w = int(direction[k]) + 1, W[k]
+    # scored again alone, so that K_regret at (i, w) gives the same bits
+    return float(_pairing(i, w[None], qbar, M)[0]), i, w
 
 
 def G_regret(
     mu: SignedAtomicMeasure,
     q,
     M: np.ndarray,
-    cfg: RegretSolverConfig = RegretSolverConfig(),
+    cfg: RegretSolverConfig | None = None,
 ) -> float:
     """Supremum of K_regret over directions and the mixed-action simplex.
 
-    Per direction the vertex actions are probed in one batch, then one
-    projected gradient ascent on the exact gradient runs from the uniform
-    action and ``cfg.multistarts`` Dirichlet draws as one batch; the result
-    dominates every vertex by construction and is deterministic given the seed.
+    Exact and deterministic: the value of ``_pairing`` at the best KKT point
+    of all faces of the action simplex (see ``_regret_argmax``), so it is
+    attained by an explicit action.  ``cfg`` is ignored.  Needs K <= 4.
     """
-    qbar, M = _regret_data(mu, q, M)
-    n_w = 2**mu.dim
-    best = -math.inf
-    rng = np.random.default_rng(cfg.seed)
-    for i in range(1, mu.dim + 1):
-        best = max(best, float(np.max(_pairing(i, np.eye(n_w), qbar, M)[0])))
-        starts = [np.full(n_w, 1.0 / n_w)]
-        starts += [rng.dirichlet(np.ones(n_w)) for _ in range(cfg.multistarts)]
-        _, values, _ = _optim.projected_gradient_ascent(
-            lambda W, i=i: _pairing(i, W, qbar, M),
-            np.array(starts),
-            _optim.project_simplex,
-            max_iters=_ASCENT_ITERS,
-        )
-        best = max(best, float(np.max(values)))
-    return best
+    return _regret_argmax(*_regret_data(mu, q, M))[0]
 
 
-# Dirichlet weight draws added to the vertices in check_assumptions_regret's probe set
-_REGRET_PROBE_DRAWS = 32
-_REGRET_PROBE_SEED = 1234
 _REGRET_RTOL = 1e-9  # check_assumptions_regret: relative slack on the Lipschitz bound
 _REGRET_SIGN_TOL = 1e-9  # and absolute slack on the sign gap
 
@@ -573,8 +587,9 @@ def check_assumptions_regret(samples: list, metric_cfgs: dict) -> CheckReport:
     """Two-sided verification on sampled problem data.
 
     Each sample is a dict with keys (K, mu, nu, q1, q2, M1, M2, M, eps, i, a).
-    (i) the supremum over a fixed common probe set satisfies the dimension-
-    dependent Lipschitz bound 2^{3K-2} (1 + int |x| dmu)(|q1-q2|_l + |M1-M2|);
+    (i) the exact suprema ``G_regret`` under (q1, M1) and (q2, M2) satisfy
+    the dimension-dependent Lipschitz bound
+    2^{3K-2} (1 + int |x| dmu)(|q1-q2|_l + |M1-M2|);
     (ii) swapping mu for nu in the pairing with the pair's own penalization
     Hessian never increases it beyond 1e-9.  ``metric_cfgs`` maps K to
     the spectral quadrature used for the kernels.
@@ -582,23 +597,11 @@ def check_assumptions_regret(samples: list, metric_cfgs: dict) -> CheckReport:
     failures = []
     max_lip_ratio = 0.0
     max_sign_gap = -math.inf
-    rng_master = np.random.default_rng(_REGRET_PROBE_SEED)
-    probe_cache: dict = {}
     for idx, s in enumerate(samples):
         K_n = s["K"]
         mu, nu = s["mu"], s["nu"]
-        if K_n not in probe_cache:
-            n_w = 2**K_n
-            draws = [rng_master.dirichlet(np.ones(n_w)) for _ in range(_REGRET_PROBE_DRAWS)]
-            probe_cache[K_n] = _validated_weights(K_n, np.vstack([np.eye(n_w), *draws]), 2)
-        probes = probe_cache[K_n]
-
-        def sup_over_probes(q, M):
-            qbar, M = _regret_data(mu, q, M)
-            return max(float(np.max(_pairing(i, probes, qbar, M)[0])) for i in range(1, K_n + 1))
-
-        g1 = sup_over_probes(s["q1"], s["M1"])
-        g2 = sup_over_probes(s["q2"], s["M2"])
+        g1 = G_regret(mu, s["q1"], s["M1"])
+        g2 = G_regret(mu, s["q2"], s["M2"])
         q1, q2 = s["q1"], s["q2"]
         dq = linear_growth_norm(
             lambda X: np.asarray(q1(X)) - np.asarray(q2(X)), K_n, mu.locations

@@ -90,12 +90,6 @@ class SignedAtomicMeasure:
     def n_atoms(self) -> int:
         return self.weights.size
 
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
-    def total_variation(self) -> float:
-        return float(np.sum(np.abs(self.weights)))
-
     def mean(self) -> np.ndarray:
         return self.weights @ self.locations
 

@@ -6,17 +6,25 @@ line with adaptive quadrature, the game oracle solves one sequence-form
 linear program over the whole tree instead of stagewise matrix games, the
 mean-problem oracle is a dense backward dynamic program, the forecaster
 oracles rescan the game history instead of keeping running scores, and the
-particle-filter oracle steps one run at a time with scalar controls, and
-the ascent oracle runs one start at a time on scalar points.
+particle-filter oracle steps one run at a time with scalar controls, the
+ascent oracle runs one start at a time on scalar points, the regret
+supremum oracles maximize quadratics on segments and on triangles of side
+marginals instead of enumerating faces, and the Monte Carlo regret oracle
+sums binomial terms in exact rationals.  The measure and kernel summaries
+at the end are quantities only tests check against, so they live here and
+not in the package.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, interpolate, optimize
+
+from fwlab import fourier_metric as fm
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +416,91 @@ def K_regret_conditional(i: int, a, mu, q, M) -> float:
     return term_i + term_mi
 
 
-def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
+def G_regret_segments(mu, q, M) -> float:
+    """Supremum of the regret pairing for K <= 2 by one-variable calculus.
+
+    With direction i and one side of subsets fixed, the side's weights p
+    live on a segment (K = 2: two subsets) or a point (K = 1), and the
+    pairing is at most half of phi(p) = sum_j p_j c_j^T qbar c_j
+    + v^T (M - qbar) v, v = sum_j p_j c_j, attained with all weight on that
+    side.  On the segment p = (1 - t, t), phi is the quadratic
+    phi(0) + b t + c t^2, whose maximum on [0, 1] is at an endpoint or at
+    the stationary point -b / (2c) when c < 0.
+    """
+    K = mu.dim
+    if K > 2:
+        raise ValueError("the segment oracle covers K <= 2")
+    qbar = np.einsum("n,nij->ij", mu.weights, np.asarray(q(mu.locations), dtype=float))
+    S = np.asarray(M, dtype=float) - qbar
+    best = -math.inf
+    for i in range(1, K + 1):
+        masks = range(2**K)
+        member = [m for m in masks if (m >> (i - 1)) & 1]
+        other = [m for m in masks if not (m >> (i - 1)) & 1]
+        for side in ([1.0 - _subset_vec(K, m) for m in member], [_subset_vec(K, m) for m in other]):
+
+            def phi(t):
+                v = (1.0 - t) * side[0] + t * side[-1]
+                ell = (1.0 - t) * (side[0] @ qbar @ side[0]) + t * (side[-1] @ qbar @ side[-1])
+                return float(ell + v @ S @ v)
+
+            candidates = [0.0, 1.0]
+            d = side[-1] - side[0]
+            c = float(d @ S @ d)
+            if c < 0:
+                b = phi(1.0) - phi(0.0) - c
+                candidates.append(min(max(-b / (2.0 * c), 0.0), 1.0))
+            best = max(best, max(0.5 * phi(t) for t in candidates))
+    return best
+
+
+def G_regret_three_actions(mu, q, M) -> float:
+    """Supremum of the regret pairing for K = 3 through side marginals.
+
+    Fix direction i and let a < b be the other two actions.  Both sides of i
+    carry the vectors of the subsets of {a, b} (the member side as
+    complements), so the supremum is half the maximum of phi over weights p
+    on those four subsets.  phi depends on p only through x = p_a + p_ab,
+    y = p_b + p_ab and t = p_ab:
+
+        phi = x l_a + y l_b + kappa t + w^T S w,  w = x e_a + y e_b,
+
+    with kappa = qbar_ab + qbar_ba and t free in [max(0, x + y - 1),
+    min(x, y)].  So t sits at its upper end if kappa > 0 and at its lower end
+    otherwise, and phi is a quadratic on each of two triangles of the unit
+    square, whose maximum is at a vertex, at an edge's stationary point or
+    at the triangle's stationary point.
+    """
+    if mu.dim != 3:
+        raise ValueError("the marginal oracle covers K = 3")
+    qbar = np.einsum("n,nij->ij", mu.weights, np.asarray(q(mu.locations), dtype=float))
+    S = np.asarray(M, dtype=float) - qbar
+    S = 0.5 * (S + S.T)
+    best = -math.inf
+    for i in range(3):
+        a, b = (k for k in range(3) if k != i)
+        kappa = qbar[a, b] + qbar[b, a]
+        A = S[np.ix_([a, b], [a, b])]
+        if kappa > 0:  # t = min(x, y): t = x above the diagonal, y below it
+            pieces = [((1, 0), 0, [(0, 0), (0, 1), (1, 1)]), ((0, 1), 0, [(0, 0), (1, 0), (1, 1)])]
+        else:  # t = max(0, x + y - 1)
+            pieces = [((0, 0), 0, [(0, 0), (1, 0), (0, 1)]), ((1, 1), -1, [(1, 0), (0, 1), (1, 1)])]
+        for tau, tau0, corners in pieces:
+            lin = np.array([qbar[a, a], qbar[b, b]]) + kappa * np.array(tau, dtype=float)
+            V = np.array(corners, dtype=float)
+            points = list(V)
+            for k, l in ((0, 1), (1, 2), (0, 2)):
+                d = V[l] - V[k]
+                if d @ A @ d != 0:
+                    s = -(lin @ d + 2 * V[k] @ A @ d) / (2 * (d @ A @ d))
+                    points.append(V[k] + min(max(s, 0.0), 1.0) * d)
+            if np.linalg.det(A) != 0:
+                z = np.linalg.solve(2 * A, -lin)
+                bary = np.linalg.solve(np.vstack([V.T, np.ones(3)]), np.append(z, 1.0))
+                if np.all(bary >= 0):
+                    points.append(z)
+            best = max(best, max(0.5 * (lin @ z + kappa * tau0 + z @ A @ z) for z in points))
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -451,3 +536,55 @@ def scalar_projected_gradient_ascent(value_and_grad, x0, project, *, max_iters: 
         else:
             break
     return x, fx, False
+
+
+# ---------------------------------------------------------------------------
+# expected K = 2 regret against the uniform adversary, exactly
+# ---------------------------------------------------------------------------
+
+
+def uniform_adversary_regret(T: int) -> Fraction:
+    """E|B - T| / 2 with B ~ Bin(2T, 1/2), as an exact fraction.
+
+    Against the uniform mixture over the four subsets of two actions, each
+    action's total gain is Bin(T, 1/2) and independent of the other and of
+    the forecaster's draws, so the expected final max gap from zero gaps is
+    E max(X1, X2) - T/2 = E|X1 - X2| / 2 with X1 - X2 ~ B - T, whatever the
+    forecaster.
+    """
+    total = sum(math.comb(2 * T, b) * abs(b - T) for b in range(2 * T + 1))
+    return Fraction(total, 2 ** (2 * T + 1))
+
+
+# ---------------------------------------------------------------------------
+# summaries of measures and kernels that only the tests read
+# ---------------------------------------------------------------------------
+
+
+def total_mass(mu) -> float:
+    return float(np.sum(mu.weights))
+
+
+def total_variation(mu) -> float:
+    return float(np.sum(np.abs(mu.weights)))
+
+
+def kappa_gradient_sup_bound(kernel) -> float:
+    """Uniform bound C * rho_F / eps on |grad kappa| with the |k|^2 moment."""
+    return fm.moment_constant(kernel.config, 2) * kernel.rho / kernel.epsilon
+
+
+def kappa_hessian_sup_bound(kernel) -> float:
+    """Uniform bound C * rho_F / eps on the Hessian Frobenius norm."""
+    return fm.moment_constant(kernel.config, 4) * kernel.rho / kernel.epsilon
+
+
+def kappa_hessian_pairing_spectral(kernel) -> np.ndarray:
+    """-(1/eps) int |F_k(mu-nu)|^2 k k^T weight dk, computed spectrally.
+
+    Equals the integral of the Hessian of kappa against mu - nu; negative
+    semidefinite by construction.
+    """
+    nodes, wtilde = fm._quadrature(kernel.config)
+    mag = wtilde * (kernel.eta_hat.real**2 + kernel.eta_hat.imag**2)
+    return -np.einsum("j,jp,jq->pq", mag, nodes, nodes) / kernel.epsilon

@@ -281,9 +281,11 @@ def test_hamiltonian_filtering_cli(tmp_path):
     assert float(rows[-1].split(",")[2]) == pytest.approx(1.0)
 
 
-def _regret_scenario(tmp_path, mu_dim, M):
+def _regret_scenario(tmp_path, mu_dim, M, q_const=None):
     mu = {"dim": mu_dim, "atoms": [[0.3] * mu_dim + [0.5], [-0.2] * mu_dim + [0.5]], "probability": True}
-    cases = [{"name": "psd", "mu": mu, "M": M, "q_const": np.zeros_like(np.asarray(M)).tolist()}]
+    if q_const is None:
+        q_const = np.zeros_like(np.asarray(M)).tolist()
+    cases = [{"name": "psd", "mu": mu, "M": M, "q_const": q_const}]
     return _write(
         tmp_path, "regret.json", {"target": "hamiltonian", "schema": 1, "kind": "regret", "cases": cases}
     )
@@ -299,6 +301,22 @@ def test_hamiltonian_regret_cli_with_zero_q(tmp_path, K):
     assert row[:2] == ["psd", "G_regret"]
     subsets = [np.array([(mask >> j) & 1 for j in range(K)], dtype=float) for mask in range(2**K - 1)]
     assert float(row[2]) == pytest.approx(max(0.5 * e @ M @ e for e in subsets), abs=1e-9)
+
+
+def test_hamiltonian_regret_cli_output_does_not_depend_on_the_seed(tmp_path):
+    # a nonzero q and an indefinite M - q; the G_regret row must not depend on the seed
+    M = [[1.0, 0.9, -0.3], [0.9, 0.2, 0.55], [-0.3, 0.55, 0.0]]
+    q = [[1.6, -0.65, -0.1], [-0.65, -1.0, -0.3], [-0.1, -0.3, 1.0]]
+    path = _regret_scenario(tmp_path, 3, M, q)
+    rows = []
+    for seed in (0, 7):
+        out = tmp_path / f"seed{seed}"
+        argv = ["hamiltonian", "--scenario", str(path), "--set", f"seed={seed}", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        lines = (out / "hamiltonian.csv").read_text().splitlines()
+        rows.append([l for l in lines if not l.startswith(("# seed=", "# config_hash="))])
+    assert rows[0] == rows[1]
+    assert rows[0][-1].startswith("psd,G_regret,")
 
 
 def test_hamiltonian_regret_cli_rejects_M_of_the_wrong_shape(tmp_path, capsys):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import K_regret_conditional, V_vectors, finite_diff_gradient, simplex_lattice
+from _oracles import (
+    G_regret_segments,
+    G_regret_three_actions,
+    K_regret_conditional,
+    V_vectors,
+    simplex_lattice,
+)
 from conftest import random_probability_measure
 from fwlab import fourier_metric as fm
 from fwlab import hamiltonians as ham
@@ -465,37 +471,6 @@ def test_batched_K_regret_matches_rows_and_conditional_oracle(K, seed):
             assert abs(value - K_regret_conditional(i, a, mu, q, M)) <= 1e-12 * scale
 
 
-@settings(max_examples=60, deadline=None)
-@given(K=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_pairing_gradient_matches_finite_differences_along_the_simplex(K, seed):
-    rng, mu, q, M, B = _regret_problem(K, seed)
-    n_w = 2**K
-    qbar = np.einsum("n,nij->ij", mu.weights, q(mu.locations))
-    # interior: every weight at least half the uniform one
-    w = 0.5 * rng.dirichlet(np.ones(n_w)) + 0.5 / n_w
-    scale = K * (1.0 + np.linalg.norm(M) + np.linalg.norm(B))
-    for i in range(1, K + 1):
-
-        def value(x):
-            return ham._pairing(i, x[None], qbar, M)[0][0]
-
-        _, grads = ham._pairing(i, w[None], qbar, M)
-        # only the tangent part of a gradient on the simplex is defined
-        diff = grads[0] - finite_diff_gradient(value, w)
-        assert np.max(np.abs(diff - diff.mean())) <= 1e-9 * scale
-        # on a face where one side carries no weight: the one-sided derivative
-        # toward every vertex
-        member = (np.arange(n_w) >> (i - 1) & 1).astype(bool)
-        for side in (member, ~member):
-            face = np.where(side, 0.0, w)
-            face /= face.sum()
-            _, grads = ham._pairing(i, face[None], qbar, M)
-            for j in range(n_w):
-                d = np.eye(n_w)[j] - face
-                forward = (value(face + 1e-7 * d) - value(face)) / 1e-7
-                assert abs(forward - grads[0] @ d) <= 1e-5 * scale
-
-
 def test_K_regret_trivial_and_vertex():
     mu = ms.dirac(np.zeros(2))
     q0 = lambda X: np.zeros((np.atleast_2d(X).shape[0], 2, 2))
@@ -526,51 +501,63 @@ def test_G_regret_trivial_and_dominates_vertices(rng):
     q0 = lambda X: np.zeros((np.atleast_2d(X).shape[0], 2, 2))
     assert ham.G_regret(mu, q0, np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-12)
     M = np.array([[0.7, -0.2], [-0.2, 0.3]])
-    cfg = ham.RegretSolverConfig(seed=3, multistarts=6)
-    val = ham.G_regret(mu, q0, M, cfg)
+    val = ham.G_regret(mu, q0, M)
     for mask in range(4):
         for i in (1, 2):
             probe = ham.K_regret(i, ham.vertex_action(2, mask), mu, q0, M)
             assert val >= probe - 1e-12
 
 
-def test_G_regret_evaluates_each_point_once(monkeypatch, rng):
-    # one vertex batch per direction, then exactly one evaluated row per point
-    # the ascent tries: value and gradient come from the same _pairing call
-    counts = {"pairing": 0, "ascent": 0}
-    pairing, ascent = ham._pairing, ham._optim.projected_gradient_ascent
-
-    def counted_pairing(i, W, *args):
-        counts["pairing"] += len(W)
-        return pairing(i, W, *args)
-
-    def counted_ascent(value_and_grad, *args, **kwargs):
-        def counted(W):
-            counts["ascent"] += len(W)
-            return value_and_grad(W)
-
-        return ascent(counted, *args, **kwargs)
-
-    monkeypatch.setattr(ham, "_pairing", counted_pairing)
-    monkeypatch.setattr(ham._optim, "projected_gradient_ascent", counted_ascent)
-    mu = random_probability_measure(rng, dim=2)
-    q = lambda X: np.tile(np.array([[0.2, 0.1], [0.1, -0.3]]), (np.atleast_2d(X).shape[0], 1, 1))
-    M = np.array([[0.7, -0.2], [-0.2, -0.5]])
-    ham.G_regret(mu, q, M, ham.RegretSolverConfig(seed=3, multistarts=4))
-    assert counts["ascent"] > 2 * 5  # 2 directions x 5 starts, and the ascents move
-    assert counts["pairing"] == 2 * 4 + counts["ascent"]  # 4 vertices per direction
-
-
 def test_G_regret_matches_dense_grid_oracle():
     mu = ms.dirac(np.zeros(2))
     q0 = lambda X: np.zeros((np.atleast_2d(X).shape[0], 2, 2))
     M = np.diag([1.0, 0.0])
-    solver = ham.G_regret(mu, q0, M, ham.RegretSolverConfig(seed=0))
-    # independent brute force over the simplex lattice
+    solver = ham.G_regret(mu, q0, M)
+    # independent brute force over the simplex lattice, which holds the maximizer
     lattice = simplex_lattice(4, 50)
     best = max(float(np.max(ham.K_regret(i, lattice, mu, q0, M))) for i in (1, 2))
-    assert solver == pytest.approx(best, abs=1e-3)
     assert best == pytest.approx(0.5, abs=1e-9)
+    assert abs(solver - 0.5) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_G_regret_matches_the_segment_oracle(K, seed):
+    _, mu, q, M, B = _regret_problem(K, seed)
+    scale = K * (1.0 + np.linalg.norm(M) + np.linalg.norm(B))
+    assert abs(ham.G_regret(mu, q, M) - G_regret_segments(mu, q, M)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_G_regret_matches_the_three_action_oracle(seed):
+    _, mu, q, M, B = _regret_problem(3, seed)
+    scale = 3 * (1.0 + np.linalg.norm(M) + np.linalg.norm(B))
+    assert abs(ham.G_regret(mu, q, M) - G_regret_three_actions(mu, q, M)) <= 1e-12 * scale
+
+
+LATTICE_LEVELS = {1: 8, 2: 8, 3: 6, 4: 3}  # 9, 165, 1716 and 816 lattice rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_G_regret_is_attained_and_dominates_every_action(K, seed):
+    rng, mu, q, M, B = _regret_problem(K, seed)
+    scale = K * (1.0 + np.linalg.norm(M) + np.linalg.norm(B))
+    value = ham.G_regret(mu, q, M)
+    best, i, w = ham._regret_argmax(*ham._regret_data(mu, q, M))
+    assert best == value
+    assert ham.K_regret(i, ham.SimplexAction(K, w), mu, q, M) == value
+    W = np.vstack([simplex_lattice(2**K, LATTICE_LEVELS[K]), rng.dirichlet(np.ones(2**K), 20)])
+    for i in range(1, K + 1):
+        assert np.max(ham.K_regret(i, W, mu, q, M)) <= value + 1e-12 * scale
+
+
+def test_G_regret_rejects_more_than_four_actions():
+    mu = ms.dirac(np.zeros(5))
+    q0 = lambda X: np.zeros((np.atleast_2d(X).shape[0], 5, 5))
+    with pytest.raises(ValueError, match="K <= 4"):
+        ham.G_regret(mu, q0, np.eye(5))
 
 
 def test_simplex_lattice_matches_filtered_product():

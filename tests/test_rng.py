@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,3 +24,20 @@ def test_mean_stderr_small_cases():
 def test_mean_stderr_is_bit_identical_under_permutation(pair):
     values, permuted = pair
     assert mean_stderr(permuted) == mean_stderr(values)
+
+
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "fwlab"
+GENERATOR_CONSTRUCTORS = re.compile(r"default_rng|random\.seed|RandomState|SeedSequence|PCG64")
+
+
+def test_only_the_substream_helper_constructs_generators():
+    # stochastic code takes an rng argument or derives a substream from
+    # (seed, run, stream); it never seeds a generator of its own
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(SOURCES.glob("*.py"))
+        if path.name != "_rng.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if GENERATOR_CONSTRUCTORS.search(line)
+    ]
+    assert SOURCES.joinpath("_rng.py").is_file() and found == []

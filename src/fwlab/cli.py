@@ -6,8 +6,9 @@ directory (``filter-sim`` adds a JSON summary, ``dp-value --dump`` its value
 table).  Outputs embed the tool version, the hash of the resolved scenario,
 and the seed, and are byte-identical for identical (scenario, seed, version).
 
-Exit codes: 0 success, 1 input or usage error, 2 a numerical check failed, 3
-an internal numerical fault (a diverging simulation or a non-finite stage-game value).
+Exit codes: 0 success, 1 input or usage error (a scenario key that its target
+never reads is one), 2 a numerical check failed, 3 an internal numerical
+fault (a diverging simulation or a non-finite stage-game value).
 """
 
 from __future__ import annotations
@@ -108,6 +109,20 @@ def _apply_override(scenario: dict, key: str, raw: str) -> None:
     node[parts[-1]] = val
 
 
+# objects whose keys are read one by one rather than passed on as keywords
+_SUBKEYS = {"config": "lambda k_radius k_nodes_per_axis", "sim": "dt n_particles horizon runs seed"}
+
+
+def _check_keys(scenario: dict, target: str) -> None:
+    """Reject the first key, top-level or inside ``_SUBKEYS``, that the target never reads."""
+    unread = [k for k in scenario if k not in ("target", "schema", *DISPATCH[target][1].split())]
+    for key, known in _SUBKEYS.items():
+        if isinstance(scenario.get(key), dict):
+            unread += [f"{key}.{k}" for k in scenario[key] if k not in known.split()]
+    if unread:
+        raise ScenarioError(f"scenario key {unread[0]!r} is not read by target {target!r}")
+
+
 def _metric_config(scenario: dict, dim: int) -> fm.FourierConfig:
     spec = scenario.get("config", {})
     base = fm.default_config(dim)
@@ -116,7 +131,6 @@ def _metric_config(scenario: dict, dim: int) -> fm.FourierConfig:
         int(spec.get("lambda", base.lam)),
         float(spec.get("k_radius", base.k_radius)),
         int(spec.get("k_nodes_per_axis", base.k_nodes_per_axis)),
-        spec.get("quadrature_rule", base.quadrature_rule),
     )
 
 
@@ -225,8 +239,8 @@ def _run_hamiltonian(scenario: dict, out: Path, meta: dict) -> int:
             alpha = float(case.get("p_slope", 1.0))
             beta = float(case.get("q_const", 1.0))
             jet = ham.JetArgs(
-                lambda X, alpha=alpha: alpha * np.atleast_2d(X),
-                lambda X, beta=beta: np.full((np.atleast_2d(X).shape[0], 1, 1), beta),
+                lambda X, alpha=alpha: alpha * X,
+                lambda X, beta=beta: np.full((X.shape[0], 1, 1), beta),
                 np.atleast_2d(float(case.get("M", 1.0))),
             )
             val = ham.G_filtering(mu, jet, coeffs, grid)
@@ -236,7 +250,7 @@ def _run_hamiltonian(scenario: dict, out: Path, meta: dict) -> int:
             mu = measure_from_json(case["mu"])
             M = np.asarray(case["M"], dtype=float)
             qc = np.asarray(case.get("q_const", np.zeros_like(M)), dtype=float)
-            q = lambda X, qc=qc: np.broadcast_to(qc, (np.atleast_2d(X).shape[0],) + qc.shape)
+            q = lambda X, qc=qc: np.broadcast_to(qc, (X.shape[0],) + qc.shape)
             val = ham.G_regret(mu, q, M)
             rows.append([case.get("name", "case"), "G_regret", val])
     elif kind == "regret-check":
@@ -361,16 +375,25 @@ def _run_comparison_doubling(scenario: dict, out: Path, meta: dict) -> int:
     return EXIT_OK
 
 
+# each target's runner and the top-level keys it reads besides "target" and
+# "schema"; the metric target draws nothing at random and takes "seed" only
+# into the preamble
 DISPATCH = {
-    "metric": _run_metric,
-    "sobolev-check": _run_sobolev_check,
-    "commutator-check": _run_commutator_check,
-    "dissipation-check": _run_dissipation_check,
-    "hamiltonian": _run_hamiltonian,
-    "filter-sim": _run_filter_sim,
-    "game-sim": _run_game_sim,
-    "dp-value": _run_dp_value,
-    "comparison-doubling": _run_comparison_doubling,
+    "metric": (_run_metric, "dim config cases seed"),
+    "sobolev-check": (_run_sobolev_check, "seed count tol length n band"),
+    "commutator-check": (_run_commutator_check, "seed count k length n band"),
+    "dissipation-check": (_run_dissipation_check, "seed count length n lambda delta eps_factor"),
+    "hamiltonian": (
+        _run_hamiltonian,
+        "kind problem control_lo control_hi control_points cases K samples constant_scale seed",
+    ),
+    "filter-sim": (_run_filter_sim, "coeffs coeffs_params sim lq policy mu t"),
+    "game-sim": (_run_game_sim, "K T runs seed m0 forecaster adversary"),
+    "dp-value": (_run_dp_value, "K T m0 grid"),
+    "comparison-doubling": (
+        _run_comparison_doubling,
+        "support lq slack m_box seed n_starts max_iters delta eps_sequence",
+    ),
 }
 
 
@@ -407,6 +430,7 @@ def run(
             )
         if scenario.get("schema", 1) != 1:
             raise ScenarioError(f"scenario schema {scenario['schema']!r} is not 1")
+        _check_keys(scenario, target)
         if dump and target != "dp-value":
             raise ScenarioError(f"only dp-value writes a dump, not {target}")
         out = Path(out_dir) if out_dir else Path.cwd()
@@ -416,7 +440,7 @@ def run(
             "config_hash": _config_hash(scenario),
             "seed": int(scenario.get("seed", scenario.get("sim", {}).get("seed", 0))),
         }
-        return DISPATCH[target](scenario, out, meta, *((dump,) if dump else ()))
+        return DISPATCH[target][0](scenario, out, meta, *((dump,) if dump else ()))
     except (ScenarioError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

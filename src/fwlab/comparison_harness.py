@@ -104,7 +104,6 @@ class FixedSupportMetric:
 
 # at most this many of the starts are diagonal probes (theta = iota)
 _N_DIAGONAL_PROBES = 16
-_FD_STEP = 1e-6
 # penalty_decay_check: the last penalty must be at most factor * first + tol
 _DECAY_FACTOR = 0.1
 _DECAY_ABS_TOL = 1e-6
@@ -388,11 +387,11 @@ def lq_discretized_candidate(
     by m, rescaled so its oscillation over the harness domain is about
     ``osc`` (the doubling machinery presumes bounded candidates, and the raw
     value's quadratic growth would otherwise dominate every penalty), plus a
-    constant slack and an optional extra term ``shift_fn(t)`` of time alone,
-    which maps an array of times to an array of values.
-    The gradient is exact by the chain rule through mean = w.x + m and
-    var = w.x^2 - (w.x)^2, except for the t-derivative of ``shift_fn``, a
-    central difference at step 1e-6.
+    constant slack and an optional extra term of time alone: ``shift_fn(t)``
+    maps an array of times to the pair (values, d/dt), each an array of the
+    same shape or a scalar.  The gradient is exact, by the chain rule through
+    mean = w.x + m and var = w.x^2 - (w.x)^2 and by ``shift_fn``'s own
+    derivative.
     """
     if not isinstance(lq, LQParams):
         raise TypeError("lq must be LQParams")
@@ -417,8 +416,9 @@ def lq_discretized_candidate(
         val = scale * value + slack
         d_t = scale * v_t
         if shift_fn is not None:
-            val += shift_fn(t)
-            d_t += (shift_fn(t + _FD_STEP) - shift_fn(t - _FD_STEP)) / (2.0 * _FD_STEP)
+            s, s_t = shift_fn(t)
+            val += s
+            d_t += s_t
         d_w = scale * (v_mean[:, None] * x + x2 - 2.0 * wx[:, None] * x)
         return val, d_t, d_w, scale * v_mean[:, None]
 

@@ -60,8 +60,8 @@ class ControlPolicy:
     """Measurable feedback on the empirical conditional law.
 
     ``rule(t, summary)`` sees the summaries of all runs at once and returns
-    one scalar control per run, as a (runs,) array, or one scalar for every
-    run.  Controls must lie inside [lo, hi] (clipped defensively on use).
+    one scalar control per run, as a (runs,) array.  Controls must lie
+    inside [lo, hi] (clipped defensively on use).
     """
 
     rule: Callable
@@ -69,15 +69,16 @@ class ControlPolicy:
     hi: float
 
     def __call__(self, t: float, summary: LawSummary) -> np.ndarray:
-        a = np.asarray(self.rule(t, summary), dtype=float)
-        return np.clip(np.broadcast_to(a, summary.mean.shape[:1]), self.lo, self.hi)
+        return np.clip(np.asarray(self.rule(t, summary), dtype=float), self.lo, self.hi)
 
 
 _CONSTANT_CONTROL_BOUND = 4.0  # constant_policy clips its control to [-4, 4]
 
 
 def constant_policy(value: float) -> ControlPolicy:
-    return ControlPolicy(lambda t, s: value, -_CONSTANT_CONTROL_BOUND, _CONSTANT_CONTROL_BOUND)
+    return ControlPolicy(
+        lambda t, s: np.full(len(s.mean), value), -_CONSTANT_CONTROL_BOUND, _CONSTANT_CONTROL_BOUND
+    )
 
 
 @dataclass(frozen=True)
@@ -142,15 +143,13 @@ def _run_paths(
         flat, per_point = X.reshape(R * N, d), np.repeat(a, N)
         running += np.asarray(coeffs.r(flat, per_point), dtype=float).reshape(R, N) * cfg.dt
         diff = np.asarray(coeffs.sigma(flat, per_point), dtype=float)
-        common = np.asarray(coeffs.sigma_tilde(a), dtype=float)
-        common = np.broadcast_to(common, (R, d, coeffs.d2))
         # X + b dt + sigma dB + sigma_tilde dW, added in this order into one
         # new array so that few (runs * N)-sized temporaries are alive at once
         moved = np.asarray(coeffs.b(flat, per_point), dtype=float) * cfg.dt
         moved += flat
         moved += np.einsum("nij,nj->ni", diff, dB)
         X = moved.reshape(R, N, d)
-        X += (common @ dW[:, step])[:, None, :, 0]
+        X += (np.asarray(coeffs.sigma_tilde(a), dtype=float) @ dW[:, step])[:, None, :, 0]
         if not (X.max() <= _DIVERGENCE_GUARD and X.min() >= -_DIVERGENCE_GUARD):
             raise FloatingPointError(
                 f"particle state is not finite or exceeded {_DIVERGENCE_GUARD:g}; check coefficients"
@@ -421,18 +420,10 @@ def lq_candidate(lq: LQParams) -> SmoothCandidate:
         mean, var = _mean_var(mu)
         slope = lq_value(t, mean, var, lq)[2]
 
-        def field(X):
-            X = np.atleast_2d(X)
-            return slope + 2.0 * (X - mean)
-
-        return field
+        return lambda X: slope + 2.0 * (X - mean)
 
     def q(t, mu):
-        def field(X):
-            X = np.atleast_2d(X)
-            return np.full((X.shape[0], 1, 1), 2.0)
-
-        return field
+        return lambda X: np.full((X.shape[0], 1, 1), 2.0)
 
     def hess_m(t, mu):
         return np.array([[lq_value(t, *_mean_var(mu), lq)[3]]])

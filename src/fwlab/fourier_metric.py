@@ -3,9 +3,9 @@
 The squared distance is the integral of |F_k(mu - nu)|^2 / (1 + |k|^2)^lambda
 over wave vectors k, with F_k the (2*pi)^{-d/2}-normalized characteristic
 function.  The integral is truncated at radius R and discretized by a tensor
-quadrature; defaults take R from the closed-form tail (an inverse incomplete
-beta function), rounded up so the truncated tail is below 1e-10, which is the
-only part of the construction not pinned down analytically.
+Gauss-Legendre rule; defaults take R from the closed-form tail (an inverse
+incomplete beta function), rounded up so the truncated tail is below 1e-10,
+which is the only part of the construction not pinned down analytically.
 
 The kernel kappa built from a pair (mu, nu) and a penalization scale eps is
 the smoothed density of mu - nu against the same spectral weight; its
@@ -67,15 +67,12 @@ class FourierConfig:
     lam: int
     k_radius: float
     k_nodes_per_axis: int
-    quadrature_rule: str = "tensor-gauss"
 
     def __post_init__(self):
         if self.k_radius <= 0:
             raise ValueError("k_radius must be positive")
         if self.k_nodes_per_axis < 8:
             raise ValueError("k_nodes_per_axis must be >= 8")
-        if self.quadrature_rule not in ("tensor-gauss", "tensor-trapezoid"):
-            raise ValueError(f"unknown quadrature rule {self.quadrature_rule!r}")
         if self.lam < 1:
             raise ValueError("lam must be a positive integer")
 
@@ -99,28 +96,20 @@ def _tail_radius(d: int, lam: int) -> float:
 
 
 @lru_cache(maxsize=32)
-def default_config(d: int, k_nodes_per_axis: int | None = None) -> FourierConfig:
-    """Per-dimension default: exponent ``lambda_for_dim(d)``, Gauss nodes, radius
-    from the 1e-10 tail bound, node counts sized so doubling them moves
-    distances by far less than 1e-6 on unit-scale atoms."""
+def default_config(d: int) -> FourierConfig:
+    """Per-dimension default: exponent ``lambda_for_dim(d)``, radius from the
+    1e-10 tail bound, node counts sized so doubling them moves distances by
+    far less than 1e-6 on unit-scale atoms."""
     lam = lambda_for_dim(d)
-    nodes = _DEFAULT_NODES.get(d, 12) if k_nodes_per_axis is None else k_nodes_per_axis
     radius = math.ceil(_tail_radius(d, lam))
-    return FourierConfig(d, lam, float(radius), nodes)
+    return FourierConfig(d, lam, float(radius), _DEFAULT_NODES.get(d, 12))
 
 
 @lru_cache(maxsize=64)
 def _quadrature(cfg: FourierConfig):
-    """Tensor nodes (M, d) and spectral weights w/(1+|k|^2)^lam, ball-masked."""
-    if cfg.quadrature_rule == "tensor-gauss":
-        x, w = np.polynomial.legendre.leggauss(cfg.k_nodes_per_axis)
-        x = x * cfg.k_radius
-        w = w * cfg.k_radius
-    else:
-        x = np.linspace(-cfg.k_radius, cfg.k_radius, cfg.k_nodes_per_axis)
-        h = x[1] - x[0]
-        w = np.full_like(x, h)
-        w[0] = w[-1] = 0.5 * h
+    """Tensor Gauss-Legendre nodes (M, d) and spectral weights
+    w/(1+|k|^2)^lam, ball-masked."""
+    x, w = (v * cfg.k_radius for v in np.polynomial.legendre.leggauss(cfg.k_nodes_per_axis))
     mesh = np.meshgrid(*([x] * cfg.dim), indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
     mesh_w = np.meshgrid(*([w] * cfg.dim), indexing="ij")
@@ -260,12 +249,12 @@ def kappa_eval(kernel: KappaKernel, x, order: int = 0):
 
 def kappa_gradient_field(kernel: KappaKernel):
     """Batched closure X (n,d) -> (n,d) evaluating grad kappa at each row."""
-    return lambda X: kappa_eval(kernel, np.atleast_2d(X), 1)
+    return lambda X: kappa_eval(kernel, X, 1)
 
 
 def kappa_hessian_field(kernel: KappaKernel):
     """Batched closure X (n,d) -> (n,d,d) evaluating the Hessian of kappa."""
-    return lambda X: kappa_eval(kernel, np.atleast_2d(X), 2)
+    return lambda X: kappa_eval(kernel, X, 2)
 
 
 def parallelogram_check(

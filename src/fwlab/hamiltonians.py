@@ -65,11 +65,12 @@ __all__ = [
 class FilteringCoeffs:
     """Coefficient bundle (b, sigma, sigma_tilde, r, l) for the filtering problem.
 
-    Closures are batched over states and controls: ``b(X, a)`` takes X of
-    shape (n, d) and a scalar control or an (n,) array of per-point controls,
-    and returns (n, d); ``sigma(X, a)`` returns (n, d, d1); ``r(X, a)``
-    returns (n,); ``l(X)`` returns (n,).  ``sigma_tilde(a)`` returns (d, d2)
-    for a scalar control and (m, d, d2) for an (m,) control array.
+    Closures are batched over states and controls: ``b(X, a)`` takes points
+    X of shape (n, d) and an (n,) array of per-point controls and returns
+    (n, d); ``sigma(X, a)`` returns (n, d, d1); ``r(X, a)`` returns (n,);
+    ``l(X)`` returns (n,).  ``sigma_tilde(a)`` takes an (m,) control array
+    and returns (m, d, d2).  Every caller passes arrays of exactly these
+    shapes, so a closure need not coerce its arguments.
     ``bounds`` and ``lip`` declare per-coefficient sup bounds and Lipschitz
     constants (in x, uniform over controls); ``delta`` the ellipticity
     constant of sigma sigma^T.
@@ -101,33 +102,31 @@ def check_coefficient_assumptions(
     """Sampled boundedness and Lipschitz checks, exact ellipticity.
 
     Declared bounds and Lipschitz constants are sup-checked on random state
-    pairs for every control on the grid; the least eigenvalue of
+    pairs for every control on the grid, in one evaluation of each closure
+    on the pairs tiled over the controls; the least eigenvalue of
     sigma sigma^T at each probe point is checked against ``coeffs.delta``.
     """
     X, Y = rng.uniform(-_COEFF_PROBE_SCALE, _COEFF_PROBE_SCALE, (2, _COEFF_PROBE_POINTS, coeffs.d))
-    failures = []
-    worst = {"b": 0.0, "sigma": 0.0, "r": 0.0, "l": 0.0, "lip": 0.0}
-    min_ell = math.inf
-    for a in np.atleast_1d(control_grid):
-        bx, by = coeffs.b(X, a), coeffs.b(Y, a)
-        sx, sy = coeffs.sigma(X, a), coeffs.sigma(Y, a)
-        rx, ry = coeffs.r(X, a), coeffs.r(Y, a)
-        worst["b"] = max(worst["b"], float(np.max(np.linalg.norm(bx, axis=1))))
-        worst["sigma"] = max(
-            worst["sigma"], float(np.max(np.linalg.norm(sx, axis=(1, 2))))
-        )
-        worst["r"] = max(worst["r"], float(np.max(np.abs(rx))))
-        dist = np.linalg.norm(X - Y, axis=1)
-        dist = np.where(dist < 1e-12, np.inf, dist)
-        worst["lip"] = max(
-            worst["lip"],
+    grid = np.atleast_1d(np.asarray(control_grid, dtype=float))
+    Xc, Yc, ac = np.tile(X, (grid.size, 1)), np.tile(Y, (grid.size, 1)), np.repeat(grid, len(X))
+    bx, by = coeffs.b(Xc, ac), coeffs.b(Yc, ac)
+    sx, sy = coeffs.sigma(Xc, ac), coeffs.sigma(Yc, ac)
+    rx, ry = coeffs.r(Xc, ac), coeffs.r(Yc, ac)
+    dist = np.linalg.norm(Xc - Yc, axis=1)
+    dist = np.where(dist < 1e-12, np.inf, dist)
+    worst = {
+        "b": float(np.max(np.linalg.norm(bx, axis=1))),
+        "sigma": float(np.max(np.linalg.norm(sx, axis=(1, 2)))),
+        "r": float(np.max(np.abs(rx))),
+        "l": float(np.max(np.abs(coeffs.l(X)))),
+        "lip": max(
             float(np.max(np.linalg.norm(bx - by, axis=1) / dist)),
             float(np.max(np.linalg.norm(sx - sy, axis=(1, 2)) / dist)),
             float(np.max(np.abs(rx - ry) / dist)),
-        )
-        ssT = np.einsum("nij,nkj->nik", sx, sx)
-        min_ell = min(min_ell, float(np.min(np.linalg.eigvalsh(ssT))))
-    worst["l"] = float(np.max(np.abs(coeffs.l(X))))
+        ),
+    }
+    min_ell = float(np.min(np.linalg.eigvalsh(np.einsum("nij,nkj->nik", sx, sx))))
+    failures = []
     for key in ("b", "sigma", "r", "l"):
         declared = coeffs.bounds.get(key)
         if declared is not None and worst[key] > declared * (1 + 1e-9):
@@ -149,14 +148,11 @@ _PROBE_VALUES = (1.0, 5.0, 25.0)
 
 
 def _probe_points(dim: int, extra: np.ndarray | None = None) -> np.ndarray:
-    pts = [np.zeros(dim)]
-    for axis in range(dim):
-        for v in _PROBE_VALUES:
-            for sign in (1.0, -1.0):
-                e = np.zeros(dim)
-                e[axis] = sign * v
-                pts.append(e)
-    pts = np.array(pts)
+    """The origin, then +-v e_axis for v in ``_PROBE_VALUES``, axis by axis."""
+    steps = np.ravel(np.outer(_PROBE_VALUES, (1.0, -1.0)))
+    axes = np.repeat(np.arange(dim), steps.size)
+    pts = np.zeros((1 + axes.size, dim))
+    pts[np.arange(1, 1 + axes.size), axes] = np.tile(steps, dim)
     if extra is not None and extra.size:
         pts = np.vstack([pts, np.atleast_2d(extra)])
     return pts
@@ -194,12 +190,6 @@ class JetArgs:
         M.setflags(write=False)
         object.__setattr__(self, "M", M)
 
-    def shifted(self, m: np.ndarray) -> "JetArgs":
-        """The jet with p and q composed with x -> x - m (M unchanged)."""
-        m = np.asarray(m, dtype=float)
-        p, q = self.p, self.q
-        return JetArgs(lambda X: p(np.atleast_2d(X) - m), lambda X: q(np.atleast_2d(X) - m), self.M)
-
 
 def K_filtering(controls, mu: SignedAtomicMeasure, jet: JetArgs, coeffs: FilteringCoeffs):
     """Per-control pairing: running cost, drift against p, diffusion against q,
@@ -220,7 +210,6 @@ def K_filtering(controls, mu: SignedAtomicMeasure, jet: JetArgs, coeffs: Filteri
     diffusion = np.einsum("nik,nki->n", qv, np.einsum("nij,nkj->nik", sv, sv))
     integrand = np.asarray(coeffs.r(Xc, ac), dtype=float) + drift + 0.5 * diffusion
     st = np.asarray(coeffs.sigma_tilde(grid), dtype=float)
-    st = np.broadcast_to(st, (C, coeffs.d, coeffs.d2))
     common = np.trace(st @ np.swapaxes(st, 1, 2) @ jet.M, axis1=1, axis2=2)
     # one dot product per control, so a control's value does not depend on the batch
     values = np.vecdot(integrand.reshape(C, n), w) + 0.5 * common
@@ -245,9 +234,10 @@ def Ge_extend(
     coeffs: FilteringCoeffs,
     control_grid,
 ) -> float:
-    """G at the translated measure with translated derivative arguments."""
+    """G at the translated measure, with p and q composed with x -> x - m."""
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    return G_filtering(pushforward_shift(mu, m), jet.shifted(m), coeffs, control_grid)
+    shifted = JetArgs(lambda X: jet.p(X - m), lambda X: jet.q(X - m), jet.M)
+    return G_filtering(pushforward_shift(mu, m), shifted, coeffs, control_grid)
 
 
 def check_assumption_i_filtering(
@@ -647,7 +637,7 @@ def regret_samples(K: int, n: int, rng: np.random.Generator) -> list:
         return 0.5 * (A + A.T)
 
     def field(c, B):
-        return lambda X: np.sin(np.atleast_2d(X) @ c)[:, None, None] * B
+        return lambda X: np.sin(X @ c)[:, None, None] * B
 
     samples = []
     for _ in range(n):
@@ -681,12 +671,6 @@ def regret_samples(K: int, n: int, rng: np.random.Generator) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _control_column(a, X: np.ndarray) -> np.ndarray:
-    """A scalar control or an (n,) array of per-point controls as an (n, 1)
-    column beside the (n, d) points X (a read-only view)."""
-    return np.broadcast_to(np.reshape(np.asarray(a, dtype=float), (-1, 1)), (X.shape[0], 1))
-
-
 def make_lq_coeffs(
     sigma: float = 1.0,
     sigma_tilde: float = 1.0,
@@ -700,29 +684,21 @@ def make_lq_coeffs(
     """
 
     def b(X, a):
-        return _control_column(a, np.atleast_2d(X)).copy()
+        return a[:, None].copy()
 
     def sig(X, a):
-        X = np.atleast_2d(X)
         return np.full((X.shape[0], 1, 1), sigma)
 
     def sig_t(a):
-        return np.broadcast_to(np.array([[sigma_tilde]]), np.shape(a) + (1, 1))
+        return np.full((len(a), 1, 1), sigma_tilde)
 
     def r(X, a):
-        return control_weight * _control_column(a, np.atleast_2d(X))[:, 0] ** 2
+        return control_weight * a**2
 
-    if saturate_terminal is None:
+    cap = math.inf if saturate_terminal is None else saturate_terminal
 
-        def l(X):
-            X = np.atleast_2d(X)
-            return np.sum(X * X, axis=1)
-
-    else:
-
-        def l(X):
-            X = np.atleast_2d(X)
-            return np.minimum(np.sum(X * X, axis=1), saturate_terminal)
+    def l(X):
+        return np.minimum(np.sum(X * X, axis=1), cap)
 
     return FilteringCoeffs(
         d=1,
@@ -747,23 +723,18 @@ def make_bounded_filter_coeffs() -> FilteringCoeffs:
     """
 
     def b(X, a):
-        X = np.atleast_2d(X)
-        return _control_column(a, X) * (0.5 + 0.5 / (1.0 + X * X)) + 0.4 * np.sin(X)
+        return a[:, None] * (0.5 + 0.5 / (1.0 + X * X)) + 0.4 * np.sin(X)
 
     def sig(X, a):
-        X = np.atleast_2d(X)
         return (1.0 + 0.3 * np.sin(X))[:, :, None]
 
     def sig_t(a):
-        return np.broadcast_to(np.array([[0.5]]), np.shape(a) + (1, 1))
+        return np.full((len(a), 1, 1), 0.5)
 
     def r(X, a):
-        X = np.atleast_2d(X)
-        a = _control_column(a, X)[:, 0]
         return 0.3 * np.cos(X[:, 0]) + a**2 * (1.0 + 0.2 * np.cos(X[:, 0])) / 1.2
 
     def l(X):
-        X = np.atleast_2d(X)
         return np.tanh(np.sum(X * X, axis=1))
 
     return FilteringCoeffs(

@@ -206,14 +206,13 @@ def mollify(eta: SignedAtomicMeasure, eps: float, box: Box) -> GridFunction:
     margin = 6.0 * eps
     if np.any(eta.locations < lo + margin) or np.any(eta.locations > hi - margin):
         raise ValueError(f"atoms must be at least {margin} inside the box")
-    axes = box.axes()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    out = np.zeros(box.nodes)
+    # one (atoms, *nodes) array of squared distances, summed over the atoms
+    # in order along axis 0
+    per_atom = (-1,) + (1,) * box.dim
+    sq = sum((ax - x.reshape(per_atom)) ** 2 for ax, x in zip(np.ix_(*box.axes()), eta.locations.T))
     norm = (2.0 * np.pi * eps * eps) ** (-box.dim / 2.0)
-    for x, w in zip(eta.locations, eta.weights):
-        sq = sum((m - xi) ** 2 for m, xi in zip(mesh, x))
-        out += w * norm * np.exp(-sq / (2.0 * eps * eps))
-    return GridFunction(box, out)
+    dens = (eta.weights * norm).reshape(per_atom) * np.exp(-sq / (2.0 * eps * eps))
+    return GridFunction(box, np.sum(dens, axis=0))
 
 
 def multiplication_ratio(

@@ -1,18 +1,19 @@
 """Independent reference computations used only by the test suite.
 
 Everything here deliberately avoids the package's own code paths for the
-quantity it checks: the spectral-distance oracle integrates over the full
-line with adaptive quadrature, the game oracle solves one sequence-form
-linear program over the whole tree instead of stagewise matrix games, the
-mean-problem oracle is a dense backward dynamic program, the forecaster
-oracles rescan the game history instead of keeping running scores, and the
-particle-filter oracle steps one run at a time with scalar controls, the
-ascent oracle runs one start at a time on scalar points, the regret
-supremum oracles maximize quadratics on segments and on triangles of side
-marginals instead of enumerating faces, and the Monte Carlo regret oracle
-sums binomial terms in exact rationals.  The measure and kernel summaries
-at the end are quantities only tests check against, so they live here and
-not in the package.
+quantity it checks: the spectral-distance oracles integrate over the full
+line with adaptive quadrature or by the trapezoid rule, the game oracle
+solves one sequence-form linear program over the whole tree instead of
+stagewise matrix games, the mean-problem oracle is a dense backward dynamic
+program, the forecaster oracles rescan the game history instead of keeping
+running scores, and the particle-filter oracle steps one run at a time, the
+coefficient-check oracle evaluates one control at a time, the ascent oracle
+runs one start at a time on scalar points, the regret supremum oracles
+maximize quadratics on segments and on triangles of side marginals instead
+of enumerating faces, and the Monte Carlo regret oracle sums binomial terms
+in exact rationals.  The measure and kernel summaries at the end are
+quantities only tests check against, so they live here and not in the
+package.
 """
 
 from __future__ import annotations
@@ -50,6 +51,16 @@ def rho_f_point_masses_1d(separation: float, lam: int) -> float:
         limit=400,
     )[0]
     return math.sqrt(2.0 * (base - osc) / (2.0 * math.pi))
+
+
+def rho_f_trapezoid_1d(mu, nu, lam: int, radius: float, n_nodes: int) -> float:
+    """The spectral distance in d = 1 by the trapezoid rule on [-radius, radius]."""
+    k = np.linspace(-radius, radius, n_nodes)
+    w = np.full(n_nodes, k[1] - k[0])
+    w[[0, -1]] *= 0.5
+    diff = np.exp(1j * np.outer(k, mu.locations[:, 0])) @ mu.weights
+    diff -= np.exp(1j * np.outer(k, nu.locations[:, 0])) @ nu.weights
+    return math.sqrt(float(w @ (np.abs(diff) ** 2 / (1.0 + k * k) ** lam)) / (2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +270,11 @@ def _run_stream(seed: int, run: int, source: int) -> np.random.Generator:
 
 def scalar_run_costs(t, mu, policy, coeffs, cfg, law_summary) -> tuple:
     """Per-run costs and run 0's (time, mean, variance, cost_to_date) rows,
-    stepping each run's (N, d) particles on its own with a scalar control.
+    stepping each run's (N, d) particles on its own.
 
     ``law_summary(mean)`` builds what the policy sees from a run's (d,)
-    particle mean; the policy answers for a batch of one.
+    particle mean; the policy answers for a batch of one, and that one
+    control is passed to every particle of the run.
     """
     costs, rows = [], []
     for run in range(cfg.runs):
@@ -275,12 +287,13 @@ def scalar_run_costs(t, mu, policy, coeffs, cfg, law_summary) -> tuple:
         running = np.zeros(cfg.n_particles)
         path = [(t, X, running)]
         for step in range(n_steps):
-            a = float(policy(t + step * cfg.dt, law_summary(X.mean(axis=0)[None]))[0])
+            a = policy(t + step * cfg.dt, law_summary(X.mean(axis=0)[None]))
+            per_point = np.full(cfg.n_particles, a[0])
             dB = rng_b.standard_normal((cfg.n_particles, coeffs.d1)) * sqdt
-            drift = np.asarray(coeffs.b(X, a), dtype=float)
-            diff = np.asarray(coeffs.sigma(X, a), dtype=float)
-            common = np.asarray(coeffs.sigma_tilde(a), dtype=float)
-            running = running + np.asarray(coeffs.r(X, a), dtype=float) * cfg.dt
+            drift = np.asarray(coeffs.b(X, per_point), dtype=float)
+            diff = np.asarray(coeffs.sigma(X, per_point), dtype=float)
+            common = np.asarray(coeffs.sigma_tilde(a), dtype=float)[0]
+            running = running + np.asarray(coeffs.r(X, per_point), dtype=float) * cfg.dt
             X = X + drift * cfg.dt + np.einsum("nij,nj->ni", diff, dB) + common @ dW[step]
             path.append((t + (step + 1) * cfg.dt, X, running))
         if run == 0:
@@ -290,6 +303,42 @@ def scalar_run_costs(t, mu, policy, coeffs, cfg, law_summary) -> tuple:
                 rows.append((clock, float(mean[0]), var, float(run_cost.mean())))
         costs.append(float((running + np.asarray(coeffs.l(X), dtype=float)).mean()))
     return costs, rows
+
+
+# ---------------------------------------------------------------------------
+# the coefficient assumption check one control at a time
+# ---------------------------------------------------------------------------
+
+
+def per_control_coefficient_stats(coeffs, control_grid, rng) -> dict:
+    """The stats of ``check_coefficient_assumptions``, one control at a time.
+
+    Draws the same 64 state pairs on [-3, 3]^d and keeps running maxima
+    (and the running least eigenvalue of sigma sigma^T) over the controls.
+    """
+    X, Y = rng.uniform(-3.0, 3.0, (2, 64, coeffs.d))
+    worst = {"b": 0.0, "sigma": 0.0, "r": 0.0, "l": 0.0, "lip": 0.0}
+    min_ell = math.inf
+    dist = np.linalg.norm(X - Y, axis=1)
+    dist = np.where(dist < 1e-12, np.inf, dist)
+    for a in np.atleast_1d(control_grid):
+        per_point = np.full(len(X), a)
+        bx, by = coeffs.b(X, per_point), coeffs.b(Y, per_point)
+        sx, sy = coeffs.sigma(X, per_point), coeffs.sigma(Y, per_point)
+        rx, ry = coeffs.r(X, per_point), coeffs.r(Y, per_point)
+        worst["b"] = max(worst["b"], float(np.max(np.linalg.norm(bx, axis=1))))
+        worst["sigma"] = max(worst["sigma"], float(np.max(np.linalg.norm(sx, axis=(1, 2)))))
+        worst["r"] = max(worst["r"], float(np.max(np.abs(rx))))
+        worst["lip"] = max(
+            worst["lip"],
+            float(np.max(np.linalg.norm(bx - by, axis=1) / dist)),
+            float(np.max(np.linalg.norm(sx - sy, axis=(1, 2)) / dist)),
+            float(np.max(np.abs(rx - ry) / dist)),
+        )
+        ssT = np.einsum("nij,nkj->nik", sx, sx)
+        min_ell = min(min_ell, float(np.min(np.linalg.eigvalsh(ssT))))
+    worst["l"] = float(np.max(np.abs(coeffs.l(X))))
+    return {**worst, "ellipticity_min": min_ell}
 
 
 # ---------------------------------------------------------------------------

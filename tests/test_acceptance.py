@@ -366,13 +366,13 @@ def test_criterion_10_doubling_harness():
     ]
     base = ch.lq_discretized_candidate(support, lq, slack=0.0, m_box=1.5, osc=1.0)
     above = ch.lq_discretized_candidate(
-        support, lq, slack=0.0, m_box=1.5, osc=1.0, shift_fn=lambda t: 0.3 * (1.0 - t)
+        support, lq, slack=0.0, m_box=1.5, osc=1.0, shift_fn=lambda t: (0.3 * (1.0 - t), -0.3)
     )
     pair_ok = ch.ordering_check(base, above, probes, horizon=1.0).passed
     h = 0.12
     lowered = ch.lq_discretized_candidate(
         support, lq, slack=0.0, m_box=1.5, osc=1.0,
-        shift_fn=lambda t: -h * (1.0 - t + 1.0),
+        shift_fn=lambda t: (-h * (1.0 - t + 1.0), h),
     )
     shift_rep = ch.ordering_check(lowered, base, probes, horizon=1.0)
     shift_ok = shift_rep.passed and shift_rep.stats["min_margin"] >= h - 1e-12

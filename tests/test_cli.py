@@ -105,6 +105,29 @@ def test_unknown_schema_exits_1(tmp_path, capsys, schema):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command,scenario,override,key",
+    [
+        ("sobolev-check", "sobolev_check.json", "cout=2", "cout"),
+        ("filter-sim", "filter_sim.json", "seed=5", "seed"),
+        ("metric", "metric.json", "config.quadrature_rule=tensor-trapezoid", "config.quadrature_rule"),
+    ],
+    ids=["misspelt-count", "seed-beside-sim-seed", "nested-config-key"],
+)
+def test_key_the_target_never_reads_exits_1(tmp_path, capsys, command, scenario, override, key):
+    argv = [command, "--scenario", str(SCENARIOS / scenario), "--set", override]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_filter_sim_preamble_seed_is_the_simulation_seed(tmp_path):
+    small = ["sim.runs=2", "sim.n_particles=20", "sim.dt=0.25"]
+    assert cli.run(SCENARIOS / "filter_sim.json", small + ["sim.seed=5"], out_dir=tmp_path) == 0
+    assert cli.read_csv_meta(tmp_path / "filter_sim.csv")["seed"] == "5"
+
+
 def test_subcommand_target_mismatch(tmp_path):
     code = cli.main(
         ["game-sim", "--scenario", str(SCENARIOS / "metric.json"), "--out", str(tmp_path)]

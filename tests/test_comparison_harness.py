@@ -40,7 +40,7 @@ def _random_lq_pair(rng, shifted):
     n = int(rng.integers(2, 6))
     support = rng.uniform(-1.5, 1.5, (n, 1))
     lq = fs.LQParams(sigma=1.0, sigma_tilde=float(rng.uniform(0.2, 1.0)), horizon=1.0)
-    shift = (lambda t: 0.1 * np.sin(3.0 * t)) if shifted else None
+    shift = (lambda t: (0.1 * np.sin(3.0 * t), 0.3 * np.cos(3.0 * t))) if shifted else None
     kw = {"m_box": 1.5, "osc": 0.25}
     slack = float(rng.uniform(0.0, 0.5))
     u = ch.lq_discretized_candidate(support, lq, slack=slack, shift_fn=shift, **kw)
@@ -222,7 +222,7 @@ def test_penalty_decay_with_usc_jump():
         slack=0.25,
         m_box=CFG.m_box,
         osc=0.25,
-        shift_fn=lambda t: np.where(t <= 0.5, 0.05, 0.0),
+        shift_fn=lambda t: (np.where(t <= 0.5, 0.05, 0.0), 0.0),
     )
     v = ch.lq_discretized_candidate(SUPPORT, LQ, slack=0.0, m_box=CFG.m_box, osc=0.25)
     rep = ch.penalty_decay_check(u, v, 0.02, [0.5, 0.1, 0.02], CFG)
@@ -253,7 +253,7 @@ def test_ordering_check_margin_pair(rng):
     c = 0.3
     above = ch.lq_discretized_candidate(
         SUPPORT, LQ, slack=0.0, m_box=1.5, osc=1.0,
-        shift_fn=lambda t: c * (1.0 - t),
+        shift_fn=lambda t: (c * (1.0 - t), -c),
     )
     rep = ch.ordering_check(base, above, _probes(rng), horizon=1.0)
     assert rep.passed
@@ -267,7 +267,7 @@ def test_ordering_check_equality_and_h_shift(rng):
     h = 0.12
     lowered = ch.lq_discretized_candidate(
         SUPPORT, LQ, slack=0.0, m_box=1.5, osc=1.0,
-        shift_fn=lambda t: -h * (1.0 - t + 1.0),
+        shift_fn=lambda t: (-h * (1.0 - t + 1.0), h),
     )
     rep = ch.ordering_check(lowered, base, _probes(rng), horizon=1.0)
     assert rep.passed
@@ -291,7 +291,8 @@ def test_ordering_check_matches_each_probe(seed, c, n_probes):
     rng = np.random.default_rng(seed)
     base = ch.lq_discretized_candidate(SUPPORT, LQ, slack=0.0, m_box=1.5, osc=1.0)
     other = ch.lq_discretized_candidate(
-        SUPPORT, LQ, slack=0.0, m_box=1.5, osc=1.0, shift_fn=lambda t: c * np.sin(5.0 * t)
+        SUPPORT, LQ, slack=0.0, m_box=1.5, osc=1.0,
+        shift_fn=lambda t: (c * np.sin(5.0 * t), 5.0 * c * np.cos(5.0 * t)),
     )
     probes = _probes(rng, n_probes)
     rep = ch.ordering_check(base, other, probes, horizon=1.0)

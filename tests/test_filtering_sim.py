@@ -21,7 +21,7 @@ def _null_coeffs(sigma=0.0, sigma_tilde=0.0, r_const=0.0, l_const=0.0):
         1,
         b=lambda X, a: np.zeros((np.atleast_2d(X).shape[0], 1)),
         sigma=lambda X, a: np.full((np.atleast_2d(X).shape[0], 1, 1), sigma),
-        sigma_tilde=lambda a: np.array([[sigma_tilde]]),
+        sigma_tilde=lambda a: np.full((len(a), 1, 1), sigma_tilde),
         r=lambda X, a: np.full(np.atleast_2d(X).shape[0], r_const),
         l=lambda X: np.full(np.atleast_2d(X).shape[0], l_const),
     )
@@ -181,7 +181,7 @@ def test_divergence_guard():
         1,
         b=lambda X, a: 1e7 * np.ones((np.atleast_2d(X).shape[0], 1)),
         sigma=lambda X, a: np.zeros((np.atleast_2d(X).shape[0], 1, 1)),
-        sigma_tilde=lambda a: np.zeros((1, 1)),
+        sigma_tilde=lambda a: np.zeros((len(a), 1, 1)),
         r=lambda X, a: np.zeros(np.atleast_2d(X).shape[0]),
         l=lambda X: np.zeros(np.atleast_2d(X).shape[0]),
     )
@@ -197,7 +197,7 @@ def test_non_finite_coefficients_raise_floating_point_error():
         1,
         b=lambda X, a: np.full((np.atleast_2d(X).shape[0], 1), np.nan),
         sigma=lambda X, a: np.zeros((np.atleast_2d(X).shape[0], 1, 1)),
-        sigma_tilde=lambda a: np.zeros((1, 1)),
+        sigma_tilde=lambda a: np.zeros((len(a), 1, 1)),
         r=lambda X, a: np.zeros(np.atleast_2d(X).shape[0]),
         l=lambda X: np.zeros(np.atleast_2d(X).shape[0]),
     )

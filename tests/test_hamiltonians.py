@@ -10,6 +10,7 @@ from _oracles import (
     G_regret_three_actions,
     K_regret_conditional,
     V_vectors,
+    per_control_coefficient_stats,
     simplex_lattice,
 )
 from conftest import random_probability_measure
@@ -256,25 +257,28 @@ def test_K_filtering_over_controls_matches_each_control(cfg1d, seed, n_controls)
     assert ham.G_filtering(mu, jet, coeffs, controls) == min(each)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    name=st.sampled_from(sorted(ham.COEFFS_REGISTRY)),
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 12),
-)
-def test_closures_on_per_point_controls_match_scalar_calls(name, seed, n):
+@pytest.mark.parametrize("m", [1, 7])
+@pytest.mark.parametrize("name", sorted(ham.COEFFS_REGISTRY))
+def test_closures_follow_the_array_contract(name, m):
+    # (m, d) points and (m,) per-point controls; row k of a batch is the
+    # one-row call on row k
     coeffs = ham.COEFFS_REGISTRY[name]()
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-3.0, 3.0, (n, coeffs.d))
-    a = rng.uniform(-4.0, 4.0, n)
-    for f in (coeffs.b, coeffs.sigma, coeffs.r):
-        each = np.concatenate([np.asarray(f(X[k : k + 1], float(a[k]))) for k in range(n)])
-        assert np.array_equal(np.asarray(f(X, a)), each)
-        # a scalar control applies to every point
-        assert np.array_equal(np.asarray(f(X, float(a[0]))), np.asarray(f(X, np.full(n, a[0]))))
-    st_each = np.stack([np.asarray(coeffs.sigma_tilde(float(v))) for v in a])
-    assert st_each.shape == (n, coeffs.d, coeffs.d2)
-    assert np.array_equal(np.asarray(coeffs.sigma_tilde(a)), st_each)
+    rng = np.random.default_rng(m)
+    X = rng.uniform(-3.0, 3.0, (m, coeffs.d))
+    a = rng.uniform(-4.0, 4.0, m)
+    d, d1, d2 = coeffs.d, coeffs.d1, coeffs.d2
+    calls = [
+        (lambda X, a: coeffs.b(X, a), (d,)),
+        (lambda X, a: coeffs.sigma(X, a), (d, d1)),
+        (lambda X, a: coeffs.r(X, a), ()),
+        (lambda X, a: coeffs.l(X), ()),
+        (lambda X, a: coeffs.sigma_tilde(a), (d, d2)),
+    ]
+    for f, tail in calls:
+        batch = np.asarray(f(X, a))
+        assert batch.shape == (m,) + tail
+        for k in range(m):
+            assert np.array_equal(batch[k], np.asarray(f(X[k : k + 1], a[k : k + 1]))[0])
 
 
 def test_G_filtering_evaluates_the_jet_once(cfg1d, rng):
@@ -329,11 +333,21 @@ def _off_axis_coeffs(declared):
         d2=1,
         b=lambda X, a: np.zeros_like(X),
         sigma=lambda X, a: np.broadcast_to(sig, (len(X), 2, 2)),
-        sigma_tilde=lambda a: np.zeros((2, 1)),
+        sigma_tilde=lambda a: np.zeros((len(a), 2, 1)),
         r=lambda X, a: np.zeros(len(X)),
         l=lambda X: np.zeros(len(X)),
         delta=declared,
     )
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [LQ, ham.make_bounded_filter_coeffs(), _off_axis_coeffs(OFF_AXIS_DELTA)],
+    ids=["lq1d", "filter1d", "off-axis-2d"],
+)
+def test_coefficient_checker_matches_the_per_control_loop(coeffs):
+    got = ham.check_coefficient_assumptions(coeffs, GRID[::40], np.random.default_rng(5))
+    assert got.stats == per_control_coefficient_stats(coeffs, GRID[::40], np.random.default_rng(5))
 
 
 def test_coefficient_checker_rejects_off_axis_ellipticity_in_2d(rng):

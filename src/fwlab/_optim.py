@@ -24,10 +24,11 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     css = np.cumsum(u, axis=-1) - 1.0
     ind = np.arange(1, n + 1)
     cond = u - css / ind > 0
-    # rho is the last index where cond holds
+    # rho is the last index where cond holds; theta is css at rho over rho
     rho = n - np.argmax(cond[..., ::-1], axis=-1)
-    theta = np.take_along_axis(css, (rho - 1)[..., None], axis=-1) / rho[..., None]
-    return np.maximum(v - theta, 0.0)
+    at_rho = css.reshape(-1)[np.arange(0, css.size, n) + rho.reshape(-1) - 1]
+    theta = at_rho.reshape(rho.shape) / rho
+    return np.maximum(v - theta[..., None], 0.0)
 
 
 def projected_gradient_ascent(value_and_grad, x0: np.ndarray, project, *, max_iters: int):

@@ -362,10 +362,9 @@ def _run_comparison_doubling(scenario: dict, out: Path, meta: dict) -> int:
         horizon=lq.horizon, m_box=m_box, **{k: int(scenario[k]) for k in keys if k in scenario}
     )
     delta = float(scenario.get("delta", 0.01))
-    rows = []
-    for eps in scenario["eps_sequence"]:
-        rep = ch.doubling_maximize(u, v, float(eps), delta, cfg)
-        rows.append([eps, rep.value, rep.penalty, rep.d_F, rep.converged])
+    eps_sequence = scenario["eps_sequence"]
+    reports = ch.doubling_maximize(u, v, eps_sequence, delta, cfg)
+    rows = [[eps, r.value, r.penalty, r.d_F, r.converged] for eps, r in zip(eps_sequence, reports)]
     _write_csv(
         out / "comparison_doubling.csv",
         ["eps", "value", "penalty", "d_F", "converged"],

@@ -131,56 +131,60 @@ class DoublingReport:
 
 
 def _unpack(Z: np.ndarray, n: int, d: int) -> tuple:
-    """(t1, w1, m1, t2, w2, m2) as views into packed points along the last axis."""
+    """(t1, w1, m1, t2, w2, m2, eps) as views into packed points along the last axis."""
+    half = 1 + n + d
     return (
         Z[..., 0],
         Z[..., 1 : 1 + n],
-        Z[..., 1 + n : 1 + n + d],
-        Z[..., 1 + n + d],
-        Z[..., 2 + n + d : 2 + 2 * n + d],
-        Z[..., 2 + 2 * n + d :],
+        Z[..., 1 + n : half],
+        Z[..., half],
+        Z[..., half + 1 : half + 1 + n],
+        Z[..., half + 1 + n : 2 * half],
+        Z[..., 2 * half],
     )
 
 
 def doubled_objective(
-    u: DiscretizedFunction, v: DiscretizedFunction, gram: np.ndarray, eps: float, delta: float
+    u: DiscretizedFunction, v: DiscretizedFunction, gram: np.ndarray, delta: float
 ) -> Callable:
     """Value and exact gradient of the doubled penalized objective.
 
-    The returned ``value_and_grad(Z)`` takes a (B, p) batch of packed points
-    z = (t1, w1, m1, t2, w2, m2), evaluates each copy once on the whole
-    batch and returns the (B,) values and (B, p) gradients of
+    The returned ``value_and_grad(Z)`` takes a (B, p + 1) batch of packed
+    points z = (t1, w1, m1, t2, w2, m2, eps), each row carrying its own scale
+    eps in the trailing coordinate, evaluates each copy once on the whole
+    batch and returns the (B,) values and (B, p + 1) gradients of
     H = u(t1, w1, m1) - v(t2, w2, m2) - d_F^2 / (2 eps)
     - delta (vartheta(w1, m1) + vartheta(w2, m2)), where
     d_F^2 = (t1 - t2)^2 + |m1 - m2|^2 + (w1 - w2)^T Gram (w1 - w2) and
     vartheta(w, m) = 1 + |m|^2 + sum_i w_i |x_i|^2 over the support atoms x_i.
+    The scale is a parameter, not a variable: its gradient entry is 0, so no
+    ascent step moves it.
     """
     n, d = u.n_atoms, u.dim
     sq_norms = np.sum(u.support * u.support, axis=1)
 
     def value_and_grad(Z):
-        t1, w1, m1, t2, w2, m2 = _unpack(Z, n, d)
+        t1, w1, m1, t2, w2, m2, eps = _unpack(Z, n, d)
         u_val, u_t, u_w, u_m = u.eval_fn(t1, w1, m1)
         v_val, v_t, v_w, v_m = v.eval_fn(t2, w2, m2)
         dt, dw, dm = t1 - t2, w1 - w2, m1 - m2
         gram_dw = dw @ gram  # the Gram matrix is symmetric
-        d_F_sq = dt * dt + np.sum(dm * dm, axis=1) + np.maximum(np.sum(dw * gram_dw, axis=1), 0.0)
+        d_F_sq = dt * dt + (dm * dm).sum(axis=1) + np.maximum((dw * gram_dw).sum(axis=1), 0.0)
         val = u_val - v_val - d_F_sq / (2.0 * eps)
         val -= delta * (
-            (1.0 + np.sum(m1 * m1, axis=1) + w1 @ sq_norms)
-            + (1.0 + np.sum(m2 * m2, axis=1) + w2 @ sq_norms)
+            (1.0 + (m1 * m1).sum(axis=1) + w1 @ sq_norms)
+            + (1.0 + (m2 * m2).sum(axis=1) + w2 @ sq_norms)
         )
-        grad = np.concatenate(
-            [
-                (u_t - dt / eps)[:, None],
-                u_w - gram_dw / eps - delta * sq_norms,
-                u_m - dm / eps - 2.0 * delta * m1,
-                (dt / eps - v_t)[:, None],
-                gram_dw / eps - v_w - delta * sq_norms,
-                dm / eps - v_m - 2.0 * delta * m2,
-            ],
-            axis=1,
-        )
+        grad = np.empty(Z.shape)
+        g_t1, g_w1, g_m1, g_t2, g_w2, g_m2, g_eps = _unpack(grad, n, d)
+        eps_col = eps[:, None]
+        g_t1[...] = u_t - dt / eps
+        g_w1[...] = u_w - gram_dw / eps_col - delta * sq_norms
+        g_m1[...] = u_m - dm / eps_col - 2.0 * delta * m1
+        g_t2[...] = dt / eps - v_t
+        g_w2[...] = gram_dw / eps_col - v_w - delta * sq_norms
+        g_m2[...] = dm / eps_col - v_m - 2.0 * delta * m2
+        g_eps[...] = 0.0
         return val, grad
 
     return value_and_grad
@@ -189,47 +193,56 @@ def doubled_objective(
 def doubling_maximize(
     u: DiscretizedFunction,
     v: DiscretizedFunction,
-    eps: float,
+    eps_sequence,
     delta: float,
     cfg: DoublingConfig = DoublingConfig(),
-) -> DoublingReport:
-    """Best found maximizer of the doubled penalized objective.
+) -> list:
+    """Best found maximizer of the doubled penalized objective at each scale.
 
     H(theta, iota) = u(theta) - v(iota) - (1/2 eps) d_F^2 - delta (moment
-    penalties), maximized over both copies of [0, T] x simplex^n x box by
-    one batched projected gradient ascent over all ``n_starts`` starts and an
-    SLSQP polish of the best ``n_polish`` results, one point at a time, both
-    on the exact gradient of ``doubled_objective``.  The first
-    min(16, n_starts) starts are diagonal probes, so the report value
-    dominates the diagonal probe set by construction.  ``converged`` is the
-    SLSQP status of the reported point; where the polish was rejected it is
-    the ascent's flag, True only if every start converged.
+    penalties), maximized over both copies of [0, T] x simplex^n x box for
+    each eps in the non-empty ``eps_sequence``; one ``DoublingReport`` per
+    scale, in order.  The Gram matrix is built once and the same
+    ``n_starts`` starts are tiled over the scales: one batched projected
+    gradient ascent advances every (scale, start) row, each carrying its eps
+    as the trailing coordinate, and each row follows the path it would
+    follow alone.  An SLSQP polish then refines each scale's best
+    ``n_polish`` results one point at a time; both use the exact gradient of
+    ``doubled_objective``.  The first min(16, n_starts) starts are diagonal
+    probes, so each value dominates the diagonal probe set by construction.
+    ``converged`` is the SLSQP status of the reported point.  Where the
+    polish was rejected it is the ascent's flag, True only if every start at
+    every scale converged, so it can read False for a scale whose own starts
+    all converged, never True where one of them did not.
     """
-    if eps <= 0 or delta <= 0:
+    eps_sequence = [float(eps) for eps in eps_sequence]
+    if not eps_sequence:
+        raise ValueError("eps_sequence must not be empty")
+    if min(eps_sequence) <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
     if u.n_atoms != v.n_atoms or u.dim != v.dim:
         raise ValueError("candidates must share the support")
     if not np.allclose(u.support, v.support):
         raise ValueError("candidates must share the support atoms")
     n, d = u.n_atoms, u.dim
+    half = 1 + n + d
     metric = FixedSupportMetric(u.support, fm.default_config(d))
-    value_and_grad = doubled_objective(u, v, metric.gram, eps, delta)
+    value_and_grad = doubled_objective(u, v, metric.gram, delta)
     T = cfg.horizon
 
-    def negated(z):
-        val, grad = value_and_grad(z[None])
-        return -val[0], -grad[0]
-
     # the box of one copy is [0, T] x [0, 1]^n x [-m_box, m_box]^d; the
-    # weights are projected onto the simplex instead of clipped
+    # weights are projected onto the simplex instead of clipped, and the
+    # trailing scale passes the clip unchanged
     bounds = ([(0.0, T)] + [(0.0, 1.0)] * n + [(-cfg.m_box, cfg.m_box)] * d) * 2
-    lo, hi = np.array(bounds).T
-    weights = (slice(1, 1 + n), slice(2 + n + d, 2 + 2 * n + d))
+    lo, hi = np.array(bounds + [(0.0, np.inf)]).T
+
+    def weights(Z):
+        # both copies' weights as one (..., 2, n) view
+        return Z[..., :-1].reshape(Z.shape[:-1] + (2, half))[..., 1 : 1 + n]
 
     def project(Z):
-        out = np.clip(Z, lo, hi)
-        for s in weights:
-            out[..., s] = project_simplex(Z[..., s])
+        out = np.clip(Z, lo, hi)  # a new C-contiguous array, so weights(out) is a view
+        weights(out)[...] = project_simplex(weights(Z))
         return out
 
     rng = substream(cfg.seed, 0)
@@ -246,47 +259,72 @@ def doubling_maximize(
     n_diagonal = min(_N_DIAGONAL_PROBES, cfg.n_starts)
     starts = [np.tile(draw(), 2) for _ in range(n_diagonal)]
     starts += [np.concatenate([draw(), draw()]) for _ in range(cfg.n_starts - n_diagonal)]
+    S = len(starts)
+    x0 = np.empty((len(eps_sequence) * S, 2 * half + 1))
+    x0[:, :-1] = np.tile(starts, (len(eps_sequence), 1))
+    x0[:, -1] = np.repeat(eps_sequence, S)
+
+    def batch_value_and_grad(Z):
+        # numpy hands a one-row product to other BLAS kernels than a batch,
+        # with other last bits; a lone row is evaluated as a pair, so no
+        # row's path depends on which rows share its tick
+        if len(Z) > 1:
+            return value_and_grad(Z)
+        val, grad = value_and_grad(np.repeat(Z, 2, axis=0))
+        return val[:1], grad[:1]
+
     X, F, ascent_converged = projected_gradient_ascent(
-        value_and_grad, np.array(starts), project, max_iters=cfg.max_iters
+        batch_value_and_grad, x0, project, max_iters=cfg.max_iters
     )
 
     # the coupling makes the landscape stiff across scales; a constrained local
     # solve from the leading ascent results pins the maximizer down, with
     # each copy's weights summing to one
-    sums = np.zeros((2, 2 * (1 + n + d)))
-    for row, s in enumerate(weights):
-        sums[row, s] = 1.0
+    sums = np.zeros((2, 2 * half))
+    sums[0, 1 : 1 + n] = sums[1, half + 1 : half + 1 + n] = 1.0
     constraints = {"type": "eq", "fun": lambda z: sums @ z - 1.0, "jac": lambda z: sums}
-    best = None
-    for idx in np.argsort(-F, kind="stable")[: max(cfg.n_polish, 1)]:
-        fx, x = float(F[idx]), X[idx]
-        res = optimize.minimize(
-            negated,
-            x,
-            jac=True,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=constraints,
-            options={"maxiter": 300, "ftol": 1e-14},
+
+    def negated(z, eps):
+        val, grad = value_and_grad(np.append(z, eps)[None])
+        return -val[0], -grad[0, :-1]
+
+    reports = []
+    for k, eps in enumerate(eps_sequence):
+        Xk, Fk = X[k * S : (k + 1) * S], F[k * S : (k + 1) * S]
+        best = None
+        for idx in np.argsort(-Fk, kind="stable")[: max(cfg.n_polish, 1)]:
+            fx, x = float(Fk[idx]), Xk[idx]
+            res = optimize.minimize(
+                negated,
+                x[:-1],
+                args=(eps,),
+                jac=True,
+                method="SLSQP",
+                bounds=bounds,
+                constraints=constraints,
+                options={"maxiter": 300, "ftol": 1e-14},
+            )
+            found = (fx, x, ascent_converged)
+            if res.success:
+                cand = project(np.append(res.x, eps))
+                fc = float(value_and_grad(cand[None])[0][0])
+                if fc >= fx:
+                    found = (fc, cand, True)
+            if best is None or found[0] > best[0]:
+                best = found
+        val, z, conv = best
+        t1, w1, m1, t2, w2, m2, _ = _unpack(z, n, d)
+        dsq = metric.d_F_sq(t1, w1, m1, t2, w2, m2)
+        reports.append(
+            DoublingReport(
+                value=val,
+                theta_star=(float(t1), w1.copy(), m1.copy()),
+                penalty=dsq / (2.0 * eps),
+                d_F=math.sqrt(max(dsq, 0.0)),
+                converged=bool(conv),
+            )
         )
-        found = (fx, x, ascent_converged)
-        if res.success:
-            cand = project(res.x)
-            fc = float(value_and_grad(cand[None])[0][0])
-            if fc >= fx:
-                found = (fc, cand, True)
-        if best is None or found[0] > best[0]:
-            best = found
-    val, z, conv = best
-    t1, w1, m1, t2, w2, m2 = _unpack(z, n, d)
-    dsq = metric.d_F_sq(t1, w1, m1, t2, w2, m2)
-    return DoublingReport(
-        value=val,
-        theta_star=(float(t1), w1.copy(), m1.copy()),
-        penalty=dsq / (2.0 * eps),
-        d_F=math.sqrt(max(dsq, 0.0)),
-        converged=bool(conv),
-    )
+    return reports
 
 
 def penalty_decay_check(
@@ -298,19 +336,20 @@ def penalty_decay_check(
 ) -> CheckReport:
     """Run the doubling maximization along a decreasing scale sequence.
 
-    Passes when the coupling penalty at the last scale is at most
-    ``_DECAY_FACTOR`` (0.1) times the first-scale penalty plus
-    ``_DECAY_ABS_TOL`` (1e-6), and the maximizer separation shrinks overall.  Non-decay flags either a candidate
-    outside the semicontinuous bounded class or an optimizer failure, which
-    the per-scale convergence flags help distinguish.  For Lipschitz
-    candidates the penalty falls only in proportion to eps, so with the
-    factor 0.1 the sequence must span well over 10x: eps 0.5
-    to 0.05 on the scalar LQ pair gives a penalty ratio of 0.128 and fails.
+    One ``doubling_maximize`` call covers the whole sequence.  Passes when
+    the coupling penalty at the last scale is at most ``_DECAY_FACTOR`` (0.1)
+    times the first-scale penalty plus ``_DECAY_ABS_TOL`` (1e-6), and the
+    maximizer separation shrinks overall.  Non-decay flags either a
+    candidate outside the semicontinuous bounded class or an optimizer
+    failure, which the per-scale convergence flags help distinguish.  For
+    Lipschitz candidates the penalty falls only in proportion to eps, so
+    with the factor 0.1 the sequence must span well over 10x: eps 0.5 to
+    0.05 on the scalar LQ pair gives a penalty ratio of 0.128 and fails.
     """
     eps_sequence = list(eps_sequence)
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("eps sequence must be strictly decreasing")
-    reports = [doubling_maximize(u, v, eps, delta, cfg) for eps in eps_sequence]
+    reports = doubling_maximize(u, v, eps_sequence, delta, cfg)
     penalties = [r.penalty for r in reports]
     seps = [r.d_F for r in reports]
     decayed = penalties[-1] <= _DECAY_FACTOR * penalties[0] + _DECAY_ABS_TOL

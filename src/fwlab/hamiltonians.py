@@ -94,6 +94,11 @@ _COEFF_PROBE_POINTS = 64
 _COEFF_PROBE_SCALE = 3.0
 
 
+def _sizes(values: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a batch, whatever its trailing shape."""
+    return np.linalg.norm(values.reshape(len(values), -1), axis=1)
+
+
 def check_coefficient_assumptions(
     coeffs: FilteringCoeffs,
     control_grid: np.ndarray,
@@ -101,45 +106,51 @@ def check_coefficient_assumptions(
 ) -> CheckReport:
     """Sampled boundedness and Lipschitz checks, exact ellipticity.
 
-    Declared bounds and Lipschitz constants are sup-checked on random state
-    pairs for every control on the grid, in one evaluation of each closure
-    on the pairs tiled over the controls; the least eigenvalue of
-    sigma sigma^T at each probe point is checked against ``coeffs.delta``.
+    Each declared sup bound in ``coeffs.bounds`` and each declared Lipschitz
+    constant in ``coeffs.lip`` is checked against its own coefficient.  b,
+    sigma and r are sampled on random state pairs for every control on the
+    grid, in one evaluation of each closure on the pairs tiled over the
+    controls; l on the pairs alone; sigma_tilde on the control grid.  Sizes
+    are Euclidean norms of b, Frobenius norms of sigma and sigma_tilde and
+    absolute values of r and l.  The least eigenvalue of sigma sigma^T at
+    each probe point is checked against ``coeffs.delta``.  A declared
+    constant for a coefficient the check does not sample is a ValueError.
     """
     X, Y = rng.uniform(-_COEFF_PROBE_SCALE, _COEFF_PROBE_SCALE, (2, _COEFF_PROBE_POINTS, coeffs.d))
     grid = np.atleast_1d(np.asarray(control_grid, dtype=float))
     Xc, Yc, ac = np.tile(X, (grid.size, 1)), np.tile(Y, (grid.size, 1)), np.repeat(grid, len(X))
-    bx, by = coeffs.b(Xc, ac), coeffs.b(Yc, ac)
-    sx, sy = coeffs.sigma(Xc, ac), coeffs.sigma(Yc, ac)
-    rx, ry = coeffs.r(Xc, ac), coeffs.r(Yc, ac)
-    dist = np.linalg.norm(Xc - Yc, axis=1)
+    dist = np.linalg.norm(X - Y, axis=1)
     dist = np.where(dist < 1e-12, np.inf, dist)
-    worst = {
-        "b": float(np.max(np.linalg.norm(bx, axis=1))),
-        "sigma": float(np.max(np.linalg.norm(sx, axis=(1, 2)))),
-        "r": float(np.max(np.abs(rx))),
-        "l": float(np.max(np.abs(coeffs.l(X)))),
-        "lip": max(
-            float(np.max(np.linalg.norm(bx - by, axis=1) / dist)),
-            float(np.max(np.linalg.norm(sx - sy, axis=(1, 2)) / dist)),
-            float(np.max(np.abs(rx - ry) / dist)),
-        ),
+    tiled = np.tile(dist, grid.size)
+    pairs = {
+        "b": (coeffs.b(Xc, ac), coeffs.b(Yc, ac), tiled),
+        "sigma": (coeffs.sigma(Xc, ac), coeffs.sigma(Yc, ac), tiled),
+        "r": (coeffs.r(Xc, ac), coeffs.r(Yc, ac), tiled),
+        "l": (coeffs.l(X), coeffs.l(Y), dist),
     }
+    worst, lip = {}, {}
+    for key, (vx, vy, span) in pairs.items():
+        worst[key] = float(np.max(_sizes(vx)))
+        lip[key] = float(np.max(_sizes(vx - vy) / span))
+    worst["sigma_tilde"] = float(np.max(_sizes(coeffs.sigma_tilde(grid))))
+    unknown = sorted(set(coeffs.bounds) - set(worst)) + sorted(set(coeffs.lip) - set(lip))
+    if unknown:
+        raise ValueError(f"no check samples the declared constant of {unknown}")
+    sx = pairs["sigma"][0]
     min_ell = float(np.min(np.linalg.eigvalsh(np.einsum("nij,nkj->nik", sx, sx))))
     failures = []
-    for key in ("b", "sigma", "r", "l"):
-        declared = coeffs.bounds.get(key)
-        if declared is not None and worst[key] > declared * (1 + 1e-9):
-            failures.append({"coefficient": key, "observed": worst[key], "declared": declared})
-    declared_lip = max(coeffs.lip.values()) if coeffs.lip else None
-    if declared_lip is not None and worst["lip"] > declared_lip * (1 + 1e-9):
-        failures.append({"coefficient": "lip", "observed": worst["lip"], "declared": declared_lip})
+    for constant, observed, declared in (("bound", worst, coeffs.bounds), ("lipschitz", lip, coeffs.lip)):
+        for key, limit in declared.items():
+            if observed[key] > limit * (1 + 1e-9):
+                failures.append(
+                    {"coefficient": key, "constant": constant, "observed": observed[key], "declared": limit}
+                )
     if min_ell < coeffs.delta - 1e-12:
         failures.append({"coefficient": "ellipticity", "observed": min_ell, "declared": coeffs.delta})
     return CheckReport(
         "filtering-coefficients",
         not failures,
-        stats={**worst, "ellipticity_min": min_ell},
+        stats={**worst, "lip": lip, "ellipticity_min": min_ell},
         failures=failures,
     )
 

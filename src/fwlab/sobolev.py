@@ -72,6 +72,15 @@ class Box:
     def dim(self) -> int:
         return len(self.nodes)
 
+    @functools.cached_property
+    def corners(self) -> tuple:
+        """The (d,) arrays origin and origin + lengths, built once per box (read-only)."""
+        lo = np.array(self.origin)
+        hi = lo + np.array(self.lengths)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        return lo, hi
+
     def spacings(self) -> np.ndarray:
         return np.array(self.lengths) / np.array(self.nodes)
 
@@ -201,10 +210,9 @@ def mollify(eta: SignedAtomicMeasure, eps: float, box: Box) -> GridFunction:
         raise ValueError("mollification scale must be positive")
     if eta.dim != box.dim:
         raise ValueError("measure/box dimension mismatch")
-    lo = np.array(box.origin)
-    hi = lo + np.array(box.lengths)
+    lo, hi = box.corners
     margin = 6.0 * eps
-    if np.any(eta.locations < lo + margin) or np.any(eta.locations > hi - margin):
+    if ((eta.locations < lo + margin) | (eta.locations > hi - margin)).any():
         raise ValueError(f"atoms must be at least {margin} inside the box")
     # one (atoms, *nodes) array of squared distances, summed over the atoms
     # in order along axis 0

@@ -313,11 +313,13 @@ def scalar_run_costs(t, mu, policy, coeffs, cfg, law_summary) -> tuple:
 def per_control_coefficient_stats(coeffs, control_grid, rng) -> dict:
     """The stats of ``check_coefficient_assumptions``, one control at a time.
 
-    Draws the same 64 state pairs on [-3, 3]^d and keeps running maxima
-    (and the running least eigenvalue of sigma sigma^T) over the controls.
+    Draws the same 64 state pairs on [-3, 3]^d and keeps running maxima per
+    coefficient (and the running least eigenvalue of sigma sigma^T) over the
+    controls; sigma_tilde is evaluated one control at a time.
     """
     X, Y = rng.uniform(-3.0, 3.0, (2, 64, coeffs.d))
-    worst = {"b": 0.0, "sigma": 0.0, "r": 0.0, "l": 0.0, "lip": 0.0}
+    worst = {"b": 0.0, "sigma": 0.0, "r": 0.0, "sigma_tilde": 0.0}
+    lip = {"b": 0.0, "sigma": 0.0, "r": 0.0}
     min_ell = math.inf
     dist = np.linalg.norm(X - Y, axis=1)
     dist = np.where(dist < 1e-12, np.inf, dist)
@@ -329,16 +331,17 @@ def per_control_coefficient_stats(coeffs, control_grid, rng) -> dict:
         worst["b"] = max(worst["b"], float(np.max(np.linalg.norm(bx, axis=1))))
         worst["sigma"] = max(worst["sigma"], float(np.max(np.linalg.norm(sx, axis=(1, 2)))))
         worst["r"] = max(worst["r"], float(np.max(np.abs(rx))))
-        worst["lip"] = max(
-            worst["lip"],
-            float(np.max(np.linalg.norm(bx - by, axis=1) / dist)),
-            float(np.max(np.linalg.norm(sx - sy, axis=(1, 2)) / dist)),
-            float(np.max(np.abs(rx - ry) / dist)),
-        )
+        st = coeffs.sigma_tilde(np.array([a]))
+        worst["sigma_tilde"] = max(worst["sigma_tilde"], float(np.linalg.norm(st[0])))
+        lip["b"] = max(lip["b"], float(np.max(np.linalg.norm(bx - by, axis=1) / dist)))
+        lip["sigma"] = max(lip["sigma"], float(np.max(np.linalg.norm(sx - sy, axis=(1, 2)) / dist)))
+        lip["r"] = max(lip["r"], float(np.max(np.abs(rx - ry) / dist)))
         ssT = np.einsum("nij,nkj->nik", sx, sx)
         min_ell = min(min_ell, float(np.min(np.linalg.eigvalsh(ssT))))
-    worst["l"] = float(np.max(np.abs(coeffs.l(X))))
-    return {**worst, "ellipticity_min": min_ell}
+    lx, ly = coeffs.l(X), coeffs.l(Y)
+    worst["l"] = float(np.max(np.abs(lx)))
+    lip["l"] = float(np.max(np.abs(lx - ly) / dist))
+    return {**worst, "lip": lip, "ellipticity_min": min_ell}
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,22 @@ def test_metric_scenario_pinned_value(tmp_path):
     assert text.endswith("\n") and "\r" not in text
 
 
+# the numeric rows of the shipped comparison_doubling.csv (eps, value,
+# penalty, d_F, converged), pinned bit for bit: a change that only makes the
+# doubling check faster must leave every one of them in place
+DOUBLING_ROWS = [
+    (0.5, 0.7039237043799692, 0.10155774367471015, 0.3186812571751124, "true"),
+    (0.02, 0.22941762286388415, 0.019417493470105494, 0.02786933330390628, "true"),
+]
+
+
+def test_comparison_doubling_pinned_values(tmp_path):
+    assert cli.run(SCENARIOS / "comparison_doubling.json", out_dir=tmp_path) == cli.EXIT_OK
+    lines = (tmp_path / "comparison_doubling.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[_header_index(lines) + 1 :]]
+    assert [(*map(float, row[:4]), row[4]) for row in rows] == DOUBLING_ROWS
+
+
 SMALL_OVERRIDES = {
     "filter_sim.json": ["sim.runs=3", "sim.n_particles=60", "sim.dt=0.1"],
     "comparison_doubling.json": ["n_starts=4", "max_iters=10"],

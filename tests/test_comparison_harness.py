@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
 from fwlab import comparison_harness as ch
 from fwlab import filtering_sim as fs
@@ -80,21 +84,22 @@ def test_doubled_objective_gradient_matches_central_differences(seed, kinds, shi
     rng = np.random.default_rng(seed)
     u, v, scale = _random_lq_pair(rng, shifted)
     gram = ch.FixedSupportMetric(u.support, fm.default_config(1)).gram
-    value_and_grad = ch.doubled_objective(u, v, gram, eps, delta)
+    value_and_grad = ch.doubled_objective(u, v, gram, delta)
     z = np.concatenate([_random_point(rng, u.n_atoms, 1.5, kind) for kind in kinds])
-    _, grad = value_and_grad(z[None])
+    _, grad = value_and_grad(np.append(z, eps)[None])
+    # the trailing scale is carried, not optimized
+    assert grad[0, -1] == 0.0
     # the coupling and moment terms are quadratic, so a wider step costs them
     # nothing and keeps the rounding in the 1/eps penalty small
-    fd = _central_differences(lambda y: value_and_grad(y[None])[0][0], z, 1e-5)
-    assert np.max(np.abs(grad[0] - fd)) <= 1e-7 * scale * (1.0 + 1.0 / eps)
+    fd = _central_differences(lambda y: value_and_grad(np.append(y, eps)[None])[0][0], z, 1e-5)
+    assert np.max(np.abs(grad[0, :-1] - fd)) <= 1e-7 * scale * (1.0 + 1.0 / eps)
 
 
 def test_equal_candidates_diagonal_maximum():
     _, v = _pair()
     # diagonal optimality holds in the small-eps limit: the maximizer drifts
     # off-diagonal by O(eps), so the penalty shrinks linearly
-    rep_big = ch.doubling_maximize(v, v, 0.05, 0.02, CFG)
-    rep = ch.doubling_maximize(v, v, 0.002, 0.02, CFG)
+    rep_big, rep = ch.doubling_maximize(v, v, [0.05, 0.002], 0.02, CFG)
     assert rep.penalty <= 5e-5
     assert rep.penalty <= 0.1 * rep_big.penalty
     assert rep.value == pytest.approx(-2 * 0.02 * 1.0, abs=1e-3)
@@ -102,45 +107,109 @@ def test_equal_candidates_diagonal_maximum():
 
 @pytest.mark.parametrize("n_starts", [4, 18])
 def test_doubling_runs_n_starts_ascents(monkeypatch, n_starts):
-    # one ascent call whose rows are the n_starts starts; the first
-    # min(16, n_starts) are diagonal: both copies (t, 3 weights, 1 shift) coincide
+    # one ascent call whose rows are the n_starts starts tiled over the
+    # scales, each row's scale in its trailing coordinate; the first
+    # min(16, n_starts) starts are diagonal: both copies (t, 3 weights, 1 shift) coincide
     calls = []
     ascent = ch.projected_gradient_ascent
 
     def counted(objective, x0, *args, **kwargs):
-        calls.append([np.array_equal(x[:5], x[5:]) for x in x0])
+        calls.append(np.array(x0))
         return ascent(objective, x0, *args, **kwargs)
 
     monkeypatch.setattr(ch, "projected_gradient_ascent", counted)
     u, v = _pair()
     cfg = ch.DoublingConfig(horizon=1.0, m_box=1.5, n_starts=n_starts, max_iters=2, n_polish=1)
-    ch.doubling_maximize(u, v, 0.1, 0.02, cfg)
+    eps_sequence = [0.5, 0.1, 0.02]
+    reports = ch.doubling_maximize(u, v, eps_sequence, 0.02, cfg)
+    assert len(reports) == len(eps_sequence)
     assert len(calls) == 1
-    diagonal = calls[0]
-    assert len(diagonal) == n_starts
+    x0 = calls[0]
+    assert x0.shape == (len(eps_sequence) * n_starts, 11)
+    for k, eps in enumerate(eps_sequence):
+        rows = x0[k * n_starts : (k + 1) * n_starts]
+        assert np.array_equal(rows[:, :-1], x0[:n_starts, :-1])
+        assert np.all(rows[:, -1] == eps)
+    diagonal = [np.array_equal(x[:5], x[5:10]) for x in x0[:n_starts]]
     assert diagonal == [True] * min(16, n_starts) + [False] * max(n_starts - 16, 0)
 
 
+# an optimize stand-in whose every polish fails, so the reports keep the
+# ascent's own points, values and flags
+REJECTED_POLISH = SimpleNamespace(minimize=lambda *args, **kwargs: OptimizeResult(success=False))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    slack=st.floats(0.0, 0.5),
+    n_starts=st.integers(1, 6),
+    max_iters=st.integers(0, 80),
+    eps_sequence=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5),
+    polish=st.booleans(),
+)
+def test_each_scale_reports_as_if_alone(seed, n, slack, n_starts, max_iters, eps_sequence, polish):
+    # the scales share one ascent, yet each report is bit for bit the report
+    # of a call with that scale alone
+    rng = np.random.default_rng(seed)
+    support = rng.uniform(-1.5, 1.5, (n, 1))
+    lq = fs.LQParams(sigma=1.0, sigma_tilde=float(rng.uniform(0.2, 1.0)), horizon=1.0)
+    kw = {"m_box": 1.5, "osc": 0.25}
+    u = ch.lq_discretized_candidate(support, lq, slack=slack, **kw)
+    v = ch.lq_discretized_candidate(support, lq, **kw)
+    cfg = ch.DoublingConfig(
+        horizon=1.0, m_box=1.5, n_starts=n_starts, max_iters=max_iters, n_polish=1, seed=seed
+    )
+    with mock.patch.object(ch, "optimize", ch.optimize if polish else REJECTED_POLISH):
+        reports = ch.doubling_maximize(u, v, eps_sequence, 0.02, cfg)
+        alone = [ch.doubling_maximize(u, v, [eps], 0.02, cfg)[0] for eps in eps_sequence]
+    for rep, ref in zip(reports, alone, strict=True):
+        for field in ("value", "penalty", "d_F"):
+            assert _bits(getattr(rep, field)) == _bits(getattr(ref, field))
+        assert all(_bits(a) == _bits(b) for a, b in zip(rep.theta_star, ref.theta_star))
+
+
+def _constant(value):
+    def eval_fn(t, w, m):
+        return np.full(t.shape, value), np.zeros(t.shape), np.zeros_like(w), np.zeros_like(m)
+
+    return ch.DiscretizedFunction(SUPPORT, eval_fn, abs(value))
+
+
 def test_constant_difference_value():
-    support = SUPPORT
     c = 1.7
-
-    def constant(value):
-        def eval_fn(t, w, m):
-            return np.full(t.shape, value), np.zeros(t.shape), np.zeros_like(w), np.zeros_like(m)
-
-        return eval_fn
-
-    u = ch.DiscretizedFunction(support, constant(c), c)
-    v = ch.DiscretizedFunction(support, constant(0.0), 0.0)
-    rep = ch.doubling_maximize(u, v, 0.1, 0.02, CFG)
+    u, v = _constant(c), _constant(0.0)
+    rep = ch.doubling_maximize(u, v, [0.1], 0.02, CFG)[0]
     assert rep.value == pytest.approx(c - 2 * 0.02 * 1.0, abs=1e-6)
     assert rep.penalty <= 1e-8
 
 
+def test_converged_after_a_rejected_polish_covers_every_scale(monkeypatch):
+    # with every polish rejected each report keeps the ascent's flag, and the
+    # one ascent's flag covers the starts of every scale: the coarse scale,
+    # whose own 17 starts all converge, reads False beside the fine scale
+    u, v = _constant(1.7), _constant(0.0)
+    cfg = ch.DoublingConfig(horizon=1.0, m_box=1.5, n_starts=17, max_iters=400, n_polish=1)
+    (coarse,) = ch.doubling_maximize(u, v, [1.0], 0.02, cfg)
+    assert coarse.converged
+    monkeypatch.setattr(ch, "optimize", REJECTED_POLISH)
+    (coarse_alone,) = ch.doubling_maximize(u, v, [1.0], 0.02, cfg)
+    (fine_alone,) = ch.doubling_maximize(u, v, [0.001], 0.02, cfg)
+    assert coarse_alone.converged and not fine_alone.converged
+    both = ch.doubling_maximize(u, v, [1.0, 0.001], 0.02, cfg)
+    assert [r.converged for r in both] == [False, False]
+    # only the flag is shared: the values are still each scale's own
+    assert [r.value for r in both] == [coarse_alone.value, fine_alone.value]
+
+
 def test_value_dominates_probes():
     u, v = _pair()
-    rep = ch.doubling_maximize(u, v, 0.1, 0.02, CFG)
+    rep = ch.doubling_maximize(u, v, [0.1], 0.02, CFG)[0]
     metric = ch.FixedSupportMetric(SUPPORT, fm.default_config(1))
     rng = substream(4, 0)
     for _ in range(10_000):
@@ -159,7 +228,7 @@ def test_value_dominates_probes():
 def test_value_monotone_in_delta():
     u, v = _pair()
     values = [
-        ch.doubling_maximize(u, v, 0.1, delta, CFG).value
+        ch.doubling_maximize(u, v, [0.1], delta, CFG)[0].value
         for delta in (0.01, 0.05, 0.2)
     ]
     assert values[0] >= values[1] - 1e-6
@@ -173,7 +242,7 @@ def test_grid_oracle_cross_validation():
     v = ch.lq_discretized_candidate(support, LQ, slack=0.0, m_box=1.0, osc=0.25)
     cfg = ch.DoublingConfig(horizon=1.0, m_box=1.0, n_starts=20, max_iters=100, seed=1)
     eps, delta = 0.2, 0.02
-    rep = ch.doubling_maximize(u, v, eps, delta, cfg)
+    rep = ch.doubling_maximize(u, v, [eps], delta, cfg)[0]
     metric = ch.FixedSupportMetric(support, fm.default_config(1))
     x2 = support[:, 0] ** 2
     # every single-copy grid point, each candidate evaluated once per point
@@ -357,14 +426,16 @@ def test_doubling_rejects_mismatched_support():
     u, _ = _pair()
     other = ch.lq_discretized_candidate(np.array([[-2.0], [2.0]]), LQ, osc=0.25)
     with pytest.raises(ValueError):
-        ch.doubling_maximize(u, other, 0.1, 0.01, CFG)
+        ch.doubling_maximize(u, other, [0.1], 0.01, CFG)
     with pytest.raises(ValueError):
-        ch.doubling_maximize(u, u, -0.1, 0.01, CFG)
+        ch.doubling_maximize(u, u, [0.1, -0.1], 0.01, CFG)
+    with pytest.raises(ValueError):
+        ch.doubling_maximize(u, u, [], 0.01, CFG)
 
 
 def test_report_reproducible():
     u, v = _pair()
-    a = ch.doubling_maximize(u, v, 0.1, 0.02, CFG)
-    b = ch.doubling_maximize(u, v, 0.1, 0.02, CFG)
+    a = ch.doubling_maximize(u, v, [0.1], 0.02, CFG)[0]
+    b = ch.doubling_maximize(u, v, [0.1], 0.02, CFG)[0]
     assert a.value == b.value and a.penalty == b.penalty
     assert np.array_equal(a.theta_star[1], b.theta_star[1])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -316,6 +317,27 @@ def test_coefficient_checker_accepts_and_rejects(rng):
     )
     rep = ham.check_coefficient_assumptions(bad, GRID[::40], rng)
     assert not rep.passed
+
+
+def test_coefficient_checker_enforces_each_declared_constant(rng):
+    base = ham.make_bounded_filter_coeffs()
+    assert ham.check_coefficient_assumptions(base, GRID[::40], rng).passed
+    # sigma = 1 + 0.3 sin(10 x) is Lipschitz with constant 3 against the declared
+    # 0.3; the largest declared constant (r's 16.5) must not cover it
+    wiggly = dataclasses.replace(base, sigma=lambda X, a: (1.0 + 0.3 * np.sin(10.0 * X))[:, :, None])
+    rep = ham.check_coefficient_assumptions(wiggly, GRID[::40], rng)
+    assert not rep.passed
+    assert [(f["coefficient"], f["constant"]) for f in rep.failures] == [("sigma", "lipschitz")]
+    assert 2.0 < rep.stats["lip"]["sigma"] <= 3.0
+    # the declared sigma_tilde bound is sup-checked over the control grid
+    tight = dataclasses.replace(base, bounds={**base.bounds, "sigma_tilde": 0.4})
+    rep = ham.check_coefficient_assumptions(tight, GRID[::40], rng)
+    assert [(f["coefficient"], f["constant"]) for f in rep.failures] == [("sigma_tilde", "bound")]
+    assert rep.stats["sigma_tilde"] == 0.5
+    with pytest.raises(ValueError):
+        ham.check_coefficient_assumptions(
+            dataclasses.replace(base, lip={**base.lip, "sigma_tilde": 0.0}), GRID[::40], rng
+        )
 
 
 # sigma sigma^T with eigenvalues (OFF_AXIS_DELTA - 1e-3, 4) along axes rotated

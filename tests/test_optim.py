@@ -172,4 +172,17 @@ def test_project_simplex_is_the_nearest_feasible_point(seed, n, spread):
     V[0] = v
     P = project_simplex(V)
     for row, vec in zip(P, V):
-        assert np.array_equal(row, project_simplex(vec))
+        assert row.tobytes() == project_simplex(vec).tobytes()
+    # on a (B, 2, n) block, as the doubling harness projects both copies'
+    # weights at once, each (b, copy) row is projected alone, bit for bit
+    W = spread * rng.standard_normal((4, 2, n))
+    W[0, 1] = v
+    Q = project_simplex(W)
+    assert Q.shape == W.shape
+    for block, vecs in zip(Q, W):
+        for row, vec in zip(block, vecs):
+            assert row.tobytes() == project_simplex(vec).tobytes()
+    # a strided view is projected like its contiguous copy
+    wide = spread * rng.standard_normal((4, 2 * n + 3))
+    view = wide[:, 1 : 1 + n]
+    assert project_simplex(view).tobytes() == project_simplex(view.copy()).tobytes()

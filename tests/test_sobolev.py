@@ -127,9 +127,17 @@ def test_mollify_weak_convergence():
 
 
 def test_mollify_boundary_rejection():
-    eta = ms.dirac(15.9)
-    with pytest.raises(ValueError):
-        sb.mollify(eta, 0.5, BOX)
+    # the margin is 6 eps = 3 from each face: BOX spans [-16, 16), BOX2
+    # [-8, 8) x [-6, 6)
+    for x in (15.9, -15.9, 13.0 + 1e-9, -13.0 - 1e-9):
+        with pytest.raises(ValueError):
+            sb.mollify(ms.dirac(x), 0.5, BOX)
+    for x in (13.0, -13.0):
+        sb.mollify(ms.dirac(x), 0.5, BOX)
+    for x in ((0.0, 3.0 + 1e-9), (-5.0 - 1e-9, 0.0)):
+        with pytest.raises(ValueError):
+            sb.mollify(ms.dirac(x), 0.5, BOX2)
+    sb.mollify(ms.dirac((5.0, -3.0)), 0.5, BOX2)
 
 
 def test_multiplication_ratio_zero_and_scaling(rng):

@@ -4,6 +4,10 @@ The caller passes one ``value_and_grad(X)`` callable that returns the
 objective and its exact gradient together for each row of a batch of points;
 the package has no finite-difference gradient left.  All starts advance in
 lockstep, and each point is evaluated exactly once.
+
+Row independence: row k of a batch must get the bits that row k alone gets,
+so ``value_and_grad`` contracts rows with ``np.vecdot`` or row sums, never a
+matrix product.  Then each start follows the path it would follow alone.
 """
 
 from __future__ import annotations

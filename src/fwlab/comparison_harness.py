@@ -7,6 +7,10 @@ finite-dimensional maximization: distance coupling between the two copies,
 plus a moment penalty that confines the maximizer.  The harness reports the
 penalty decay along a scale sequence, ordering of candidate pairs, and the
 block matrix inequality that certified second-order data must satisfy.
+
+Candidates and the objective contract each row of a batch on its own
+(``np.vecdot`` or a row sum, never ``@``, whose one-row form numpy sends to
+other BLAS kernels), so a point has the same bits alone as in any batch.
 """
 
 from __future__ import annotations
@@ -93,14 +97,6 @@ class FixedSupportMetric:
         gram = pref * np.tensordot(wtilde, cosd, axes=1)
         self.gram = 0.5 * (gram + gram.T)
 
-    def rho_sq(self, w1: np.ndarray, w2: np.ndarray) -> float:
-        dw = np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float)
-        return max(float(dw @ self.gram @ dw), 0.0)
-
-    def d_F_sq(self, t1, w1, m1, t2, w2, m2) -> float:
-        dm = np.asarray(m1, dtype=float) - np.asarray(m2, dtype=float)
-        return (t1 - t2) ** 2 + float(dm @ dm) + self.rho_sq(w1, w2)
-
 
 # at most this many of the starts are diagonal probes (theta = iota)
 _N_DIAGONAL_PROBES = 16
@@ -144,6 +140,14 @@ def _unpack(Z: np.ndarray, n: int, d: int) -> tuple:
     )
 
 
+def _d_F_sq(dt, dw, dm, gram: np.ndarray) -> tuple:
+    """d_F^2 = dt^2 + |dm|^2 + max(dw^T Gram dw, 0) and Gram dw from the
+    differences (...), (..., n), (..., d) of the copies' times, weights and
+    shifts; the objective and the per-scale report both read it."""
+    gram_dw = np.vecdot(dw[..., None, :], gram)  # the Gram matrix is symmetric
+    return dt * dt + (dm * dm).sum(axis=-1) + np.maximum((dw * gram_dw).sum(axis=-1), 0.0), gram_dw
+
+
 def doubled_objective(
     u: DiscretizedFunction, v: DiscretizedFunction, gram: np.ndarray, delta: float
 ) -> Callable:
@@ -168,12 +172,11 @@ def doubled_objective(
         u_val, u_t, u_w, u_m = u.eval_fn(t1, w1, m1)
         v_val, v_t, v_w, v_m = v.eval_fn(t2, w2, m2)
         dt, dw, dm = t1 - t2, w1 - w2, m1 - m2
-        gram_dw = dw @ gram  # the Gram matrix is symmetric
-        d_F_sq = dt * dt + (dm * dm).sum(axis=1) + np.maximum((dw * gram_dw).sum(axis=1), 0.0)
+        d_F_sq, gram_dw = _d_F_sq(dt, dw, dm, gram)
         val = u_val - v_val - d_F_sq / (2.0 * eps)
         val -= delta * (
-            (1.0 + (m1 * m1).sum(axis=1) + w1 @ sq_norms)
-            + (1.0 + (m2 * m2).sum(axis=1) + w2 @ sq_norms)
+            (1.0 + (m1 * m1).sum(axis=1) + np.vecdot(w1, sq_norms))
+            + (1.0 + (m2 * m2).sum(axis=1) + np.vecdot(w2, sq_norms))
         )
         grad = np.empty(Z.shape)
         g_t1, g_w1, g_m1, g_t2, g_w2, g_m2, g_eps = _unpack(grad, n, d)
@@ -264,17 +267,8 @@ def doubling_maximize(
     x0[:, :-1] = np.tile(starts, (len(eps_sequence), 1))
     x0[:, -1] = np.repeat(eps_sequence, S)
 
-    def batch_value_and_grad(Z):
-        # numpy hands a one-row product to other BLAS kernels than a batch,
-        # with other last bits; a lone row is evaluated as a pair, so no
-        # row's path depends on which rows share its tick
-        if len(Z) > 1:
-            return value_and_grad(Z)
-        val, grad = value_and_grad(np.repeat(Z, 2, axis=0))
-        return val[:1], grad[:1]
-
     X, F, ascent_converged = projected_gradient_ascent(
-        batch_value_and_grad, x0, project, max_iters=cfg.max_iters
+        value_and_grad, x0, project, max_iters=cfg.max_iters
     )
 
     # the coupling makes the landscape stiff across scales; a constrained local
@@ -314,13 +308,13 @@ def doubling_maximize(
                 best = found
         val, z, conv = best
         t1, w1, m1, t2, w2, m2, _ = _unpack(z, n, d)
-        dsq = metric.d_F_sq(t1, w1, m1, t2, w2, m2)
+        dsq = float(_d_F_sq(t1 - t2, w1 - w2, m1 - m2, metric.gram)[0])
         reports.append(
             DoublingReport(
                 value=val,
                 theta_star=(float(t1), w1.copy(), m1.copy()),
                 penalty=dsq / (2.0 * eps),
-                d_F=math.sqrt(max(dsq, 0.0)),
+                d_F=math.sqrt(dsq),
                 converged=bool(conv),
             )
         )
@@ -448,9 +442,9 @@ def lq_discretized_candidate(
     scale = osc / raw_bound
 
     def eval_fn(t, w, m):
-        wx = w @ x
+        wx = np.vecdot(w, x)
         mean = wx + m[:, 0]
-        var = w @ x2 - wx**2
+        var = np.vecdot(w, x2) - wx**2
         value, v_t, v_mean, _ = lq_value(t, mean, var, lq)
         val = scale * value + slack
         d_t = scale * v_t

@@ -117,10 +117,17 @@ def _run_paths(
     yielded time; it is one array updated in place, so a consumer that keeps
     it past the next step must copy it.  A state that is not finite or
     exceeds the divergence guard in absolute value raises FloatingPointError.
+    The paths end at the horizon: t must lie in [0, horizon] and (horizon -
+    t) / dt be an integer within 1e-9 relative, else ValueError.
     """
     if not mu.probability:
         raise ValueError("initial condition must be a probability measure")
-    n_steps = max(int(round((cfg.horizon - t) / cfg.dt)), 0)
+    if not 0.0 <= t <= cfg.horizon:
+        raise ValueError(f"start time {t!r} is outside [0, horizon {cfg.horizon!r}]")
+    steps = (cfg.horizon - t) / cfg.dt
+    n_steps = round(steps)
+    if abs(steps - n_steps) > 1e-9 * max(steps, 1.0):
+        raise ValueError(f"dt {cfg.dt!r} does not divide horizon - t = {cfg.horizon - t!r} evenly")
     R, N, d = len(runs), cfg.n_particles, coeffs.d
 
     def streams(seed, source):

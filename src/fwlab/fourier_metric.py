@@ -33,6 +33,7 @@ __all__ = [
     "rho_F",
     "rho_F_norm",
     "d_F",
+    "d_F_from_rho",
     "L_functional",
     "make_kappa",
     "kappa_eval",
@@ -171,12 +172,13 @@ def rho_F(mu: SignedAtomicMeasure, nu: SignedAtomicMeasure, cfg: FourierConfig) 
 
 def d_F(theta: Theta, iota: Theta, cfg: FourierConfig) -> float:
     """Extended distance sqrt(|t-s|^2 + |m-n|^2 + rho_F^2(mu, nu))."""
+    return d_F_from_rho(theta, iota, rho_F(theta.measure, iota.measure, cfg))
+
+
+def d_F_from_rho(theta: Theta, iota: Theta, rho: float) -> float:
+    """``d_F`` given rho_F of the pair's measures, such as their kernel's ``rho``."""
     dm = theta.m - iota.m
-    return math.sqrt(
-        (theta.t - iota.t) ** 2
-        + float(dm @ dm)
-        + rho_F(theta.measure, iota.measure, cfg) ** 2
-    )
+    return math.sqrt((theta.t - iota.t) ** 2 + float(dm @ dm) + rho**2)
 
 
 def L_functional(

@@ -329,7 +329,7 @@ def check_assumption_ii_filtering(
     )
     g_theta = Ge_extend(mu, theta.m, jet, coeffs, control_grid)
     g_iota = Ge_extend(nu, iota.m, jet, coeffs, control_grid)
-    dist = fm.d_F(theta, iota, cfg)
+    dist = fm.d_F_from_rho(theta, iota, kernel.rho)
     z = dist * dist / eps + dist
     moment = (
         1.0
@@ -475,15 +475,16 @@ def _pairing(i: int, W: np.ndarray, qbar: np.ndarray, M: np.ndarray) -> np.ndarr
 
         K = (a.l + u^T S u / h + u'^T S u' / (1 - h)) / 2,
 
-    a term with a zero denominator being 0.  Returns the (B,) values.
+    a term with a zero denominator being 0.  Returns the (B,) values, each
+    row's by its own dot products, so with the same bits as the row alone.
     """
     member, C = _direction(qbar.shape[0], i)
     S = M - qbar
     ell = np.einsum("jp,pq,jq->j", C, qbar, C)
-    values = W @ ell
-    h = np.sum(W[:, member], axis=1)
+    values = np.vecdot(W, ell)
+    h = np.vecdot(W, member)
     for side, denom in ((member, h), (~member, 1.0 - h)):
-        u = W[:, side] @ C[side]
+        u = np.vecdot(W[:, None, :], C.T * side)  # zero weight off this side
         quad = np.einsum("bp,pq,bq->b", u, S, u)
         values += np.where(denom > 0, quad, 0.0) / np.where(denom > 0, denom, 1.0)
     return 0.5 * values
@@ -531,7 +532,8 @@ def _regret_argmax(qbar: np.ndarray, M: np.ndarray) -> tuple:
     smallest such face.  Each face of each direction, padded with p_j = 0 off
     F, is one (n+1) x (n+1) system of one batched solve; the solutions in the
     simplex (within ``_FACE_TOL``, then clipped onto it) are scored by
-    ``_pairing``.  K <= 4, as there are 2^(2^(K-1)) - 1 faces per direction.
+    ``_pairing``, bit for bit ``K_regret`` there.  K <= 4, as there are
+    2^(2^(K-1)) - 1 faces per direction.
     """
     K = qbar.shape[0]
     if K > 4:
@@ -560,9 +562,7 @@ def _regret_argmax(qbar: np.ndarray, M: np.ndarray) -> tuple:
     W[np.arange(len(p))[:, None], sides[direction]] = p / p.sum(axis=1, keepdims=True)
     values = np.concatenate([_pairing(i + 1, W[direction == i], qbar, M) for i in range(K)])
     k = int(np.argmax(values))
-    i, w = int(direction[k]) + 1, W[k]
-    # scored again alone, so that K_regret at (i, w) gives the same bits
-    return float(_pairing(i, w[None], qbar, M)[0]), i, w
+    return float(values[k]), int(direction[k]) + 1, W[k]
 
 
 def G_regret(

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the package's own code paths for the
 quantity it checks: the spectral-distance oracles integrate over the full
-line with adaptive quadrature or by the trapezoid rule, the game oracle
+line with adaptive quadrature or by the trapezoid rule, the doubling
+distance oracle takes the spectral part from characteristic functions
+instead of the harness's Gram form, the game oracle
 solves one sequence-form linear program over the whole tree instead of
 stagewise matrix games, the mean-problem oracle is a dense backward dynamic
 program, the forecaster oracles rescan the game history instead of keeping
@@ -26,6 +28,7 @@ import numpy as np
 from scipy import integrate, interpolate, optimize
 
 from fwlab import fourier_metric as fm
+from fwlab.measures import SignedAtomicMeasure
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +64,18 @@ def rho_f_trapezoid_1d(mu, nu, lam: int, radius: float, n_nodes: int) -> float:
     diff = np.exp(1j * np.outer(k, mu.locations[:, 0])) @ mu.weights
     diff -= np.exp(1j * np.outer(k, nu.locations[:, 0])) @ nu.weights
     return math.sqrt(float(w @ (np.abs(diff) ** 2 / (1.0 + k * k) ** lam)) / (2.0 * math.pi))
+
+
+def fixed_support_d_F_sq(t1, w1, m1, t2, w2, m2, support, cfg) -> float:
+    """d_F^2 between two points (t, weights, shift) of the doubling harness's
+    fixed-support domain, one pair at a time: |t1 - t2|^2 + |m1 - m2|^2 plus
+    the squared spectral seminorm of the signed weight difference on the
+    support, from its characteristic function instead of the Gram form."""
+    support = np.atleast_2d(np.asarray(support, dtype=float))
+    dm = np.asarray(m1, dtype=float) - np.asarray(m2, dtype=float)
+    dw = np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float)
+    eta = SignedAtomicMeasure(support.shape[1], support, dw)
+    return (t1 - t2) ** 2 + float(np.sum(dm * dm)) + fm.rho_F_norm(eta, cfg) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -640,3 +655,51 @@ def kappa_hessian_pairing_spectral(kernel) -> np.ndarray:
     nodes, wtilde = fm._quadrature(kernel.config)
     mag = wtilde * (kernel.eta_hat.real**2 + kernel.eta_hat.imag**2)
     return -np.einsum("j,jp,jq->pq", mag, nodes, nodes) / kernel.epsilon
+
+
+# ---------------------------------------------------------------------------
+# exact value of a small stage matrix game, in rationals
+# ---------------------------------------------------------------------------
+
+
+def _det(A: list) -> int:
+    """Determinant of a small square integer matrix by cofactor expansion."""
+    if not A:
+        return 1
+    minors = ([row[:c] + row[c + 1 :] for row in A[1:]] for c in range(len(A)))
+    return sum((-1) ** c * A[0][c] * _det(minor) for c, minor in enumerate(minors))
+
+
+def rational_stage_value(M) -> Fraction:
+    """Exact min over b in the simplex of max_j (M^T b)_j of a K x n game.
+
+    The entries are taken as the exact rationals of their floats, scaled by
+    their common power-of-two denominator to integers.  The objective is
+    linear on each cell of the arrangement that the hyperplanes (M^T b)_j =
+    (M^T b)_l of tied columns cut from the simplex, so its minimum sits at a
+    vertex of a cell: a point with sum b = 1 where K - 1 independent
+    equations hold, each a facet b_i = 0 or a tie between two columns.  Every
+    choice of K - 1 equations is solved by Cramer's rule in integers, and the
+    least objective over the nonnegative solutions is the value.
+    """
+    entries = [[Fraction(x) for x in row] for row in np.asarray(M, dtype=float).tolist()]
+    # the denominators are powers of two, so the largest is a multiple of all
+    scale = max(x.denominator for row in entries for x in row)
+    K, n = len(entries), len(entries[0])
+    cols = [[int(entries[i][j] * scale) for i in range(K)] for j in range(n)]
+    equations = [[int(i == k) for i in range(K)] for k in range(K)]
+    for j, l in itertools.combinations(range(n), 2):
+        equations.append([a - b for a, b in zip(cols[j], cols[l])])
+    best = None
+    for chosen in itertools.combinations(equations, K - 1):
+        # with the row sum b = 1 on top, b_c is column c's signed minor of
+        # the chosen equations over the determinant, their sum
+        cof = [(-1) ** c * _det([e[:c] + e[c + 1 :] for e in chosen]) for c in range(K)]
+        det = sum(cof)
+        if det < 0:
+            cof, det = [-x for x in cof], -det
+        if det == 0 or min(cof) < 0:
+            continue
+        value = Fraction(max(sum(x * y for x, y in zip(cof, col)) for col in cols), det * scale)
+        best = value if best is None else min(best, value)
+    return best

@@ -1,0 +1,101 @@
+"""Row independence of the batch kernels.
+
+Row k of a B-row call must carry exactly the bits of a call on row k alone,
+so that one point evaluated alone (by the SLSQP polish, by a report, by
+``K_regret`` at the maximizer ``G_regret`` found in a batch) gets the value
+its batch gave it.  Each test compares the raw bytes of every output.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_probability_measure
+from fwlab import comparison_harness as ch
+from fwlab import filtering_sim as fs
+from fwlab import fourier_metric as fm
+from fwlab import hamiltonians as ham
+from fwlab import measures as ms
+
+SEEDS = st.integers(0, 2**32 - 1)
+ROWS = st.integers(2, 8)
+
+
+def _assert_rows_alone(batched, alone_fn, n_rows):
+    """Every output of ``batched`` at row k is bit for bit ``alone_fn(k)``'s row 0."""
+    batched = batched if isinstance(batched, tuple) else (batched,)
+    for k in range(n_rows):
+        alone = alone_fn(k)
+        alone = alone if isinstance(alone, tuple) else (alone,)
+        for full, one in zip(batched, alone, strict=True):
+            assert np.asarray(full)[k].tobytes() == np.asarray(one)[0].tobytes()
+
+
+def _lq_pair(rng):
+    n = int(rng.integers(2, 7))
+    support = rng.uniform(-1.5, 1.5, (n, 1))
+    lq = fs.LQParams(sigma=1.0, sigma_tilde=float(rng.uniform(0.2, 1.0)), horizon=1.0)
+    kw = {"m_box": 1.5, "osc": 0.25}
+    u = ch.lq_discretized_candidate(support, lq, slack=float(rng.uniform(0.0, 0.5)), **kw)
+    return u, ch.lq_discretized_candidate(support, lq, **kw)
+
+
+def _copies(rng, n, B):
+    """B points (t, w, m) of one copy of the harness domain."""
+    return rng.uniform(0.0, 1.0, B), rng.dirichlet(np.ones(n), B), rng.uniform(-1.5, 1.5, (B, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, B=ROWS)
+def test_lq_candidate_rows_are_independent(seed, B):
+    rng = np.random.default_rng(seed)
+    u, _ = _lq_pair(rng)
+    t, w, m = _copies(rng, u.n_atoms, B)
+    _assert_rows_alone(
+        u.eval_fn(t, w, m), lambda k: u.eval_fn(t[k : k + 1], w[k : k + 1], m[k : k + 1]), B
+    )
+    # the one-point call is the same row once more
+    values = u.eval_fn(t, w, m)[0]
+    assert all(u(t[k], w[k], m[k]) == values[k] for k in range(B))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, B=ROWS, delta=st.floats(0.005, 0.2))
+def test_doubled_objective_rows_are_independent(seed, B, delta):
+    rng = np.random.default_rng(seed)
+    u, v = _lq_pair(rng)
+    gram = ch.FixedSupportMetric(u.support, fm.default_config(1)).gram
+    value_and_grad = ch.doubled_objective(u, v, gram, delta)
+    Z = np.hstack([np.column_stack(_copies(rng, u.n_atoms, B)) for _ in range(2)])
+    Z = np.column_stack([Z, rng.uniform(0.01, 1.0, B)])
+    _assert_rows_alone(value_and_grad(Z), lambda k: value_and_grad(Z[k : k + 1]), B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(K=st.integers(1, 4), seed=SEEDS, B=ROWS)
+def test_K_regret_rows_are_independent(K, seed, B):
+    rng = np.random.default_rng(seed)
+    mu = random_probability_measure(rng, dim=K, max_atoms=3)
+    c, A = rng.standard_normal(K), rng.standard_normal((2, K, K))
+    Bq, M = A + np.swapaxes(A, 1, 2)
+    q = lambda X: np.sin(X @ c)[:, None, None] * Bq
+    W = rng.dirichlet(np.ones(2**K), B)
+    W[0] = np.eye(2**K)[rng.integers(2**K)]  # a vertex: one side has no mass
+    for i in range(1, K + 1):
+        batched = ham.K_regret(i, W, mu, q, M)
+        _assert_rows_alone(batched, lambda k: ham.K_regret(i, W[k : k + 1], mu, q, M), B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, B=ROWS, name=st.sampled_from(sorted(ham.COEFFS_REGISTRY)))
+def test_K_filtering_rows_are_independent(seed, B, name):
+    rng = np.random.default_rng(seed)
+    mu = random_probability_measure(rng, max_atoms=6)
+    kernel = fm.make_kappa(mu, ms.dirac(float(rng.uniform(-1.0, 1.0))), 0.3, fm.default_config(1))
+    M = [[rng.uniform(-1.0, 1.0)]]
+    jet = ham.JetArgs(fm.kappa_gradient_field(kernel), fm.kappa_hessian_field(kernel), M)
+    controls = rng.uniform(-2.0, 2.0, B)
+    coeffs = ham.COEFFS_REGISTRY[name]()
+    batched = ham.K_filtering(controls, mu, jet, coeffs)
+    _assert_rows_alone(batched, lambda k: ham.K_filtering(controls[k : k + 1], mu, jet, coeffs), B)
+    assert all(ham.K_filtering(a, mu, jet, coeffs) == value for a, value in zip(controls, batched))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -52,6 +53,42 @@ SMALL_OVERRIDES = {
     "comparison_doubling.json": ["n_starts=4", "max_iters=10"],
 }
 
+# SHA-256 of every file each scenario writes under SMALL_OVERRIDES: a change
+# meant to leave the numbers alone must leave every byte of these in place
+OUTPUT_DIGESTS = {
+    "commutator_check.json": {
+        "commutator_check.csv": "807f9ed2534c51034d55b82604964e0eb7aeee8d9925dcfb08978c5fd1288aaa",
+    },
+    "comparison_doubling.json": {
+        "comparison_doubling.csv": "64ca5216762c26fcc699d04b8368134c93fca6a3ce55bf464658ffefb37ace05",
+    },
+    "dissipation_check.json": {
+        "dissipation_check.csv": "26075927471d695bb5e989f9a3325d44cd175bf1fb82db58e377b27af747fabf",
+    },
+    "dp_value.json": {
+        "dp_value.csv": "9183ffbe12c29481cd8549a5a8a9471e6661bb73a96b5a7dbd4ed774195b6cf1",
+    },
+    "filter_sim.json": {
+        "filter_sim.csv": "7fbdc391fff58640fffa0350e92fcb8f0025ab9bc1a59e64d8b56b49becbf21d",
+        "filter_sim_summary.json": "5d136c84f5a952753f0c2e9821ca3085b934d45904a24dcf939b269c673b2a7a",
+    },
+    "game_sim.json": {
+        "game_sim.csv": "8eb3db6726e266f098fb7740f6bf980e1f95d13e93b5690fd608a2293dd752bd",
+    },
+    "hamiltonian_lq.json": {
+        "hamiltonian.csv": "2499f313afe67966d6e053e5cc91787d5c59f6f67d12d540a49a53585ff75983",
+    },
+    "hamiltonian_regret_check.json": {
+        "hamiltonian.csv": "d21a79e5d4c88a104a6f37c63c96b1ac2076a5f01c8e869cf467ec5116054d38",
+    },
+    "metric.json": {
+        "metric.csv": "8810f669dea2bf2c8618b632ab44c446af283c7cb3c25e6c92ca2294b161c077",
+    },
+    "sobolev_check.json": {
+        "sobolev_check.csv": "f3f139a03a33c33373e288c759f44c2025c18a3f99cf2fe68a3992542c1233c7",
+    },
+}
+
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
 def test_outputs_byte_identical(tmp_path, name):
@@ -63,6 +100,8 @@ def test_outputs_byte_identical(tmp_path, name):
     assert files and files == sorted(p.name for p in out2.iterdir())
     for f in files:
         assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
+    digests = {f: hashlib.sha256((out1 / f).read_bytes()).hexdigest() for f in files}
+    assert digests == OUTPUT_DIGESTS[name]
 
 
 def test_config_hash_round_trip(tmp_path):
@@ -142,6 +181,21 @@ def test_filter_sim_preamble_seed_is_the_simulation_seed(tmp_path):
     small = ["sim.runs=2", "sim.n_particles=20", "sim.dt=0.25"]
     assert cli.run(SCENARIOS / "filter_sim.json", small + ["sim.seed=5"], out_dir=tmp_path) == 0
     assert cli.read_csv_meta(tmp_path / "filter_sim.csv")["seed"] == "5"
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["sim.dt=0.3", "t=0.33", "t=1.5"],
+    ids=["dt-does-not-divide-the-horizon", "start-off-the-step-grid", "start-past-the-horizon"],
+)
+def test_filter_sim_off_the_horizon_grid_exits_1(tmp_path, capsys, override):
+    # unchecked, these would end at t = 0.9 or 0.99, or charge the terminal
+    # cost at t = 1.5, past the horizon
+    argv = ["filter-sim", "--scenario", str(SCENARIOS / "filter_sim.json"), "--set", override]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_subcommand_target_mismatch(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
+from _oracles import fixed_support_d_F_sq
 from fwlab import comparison_harness as ch
 from fwlab import filtering_sim as fs
 from fwlab import fourier_metric as fm
@@ -210,7 +211,7 @@ def test_converged_after_a_rejected_polish_covers_every_scale(monkeypatch):
 def test_value_dominates_probes():
     u, v = _pair()
     rep = ch.doubling_maximize(u, v, [0.1], 0.02, CFG)[0]
-    metric = ch.FixedSupportMetric(SUPPORT, fm.default_config(1))
+    cfg1 = fm.default_config(1)
     rng = substream(4, 0)
     for _ in range(10_000):
         t1, t2 = rng.uniform(0, 1, 2)
@@ -219,7 +220,7 @@ def test_value_dominates_probes():
         h = (
             u(t1, w1, m1)
             - v(t2, w2, m2)
-            - metric.d_F_sq(t1, w1, m1, t2, w2, m2) / 0.2
+            - fixed_support_d_F_sq(t1, w1, m1, t2, w2, m2, SUPPORT, cfg1) / 0.2
             - 0.02 * (2.0 + m1[0] ** 2 + m2[0] ** 2 + w1 @ (SUPPORT[:, 0] ** 2) + w2 @ (SUPPORT[:, 0] ** 2))
         )
         assert h <= rep.value + 1e-9
@@ -268,7 +269,8 @@ def test_grid_oracle_cross_validation():
     for a, b in np.random.default_rng(0).integers(len(grid), size=(200, 2)):
         t1, wv1, m1 = grid[a]
         t2, wv2, m2 = grid[b]
-        assert d_sq[a, b] == pytest.approx(metric.d_F_sq(t1, wv1, m1, t2, wv2, m2), rel=1e-12, abs=1e-15)
+        oracle = fixed_support_d_F_sq(t1, wv1, m1, t2, wv2, m2, support, fm.default_config(1))
+        assert d_sq[a, b] == pytest.approx(oracle, rel=1e-12, abs=1e-15)
     h = u_vals[:, None] - v_vals[None, :] - d_sq / (2 * eps) - delta * (vth[:, None] + vth[None, :])
     best = float(np.max(h))
     assert rep.value >= best - 1e-9

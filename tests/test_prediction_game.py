@@ -10,7 +10,12 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 from scipy.optimize import linprog
 
-from _oracles import history_forecaster, sequence_form_value, uniform_adversary_regret
+from _oracles import (
+    history_forecaster,
+    rational_stage_value,
+    sequence_form_value,
+    uniform_adversary_regret,
+)
 from fwlab import hamiltonians as ham
 from fwlab import measures as ms
 from fwlab import prediction_game as pg
@@ -262,14 +267,14 @@ _ENTRIES = st.one_of(
     # small integers make ties, degenerate vertices and pure saddles common
     st.integers(-2, 2).map(float),
 )
+# 2 x n and 3 x n stage games
+_GAMES = st.tuples(st.integers(2, 3), st.integers(1, 8)).flatmap(
+    lambda shape: hnp.arrays(float, shape, elements=_ENTRIES)
+)
 
 
 @settings(max_examples=400, deadline=None)
-@given(
-    M=st.tuples(st.integers(2, 3), st.integers(1, 8)).flatmap(
-        lambda shape: hnp.arrays(float, shape, elements=_ENTRIES)
-    )
-)
+@given(M=_GAMES)
 # HiGHS at its default 1e-7 feasibility tolerances returned 2.2e-8 here
 # against the exact 2.9597e-8
 @example(
@@ -283,6 +288,26 @@ _ENTRIES = st.one_of(
 )
 def test_stage_value_matches_the_matrix_game_lp(M):
     assert pg._stage_value(M) == pytest.approx(pg.solve_matrix_game(M)[0], abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=_GAMES)
+# two 1e-10 entries: the LP returns -0.0 here against the exact 1e-10
+@example(
+    M=np.array(
+        [
+            [-2.0, 2.0, 1e-10, -2.0, 0.0, 2.0, -2.0, -2.0],
+            [1.0, -2.0, 1.0, -1.0, 2.0, -1.0, 1.0, 1.0],
+            [1.0, -2.0, 1e-10, -1.0, 0.0, -2.0, 1.0, 0.0],
+        ]
+    )
+)
+def test_stage_value_is_the_exact_rational_value(M):
+    # within 1e-15 of the larger of the value and the largest entry: a value
+    # near 0 still carries the rounding of entries of that size
+    exact = rational_stage_value(M)
+    scale = max(abs(exact), Fraction(float(np.abs(M).max())))
+    assert abs(Fraction(pg._stage_value(M)) - exact) <= Fraction(1e-15) * scale
 
 
 def test_exact_value_saddle_certificate():

@@ -1,18 +1,23 @@
-"""Projected-gradient ascent over products of simple convex sets.
+"""Projected-gradient ascent and SLSQP over batches of starts.
 
-The caller passes one ``value_and_grad(X)`` callable that returns the
-objective and its exact gradient together for each row of a batch of points;
-the package has no finite-difference gradient left.  All starts advance in
-lockstep, and each point is evaluated exactly once.
+The caller passes one callable that returns the objective and its exact
+gradient together for each row of a batch of points; the package has no
+finite-difference gradient left.  All starts advance in lockstep, and each
+point is evaluated exactly once.
 
 Row independence: row k of a batch must get the bits that row k alone gets,
-so ``value_and_grad`` contracts rows with ``np.vecdot`` or row sums, never a
+so the objective contracts rows with ``np.vecdot`` or row sums, never a
 matrix product.  Then each start follows the path it would follow alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# SciPy's compiled SLSQP step, which ``scipy.optimize.minimize`` drives one
+# start at a time from ``_minimize_slsqp`` (SciPy 1.17); pyproject.toml pins
+# the minor version and the one-start oracle test guards the mirror
+from scipy.optimize._slsqplib import slsqp
 
 _STEP0 = 0.25  # first trial step along the projected arc
 _GRAD_TOL = 1e-8  # converged when the unit-step projected gradient is smaller
@@ -85,3 +90,90 @@ def projected_gradient_ascent(value_and_grad, x0: np.ndarray, project, *, max_it
         active[down[tries[down] >= _MAX_BACKTRACKS]] = False
         begin_iteration(up)
     return X, F, bool(converged.all())
+
+
+def lockstep_slsqp(fun_and_grad, x0: np.ndarray, lo, hi, eq_matrix, eq_rhs, *, maxiter: int, ftol: float):
+    """Minimize by SLSQP from each row of the (R, p) starts x0, all runs in lockstep.
+
+    Each run solves min f(x) subject to lo <= x <= hi and eq_matrix @ x =
+    eq_rhs with its own SLSQP state and workspace, advanced by SciPy's
+    compiled step exactly as ``scipy.optimize.minimize(method="SLSQP",
+    jac=True)`` advances it.  ``fun_and_grad(X, rows)`` maps the (B, p)
+    points X of the runs ``rows`` to their values (B,) and gradients (B, p).
+    Each run keeps its last evaluated point with its value and gradient, as
+    SciPy's ``ScalarFunction`` and ``MemoizeJac`` do, and steps until it
+    needs the objective at a new point; then every run waiting for one joins
+    one call.  So each run makes its own evaluations, one per call, and with
+    a row-independent objective follows its one-start path bit for bit.
+    Returns (X (R, p), values (R,), status (R,), nit (R,)): the final
+    points and values, SLSQP's exit modes (0 on success, 9 at the iteration
+    limit) and the major iteration counts.
+    """
+    X = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    R, n = X.shape
+    A = np.asarray(eq_matrix, dtype=float)
+    m = A.shape[0]
+    # SciPy's step reads an infinite bound as nan
+    xl, xu = (np.where(np.isinf(b), np.nan, b) for b in (np.asarray(lo, float), np.asarray(hi, float)))
+    # the workspace size of _minimize_slsqp with m equality and no inequality constraints
+    buffer_size = n * (n + 1) // 2 + 3 * m * n - (m + 5 * n + 7) * m + 9 * m + 8 * n * n + 35 * n
+    buffer_size += m * m + 28 + 2 * n * (n + 1)
+    states = [
+        {
+            "acc": ftol, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
+            "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * ftol, "exact": 0, "inconsistent": 0,
+            "reset": 0, "iter": 0, "itermax": int(maxiter), "line": 0, "m": m, "meq": m,
+            "mode": 0, "n": n,
+        }
+        for _ in range(R)
+    ]
+    work = [
+        (
+            np.zeros(max(1, m + 2 * n + 2)),  # multipliers
+            np.zeros(max(buffer_size, 1)),
+            np.zeros(max(m + 2 * n + 2, 1), dtype=np.int32),
+            np.array(A, order="F"),  # constraint normals
+            A @ X[r] - eq_rhs,  # constraint values
+        )
+        for r in range(R)
+    ]
+    # one memo slot per run: the last evaluated point, value and gradient
+    memo_x = X.copy()
+    memo_f, memo_g = fun_and_grad(X.copy(), np.arange(R))
+    memo_f, memo_g = list(memo_f), list(memo_g)
+    fx, g = memo_f.copy(), memo_g.copy()
+
+    def advance(r):
+        # step run r until it needs an evaluation at a new point (True) or ends (False)
+        x = X[r]
+        mult, buffer, indices, C, d = work[r]
+        while True:
+            slsqp(states[r], fx[r], g[r], C, d, x, mult, xl, xu, buffer, indices)
+            mode = states[r]["mode"]
+            if mode == 1:
+                d[:] = A @ x - eq_rhs
+            elif mode == -1:
+                C[...] = A
+            else:
+                return False
+            if not np.all(x == memo_x[r]):
+                return True
+            if mode == 1:
+                fx[r] = memo_f[r]
+            else:
+                g[r] = memo_g[r]
+
+    waiting = [r for r in range(R) if advance(r)]
+    while waiting:
+        F, G = fun_and_grad(X[waiting], np.array(waiting))
+        memo_x[waiting] = X[waiting]
+        for r, f, grad in zip(waiting, F, G):
+            memo_f[r], memo_g[r] = f, grad
+            if states[r]["mode"] == 1:
+                fx[r] = f
+            else:
+                g[r] = grad
+        waiting = [r for r in waiting if advance(r)]
+    status = np.array([s["mode"] for s in states])
+    nit = np.array([s["iter"] for s in states])
+    return X, np.array(fx), status, nit

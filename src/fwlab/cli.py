@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -432,14 +433,24 @@ def run(
         _check_keys(scenario, target)
         if dump and target != "dp-value":
             raise ScenarioError(f"only dp-value writes a dump, not {target}")
-        out = Path(out_dir) if out_dir else Path.cwd()
-        out.mkdir(parents=True, exist_ok=True)
         meta = {
             "fwlab_version": __version__,
             "config_hash": _config_hash(scenario),
             "seed": int(scenario.get("seed", scenario.get("sim", {}).get("seed", 0))),
         }
-        return DISPATCH[target][0](scenario, out, meta, *((dump,) if dump else ()))
+        out = Path(out_dir) if out_dir else Path.cwd()
+        created = list(itertools.takewhile(lambda p: not p.exists(), (out, *out.parents)))
+        out.mkdir(parents=True, exist_ok=True)
+        try:
+            return DISPATCH[target][0](scenario, out, meta, *((dump,) if dump else ()))
+        finally:
+            # a run that wrote nothing leaves no directory it made; rmdir
+            # refuses one that is not empty, and that ends the walk up
+            for path in created:
+                try:
+                    path.rmdir()
+                except OSError:
+                    break
     except (ScenarioError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize  # noqa: F401  unused here; bench/tracing.py still patches ch.optimize
 
 from . import fourier_metric as fm
-from ._optim import project_simplex, projected_gradient_ascent
+from ._optim import lockstep_slsqp, project_simplex, projected_gradient_ascent
 from ._rng import substream
 from .filtering_sim import LQParams, lq_riccati, lq_value
 from .reports import CheckReport
@@ -210,9 +210,11 @@ def doubling_maximize(
     gradient ascent advances every (scale, start) row, each carrying its eps
     as the trailing coordinate, and each row follows the path it would
     follow alone.  An SLSQP polish then refines each scale's best
-    ``n_polish`` results one point at a time; both use the exact gradient of
-    ``doubled_objective``.  The first min(16, n_starts) starts are diagonal
-    probes, so each value dominates the diagonal probe set by construction.
+    ``n_polish`` results: all polishes of all scales advance in lockstep,
+    with one batched objective call per round, and each ends where it would
+    end alone.  Both use the exact gradient of ``doubled_objective``.  The
+    first min(16, n_starts) starts are diagonal probes, so each value
+    dominates the diagonal probe set by construction.
     ``converged`` is the SLSQP status of the reported point.  Where the
     polish was rejected it is the ascent's flag, True only if every start at
     every scale converged, so it can read False for a scale whose own starts
@@ -272,38 +274,39 @@ def doubling_maximize(
     )
 
     # the coupling makes the landscape stiff across scales; a constrained local
-    # solve from the leading ascent results pins the maximizer down, with
-    # each copy's weights summing to one
+    # solve from each scale's leading ascent results pins the maximizer down,
+    # with each copy's weights summing to one; every polish of every scale
+    # advances in lockstep, one objective call per round
     sums = np.zeros((2, 2 * half))
     sums[0, 1 : 1 + n] = sums[1, half + 1 : half + 1 + n] = 1.0
-    constraints = {"type": "eq", "fun": lambda z: sums @ z - 1.0, "jac": lambda z: sums}
+    E, P = len(eps_sequence), min(max(cfg.n_polish, 1), S)
+    order = np.argsort(-F.reshape(E, S), axis=1, kind="stable")[:, :P]
+    picked = (np.arange(E)[:, None] * S + order).ravel()
+    eps_of = X[picked, -1]
 
-    def negated(z, eps):
-        val, grad = value_and_grad(np.append(z, eps)[None])
-        return -val[0], -grad[0, :-1]
+    def negated(Z, rows):
+        val, grad = value_and_grad(np.column_stack([Z, eps_of[rows]]))
+        return -val, -grad[:, :-1]
+
+    Xp, _, status, _ = lockstep_slsqp(
+        negated, X[picked, :-1], lo[:-1], hi[:-1], sums, 1.0, maxiter=300, ftol=1e-14
+    )
+    # a polish counts only if it succeeded and its projected point scores at
+    # least the ascent's; a nan score never does
+    polished = np.column_stack([Xp, eps_of])
+    scores = np.full(len(picked), np.nan)
+    ok = status == 0
+    if ok.any():
+        polished[ok] = project(polished[ok])
+        scores[ok] = value_and_grad(polished[ok])[0]
 
     reports = []
     for k, eps in enumerate(eps_sequence):
-        Xk, Fk = X[k * S : (k + 1) * S], F[k * S : (k + 1) * S]
         best = None
-        for idx in np.argsort(-Fk, kind="stable")[: max(cfg.n_polish, 1)]:
-            fx, x = float(Fk[idx]), Xk[idx]
-            res = optimize.minimize(
-                negated,
-                x[:-1],
-                args=(eps,),
-                jac=True,
-                method="SLSQP",
-                bounds=bounds,
-                constraints=constraints,
-                options={"maxiter": 300, "ftol": 1e-14},
-            )
-            found = (fx, x, ascent_converged)
-            if res.success:
-                cand = project(np.append(res.x, eps))
-                fc = float(value_and_grad(cand[None])[0][0])
-                if fc >= fx:
-                    found = (fc, cand, True)
+        for r in range(k * P, (k + 1) * P):
+            found = (float(F[picked[r]]), X[picked[r]], ascent_converged)
+            if scores[r] >= found[0]:
+                found = (float(scores[r]), polished[r], True)
             if best is None or found[0] > best[0]:
                 best = found
         val, z, conv = best

@@ -139,22 +139,30 @@ def _run_paths(
     sqdt = math.sqrt(cfg.dt)
     # (R, n_steps, d2, 1): one column per run and step for the common loading
     dW = np.stack([g.standard_normal((n_steps, coeffs.d2)) for g in rng_w])[..., None] * sqdt
-    dB = np.empty((R * N, coeffs.d1))
+    # one buffer holds each step's r dt until that step's normals dB overwrite it
+    scratch = np.empty(R * N * max(coeffs.d1, 1))
+    dB, r_dt = scratch[: R * N * coeffs.d1].reshape(R * N, coeffs.d1), scratch[: R * N]
     running = np.zeros((R, N))
     yield t, X, running
     for step in range(n_steps):
         a = policy(t + step * cfg.dt, LawSummary(X.mean(axis=1)))
+        flat, per_point = X.reshape(R * N, d), np.repeat(a, N)
+        np.multiply(np.asarray(coeffs.r(flat, per_point), dtype=float), cfg.dt, out=r_dt)
+        running += r_dt.reshape(R, N)
         for k, g in enumerate(rng_b):
             g.standard_normal(out=dB[k * N : (k + 1) * N])
         dB *= sqdt
-        flat, per_point = X.reshape(R * N, d), np.repeat(a, N)
-        running += np.asarray(coeffs.r(flat, per_point), dtype=float).reshape(R, N) * cfg.dt
-        diff = np.asarray(coeffs.sigma(flat, per_point), dtype=float)
         # X + b dt + sigma dB + sigma_tilde dW, added in this order into one
-        # new array so that few (runs * N)-sized temporaries are alive at once
+        # new array; the drift is taken before the loadings and each closure
+        # output is dropped after its last use, so that at most six
+        # (runs * N)-sized arrays are alive at once.  The closures' outputs are
+        # never scaled in place: a closure may return an array it keeps.
         moved = np.asarray(coeffs.b(flat, per_point), dtype=float) * cfg.dt
         moved += flat
+        diff = np.asarray(coeffs.sigma(flat, per_point), dtype=float)
+        del flat, per_point
         moved += np.einsum("nij,nj->ni", diff, dB)
+        del diff
         X = moved.reshape(R, N, d)
         X += (np.asarray(coeffs.sigma_tilde(a), dtype=float) @ dW[:, step])[:, None, :, 0]
         if not (X.max() <= _DIVERGENCE_GUARD and X.min() >= -_DIVERGENCE_GUARD):

@@ -179,6 +179,18 @@ def linear_growth_norm(f: Callable, dim: int, extra_points: np.ndarray | None = 
     return float(np.max(mags / (1.0 + np.linalg.norm(X, axis=1))))
 
 
+def _nearly_symmetric(M: np.ndarray) -> bool:
+    """``np.allclose(M, M.T, atol=1e-12)`` without its set-up: each entry
+    equals its transpose entry (equal infinities included) or lies within
+    1e-12 + 1e-5 |M.T| of a finite one; a nan entry never passes."""
+    T = M.T
+    if (M == T).all():
+        return True
+    with np.errstate(invalid="ignore"):  # inf - inf
+        close = (np.abs(M - T) <= 1e-12 + 1e-5 * np.abs(T)) & np.isfinite(T)
+    return bool((close | (M == T)).all())
+
+
 @dataclass(frozen=True)
 class JetArgs:
     """Derivative arguments (p, q, M) fed to a Hamiltonian.
@@ -195,7 +207,7 @@ class JetArgs:
         M = np.atleast_2d(np.asarray(self.M, dtype=float))
         if M.shape[0] != M.shape[1]:
             raise ValueError("M must be square")
-        if not np.allclose(M, M.T, atol=1e-12):
+        if not _nearly_symmetric(M):
             raise ValueError("M must be symmetric")
         M = M.copy()
         M.setflags(write=False)

@@ -10,7 +10,8 @@ stagewise matrix games, the mean-problem oracle is a dense backward dynamic
 program, the forecaster oracles rescan the game history instead of keeping
 running scores, and the particle-filter oracle steps one run at a time, the
 coefficient-check oracle evaluates one control at a time, the ascent oracle
-runs one start at a time on scalar points, the regret supremum oracles
+runs one start at a time on scalar points, the SLSQP oracle calls
+``scipy.optimize.minimize`` once per start, the regret supremum oracles
 maximize quadratics on segments and on triangles of side marginals instead
 of enumerating faces, and the Monte Carlo regret oracle sums binomial terms
 in exact rationals.  The measure and kernel summaries at the end are
@@ -603,6 +604,44 @@ def scalar_projected_gradient_ascent(value_and_grad, x0, project, *, max_iters: 
         else:
             break
     return x, fx, False
+
+
+# ---------------------------------------------------------------------------
+# SLSQP, one start at a time
+# ---------------------------------------------------------------------------
+
+
+def slsqp_one_start_at_a_time(fun_and_grad, x0, lo, hi, eq_matrix, eq_rhs, *, maxiter, ftol) -> list:
+    """The polish the lockstep SLSQP driver replaces: one
+    ``optimize.minimize(method="SLSQP", jac=True)`` per row of x0.
+
+    ``fun_and_grad(X, rows)`` is the driver's batch objective; each call here
+    passes one point, the start's own row index, and takes row 0 of the
+    result.  Returns one ``OptimizeResult`` per start, each carrying the
+    number of objective calls it made as ``calls``.
+    """
+    results = []
+    for r, x in enumerate(np.asarray(x0, dtype=float)):
+        calls = 0
+
+        def objective(z):
+            nonlocal calls
+            calls += 1
+            f, g = fun_and_grad(z[None], np.array([r]))
+            return f[0], g[0]
+
+        res = optimize.minimize(
+            objective,
+            x,
+            jac=True,
+            method="SLSQP",
+            bounds=list(zip(lo, hi)),
+            constraints={"type": "eq", "fun": lambda z: eq_matrix @ z - eq_rhs, "jac": lambda z: eq_matrix},
+            options={"maxiter": maxiter, "ftol": ftol},
+        )
+        res.calls = calls
+        results.append(res)
+    return results
 
 
 # ---------------------------------------------------------------------------

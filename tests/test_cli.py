@@ -198,6 +198,23 @@ def test_filter_sim_off_the_horizon_grid_exits_1(tmp_path, capsys, override):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("existing", [None, "empty", "with-a-file"])
+def test_failed_run_removes_only_the_directories_it_made(tmp_path, existing):
+    # an input error raised by the target after the output directory was
+    # made: directories this run made go, a directory that was there stays
+    out = tmp_path / "made" / "out"
+    if existing:
+        out.mkdir(parents=True)
+    if existing == "with-a-file":
+        (out / "keep.txt").write_text("kept")
+    argv = ["filter-sim", "--scenario", str(SCENARIOS / "filter_sim.json"), "--set", "t=0.33"]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_INPUT_ERROR
+    if existing is None:
+        assert not list(tmp_path.iterdir())
+    else:
+        assert [p.name for p in out.iterdir()] == (["keep.txt"] if existing == "with-a-file" else [])
+
+
 def test_subcommand_target_mismatch(tmp_path):
     code = cli.main(
         ["game-sim", "--scenario", str(SCENARIOS / "metric.json"), "--out", str(tmp_path)]

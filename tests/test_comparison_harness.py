@@ -1,13 +1,12 @@
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
 
-from _oracles import fixed_support_d_F_sq
+from _oracles import fixed_support_d_F_sq, slsqp_one_start_at_a_time
+from fwlab import _optim
 from fwlab import comparison_harness as ch
 from fwlab import filtering_sim as fs
 from fwlab import fourier_metric as fm
@@ -135,9 +134,10 @@ def test_doubling_runs_n_starts_ascents(monkeypatch, n_starts):
     assert diagonal == [True] * min(16, n_starts) + [False] * max(n_starts - 16, 0)
 
 
-# an optimize stand-in whose every polish fails, so the reports keep the
-# ascent's own points, values and flags
-REJECTED_POLISH = SimpleNamespace(minimize=lambda *args, **kwargs: OptimizeResult(success=False))
+def REJECTED_POLISH(state, *args):
+    # a stand-in for SciPy's SLSQP step that ends every polish at once at the
+    # iteration limit, so the reports keep the ascent's own points, values and flags
+    state["mode"] = 9
 
 
 def _bits(x):
@@ -166,13 +166,90 @@ def test_each_scale_reports_as_if_alone(seed, n, slack, n_starts, max_iters, eps
     cfg = ch.DoublingConfig(
         horizon=1.0, m_box=1.5, n_starts=n_starts, max_iters=max_iters, n_polish=1, seed=seed
     )
-    with mock.patch.object(ch, "optimize", ch.optimize if polish else REJECTED_POLISH):
+    with mock.patch.object(_optim, "slsqp", _optim.slsqp if polish else REJECTED_POLISH):
         reports = ch.doubling_maximize(u, v, eps_sequence, 0.02, cfg)
         alone = [ch.doubling_maximize(u, v, [eps], 0.02, cfg)[0] for eps in eps_sequence]
     for rep, ref in zip(reports, alone, strict=True):
         for field in ("value", "penalty", "d_F"):
             assert _bits(getattr(rep, field)) == _bits(getattr(ref, field))
         assert all(_bits(a) == _bits(b) for a, b in zip(rep.theta_star, ref.theta_star))
+
+
+def _polish_inputs(u, v, eps_sequence, cfg):
+    """The arguments ``doubling_maximize`` passes to the lockstep SLSQP driver,
+    and the number of objective calls the driver made."""
+    calls = []
+    objective = ch.doubled_objective
+
+    def counted_objective(*args):
+        value_and_grad = objective(*args)
+
+        def counted(Z):
+            calls.append(len(Z))
+            return value_and_grad(Z)
+
+        return counted
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        before = len(calls)
+        out = _optim.lockstep_slsqp(*args, **kwargs)
+        seen.append((args, len(calls) - before))
+        return out
+
+    with mock.patch.object(ch, "doubled_objective", counted_objective):
+        with mock.patch.object(ch, "lockstep_slsqp", spy):
+            ch.doubling_maximize(u, v, eps_sequence, 0.02, cfg)
+    ((args, polish_calls),) = seen
+    return args, polish_calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    slack=st.floats(0.0, 0.5),
+    eps_sequence=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3),
+    n_polish=st.integers(1, 4),
+    maxiter=st.sampled_from([1, 2, 4, 300]),
+)
+@example(seed=0, n=3, slack=0.25, eps_sequence=[0.5, 0.1, 0.02], n_polish=2, maxiter=1)
+def test_lockstep_polish_matches_one_minimize_per_start(seed, n, slack, eps_sequence, n_polish, maxiter):
+    # each run of the lockstep driver ends where scipy.optimize.minimize
+    # ends from its start alone, bit for bit, with the same exit status and
+    # iteration count, also when runs stop at the iteration limit
+    rng = np.random.default_rng(seed)
+    support = rng.uniform(-1.5, 1.5, (n, 1))
+    lq = fs.LQParams(sigma=1.0, sigma_tilde=float(rng.uniform(0.2, 1.0)), horizon=1.0)
+    kw = {"m_box": 1.5, "osc": 0.25}
+    u = ch.lq_discretized_candidate(support, lq, slack=slack, **kw)
+    v = ch.lq_discretized_candidate(support, lq, **kw)
+    cfg = ch.DoublingConfig(
+        horizon=1.0, m_box=1.5, n_starts=6, max_iters=10, n_polish=n_polish, seed=seed
+    )
+    args, _ = _polish_inputs(u, v, eps_sequence, cfg)
+    X, F, status, nit = _optim.lockstep_slsqp(*args, maxiter=maxiter, ftol=1e-14)
+    results = slsqp_one_start_at_a_time(*args, maxiter=maxiter, ftol=1e-14)
+    assert len(results) == len(eps_sequence) * min(n_polish, 6)
+    for r, res in enumerate(results):
+        assert X[r].tobytes() == res.x.tobytes()
+        assert _bits(F[r]) == _bits(res.fun)
+        assert (status[r], nit[r]) == (res.status, res.nit)
+    if maxiter == 1:
+        assert np.all(status == 9)
+
+
+def test_polish_makes_one_objective_call_per_round():
+    # the bench configuration: every polish of the three scales joins one
+    # batched call per round, so the polish makes as many calls as its
+    # longest run makes alone, not the sum over its six runs
+    u, v = _pair()
+    cfg = ch.DoublingConfig(horizon=1.0, m_box=1.5, n_starts=18, max_iters=20, n_polish=2, seed=7)
+    args, polish_calls = _polish_inputs(u, v, [0.5, 0.1, 0.02], cfg)
+    per_run = [res.calls for res in slsqp_one_start_at_a_time(*args, maxiter=300, ftol=1e-14)]
+    assert len(per_run) == 6
+    assert polish_calls == max(per_run) < sum(per_run)
 
 
 def _constant(value):
@@ -198,7 +275,7 @@ def test_converged_after_a_rejected_polish_covers_every_scale(monkeypatch):
     cfg = ch.DoublingConfig(horizon=1.0, m_box=1.5, n_starts=17, max_iters=400, n_polish=1)
     (coarse,) = ch.doubling_maximize(u, v, [1.0], 0.02, cfg)
     assert coarse.converged
-    monkeypatch.setattr(ch, "optimize", REJECTED_POLISH)
+    monkeypatch.setattr(_optim, "slsqp", REJECTED_POLISH)
     (coarse_alone,) = ch.doubling_maximize(u, v, [1.0], 0.02, cfg)
     (fine_alone,) = ch.doubling_maximize(u, v, [0.001], 0.02, cfg)
     assert coarse_alone.converged and not fine_alone.converged

@@ -36,6 +36,32 @@ def _standard_jet(p_slope=1.0, q_const=1.0, M=1.0):
 # ---------------------------------------------------------------------------
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    noise=st.sampled_from([0.0, 1e-13, 1e-12, 1e-9, 1e-6, 1e-5, 1e-3]),
+    n_special=st.integers(0, 3),
+    mirror=st.sampled_from(["none", "same", "negated"]),
+)
+def test_jet_symmetry_check_accepts_what_allclose_accepts(seed, d, noise, n_special, mirror):
+    # near-symmetric matrices at scales from 1e-14 to 1e2, with inf, -inf and
+    # nan entries, alone or mirrored across the diagonal
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d, d)) * 10.0 ** float(rng.integers(-14, 3))
+    M = A + A.T + noise * rng.normal(size=(d, d))
+    for _ in range(n_special):
+        i, j = rng.integers(d, size=2)
+        M[i, j] = rng.choice([np.inf, -np.inf, np.nan])
+        if mirror != "none":
+            M[j, i] = M[i, j] if mirror == "same" else -M[i, j]
+    if np.allclose(M, M.T, atol=1e-12):
+        ham.JetArgs(np.asarray, np.asarray, M)
+    else:
+        with pytest.raises(ValueError, match="symmetric"):
+            ham.JetArgs(np.asarray, np.asarray, M)
+
+
 def test_K_running_cost_only(rng):
     mu = random_probability_measure(rng)
     jet = _standard_jet(p_slope=0.0, q_const=0.0, M=0.0)

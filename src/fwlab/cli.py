@@ -73,17 +73,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", newline="\n")
 
 
-def read_csv_meta(path: Path) -> dict:
-    """Parse the key=value preamble back out of an emitted CSV file."""
-    meta = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.startswith("# "):
-            break
-        k, _, v = line[2:].partition("=")
-        meta[k] = v
-    return meta
-
-
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -376,10 +365,9 @@ def _run_comparison_doubling(scenario: dict, out: Path, meta: dict) -> int:
 
 
 # each target's runner and the top-level keys it reads besides "target" and
-# "schema"; the metric target draws nothing at random and takes "seed" only
-# into the preamble
+# "schema"
 DISPATCH = {
-    "metric": (_run_metric, "dim config cases seed"),
+    "metric": (_run_metric, "dim config cases"),
     "sobolev-check": (_run_sobolev_check, "seed count tol length n band"),
     "commutator-check": (_run_commutator_check, "seed count k length n band"),
     "dissipation-check": (_run_dissipation_check, "seed count length n lambda delta eps_factor"),

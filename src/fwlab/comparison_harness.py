@@ -50,7 +50,6 @@ class DiscretizedFunction:
     extended candidate at a batch of B points, the measures with weights
     w (B, n) translated by m (B, d) at times t (B,), and returns
     ``(value, d/dt, d/dw, d/dm)`` shaped (B,), (B,), (B, n) and (B, d).
-    Calling the function evaluates one point and returns its value.
     ``bound`` is the declared sup bound on the optimization domain.
     """
 
@@ -71,10 +70,6 @@ class DiscretizedFunction:
     @property
     def dim(self) -> int:
         return self.support.shape[1]
-
-    def __call__(self, t: float, w: np.ndarray, m: np.ndarray) -> float:
-        w, m = (np.asarray(a, dtype=float)[None] for a in (w, m))
-        return float(self.eval_fn(np.array([t], dtype=float), w, m)[0][0])
 
 
 class FixedSupportMetric:
@@ -115,6 +110,11 @@ class DoublingConfig:
     max_iters: int = 150
     seed: int = 0
     n_polish: int = 6  # best ascent results refined by a constrained local solver
+
+    def __post_init__(self):
+        for name, least in (("n_starts", 1), ("n_polish", 1), ("max_iters", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -279,7 +279,7 @@ def doubling_maximize(
     # advances in lockstep, one objective call per round
     sums = np.zeros((2, 2 * half))
     sums[0, 1 : 1 + n] = sums[1, half + 1 : half + 1 + n] = 1.0
-    E, P = len(eps_sequence), min(max(cfg.n_polish, 1), S)
+    E, P = len(eps_sequence), min(cfg.n_polish, S)
     order = np.argsort(-F.reshape(E, S), axis=1, kind="stable")[:, :P]
     picked = (np.arange(E)[:, None] * S + order).ravel()
     eps_of = X[picked, -1]

@@ -27,7 +27,6 @@ __all__ = [
     "LawSummary",
     "ControlPolicy",
     "SimConfig",
-    "simulate_conditional_law",
     "sample_costs",
     "estimate_cost",
     "LQParams",
@@ -103,9 +102,6 @@ def _run_paths(
     coeffs: FilteringCoeffs,
     cfg: SimConfig,
     runs,
-    w_seed: int | None = None,
-    init_seed: int | None = None,
-    b_seed: int | None = None,
 ):
     """Generator of (time, states, running cost per particle) along the Euler
     paths of the given runs, stepped together.
@@ -130,10 +126,9 @@ def _run_paths(
         raise ValueError(f"dt {cfg.dt!r} does not divide horizon - t = {cfg.horizon - t!r} evenly")
     R, N, d = len(runs), cfg.n_particles, coeffs.d
 
-    def streams(seed, source):
-        return [substream(cfg.seed if seed is None else seed, run, source) for run in runs]
-
-    rng_w, rng_init, rng_b = streams(w_seed, 0), streams(init_seed, 1), streams(b_seed, 2)
+    rng_w, rng_init, rng_b = (
+        [substream(cfg.seed, run, source) for run in runs] for source in (0, 1, 2)
+    )
     p0 = mu.weights / mu.weights.sum()
     X = np.stack([mu.locations[g.choice(mu.n_atoms, size=N, p=p0)] for g in rng_init])
     sqdt = math.sqrt(cfg.dt)
@@ -170,30 +165,6 @@ def _run_paths(
                 f"particle state is not finite or exceeded {_DIVERGENCE_GUARD:g}; check coefficients"
             )
         yield t + (step + 1) * cfg.dt, X, running
-
-
-def simulate_conditional_law(
-    t: float,
-    mu: SignedAtomicMeasure,
-    policy: ControlPolicy,
-    coeffs: FilteringCoeffs,
-    cfg: SimConfig,
-    run: int = 0,
-    w_seed: int | None = None,
-    init_seed: int | None = None,
-    b_seed: int | None = None,
-) -> list:
-    """Empirical conditional-law path for one run, as (time, measure) pairs.
-
-    One shared common-noise path per run, independent idiosyncratic paths per
-    particle; reproducible from (seed, cfg); the optional seed overrides
-    split the three noise sources for variance and determinism studies.
-    """
-    w = np.full(cfg.n_particles, 1.0 / cfg.n_particles)
-    return [
-        (clock, SignedAtomicMeasure(coeffs.d, X[0], w, True))
-        for clock, X, _ in _run_paths(t, mu, policy, coeffs, cfg, [run], w_seed, init_seed, b_seed)
-    ]
 
 
 def sample_costs(

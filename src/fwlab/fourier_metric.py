@@ -31,7 +31,6 @@ __all__ = [
     "lambda_for_dim",
     "default_config",
     "rho_F",
-    "rho_F_norm",
     "d_F",
     "d_F_from_rho",
     "L_functional",
@@ -154,14 +153,6 @@ def _seminorm(wtilde: np.ndarray, coeffs: np.ndarray) -> float:
     return math.sqrt(max(float(wtilde @ (coeffs.real**2 + coeffs.imag**2)), 0.0))
 
 
-def rho_F_norm(eta: SignedAtomicMeasure, cfg: FourierConfig) -> float:
-    """Spectral seminorm sqrt(int |F_k(eta)|^2 weight dk) of a signed measure."""
-    _check_dims(cfg, eta)
-    nodes, wtilde = _quadrature(cfg)
-    fhat = char_fn_batch(eta, nodes)
-    return _seminorm(wtilde, fhat)
-
-
 def rho_F(mu: SignedAtomicMeasure, nu: SignedAtomicMeasure, cfg: FourierConfig) -> float:
     """Spectral distance between two measures (pseudo-metric on atom lists)."""
     _check_dims(cfg, mu, nu)
@@ -227,8 +218,8 @@ def make_kappa(
 def kappa_eval(kernel: KappaKernel, x, order: int = 0):
     """kappa, grad kappa or Hessian kappa at points x of shape (..., d).
 
-    Differentiates the quadrature; order 0 returns shape (...), a float for a
-    single point, order 1 shape (..., d) and order 2 symmetric (..., d, d).
+    Differentiates the quadrature; order 0 returns shape (...), order 1
+    shape (..., d) and order 2 symmetric (..., d, d).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = kernel.config.dim
@@ -240,8 +231,7 @@ def kappa_eval(kernel: KappaKernel, x, order: int = 0):
     coeff = wtilde * (2.0 * np.pi) ** (-d / 2.0)
     wave = kernel.eta_hat * np.exp(-1j * (x @ nodes.T))
     if order == 0:
-        val = (wave.real @ coeff) / kernel.epsilon
-        return float(val) if val.ndim == 0 else val
+        return (wave.real @ coeff) / kernel.epsilon
     if order == 1:
         return ((coeff * wave.imag) @ nodes) / kernel.epsilon
     if order == 2:

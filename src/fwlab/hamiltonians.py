@@ -217,12 +217,14 @@ class JetArgs:
 def K_filtering(controls, mu: SignedAtomicMeasure, jet: JetArgs, coeffs: FilteringCoeffs):
     """Per-control pairing: running cost, drift against p, diffusion against q,
     plus the common-noise trace against M; exact on the atoms.  ``controls`` is
-    one control (float result) or a 1-d array (one value per control); the jet
-    fields p and q are evaluated once, and each coefficient closure once on
-    the atoms tiled over the controls."""
+    a 1-d array and the result holds one value per control; the jet fields p
+    and q are evaluated once, and each coefficient closure once on the atoms
+    tiled over the controls."""
     if not mu.probability:
         raise ValueError("K_filtering expects a probability measure")
-    grid = np.atleast_1d(np.asarray(controls, dtype=float))
+    grid = np.asarray(controls, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"controls must be a 1-d array, got shape {grid.shape}")
     X, w = mu.locations, mu.weights
     C, n = grid.size, X.shape[0]
     Xc, ac = np.tile(X, (C, 1)), np.repeat(grid, n)
@@ -235,8 +237,7 @@ def K_filtering(controls, mu: SignedAtomicMeasure, jet: JetArgs, coeffs: Filteri
     st = np.asarray(coeffs.sigma_tilde(grid), dtype=float)
     common = np.trace(st @ np.swapaxes(st, 1, 2) @ jet.M, axis1=1, axis2=2)
     # one dot product per control, so a control's value does not depend on the batch
-    values = np.vecdot(integrand.reshape(C, n), w) + 0.5 * common
-    return values if np.ndim(controls) else float(values[0])
+    return np.vecdot(integrand.reshape(C, n), w) + 0.5 * common
 
 
 def G_filtering(
@@ -502,22 +503,15 @@ def _pairing(i: int, W: np.ndarray, qbar: np.ndarray, M: np.ndarray) -> np.ndarr
     return 0.5 * values
 
 
-def K_regret(i: int, a, mu: SignedAtomicMeasure, q, M: np.ndarray):
+def K_regret(i: int, W, mu: SignedAtomicMeasure, q, M: np.ndarray):
     """Per-direction quadratic pairing of mixed subset actions with (q, M).
 
     ``q`` is a batched matrix field X (n,K) -> (n,K,K) integrated against mu;
     terms conditioned on zero-probability sides vanish (weight-cleared form,
-    see ``_pairing``).  ``a`` is one ``SimplexAction`` (float result) or a
-    (B, 2^K) weight array (one value per row).
+    see ``_pairing``).  ``W`` is a (B, 2^K) array of mixed actions, one per
+    row, and the result holds one value per row.
     """
-    if isinstance(a, SimplexAction):
-        if a.n_actions != mu.dim:
-            raise ValueError("measure dimension must equal the number of actions")
-        W = a.weights[None]
-    else:
-        W = _validated_weights(mu.dim, a, 2)
-    values = _pairing(i, W, *_regret_data(mu, q, M))
-    return float(values[0]) if isinstance(a, SimplexAction) else values
+    return _pairing(i, _validated_weights(mu.dim, W, 2), *_regret_data(mu, q, M))
 
 
 @dataclass(frozen=True)
@@ -629,9 +623,8 @@ def check_assumptions_regret(samples: list, metric_cfgs: dict) -> CheckReport:
 
         kernel = fm.make_kappa(mu, nu, s["eps"], metric_cfgs[K_n])
         hess = fm.kappa_hessian_field(kernel)
-        gap = K_regret(s["i"], s["a"], mu, hess, s["M"]) - K_regret(
-            s["i"], s["a"], nu, hess, s["M"]
-        )
+        i, W = s["i"], s["a"].weights[None]
+        gap = float(K_regret(i, W, mu, hess, s["M"])[0] - K_regret(i, W, nu, hess, s["M"])[0])
         max_sign_gap = max(max_sign_gap, gap)
         if gap > _REGRET_SIGN_TOL:
             failures.append({"sample": idx, "check": "sign", "gap": gap})

@@ -23,15 +23,11 @@ __all__ = [
     "vartheta",
     "dirac",
     "linear_combination",
-    "measures_close",
     "measure_to_json",
     "measure_from_json",
 ]
 
 _PROB_MASS_TOL = 1e-12
-# measures_close: atoms merge within _LOCATION_TOL (relative), weights vanish within _WEIGHT_TOL
-_WEIGHT_TOL = 1e-12
-_LOCATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -169,31 +165,6 @@ def pushforward_shift(measure: SignedAtomicMeasure, m) -> SignedAtomicMeasure:
 def vartheta(theta: Theta) -> float:
     """Moment penalty 1 + |m|^2 + int |x|^2 dmu; >= 1 for probability measures."""
     return 1.0 + float(theta.m @ theta.m) + theta.measure.second_moment()
-
-
-def measures_close(a: SignedAtomicMeasure, b: SignedAtomicMeasure) -> bool:
-    """Equality up to atom permutation and merging (test assertions only)."""
-    if a.dim != b.dim:
-        return False
-    diff = linear_combination([1.0, -1.0], [a, b])
-    merged = _merge_atoms(diff)
-    return bool(np.all(np.abs(merged.weights) <= _WEIGHT_TOL)) if merged.n_atoms else True
-
-
-def _merge_atoms(m: SignedAtomicMeasure) -> SignedAtomicMeasure:
-    order = np.lexsort(m.locations.T[::-1])
-    locs = m.locations[order]
-    ws = m.weights[order]
-    out_loc, out_w = [], []
-    for x, w in zip(locs, ws):
-        if out_loc and np.linalg.norm(x - out_loc[-1]) <= _LOCATION_TOL * (
-            1.0 + np.linalg.norm(x)
-        ):
-            out_w[-1] += w
-        else:
-            out_loc.append(x)
-            out_w.append(w)
-    return SignedAtomicMeasure(m.dim, np.array(out_loc), np.array(out_w))
 
 
 def measure_to_json(m: SignedAtomicMeasure) -> str:

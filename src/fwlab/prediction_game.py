@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  unused; bench/tracing.py patches pg.linprog
 
 from ._rng import mean_stderr, substream
 from .hamiltonians import SimplexAction, hat_weights, subset_vectors, uniform_action, vertex_action
@@ -34,9 +34,6 @@ __all__ = [
     "monte_carlo_regret",
     "exact_value_small",
     "rescaled_value",
-    "scaled_initial_measure",
-    "rescaled_time",
-    "solve_matrix_game",
     "uniform_forecaster",
     "follow_the_leader_forecaster",
     "exp_weights_forecaster",
@@ -130,52 +127,6 @@ def monte_carlo_regret(
 # ---------------------------------------------------------------------------
 # exact small instances
 # ---------------------------------------------------------------------------
-
-
-def solve_matrix_game(M: np.ndarray) -> tuple:
-    """Value and optimal mixtures of min_rows max_cols b^T M c, any size.
-
-    The general linear-program solver: pure saddle points are returned
-    exactly, everything else goes through the standard linear program.  The
-    belief-state DP reads only stage values and takes them from
-    ``_stage_value``; this solver stays for callers that need the mixtures
-    and as the independent oracle for ``_stage_value``.
-    """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    n_rows, n_cols = M.shape
-    row_worst = M.max(axis=1)
-    col_best = M.min(axis=0)
-    lo = float(col_best.max())  # maximin over pure columns
-    hi = float(row_worst.min())  # minimax over pure rows
-    if lo == hi:
-        r = int(np.argmin(row_worst))
-        c = int(np.argmax(col_best))
-        b = np.zeros(n_rows)
-        b[r] = 1.0
-        col = np.zeros(n_cols)
-        col[c] = 1.0
-        return hi, b, col
-    # variables (b_1..b_R, v): minimize v s.t. M^T b <= v, sum b = 1, b >= 0
-    c_obj = np.zeros(n_rows + 1)
-    c_obj[-1] = 1.0
-    A_ub = np.hstack([M.T, -np.ones((n_cols, 1))])
-    b_ub = np.zeros(n_cols)
-    A_eq = np.zeros((1, n_rows + 1))
-    A_eq[0, :n_rows] = 1.0
-    bounds = [(0, None)] * n_rows + [(None, None)]
-    # HiGHS's default 1e-7 feasibility tolerances move the value by ~1e-8
-    tols = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    res = linprog(c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0], bounds=bounds, options=tols)
-    if not res.success:
-        raise RuntimeError(f"matrix game LP failed: {res.message}")
-    value = float(res.x[-1])
-    row_mix = np.maximum(res.x[:n_rows], 0.0)
-    row_mix /= row_mix.sum()
-    dual = res.ineqlin.marginals
-    col_mix = np.maximum(-np.asarray(dual), 0.0)
-    s = col_mix.sum()
-    col_mix = col_mix / s if s > 0 else np.full(n_cols, 1.0 / n_cols)
-    return value, row_mix, col_mix
 
 
 # size limits of exact_value_small: actions, rounds, candidate vertex systems
@@ -339,18 +290,6 @@ def exact_value_small(
 # ---------------------------------------------------------------------------
 # rescaling
 # ---------------------------------------------------------------------------
-
-
-def scaled_initial_measure(mu: SignedAtomicMeasure, T: int) -> SignedAtomicMeasure:
-    """Image of mu under multiplication by sqrt(T)."""
-    return SignedAtomicMeasure(mu.dim, mu.locations * math.sqrt(T), mu.weights, mu.probability)
-
-
-def rescaled_time(s: float, T: int) -> int:
-    """Round index ceil(s T) for normalized time s in [0, 1]."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("normalized time must lie in [0, 1]")
-    return int(math.ceil(s * T))
 
 
 def rescaled_value(values: dict) -> dict:

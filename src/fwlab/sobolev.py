@@ -31,7 +31,6 @@ __all__ = [
     "spectral_derivative",
     "spectral_laplacian",
     "l2_inner",
-    "l2_norm",
     "mollify",
     "multiplication_ratio",
     "leibniz_identity_check",
@@ -182,10 +181,6 @@ def l2_inner(f: GridFunction, g: GridFunction) -> float:
     if f.box != g.box:
         raise ValueError("grid mismatch")
     return float(np.real(np.vdot(f.values, g.values)) * f.box.cell_volume())
-
-
-def l2_norm(f: GridFunction) -> float:
-    return math.sqrt(max(l2_inner(f, f), 0.0))
 
 
 def _norm_sq(fhat: np.ndarray, box: Box, s: float) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate, interpolate, optimize
 
 from fwlab import fourier_metric as fm
-from fwlab.measures import SignedAtomicMeasure
+from fwlab.measures import SignedAtomicMeasure, char_fn_batch
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,14 @@ def rho_f_trapezoid_1d(mu, nu, lam: int, radius: float, n_nodes: int) -> float:
     return math.sqrt(float(w @ (np.abs(diff) ** 2 / (1.0 + k * k) ** lam)) / (2.0 * math.pi))
 
 
+def rho_F_norm(eta: SignedAtomicMeasure, cfg) -> float:
+    """Spectral seminorm sqrt(int |F_k(eta)|^2 weight dk) of a signed measure
+    on the package's quadrature nodes, from its characteristic function."""
+    nodes, wtilde = fm._quadrature(cfg)
+    fhat = char_fn_batch(eta, nodes)
+    return math.sqrt(max(float(wtilde @ (fhat.real**2 + fhat.imag**2)), 0.0))
+
+
 def fixed_support_d_F_sq(t1, w1, m1, t2, w2, m2, support, cfg) -> float:
     """d_F^2 between two points (t, weights, shift) of the doubling harness's
     fixed-support domain, one pair at a time: |t1 - t2|^2 + |m1 - m2|^2 plus
@@ -76,7 +84,7 @@ def fixed_support_d_F_sq(t1, w1, m1, t2, w2, m2, support, cfg) -> float:
     dm = np.asarray(m1, dtype=float) - np.asarray(m2, dtype=float)
     dw = np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float)
     eta = SignedAtomicMeasure(support.shape[1], support, dw)
-    return (t1 - t2) ** 2 + float(np.sum(dm * dm)) + fm.rho_F_norm(eta, cfg) ** 2
+    return (t1 - t2) ** 2 + float(np.sum(dm * dm)) + rho_F_norm(eta, cfg) ** 2
 
 
 # ---------------------------------------------------------------------------

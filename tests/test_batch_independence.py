@@ -54,9 +54,6 @@ def test_lq_candidate_rows_are_independent(seed, B):
     _assert_rows_alone(
         u.eval_fn(t, w, m), lambda k: u.eval_fn(t[k : k + 1], w[k : k + 1], m[k : k + 1]), B
     )
-    # the one-point call is the same row once more
-    values = u.eval_fn(t, w, m)[0]
-    assert all(u(t[k], w[k], m[k]) == values[k] for k in range(B))
 
 
 @settings(max_examples=100, deadline=None)
@@ -98,4 +95,3 @@ def test_K_filtering_rows_are_independent(seed, B, name):
     coeffs = ham.COEFFS_REGISTRY[name]()
     batched = ham.K_filtering(controls, mu, jet, coeffs)
     _assert_rows_alone(batched, lambda k: ham.K_filtering(controls[k : k + 1], mu, jet, coeffs), B)
-    assert all(ham.K_filtering(a, mu, jet, coeffs) == value for a, value in zip(controls, batched))

@@ -28,6 +28,12 @@ def _pair(slack=0.25):
 POINT_KINDS = ("interior", "t=0", "t=T", "vertex")
 
 
+def _at(f, t, w, m) -> float:
+    """The candidate's value at the one point (t, w, m), as a one-row batch."""
+    values = f.eval_fn(np.array([t], dtype=float), np.asarray(w)[None], np.asarray(m)[None])[0]
+    return float(values[0])
+
+
 def _central_differences(f, x, h):
     return np.array([(f(x + h * e) - f(x - h * e)) / (2.0 * h) for e in np.eye(x.size)])
 
@@ -66,9 +72,8 @@ def test_lq_candidate_gradient_matches_central_differences(seed, kind, shifted):
     u, _, scale = _random_lq_pair(rng, shifted)
     n = u.n_atoms
     z = _random_point(rng, n, 1.5, kind)
-    val, d_t, d_w, d_m = (a[0] for a in u.eval_fn(z[:1], z[None, 1 : 1 + n], z[None, 1 + n :]))
-    assert val == u(z[0], z[1 : 1 + n], z[1 + n :])
-    fd = _central_differences(lambda y: u(y[0], y[1 : 1 + n], y[1 + n :]), z, 1e-6)
+    _, d_t, d_w, d_m = (a[0] for a in u.eval_fn(z[:1], z[None, 1 : 1 + n], z[None, 1 + n :]))
+    fd = _central_differences(lambda y: _at(u, y[0], y[1 : 1 + n], y[1 + n :]), z, 1e-6)
     assert np.max(np.abs(np.concatenate([[d_t], d_w, d_m]) - fd)) <= 1e-7 * scale
 
 
@@ -290,17 +295,21 @@ def test_value_dominates_probes():
     rep = ch.doubling_maximize(u, v, [0.1], 0.02, CFG)[0]
     cfg1 = fm.default_config(1)
     rng = substream(4, 0)
+    probes = []
     for _ in range(10_000):
         t1, t2 = rng.uniform(0, 1, 2)
         w1, w2 = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
         m1, m2 = rng.uniform(-CFG.m_box, CFG.m_box, (2, 1))
-        h = (
-            u(t1, w1, m1)
-            - v(t2, w2, m2)
-            - fixed_support_d_F_sq(t1, w1, m1, t2, w2, m2, SUPPORT, cfg1) / 0.2
-            - 0.02 * (2.0 + m1[0] ** 2 + m2[0] ** 2 + w1 @ (SUPPORT[:, 0] ** 2) + w2 @ (SUPPORT[:, 0] ** 2))
-        )
-        assert h <= rep.value + 1e-9
+        probes.append((t1, w1, m1, t2, w2, m2))
+    t1, w1, m1, t2, w2, m2 = (np.array(column) for column in zip(*probes))
+    sq = SUPPORT[:, 0] ** 2
+    h = (
+        u.eval_fn(t1, w1, m1)[0]
+        - v.eval_fn(t2, w2, m2)[0]
+        - np.array([fixed_support_d_F_sq(*p, SUPPORT, cfg1) for p in probes]) / 0.2
+        - 0.02 * (2.0 + m1[:, 0] ** 2 + m2[:, 0] ** 2 + w1 @ sq + w2 @ sq)
+    )
+    assert h.max() <= rep.value + 1e-9
 
 
 def test_value_monotone_in_delta():
@@ -333,8 +342,8 @@ def test_grid_oracle_cross_validation():
     ts = np.array([t for t, _, _ in grid])
     wvs = np.array([wv for _, wv, _ in grid])
     ms_ = np.array([m[0] for _, _, m in grid])
-    u_vals = np.array([u(*point) for point in grid])
-    v_vals = np.array([v(*point) for point in grid])
+    u_vals = u.eval_fn(ts, wvs, ms_[:, None])[0]
+    v_vals = v.eval_fn(ts, wvs, ms_[:, None])[0]
     vth = 1 + ms_**2 + wvs @ x2
     # the coupling over all pairs from the Gram form, spot-checked pairwise
     dw = wvs[:, None, :] - wvs[None, :, :]
@@ -435,7 +444,7 @@ def test_ordering_check_reports_witness(rng):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), c=st.floats(-0.2, 0.2), n_probes=st.integers(1, 30))
 def test_ordering_check_matches_each_probe(seed, c, n_probes):
-    # the batched check against scalar calls of the candidates, probe by probe
+    # the batched check against one-row calls of the candidates, probe by probe
     rng = np.random.default_rng(seed)
     base = ch.lq_discretized_candidate(SUPPORT, LQ, slack=0.0, m_box=1.5, osc=1.0)
     other = ch.lq_discretized_candidate(
@@ -444,11 +453,11 @@ def test_ordering_check_matches_each_probe(seed, c, n_probes):
     )
     probes = _probes(rng, n_probes)
     rep = ch.ordering_check(base, other, probes, horizon=1.0)
-    terminal = [base(1.0, w, m) - other(1.0, w, m) for _, w, m in probes]
+    terminal = [_at(base, 1.0, w, m) - _at(other, 1.0, w, m) for _, w, m in probes]
     if max(terminal) > 1e-9:
         assert not rep.passed and rep.stats["stage"] == "terminal-precondition"
         return
-    gaps = [other(t, w, m) - base(t, w, m) for t, w, m in probes]
+    gaps = [_at(other, t, w, m) - _at(base, t, w, m) for t, w, m in probes]
     assert rep.stats["min_margin"] == pytest.approx(min(gaps), rel=0.0, abs=1e-12)
     assert rep.passed == (min(gaps) >= -1e-9)
     if not rep.passed:
@@ -497,8 +506,15 @@ def test_ishii_matrix_validation():
 
 def test_discretized_function_bound_holds(rng):
     u, _ = _pair()
-    for t, w, m in _probes(rng, 200):
-        assert abs(u(t, w, m)) <= u.bound + 1e-12
+    t, w, m = (np.array(column) for column in zip(*_probes(rng, 200)))
+    assert np.all(np.abs(u.eval_fn(t, w, m)[0]) <= u.bound + 1e-12)
+
+
+@pytest.mark.parametrize("field, value", [("n_starts", 0), ("n_polish", 0), ("max_iters", -1)])
+def test_doubling_config_rejects_degenerate_settings(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= "):
+        ch.DoublingConfig(**{field: value})
+    ch.DoublingConfig(n_starts=1, n_polish=1, max_iters=0)  # the least allowed settings
 
 
 def test_doubling_rejects_mismatched_support():

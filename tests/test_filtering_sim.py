@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from conftest import random_probability_measure
 from fwlab import filtering_sim as fs
 from fwlab import hamiltonians as ham
 from fwlab import measures as ms
-from fwlab._rng import mean_stderr
+from fwlab._rng import mean_stderr, substream
 
 LQ = fs.LQParams(sigma=1.0, sigma_tilde=0.5, horizon=1.0)
 MU2 = ms.SignedAtomicMeasure(1, [[0.0], [0.6]], [0.5, 0.5], probability=True)
@@ -27,9 +29,32 @@ def _null_coeffs(sigma=0.0, sigma_tilde=0.0, r_const=0.0, l_const=0.0):
     )
 
 
+def simulate_conditional_law(
+    t, mu, policy, coeffs, cfg, run=0, w_seed=None, init_seed=None, b_seed=None
+):
+    """Run ``run``'s empirical conditional-law path, as (time, measure) pairs.
+
+    ``w_seed``, ``init_seed`` and ``b_seed`` draw the common, initial and
+    idiosyncratic noise (substreams 0, 1 and 2) from that seed instead of
+    ``cfg.seed``, which splits the three sources for variance and
+    determinism studies.
+    """
+    seeds = (w_seed, init_seed, b_seed)
+
+    def split(seed, run, source):
+        return substream(seed if seeds[source] is None else seeds[source], run, source)
+
+    w = np.full(cfg.n_particles, 1.0 / cfg.n_particles)
+    with mock.patch.object(fs, "substream", split):
+        return [
+            (clock, ms.SignedAtomicMeasure(coeffs.d, X[0], w, True))
+            for clock, X, _ in fs._run_paths(t, mu, policy, coeffs, cfg, [run])
+        ]
+
+
 def test_frozen_dynamics_keeps_measure():
     cfg = fs.SimConfig(dt=0.1, n_particles=8, horizon=0.5, seed=1)
-    path = fs.simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), _null_coeffs(), cfg)
+    path = simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), _null_coeffs(), cfg)
     first = path[0][1]
     for _, m in path:
         assert np.array_equal(m.locations, first.locations)
@@ -38,7 +63,7 @@ def test_frozen_dynamics_keeps_measure():
 def test_shared_noise_pure_translation():
     cfg = fs.SimConfig(dt=0.05, n_particles=6, horizon=0.4, seed=2)
     coeffs = _null_coeffs(sigma_tilde=1.0)
-    path = fs.simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), coeffs, cfg)
+    path = simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), coeffs, cfg)
     x0 = path[0][1].locations
     for _, m in path:
         shift = m.locations - x0
@@ -50,7 +75,7 @@ def test_linear_drift_mean_matches_ode(rng):
     cfg = fs.SimConfig(dt=0.01, n_particles=1000, horizon=0.5, seed=5)
     means = []
     for run in range(24):
-        path = fs.simulate_conditional_law(
+        path = simulate_conditional_law(
             0.0, MU2, fs.constant_policy(0.7), coeffs, cfg, run=run
         )
         means.append(float(path[-1][1].mean()[0]))
@@ -115,7 +140,7 @@ def test_run_zero_rows_match_the_simulated_path():
     policy = fs.lqg_feedback_policy(LQ)
     cfg = fs.SimConfig(dt=0.05, n_particles=40, horizon=0.5, runs=2, seed=9)
     costs, rows = fs.sample_costs(0.0, MU2, policy, coeffs, cfg)
-    path = fs.simulate_conditional_law(0.0, MU2, policy, coeffs, cfg)
+    path = simulate_conditional_law(0.0, MU2, policy, coeffs, cfg)
     assert [r[0] for r in rows] == [clock for clock, _ in path]
     assert [r[1] for r in rows] == [float(m.locations.mean()) for _, m in path]
     assert rows[0][3] == 0.0
@@ -127,7 +152,7 @@ def test_run_zero_rows_match_the_simulated_path():
 def test_particle_exchangeability(rng):
     cfg = fs.SimConfig(dt=0.1, n_particles=32, horizon=0.2, seed=3)
     coeffs = ham.make_lq_coeffs()
-    path = fs.simulate_conditional_law(0.0, MU2, fs.constant_policy(0.3), coeffs, cfg)
+    path = simulate_conditional_law(0.0, MU2, fs.constant_policy(0.3), coeffs, cfg)
     _, last = path[-1]
     perm = rng.permutation(last.n_atoms)
     permuted = ms.SignedAtomicMeasure(
@@ -140,8 +165,8 @@ def test_particle_exchangeability(rng):
 def test_sigma_zero_paths_independent_of_b_seed():
     coeffs = _null_coeffs(sigma_tilde=0.7)
     cfg = fs.SimConfig(dt=0.05, n_particles=12, horizon=0.3, seed=4)
-    p1 = fs.simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), coeffs, cfg, b_seed=100)
-    p2 = fs.simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), coeffs, cfg, b_seed=200)
+    p1 = simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), coeffs, cfg, b_seed=100)
+    p2 = simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), coeffs, cfg, b_seed=200)
     for (_, a), (_, b) in zip(p1, p2):
         assert np.array_equal(a.locations, b.locations)
 
@@ -155,7 +180,7 @@ def test_variance_halves_with_particle_count():
         cfg = fs.SimConfig(dt=0.05, n_particles=n_particles, horizon=0.25, seed=0)
         out = []
         for rep in range(reps):
-            path = fs.simulate_conditional_law(
+            path = simulate_conditional_law(
                 0.0,
                 MU2,
                 fs.constant_policy(0.2),
@@ -187,7 +212,7 @@ def test_divergence_guard():
     )
     cfg = fs.SimConfig(dt=0.1, n_particles=4, horizon=0.3, seed=0)
     with pytest.raises(FloatingPointError):
-        fs.simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), blow, cfg)
+        simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), blow, cfg)
 
 
 def test_non_finite_coefficients_raise_floating_point_error():
@@ -203,7 +228,7 @@ def test_non_finite_coefficients_raise_floating_point_error():
     )
     cfg = fs.SimConfig(dt=0.1, n_particles=4, horizon=0.3, runs=2, seed=0)
     with pytest.raises(FloatingPointError):
-        fs.simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), nan_drift, cfg)
+        simulate_conditional_law(0.0, MU2, fs.constant_policy(0.0), nan_drift, cfg)
     with pytest.raises(FloatingPointError):
         fs.estimate_cost(0.0, MU2, fs.constant_policy(0.0), nan_drift, cfg)
     nan_cost = _null_coeffs(r_const=np.nan)

@@ -11,6 +11,7 @@ from _oracles import (
     kappa_gradient_sup_bound,
     kappa_hessian_pairing_spectral,
     kappa_hessian_sup_bound,
+    rho_F_norm,
     rho_f_point_masses_1d,
     rho_f_trapezoid_1d,
     total_variation,
@@ -108,7 +109,7 @@ def test_L_functional_cauchy_schwarz(cfg1d, rng):
         a, b = (random_probability_measure(rng) for _ in range(2))
         eta = ms.linear_combination([1.0, -1.0], [a, b])
         lhs = abs(fm.L_functional(eta, mu, nu, cfg1d))
-        rhs = 2.0 * fm.rho_F_norm(eta, cfg1d) * fm.rho_F(mu, nu, cfg1d)
+        rhs = 2.0 * rho_F_norm(eta, cfg1d) * fm.rho_F(mu, nu, cfg1d)
         assert lhs <= rhs + 1e-12
 
 

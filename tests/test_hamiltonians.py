@@ -66,25 +66,25 @@ def test_K_running_cost_only(rng):
     mu = random_probability_measure(rng)
     jet = _standard_jet(p_slope=0.0, q_const=0.0, M=0.0)
     a = 0.7
-    assert ham.K_filtering(a, mu, jet, LQ) == pytest.approx(a * a, rel=1e-14)
+    assert ham.K_filtering(np.array([a]), mu, jet, LQ)[0] == pytest.approx(a * a, rel=1e-14)
 
 
 def test_K_hand_value():
     mu = ms.dirac(0.0)
-    assert ham.K_filtering(0.0, mu, _standard_jet(), LQ) == pytest.approx(1.0)
+    assert ham.K_filtering(np.zeros(1), mu, _standard_jet(), LQ)[0] == pytest.approx(1.0)
 
 
 def test_K_monotone_in_M(rng):
     mu = random_probability_measure(rng)
     jet1 = _standard_jet(M=0.3)
     jet2 = _standard_jet(M=0.9)  # difference is positive semidefinite
-    for a in (-1.0, 0.0, 1.5):
-        assert ham.K_filtering(a, mu, jet1, LQ) <= ham.K_filtering(a, mu, jet2, LQ)
+    a = np.array([-1.0, 0.0, 1.5])
+    assert np.all(ham.K_filtering(a, mu, jet1, LQ) <= ham.K_filtering(a, mu, jet2, LQ))
 
 
 def test_K_affine_in_jet_arguments(rng):
     mu = random_probability_measure(rng)
-    a = 0.4
+    a = np.array([0.4])
     j1 = _standard_jet(1.0, 0.5, 0.2)
     j2 = _standard_jet(-2.0, 1.5, -0.7)
     lam = 0.35
@@ -102,10 +102,12 @@ def test_G_singleton_grid(rng):
     mu = random_probability_measure(rng)
     jet = _standard_jet()
     assert ham.G_filtering(mu, jet, LQ, [0.3]) == pytest.approx(
-        ham.K_filtering(0.3, mu, jet, LQ)
+        ham.K_filtering(np.array([0.3]), mu, jet, LQ)[0]
     )
     with pytest.raises(ValueError):
         ham.G_filtering(mu, jet, LQ, [])
+    with pytest.raises(ValueError, match="1-d"):
+        ham.K_filtering(0.3, mu, jet, LQ)
 
 
 def test_G_monotone_under_refinement(rng):
@@ -293,11 +295,10 @@ def test_K_filtering_over_controls_matches_each_control(cfg1d, seed, n_controls)
     jet = _kappa_jet(rng, cfg1d)
     controls = rng.uniform(-2.0, 2.0, n_controls)
     values = ham.K_filtering(controls, mu, jet, coeffs)
-    each = [ham.K_filtering(float(a), mu, jet, coeffs) for a in controls]
+    each = np.concatenate([ham.K_filtering(np.array([a]), mu, jet, coeffs) for a in controls])
     assert values.shape == (n_controls,)
-    assert all(isinstance(v, float) for v in each)
     assert np.array_equal(values, each)
-    assert ham.G_filtering(mu, jet, coeffs, controls) == min(each)
+    assert ham.G_filtering(mu, jet, coeffs, controls) == each.min()
 
 
 @pytest.mark.parametrize("m", [1, 7])
@@ -544,33 +545,34 @@ def test_batched_K_regret_matches_rows_and_conditional_oracle(K, seed):
         batched = ham.K_regret(i, W, mu, q, M)
         assert batched.shape == (len(W),)
         for w, value in zip(W, batched):
-            a = ham.SimplexAction(K, w)
-            assert abs(value - ham.K_regret(i, a, mu, q, M)) <= 1e-12 * scale
-            assert abs(value - K_regret_conditional(i, a, mu, q, M)) <= 1e-12 * scale
+            assert abs(value - ham.K_regret(i, w[None], mu, q, M)[0]) <= 1e-12 * scale
+            oracle = K_regret_conditional(i, ham.SimplexAction(K, w), mu, q, M)
+            assert abs(value - oracle) <= 1e-12 * scale
 
 
 def test_K_regret_trivial_and_vertex():
     mu = ms.dirac(np.zeros(2))
     q0 = lambda X: np.zeros((np.atleast_2d(X).shape[0], 2, 2))
-    assert ham.K_regret(1, ham.uniform_action(2), mu, q0, np.zeros((2, 2))) == 0.0
-    val = ham.K_regret(1, ham.vertex_action(2, 0b01), mu, q0, np.eye(2))
+    uniform = ham.uniform_action(2).weights[None]
+    assert ham.K_regret(1, uniform, mu, q0, np.zeros((2, 2)))[0] == 0.0
+    val = ham.K_regret(1, ham.vertex_action(2, 0b01).weights[None], mu, q0, np.eye(2))[0]
     assert val == pytest.approx(0.5)
 
 
 def test_K_regret_monotone_and_homogeneous(rng):
     mu = random_probability_measure(rng, dim=2)
-    a = ham.SimplexAction(2, rng.dirichlet(np.ones(4)))
+    a = rng.dirichlet(np.ones(4))[None]
     B = rng.standard_normal((2, 2))
     B = 0.5 * (B + B.T)
     q = lambda X: np.broadcast_to(B, (np.atleast_2d(X).shape[0], 2, 2))
     M = rng.standard_normal((2, 2))
     M = 0.5 * (M + M.T)
     bump = np.array([[0.4, 0.1], [0.1, 0.2]])  # positive definite
-    assert ham.K_regret(1, a, mu, q, M) <= ham.K_regret(1, a, mu, q, M + bump) + 1e-12
+    assert ham.K_regret(1, a, mu, q, M)[0] <= ham.K_regret(1, a, mu, q, M + bump)[0] + 1e-12
     c = 2.6
     qc = lambda X: c * q(X)
-    assert ham.K_regret(2, a, mu, qc, c * M) == pytest.approx(
-        c * ham.K_regret(2, a, mu, q, M), rel=1e-12
+    assert ham.K_regret(2, a, mu, qc, c * M)[0] == pytest.approx(
+        c * ham.K_regret(2, a, mu, q, M)[0], rel=1e-12
     )
 
 
@@ -580,10 +582,8 @@ def test_G_regret_trivial_and_dominates_vertices(rng):
     assert ham.G_regret(mu, q0, np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-12)
     M = np.array([[0.7, -0.2], [-0.2, 0.3]])
     val = ham.G_regret(mu, q0, M)
-    for mask in range(4):
-        for i in (1, 2):
-            probe = ham.K_regret(i, ham.vertex_action(2, mask), mu, q0, M)
-            assert val >= probe - 1e-12
+    for i in (1, 2):
+        assert val >= np.max(ham.K_regret(i, np.eye(4), mu, q0, M)) - 1e-12  # every vertex
 
 
 def test_G_regret_matches_dense_grid_oracle():
@@ -625,7 +625,7 @@ def test_G_regret_is_attained_and_dominates_every_action(K, seed):
     value = ham.G_regret(mu, q, M)
     best, i, w = ham._regret_argmax(*ham._regret_data(mu, q, M))
     assert best == value
-    assert ham.K_regret(i, ham.SimplexAction(K, w), mu, q, M) == value
+    assert ham.K_regret(i, w[None], mu, q, M)[0] == value
     W = np.vstack([simplex_lattice(2**K, LATTICE_LEVELS[K]), rng.dirichlet(np.ones(2**K), 20)])
     for i in range(1, K + 1):
         assert np.max(ham.K_regret(i, W, mu, q, M)) <= value + 1e-12 * scale
@@ -677,7 +677,7 @@ def test_regret_rejects_M_of_the_wrong_shape():
     mu = ms.dirac(np.zeros(2))
     q0 = lambda X: np.zeros((np.atleast_2d(X).shape[0], 2, 2))
     with pytest.raises(ValueError, match=r"\(3, 3\)"):
-        ham.K_regret(1, ham.uniform_action(2), mu, q0, np.eye(3))
+        ham.K_regret(1, ham.uniform_action(2).weights[None], mu, q0, np.eye(3))
     with pytest.raises(ValueError, match=r"\(3, 3\)"):
         ham.G_regret(mu, q0, np.eye(3))
     with pytest.raises(ValueError, match=r"\(2,\)"):

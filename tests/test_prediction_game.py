@@ -258,7 +258,8 @@ def test_exact_value_solves_no_linear_program(monkeypatch, K, T):
     monkeypatch.setattr(pg, "linprog", counting_linprog)
     pg.exact_value_small(T, ms.dirac(np.full(K, 0.1)), _vertex_grid(K))
     assert calls == []
-    pg.solve_matrix_game(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # positive control: a call through the module's own name is counted
+    pg.linprog([1.0], bounds=[(0.0, 1.0)])
     assert len(calls) == 1
 
 
@@ -273,26 +274,9 @@ _GAMES = st.tuples(st.integers(2, 3), st.integers(1, 8)).flatmap(
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(M=_GAMES)
-# HiGHS at its default 1e-7 feasibility tolerances returned 2.2e-8 here
-# against the exact 2.9597e-8
-@example(
-    M=np.array(
-        [
-            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.43959563e-08],
-            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, -1.0],
-        ]
-    )
-)
-def test_stage_value_matches_the_matrix_game_lp(M):
-    assert pg._stage_value(M) == pytest.approx(pg.solve_matrix_game(M)[0], abs=1e-9)
-
-
 @settings(max_examples=200, deadline=None)
 @given(M=_GAMES)
-# two 1e-10 entries: the LP returns -0.0 here against the exact 1e-10
+# two 1e-10 entries: a HiGHS linear program returned -0.0 here against the exact 1e-10
 @example(
     M=np.array(
         [
@@ -320,11 +304,7 @@ def test_exact_value_saddle_certificate():
             e = np.array([(mask >> 0) & 1, (mask >> 1) & 1], dtype=float)
             gaps = e - float((mask >> (i - 1)) & 1)
             M[i - 1, mask] = np.max(gaps)
-    value, row_mix, col_mix = pg.solve_matrix_game(M)
-    # saddle certificate: the mixtures bound the value from both sides
-    assert np.all(row_mix @ M <= value + 1e-9)
-    assert np.all(M @ col_mix >= value - 1e-9)
-    assert pg.exact_value_small(1, ZERO2, grid) == pytest.approx(value, abs=1e-9)
+    assert Fraction(pg.exact_value_small(1, ZERO2, grid)) == rational_stage_value(M)
 
 
 def test_exact_value_size_limits():
@@ -408,23 +388,3 @@ def test_rescaled_value_arithmetic():
     assert out[0.5][25] == pytest.approx(0.5)
     assert out[0.0][100] == pytest.approx(2.0)
     assert pg.rescaled_value({1: {1.0: 0.0}})[1.0][1] == 0.0
-
-
-def test_scaled_measure_and_time():
-    mu = ms.dirac(np.array([1.0, -2.0]))
-    scaled = pg.scaled_initial_measure(mu, 25)
-    assert np.allclose(scaled.locations, [[5.0, -10.0]])
-    assert pg.rescaled_time(0.0, 25) == 0
-    assert pg.rescaled_time(1.0, 25) == 25
-    assert pg.rescaled_time(0.21, 25) == 6
-    with pytest.raises(ValueError):
-        pg.rescaled_time(1.5, 25)
-
-
-def test_matrix_game_solver():
-    value, row, col = pg.solve_matrix_game(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert value == pytest.approx(0.5, abs=1e-9)
-    assert np.allclose(row, [0.5, 0.5], atol=1e-9)
-    # pure saddle handled exactly
-    value, row, col = pg.solve_matrix_game(np.array([[2.0, 3.0], [4.0, 5.0]]))
-    assert value == 3.0

@@ -12,17 +12,27 @@ matrix product.  Then each start follows the path it would follow alone.
 
 from __future__ import annotations
 
-import numpy as np
+import sys
 
-# SciPy's compiled SLSQP step, which ``scipy.optimize.minimize`` drives one
-# start at a time from ``_minimize_slsqp`` (SciPy 1.17); pyproject.toml pins
-# the minor version and the one-start oracle test guards the mirror
-from scipy.optimize._slsqplib import slsqp
+import numpy as np
 
 _STEP0 = 0.25  # first trial step along the projected arc
 _GRAD_TOL = 1e-8  # converged when the unit-step projected gradient is smaller
 _SHRINK = 0.5  # step factor after a rejected trial
 _MAX_BACKTRACKS = 30
+
+
+def __getattr__(name: str):
+    # ``slsqp`` is SciPy's compiled SLSQP step, which ``scipy.optimize.minimize``
+    # drives one start at a time from ``_minimize_slsqp`` (SciPy 1.17);
+    # pyproject.toml pins the minor version and the one-start oracle test
+    # guards the mirror.  It loads on first use, since importing it loads all
+    # of ``scipy.optimize``.
+    if name == "slsqp":
+        from scipy.optimize._slsqplib import slsqp
+
+        return slsqp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -109,6 +119,7 @@ def lockstep_slsqp(fun_and_grad, x0: np.ndarray, lo, hi, eq_matrix, eq_rhs, *, m
     points and values, SLSQP's exit modes (0 on success, 9 at the iteration
     limit) and the major iteration counts.
     """
+    slsqp = sys.modules[__name__].slsqp  # the module attribute, so a replaced step is the one called
     X = np.clip(np.asarray(x0, dtype=float), lo, hi)
     R, n = X.shape
     A = np.asarray(eq_matrix, dtype=float)

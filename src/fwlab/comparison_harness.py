@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize  # noqa: F401  unused here; bench/tracing.py still patches ch.optimize
 
 from . import fourier_metric as fm
 from ._optim import lockstep_slsqp, project_simplex, projected_gradient_ascent
@@ -40,6 +39,17 @@ __all__ = [
     "ishii_matrix_check",
     "lq_discretized_candidate",
 ]
+
+
+def __getattr__(name: str):
+    # ``optimize`` is no longer used here; bench/tracing.py still wraps
+    # ``optimize.minimize``, so it resolves on that lookup alone.  It goes with
+    # the next benchmark change (ROADMAP items 10-11).
+    if name == "optimize":
+        from scipy import optimize
+
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

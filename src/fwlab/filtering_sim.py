@@ -186,12 +186,18 @@ def sample_costs(
         mean = X[0].mean(axis=0)
         var = float(np.mean((X[0] - mean) ** 2))
         rows.append((clock, float(mean[0]), var, float(running[0].mean())))
+    return _run_costs(X, running, coeffs), rows
+
+
+def _run_costs(X: np.ndarray, running: np.ndarray, coeffs: FilteringCoeffs) -> list:
+    """Per-run particle averages of running plus terminal cost, from the
+    final (runs, N, d) states and (runs, N) running costs of ``_run_paths``."""
     terminal = np.asarray(coeffs.l(X.reshape(-1, coeffs.d)), dtype=float).reshape(running.shape)
     costs = (running + terminal).mean(axis=1).tolist()
     for run, cost in enumerate(costs):
         if not math.isfinite(cost):
             raise FloatingPointError(f"run {run} has a non-finite cost; check coefficients")
-    return costs, rows
+    return costs
 
 
 def estimate_cost(
@@ -207,7 +213,9 @@ def estimate_cost(
     mean over runs of per-run particle averages, aggregated with exact
     summation so the result does not depend on run ordering.
     """
-    return mean_stderr(sample_costs(t, mu, policy, coeffs, cfg)[0])
+    for _, X, running in _run_paths(t, mu, policy, coeffs, cfg, range(cfg.runs)):
+        pass
+    return mean_stderr(_run_costs(X, running, coeffs))
 
 
 # ---------------------------------------------------------------------------

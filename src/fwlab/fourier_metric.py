@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .measures import SignedAtomicMeasure, Theta, char_fn_batch
 from .reports import CheckReport
@@ -79,6 +78,8 @@ class FourierConfig:
 
 def _sphere_area(d: int) -> float:
     """Surface area 2 pi^(d/2) / Gamma(d/2) of the unit sphere in R^d."""
+    from scipy import special  # loaded by the first config or moment constant built
+
     return 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
 
 
@@ -89,6 +90,8 @@ def _tail_radius(d: int, lam: int) -> float:
     B(lam - d/2, d/2) / 2 times the regularized incomplete beta function
     I_{1/(1+R^2)}(lam - d/2, d/2), which ``betaincinv`` inverts.
     """
+    from scipy import special
+
     a, b = lam - d / 2.0, d / 2.0
     scale = 4.0 * (2.0 * math.pi) ** (-d) * _sphere_area(d) * 0.5 * special.beta(a, b)
     y = special.betaincinv(a, b, _TAIL_TARGET / scale)
@@ -138,6 +141,8 @@ def moment_constant(cfg: FourierConfig, power: int) -> float:
     d, lam = cfg.dim, cfg.lam
     if power + d >= 2 * lam:
         raise ValueError("moment integral diverges for this (power, lam)")
+    from scipy import special
+
     a = (power + d) / 2.0
     return math.sqrt(_sphere_area(d) * 0.5 * special.beta(a, lam - a))
 

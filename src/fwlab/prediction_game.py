@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog  # noqa: F401  unused; bench/tracing.py patches pg.linprog
 
 from ._rng import mean_stderr, substream
 from .hamiltonians import SimplexAction, hat_weights, subset_vectors, uniform_action, vertex_action
@@ -40,6 +39,17 @@ __all__ = [
     "FORECASTER_REGISTRY",
     "ADVERSARY_REGISTRY",
 ]
+
+
+def __getattr__(name: str):
+    # ``linprog`` is no longer used here; bench/tracing.py still wraps it as
+    # the ``prediction_game.lp`` span, so it resolves on that lookup alone.  It
+    # goes with the next benchmark change (ROADMAP items 10-11).
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

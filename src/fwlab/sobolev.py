@@ -334,7 +334,7 @@ def dissipation_check(
         raise ValueError("matrix field must have shape nodes + (d, d)")
     if b.values.shape != box.nodes + (d,):
         raise ValueError("vector field must have shape nodes + (d,)")
-    ell = _ellipticity_minimum(a.values)
+    ell = _field_ellipticity(a.values.shape, a.values.dtype.str, a.values.tobytes())
     if ell < delta - 1e-12:
         raise ValueError(f"matrix field not {delta}-elliptic (min quadratic form {ell})")
 
@@ -424,6 +424,14 @@ def _ellipticity_minimum(avals: np.ndarray) -> float:
     the least eigenvalue of the symmetric part of the (d, d) field ``avals``."""
     sym = 0.5 * (avals + np.swapaxes(avals, -1, -2))
     return float(np.min(np.linalg.eigvalsh(sym)))
+
+
+@functools.lru_cache(maxsize=8)
+def _field_ellipticity(shape: tuple, dtype: str, data: bytes) -> float:
+    """``_ellipticity_minimum`` of the field with these raw values, keyed by
+    its bytes so that callers passing the same field run the guard once and
+    a changed field never reads another's minimum."""
+    return _ellipticity_minimum(np.frombuffer(data, dtype=dtype).reshape(shape))
 
 
 def random_band_limited(box: Box, band: int, rng: np.random.Generator) -> GridFunction:

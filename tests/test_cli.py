@@ -163,6 +163,47 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(outputs_by_blas_threads,
         assert (one / f).read_bytes() == (two / f).read_bytes(), f
 
 
+# the scipy modules loaded by importing fwlab and by then running one scenario
+# under SMALL_OVERRIDES, printed as two JSON lists by a fresh process
+_SCIPY_LOADED = """
+import json, sys
+import fwlab, fwlab.cli
+imported = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if fwlab.cli.run(sys.argv[1], json.loads(sys.argv[2]), out_dir=sys.argv[3]) != 0:
+    sys.exit("the scenario did not exit 0")
+print(json.dumps([imported, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+# the scipy subpackages each shipped scenario's computation calls into
+SCIPY_BY_SCENARIO = {
+    "commutator_check.json": set(),
+    "comparison_doubling.json": {"scipy.optimize", "scipy.special"},
+    "dissipation_check.json": set(),
+    "dp_value.json": set(),
+    "filter_sim.json": set(),
+    "game_sim.json": set(),
+    "hamiltonian_lq.json": set(),
+    "hamiltonian_regret_check.json": {"scipy.special"},
+    "metric.json": {"scipy.special"},
+    "sobolev_check.json": set(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_scipy_loads_only_where_a_target_calls_it(tmp_path, name):
+    path = os.pathsep.join(filter(None, [str(SCENARIOS.parent / "src"), os.environ.get("PYTHONPATH")]))
+    overrides = json.dumps(SMALL_OVERRIDES.get(name, []))
+    argv = [sys.executable, "-c", _SCIPY_LOADED, str(SCENARIOS / name), overrides, str(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    imported, after_run = json.loads(proc.stdout.splitlines()[-1])
+    assert imported == []
+    expected = SCIPY_BY_SCENARIO[name]
+    assert {m for m in after_run if m in ("scipy.optimize", "scipy.special")} == expected
+    assert bool(after_run) == bool(expected)
+
+
 def test_config_hash_round_trip(tmp_path):
     assert cli.run(SCENARIOS / "metric.json", out_dir=tmp_path) == 0
     meta = read_csv_meta(tmp_path / "metric.csv")

@@ -6,19 +6,28 @@ directory (``filter-sim`` adds a JSON summary, ``dp-value --dump`` its value
 table).  Outputs embed the tool version, the hash of the resolved scenario,
 and the seed, and are byte-identical for identical (scenario, seed, version).
 
-Exit codes: 0 success, 1 input or usage error (a scenario key that its target
-never reads is one), 2 a numerical check failed, 3 an internal numerical
-fault (a diverging simulation or a non-finite stage-game value).
+Each target's runner declares the keys it reads as keyword-only parameters
+with their types and defaults, and ``_bind`` checks every key, at every level
+of the scenario, against them before any numerics run.
+
+Exit codes: 0 success, 1 input or usage error (a key the target never reads,
+a missing key or a value of the wrong type is one), 2 a numerical check
+failed, 3 an internal numerical fault (a diverging simulation or a non-finite
+stage-game value).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import math
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -99,73 +108,118 @@ def _apply_override(scenario: dict, key: str, raw: str) -> None:
     node[parts[-1]] = val
 
 
-# objects whose keys are read one by one rather than passed on as keywords
-_SUBKEYS = {"config": "lambda k_radius k_nodes_per_axis", "sim": "dt n_particles horizon runs seed"}
+def _bind(fn, doc, where: str = "") -> dict:
+    """Keyword arguments for ``fn`` from the JSON object ``doc``: ``fn``'s signature is its schema.
+
+    Each key names a parameter that is not positional-only (``lambda`` names
+    ``lam``), each such parameter without a default is given, and each value
+    has the annotated type: ``int`` takes a JSON integer only (not ``true``
+    or ``3.5``), ``float`` also an integer, ``X | None`` also ``null``,
+    ``list[X]`` checks each item and a dataclass binds the object in turn.
+    A ``**`` parameter takes the other keys unchecked, for a runner that
+    binds them itself.  Errors name the dotted key, prefixed by ``where``.
+    """
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"scenario key {where[:-1]!r} needs an object, got {json.dumps(doc)}")
+    sig = inspect.signature(fn, eval_str=True).parameters.values()
+    keyword = (inspect.Parameter.KEYWORD_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    params = {"lambda" if p.name == "lam" else p.name: p for p in sig if p.kind in keyword}
+    rest = {k: v for k, v in doc.items() if k not in params}
+    if rest and not any(p.kind is p.VAR_KEYWORD for p in sig):
+        raise ScenarioError(f"scenario key {where + next(iter(rest))!r} is not read by this target")
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in doc]
+    if missing:
+        raise ScenarioError(f"scenario key {where + missing[0]!r} is missing")
+    typed = {p.name: _typed(doc[k], p.annotation, where + k) for k, p in params.items() if k in doc}
+    return {**rest, **typed}
 
 
-def _check_keys(scenario: dict, target: str) -> None:
-    """Reject the first key, top-level or inside ``_SUBKEYS``, that the target never reads."""
-    unread = [k for k in scenario if k not in ("target", "schema", *DISPATCH[target][1].split())]
-    for key, known in _SUBKEYS.items():
-        if isinstance(scenario.get(key), dict):
-            unread += [f"{key}.{k}" for k in scenario[key] if k not in known.split()]
-    if unread:
-        raise ScenarioError(f"scenario key {unread[0]!r} is not read by target {target!r}")
+def _typed(value, annotation, key: str):
+    """``value`` read as ``annotation`` asks, or a ScenarioError naming ``key``."""
+    kinds = typing.get_args(annotation) if isinstance(annotation, types.UnionType) else (annotation,)
+    if value is None and type(None) in kinds:
+        return None
+    kind, item = typing.get_origin(kinds[0]) or kinds[0], typing.get_args(kinds[0])
+    if dataclasses.is_dataclass(kind):
+        return kind(**_bind(kind, value, key + "."))
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and isinstance(value, bool) is (kind is bool):
+        return [_typed(v, *item, f"{key}[{i}]") for i, v in enumerate(value)] if item else kind(value)
+    raise ScenarioError(f"scenario key {key!r} must be of type {kind.__name__}, got {json.dumps(value)}")
 
 
-def _metric_config(scenario: dict, dim: int) -> fm.FourierConfig:
-    spec = scenario.get("config", {})
-    base = fm.default_config(dim)
-    return fm.FourierConfig(
-        dim,
-        int(spec.get("lambda", base.lam)),
-        float(spec.get("k_radius", base.k_radius)),
-        int(spec.get("k_nodes_per_axis", base.k_nodes_per_axis)),
-    )
+def _lookup(registry: dict, name: str, what: str):
+    if name not in registry:
+        raise ScenarioError(f"unknown {what} {name!r}")
+    return registry[name]
 
 
-# ---------------------------------------------------------------------------
-# subcommand implementations; each returns (exit_code, rows_meta)
-# ---------------------------------------------------------------------------
+def _cases(case, entries: list) -> list:
+    """Each ``cases`` entry bound against, and read by, the function ``case``."""
+    return [case(**_bind(case, entry, "cases.")) for entry in entries]
 
 
-def _run_metric(scenario: dict, out: Path, meta: dict) -> int:
-    dim = int(scenario.get("dim", 1))
-    cfg = _metric_config(scenario, dim)
+# subcommand runners: out and meta, then the scenario's keys as keyword-only
+# parameters, which are its schema; each returns an exit code
+
+
+def _fourier_config(
+    dim: int, /, *, lam: int | None = None, k_radius: float | None = None,
+    k_nodes_per_axis: int | None = None,
+) -> fm.FourierConfig:
+    """The default quadrature config of dimension ``dim`` with the given entries replaced."""
+    given = {"lam": lam, "k_radius": k_radius, "k_nodes_per_axis": k_nodes_per_axis}
+    return dataclasses.replace(fm.default_config(dim), **{k: v for k, v in given.items() if v is not None})
+
+
+def _theta(measure, /, *, t: float, m: list[float]) -> Theta:
+    return Theta(t, measure, np.asarray(m, float))
+
+
+def _metric_case(
+    *, mu: dict, nu: dict, name: str = "case", theta: dict | None = None, iota: dict | None = None
+) -> tuple:
+    """The case's name, its two measures and its (theta, iota) pair, or None without one."""
+    if (theta is None) != (iota is None):
+        raise ScenarioError("scenario keys 'cases.theta' and 'cases.iota' must be given together")
+    mu, nu = measure_from_json(mu), measure_from_json(nu)
+    if theta is None:
+        return name, mu, nu, None
+    theta = _theta(mu, **_bind(_theta, theta, "cases.theta."))
+    return name, mu, nu, (theta, _theta(nu, **_bind(_theta, iota, "cases.iota.")))
+
+
+def _run_metric(out: Path, meta: dict, /, *, cases: list, dim: int = 1, config: dict = {}) -> int:
+    cfg = _fourier_config(dim, **_bind(_fourier_config, config, "config."))
     rows = []
-    for case in scenario["cases"]:
-        mu = measure_from_json(case["mu"])
-        nu = measure_from_json(case["nu"])
-        inputs_hash = hashlib.sha256(
-            (measure_to_json(mu) + measure_to_json(nu)).encode()
-        ).hexdigest()[:12]
-        value = fm.rho_F(mu, nu, cfg)
-        rows.append([case.get("name", "case"), "rho_F", inputs_hash, value, meta["config_hash"]])
-        if "theta" in case and "iota" in case:
-            th = Theta(float(case["theta"]["t"]), mu, np.asarray(case["theta"]["m"], float))
-            io = Theta(float(case["iota"]["t"]), nu, np.asarray(case["iota"]["m"], float))
-            rows.append(
-                [case.get("name", "case"), "d_F", inputs_hash, fm.d_F(th, io, cfg), meta["config_hash"]]
-            )
+    for name, mu, nu, pair in _cases(_metric_case, cases):
+        inputs = (measure_to_json(mu) + measure_to_json(nu)).encode()
+        inputs_hash = hashlib.sha256(inputs).hexdigest()[:12]
+        rows.append([name, "rho_F", inputs_hash, fm.rho_F(mu, nu, cfg), meta["config_hash"]])
+        if pair is not None:
+            rows.append([name, "d_F", inputs_hash, fm.d_F(*pair, cfg), meta["config_hash"]])
     _write_csv(out / "metric.csv", ["case", "kind", "inputs_hash", "value", "config_id"], rows, meta)
     return EXIT_OK
 
 
-def _random_grid_pair(scenario: dict, rng) -> tuple:
-    box = sb.box1d(float(scenario.get("length", 32.0)), int(scenario.get("n", 512)))
-    band = int(scenario.get("band", box.nodes[0] // 4))
-    return sb.random_band_limited(box, band, rng), sb.random_band_limited(box, band, rng)
+def _random_grid_pairs(seed: int, count: int, length: float, n: int, band: int | None):
+    """``count`` pairs of random functions on the centred box of ``n`` nodes,
+    band-limited to ``band`` (n // 4 when None), drawn from substream (seed, 0)."""
+    rng = substream(seed, 0)
+    box = sb.box1d(length, n)
+    band = box.nodes[0] // 4 if band is None else band
+    for _ in range(count):
+        yield sb.random_band_limited(box, band, rng), sb.random_band_limited(box, band, rng)
 
 
-def _run_sobolev_check(scenario: dict, out: Path, meta: dict) -> int:
-    rng = substream(int(scenario.get("seed", 0)), 0)
-    count = int(scenario.get("count", 10))
-    tol = {"tol": float(scenario["tol"])} if "tol" in scenario else {}
+def _run_sobolev_check(
+    out: Path, meta: dict, /, *, seed: int = 0, count: int = 10, tol: float = 1e-11,
+    length: float = 32.0, n: int = 512, band: int | None = None,
+) -> int:
     rows = []
     passed = True
-    for case in range(count):
-        f, h = _random_grid_pair(scenario, rng)
-        rep = sb.leibniz_identity_check(f, h, **tol)
+    for case, (f, h) in enumerate(_random_grid_pairs(seed, count, length, n, band)):
+        rep = sb.leibniz_identity_check(f, h, tol)
         resid, bound = rep.stats["max_residual"], rep.stats["bound"]
         passed = passed and rep.passed
         rows.append([f"case{case}", resid, bound, resid / bound])
@@ -173,13 +227,12 @@ def _run_sobolev_check(scenario: dict, out: Path, meta: dict) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _run_commutator_check(scenario: dict, out: Path, meta: dict) -> int:
-    rng = substream(int(scenario.get("seed", 0)), 0)
-    count = int(scenario.get("count", 20))
-    k = int(scenario.get("k", 2))
+def _run_commutator_check(
+    out: Path, meta: dict, /, *, seed: int = 0, count: int = 20, k: int = 2,
+    length: float = 32.0, n: int = 512, band: int | None = None,
+) -> int:
     rows = []
-    for case in range(count):
-        f, g = _random_grid_pair(scenario, rng)
+    for case, (f, g) in enumerate(_random_grid_pairs(seed, count, length, n, band)):
         residual, bound = sb.commutator_residual(f, g, k)
         ratio = residual / bound if bound > 0 else 0.0
         rows.append([f"case{case}", residual, bound, ratio])
@@ -187,211 +240,154 @@ def _run_commutator_check(scenario: dict, out: Path, meta: dict) -> int:
     return EXIT_OK
 
 
-def _run_dissipation_check(scenario: dict, out: Path, meta: dict) -> int:
-    rng = substream(int(scenario.get("seed", 0)), 0)
-    box = sb.box1d(float(scenario.get("length", 32.0)), int(scenario.get("n", 1024)))
-    report = sb.dissipation_constant_check(
-        sb.random_dipoles(int(scenario.get("count", 20)), rng),
-        box,
-        int(scenario.get("lambda", 4)),
-        float(scenario.get("delta", 1.2)),
-        float(scenario.get("eps_factor", 4.0)) * box.spacings()[0],
-    )
+def _run_dissipation_check(
+    out: Path, meta: dict, /, *, seed: int = 0, count: int = 20, length: float = 32.0, n: int = 1024,
+    lam: int = 4, delta: float = 1.2, eps_factor: float = 4.0,
+) -> int:
+    box = sb.box1d(length, n)
+    dipoles = sb.random_dipoles(count, substream(seed, 0))
+    report = sb.dissipation_constant_check(dipoles, box, lam, delta, eps_factor * box.spacings()[0])
     rows = [
         [f"case{i}", rec.lhs, rec.norm_sq_loss, rec.norm_sq_weak, ratio]
         for i, (rec, ratio) in enumerate(zip(report.stats["records"], report.stats["ratios"]))
     ]
-    _write_csv(
-        out / "dissipation_check.csv",
-        ["case", "lhs", "norm_sq_loss", "norm_sq_weak", "ratio"],
-        rows,
-        dict(meta, fitted_c=repr(float(report.stats["fitted_c"]))),
-    )
+    fitted_c = repr(float(report.stats["fitted_c"]))
+    header = ["case", "lhs", "norm_sq_loss", "norm_sq_weak", "ratio"]
+    _write_csv(out / "dissipation_check.csv", header, rows, dict(meta, fitted_c=fitted_c))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _run_hamiltonian(scenario: dict, out: Path, meta: dict) -> int:
-    kind = scenario.get("kind", "filtering")
-    rows = []
-    status = EXIT_OK
-    if kind == "filtering":
-        factory = ham.COEFFS_REGISTRY.get(scenario.get("problem", "lq1d"))
-        if factory is None:
-            raise ScenarioError(f"unknown problem {scenario.get('problem')!r}")
-        coeffs = factory()
-        grid = np.linspace(
-            float(scenario.get("control_lo", -2.0)),
-            float(scenario.get("control_hi", 2.0)),
-            int(scenario.get("control_points", 101)),
-        )
-        for case in scenario["cases"]:
-            mu = measure_from_json(case["mu"])
-            alpha = float(case.get("p_slope", 1.0))
-            beta = float(case.get("q_const", 1.0))
-            jet = ham.JetArgs(
-                lambda X, alpha=alpha: alpha * X,
-                lambda X, beta=beta: np.full((X.shape[0], 1, 1), beta),
-                np.atleast_2d(float(case.get("M", 1.0))),
-            )
-            val = ham.G_filtering(mu, jet, coeffs, grid)
-            rows.append([case.get("name", "case"), "G_filtering", val])
-    elif kind == "regret":
-        for case in scenario["cases"]:
-            mu = measure_from_json(case["mu"])
-            M = np.asarray(case["M"], dtype=float)
-            qc = np.asarray(case.get("q_const", np.zeros_like(M)), dtype=float)
-            q = lambda X, qc=qc: np.broadcast_to(qc, (X.shape[0],) + qc.shape)
-            val = ham.G_regret(mu, q, M)
-            rows.append([case.get("name", "case"), "G_regret", val])
-    elif kind == "regret-check":
-        K = int(scenario.get("K", 2))
-        n_samples = int(scenario.get("samples", 25))
-        scale = float(scenario.get("constant_scale", 1.0))
-        rng = substream(int(scenario.get("seed", 0)), 1)
-        cfgs = {K: fm.default_config(K)}
-        samples = ham.regret_samples(K, n_samples, rng)
-        report = ham.check_assumptions_regret(samples, cfgs)
-        # engineered tightening of the constant for failure-path tests
-        max_ratio = report.stats["max_lipschitz_ratio"]
-        passed = report.passed and max_ratio <= scale
-        rows.append(["max_lipschitz_ratio", "regret-check", max_ratio])
-        rows.append(["max_sign_gap", "regret-check", report.stats["max_sign_gap"]])
-        status = EXIT_OK if passed else EXIT_CHECK_FAILED
-    else:
-        raise ScenarioError(f"unknown hamiltonian kind {kind!r}")
+def _filtering_case(
+    *, mu: dict, name: str = "case", p_slope: float = 1.0, q_const: float = 1.0, M: float = 1.0
+) -> tuple:
+    """The case's name, its measure and the jet (p = p_slope x, q = q_const, M)."""
+    q = lambda X: np.full((X.shape[0], 1, 1), q_const)
+    return name, measure_from_json(mu), ham.JetArgs(lambda X: p_slope * X, q, np.atleast_2d(M))
+
+
+def _filtering_rows(
+    *, cases: list, problem: str = "lq1d", control_lo: float = -2.0, control_hi: float = 2.0,
+    control_points: int = 101,
+) -> tuple:
+    cases = _cases(_filtering_case, cases)
+    coeffs = _lookup(ham.COEFFS_REGISTRY, problem, "problem")()
+    grid = np.linspace(control_lo, control_hi, control_points)
+    rows = [[name, "G_filtering", ham.G_filtering(mu, jet, coeffs, grid)] for name, mu, jet in cases]
+    return rows, EXIT_OK
+
+
+def _regret_case(
+    *, mu: dict, M: list[list[float]], name: str = "case", q_const: list[list[float]] | None = None
+) -> tuple:
+    """The case's name, its measure, the constant field q (zero by default) and M."""
+    M = np.asarray(M, dtype=float)
+    qc = np.zeros_like(M) if q_const is None else np.asarray(q_const, dtype=float)
+    return name, measure_from_json(mu), lambda X: np.broadcast_to(qc, (X.shape[0],) + qc.shape), M
+
+
+def _regret_rows(*, cases: list) -> tuple:
+    rows = [[name, "G_regret", ham.G_regret(mu, q, M)] for name, mu, q, M in _cases(_regret_case, cases)]
+    return rows, EXIT_OK
+
+
+def _regret_check_rows(
+    *, K: int = 2, samples: int = 25, constant_scale: float = 1.0, seed: int = 0
+) -> tuple:
+    family = ham.regret_samples(K, samples, substream(seed, 1))
+    report = ham.check_assumptions_regret(family, {K: fm.default_config(K)})
+    # engineered tightening of the constant for failure-path tests
+    max_ratio = report.stats["max_lipschitz_ratio"]
+    passed = report.passed and max_ratio <= constant_scale
+    gap = report.stats["max_sign_gap"]
+    rows = [["max_lipschitz_ratio", "regret-check", max_ratio], ["max_sign_gap", "regret-check", gap]]
+    return rows, EXIT_OK if passed else EXIT_CHECK_FAILED
+
+
+# each hamiltonian kind reads only its own keys and returns (rows, exit code)
+_KINDS = {"filtering": _filtering_rows, "regret": _regret_rows, "regret-check": _regret_check_rows}
+
+
+def _run_hamiltonian(out: Path, meta: dict, /, *, kind: str = "filtering", **keys) -> int:
+    rows_of = _lookup(_KINDS, kind, "hamiltonian kind")
+    rows, status = rows_of(**_bind(rows_of, keys))
     _write_csv(out / "hamiltonian.csv", ["case", "kind", "value"], rows, meta)
     return status
 
 
-def _run_filter_sim(scenario: dict, out: Path, meta: dict) -> int:
-    factory = ham.COEFFS_REGISTRY.get(scenario.get("coeffs", "lq1d"))
-    if factory is None:
-        raise ScenarioError(f"unknown coefficient set {scenario.get('coeffs')!r}")
-    params = scenario.get("coeffs_params", {})
-    coeffs = factory(**params) if params else factory()
-    sim = scenario["sim"]
-    cfg = fs.SimConfig(
-        dt=float(sim["dt"]),
-        n_particles=int(sim["n_particles"]),
-        horizon=float(sim["horizon"]),
-        runs=int(sim.get("runs", 1)),
-        seed=int(sim.get("seed", 0)),
-    )
-    lq = fs.LQParams(horizon=cfg.horizon, **scenario.get("lq", {}))
-    policy_name = scenario.get("policy", "zero")
-    if policy_name not in fs.POLICY_REGISTRY:
-        raise ScenarioError(f"unknown policy {policy_name!r}")
-    policy = fs.POLICY_REGISTRY[policy_name](lq)
-    mu = measure_from_json(scenario["mu"])
-    t0 = float(scenario.get("t", 0.0))
-
-    costs, rows = fs.sample_costs(t0, mu, policy, coeffs, cfg)
+def _run_filter_sim(
+    out: Path, meta: dict, /, *, sim: fs.SimConfig, mu: dict, coeffs: str = "lq1d",
+    coeffs_params: dict = {}, lq: dict = {}, policy: str = "zero", t: float = 0.0,
+) -> int:
+    factory = _lookup(ham.COEFFS_REGISTRY, coeffs, "coefficient set")
+    coefficients = factory(**_bind(factory, coeffs_params, "coeffs_params."))
+    lq = fs.LQParams(horizon=sim.horizon, **_bind(fs.LQParams, lq, "lq."))
+    control = _lookup(fs.POLICY_REGISTRY, policy, "policy")(lq)
+    costs, rows = fs.sample_costs(t, measure_from_json(mu), control, coefficients, sim)
     _write_csv(out / "filter_sim.csv", ["time", "mean", "variance", "cost_to_date"], rows, meta)
     est, stderr = mean_stderr(costs)
-    _write_json(
-        out / "filter_sim_summary.json",
-        {"estimate": est, "std_error": stderr, **meta},
-    )
+    _write_json(out / "filter_sim_summary.json", {"estimate": est, "std_error": stderr, **meta})
     return EXIT_OK
 
 
-def _run_game_sim(scenario: dict, out: Path, meta: dict) -> int:
-    K = int(scenario["K"])
-    T = int(scenario["T"])
-    runs = int(scenario.get("runs", 1000))
-    seed = int(scenario.get("seed", 0))
-    m0 = measure_from_json(scenario["m0"])
-    f_name = scenario.get("forecaster", "uniform")
-    a_name = scenario.get("adversary", "full-set")
-    if f_name not in pg.FORECASTER_REGISTRY:
-        raise ScenarioError(f"unknown forecaster {f_name!r}")
-    if a_name not in pg.ADVERSARY_REGISTRY:
-        raise ScenarioError(f"unknown adversary {a_name!r}")
-    forecaster = pg.FORECASTER_REGISTRY[f_name](K)
-    adversary = pg.ADVERSARY_REGISTRY[a_name](K)
-    est, stderr = pg.monte_carlo_regret(T, m0, forecaster, adversary, runs, seed)
-    _write_csv(
-        out / "game_sim.csv",
-        ["T", "estimate", "std_error"],
-        [[T, est, stderr]],
-        meta,
-    )
+def _run_game_sim(
+    out: Path, meta: dict, /, *, K: int, T: int, m0: dict, runs: int = 1000, seed: int = 0,
+    forecaster: str = "uniform", adversary: str = "full-set",
+) -> int:
+    m0 = measure_from_json(m0)
+    play = _lookup(pg.FORECASTER_REGISTRY, forecaster, "forecaster")(K)
+    respond = _lookup(pg.ADVERSARY_REGISTRY, adversary, "adversary")(K)
+    est, stderr = pg.monte_carlo_regret(T, m0, play, respond, runs, seed)
+    _write_csv(out / "game_sim.csv", ["T", "estimate", "std_error"], [[T, est, stderr]], meta)
     return EXIT_OK
 
 
-def _run_dp_value(scenario: dict, out: Path, meta: dict, dump: bool = False) -> int:
-    K = int(scenario["K"])
-    T = int(scenario["T"])
-    m0 = measure_from_json(scenario["m0"])
-    grid_name = scenario.get("grid", "vertices")
-    if grid_name == "vertices":
-        grid = [ham.vertex_action(K, mask) for mask in range(2**K)]
-    elif grid_name == "full-set-only":
-        grid = [ham.vertex_action(K, 2**K - 1)]
-    else:
-        raise ScenarioError(f"unknown adversary grid {grid_name!r}")
+def _run_dp_value(
+    out: Path, meta: dict, dump: bool = False, /, *, K: int, T: int, m0: dict, grid: str = "vertices"
+) -> int:
+    m0 = measure_from_json(m0)
+    masks = _lookup({"vertices": range(2**K), "full-set-only": [2**K - 1]}, grid, "adversary grid")
     table = {} if dump else None
-    value = pg.exact_value_small(T, m0, grid, table)
+    value = pg.exact_value_small(T, m0, [ham.vertex_action(K, mask) for mask in masks], table)
     if dump:
         _write_json(out / "dp_value_table.json", {"value": value, "n_nodes": len(table)})
     _write_csv(out / "dp_value.csv", ["T", "value"], [[T, value]], meta)
     return EXIT_OK
 
 
-def _run_comparison_doubling(scenario: dict, out: Path, meta: dict) -> int:
-    support = np.asarray(scenario["support"], dtype=float)
+def _run_comparison_doubling(
+    out: Path, meta: dict, /, *, support: list, eps_sequence: list[float], lq: fs.LQParams = fs.LQParams(),
+    slack: float = 0.5, delta: float = 0.01, m_box: float = ch.DoublingConfig.m_box,
+    seed: int = ch.DoublingConfig.seed, n_starts: int = ch.DoublingConfig.n_starts,
+    max_iters: int = ch.DoublingConfig.max_iters,
+) -> int:
+    cfg = ch.DoublingConfig(
+        horizon=lq.horizon, m_box=m_box, n_starts=n_starts, max_iters=max_iters, seed=seed
+    )
+    support = np.asarray(support, dtype=float)
     if support.ndim == 1:
         support = support[:, None]
-    lq = fs.LQParams(**scenario.get("lq", {}))
-    slack = float(scenario.get("slack", 0.5))
-    m_box = float(scenario.get("m_box", 2.0))
     u = ch.lq_discretized_candidate(support, lq, slack=slack, m_box=m_box)
     v = ch.lq_discretized_candidate(support, lq, slack=0.0, m_box=m_box)
-    keys = ("seed", "n_starts", "max_iters")
-    cfg = ch.DoublingConfig(
-        horizon=lq.horizon, m_box=m_box, **{k: int(scenario[k]) for k in keys if k in scenario}
-    )
-    delta = float(scenario.get("delta", 0.01))
-    eps_sequence = scenario["eps_sequence"]
     reports = ch.doubling_maximize(u, v, eps_sequence, delta, cfg)
     rows = [[eps, r.value, r.penalty, r.d_F, r.converged] for eps, r in zip(eps_sequence, reports)]
-    _write_csv(
-        out / "comparison_doubling.csv",
-        ["eps", "value", "penalty", "d_F", "converged"],
-        rows,
-        meta,
-    )
+    _write_csv(out / "comparison_doubling.csv", ["eps", "value", "penalty", "d_F", "converged"], rows, meta)
     return EXIT_OK
 
 
-# each target's runner and the top-level keys it reads besides "target" and
-# "schema"
 DISPATCH = {
-    "metric": (_run_metric, "dim config cases"),
-    "sobolev-check": (_run_sobolev_check, "seed count tol length n band"),
-    "commutator-check": (_run_commutator_check, "seed count k length n band"),
-    "dissipation-check": (_run_dissipation_check, "seed count length n lambda delta eps_factor"),
-    "hamiltonian": (
-        _run_hamiltonian,
-        "kind problem control_lo control_hi control_points cases K samples constant_scale seed",
-    ),
-    "filter-sim": (_run_filter_sim, "coeffs coeffs_params sim lq policy mu t"),
-    "game-sim": (_run_game_sim, "K T runs seed m0 forecaster adversary"),
-    "dp-value": (_run_dp_value, "K T m0 grid"),
-    "comparison-doubling": (
-        _run_comparison_doubling,
-        "support lq slack m_box seed n_starts max_iters delta eps_sequence",
-    ),
+    "metric": _run_metric,
+    "sobolev-check": _run_sobolev_check,
+    "commutator-check": _run_commutator_check,
+    "dissipation-check": _run_dissipation_check,
+    "hamiltonian": _run_hamiltonian,
+    "filter-sim": _run_filter_sim,
+    "game-sim": _run_game_sim,
+    "dp-value": _run_dp_value,
+    "comparison-doubling": _run_comparison_doubling,
 }
 
 
-def run(
-    scenario_file,
-    overrides=(),
-    out_dir=None,
-    dump=False,
-    expected_target=None,
-) -> int:
+def run(scenario_file, overrides=(), out_dir=None, dump=False, expected_target=None) -> int:
     """Load a scenario, dispatch to its target, write outputs; returns exit code."""
     try:
         raw = Path(scenario_file).read_text()
@@ -404,6 +400,8 @@ def run(
         print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
+        if not isinstance(scenario, dict):
+            raise ScenarioError("the scenario is not a JSON object")
         for ov in overrides:
             key, sep, val = ov.partition("=")
             if not sep:
@@ -416,21 +414,22 @@ def run(
             raise ScenarioError(
                 f"scenario targets {target!r} but the {expected_target!r} subcommand was invoked"
             )
-        if scenario.get("schema", 1) != 1:
+        if _typed(scenario.get("schema", 1), int, "schema") != 1:
             raise ScenarioError(f"scenario schema {scenario['schema']!r} is not 1")
-        _check_keys(scenario, target)
         if dump and target != "dp-value":
             raise ScenarioError(f"only dp-value writes a dump, not {target}")
+        runner = DISPATCH[target]
+        kwargs = _bind(runner, {k: v for k, v in scenario.items() if k not in ("target", "schema")})
         meta = {
             "fwlab_version": __version__,
             "config_hash": _config_hash(scenario),
-            "seed": int(scenario.get("seed", scenario.get("sim", {}).get("seed", 0))),
+            "seed": getattr(kwargs.get("sim"), "seed", kwargs.get("seed", 0)),
         }
         out = Path(out_dir) if out_dir else Path.cwd()
         created = list(itertools.takewhile(lambda p: not p.exists(), (out, *out.parents)))
         out.mkdir(parents=True, exist_ok=True)
         try:
-            return DISPATCH[target][0](scenario, out, meta, *((dump,) if dump else ()))
+            return runner(out, meta, *((dump,) if dump else ()), **kwargs)
         finally:
             # a run that wrote nothing leaves no directory it made; rmdir
             # refuses one that is not empty, and that ends the walk up

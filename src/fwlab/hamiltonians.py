@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -770,6 +770,6 @@ def make_bounded_filter_coeffs() -> FilteringCoeffs:
 
 COEFFS_REGISTRY = {
     "lq1d": make_lq_coeffs,
-    "lq1d-saturated": lambda **kw: make_lq_coeffs(saturate_terminal=100.0, **kw),
+    "lq1d-saturated": partial(make_lq_coeffs, saturate_terminal=100.0),
     "filter1d": make_bounded_filter_coeffs,
 }

@@ -260,6 +260,15 @@ def test_unknown_schema_exits_1(tmp_path, capsys, schema):
     assert not (tmp_path / "out").exists()
 
 
+_POINT = {"dim": 1, "atoms": [[0.0, 1.0]], "probability": True}
+_SHIFT = {"t": 0.0, "m": [0.0]}
+
+
+def _cases(**case) -> str:
+    """A ``--set cases=...`` override holding the one case ``case``."""
+    return "cases=" + json.dumps([case])
+
+
 @pytest.mark.parametrize(
     "command,scenario,override,key",
     [
@@ -267,14 +276,101 @@ def test_unknown_schema_exits_1(tmp_path, capsys, schema):
         ("filter-sim", "filter_sim.json", "seed=5", "seed"),
         ("metric", "metric.json", "config.quadrature_rule=tensor-trapezoid", "config.quadrature_rule"),
         ("metric", "metric.json", "seed=5", "seed"),
+        ("hamiltonian", "hamiltonian_lq.json", "constant_scale=0.0", "constant_scale"),
+        ("hamiltonian", "hamiltonian_regret_check.json", "control_points=5", "control_points"),
+        ("hamiltonian", "hamiltonian_lq.json", _cases(mu=_POINT, p_slop=1.0), "cases.p_slop"),
+        (
+            "metric",
+            "metric.json",
+            _cases(mu=_POINT, nu=_POINT, theta=_SHIFT, iota={**_SHIFT, "s": 1.0}),
+            "cases.iota.s",
+        ),
+        ("filter-sim", "filter_sim.json", "coeffs_params.sigmaa=1.0", "coeffs_params.sigmaa"),
     ],
-    ids=["misspelt-count", "seed-beside-sim-seed", "nested-config-key", "seed-the-metric-never-draws"],
+    ids=[
+        "misspelt-count",
+        "seed-beside-sim-seed",
+        "nested-config-key",
+        "seed-the-metric-never-draws",
+        "regret-check-key-on-the-filtering-kind",
+        "filtering-key-on-the-regret-check-kind",
+        "misspelt-case-key",
+        "extra-iota-key",
+        "misspelt-coefficient-parameter",
+    ],
 )
 def test_key_the_target_never_reads_exits_1(tmp_path, capsys, command, scenario, override, key):
     argv = [command, "--scenario", str(SCENARIOS / scenario), "--set", override]
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command,scenario,override,key",
+    [
+        ("comparison-doubling", "comparison_doubling.json", "n_starts=3.5", "n_starts"),
+        ("comparison-doubling", "comparison_doubling.json", "n_starts=true", "n_starts"),
+        ("game-sim", "game_sim.json", "T=2.5", "T"),
+        ("filter-sim", "filter_sim.json", "sim.runs=2.7", "sim.runs"),
+        ("dissipation-check", "dissipation_check.json", "lambda=4.0", "lambda"),
+        ("filter-sim", "filter_sim.json", "coeffs_params.sigma=true", "coeffs_params.sigma"),
+        ("metric", "metric.json", "schema=true", "schema"),
+        ("comparison-doubling", "comparison_doubling.json", "eps_sequence=[true]", "eps_sequence[0]"),
+    ],
+    ids=[
+        "fractional-int",
+        "bool-for-int",
+        "fractional-horizon",
+        "nested-fractional-int",
+        "float-for-int",
+        "bool-for-float",
+        "bool-for-schema",
+        "bool-in-a-float-list",
+    ],
+)
+def test_key_of_the_wrong_type_exits_1(tmp_path, capsys, command, scenario, override, key):
+    # unchecked, n_starts=3.5 ran 3 starts, true ran 1, T=2.5 played 2 rounds,
+    # sim.runs=2.7 ran 2 runs and eps true ran at eps 1, each exiting 0
+    argv = [command, "--scenario", str(SCENARIOS / scenario), "--set", override]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("drop", ["K", "sim.dt"])
+def test_missing_key_exits_1(tmp_path, capsys, drop):
+    name = "game_sim.json" if drop == "K" else "filter_sim.json"
+    scenario = json.loads((SCENARIOS / name).read_text())
+    node = scenario if drop == "K" else scenario["sim"]
+    del node[drop.split(".")[-1]]
+    assert cli.run(_write(tmp_path, name, scenario), out_dir=tmp_path / "out") == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{drop!r} is missing" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload", ["[1, 2]", '"metric"'])
+def test_scenario_that_is_not_an_object_exits_1(tmp_path, capsys, payload):
+    path = tmp_path / "list.json"
+    path.write_text(payload)
+    assert cli.run(path, out_dir=tmp_path / "out") == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("given", ["theta", "iota"])
+def test_metric_case_with_one_of_theta_and_iota_exits_1(tmp_path, capsys, given):
+    # unchecked, such a case wrote its rho_F row and silently no d_F row
+    override = _cases(mu=_POINT, nu=_POINT, **{given: _SHIFT})
+    code = cli.run(SCENARIOS / "metric.json", [override], out_dir=tmp_path / "out")
+    assert code == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'cases.theta'" in err and "'cases.iota'" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -523,20 +619,19 @@ def test_hamiltonian_regret_cli_with_zero_q(tmp_path, K):
     assert float(row[2]) == pytest.approx(max(0.5 * e @ M @ e for e in subsets), abs=1e-9)
 
 
-def test_hamiltonian_regret_cli_output_does_not_depend_on_the_seed(tmp_path):
-    # a nonzero q and an indefinite M - q; the G_regret row must not depend on the seed
+def test_hamiltonian_regret_cli_takes_no_seed(tmp_path, capsys):
+    # a nonzero q and an indefinite M - q; G_regret draws nothing, so a seed
+    # is a key the regret kind never reads
     M = [[1.0, 0.9, -0.3], [0.9, 0.2, 0.55], [-0.3, 0.55, 0.0]]
     q = [[1.6, -0.65, -0.1], [-0.65, -1.0, -0.3], [-0.1, -0.3, 1.0]]
     path = _regret_scenario(tmp_path, 3, M, q)
-    rows = []
-    for seed in (0, 7):
-        out = tmp_path / f"seed{seed}"
-        argv = ["hamiltonian", "--scenario", str(path), "--set", f"seed={seed}", "--out", str(out)]
-        assert cli.main(argv) == cli.EXIT_OK
-        lines = (out / "hamiltonian.csv").read_text().splitlines()
-        rows.append([l for l in lines if not l.startswith(("# seed=", "# config_hash="))])
-    assert rows[0] == rows[1]
-    assert rows[0][-1].startswith("psd,G_regret,")
+    argv = ["hamiltonian", "--scenario", str(path), "--out"]
+    assert cli.main(argv + [str(tmp_path / "a")]) == cli.EXIT_OK
+    assert (tmp_path / "a" / "hamiltonian.csv").read_text().splitlines()[-1].startswith("psd,G_regret,")
+    assert cli.main(argv + [str(tmp_path / "b"), "--set", "seed=7"]) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'seed'" in err
+    assert not (tmp_path / "b").exists()
 
 
 def test_hamiltonian_regret_cli_rejects_M_of_the_wrong_shape(tmp_path, capsys):

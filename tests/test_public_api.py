@@ -44,30 +44,61 @@ AWAITING_A_CALLER = {
 }
 
 
-def _names_read(node) -> set:
-    """Names a syntax tree reads: loaded names, loaded attributes and import aliases."""
-    found = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            found.add(sub.id)
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            found.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            found.add(sub.name)
+MODULE_NAMES = {module.__name__ for module in MODULES}
+
+
+def _references(path: Path, module: str | None = None) -> set:
+    """The (module, name) pairs a file refers to, each resolved to its fwlab module.
+
+    A reference is ``alias.name`` through an imported fwlab module, an import
+    ``from fwlab.m import name`` (or ``from .m import name``) and, inside the
+    defining ``module`` itself, a bare loaded name outside that name's own
+    top-level definition.  A homonym in another module refers to nothing.
+    """
+    tree = ast.parse(path.read_text())
+    aliases, found = {}, set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Import):
+            for a in sub.names:
+                if a.asname and a.name in MODULE_NAMES:
+                    aliases[a.asname] = a.name
+        elif isinstance(sub, ast.ImportFrom):
+            source = "fwlab" + (f".{sub.module}" if sub.module else "") if sub.level else sub.module
+            for a in sub.names:
+                if f"{source}.{a.name}" in MODULE_NAMES:
+                    aliases[a.asname or a.name] = f"{source}.{a.name}"
+                elif source in MODULE_NAMES:
+                    found.add((source, a.name))
+    for stmt in tree.body:
+        loads = [sub for sub in ast.walk(stmt) if isinstance(getattr(sub, "ctx", None), ast.Load)]
+        refs = {
+            (aliases[sub.value.id], sub.attr)
+            for sub in loads
+            if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) in aliases
+        }
+        if module:
+            refs |= {(module, sub.id) for sub in loads if isinstance(sub, ast.Name)}
+        found |= refs - {(module, getattr(stmt, "name", None))}
     return found
 
 
 def _callers() -> set:
-    """Every name read by package code outside the top-level definition of
-    that name itself, by a benchmark file or by the acceptance tests."""
+    """Every (module, name) that package code, a benchmark file or the
+    acceptance tests refer to."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            own = {getattr(stmt, "name", None)}
-            found |= _names_read(stmt) - own
+        found |= _references(path, f"fwlab.{path.stem}")
     for path in [*sorted((REPO / "bench").glob("*.py")), REPO / "tests" / "test_acceptance.py"]:
-        found |= _names_read(ast.parse(path.read_text()))
+        found |= _references(path)
     return found
+
+
+def test_a_homonym_in_another_module_is_no_caller():
+    # filtering_sim's Euler loop loads a local named step; a scan by bare
+    # name took it for a caller of prediction_game.step
+    refs = _references(PACKAGE / "filtering_sim.py", "fwlab.filtering_sim")
+    assert ("fwlab.filtering_sim", "step") in refs
+    assert ("fwlab.prediction_game", "step") not in refs
 
 
 def test_every_public_name_has_a_caller():
@@ -76,7 +107,7 @@ def test_every_public_name_has_a_caller():
         f"{module.__name__}.{name}"
         for module in MODULES
         for name in getattr(module, "__all__", ())
-        if name not in callers
+        if (module.__name__, name) not in callers
     )
     unowned = [name for name in idle if name not in AWAITING_A_CALLER]
     assert unowned == [], f"public names that no target, check or benchmark uses: {unowned}"

@@ -6,9 +6,7 @@ from .measures import (  # noqa: F401
     SignedAtomicMeasure,
     Theta,
     dirac,
-    linear_combination,
     pushforward_shift,
-    vartheta,
 )
 from .fourier_metric import (  # noqa: F401
     FourierConfig,

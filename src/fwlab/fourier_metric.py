@@ -3,9 +3,10 @@
 The squared distance is the integral of |F_k(mu - nu)|^2 / (1 + |k|^2)^lambda
 over wave vectors k, with F_k the (2*pi)^{-d/2}-normalized characteristic
 function.  The integral is truncated at radius R and discretized by a tensor
-Gauss-Legendre rule; defaults take R from the closed-form tail (an inverse
-incomplete beta function), rounded up so the truncated tail is below 1e-10,
-which is the only part of the construction not pinned down analytically.
+Gauss-Legendre rule; defaults take R from the closed-form tail (a
+hypergeometric series, inverted by bisection), rounded up so the truncated
+tail is below 1e-10, which is the only part of the construction not pinned
+down analytically.  Every constant is built with ``math`` alone.
 
 The kernel kappa built from a pair (mu, nu) and a penalization scale eps is
 the smoothed density of mu - nu against the same spectral weight; its
@@ -78,24 +79,41 @@ class FourierConfig:
 
 def _sphere_area(d: int) -> float:
     """Surface area 2 pi^(d/2) / Gamma(d/2) of the unit sphere in R^d."""
-    from scipy import special  # loaded by the first config or moment constant built
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
-    return 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
+
+def _radial_tail(d: int, lam: int, y: float) -> float:
+    """integral_R^inf s^(d-1) (1+s^2)^-lam ds at y = 1 / (1 + R^2).
+
+    With a = lam - d/2 and b = d/2 it equals y^a (1-y)^b / (2a) times
+    sum_n (lam)_n / (a+1)_n y^n, the series of the regularized incomplete
+    beta function I_y(a, b); its terms shrink by a ratio below 1 for y < 1.
+    """
+    a, b = lam - d / 2.0, d / 2.0
+    term = total = 1.0
+    n = 0
+    while total + term != total:
+        term *= (lam + n) / (a + 1.0 + n) * y
+        total += term
+        n += 1
+    return y**a * (1.0 - y) ** b / (2.0 * a) * total
 
 
 def _tail_radius(d: int, lam: int) -> float:
     """R with 4 (2 pi)^-d * integral over |k|>R of the weight equal to 1e-10.
 
-    With t = 1 / (1 + s^2), integral_R^inf s^(d-1) (1+s^2)^-lam ds is
-    B(lam - d/2, d/2) / 2 times the regularized incomplete beta function
-    I_{1/(1+R^2)}(lam - d/2, d/2), which ``betaincinv`` inverts.
+    In polar form the integral is the sphere area times ``_radial_tail``,
+    which grows with y = 1 / (1 + R^2); y is bisected on (0, 1) down to
+    adjacent floats.
     """
-    from scipy import special
-
-    a, b = lam - d / 2.0, d / 2.0
-    scale = 4.0 * (2.0 * math.pi) ** (-d) * _sphere_area(d) * 0.5 * special.beta(a, b)
-    y = special.betaincinv(a, b, _TAIL_TARGET / scale)
-    return math.sqrt(1.0 / y - 1.0)
+    target = _TAIL_TARGET / (4.0 * (2.0 * math.pi) ** (-d) * _sphere_area(d))
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _radial_tail(d, lam, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(1.0 / hi - 1.0)
 
 
 @lru_cache(maxsize=32)
@@ -141,10 +159,9 @@ def moment_constant(cfg: FourierConfig, power: int) -> float:
     d, lam = cfg.dim, cfg.lam
     if power + d >= 2 * lam:
         raise ValueError("moment integral diverges for this (power, lam)")
-    from scipy import special
-
     a = (power + d) / 2.0
-    return math.sqrt(_sphere_area(d) * 0.5 * special.beta(a, lam - a))
+    beta = math.exp(math.lgamma(a) + math.lgamma(lam - a) - math.lgamma(lam))
+    return math.sqrt(_sphere_area(d) * 0.5 * beta)
 
 
 def _check_dims(cfg: FourierConfig, *measures: SignedAtomicMeasure):

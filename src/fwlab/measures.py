@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 __all__ = [
@@ -20,9 +18,7 @@ __all__ = [
     "Theta",
     "char_fn_batch",
     "pushforward_shift",
-    "vartheta",
     "dirac",
-    "linear_combination",
     "measure_to_json",
     "measure_from_json",
 ]
@@ -104,20 +100,6 @@ def dirac(x, probability: bool = True) -> SignedAtomicMeasure:
     return SignedAtomicMeasure(loc.size, loc[None, :], np.array([1.0]), probability)
 
 
-def linear_combination(
-    coeffs: Sequence[float], measures: Sequence[SignedAtomicMeasure]
-) -> SignedAtomicMeasure:
-    """The signed measure sum_k c_k * mu_k (atoms concatenated, not merged)."""
-    if not measures:
-        raise ValueError("need at least one measure")
-    dim = measures[0].dim
-    if any(m.dim != dim for m in measures):
-        raise ValueError("dimension mismatch in linear combination")
-    locs = np.vstack([m.locations for m in measures])
-    ws = np.concatenate([c * m.weights for c, m in zip(coeffs, measures)])
-    return SignedAtomicMeasure(dim, locs, ws, probability=False)
-
-
 @dataclass(frozen=True)
 class Theta:
     """A point (t, mu, m) in [0,T] x P_2(R^d) x R^d."""
@@ -160,11 +142,6 @@ def pushforward_shift(measure: SignedAtomicMeasure, m) -> SignedAtomicMeasure:
     return SignedAtomicMeasure(
         measure.dim, measure.locations + m, measure.weights, measure.probability
     )
-
-
-def vartheta(theta: Theta) -> float:
-    """Moment penalty 1 + |m|^2 + int |x|^2 dmu; >= 1 for probability measures."""
-    return 1.0 + float(theta.m @ theta.m) + theta.measure.second_moment()
 
 
 def measure_to_json(m: SignedAtomicMeasure) -> str:

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the package's own code paths for the
 quantity it checks: the spectral-distance oracles integrate over the full
-line with adaptive quadrature or by the trapezoid rule, the doubling
+line with adaptive quadrature or by the trapezoid rule, the tail radius
+oracle inverts SciPy's incomplete beta function instead of bisecting its
+series, the doubling
 distance oracle takes the spectral part from characteristic functions
 instead of the harness's Gram form, the game oracle
 solves one sequence-form linear program over the whole tree instead of
@@ -26,7 +28,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, interpolate, optimize
+from scipy import integrate, interpolate, optimize, special
 
 from fwlab import fourier_metric as fm
 from fwlab.measures import SignedAtomicMeasure, char_fn_batch
@@ -73,6 +75,20 @@ def rho_F_norm(eta: SignedAtomicMeasure, cfg) -> float:
     nodes, wtilde = fm._quadrature(cfg)
     fhat = char_fn_batch(eta, nodes)
     return math.sqrt(max(float(wtilde @ (fhat.real**2 + fhat.imag**2)), 0.0))
+
+
+def tail_radius_betaincinv(d: int, lam: int) -> float:
+    """R with 4 (2 pi)^-d * integral over |k|>R of (1+|k|^2)^-lam equal to 1e-10.
+
+    With t = 1 / (1 + s^2), integral_R^inf s^(d-1) (1+s^2)^-lam ds is
+    B(lam - d/2, d/2) / 2 times the regularized incomplete beta function
+    I_{1/(1+R^2)}(lam - d/2, d/2), which ``scipy.special.betaincinv`` inverts.
+    """
+    a, b = lam - d / 2.0, d / 2.0
+    sphere_area = 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
+    scale = 4.0 * (2.0 * math.pi) ** (-d) * sphere_area * 0.5 * special.beta(a, b)
+    y = special.betaincinv(a, b, 1e-10 / scale)
+    return math.sqrt(1.0 / y - 1.0)
 
 
 def fixed_support_d_F_sq(t1, w1, m1, t2, w2, m2, support, cfg) -> float:

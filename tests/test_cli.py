@@ -183,8 +183,8 @@ SCIPY_BY_SCENARIO = {
     "filter_sim.json": set(),
     "game_sim.json": set(),
     "hamiltonian_lq.json": set(),
-    "hamiltonian_regret_check.json": {"scipy.special"},
-    "metric.json": {"scipy.special"},
+    "hamiltonian_regret_check.json": set(),
+    "metric.json": set(),
     "sobolev_check.json": set(),
 }
 
@@ -202,6 +202,29 @@ def test_scipy_loads_only_where_a_target_calls_it(tmp_path, name):
     expected = SCIPY_BY_SCENARIO[name]
     assert {m for m in after_run if m in ("scipy.optimize", "scipy.special")} == expected
     assert bool(after_run) == bool(expected)
+
+
+# builds every default Fourier configuration's tables and constants, then
+# prints the scipy modules loaded
+_SPECTRAL_SETUP = """
+import json, sys
+import fwlab
+from fwlab import fourier_metric as fm
+for d in (1, 2, 3):
+    cfg = fm.default_config(d)
+    fm.weight_mass(cfg)
+    fm.moment_constant(cfg, 2)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_spectral_setup_loads_no_scipy():
+    path = os.pathsep.join(filter(None, [str(SCENARIOS.parent / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-c", _SPECTRAL_SETUP]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_config_hash_round_trip(tmp_path):

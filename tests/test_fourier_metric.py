@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from _oracles import (
     kappa_gradient_sup_bound,
@@ -14,9 +14,10 @@ from _oracles import (
     rho_F_norm,
     rho_f_point_masses_1d,
     rho_f_trapezoid_1d,
+    tail_radius_betaincinv,
     total_variation,
 )
-from conftest import random_probability_measure
+from conftest import linear_combination, random_probability_measure
 from fwlab import fourier_metric as fm
 from fwlab import measures as ms
 
@@ -97,7 +98,7 @@ def test_L_functional_collapse(cfg1d, rng):
     for _ in range(10):
         mu = random_probability_measure(rng)
         nu = random_probability_measure(rng)
-        eta = ms.linear_combination([1.0, -1.0], [mu, nu])
+        eta = linear_combination([1.0, -1.0], [mu, nu])
         assert fm.L_functional(eta, mu, nu, cfg1d) == pytest.approx(
             2.0 * fm.rho_F(mu, nu, cfg1d) ** 2, rel=1e-12, abs=1e-14
         )
@@ -107,7 +108,7 @@ def test_L_functional_cauchy_schwarz(cfg1d, rng):
     for _ in range(20):
         mu, nu = (random_probability_measure(rng) for _ in range(2))
         a, b = (random_probability_measure(rng) for _ in range(2))
-        eta = ms.linear_combination([1.0, -1.0], [a, b])
+        eta = linear_combination([1.0, -1.0], [a, b])
         lhs = abs(fm.L_functional(eta, mu, nu, cfg1d))
         rhs = 2.0 * rho_F_norm(eta, cfg1d) * fm.rho_F(mu, nu, cfg1d)
         assert lhs <= rhs + 1e-12
@@ -307,3 +308,28 @@ def test_closed_forms_match_quadrature(d, lam):
 
 def test_default_radii():
     assert [fm.default_config(d).k_radius for d in (1, 2, 3)] == [22.0, 32.0, 53.0]
+
+
+# every (d, lam) with an integrable weight, 2 lam > d, up to lam = 12
+INTEGRABLE = [(d, lam) for d in range(1, 9) for lam in range(d // 2 + 1, 13)]
+
+
+@pytest.mark.parametrize("d, lam", INTEGRABLE)
+def test_tail_radius_matches_the_inverse_incomplete_beta(d, lam):
+    assert fm._tail_radius(d, lam) == pytest.approx(tail_radius_betaincinv(d, lam), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_default_radius_is_the_ceiling_of_the_oracle_radius(d):
+    radius = tail_radius_betaincinv(d, fm.lambda_for_dim(d))
+    assert fm.default_config(d).k_radius == math.ceil(radius)
+
+
+@pytest.mark.parametrize("d, lam", INTEGRABLE)
+def test_moment_constant_matches_scipy_beta(d, lam):
+    cfg = fm.FourierConfig(d, lam, 10.0, 16)
+    surf = 2 * math.pi ** (d / 2) / special.gamma(d / 2)
+    for power in range(2 * lam - d):
+        a = (power + d) / 2
+        exact = math.sqrt(surf * 0.5 * special.beta(a, lam - a))
+        assert fm.moment_constant(cfg, power) == pytest.approx(exact, rel=1e-13)

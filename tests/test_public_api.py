@@ -84,10 +84,12 @@ def _references(path: Path, module: str | None = None) -> set:
 
 def _callers() -> set:
     """Every (module, name) that package code, a benchmark file or the
-    acceptance tests refer to."""
+    acceptance tests refer to.  The package's re-exports in ``__init__.py``
+    are no callers."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        found |= _references(path, f"fwlab.{path.stem}")
+        if path.name != "__init__.py":
+            found |= _references(path, f"fwlab.{path.stem}")
     for path in [*sorted((REPO / "bench").glob("*.py")), REPO / "tests" / "test_acceptance.py"]:
         found |= _references(path)
     return found
@@ -113,3 +115,36 @@ def test_every_public_name_has_a_caller():
     assert unowned == [], f"public names that no target, check or benchmark uses: {unowned}"
     # a name that found a caller leaves the exceptions
     assert sorted(AWAITING_A_CALLER) == idle
+
+
+# the lazy SciPy imports the package keeps, as (module, function, bound name):
+# SciPy's compiled SLSQP step, and the two attributes bench/tracing.py patches
+LAZY_SCIPY_IMPORTS = {
+    ("_optim", "__getattr__", "slsqp"),
+    ("comparison_harness", "__getattr__", "optimize"),
+    ("prediction_game", "__getattr__", "linprog"),
+}
+
+
+def _scipy_imports(node, module: str, function: str | None = None):
+    """(module, enclosing function or None, bound name) per SciPy import under node."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, ast.Import):
+            aliases = [a for a in sub.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(sub, ast.ImportFrom):
+            aliases = sub.names if (sub.module or "").split(".")[0] == "scipy" else []
+        else:
+            inner = sub.name if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            yield from _scipy_imports(sub, module, inner)
+            continue
+        for a in aliases:
+            bound = a.asname or (a.name if isinstance(sub, ast.ImportFrom) else "scipy")
+            yield module, function, bound
+
+
+def test_scipy_is_imported_only_at_the_lazy_sites():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= set(_scipy_imports(ast.parse(path.read_text()), path.stem))
+    assert sorted(site for site in found if site[1] is None) == [], "module-level SciPy imports"
+    assert found == LAZY_SCIPY_IMPORTS

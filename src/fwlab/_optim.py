@@ -1,4 +1,5 @@
-"""Projected-gradient ascent and SLSQP over batches of starts.
+"""Projected-gradient ascent and an active-set quasi-Newton polish over
+batches of starts.
 
 The caller passes one callable that returns the objective and its exact
 gradient together for each row of a batch of points; the package has no
@@ -12,27 +13,16 @@ matrix product.  Then each start follows the path it would follow alone.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 _STEP0 = 0.25  # first trial step along the projected arc
 _GRAD_TOL = 1e-8  # converged when the unit-step projected gradient is smaller
 _SHRINK = 0.5  # step factor after a rejected trial
 _MAX_BACKTRACKS = 30
-
-
-def __getattr__(name: str):
-    # ``slsqp`` is SciPy's compiled SLSQP step, which ``scipy.optimize.minimize``
-    # drives one start at a time from ``_minimize_slsqp`` (SciPy 1.17);
-    # pyproject.toml pins the minor version and the one-start oracle test
-    # guards the mirror.  It loads on first use, since importing it loads all
-    # of ``scipy.optimize``.
-    if name == "slsqp":
-        from scipy.optimize._slsqplib import slsqp
-
-        return slsqp
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+_KKT_TOL = 1e-8  # active_set_polish: converged when the KKT residual is smaller
+_EPS = np.finfo(float).eps  # active_set_polish: the resolution of f, relative to |f|
+_ARMIJO = 1e-4  # active_set_polish: sufficient decrease, as a share of the predicted one
+_MAX_HALVINGS = 30  # active_set_polish: a line search that halves its step this often ends its run
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -102,89 +92,123 @@ def projected_gradient_ascent(value_and_grad, x0: np.ndarray, project, *, max_it
     return X, F, bool(converged.all())
 
 
-def lockstep_slsqp(fun_and_grad, x0: np.ndarray, lo, hi, eq_matrix, eq_rhs, *, maxiter: int, ftol: float):
-    """Minimize by SLSQP from each row of the (R, p) starts x0, all runs in lockstep.
+def active_set_polish(fun_and_grad, x0: np.ndarray, lo, hi, eq_matrix, hessians, *, max_calls: int):
+    """Minimize from each row of the (R, p) starts x0 over lo <= x <= hi and
+    eq_matrix @ x = eq_matrix @ x0, all runs in lockstep.
 
-    Each run solves min f(x) subject to lo <= x <= hi and eq_matrix @ x =
-    eq_rhs with its own SLSQP state and workspace, advanced by SciPy's
-    compiled step exactly as ``scipy.optimize.minimize(method="SLSQP",
-    jac=True)`` advances it.  ``fun_and_grad(X, rows)`` maps the (B, p)
-    points X of the runs ``rows`` to their values (B,) and gradients (B, p).
-    Each run keeps its last evaluated point with its value and gradient, as
-    SciPy's ``ScalarFunction`` and ``MemoizeJac`` do, and steps until it
-    needs the objective at a new point; then every run waiting for one joins
-    one call.  So each run makes its own evaluations, one per call, and with
-    a row-independent objective follows its one-start path bit for bit.
-    Returns (X (R, p), values (R,), status (R,), nit (R,)): the final
-    points and values, SLSQP's exit modes (0 on success, 9 at the iteration
-    limit) and the major iteration counts.
+    A feasible active-set quasi-Newton method.  ``fun_and_grad(X, rows)``
+    maps the (B, p) points X of the runs ``rows`` to their values (B,) and
+    gradients (B, p); ``hessians`` (R, p, p) seeds each run's positive
+    definite model.  A run's face fixes the bounds its point sits on.  After
+    each move a run solves its face's KKT system (one stacked solve for all
+    runs that moved), releasing the bound with the most negative multiplier
+    if the new step then leaves it, and a ratio test stops the step at the
+    first bound it meets.  Armijo backtracking puts the trial points of
+    every run into one ``fun_and_grad`` call per round; each accepted step
+    updates its run's model by damped BFGS.  Every equality row must keep a
+    free variable on every face, as a row summing variables bounded only
+    below (a simplex's weights) does.  With a row-independent objective each
+    run follows the path it would follow alone.
+
+    A run ends once its KKT residual (the largest |g + A^T lambda| over the
+    free variables and wrong-signed bound multiplier) is below 1e-8 and its
+    step can no longer lower f beyond the rounding of f; below that
+    resolution a step is taken on the model's word.  It also ends after
+    ``max_calls`` evaluations or ``_MAX_HALVINGS`` halvings of one step.
+    Returns (X (R, p), values (R,), converged (R,)): converged where the KKT
+    residual at the last point is below 1e-8.
     """
-    slsqp = sys.modules[__name__].slsqp  # the module attribute, so a replaced step is the one called
-    X = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    R, n = X.shape
+    X = np.clip(np.array(x0, dtype=float), lo, hi)
+    R, p = X.shape
     A = np.asarray(eq_matrix, dtype=float)
     m = A.shape[0]
-    # SciPy's step reads an infinite bound as nan
-    xl, xu = (np.where(np.isinf(b), np.nan, b) for b in (np.asarray(lo, float), np.asarray(hi, float)))
-    # the workspace size of _minimize_slsqp with m equality and no inequality constraints
-    buffer_size = n * (n + 1) // 2 + 3 * m * n - (m + 5 * n + 7) * m + 9 * m + 8 * n * n + 35 * n
-    buffer_size += m * m + 28 + 2 * n * (n + 1)
-    states = [
-        {
-            "acc": ftol, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
-            "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * ftol, "exact": 0, "inconsistent": 0,
-            "reset": 0, "iter": 0, "itermax": int(maxiter), "line": 0, "m": m, "meq": m,
-            "mode": 0, "n": n,
-        }
-        for _ in range(R)
-    ]
-    work = [
-        (
-            np.zeros(max(1, m + 2 * n + 2)),  # multipliers
-            np.zeros(max(buffer_size, 1)),
-            np.zeros(max(m + 2 * n + 2, 1), dtype=np.int32),
-            np.array(A, order="F"),  # constraint normals
-            A @ X[r] - eq_rhs,  # constraint values
-        )
-        for r in range(R)
-    ]
-    # one memo slot per run: the last evaluated point, value and gradient
-    memo_x = X.copy()
-    memo_f, memo_g = fun_and_grad(X.copy(), np.arange(R))
-    memo_f, memo_g = list(memo_f), list(memo_g)
-    fx, g = memo_f.copy(), memo_g.copy()
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), (p,)) for b in (lo, hi))
+    B = np.array(hessians, dtype=float)
+    F, G = (np.array(a, dtype=float) for a in fun_and_grad(X, np.arange(R)))
+    fixed = (X == lo) | (X == hi)
+    D = np.zeros((R, p))
+    alpha, alpha_max = np.zeros((2, R))
+    block = np.zeros(R, dtype=int)
+    calls = np.ones(R, dtype=int)
+    halvings = np.zeros(R, dtype=int)
+    kkt = np.full(R, np.inf)
+    searching = np.zeros(R, dtype=bool)
 
-    def advance(r):
-        # step run r until it needs an evaluation at a new point (True) or ends (False)
-        x = X[r]
-        mult, buffer, indices, C, d = work[r]
-        while True:
-            slsqp(states[r], fx[r], g[r], C, d, x, mult, xl, xu, buffer, indices)
-            mode = states[r]["mode"]
-            if mode == 1:
-                d[:] = A @ x - eq_rhs
-            elif mode == -1:
-                C[...] = A
-            else:
-                return False
-            if not np.all(x == memo_x[r]):
-                return True
-            if mode == 1:
-                fx[r] = memo_f[r]
-            else:
-                g[r] = memo_g[r]
+    def face_steps(rows):
+        # min g.d + d^T B d / 2 subject to A d = 0 and d = 0 on the fixed
+        # bounds, whose rows and columns of the KKT matrix are the identity's;
+        # returns the steps, the bound multipliers (>= 0 where the bound holds
+        # the minimum, 0 on free variables) and max |g + A^T lambda| off them
+        on, free = fixed[rows], ~fixed[rows]
+        K = np.zeros((len(rows), p + m, p + m))
+        K[:, :p, :p] = np.where(free[:, :, None] & free[:, None, :], B[rows], 0.0)
+        K[:, np.arange(p), np.arange(p)] += on
+        K[:, p:, :p] = A * free[:, None, :]
+        K[:, :p, p:] = np.swapaxes(K[:, p:, :p], 1, 2)
+        rhs = np.zeros((len(rows), p + m, 1))
+        rhs[:, :p, 0] = np.where(free, -G[rows], 0.0)
+        solution = np.linalg.solve(K, rhs)[..., 0]
+        d = np.where(on, 0.0, solution[:, :p])
+        grad_l = G[rows] + np.vecdot(solution[:, None, p:], A.T)
+        mult = np.where(X[rows] == hi, -1.0, 1.0) * (grad_l + np.vecdot(B[rows], d[:, None, :]))
+        return d, np.where(on, mult, 0.0), np.max(np.where(free, np.abs(grad_l), 0.0), axis=1)
 
-    waiting = [r for r in range(R) if advance(r)]
-    while waiting:
-        F, G = fun_and_grad(X[waiting], np.array(waiting))
-        memo_x[waiting] = X[waiting]
-        for r, f, grad in zip(waiting, F, G):
-            memo_f[r], memo_g[r] = f, grad
-            if states[r]["mode"] == 1:
-                fx[r] = f
-            else:
-                g[r] = grad
-        waiting = [r for r in waiting if advance(r)]
-    status = np.array([s["mode"] for s in states])
-    nit = np.array([s["iter"] for s in states])
-    return X, np.array(fx), status, nit
+    def plan(rows):
+        # each run's next step on its face, or its end
+        d, mult, free_res = face_steps(rows)
+        j = np.argmin(mult, axis=1)
+        release = mult[np.arange(len(rows)), j] < -np.maximum(free_res, _EPS)
+        r, j = rows[release], j[release]
+        fixed[r, j] = False
+        d2, mult2, res2 = face_steps(r)
+        inward = np.where(X[r, j] == hi[j], -1.0, 1.0) * d2[np.arange(r.size), j] > 0.0
+        fixed[r[~inward], j[~inward]] = True
+        keep = np.flatnonzero(release)[inward]
+        d[keep], mult[keep], free_res[keep] = d2[inward], mult2[inward], res2[inward]
+        kkt[rows] = np.maximum(free_res, np.max(-mult, axis=1))
+        done = (kkt[rows] < _KKT_TOL) & (-np.vecdot(G[rows], d) <= _EPS * np.abs(F[rows]))
+        go = ~done & np.any(d != 0.0, axis=1)
+        rows, d = rows[go], d[go]
+        # the ratio test: the longest step before a free variable leaves the box
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(d < 0.0, (lo - X[rows]) / d, np.where(d > 0.0, (hi - X[rows]) / d, np.inf))
+        block[rows] = np.argmin(room, axis=1)
+        alpha_max[rows] = room[np.arange(len(rows)), block[rows]]
+        D[rows], alpha[rows] = d, np.minimum(1.0, alpha_max[rows])
+        halvings[rows] = 0
+        searching[rows] = True
+
+    plan(np.arange(R))
+    while searching.any():
+        rows = np.flatnonzero(searching)
+        trial = X[rows] + alpha[rows, None] * D[rows]
+        hit = np.flatnonzero(alpha[rows] == alpha_max[rows])  # lands on its blocking bound
+        j = block[rows[hit]]
+        trial[hit, j] = np.where(D[rows[hit], j] > 0.0, hi[j], lo[j])
+        trial = np.clip(trial, lo, hi)
+        ft, gt = (np.array(a, dtype=float) for a in fun_and_grad(trial, rows))
+        calls[rows] += 1
+        predicted = alpha[rows] * np.vecdot(G[rows], D[rows])
+        unresolved = -predicted <= _EPS * np.abs(F[rows])
+        ok = (ft <= F[rows] + _ARMIJO * predicted) | (unresolved & np.isfinite(ft))
+        up, down = rows[ok], rows[~ok]
+        # damped BFGS: the model keeps its curvature positive along each step
+        s, y = trial[ok] - X[up], gt[ok] - G[up]
+        Bs = np.vecdot(B[up], s[:, None, :])
+        sBs, sy = np.vecdot(s, Bs), np.vecdot(s, y)
+        theta = np.where(sy >= 0.2 * sBs, 1.0, 0.8 * sBs / np.where(sBs > sy, sBs - sy, 1.0))
+        r = theta[:, None] * y + (1.0 - theta[:, None]) * Bs
+        sr = np.vecdot(s, r)
+        live = (sBs > 0.0) & (sr > 0.0)
+        r, Bs, sr, sBs = r[live], Bs[live], sr[live], sBs[live]
+        B[up[live]] += r[:, :, None] * r[:, None, :] / sr[:, None, None]
+        B[up[live]] -= Bs[:, :, None] * Bs[:, None, :] / sBs[:, None, None]
+        X[up], F[up], G[up] = trial[ok], ft[ok], gt[ok]
+        fixed[up] |= (X[up] == lo) | (X[up] == hi)
+        alpha[down] *= 0.5
+        halvings[down] += 1
+        searching[up] = False
+        searching[down] = halvings[down] < _MAX_HALVINGS
+        plan(up)
+        searching &= calls < max_calls
+    return X, F, kkt < _KKT_TOL

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import fourier_metric as fm
-from ._optim import lockstep_slsqp, project_simplex, projected_gradient_ascent
+from ._optim import active_set_polish, project_simplex, projected_gradient_ascent
 from ._rng import substream
 from .filtering_sim import LQParams, lq_riccati, lq_value
 from .reports import CheckReport
@@ -109,6 +109,7 @@ _N_DIAGONAL_PROBES = 16
 _DECAY_FACTOR = 0.1
 _DECAY_ABS_TOL = 1e-6
 _ORDERING_TOL = 1e-9  # ordering_check: allowed excess of u_sub over v_super
+_POLISH_CALLS = 200  # doubling_maximize: objective evaluations per polish run
 _ISHII_TOL = 1e-10  # ishii_matrix_check: allowed negative eigenvalue of either side
 
 
@@ -219,16 +220,17 @@ def doubling_maximize(
     ``n_starts`` starts are tiled over the scales: one batched projected
     gradient ascent advances every (scale, start) row, each carrying its eps
     as the trailing coordinate, and each row follows the path it would
-    follow alone.  An SLSQP polish then refines each scale's best
-    ``n_polish`` results: all polishes of all scales advance in lockstep,
-    with one batched objective call per round, and each ends where it would
-    end alone.  Both use the exact gradient of ``doubled_objective``.  The
-    first min(16, n_starts) starts are diagonal probes, so each value
-    dominates the diagonal probe set by construction.
-    ``converged`` is the SLSQP status of the reported point.  Where the
-    polish was rejected it is the ascent's flag, True only if every start at
-    every scale converged, so it can read False for a scale whose own starts
-    all converged, never True where one of them did not.
+    follow alone.  An active-set quasi-Newton polish then refines each
+    scale's best ``n_polish`` results: all polishes of all scales advance in
+    lockstep, with one batched objective call per round, and each ends where
+    it would end alone.  Both use the exact gradient of
+    ``doubled_objective``.  The first min(16, n_starts) starts are diagonal
+    probes, so each value dominates the diagonal probe set by construction.
+    ``converged`` says whether the polish of the reported point ended at a
+    KKT point.  Where the reported point is an ascent result it is the
+    ascent's flag, True only if every start at every scale converged, so it can read
+    False for a scale whose own starts all converged, never True where one
+    of them did not.
     """
     eps_sequence = [float(eps) for eps in eps_sequence]
     if not eps_sequence:
@@ -245,10 +247,10 @@ def doubling_maximize(
     value_and_grad = doubled_objective(u, v, metric.gram, delta)
     T = cfg.horizon
 
-    # the box of one copy is [0, T] x [0, 1]^n x [-m_box, m_box]^d; the
-    # weights are projected onto the simplex instead of clipped, and the
-    # trailing scale passes the clip unchanged
-    bounds = ([(0.0, T)] + [(0.0, 1.0)] * n + [(-cfg.m_box, cfg.m_box)] * d) * 2
+    # the box of one copy is [0, T] x [0, inf)^n x [-m_box, m_box]^d, as the
+    # simplex bounds the weights by 1; the ascent projects them onto the
+    # simplex instead of clipping, and the trailing scale passes the clip
+    bounds = ([(0.0, T)] + [(0.0, np.inf)] * n + [(-cfg.m_box, cfg.m_box)] * d) * 2
     lo, hi = np.array(bounds + [(0.0, np.inf)]).T
 
     def weights(Z):
@@ -293,22 +295,26 @@ def doubling_maximize(
     order = np.argsort(-F.reshape(E, S), axis=1, kind="stable")[:, :P]
     picked = (np.arange(E)[:, None] * S + order).ravel()
     eps_of = X[picked, -1]
+    # each polish's model starts from the exact Hessian of its scale's
+    # penalty: d_F^2 / (2 eps) couples the copies through blockdiag(1, Gram,
+    # I_d), the moments add 2 delta on each shift; 0.01 I keeps it definite
+    metric_block = np.eye(half)
+    metric_block[1 : 1 + n, 1 : 1 + n] = metric.gram
+    moments = np.tile(np.r_[np.zeros(1 + n), np.full(d, 2.0 * delta)], 2)
+    hessians = np.kron([[1.0, -1.0], [-1.0, 1.0]], metric_block) / eps_of[:, None, None]
+    hessians += np.diag(moments + 0.01)
 
     def negated(Z, rows):
         val, grad = value_and_grad(np.column_stack([Z, eps_of[rows]]))
         return -val, -grad[:, :-1]
 
-    Xp, _, status, _ = lockstep_slsqp(
-        negated, X[picked, :-1], lo[:-1], hi[:-1], sums, 1.0, maxiter=300, ftol=1e-14
+    Xp, _, ok = active_set_polish(
+        negated, X[picked, :-1], lo[:-1], hi[:-1], sums, hessians, max_calls=_POLISH_CALLS
     )
-    # a polish counts only if it succeeded and its projected point scores at
-    # least the ascent's; a nan score never does
-    polished = np.column_stack([Xp, eps_of])
-    scores = np.full(len(picked), np.nan)
-    ok = status == 0
-    if ok.any():
-        polished[ok] = project(polished[ok])
-        scores[ok] = value_and_grad(polished[ok])[0]
+    # a polish counts only if its projected point scores at least the
+    # ascent's; a nan score never does
+    polished = project(np.column_stack([Xp, eps_of]))
+    scores = value_and_grad(polished)[0]
 
     reports = []
     for k, eps in enumerate(eps_sequence):
@@ -316,7 +322,7 @@ def doubling_maximize(
         for r in range(k * P, (k + 1) * P):
             found = (float(F[picked[r]]), X[picked[r]], ascent_converged)
             if scores[r] >= found[0]:
-                found = (float(scores[r]), polished[r], True)
+                found = (float(scores[r]), polished[r], bool(ok[r]))
             if best is None or found[0] > best[0]:
                 best = found
         val, z, conv = best

@@ -484,19 +484,22 @@ def _pairing(i: int, W: np.ndarray, qbar: np.ndarray, M: np.ndarray) -> np.ndarr
 
     With c_j = e_{j^C} for subsets j containing i and c_j = e_j otherwise,
     S = M - qbar, l_j = c_j^T qbar c_j, h = sum_{j ∋ i} a_j,
-    u = sum_{j ∋ i} a_j c_j and u' = sum_{j ∌ i} a_j c_j, the pairing is
+    h' = sum_{j ∌ i} a_j, u = sum_{j ∋ i} a_j c_j and
+    u' = sum_{j ∌ i} a_j c_j, the pairing is
 
-        K = (a.l + u^T S u / h + u'^T S u' / (1 - h)) / 2,
+        K = (a.l + u^T S u / h + u'^T S u' / h') / 2,
 
-    a term with a zero denominator being 0.  Returns the (B,) values, each
-    row's by its own dot products, so with the same bits as the row alone.
+    a term with a zero denominator being 0.  Each side is divided by its own
+    mass, so K is homogeneous of degree one in a, also off the exact simplex.
+    Returns the (B,) values, each row's by its own dot products, so with the
+    same bits as the row alone.
     """
     member, C = _direction(qbar.shape[0], i)
     S = M - qbar
     ell = np.einsum("jp,pq,jq->j", C, qbar, C)
     values = np.vecdot(W, ell)
     h = np.vecdot(W, member)
-    for side, denom in ((member, h), (~member, 1.0 - h)):
+    for side, denom in ((member, h), (~member, np.vecdot(W, ~member))):
         u = np.vecdot(W[:, None, :], C.T * side)  # zero weight off this side
         quad = np.einsum("bp,pq,bq->b", u, S, u)
         values += np.where(denom > 0, quad, 0.0) / np.where(denom > 0, denom, 1.0)

@@ -636,10 +636,11 @@ def scalar_projected_gradient_ascent(value_and_grad, x0, project, *, max_iters: 
 
 
 def slsqp_one_start_at_a_time(fun_and_grad, x0, lo, hi, eq_matrix, eq_rhs, *, maxiter, ftol) -> list:
-    """The polish the lockstep SLSQP driver replaces: one
-    ``optimize.minimize(method="SLSQP", jac=True)`` per row of x0.
+    """SciPy's SLSQP from each row of x0, a local solver apart from the
+    doubling polish to check its values against: one
+    ``optimize.minimize(method="SLSQP", jac=True)`` per start.
 
-    ``fun_and_grad(X, rows)`` is the driver's batch objective; each call here
+    ``fun_and_grad(X, rows)`` is the polish's batch objective; each call here
     passes one point, the start's own row index, and takes row 0 of the
     result.  Returns one ``OptimizeResult`` per start, each carrying the
     number of objective calls it made as ``calls``.

@@ -1,9 +1,10 @@
 """Row independence of the batch kernels.
 
 Row k of a B-row call must carry exactly the bits of a call on row k alone,
-so that one point evaluated alone (by the SLSQP polish, by a report, by
-``K_regret`` at the maximizer ``G_regret`` found in a batch) gets the value
-its batch gave it.  Each test compares the raw bytes of every output.
+so that one point evaluated alone (by a report, by ``K_regret`` at the
+maximizer ``G_regret`` found in a batch) gets the value its batch gave it,
+and a polish run alone ends where it ends in a batch.  Each test compares
+the raw bytes of every output.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_probability_measure
+from fwlab import _optim
 from fwlab import comparison_harness as ch
 from fwlab import filtering_sim as fs
 from fwlab import fourier_metric as fm
@@ -95,3 +97,33 @@ def test_K_filtering_rows_are_independent(seed, B, name):
     coeffs = ham.COEFFS_REGISTRY[name]()
     batched = ham.K_filtering(controls, mu, jet, coeffs)
     _assert_rows_alone(batched, lambda k: ham.K_filtering(controls[k : k + 1], mu, jet, coeffs), B)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, B=ROWS, delta=st.floats(0.005, 0.2))
+def test_polish_rows_are_independent(seed, B, delta):
+    # the doubled objective minimized over the box and both weight simplices
+    # from B random feasible starts, each at its own scale
+    rng = np.random.default_rng(seed)
+    u, v = _lq_pair(rng)
+    n = u.n_atoms
+    gram = ch.FixedSupportMetric(u.support, fm.default_config(1)).gram
+    value_and_grad = ch.doubled_objective(u, v, gram, delta)
+    X0 = np.hstack([np.column_stack(_copies(rng, n, B)) for _ in range(2)])
+    eps = rng.uniform(0.01, 1.0, B)
+    lo = np.tile([0.0] + [0.0] * n + [-1.5], 2)
+    hi = np.tile([1.0] + [np.inf] * n + [1.5], 2)
+    sums = np.zeros((2, 2 * n + 4))
+    sums[0, 1 : 1 + n] = sums[1, n + 3 : 2 * n + 3] = 1.0
+    hessians = np.eye(2 * n + 4) / eps[:, None, None]
+
+    def polish(runs):
+        # the runs ``runs`` of the batch on their own; the objective's rows
+        # name runs of that call
+        def negated(Z, rows):
+            val, grad = value_and_grad(np.column_stack([Z, eps[runs[rows]]]))
+            return -val, -grad[:, :-1]
+
+        return _optim.active_set_polish(negated, X0[runs], lo, hi, sums, hessians[runs], max_calls=60)
+
+    _assert_rows_alone(polish(np.arange(B)), lambda k: polish(np.array([k])), B)

@@ -51,7 +51,7 @@ def test_metric_scenario_pinned_value(tmp_path):
 # doubling check faster must leave every one of them in place
 DOUBLING_ROWS = [
     (0.5, 0.7039237043799692, 0.10155774367471015, 0.3186812571751124, "true"),
-    (0.02, 0.22941762286388415, 0.019417493470105494, 0.02786933330390628, "true"),
+    (0.02, 0.22941762286388434, 0.019417492721128828, 0.027869332766414647, "true"),
 ]
 
 
@@ -74,7 +74,7 @@ OUTPUT_DIGESTS = {
         "commutator_check.csv": "807f9ed2534c51034d55b82604964e0eb7aeee8d9925dcfb08978c5fd1288aaa",
     },
     "comparison_doubling.json": {
-        "comparison_doubling.csv": "64ca5216762c26fcc699d04b8368134c93fca6a3ce55bf464658ffefb37ace05",
+        "comparison_doubling.csv": "cffe43fc5dd3da0ad2b77085cfb0223126a28930afb582f438642f841818d3c5",
     },
     "dissipation_check.json": {
         "dissipation_check.csv": "26075927471d695bb5e989f9a3325d44cd175bf1fb82db58e377b27af747fabf",
@@ -143,18 +143,7 @@ def outputs_by_blas_threads(tmp_path_factory):
     return roots
 
 
-BLAS_DEPENDENT = pytest.mark.xfail(
-    strict=False, reason="ROADMAP item 3: the SLSQP polish's last bits depend on the BLAS thread count"
-)
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(p.name, marks=BLAS_DEPENDENT) if p.name == "comparison_doubling.json" else p.name
-        for p in sorted(SCENARIOS.glob("*.json"))
-    ],
-)
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
 def test_outputs_do_not_depend_on_the_blas_thread_count(outputs_by_blas_threads, name):
     one, two = (outputs_by_blas_threads[threads] / name for threads in (1, 2))
     files = sorted(p.name for p in one.iterdir())
@@ -177,7 +166,7 @@ print(json.dumps([imported, sorted(m for m in sys.modules if m.split(".")[0] == 
 # the scipy subpackages each shipped scenario's computation calls into
 SCIPY_BY_SCENARIO = {
     "commutator_check.json": set(),
-    "comparison_doubling.json": {"scipy.optimize", "scipy.special"},
+    "comparison_doubling.json": set(),
     "dissipation_check.json": set(),
     "dp_value.json": set(),
     "filter_sim.json": set(),

@@ -139,10 +139,11 @@ def test_doubling_runs_n_starts_ascents(monkeypatch, n_starts):
     assert diagonal == [True] * min(16, n_starts) + [False] * max(n_starts - 16, 0)
 
 
-def REJECTED_POLISH(state, *args):
-    # a stand-in for SciPy's SLSQP step that ends every polish at once at the
-    # iteration limit, so the reports keep the ascent's own points, values and flags
-    state["mode"] = 9
+def REJECTED_POLISH(fun_and_grad, x0, *args, **kwargs):
+    # a stand-in for the polish that ends every run at once at a nan point,
+    # unconverged, so the reports keep the ascent's own points, values and flags
+    X = np.full(np.shape(x0), np.nan)
+    return X, np.full(len(X), np.nan), np.zeros(len(X), dtype=bool)
 
 
 def _bits(x):
@@ -171,7 +172,7 @@ def test_each_scale_reports_as_if_alone(seed, n, slack, n_starts, max_iters, eps
     cfg = ch.DoublingConfig(
         horizon=1.0, m_box=1.5, n_starts=n_starts, max_iters=max_iters, n_polish=1, seed=seed
     )
-    with mock.patch.object(_optim, "slsqp", _optim.slsqp if polish else REJECTED_POLISH):
+    with mock.patch.object(ch, "active_set_polish", ch.active_set_polish if polish else REJECTED_POLISH):
         reports = ch.doubling_maximize(u, v, eps_sequence, 0.02, cfg)
         alone = [ch.doubling_maximize(u, v, [eps], 0.02, cfg)[0] for eps in eps_sequence]
     for rep, ref in zip(reports, alone, strict=True):
@@ -180,9 +181,9 @@ def test_each_scale_reports_as_if_alone(seed, n, slack, n_starts, max_iters, eps
         assert all(_bits(a) == _bits(b) for a, b in zip(rep.theta_star, ref.theta_star))
 
 
-def _polish_inputs(u, v, eps_sequence, cfg):
-    """The arguments ``doubling_maximize`` passes to the lockstep SLSQP driver,
-    and the number of objective calls the driver made."""
+def _polish_run(u, v, eps_sequence, cfg):
+    """The reports of ``doubling_maximize``, the arguments it passes to the
+    polish, the polish's output and the number of objective calls it made."""
     calls = []
     objective = ch.doubled_objective
 
@@ -199,62 +200,110 @@ def _polish_inputs(u, v, eps_sequence, cfg):
 
     def spy(*args, **kwargs):
         before = len(calls)
-        out = _optim.lockstep_slsqp(*args, **kwargs)
-        seen.append((args, len(calls) - before))
+        out = _optim.active_set_polish(*args, **kwargs)
+        seen.append((args, kwargs, out, len(calls) - before))
         return out
 
     with mock.patch.object(ch, "doubled_objective", counted_objective):
-        with mock.patch.object(ch, "lockstep_slsqp", spy):
-            ch.doubling_maximize(u, v, eps_sequence, 0.02, cfg)
-    ((args, polish_calls),) = seen
-    return args, polish_calls
+        with mock.patch.object(ch, "active_set_polish", spy):
+            reports = ch.doubling_maximize(u, v, eps_sequence, 0.02, cfg)
+    ((args, kwargs, out, polish_calls),) = seen
+    return reports, args, kwargs, out, polish_calls
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 6),
-    slack=st.floats(0.0, 0.5),
-    eps_sequence=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3),
-    n_polish=st.integers(1, 4),
-    maxiter=st.sampled_from([1, 2, 4, 300]),
-)
-@example(seed=0, n=3, slack=0.25, eps_sequence=[0.5, 0.1, 0.02], n_polish=2, maxiter=1)
-def test_lockstep_polish_matches_one_minimize_per_start(seed, n, slack, eps_sequence, n_polish, maxiter):
-    # each run of the lockstep driver ends where scipy.optimize.minimize
-    # ends from its start alone, bit for bit, with the same exit status and
-    # iteration count, also when runs stop at the iteration limit
+def _random_pair(seed, n, slack):
     rng = np.random.default_rng(seed)
     support = rng.uniform(-1.5, 1.5, (n, 1))
     lq = fs.LQParams(sigma=1.0, sigma_tilde=float(rng.uniform(0.2, 1.0)), horizon=1.0)
     kw = {"m_box": 1.5, "osc": 0.25}
     u = ch.lq_discretized_candidate(support, lq, slack=slack, **kw)
+    return u, ch.lq_discretized_candidate(support, lq, **kw)
+
+
+POLISH_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    slack=st.floats(0.0, 0.5),
+    eps_sequence=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3),
+    n_polish=st.integers(1, 4),
+)
+
+
+def _bench_pair(seed):
+    """The benchmark's doubling instance: a scalar LQ pair u = v + slack on a
+    3-atom support, with 18 starts, 20 ascent iterations and 2 polishes."""
+    rng = np.random.default_rng(seed)
+    support = np.array([[-rng.uniform(0.5, 1.5)], [0.0], [rng.uniform(0.5, 1.5)]])
+    lq = fs.LQParams(sigma=1.0, sigma_tilde=float(rng.uniform(0.3, 0.7)), horizon=1.0)
+    slack = float(rng.uniform(0.15, 0.35))
+    kw = {"m_box": 1.5, "osc": 0.25}
+    u = ch.lq_discretized_candidate(support, lq, slack=slack, **kw)
     v = ch.lq_discretized_candidate(support, lq, **kw)
+    cfg = ch.DoublingConfig(horizon=1.0, m_box=1.5, n_starts=18, max_iters=20, n_polish=2, seed=seed)
+    return u, v, cfg
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_polish_value_matches_one_minimize_per_start(seed):
+    # on the benchmark's instances, from the same starts, each scale reports
+    # at least the best value scipy.optimize.minimize (SLSQP) reaches from
+    # them one at a time
+    u, v, cfg = _bench_pair(seed)
+    reports, (fun_and_grad, x0, lo, hi, sums, _), _, _, _ = _polish_run(u, v, [0.5, 0.1, 0.02], cfg)
+    results = slsqp_one_start_at_a_time(fun_and_grad, x0, lo, hi, sums, 1.0, maxiter=300, ftol=1e-14)
+    assert len(results) == 6 and all(res.success for res in results)
+    for k, rep in enumerate(reports):
+        assert rep.value >= max(-res.fun for res in results[2 * k : 2 * k + 2]) - 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(**POLISH_CASES)
+@example(seed=0, n=3, slack=0.25, eps_sequence=[0.5, 0.1, 0.02], n_polish=2)
+def test_polished_points_are_kkt_points(seed, n, slack, eps_sequence, n_polish):
+    # every polish converges; at its point the unit-step projected gradient
+    # of the objective over the box and the two simplices is below 1e-8, and
+    # SLSQP started there gains nothing
+    u, v = _random_pair(seed, n, slack)
     cfg = ch.DoublingConfig(
         horizon=1.0, m_box=1.5, n_starts=6, max_iters=10, n_polish=n_polish, seed=seed
     )
-    args, _ = _polish_inputs(u, v, eps_sequence, cfg)
-    X, F, status, nit = _optim.lockstep_slsqp(*args, maxiter=maxiter, ftol=1e-14)
-    results = slsqp_one_start_at_a_time(*args, maxiter=maxiter, ftol=1e-14)
-    assert len(results) == len(eps_sequence) * min(n_polish, 6)
-    for r, res in enumerate(results):
-        assert X[r].tobytes() == res.x.tobytes()
-        assert _bits(F[r]) == _bits(res.fun)
-        assert (status[r], nit[r]) == (res.status, res.nit)
-    if maxiter == 1:
-        assert np.all(status == 9)
+    _, (fun_and_grad, _, lo, hi, sums, _), _, (X, F, converged), _ = _polish_run(u, v, eps_sequence, cfg)
+    assert converged.all()
+    P = min(n_polish, 6)
+    Z = np.column_stack([X, np.repeat(eps_sequence, P)])
+    gram = ch.FixedSupportMetric(u.support, fm.default_config(1)).gram
+    _, grad = ch.doubled_objective(u, v, gram, 0.02)(Z)
+    ascended = Z[:, :-1] + grad[:, :-1]
+    step = np.clip(ascended, lo, hi)
+    for w in (slice(1, 1 + n), slice(3 + n, 3 + 2 * n)):  # each copy's weights
+        step[:, w] = _optim.project_simplex(ascended[:, w])
+    assert np.max(np.abs(step - Z[:, :-1])) <= 1e-8
+    again = slsqp_one_start_at_a_time(fun_and_grad, X, lo, hi, sums, 1.0, maxiter=300, ftol=1e-14)
+    assert all(res.fun >= f - 1e-12 for res, f in zip(again, F))
 
 
 def test_polish_makes_one_objective_call_per_round():
     # the bench configuration: every polish of the three scales joins one
     # batched call per round, so the polish makes as many calls as its
-    # longest run makes alone, not the sum over its six runs
+    # longest run makes alone, and no more than SLSQP's longest run
     u, v = _pair()
     cfg = ch.DoublingConfig(horizon=1.0, m_box=1.5, n_starts=18, max_iters=20, n_polish=2, seed=7)
-    args, polish_calls = _polish_inputs(u, v, [0.5, 0.1, 0.02], cfg)
-    per_run = [res.calls for res in slsqp_one_start_at_a_time(*args, maxiter=300, ftol=1e-14)]
-    assert len(per_run) == 6
-    assert polish_calls == max(per_run) < sum(per_run)
+    _, args, kwargs, _, polish_calls = _polish_run(u, v, [0.5, 0.1, 0.02], cfg)
+    fun_and_grad, x0, lo, hi, sums, hessians = args
+    alone = []
+    for r in range(len(x0)):
+        calls = []
+
+        def counted(Z, rows, r=r):
+            calls.append(len(Z))
+            return fun_and_grad(Z, rows + r)
+
+        _optim.active_set_polish(counted, x0[r : r + 1], lo, hi, sums, hessians[r : r + 1], **kwargs)
+        alone.append(len(calls))
+    oracle = slsqp_one_start_at_a_time(fun_and_grad, x0, lo, hi, sums, 1.0, maxiter=300, ftol=1e-14)
+    assert len(alone) == 6
+    assert polish_calls == max(alone) < sum(alone)
+    assert polish_calls <= max(res.calls for res in oracle)
 
 
 def _constant(value):
@@ -280,7 +329,7 @@ def test_converged_after_a_rejected_polish_covers_every_scale(monkeypatch):
     cfg = ch.DoublingConfig(horizon=1.0, m_box=1.5, n_starts=17, max_iters=400, n_polish=1)
     (coarse,) = ch.doubling_maximize(u, v, [1.0], 0.02, cfg)
     assert coarse.converged
-    monkeypatch.setattr(_optim, "slsqp", REJECTED_POLISH)
+    monkeypatch.setattr(ch, "active_set_polish", REJECTED_POLISH)
     (coarse_alone,) = ch.doubling_maximize(u, v, [1.0], 0.02, cfg)
     (fine_alone,) = ch.doubling_maximize(u, v, [0.001], 0.02, cfg)
     assert coarse_alone.converged and not fine_alone.converged

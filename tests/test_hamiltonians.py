@@ -576,6 +576,24 @@ def test_K_regret_monotone_and_homogeneous(rng):
     )
 
 
+def test_K_regret_off_the_simplex_stays_under_the_scaled_supremum():
+    # weights validated within 1e-12 of the simplex may carry a little extra
+    # mass; each side is paired by its own mass, so K_regret stays homogeneous
+    # and with 1e-13 extra mass does not exceed mass * G_regret by 1e-15, also
+    # where the side without action i is nearly empty
+    for s in ham.regret_samples(4, 200, np.random.default_rng(11)):
+        qbar, M = ham._regret_data(s["mu"], s["q1"], s["M1"])
+        G, i, W = ham._regret_argmax(qbar, M)
+        member, _ = ham._direction(4, i)
+        rows = W + 1e-13 * np.eye(16)  # the extra mass on each subset in turn
+        if W[member].sum() > 0:
+            thin = np.where(member, W, 0.0) / W[member].sum()
+            thin[np.flatnonzero(~member)[0]] = 1.01e-13
+            rows = np.vstack([rows, thin])
+        K = ham.K_regret(i, rows, s["mu"], s["q1"], s["M1"])
+        assert np.all(K <= rows.sum(axis=1) * G + 1e-15)
+
+
 def test_G_regret_trivial_and_dominates_vertices(rng):
     mu = random_probability_measure(rng, dim=2)
     q0 = lambda X: np.zeros((np.atleast_2d(X).shape[0], 2, 2))

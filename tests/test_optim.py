@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab._optim import project_simplex, projected_gradient_ascent
+from fwlab._optim import active_set_polish, project_simplex, projected_gradient_ascent
 
 from _oracles import scalar_projected_gradient_ascent
 
@@ -186,3 +186,90 @@ def test_project_simplex_is_the_nearest_feasible_point(seed, n, spread):
     wide = spread * rng.standard_normal((4, 2 * n + 3))
     view = wide[:, 1 : 1 + n]
     assert project_simplex(view).tobytes() == project_simplex(view.copy()).tobytes()
+
+
+def _face_problem(seed, n, exact):
+    """A strictly convex quadratic (x - c)^T A (x - c) / 2 over t in [0, 1],
+    w in the simplex and m in [-1, 1]^2, built from its KKT point: x* has t
+    at its upper bound and the weights off a random support at 0, and c
+    puts positive multipliers on those bounds, so x* is the one minimizer.
+    Returns the polish's arguments, x* and the minimum."""
+    rng = np.random.default_rng(seed)
+    p = 3 + n
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    A = (Q * rng.uniform(0.5, 5.0, p)) @ Q.T
+    A = 0.5 * (A + A.T)
+    support = rng.permutation(n)[: rng.integers(1, n + 1)]
+    x_star = np.zeros(p)
+    x_star[0] = 1.0
+    x_star[1 + support] = rng.dirichlet(np.ones(len(support)))
+    x_star[1 + n :] = rng.uniform(-0.5, 0.5, 2)
+    lo = np.array([0.0] + [0.0] * n + [-1.0, -1.0])
+    hi = np.array([1.0] + [np.inf] * n + [1.0, 1.0])
+    eq = np.zeros((1, p))
+    eq[0, 1 : 1 + n] = 1.0
+    # A (x* - c) + lambda eq - mu_lo + mu_hi = 0 with mu > 0 on the active bounds
+    mu = np.zeros(p)
+    mu[0] = -rng.uniform(0.1, 1.0)  # the upper bound on t
+    off = np.setdiff1d(np.arange(n), support)
+    mu[1 + off] = rng.uniform(0.1, 1.0, len(off))
+    c = x_star + np.linalg.solve(A, rng.normal() * eq[0] - mu)
+
+    def fun_and_grad(X, rows):
+        r = X - c
+        Ar = np.vecdot(A, r[:, None, :])
+        return 0.5 * np.vecdot(r, Ar), Ar
+
+    starts = np.column_stack(
+        [rng.uniform(0.0, 1.0, 6), rng.dirichlet(np.ones(n), 6), rng.uniform(-1.0, 1.0, (6, 2))]
+    )
+    starts[0, 1 : 1 + n] = np.eye(n)[0]  # a vertex of the simplex, w = (1, 0, ...)
+    starts[1, 0] = 1.0  # t on its upper bound
+    hessians = np.tile(A if exact else np.eye(p), (6, 1, 1))
+    return (fun_and_grad, starts, lo, hi, eq, hessians), x_star, fun_and_grad(x_star[None], None)[0][0]
+
+
+FACES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), exact=st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(**FACES)
+def test_polish_finds_the_kkt_point_of_a_convex_quadratic(seed, n, exact):
+    args, x_star, f_star = _face_problem(seed, n, exact)
+    X, F, converged = active_set_polish(*args, max_calls=200)
+    assert converged.all()
+    assert np.max(np.abs(X - x_star)) <= 1e-7
+    assert np.all(np.abs(F - f_star) <= 1e-12)
+    # every point stays feasible: in the box, weights summing to one
+    assert np.all((X >= args[2]) & (X <= args[3]))
+    assert np.allclose(X[:, 1 : 1 + n].sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**FACES)
+def test_polish_makes_one_call_per_round(seed, n, exact):
+    # the runs share one objective call per round: a batch makes as many
+    # calls as its longest run alone, each run's rows among them
+    (fun_and_grad, starts, lo, hi, eq, hessians), _, _ = _face_problem(seed, n, exact)
+
+    def calls(x0, H):
+        sizes = []
+
+        def counted(X, rows):
+            sizes.append(len(X))
+            return fun_and_grad(X, rows)
+
+        active_set_polish(counted, x0, lo, hi, eq, H, max_calls=200)
+        return sizes
+
+    alone = [len(calls(starts[r : r + 1], hessians[r : r + 1])) for r in range(len(starts))]
+    batch = calls(starts, hessians)
+    assert len(batch) == max(alone)
+    assert sum(batch) == sum(alone)
+
+
+def test_polish_out_of_calls_reports_no_convergence():
+    (fun_and_grad, starts, lo, hi, eq, _), _, _ = _face_problem(3, 3, False)
+    hessians = np.tile(100.0 * np.eye(starts.shape[1]), (len(starts), 1, 1))  # short first steps
+    _, _, converged = active_set_polish(fun_and_grad, starts, lo, hi, eq, hessians, max_calls=2)
+    assert not converged.any()

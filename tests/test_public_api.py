@@ -118,9 +118,8 @@ def test_every_public_name_has_a_caller():
 
 
 # the lazy SciPy imports the package keeps, as (module, function, bound name):
-# SciPy's compiled SLSQP step, and the two attributes bench/tracing.py patches
+# the two attributes bench/tracing.py patches
 LAZY_SCIPY_IMPORTS = {
-    ("_optim", "__getattr__", "slsqp"),
     ("comparison_harness", "__getattr__", "optimize"),
     ("prediction_game", "__getattr__", "linprog"),
 }

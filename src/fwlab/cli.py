@@ -163,13 +163,9 @@ def _cases(case, entries: list) -> list:
 # parameters, which are its schema; each returns an exit code
 
 
-def _fourier_config(
-    dim: int, /, *, lam: int | None = None, k_radius: float | None = None,
-    k_nodes_per_axis: int | None = None,
-) -> fm.FourierConfig:
-    """The default quadrature config of dimension ``dim`` with the given entries replaced."""
-    given = {"lam": lam, "k_radius": k_radius, "k_nodes_per_axis": k_nodes_per_axis}
-    return dataclasses.replace(fm.default_config(dim), **{k: v for k, v in given.items() if v is not None})
+def _fourier_config(dim: int, /, *, lam: int | None = None) -> fm.FourierConfig:
+    """The default spectral weight of dimension ``dim``, with exponent ``lam`` when given."""
+    return fm.default_config(dim) if lam is None else fm.FourierConfig(dim, lam)
 
 
 def _theta(measure, /, *, t: float, m: list[float]) -> Theta:

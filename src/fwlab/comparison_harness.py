@@ -85,22 +85,16 @@ class DiscretizedFunction:
 class FixedSupportMetric:
     """Squared spectral distance as a quadratic form on weight differences.
 
-    On a fixed support the spectral coefficients are linear in the weights,
-    so the squared distance is (w - w')^T Gram (w - w') with a precomputed
-    positive-semidefinite Gram matrix.
+    On a fixed support the squared distance is (w - w')^T Gram (w - w') with
+    the positive definite Gram matrix C(|x_i - x_j|) of the spectral kernel,
+    symmetric bit for bit.
     """
 
     def __init__(self, support: np.ndarray, cfg: fm.FourierConfig):
         support = np.atleast_2d(np.asarray(support, dtype=float))
-        d = support.shape[1]
-        if cfg.dim != d:
+        if cfg.dim != support.shape[1]:
             raise ValueError("config dimension does not match support")
-        nodes, wtilde = fm._quadrature(cfg)
-        pref = (2.0 * math.pi) ** (-d)
-        phases = nodes @ support.T  # (M, n)
-        cosd = np.cos(phases[:, None, :] - phases[:, :, None])  # (M, n, n)
-        gram = pref * np.tensordot(wtilde, cosd, axes=1)
-        self.gram = 0.5 * (gram + gram.T)
+        self.gram = fm.kernel_matrix(support, support, cfg)
 
 
 # at most this many of the starts are diagonal probes (theta = iota)

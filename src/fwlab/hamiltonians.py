@@ -602,7 +602,7 @@ def check_assumptions_regret(samples: list, metric_cfgs: dict) -> CheckReport:
     2^{3K-2} (1 + int |x| dmu)(|q1-q2|_l + |M1-M2|);
     (ii) swapping mu for nu in the pairing with the pair's own penalization
     Hessian never increases it beyond 1e-9.  ``metric_cfgs`` maps K to
-    the spectral quadrature used for the kernels.
+    the spectral weight the kernels are built from.
     """
     failures = []
     max_lip_ratio = 0.0

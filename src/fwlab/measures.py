@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "SignedAtomicMeasure",
     "Theta",
-    "char_fn_batch",
     "pushforward_shift",
     "dirac",
     "measure_to_json",
@@ -119,19 +118,6 @@ class Theta:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
-
-
-def char_fn_batch(measure: SignedAtomicMeasure, nodes: np.ndarray) -> np.ndarray:
-    """Spectral coefficients (2*pi)^{-d/2} sum_i w_i exp(i k.x_i), one per row k
-    of the (M, d) wave vectors ``nodes``.
-
-    Each modulus is bounded by (2*pi)^{-d/2} times the total variation.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 2 or nodes.shape[1] != measure.dim:
-        raise ValueError("nodes must have shape (M, d)")
-    phases = np.exp(1j * (nodes @ measure.locations.T))
-    return (2.0 * np.pi) ** (-measure.dim / 2.0) * (phases @ measure.weights)
 
 
 def pushforward_shift(measure: SignedAtomicMeasure, m) -> SignedAtomicMeasure:

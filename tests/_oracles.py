@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the package's own code paths for the
 quantity it checks: the spectral-distance oracles integrate over the full
-line with adaptive quadrature or by the trapezoid rule, the tail radius
-oracle inverts SciPy's incomplete beta function instead of bisecting its
-series, the doubling
-distance oracle takes the spectral part from characteristic functions
-instead of the harness's Gram form, the game oracle
+line with adaptive quadrature, by the trapezoid rule or by a Gauss-Legendre
+rule on characteristic functions, the tail radius that truncates those rules
+inverts SciPy's incomplete beta function, the kernel oracle takes SciPy's
+Bessel function instead of the package's recurrence, and so does the doubling
+distance oracle, one pair at a time instead of the harness's Gram form, the
+Hessian pairing oracle integrates the spectral side adaptively, the game oracle
 solves one sequence-form linear program over the whole tree instead of
 stagewise matrix games, the mean-problem oracle is a dense backward dynamic
 program, the forecaster oracles rescan the game history instead of keeping
@@ -31,7 +32,7 @@ import numpy as np
 from scipy import integrate, interpolate, optimize, special
 
 from fwlab import fourier_metric as fm
-from fwlab.measures import SignedAtomicMeasure, char_fn_batch
+from fwlab.measures import SignedAtomicMeasure
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +70,6 @@ def rho_f_trapezoid_1d(mu, nu, lam: int, radius: float, n_nodes: int) -> float:
     return math.sqrt(float(w @ (np.abs(diff) ** 2 / (1.0 + k * k) ** lam)) / (2.0 * math.pi))
 
 
-def rho_F_norm(eta: SignedAtomicMeasure, cfg) -> float:
-    """Spectral seminorm sqrt(int |F_k(eta)|^2 weight dk) of a signed measure
-    on the package's quadrature nodes, from its characteristic function."""
-    nodes, wtilde = fm._quadrature(cfg)
-    fhat = char_fn_batch(eta, nodes)
-    return math.sqrt(max(float(wtilde @ (fhat.real**2 + fhat.imag**2)), 0.0))
-
-
 def tail_radius_betaincinv(d: int, lam: int) -> float:
     """R with 4 (2 pi)^-d * integral over |k|>R of (1+|k|^2)^-lam equal to 1e-10.
 
@@ -91,16 +84,59 @@ def tail_radius_betaincinv(d: int, lam: int) -> float:
     return math.sqrt(1.0 / y - 1.0)
 
 
+def char_fn_batch(measure: SignedAtomicMeasure, nodes: np.ndarray) -> np.ndarray:
+    """Spectral coefficients (2*pi)^{-d/2} sum_i w_i exp(i k.x_i), one per row k
+    of the (M, d) wave vectors ``nodes``.
+
+    Each modulus is bounded by (2*pi)^{-d/2} times the total variation.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 2 or nodes.shape[1] != measure.dim:
+        raise ValueError("nodes must have shape (M, d)")
+    phases = np.exp(1j * (nodes @ measure.locations.T))
+    return (2.0 * np.pi) ** (-measure.dim / 2.0) * (phases @ measure.weights)
+
+
+def spectral_quadrature_1d(lam: int, n_nodes: int = 384) -> tuple:
+    """Gauss-Legendre nodes (M, 1) and weights w / (1 + k^2)^lam on [-R, R], with
+    R the whole number just above ``tail_radius_betaincinv(1, lam)``, so the
+    weight's mass beyond R is below 1e-10 (22 at lam = 4)."""
+    radius = math.ceil(tail_radius_betaincinv(1, lam))
+    k, w = (v * radius for v in np.polynomial.legendre.leggauss(n_nodes))
+    return k[:, None], w / (1.0 + k * k) ** lam
+
+
+def rho_F_norm(eta: SignedAtomicMeasure, cfg, n_nodes: int = 384) -> float:
+    """Spectral seminorm sqrt(int |F_k(eta)|^2 weight dk) of a signed measure in
+    d = 1, from its characteristic function on ``spectral_quadrature_1d``."""
+    assert cfg.dim == 1
+    nodes, weights = spectral_quadrature_1d(cfg.lam, n_nodes)
+    fhat = char_fn_batch(eta, nodes)
+    return math.sqrt(max(float(weights @ (fhat.real**2 + fhat.imag**2)), 0.0))
+
+
+def matern_kv(r, d: int, lam: int) -> np.ndarray:
+    """(2 pi)^-d int (1+|k|^2)^-lam e^(ik.x) dk at |x| = r from SciPy's kv:
+    (2 pi)^(-d/2) 2^(1-lam) / Gamma(lam) r^nu K_nu(r), nu = lam - d/2, and
+    its limit 2^(nu-1) Gamma(nu) in place of r^nu K_nu(r) at r = 0."""
+    r = np.asarray(r, dtype=float)
+    nu = lam - d / 2.0
+    c = (2.0 * math.pi) ** (-d / 2.0) * 2.0 ** (1 - lam) / special.gamma(lam)
+    with np.errstate(invalid="ignore"):
+        f = np.where(r > 0, r**nu * special.kv(nu, r), 2.0 ** (nu - 1) * special.gamma(nu))
+    return c * f
+
+
 def fixed_support_d_F_sq(t1, w1, m1, t2, w2, m2, support, cfg) -> float:
     """d_F^2 between two points (t, weights, shift) of the doubling harness's
     fixed-support domain, one pair at a time: |t1 - t2|^2 + |m1 - m2|^2 plus
-    the squared spectral seminorm of the signed weight difference on the
-    support, from its characteristic function instead of the Gram form."""
+    the double sum of dw_i dw_j C(|x_i - x_j|) over the support atoms, with C
+    from ``matern_kv`` instead of the harness's Gram form."""
     support = np.atleast_2d(np.asarray(support, dtype=float))
     dm = np.asarray(m1, dtype=float) - np.asarray(m2, dtype=float)
     dw = np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float)
-    eta = SignedAtomicMeasure(support.shape[1], support, dw)
-    return (t1 - t2) ** 2 + float(np.sum(dm * dm)) + rho_F_norm(eta, cfg) ** 2
+    r = np.linalg.norm(support[:, None, :] - support[None, :, :], axis=-1)
+    return (t1 - t2) ** 2 + float(np.sum(dm * dm)) + float(dw @ matern_kv(r, cfg.dim, cfg.lam) @ dw)
 
 
 # ---------------------------------------------------------------------------
@@ -711,14 +747,27 @@ def kappa_hessian_sup_bound(kernel) -> float:
 
 
 def kappa_hessian_pairing_spectral(kernel) -> np.ndarray:
-    """-(1/eps) int |F_k(mu-nu)|^2 k k^T weight dk, computed spectrally.
+    """-(1/eps) int |F_k(mu-nu)|^2 k k^T weight dk in d = 1, computed spectrally.
 
     Equals the integral of the Hessian of kappa against mu - nu; negative
-    semidefinite by construction.
+    semidefinite by construction.  |F_k|^2 expands over the kernel's signed
+    atoms into cosines of k times their separations, each integrated
+    adaptively over the half line.
     """
-    nodes, wtilde = fm._quadrature(kernel.config)
-    mag = wtilde * (kernel.eta_hat.real**2 + kernel.eta_hat.imag**2)
-    return -np.einsum("j,jp,jq->pq", mag, nodes, nodes) / kernel.epsilon
+    assert kernel.config.dim == 1
+    lam, x, a = kernel.config.lam, kernel.atoms[:, 0], kernel.weights
+
+    def moment(s):
+        # int_0^inf cos(k s) k^2 (1 + k^2)^-lam dk
+        integrand = lambda k: k * k * (1.0 + k * k) ** (-lam)
+        if s == 0.0:
+            return integrate.quad(integrand, 0, np.inf, epsabs=1e-15, epsrel=1e-13)[0]
+        return integrate.quad(integrand, 0, np.inf, weight="cos", wvar=s, epsabs=1e-13)[0]
+
+    seps = np.abs(x[:, None] - x[None, :])
+    moments = {s: moment(s) for s in np.unique(seps)}
+    total = sum(a[i] * a[j] * moments[seps[i, j]] for i in range(x.size) for j in range(x.size))
+    return np.array([[-total / (math.pi * kernel.epsilon)]])
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,20 @@ def test_K_regret_rows_are_independent(K, seed, B):
 
 
 @settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 4), seed=SEEDS, B=ROWS)
+def test_kappa_eval_rows_are_independent(d, seed, B):
+    # odd d builds the kernel in closed form, even d from the trapezoid rule
+    rng = np.random.default_rng(seed)
+    mu, nu = (random_probability_measure(rng, dim=d, max_atoms=5) for _ in range(2))
+    kernel = fm.make_kappa(mu, nu, float(rng.uniform(0.05, 0.5)), fm.default_config(d))
+    X = rng.uniform(-3.0, 3.0, (B, d))
+    X[0] = kernel.atoms[0]  # on an atom, where the r = 0 limits apply
+    for order in range(3):
+        batched = fm.kappa_eval(kernel, X, order)
+        _assert_rows_alone(batched, lambda k: fm.kappa_eval(kernel, X[k : k + 1], order), B)
+
+
+@settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, B=ROWS, name=st.sampled_from(sorted(ham.COEFFS_REGISTRY)))
 def test_K_filtering_rows_are_independent(seed, B, name):
     rng = np.random.default_rng(seed)

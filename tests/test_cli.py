@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import matern_kv
 from fwlab import cli
+from fwlab import comparison_harness as ch
+from fwlab import fourier_metric as fm
 from fwlab import prediction_game as pg
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -46,12 +49,28 @@ def test_metric_scenario_pinned_value(tmp_path):
     assert text.endswith("\n") and "\r" not in text
 
 
+@pytest.mark.parametrize("lam, code", [(1, cli.EXIT_INPUT_ERROR), (2, cli.EXIT_OK)])
+def test_metric_in_two_dimensions_needs_an_integrable_weight(tmp_path, capsys, lam, code):
+    # (1 + |k|^2)^-1 is not integrable on R^2: unchecked, its truncated
+    # integral gave finite distances; lambda = 2 is the smallest that is
+    point = {"dim": 2, "atoms": [[0.0, 0.0, 1.0]], "probability": True}
+    other = {"dim": 2, "atoms": [[1.0, 0.0, 1.0]], "probability": True}
+    overrides = ["dim=2", f"config.lambda={lam}", _cases(mu=point, nu=other)]
+    assert cli.run(SCENARIOS / "metric.json", overrides, out_dir=tmp_path / "out") == code
+    err = capsys.readouterr().err
+    if code == cli.EXIT_OK:
+        assert (tmp_path / "out" / "metric.csv").exists()
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and "diverges" in err
+        assert not (tmp_path / "out").exists()
+
+
 # the numeric rows of the shipped comparison_doubling.csv (eps, value,
 # penalty, d_F, converged), pinned bit for bit: a change that only makes the
 # doubling check faster must leave every one of them in place
 DOUBLING_ROWS = [
-    (0.5, 0.7039237043799692, 0.10155774367471015, 0.3186812571751124, "true"),
-    (0.02, 0.22941762286388434, 0.019417492721128828, 0.027869332766414647, "true"),
+    (0.5, 0.7039237043477398, 0.10155774317344239, 0.3186812563886405, "true"),
+    (0.02, 0.22941762274663105, 0.019417492502763114, 0.027869332609707836, "true"),
 ]
 
 
@@ -60,6 +79,11 @@ def test_comparison_doubling_pinned_values(tmp_path):
     lines = (tmp_path / "comparison_doubling.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[_header_index(lines) + 1 :]]
     assert [(*map(float, row[:4]), row[4]) for row in rows] == DOUBLING_ROWS
+    # the Gram form behind the penalties is SciPy's Bessel kernel on the support
+    support = np.array(json.loads((SCENARIOS / "comparison_doubling.json").read_text())["support"])
+    gram = ch.FixedSupportMetric(support[:, None], fm.default_config(1)).gram
+    oracle = matern_kv(np.abs(support[:, None] - support[None, :]), 1, 4)
+    assert gram == pytest.approx(oracle, rel=1e-14)
 
 
 SMALL_OVERRIDES = {
@@ -74,7 +98,7 @@ OUTPUT_DIGESTS = {
         "commutator_check.csv": "807f9ed2534c51034d55b82604964e0eb7aeee8d9925dcfb08978c5fd1288aaa",
     },
     "comparison_doubling.json": {
-        "comparison_doubling.csv": "cffe43fc5dd3da0ad2b77085cfb0223126a28930afb582f438642f841818d3c5",
+        "comparison_doubling.csv": "ab4fce84e781d8c19708f27eab4404e15c67fb49f35b16831a8d57f9f31a256c",
     },
     "dissipation_check.json": {
         "dissipation_check.csv": "26075927471d695bb5e989f9a3325d44cd175bf1fb82db58e377b27af747fabf",
@@ -93,10 +117,10 @@ OUTPUT_DIGESTS = {
         "hamiltonian.csv": "2499f313afe67966d6e053e5cc91787d5c59f6f67d12d540a49a53585ff75983",
     },
     "hamiltonian_regret_check.json": {
-        "hamiltonian.csv": "d21a79e5d4c88a104a6f37c63c96b1ac2076a5f01c8e869cf467ec5116054d38",
+        "hamiltonian.csv": "c1d4dfe8e3841b279086e0308b51586cff9d53fefee9a20c1937c7d449c31504",
     },
     "metric.json": {
-        "metric.csv": "5f537b050e48a41192e8e11528282a344d1b4909e313c1ef960df099262bcb93",
+        "metric.csv": "4cb907b028de4c15e210c8dd0612b706d4fa95bf6809239f9fa8f1904bc20c63",
     },
     "sobolev_check.json": {
         "sobolev_check.csv": "f3f139a03a33c33373e288c759f44c2025c18a3f99cf2fe68a3992542c1233c7",
@@ -193,7 +217,7 @@ def test_scipy_loads_only_where_a_target_calls_it(tmp_path, name):
     assert bool(after_run) == bool(expected)
 
 
-# builds every default Fourier configuration's tables and constants, then
+# builds every default Fourier configuration and its constants, then
 # prints the scipy modules loaded
 _SPECTRAL_SETUP = """
 import json, sys

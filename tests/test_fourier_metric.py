@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ from _oracles import (
     kappa_gradient_sup_bound,
     kappa_hessian_pairing_spectral,
     kappa_hessian_sup_bound,
+    matern_kv,
     rho_F_norm,
     rho_f_point_masses_1d,
     rho_f_trapezoid_1d,
@@ -34,9 +34,13 @@ def test_lambda_table_examples():
         fm.lambda_for_dim(0)
 
 
-def test_rho_identity(cfg1d, rng):
-    mu = random_probability_measure(rng)
-    assert fm.rho_F(mu, mu, cfg1d) == 0.0
+def test_rho_identity(rng):
+    # mu - mu merges each atom with its copy, so every weight is exactly 0
+    for d in (1, 2, 3):
+        cfg = fm.default_config(d)
+        mu, eta = (random_probability_measure(rng, dim=d) for _ in range(2))
+        assert fm.rho_F(mu, mu, cfg) == 0.0
+        assert fm.L_functional(eta, mu, mu, cfg) == 0.0
 
 
 MEASURE_DRAWS = {"d": st.sampled_from([1, 2]), "seed": st.integers(0, 2**32 - 1)}
@@ -69,7 +73,7 @@ def test_d_F_zero_and_euclidean_part(cfg1d, rng):
     th = ms.Theta(0.3, mu, np.array([0.5]))
     assert fm.d_F(th, th, cfg1d) == 0.0
     # equal measures, equal times, |m - n| = 5 in a 2d shift... scalar case:
-    cfg2 = dataclasses.replace(fm.default_config(2), k_nodes_per_axis=16)
+    cfg2 = fm.default_config(2)
     mu2 = random_probability_measure(rng, dim=2)
     th2 = ms.Theta(0.4, mu2, np.array([3.0, 4.0]))
     io2 = ms.Theta(0.4, mu2, np.zeros(2))
@@ -159,7 +163,7 @@ def test_uniform_boundedness(cfg1d, rng):
 
 
 def test_quadrature_refinement_stability(cfg1d):
-    fine = dataclasses.replace(cfg1d, k_nodes_per_axis=2 * cfg1d.k_nodes_per_axis)
+    # the Gauss-Legendre oracle at 384 nodes and at twice as many, against the closed form
     cases = [
         (ms.dirac(0.0), ms.dirac(1.0)),
         (ms.dirac(-0.5), ms.dirac(2.5)),
@@ -169,14 +173,15 @@ def test_quadrature_refinement_stability(cfg1d):
         ),
     ]
     for mu, nu in cases:
-        assert fm.rho_F(mu, nu, cfg1d) == pytest.approx(
-            fm.rho_F(mu, nu, fine), abs=1e-6
-        )
+        eta = linear_combination([1.0, -1.0], [mu, nu])
+        coarse, fine = rho_F_norm(eta, cfg1d), rho_F_norm(eta, cfg1d, n_nodes=768)
+        assert coarse == pytest.approx(fine, abs=1e-6)
+        assert fm.rho_F(mu, nu, cfg1d) == pytest.approx(fine, abs=1e-6)
 
 
 def test_trapezoid_rule_agrees(cfg1d):
     mu, nu = ms.dirac(0.0), ms.dirac(1.0)
-    trap = rho_f_trapezoid_1d(mu, nu, 4, cfg1d.k_radius, 4096)
+    trap = rho_f_trapezoid_1d(mu, nu, 4, math.ceil(tail_radius_betaincinv(1, 4)), 4096)
     assert trap == pytest.approx(RHO_D0_D1, abs=1e-7)
     assert fm.rho_F(mu, nu, cfg1d) == pytest.approx(trap, abs=1e-7)
 
@@ -267,11 +272,32 @@ def test_kappa_invalid_order(cfg1d, rng):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        fm.FourierConfig(1, 4, -1.0, 64)
+        fm.FourierConfig(1, 0)
     with pytest.raises(ValueError):
-        fm.FourierConfig(1, 4, 10.0, 4)
-    with pytest.raises(ValueError):
-        fm.FourierConfig(1, 0, 10.0, 64)
+        fm.FourierConfig(0, 4)
+
+
+@pytest.mark.parametrize("d, lam", [(2, 1), (3, 1), (4, 2), (1, 1), (2, 2), (3, 2), (4, 3), (6, 4)])
+def test_weights_that_cannot_be_integrated_are_rejected(d, lam):
+    # with j = 2 lam - d the weight integrates against |k|^i exactly for i < j,
+    # so a config needs j > 0 and kappa's derivative of order i needs j > i;
+    # unchecked, FourierConfig(2, 1) gave finite distances for a divergent integral
+    j = 2 * lam - d
+    if j <= 0:
+        with pytest.raises(ValueError, match="diverges"):
+            fm.FourierConfig(d, lam)
+        return
+    cfg = fm.FourierConfig(d, lam)
+    kernel = fm.make_kappa(ms.dirac(np.zeros(d)), ms.dirac(np.ones(d)), 0.5, cfg)
+    x = np.full((3, d), 0.25)
+    for order in range(3):
+        if order < j:
+            assert np.all(np.isfinite(fm.kappa_eval(kernel, x, order)))
+        else:
+            with pytest.raises(ValueError, match="diverges"):
+                fm.kappa_eval(kernel, x, order)
+            with pytest.raises(ValueError, match="diverges"):
+                fm.moment_constant(cfg, order)
 
 
 def test_moment_constant_divergence_guard():
@@ -284,30 +310,25 @@ def test_moment_constant_divergence_guard():
     assert math.isfinite(fm.moment_constant(cfg, 6))
 
 
-def _radial_quad(d, lam, power, lo):
-    """Adaptive quadrature of s^(power+d-1) (1+s^2)^-lam over [lo, inf), to
-    relative precision (the default absolute tolerance 1.5e-8 is far above
-    the 1e-10 tails)."""
+def _radial_quad(d, lam, power):
+    """Adaptive quadrature of s^(power+d-1) (1+s^2)^-lam over [0, inf), to
+    relative precision."""
     return integrate.quad(
         lambda s: s ** (power + d - 1) * (1 + s * s) ** (-lam),
-        lo, np.inf, epsabs=0, epsrel=1e-12, limit=200,
+        0, np.inf, epsabs=0, epsrel=1e-12, limit=200,
     )[0]
 
 
 @pytest.mark.parametrize("d, lam", [(1, 4), (2, 4), (3, 4), (1, 2), (1, 3), (2, 3), (3, 3), (4, 6)])
 def test_closed_forms_match_quadrature(d, lam):
     surf = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
-    cfg = fm.FourierConfig(d, lam, 10.0, 16)
+    cfg = fm.FourierConfig(d, lam)
     for power in range(2 * lam - d):
-        quad = math.sqrt(surf * _radial_quad(d, lam, power, 0.0))
+        quad = math.sqrt(surf * _radial_quad(d, lam, power))
         assert fm.moment_constant(cfg, power) == pytest.approx(quad, rel=1e-12)
-    radius = fm._tail_radius(d, lam)
-    tail = 4 * (2 * math.pi) ** (-d) * surf * _radial_quad(d, lam, 0, radius)
-    assert tail == pytest.approx(1e-10, rel=1e-9)
-
-
-def test_default_radii():
-    assert [fm.default_config(d).k_radius for d in (1, 2, 3)] == [22.0, 32.0, 53.0]
+    assert fm.weight_mass(cfg) == pytest.approx(
+        math.pi ** (d / 2) * math.gamma(lam - d / 2) / math.gamma(lam), rel=1e-14
+    )
 
 
 # every (d, lam) with an integrable weight, 2 lam > d, up to lam = 12
@@ -316,20 +337,82 @@ INTEGRABLE = [(d, lam) for d in range(1, 9) for lam in range(d // 2 + 1, 13)]
 
 @pytest.mark.parametrize("d, lam", INTEGRABLE)
 def test_tail_radius_matches_the_inverse_incomplete_beta(d, lam):
-    assert fm._tail_radius(d, lam) == pytest.approx(tail_radius_betaincinv(d, lam), rel=1e-12)
-
-
-@pytest.mark.parametrize("d", range(1, 7))
-def test_default_radius_is_the_ceiling_of_the_oracle_radius(d):
-    radius = tail_radius_betaincinv(d, fm.lambda_for_dim(d))
-    assert fm.default_config(d).k_radius == math.ceil(radius)
+    # the radius that truncates the Gauss-Legendre and trapezoid oracles: the
+    # weight's mass beyond it, integrated adaptively, is the 1e-10 it was
+    # inverted for; with s = R / u the radial tail is R^(d - 2 lam) times
+    # int_0^1 u^(2 lam - d - 1) (1 + (u/R)^2)^-lam du, smooth even where R is huge
+    surf = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
+    radius = tail_radius_betaincinv(d, lam)
+    scaled = integrate.quad(
+        lambda u: u ** (2 * lam - d - 1) * (1 + (u / radius) ** 2) ** (-lam),
+        0, 1, epsabs=0, epsrel=1e-13,
+    )[0]
+    tail = 4 * (2 * math.pi) ** (-d) * surf * radius ** (d - 2 * lam) * scaled
+    assert tail == pytest.approx(1e-10, rel=1e-9)
 
 
 @pytest.mark.parametrize("d, lam", INTEGRABLE)
 def test_moment_constant_matches_scipy_beta(d, lam):
-    cfg = fm.FourierConfig(d, lam, 10.0, 16)
+    cfg = fm.FourierConfig(d, lam)
     surf = 2 * math.pi ** (d / 2) / special.gamma(d / 2)
     for power in range(2 * lam - d):
         a = (power + d) / 2
         exact = math.sqrt(surf * 0.5 * special.beta(a, lam - a))
         assert fm.moment_constant(cfg, power) == pytest.approx(exact, rel=1e-13)
+
+
+# C(r) at r = 0.5, 1 and 2 for the default exponent lam = 4
+KERNEL_PINNED = {
+    2: [0.025720893384, 0.023545855849, 0.017172430842],
+    3: [0.0047763403645, 0.0042692585486, 0.0029167774055],
+}
+
+
+def _radial_kernel(d, lam, r):
+    """C(r) as a radial integral: (2 pi)^-1 int s J_0(s r) w(s) ds for d = 2 and
+    (2 pi^2)^-1 int s^2 sinc(s r) w(s) ds for d = 3, with w(s) = (1+s^2)^-lam."""
+    if d == 2:
+        value = integrate.quad(
+            lambda s: s * special.j0(s * r) * (1 + s * s) ** (-lam), 0, np.inf, limit=400
+        )[0]
+        return value / (2 * math.pi)
+    value = integrate.quad(
+        lambda s: s * (1 + s * s) ** (-lam) / r, 0, np.inf, weight="sin", wvar=r, epsabs=1e-13
+    )[0]
+    return value / (2 * math.pi**2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernel_pinned_values(d):
+    cfg = fm.default_config(d)
+    r = np.array([0.5, 1.0, 2.0])
+    points = r[:, None] * np.eye(d)[0]
+    values = fm.kernel_matrix(points, np.zeros((1, d)), cfg)[:, 0]
+    assert values == pytest.approx(KERNEL_PINNED[d], rel=1e-10)
+    assert values == pytest.approx(matern_kv(r, d, cfg.lam), rel=1e-13)
+    radial = [_radial_kernel(d, cfg.lam, x) for x in r]
+    assert values == pytest.approx(radial, rel=1e-8)
+    # through rho_F: rho_F(delta_0, delta_x)^2 = 2 C(0) - 2 C(|x|)
+    c0 = matern_kv(0.0, d, cfg.lam)
+    for x, value in zip(points, values):
+        assert fm.rho_F(ms.dirac(np.zeros(d)), ms.dirac(x), cfg) ** 2 == pytest.approx(
+            2 * c0 - 2 * value, rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("d, lam", [(1, 4), (2, 4), (3, 4), (2, 3), (4, 6)])
+def test_kernel_family_matches_scipy_kv(d, lam):
+    # C_j = c r^a K_a(r) at a = nu - j, the kernel and its derivative factors
+    r = np.concatenate([[1e-8, 1e-6, 1e-3], np.geomspace(0.01, 40.0, 400)])
+    nu, c = lam - d / 2, (2 * math.pi) ** (-d / 2) * 2.0 ** (1 - lam) / math.gamma(lam)
+    for j, C in enumerate(fm._matern(fm.FourierConfig(d, lam), r, 2)):
+        a = nu - j
+        assert C == pytest.approx(c * r**a * special.kv(a, r), rel=1e-14)
+
+
+def test_gram_is_positive_definite_on_sum_zero_weights(cfg1d):
+    support = np.linspace(-1.0, 1.0, 33)[:, None]
+    gram = fm.kernel_matrix(support, support, cfg1d)
+    assert np.array_equal(gram, gram.T)
+    basis = np.linalg.qr(np.eye(33) - 1.0 / 33)[0][:, :32]
+    assert np.linalg.eigvalsh(basis.T @ gram @ basis)[0] > 0.0

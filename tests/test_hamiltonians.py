@@ -234,18 +234,19 @@ def test_assumption_ii_zero_gap_cases(cfg1d, rng):
 
 
 def test_assumption_ii_distance_is_d_F_from_the_kernel(cfg1d, rng, monkeypatch):
-    # the record's d_F is fm.d_F bit for bit, yet the pair's spectral
-    # coefficients are computed once, by the kernel
+    # the record's d_F is fm.d_F bit for bit, yet the pair's kernel sums are
+    # computed once, by the one kernel the check builds
     calls = []
-    char_fn_batch = fm.char_fn_batch
-    monkeypatch.setattr(fm, "char_fn_batch", lambda *a: calls.append(1) or char_fn_batch(*a))
+    for name in ("make_kappa", "rho_F"):
+        original = getattr(fm, name)
+        monkeypatch.setattr(fm, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
     for _ in range(10):
         mu, nu = (random_probability_measure(rng) for _ in range(2))
         th = ms.Theta(float(rng.uniform(0, 1)), mu, rng.uniform(-1, 1, 1))
         io = ms.Theta(float(rng.uniform(0, 1)), nu, rng.uniform(-1, 1, 1))
         calls.clear()
         rec = ham.check_assumption_ii_filtering(LQ, th, io, 0.1, cfg1d, GRID)
-        assert len(calls) == 2
+        assert calls == ["make_kappa"]
         assert rec.d_F == fm.d_F(th, io, cfg1d)
 
 

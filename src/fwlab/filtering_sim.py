@@ -110,8 +110,10 @@ def _run_paths(
     Batch row k draws from the substreams (seed, runs[k], 0..2), so it does
     not depend on which other runs share the batch.  The running cost is the
     left-endpoint quadrature of r along each particle's path up to the
-    yielded time; it is one array updated in place, so a consumer that keeps
-    it past the next step must copy it.  A state that is not finite or
+    yielded time.  The states and the running cost are each one array moved
+    in place, so a consumer that keeps either past the next step must copy
+    it; the coefficient closures see a view of the states that the step then
+    moves, so they must not keep it either.  A state that is not finite or
     exceeds the divergence guard in absolute value raises FloatingPointError.
     The paths end at the horizon: t must lie in [0, horizon] and (horizon -
     t) / dt be an integer within 1e-9 relative, else ValueError.
@@ -126,39 +128,47 @@ def _run_paths(
         raise ValueError(f"dt {cfg.dt!r} does not divide horizon - t = {cfg.horizon - t!r} evenly")
     R, N, d = len(runs), cfg.n_particles, coeffs.d
 
-    rng_w, rng_init, rng_b = (
-        [substream(cfg.seed, run, source) for run in runs] for source in (0, 1, 2)
-    )
+    # substreams 1 and 0 are read once here, and only substream 2 is kept
     p0 = mu.weights / mu.weights.sum()
-    X = np.stack([mu.locations[g.choice(mu.n_atoms, size=N, p=p0)] for g in rng_init])
+    X = np.stack(
+        [mu.locations[substream(cfg.seed, run, 1).choice(mu.n_atoms, size=N, p=p0)] for run in runs]
+    )
+    flat = X.reshape(R * N, d)
     sqdt = math.sqrt(cfg.dt)
     # (R, n_steps, d2, 1): one column per run and step for the common loading
-    dW = np.stack([g.standard_normal((n_steps, coeffs.d2)) for g in rng_w])[..., None] * sqdt
-    # one buffer holds each step's r dt until that step's normals dB overwrite it
-    scratch = np.empty(R * N * max(coeffs.d1, 1))
-    dB, r_dt = scratch[: R * N * coeffs.d1].reshape(R * N, coeffs.d1), scratch[: R * N]
+    dW = np.stack(
+        [substream(cfg.seed, run, 0).standard_normal((n_steps, coeffs.d2)) for run in runs]
+    )[..., None] * sqdt
+    rng_b = [substream(cfg.seed, run, 2) for run in runs]
+    # A step allocates no (runs * N)-sized array of its own.  Five such buffers
+    # live across the steps: X, running, the controls and two scratches, one
+    # holding the normals dB until sigma dB is taken and then b dt, the other
+    # r dt and then sigma dB.  Each closure output is dropped before the next
+    # closure is called, so at most six are alive at once.
+    dB_buf, noise_buf = np.empty(R * N * max(coeffs.d1, d)), np.empty(R * N * d)
+    dB = dB_buf[: R * N * coeffs.d1].reshape(R * N, coeffs.d1)
+    b_dt = dB_buf[: R * N * d].reshape(R * N, d)
+    r_dt, noise = noise_buf[: R * N], noise_buf.reshape(R * N, d)
+    controls = np.empty(R * N)
     running = np.zeros((R, N))
     yield t, X, running
     for step in range(n_steps):
         a = policy(t + step * cfg.dt, LawSummary(X.mean(axis=1)))
-        flat, per_point = X.reshape(R * N, d), np.repeat(a, N)
-        np.multiply(np.asarray(coeffs.r(flat, per_point), dtype=float), cfg.dt, out=r_dt)
+        controls.reshape(R, N)[...] = a[:, None]
+        np.multiply(np.asarray(coeffs.r(flat, controls), dtype=float), cfg.dt, out=r_dt)
         running += r_dt.reshape(R, N)
         for k, g in enumerate(rng_b):
             g.standard_normal(out=dB[k * N : (k + 1) * N])
         dB *= sqdt
-        # X + b dt + sigma dB + sigma_tilde dW, added in this order into one
-        # new array; the drift is taken before the loadings and each closure
-        # output is dropped after its last use, so that at most six
-        # (runs * N)-sized arrays are alive at once.  The closures' outputs are
-        # never scaled in place: a closure may return an array it keeps.
-        moved = np.asarray(coeffs.b(flat, per_point), dtype=float) * cfg.dt
-        moved += flat
-        diff = np.asarray(coeffs.sigma(flat, per_point), dtype=float)
-        del flat, per_point
-        moved += np.einsum("nij,nj->ni", diff, dB)
-        del diff
-        X = moved.reshape(R, N, d)
+        sigma = np.asarray(coeffs.sigma(flat, controls), dtype=float)
+        np.einsum("nij,nj->ni", sigma, dB, out=noise)
+        del sigma
+        np.multiply(np.asarray(coeffs.b(flat, controls), dtype=float), cfg.dt, out=b_dt)
+        # X + b dt + sigma dB + sigma_tilde dW, summed in this order.  The
+        # closures' outputs are never written to: a closure may return an
+        # array it keeps.
+        flat += b_dt
+        flat += noise
         X += (np.asarray(coeffs.sigma_tilde(a), dtype=float) @ dW[:, step])[:, None, :, 0]
         if not (X.max() <= _DIVERGENCE_GUARD and X.min() >= -_DIVERGENCE_GUARD):
             raise FloatingPointError(

@@ -74,6 +74,7 @@ _PARALLELOGRAM_TOL = 1e-10  # parallelogram_check: allowed shortfall of the left
 _COSH_S = np.cosh(0.1 * np.arange(260))
 _K_WEIGHTS = 0.1 * np.stack([np.ones(260), _COSH_S])
 _K_WEIGHTS[:, 0] *= 0.5
+_K_BLOCK = 2048  # distances summed over the nodes at once: each (block, 260) array is 4.3 MB
 _R_ZERO = 1e-8  # below it, f_a reads its limit at r = 0 where that is finite
 
 
@@ -138,7 +139,11 @@ def _matern(cfg: FourierConfig, r: np.ndarray, depth: int = 0) -> list:
         base, f = 0.5, [math.sqrt(math.pi / 2.0) * np.exp(-r)]
         f.append(f[0] * (1.0 + r))
     else:
-        k = np.vecdot(np.exp(-r[..., None] * _COSH_S)[..., None, :], _K_WEIGHTS)
+        k = np.empty(r.shape + (2,))
+        flat_r, flat_k = r.reshape(-1), k.reshape(-1, 2)
+        for lo in range(0, flat_r.size, _K_BLOCK):
+            terms = np.exp(-flat_r[lo : lo + _K_BLOCK, None] * _COSH_S)
+            flat_k[lo : lo + _K_BLOCK] = np.vecdot(terms[:, None, :], _K_WEIGHTS)
         base, f = 0.0, [k[..., 0], r * k[..., 1]]
     while base + len(f) - 1 < nu:
         f.append(r * r * f[-2] + 2.0 * (base + len(f) - 1) * f[-1])

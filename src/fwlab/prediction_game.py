@@ -140,13 +140,14 @@ def monte_carlo_regret(
 
 
 # size limits of exact_value_small: actions, rounds, candidate vertex systems
-# per stage game and over all stage games; and the digits belief masses are
-# rounded to in the memo keys
+# per stage game and over all stage games; the digits belief masses are
+# rounded to in the memo keys; and the elements of one batched array
 _MAX_ACTIONS = 3
 _MAX_HORIZON = 6
 _MAX_VERTEX_SYSTEMS = 100_000
 _MAX_STAGE_SYSTEMS = 450_000
 _BELIEF_ROUND = 12
+_BATCH = 1 << 16
 # a solved vertex counts as a mixture when no weight is below -_MIX_TOL
 _MIX_TOL = 1e-9
 
@@ -175,29 +176,53 @@ def _vertex_rows(K: int, n: int) -> np.ndarray:
     return rows
 
 
-def _stage_value(M: np.ndarray) -> float:
-    """Exact value min over b in the simplex of max_j (M^T b)_j of a K x n game.
+def _stage_values(M: np.ndarray) -> np.ndarray:
+    """Exact values min over b in the simplex of max_j (M^T b)_j of G stacked K x n games.
 
-    The minimum sits at a vertex of the pointed polyhedron {(b, v) : v >=
+    Each minimum sits at a vertex of the pointed polyhedron {(b, v) : v >=
     M^T b, b >= 0, sum b = 1}, where sum b = 1 and K more tight constraints,
-    at least one a column, form a nonsingular (K+1) x (K+1) system.  All the
-    candidate systems are solved in one batch, singular ones skipped, and
-    the value is the least max_j (M^T b)_j over the solutions b that are
-    mixtures, each clipped onto the simplex so that no term undercuts the
-    value.  Returns inf or nan if M is not finite.
+    at least one a column, form a nonsingular (K+1) x (K+1) system.  The
+    candidate systems of all the games are solved in one batch, singular ones
+    skipped, and a game's value is the least max_j (M^T b)_j over its
+    solutions b that are mixtures, each clipped onto the simplex so that no
+    term undercuts the value.  The products b M are stacked over the games
+    with equally many mixtures, so each game gets the bits it gets alone.
+    Returns (G,) values, inf or nan where M is not finite.
     """
-    K, n = M.shape
+    G, K, n = M.shape
     rows = _vertex_rows(K, n)
-    bank = np.vstack([np.hstack([M.T, -np.ones((n, 1))]), np.eye(K, K + 1)])
-    A = np.empty((len(rows), K + 1, K + 1))
-    A[:, 0, :K], A[:, 0, K] = 1.0, 0.0
-    A[:, 1:] = bank[rows]
+    bank = np.zeros((G, n + K, K + 1))
+    bank[:, :n, :K], bank[:, :n, K], bank[:, n:, :K] = np.swapaxes(M, 1, 2), -1.0, np.eye(K)
+    A = np.empty((G, len(rows), K + 1, K + 1))
+    A[..., 0, :K], A[..., 0, K] = 1.0, 0.0
+    A[:, :, 1:] = bank[:, rows]
+    A = A.reshape(-1, K + 1, K + 1)
     with np.errstate(divide="ignore"):  # det takes the log of a subnormal pivot product
-        A = A[np.linalg.det(A) != 0.0]
-    b = np.linalg.solve(A, np.eye(K + 1, 1))[:, :K, 0]
-    b = np.maximum(b[np.all(b >= -_MIX_TOL, axis=1)], 0.0)
+        solvable = np.linalg.det(A) != 0.0
+    game = np.repeat(np.arange(G), len(rows))[solvable]
+    b = np.linalg.solve(A[solvable], np.eye(K + 1, 1))[:, :K, 0]
+    mixed = np.all(b >= -_MIX_TOL, axis=1)
+    b, game = np.maximum(b[mixed], 0.0), game[mixed]
     b /= b.sum(axis=1, keepdims=True)
-    return float(np.min((b @ M).max(axis=1), initial=math.inf))
+    counts = np.bincount(game, minlength=G)
+    first = np.cumsum(counts) - counts
+    values = np.full(G, math.inf)
+    for count in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+        games = np.flatnonzero(counts == count)
+        stacked = b[first[games, None] + np.arange(count)]
+        values[games] = np.matmul(stacked, M[games]).max(axis=2).min(axis=1)
+    return values
+
+
+def _chunks(sizes: np.ndarray, limit: int):
+    """Consecutive index ranges [lo, hi) of ``sizes`` whose sums stay within
+    ``limit``, one item at least per range."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        hi = max(int(np.searchsorted(ends, ends[lo] - sizes[lo] + limit, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 def exact_value_small(
@@ -211,22 +236,26 @@ def exact_value_small(
     Backward induction over public belief states: each stage is a finite
     zero-sum matrix game between the K pure forecaster actions and the grid
     actions, with chance resolving the signal, and its value is found
-    exactly by ``_stage_value`` without a linear program.  A belief is a
+    exactly by ``_stage_values`` without a linear program.  A belief is a
     sorted array of codes of integer offsets o in [-T, T]^K of the gap vector
-    from m0's atom, so every gap g0 + o is exact, and the matching masses; a
-    child belief is one ``np.unique`` over the codes plus the shifts of a
-    signal table built once.  Beliefs with equal codes and masses equal to 12
-    decimals share one stage game.  With one round left the stage matrix is
-    one broadcast over the belief, M[i, a] = sum_g p_g sum_J w_aJ
-    max_k(g_k + E_Jk - E_Ji).  The grid restricts the adversary, so the
-    result lower-bounds the unrestricted value.  Point-mass initial
+    from m0's atom, so every gap g0 + o is exact, and the matching masses.
+    Beliefs are expanded level by level, histories in lexicographic order;
+    the children of a whole level come from one ``np.unique`` over the
+    parents' codes plus the shifts of a signal table built once, and beliefs
+    of one level with equal codes and masses equal to 12 decimals share one
+    stage game, labelled by their first history.  The stage games of a level
+    are then solved in one batch, deepest level first.  With one round left
+    the stage matrix is one broadcast over the belief, M[i, a] = sum_g p_g
+    sum_J w_aJ max_k(g_k + E_Jk - E_Ji).  The grid restricts the adversary,
+    so the result lower-bounds the unrestricted value.  Point-mass initial
     distributions only, K <= 3, T <= 6, at most 100 000 candidate vertices
     per stage game (grids of up to 82 actions at K = 3, 445 at K = 2) and
-    450 000 over all stage games, checked before each new one (T = 6 at K = 2
-    and T = 4 at K = 3 on the vertex grids).  A ``table`` dict passed in is
-    filled with one entry per solved stage game, keyed by its public history
-    of (grid index, signal) pairs: {"value": v, "matrix": rows}.  Raises
-    FloatingPointError if a stage value is not finite.
+    450 000 over all stage games, counted as the levels are expanded, before
+    any stage game is solved (T = 6 at K = 2 and T = 4 at K = 3 on the vertex
+    grids).  A ``table`` dict passed in is filled with one entry per solved
+    stage game, keyed by its public history of (grid index, signal) pairs:
+    {"value": v, "matrix": rows}.  Raises FloatingPointError if a stage value
+    is not finite.
     """
     if m0.n_atoms != 1:
         raise ValueError("exact values need a point-mass initial distribution")
@@ -245,56 +274,120 @@ def exact_value_small(
     powers = base ** np.arange(K, dtype=np.int64)  # offset o has code sum_k (o_k + T) base^k
     E = subset_vectors(K)
     subset_codes = E.astype(np.int64) @ powers
-    # per signal of positive probability, in stage-matrix order: grid index,
-    # i - 1, signal, probability, the code shifts E_J - 1_{i in J} of the
-    # subsets J it allows and their conditional weights; the last round needs none
-    signals = []
+    # per signal of positive probability, in stage-matrix order: its history
+    # step (grid index, signal), its stage-matrix cell (i - 1, grid index),
+    # its probability, the code shifts E_J - 1_{i in J} of the 2^(K-1)
+    # subsets J it allows and their conditional weights; the last round
+    # needs none
+    steps, cells, probs, shifts, cond = [], [], [], [], []
     for ai, a in enumerate(adversary_grid if T > 1 else []):
         for i in range(1, K + 1):
             member = E[:, i - 1].astype(bool)
             for y, prob, sel in zip((i, -i), hat_weights(a, i), (member, ~member)):
                 w = a.weights[sel]
                 if prob > 0:
-                    if w.sum() <= 0:
+                    total = w.sum()
+                    if total <= 0:
                         raise ValueError("observed signal has zero probability under the mixture")
-                    shift = subset_codes[sel] - (y > 0) * powers.sum()
-                    signals.append((ai, i - 1, y, prob, shift, w / w.sum()))
+                    steps.append((ai, y))
+                    cells.append((i - 1, ai))
+                    probs.append(prob)
+                    shifts.append(subset_codes[sel] - (y > 0) * powers.sum())
+                    cond.append(w / total)
+    S, shifts, cond, probs = len(steps), np.array(shifts), np.array(cond), np.array(probs)
+    cells = tuple(np.array(cells, dtype=np.int64).reshape(S, 2).T)
+    stride = base**K  # every code lies in [0, stride)
+    most_games = _MAX_STAGE_SYSTEMS // n_systems
+
+    # the distinct beliefs of the deepest level expanded so far, as their
+    # codes and masses laid end to end and the number of codes of each; per
+    # level, the first history of each belief and, but for the deepest, the
+    # index in the next level of each (belief, signal) pair's child
+    codes, mass, lengths = np.array([T * powers.sum()]), np.ones(1), np.ones(1, dtype=np.int64)
+    labels, children = [[()]], []
+    n_games = 1
+    for _ in range(T - 1):
+        first, seen, parts, new_labels = np.cumsum(lengths) - lengths, {}, [], []
+        child = np.empty((len(lengths), S), dtype=np.int64)
+        for lo, hi in _chunks(lengths * shifts.size, _BATCH):
+            # pair lo * S + j is parent lo + j // S under signal j % S; the keys
+            # sort by pair, then by child code
+            pair = np.repeat(np.arange(lo * S, hi * S).reshape(hi - lo, S), lengths[lo:hi], axis=0)
+            at = slice(first[lo], first[hi - 1] + lengths[hi - 1])
+            key, where = np.unique(
+                ((pair * stride + codes[at, None])[..., None] + shifts).ravel(), return_inverse=True
+            )
+            child_mass = np.bincount(where, (mass[at, None, None] * cond).ravel())
+            child_codes = key % stride
+            bounds = np.searchsorted(key // stride, np.arange(lo * S, hi * S + 1))
+            code_bytes = child_codes.tobytes()
+            mass_bytes = np.round(child_mass, _BELIEF_ROUND).tobytes()
+            offsets, fresh, index_of = (8 * bounds).tolist(), [], []
+            for j, (start, end) in enumerate(zip(offsets, offsets[1:])):
+                index = seen.setdefault((code_bytes[start:end], mass_bytes[start:end]), len(seen))
+                if index == len(new_labels):
+                    new_labels.append(labels[-1][lo + j // S] + (steps[j % S],))
+                    fresh.append(j)
+                index_of.append(index)
+            if n_games + len(seen) > most_games:
+                raise ValueError(f"exact value needs over {_MAX_STAGE_SYSTEMS} candidate vertex "
+                                 f"systems in its stage games ({n_systems} per game)")
+            child[lo:hi] = np.reshape(index_of, (hi - lo, S))
+            sizes = np.diff(bounds)
+            new = np.zeros((hi - lo) * S, dtype=bool)
+            new[fresh] = True
+            elements = np.repeat(new, sizes)
+            parts.append((child_codes[elements], child_mass[elements], sizes[new]))
+        n_games += len(seen)
+        codes, mass, lengths = (np.concatenate(part) for part in zip(*parts))
+        labels.append(new_labels)
+        children.append(child)
+
     weights = np.array([a.weights for a in adversary_grid])
     incs = E[:, None, :] - E[:, :, None]  # [J, i, k] = E_Jk - E_Ji, the last round's gap moves
-    memo: dict = {}
-    n_games = 0
 
-    def last_round(codes: np.ndarray, mass: np.ndarray) -> np.ndarray:
-        gaps = g0 + (codes[:, None] // powers % base - T)
-        final = (gaps[:, None, None, :] + incs).max(axis=3)  # [g, J, i]
-        return (weights @ np.tensordot(mass, final, axes=1)).T
+    def last_round() -> np.ndarray:
+        """Stage matrices (P, K, n) of the deepest level's beliefs, which have
+        one round left, taken over the beliefs with equally many codes at once."""
+        first, out = np.cumsum(lengths) - lengths, np.empty((len(lengths), K, n))
+        for length in np.flatnonzero(np.bincount(lengths)):
+            group = np.flatnonzero(lengths == length)
+            step = max(_BATCH // (length * incs.size), 1)
+            for beliefs in (group[lo : lo + step] for lo in range(0, len(group), step)):
+                at = first[beliefs, None] + np.arange(length)
+                gaps = g0 + (codes[at][..., None] // powers % base - T)
+                moved = gaps[..., None, None, :] + incs
+                # [p, g, J, i]: the max over k one k at a time, as a reduce over
+                # an axis of length K is slow
+                final = moved[..., 0]
+                for k in range(1, K):
+                    final = np.maximum(final, moved[..., k])
+                final = final.reshape(len(beliefs), length, -1)
+                per_subset = np.matmul(mass[at][:, None, :], final).reshape(len(beliefs), -1, K)
+                out[beliefs] = np.swapaxes(weights @ per_subset, 1, 2)
+        return out
 
-    def value(codes: np.ndarray, mass: np.ndarray, rounds_left: int, label: tuple) -> float:
-        nonlocal n_games
-        key = (rounds_left, codes.tobytes(), np.round(mass, _BELIEF_ROUND).tobytes())
-        if key in memo:
-            return memo[key]
-        n_games += 1
-        if n_games * n_systems > _MAX_STAGE_SYSTEMS:
-            raise ValueError(f"exact value needs over {_MAX_STAGE_SYSTEMS} candidate vertex "
-                             f"systems in its stage games ({n_systems} per game)")
-        if rounds_left == 1:
-            M = last_round(codes, mass)
-        else:
-            M = np.zeros((K, n))
-            for ai, row, y, prob, shifts, cond in signals:
-                child, where = np.unique((codes[:, None] + shifts).ravel(), return_inverse=True)
-                child_mass = np.bincount(where, (mass[:, None] * cond).ravel())
-                M[row, ai] += prob * value(child, child_mass, rounds_left - 1, label + ((ai, y),))
-        val = _stage_value(M)
-        if not math.isfinite(val):
-            raise FloatingPointError(f"stage game after history {label} has value {val}")
-        memo[key] = val
+    def solve(M: np.ndarray, labels: list) -> np.ndarray:
+        step = max(_BATCH // (n_systems * (K + 1) ** 2), 1)
+        values = np.concatenate([_stage_values(M[lo : lo + step]) for lo in range(0, len(M), step)])
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise FloatingPointError(
+                f"stage game after history {labels[bad[0]]} has value {values[bad[0]]}"
+            )
         if table is not None:
-            table[label] = {"value": val, "matrix": M.tolist()}
-        return val
+            for label, value, rows in zip(labels, values.tolist(), M.tolist()):
+                table[label] = {"value": value, "matrix": rows}
+        return values
 
-    return value(np.array([T * powers.sum()]), np.ones(1), T, ())
+    values = solve(last_round(), labels[-1])
+    for level, child in zip(labels[-2::-1], children[::-1]):
+        M = np.zeros((len(level), K, n))
+        # each entry sums the two signals of one action and grid index, so
+        # its value does not depend on the order they are added in
+        np.add.at(M, (slice(None), *cells), probs * values[child])
+        values = solve(M, level)
+    return float(values[0])
 
 
 # ---------------------------------------------------------------------------

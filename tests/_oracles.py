@@ -9,7 +9,9 @@ Bessel function instead of the package's recurrence, and so does the doubling
 distance oracle, one pair at a time instead of the harness's Gram form, the
 Hessian pairing oracle integrates the spectral side adaptively, the game oracle
 solves one sequence-form linear program over the whole tree instead of
-stagewise matrix games, the mean-problem oracle is a dense backward dynamic
+stagewise matrix games, the belief-state DP oracle recurses depth first and
+solves one stage game per call instead of a whole level of them in a stack,
+the mean-problem oracle is a dense backward dynamic
 program, the forecaster oracles rescan the game history instead of keeping
 running scores, and the particle-filter oracle steps one run at a time, the
 coefficient-check oracle evaluates one control at a time, the ascent oracle
@@ -32,6 +34,7 @@ import numpy as np
 from scipy import integrate, interpolate, optimize, special
 
 from fwlab import fourier_metric as fm
+from fwlab import hamiltonians as ham
 from fwlab.measures import SignedAtomicMeasure
 
 
@@ -154,6 +157,7 @@ def _subset_vec(K: int, mask: int) -> np.ndarray:
 
 
 def _push_belief(belief: dict, weights: np.ndarray, K: int, y: int) -> dict:
+    """Posterior of a belief over integer gap offsets after signal y."""
     i, success = abs(y), y > 0
     masks = np.arange(2**K)
     member = (masks >> (i - 1) & 1).astype(bool)
@@ -161,13 +165,10 @@ def _push_belief(belief: dict, weights: np.ndarray, K: int, y: int) -> dict:
     wsel = weights[sel]
     total = wsel.sum()
     out: dict = {}
-    for gaps, p in belief.items():
+    for offsets, p in belief.items():
         for mask, w in zip(masks[sel], wsel):
-            g = tuple(
-                round(gv + iv - (1.0 if success else 0.0), 12)
-                for gv, iv in zip(gaps, _subset_vec(K, int(mask)))
-            )
-            out[g] = out.get(g, 0.0) + p * (w / total)
+            o = tuple(ov + ((int(mask) >> k) & 1) - success for k, ov in enumerate(offsets))
+            out[o] = out.get(o, 0.0) + p * (w / total)
     return out
 
 
@@ -177,11 +178,13 @@ def sequence_form_value(T: int, g0, grid_weights: list) -> float:
     ``grid_weights`` is a list of weight vectors over subsets (the adversary's
     pure choices).  Both players' information sets are the public histories;
     the forecaster's mixing is the realization plan, chance resolves the
-    signal.  Minimizer: forecaster.
+    signal.  Minimizer: forecaster.  Beliefs are held over integer offsets of
+    the gap vector from g0, so no gap is rounded before the leaf payoffs.
     """
     K = len(g0)
+    g0 = [float(x) for x in g0]
     grid = [np.asarray(w, dtype=float) for w in grid_weights]
-    histories = {(): {"belief": {tuple(float(x) for x in g0): 1.0}, "chance": 1.0}}
+    histories = {(): {"belief": {(0,) * K: 1.0}, "chance": 1.0}}
     levels = [[()]]
     for depth in range(T):
         nxt = []
@@ -205,9 +208,16 @@ def sequence_form_value(T: int, g0, grid_weights: list) -> float:
     interior = [h for lvl in levels[:-1] for h in lvl]
     leaves = levels[-1]
 
+    # HiGHS drops constraint entries below 1e-9 in magnitude, which a leaf
+    # whose largest gap is a tiny start offset would make; every payoff is
+    # therefore raised by one half, which raises the value by one half, since
+    # the leaves' chances sum to one under any pair of plans
+    shift = 0.5
+
     def payoff(h) -> float:
         b = histories[h]["belief"]
-        return math.fsum(p * max(g) for g, p in b.items())
+        gains = (p * max(g + o for g, o in zip(g0, offsets)) for offsets, p in b.items())
+        return shift + math.fsum(gains)
 
     # forecaster sequences: root () plus (h, i) for interior h
     f_seqs = [()] + [(h, i) for h in interior for i in range(1, K + 1)]
@@ -293,7 +303,96 @@ def sequence_form_value(T: int, g0, grid_weights: list) -> float:
     )
     if not res.success:
         raise RuntimeError(f"sequence-form LP failed: {res.message}")
-    return float(res.fun)
+    return float(res.fun) - shift
+
+
+# ---------------------------------------------------------------------------
+# the belief-state DP one stage game per call, by recursion
+# ---------------------------------------------------------------------------
+
+
+def single_stage_value(M: np.ndarray) -> float:
+    """min over b in the simplex of max_j (M^T b)_j of one K x n game, by the
+    vertex enumeration that ``prediction_game`` batches over games: every
+    candidate system of s >= 1 tight columns and K - s zero rows that is
+    nonsingular is solved, and the mixtures are kept and clipped."""
+    K, n = M.shape
+    rows = np.array(
+        [
+            cols + tuple(n + i for i in zeros)
+            for s in range(1, K + 1)
+            for cols in itertools.combinations(range(n), s)
+            for zeros in itertools.combinations(range(K), K - s)
+        ]
+    )
+    bank = np.vstack([np.hstack([M.T, -np.ones((n, 1))]), np.eye(K, K + 1)])
+    A = np.empty((len(rows), K + 1, K + 1))
+    A[:, 0, :K], A[:, 0, K] = 1.0, 0.0
+    A[:, 1:] = bank[rows]
+    with np.errstate(divide="ignore"):  # det takes the log of a subnormal pivot product
+        A = A[np.linalg.det(A) != 0.0]
+    b = np.linalg.solve(A, np.eye(K + 1, 1))[:, :K, 0]
+    b = np.maximum(b[np.all(b >= -1e-9, axis=1)], 0.0)
+    b /= b.sum(axis=1, keepdims=True)
+    return float(np.min((b @ M).max(axis=1), initial=math.inf))
+
+
+def recursive_exact_value(T: int, m0: SignedAtomicMeasure, grid: list, table=None) -> float:
+    """``prediction_game.exact_value_small`` by depth-first recursion with a memo.
+
+    Each distinct stage game is solved alone by ``single_stage_value`` once
+    its children are; a belief's children are built one (signal) at a time
+    before the memo lookup.  Beliefs are the same integer-offset code arrays
+    and masses, keyed by their codes and their masses rounded to 12
+    decimals, so the memo keys, the ``table`` labels (each belief's first
+    history in depth-first order) and the values are the package's.  No
+    size limit is checked.
+    """
+    K = m0.dim
+    if T == 0:
+        return float(max(m0.locations[0]))
+    n = len(grid)
+    g0, base = m0.locations[0], 2 * T + 1
+    powers = base ** np.arange(K, dtype=np.int64)
+    E = ham.subset_vectors(K)
+    subset_codes = E.astype(np.int64) @ powers
+    signals = []
+    for ai, a in enumerate(grid if T > 1 else []):
+        for i in range(1, K + 1):
+            member = E[:, i - 1].astype(bool)
+            for y, prob, sel in zip((i, -i), ham.hat_weights(a, i), (member, ~member)):
+                w = a.weights[sel]
+                if prob > 0:
+                    shift = subset_codes[sel] - (y > 0) * powers.sum()
+                    signals.append((ai, i - 1, y, prob, shift, w / w.sum()))
+    weights = np.array([a.weights for a in grid])
+    incs = E[:, None, :] - E[:, :, None]
+    memo: dict = {}
+
+    def last_round(codes: np.ndarray, mass: np.ndarray) -> np.ndarray:
+        gaps = g0 + (codes[:, None] // powers % base - T)
+        final = (gaps[:, None, None, :] + incs).max(axis=3)
+        return (weights @ np.tensordot(mass, final, axes=1)).T
+
+    def value(codes: np.ndarray, mass: np.ndarray, rounds_left: int, label: tuple) -> float:
+        key = (rounds_left, codes.tobytes(), np.round(mass, 12).tobytes())
+        if key in memo:
+            return memo[key]
+        if rounds_left == 1:
+            M = last_round(codes, mass)
+        else:
+            M = np.zeros((K, n))
+            for ai, row, y, prob, shifts, cond in signals:
+                child, where = np.unique((codes[:, None] + shifts).ravel(), return_inverse=True)
+                child_mass = np.bincount(where, (mass[:, None] * cond).ravel())
+                M[row, ai] += prob * value(child, child_mass, rounds_left - 1, label + ((ai, y),))
+        val = single_stage_value(M)
+        memo[key] = val
+        if table is not None:
+            table[label] = {"value": val, "matrix": M.tolist()}
+        return val
+
+    return value(np.array([T * powers.sum()]), np.ones(1), T, ())
 
 
 # ---------------------------------------------------------------------------

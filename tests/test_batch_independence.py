@@ -99,6 +99,26 @@ def test_kappa_eval_rows_are_independent(d, seed, B):
         _assert_rows_alone(batched, lambda k: fm.kappa_eval(kernel, X[k : k + 1], order), B)
 
 
+@settings(max_examples=10, deadline=None)
+@given(d=st.sampled_from([2, 4]), seed=SEEDS)
+def test_kappa_eval_rows_are_independent_across_distance_blocks(d, seed):
+    # even d sums the trapezoid nodes over fixed blocks of point-atom
+    # distances: 300 points against 9 atoms fill two blocks, and the first
+    # block ends inside a row
+    rng = np.random.default_rng(seed)
+    mu, nu = (
+        ms.SignedAtomicMeasure(d, rng.uniform(-2.0, 2.0, (n, d)), np.full(n, 1.0 / n), True)
+        for n in (5, 4)
+    )
+    kernel = fm.make_kappa(mu, nu, 0.3, fm.default_config(d))
+    B = 300
+    assert len(kernel.atoms) == 9 and fm._K_BLOCK < B * 9 and fm._K_BLOCK % 9
+    X = rng.uniform(-3.0, 3.0, (B, d))
+    for order in range(3):
+        batched = fm.kappa_eval(kernel, X, order)
+        _assert_rows_alone(batched, lambda k: fm.kappa_eval(kernel, X[k : k + 1], order), B)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, B=ROWS, name=st.sampled_from(sorted(ham.COEFFS_REGISTRY)))
 def test_K_filtering_rows_are_independent(seed, B, name):

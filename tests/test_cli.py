@@ -511,7 +511,7 @@ def test_non_finite_scenario_literal_exits_1(tmp_path, capsys):
 
 
 def test_non_finite_stage_value_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(pg, "_stage_value", lambda M: float("nan"))
+    monkeypatch.setattr(pg, "_stage_values", lambda M: np.full(len(M), np.nan))
     code = cli.run(SCENARIOS / "dp_value.json", out_dir=tmp_path)
     assert code == cli.EXIT_NUMERICAL_FAULT
     err = capsys.readouterr().err

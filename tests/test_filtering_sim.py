@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -234,6 +235,23 @@ def test_non_finite_coefficients_raise_floating_point_error():
     nan_cost = _null_coeffs(r_const=np.nan)
     with pytest.raises(FloatingPointError):
         fs.estimate_cost(0.0, MU2, fs.constant_policy(0.0), nan_cost, cfg)
+
+
+def test_euler_step_memory_stays_within_six_state_sized_arrays():
+    # 64 runs of 1000 particles: the states, the running cost, the controls,
+    # the two step scratches and one closure output take 512 000 bytes each;
+    # a seventh such array would lift the peak past 3.6 MB
+    coeffs = ham.make_lq_coeffs(sigma=1.0, sigma_tilde=0.5)
+    cfg = fs.SimConfig(dt=0.1, n_particles=1000, horizon=1.0, runs=64, seed=3)
+    policy = fs.lqg_feedback_policy(LQ)
+    fs.estimate_cost(0.0, MU2, policy, coeffs, cfg)
+    tracemalloc.start()
+    try:
+        fs.estimate_cost(0.0, MU2, policy, coeffs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2e6
 
 
 # ---------------------------------------------------------------------------

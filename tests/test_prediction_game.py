@@ -13,7 +13,9 @@ from scipy.optimize import linprog
 from _oracles import (
     history_forecaster,
     rational_stage_value,
+    recursive_exact_value,
     sequence_form_value,
+    single_stage_value,
     uniform_adversary_regret,
 )
 from fwlab import hamiltonians as ham
@@ -291,7 +293,19 @@ def test_stage_value_is_the_exact_rational_value(M):
     # near 0 still carries the rounding of entries of that size
     exact = rational_stage_value(M)
     scale = max(abs(exact), Fraction(float(np.abs(M).max())))
-    assert abs(Fraction(pg._stage_value(M)) - exact) <= Fraction(1e-15) * scale
+    assert abs(Fraction(pg._stage_values(M[None])[0]) - exact) <= Fraction(1e-15) * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    games=st.tuples(st.integers(2, 3), st.integers(1, 8), st.integers(1, 6)).flatmap(
+        lambda shape: hnp.arrays(float, (shape[2], shape[0], shape[1]), elements=_ENTRIES)
+    )
+)
+def test_stacked_stage_values_match_one_game_at_a_time(games):
+    # every game of a stack gets the bits it gets alone
+    alone = np.array([single_stage_value(M) for M in games])
+    assert pg._stage_values(games).tobytes() == alone.tobytes()
 
 
 def test_exact_value_saddle_certificate():
@@ -359,6 +373,83 @@ def test_exact_value_matches_sequence_form_lp_on_random_instances(case):
     main = pg.exact_value_small(T, ms.dirac(g0), grid)
     oracle = sequence_form_value(T, g0, [g.weights for g in grid])
     assert main == pytest.approx(oracle, abs=5e-9)
+
+
+def _parity_set():
+    """K = 2 at T = 1..4 and K = 3 at T = 1..3, each from zero gaps and five
+    two-decimal starts on the vertex grid, from a two-decimal start on two
+    vertices and three Dirichlet mixtures, and from zero gaps on two mixtures
+    and the uniform action; plus two starts below 1e-12: 58 instances."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for K, T in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]:
+        starts = [np.zeros(K)] + [np.round(rng.uniform(-1.0, 1.0, K), 2) for _ in range(5)]
+        cases += [(T, g0, _vertex_grid(K)) for g0 in starts]
+        mixtures = [ham.SimplexAction(K, rng.dirichlet(np.ones(2**K))) for _ in range(4)]
+        vertices = [ham.vertex_action(K, 1), ham.vertex_action(K, 2**K - 2)]
+        cases.append((T, np.round(rng.uniform(-1.0, 1.0, K), 2), vertices + mixtures[:3]))
+        cases.append((T, np.zeros(K), mixtures[2:] + [ham.uniform_action(K)]))
+    cases.append((3, np.array([7e-13, 0.0]), _vertex_grid(2)))
+    cases.append((2, np.array([3e-13, 1e-13, 0.0]), _vertex_grid(3)))
+    return cases
+
+
+def _assert_same_as_recursive_dp(T, g0, grid):
+    table, oracle_table = {}, {}
+    value = pg.exact_value_small(T, ms.dirac(g0), grid, table)
+    assert value == recursive_exact_value(T, ms.dirac(g0), grid, oracle_table)
+    # the same stage games under the same first histories, with the same matrices and values
+    assert table == oracle_table
+
+
+def test_exact_value_matches_the_recursive_dp_on_the_parity_set():
+    cases = _parity_set()
+    assert len(cases) == 58
+    for T, g0, grid in cases:
+        _assert_same_as_recursive_dp(T, g0, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]).flatmap(
+        lambda kt: st.tuples(
+            st.just(kt[1]),
+            st.one_of(
+                st.lists(st.integers(-100, 100), min_size=kt[0], max_size=kt[0]).map(
+                    lambda start: np.array(start) / 100.0
+                ),
+                st.lists(st.integers(-9, 9), min_size=kt[0], max_size=kt[0]).map(
+                    lambda start: np.array(start) * 1e-13
+                ),
+            ),
+            st.one_of(st.just(_vertex_grid(kt[0])), _grid_actions(kt[0])),
+        )
+    )
+)
+def test_exact_value_matches_the_recursive_dp_on_random_instances(case):
+    _assert_same_as_recursive_dp(*case)
+
+
+@pytest.mark.parametrize(
+    "T, g0", [(2, (3e-13, 1e-13, 0.0)), (3, (7e-13, 0.0))], ids=["K3T2", "K2T3"]
+)
+def test_exact_value_below_1e_12_matches_the_sequence_form_lp(T, g0):
+    # the LP pushes integer gap offsets and never rounds a gap, so it sees
+    # starts far below 1e-12
+    grid = _vertex_grid(len(g0))
+    main = pg.exact_value_small(T, ms.dirac(np.array(g0)), grid)
+    oracle = sequence_form_value(T, g0, [g.weights for g in grid])
+    assert main == pytest.approx(oracle, abs=1e-15)
+    assert main != pg.exact_value_small(T, ms.dirac(np.zeros(len(g0))), grid)
+
+
+def test_exact_value_refuses_before_solving_any_stage_game(monkeypatch):
+    solved = []
+    monkeypatch.setattr(pg, "_stage_values", lambda M: solved.append(len(M)))
+    # T = 5 on the eight-vertex grid at K = 3 needs 6 760 stage games
+    with pytest.raises(ValueError, match="candidate vertex systems"):
+        pg.exact_value_small(5, ms.dirac(np.zeros(3)), _vertex_grid(3))
+    assert solved == []
 
 
 def test_exact_value_stage_game_budget():

@@ -6,7 +6,6 @@ from .measures import (  # noqa: F401
     SignedAtomicMeasure,
     Theta,
     dirac,
-    pushforward_shift,
 )
 from .fourier_metric import (  # noqa: F401
     FourierConfig,

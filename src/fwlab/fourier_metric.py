@@ -39,6 +39,7 @@ __all__ = [
     "L_functional",
     "make_kappa",
     "kappa_eval",
+    "kappa_jets",
     "kappa_gradient_field",
     "kappa_hessian_field",
     "parallelogram_check",
@@ -178,11 +179,17 @@ def _check_dims(cfg: FourierConfig, *measures: SignedAtomicMeasure):
 
 
 def _difference(mu: SignedAtomicMeasure, nu: SignedAtomicMeasure) -> tuple:
-    """Atoms (n, d) and signed weights (n,) of mu - nu, coincident atoms merged,
-    so that mu - mu has only zero weights."""
+    """Atoms (n, d), sorted by rows, and signed weights (n,) of mu - nu,
+    coincident atoms merged, so that mu - mu has only zero weights."""
     locations = np.concatenate([mu.locations, nu.locations])
-    atoms, index = np.unique(locations, axis=0, return_inverse=True)
-    return atoms, np.bincount(index.ravel(), np.concatenate([mu.weights, -nu.weights]), len(atoms))
+    # a stable sort keeps equal rows in input order, so each merged weight is
+    # summed in input order and a merged atom keeps its first occurrence's bits
+    order = np.lexsort(locations.T[::-1])
+    rows = locations[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    weights = np.concatenate([mu.weights, -nu.weights])[order]
+    return rows[first], np.bincount(np.cumsum(first) - 1, weights)
 
 
 def _rho(atoms: np.ndarray, weights: np.ndarray, cfg: FourierConfig) -> float:
@@ -269,15 +276,25 @@ def kappa_eval(kernel: KappaKernel, x, order: int = 0):
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     _require_moment(cfg, order)
+    if order:
+        return _jets(kernel, x)[order - 1]
+    return np.vecdot(_matern(cfg, _offsets(x, kernel.atoms)[1])[0], kernel.weights / kernel.epsilon)
+
+
+def _jets(kernel: KappaKernel, x: np.ndarray) -> tuple:
+    """grad kappa (..., d) and Hessian kappa (..., d, d) at x (..., d), from one distance pass."""
     D, r = _offsets(x, kernel.atoms)
-    C = _matern(cfg, r, order)
+    _, C1, C2 = _matern(kernel.config, r, 2)
     a = kernel.weights / kernel.epsilon
-    if order == 0:
-        return np.vecdot(C[0], a)
-    if order == 1:
-        return -np.vecdot(D, (C[1] * a)[..., None, :])
-    outer = np.vecdot(D[..., :, None, :] * D[..., None, :, :], (C[2] * a)[..., None, None, :])
-    return outer - np.vecdot(C[1], a)[..., None, None] * np.eye(cfg.dim)
+    outer = np.vecdot(D[..., :, None, :] * D[..., None, :, :], (C2 * a)[..., None, None, :])
+    hessian = outer - np.vecdot(C1, a)[..., None, None] * np.eye(kernel.config.dim)
+    return -np.vecdot(D, (C1 * a)[..., None, :]), hessian
+
+
+def kappa_jets(kernel: KappaKernel, X: np.ndarray) -> tuple:
+    """``kappa_eval`` orders 1 and 2 at the finite rows of X (n, d), bit for bit, in one pass."""
+    _require_moment(kernel.config, 2)
+    return _jets(kernel, X)
 
 
 def kappa_gradient_field(kernel: KappaKernel):

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import fourier_metric as fm
-from .measures import SignedAtomicMeasure, Theta, pushforward_shift
+from .measures import SignedAtomicMeasure, Theta
 from .reports import CheckReport
 
 __all__ = [
@@ -220,22 +220,32 @@ def K_filtering(controls, mu: SignedAtomicMeasure, jet: JetArgs, coeffs: Filteri
     a 1-d array and the result holds one value per control; the jet fields p
     and q are evaluated once, and each coefficient closure once on the atoms
     tiled over the controls."""
+    grid, X = _controls(controls, mu), mu.locations
+    return _filtering_pairing(grid, X, mu.weights, jet.p(X), jet.q(X), jet.M, coeffs)
+
+
+def _controls(controls, mu: SignedAtomicMeasure) -> np.ndarray:
     if not mu.probability:
         raise ValueError("K_filtering expects a probability measure")
     grid = np.asarray(controls, dtype=float)
     if grid.ndim != 1:
         raise ValueError(f"controls must be a 1-d array, got shape {grid.shape}")
-    X, w = mu.locations, mu.weights
+    return grid
+
+
+def _filtering_pairing(grid, X, w, p, q, M, coeffs: FilteringCoeffs) -> np.ndarray:
+    """``K_filtering`` with the coefficients read at the atoms X (n, d) of
+    weights w, and the jet values p (n, d) and q (n, d, d) given there."""
     C, n = grid.size, X.shape[0]
     Xc, ac = np.tile(X, (C, 1)), np.repeat(grid, n)
-    pv = np.tile(np.asarray(jet.p(X), dtype=float), (C, 1))
-    qv = np.tile(np.asarray(jet.q(X), dtype=float), (C, 1, 1))
+    pv = np.tile(np.asarray(p, dtype=float), (C, 1))
+    qv = np.tile(np.asarray(q, dtype=float), (C, 1, 1))
     sv = np.asarray(coeffs.sigma(Xc, ac), dtype=float)
     drift = np.einsum("ni,ni->n", np.asarray(coeffs.b(Xc, ac), dtype=float), pv)
     diffusion = np.einsum("nik,nki->n", qv, np.einsum("nij,nkj->nik", sv, sv))
     integrand = np.asarray(coeffs.r(Xc, ac), dtype=float) + drift + 0.5 * diffusion
     st = np.asarray(coeffs.sigma_tilde(grid), dtype=float)
-    common = np.trace(st @ np.swapaxes(st, 1, 2) @ jet.M, axis1=1, axis2=2)
+    common = np.trace(st @ np.swapaxes(st, 1, 2) @ M, axis1=1, axis2=2)
     # one dot product per control, so a control's value does not depend on the batch
     return np.vecdot(integrand.reshape(C, n), w) + 0.5 * common
 
@@ -258,10 +268,18 @@ def Ge_extend(
     coeffs: FilteringCoeffs,
     control_grid,
 ) -> float:
-    """G at the translated measure, with p and q composed with x -> x - m."""
+    """G at the translated measure, with p and q composed with x -> x - m:
+    the coefficients are read at the shifted atoms x_i + m, the jet at x_i."""
+    return _Ge(mu, m, jet.p(mu.locations), jet.q(mu.locations), jet.M, coeffs, control_grid)
+
+
+def _Ge(mu: SignedAtomicMeasure, m, p, q, M, coeffs: FilteringCoeffs, control_grid) -> float:
+    """``Ge_extend`` given the jet values p and q at the atoms of mu."""
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    shifted = JetArgs(lambda X: jet.p(X - m), lambda X: jet.q(X - m), jet.M)
-    return G_filtering(pushforward_shift(mu, m), shifted, coeffs, control_grid)
+    grid = _controls(np.atleast_1d(control_grid), mu)
+    if m.size != mu.dim or not grid.size:
+        raise ValueError(f"need a shift in R^{mu.dim} and a nonempty control grid")
+    return float(np.min(_filtering_pairing(grid, mu.locations + m, mu.weights, p, q, M, coeffs)))
 
 
 def check_assumption_i_filtering(
@@ -335,13 +353,11 @@ def check_assumption_ii_filtering(
     """
     mu, nu = theta.measure, iota.measure
     kernel = fm.make_kappa(mu, nu, eps, cfg)
-    jet = JetArgs(
-        fm.kappa_gradient_field(kernel),
-        fm.kappa_hessian_field(kernel),
-        np.zeros((mu.dim, mu.dim)),
-    )
-    g_theta = Ge_extend(mu, theta.m, jet, coeffs, control_grid)
-    g_iota = Ge_extend(nu, iota.m, jet, coeffs, control_grid)
+    # one kernel pass gives the jets at the atoms of both measures
+    p, q = fm.kappa_jets(kernel, np.concatenate([mu.locations, nu.locations]))
+    n, M = mu.n_atoms, np.zeros((mu.dim, mu.dim))
+    g_theta = _Ge(mu, theta.m, p[:n], q[:n], M, coeffs, control_grid)
+    g_iota = _Ge(nu, iota.m, p[n:], q[n:], M, coeffs, control_grid)
     dist = fm.d_F_from_rho(theta, iota, kernel.rho)
     z = dist * dist / eps + dist
     moment = (

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "SignedAtomicMeasure",
     "Theta",
-    "pushforward_shift",
     "dirac",
     "measure_to_json",
     "measure_from_json",
@@ -118,16 +117,6 @@ class Theta:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
-
-
-def pushforward_shift(measure: SignedAtomicMeasure, m) -> SignedAtomicMeasure:
-    """Image of the measure under x -> x + m; weights unchanged."""
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    if m.size != measure.dim:
-        raise ValueError("shift vector dimension mismatch")
-    return SignedAtomicMeasure(
-        measure.dim, measure.locations + m, measure.weights, measure.probability
-    )
 
 
 def measure_to_json(m: SignedAtomicMeasure) -> str:

@@ -146,6 +146,24 @@ def _wave_numbers(box: Box) -> tuple:
     return tuple(xis), xi_sq
 
 
+@functools.lru_cache(maxsize=16)
+def _weight(box: Box, s: float) -> np.ndarray:
+    """(1 + |xi|^2)^s on the grid (read-only, cached)."""
+    weight = (1.0 + _wave_numbers(box)[1]) ** s
+    weight.setflags(write=False)
+    return weight
+
+
+@functools.lru_cache(maxsize=8)
+def _derivative_multipliers(box: Box) -> tuple:
+    """i xi (d, *nodes) and -xi xi^T (d, d, *nodes): the spectral gradient and Hessian."""
+    xi = np.stack(np.broadcast_arrays(*_wave_numbers(box)[0]))
+    gradient, hessian = 1j * xi, -xi[:, None] * xi[None]
+    gradient.setflags(write=False)
+    hessian.setflags(write=False)
+    return gradient, hessian
+
+
 def _spectrum(f: GridFunction) -> np.ndarray:
     if not f.is_scalar():
         raise ValueError("spectral operators act on scalar grid functions")
@@ -166,7 +184,7 @@ def bessel_potential(f: GridFunction, s: float) -> GridFunction:
     """
     if s == 0.0 and f.is_scalar():
         return f
-    return _multiply(f, (1.0 + _wave_numbers(f.box)[1]) ** (s / 2.0))
+    return _multiply(f, _weight(f.box, s / 2.0))
 
 
 def spectral_derivative(f: GridFunction, axis: int) -> GridFunction:
@@ -186,7 +204,7 @@ def l2_inner(f: GridFunction, g: GridFunction) -> float:
 def _norm_sq(fhat: np.ndarray, box: Box, s: float) -> float:
     """|f|_s^2 from the grid spectrum fhat = fftn(f) by Parseval on the grid:
     |J_{-s} f|_{L^2}^2 = cellvol/N * sum (1+|xi|^2)^s |fhat|^2."""
-    total = float(np.sum((1.0 + _wave_numbers(box)[1]) ** s * (fhat.real**2 + fhat.imag**2)))
+    total = float(np.sum(_weight(box, s) * (fhat.real**2 + fhat.imag**2)))
     return total * box.cell_volume() / float(np.prod(box.nodes))
 
 
@@ -340,13 +358,12 @@ def dissipation_check(
 
     dens = mollify(eta, eps_moll, box)
     dhat = np.fft.fftn(dens.values)
-    xis, xi_sq = _wave_numbers(box)
-    xi = np.stack(np.broadcast_arrays(*xis))
+    i_xi, minus_xi_xi = _derivative_multipliers(box)
     # the smoothed spectrum J_{2 lam} dens and its gradient and Hessian, each
     # component axis leading and transformed back over the grid axes only
-    smoothed = (1.0 + xi_sq) ** (-float(lam)) * dhat
-    grad = np.fft.ifftn(1j * xi * smoothed, axes=tuple(range(1, d + 1))).real
-    hess = np.fft.ifftn(-xi[:, None] * xi[None] * smoothed, axes=tuple(range(2, d + 2))).real
+    smoothed = _weight(box, -float(lam)) * dhat
+    grad = np.fft.ifftn(i_xi * smoothed, axes=tuple(range(1, d + 1))).real
+    hess = np.fft.ifftn(minus_xi_xi * smoothed, axes=tuple(range(2, d + 2))).real
     a_term = 0.5 * np.einsum("...ij,ij...->...", a.values, hess)
     b_term = np.einsum("...i,i...->...", b.values, grad)
 

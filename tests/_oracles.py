@@ -14,8 +14,11 @@ solves one stage game per call instead of a whole level of them in a stack,
 the mean-problem oracle is a dense backward dynamic
 program, the forecaster oracles rescan the game history instead of keeping
 running scores, and the particle-filter oracle steps one run at a time, the
-coefficient-check oracle evaluates one control at a time, the ascent oracle
-runs one start at a time on scalar points, the SLSQP oracle calls
+coefficient-check oracle evaluates one control at a time, the filtering gap
+oracle shifts the measures and composes the kernel's jet closures with the
+shift instead of reading one jet pass at the atoms, the signed-difference
+oracle merges atoms with ``np.unique`` instead of a sorted merge, the ascent
+oracle runs one start at a time on scalar points, the SLSQP oracle calls
 ``scipy.optimize.minimize`` once per start, the regret supremum oracles
 maximize quadratics on segments and on triangles of side marginals instead
 of enumerating faces, and the Monte Carlo regret oracle sums binomial terms
@@ -820,6 +823,53 @@ def uniform_adversary_regret(T: int) -> Fraction:
     """
     total = sum(math.comb(2 * T, b) * abs(b - T) for b in range(2 * T + 1))
     return Fraction(total, 2 ** (2 * T + 1))
+
+
+# ---------------------------------------------------------------------------
+# the signed difference by np.unique, and the filtering gap record by shifted
+# measures and composed jet closures
+# ---------------------------------------------------------------------------
+
+
+def unique_difference(mu, nu) -> tuple:
+    """Atoms and signed weights of mu - nu, coincident atoms merged by
+    ``np.unique(axis=0, return_inverse=True)``."""
+    locations = np.concatenate([mu.locations, nu.locations])
+    atoms, index = np.unique(locations, axis=0, return_inverse=True)
+    return atoms, np.bincount(index.ravel(), np.concatenate([mu.weights, -nu.weights]), len(atoms))
+
+
+def pushforward_shift(measure: SignedAtomicMeasure, m) -> SignedAtomicMeasure:
+    """Image of the measure under x -> x + m; weights unchanged."""
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    if m.size != measure.dim:
+        raise ValueError("shift vector dimension mismatch")
+    return SignedAtomicMeasure(
+        measure.dim, measure.locations + m, measure.weights, measure.probability
+    )
+
+
+def shifted_closure_G(mu, m, p, q, M, coeffs, control_grid) -> float:
+    """G^e(mu, m) as plain ``G_filtering`` at the shifted measure, with the
+    fields p and q composed with x -> x - m."""
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    jet = ham.JetArgs(lambda X: p(X - m), lambda X: q(X - m), M)
+    return ham.G_filtering(pushforward_shift(mu, m), jet, coeffs, control_grid)
+
+
+def filtering_gap_by_closures(coeffs, theta, iota, eps, cfg, control_grid) -> tuple:
+    """G^e(theta) - G^e(iota) at the pair's kernel jets with M = 0, and the
+    larger of the two |G^e|: each side through ``shifted_closure_G``, with the
+    gradient and the Hessian of kappa from separate ``kappa_eval`` passes."""
+    kernel = fm.make_kappa(theta.measure, iota.measure, eps, cfg)
+    p = lambda X: fm.kappa_eval(kernel, X, 1)
+    q = lambda X: fm.kappa_eval(kernel, X, 2)
+    M = np.zeros((cfg.dim, cfg.dim))
+    sides = [
+        shifted_closure_G(point.measure, point.m, p, q, M, coeffs, control_grid)
+        for point in (theta, iota)
+    ]
+    return sides[0] - sides[1], max(abs(sides[0]), abs(sides[1]))
 
 
 # ---------------------------------------------------------------------------

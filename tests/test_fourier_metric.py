@@ -16,6 +16,7 @@ from _oracles import (
     rho_f_trapezoid_1d,
     tail_radius_betaincinv,
     total_variation,
+    unique_difference,
 )
 from conftest import linear_combination, random_probability_measure
 from fwlab import fourier_metric as fm
@@ -262,6 +263,53 @@ def test_kappa_eval_on_point_arrays_matches_each_point(d, n, seed):
     assert np.array_equal(hess, fm.kappa_eval(ker, X, 2))
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_kappa_jets_are_kappa_eval_orders_1_and_2(d, n, seed):
+    # the record's one-pass jets, at the kernel's own atoms (r = 0) and off them
+    rng = np.random.default_rng(seed)
+    cfg = fm.default_config(d)
+    mu, nu = (random_probability_measure(rng, dim=d) for _ in range(2))
+    ker = fm.make_kappa(mu, nu, float(rng.uniform(0.02, 0.5)), cfg)
+    X = np.vstack([ker.atoms, rng.uniform(-3.0, 3.0, size=(n, d))])
+    grad, hess = fm.kappa_jets(ker, X)
+    assert grad.tobytes() == fm.kappa_eval(ker, X, 1).tobytes()
+    assert hess.tobytes() == fm.kappa_eval(ker, X, 2).tobytes()
+
+
+_COORDINATES = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    sizes=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_difference_matches_np_unique_bit_for_bit(d, sizes, seed):
+    # coordinates from a small set with both zeros, so atoms coincide, within
+    # a measure and across the two, and some differ only in the sign of a zero
+    rng = np.random.default_rng(seed)
+    mu, nu = (
+        ms.SignedAtomicMeasure(d, rng.choice(_COORDINATES, (n, d)), rng.normal(size=n))
+        for n in sizes
+    )
+    atoms, weights = fm._difference(mu, nu)
+    ref_atoms, ref_weights = unique_difference(mu, nu)
+    assert weights.tobytes() == ref_weights.tobytes()
+    assert np.array_equal(atoms, ref_atoms) and atoms.shape == ref_atoms.shape
+    locations = np.concatenate([mu.locations, nu.locations])
+    # a merged atom keeps the bits of its first occurrence in mu then nu
+    for row in atoms:
+        first = locations[np.flatnonzero((locations == row).all(axis=1))[0]]
+        assert row.tobytes() == first.tobytes()
+    if len(locations) <= 16:
+        # np.unique's quicksort is an insertion sort below 17 rows, so there
+        # it keeps the first occurrence too; above, its pick among rows equal
+        # up to the sign of a zero follows the partitioning
+        assert atoms.tobytes() == ref_atoms.tobytes()
+
+
 def test_kappa_invalid_order(cfg1d, rng):
     ker = fm.make_kappa(ms.dirac(0.0), ms.dirac(1.0), 0.1, cfg1d)
     with pytest.raises(ValueError):
@@ -298,6 +346,12 @@ def test_weights_that_cannot_be_integrated_are_rejected(d, lam):
                 fm.kappa_eval(kernel, x, order)
             with pytest.raises(ValueError, match="diverges"):
                 fm.moment_constant(cfg, order)
+    # the one-pass jets carry the Hessian, so they need j > 2
+    if j > 2:
+        assert all(np.all(np.isfinite(jet)) for jet in fm.kappa_jets(kernel, x))
+    else:
+        with pytest.raises(ValueError, match="diverges"):
+            fm.kappa_jets(kernel, x)
 
 
 def test_moment_constant_divergence_guard():

@@ -11,7 +11,9 @@ from _oracles import (
     G_regret_three_actions,
     K_regret_conditional,
     V_vectors,
+    filtering_gap_by_closures,
     per_control_coefficient_stats,
+    shifted_closure_G,
     simplex_lattice,
 )
 from conftest import random_probability_measure
@@ -155,27 +157,36 @@ def test_Ge_translation_consistency(rng):
         mu = random_probability_measure(rng)
         m = rng.uniform(-2, 2, size=1)
         lhs = ham.Ge_extend(mu, m, jet, LQ, GRID)
-        shifted = ms.pushforward_shift(mu, m)
-        jet_m = ham.JetArgs(
-            lambda X: jet.p(np.atleast_2d(X) - m),
-            lambda X: jet.q(np.atleast_2d(X) - m),
-            jet.M,
-        )
-        rhs = ham.G_filtering(shifted, jet_m, LQ, GRID)
+        rhs = shifted_closure_G(mu, m, jet.p, jet.q, jet.M, LQ, GRID)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.floats(-3.0, 3.0))
 def test_Ge_extend_with_x_free_coefficients_is_G(cfg1d, seed, m):
-    # lq1d coefficients do not depend on x, so translating the measure and the
-    # jet together changes nothing but the rounding of (x + m) - m
+    # lq1d coefficients do not depend on x and the jet is read at the atoms
+    # themselves, so the translation changes no bit
     rng = np.random.default_rng(seed)
     mu = random_probability_measure(rng)
     jet = _kappa_jet(rng, cfg1d)
     grid = np.linspace(-2.0, 2.0, 41)
-    G = ham.G_filtering(mu, jet, LQ, grid)
-    assert abs(ham.Ge_extend(mu, np.array([m]), jet, LQ, grid) - G) <= 1e-12 * max(1.0, abs(G))
+    assert ham.Ge_extend(mu, np.array([m]), jet, LQ, grid) == ham.G_filtering(mu, jet, LQ, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.floats(-3.0, 3.0))
+def test_Ge_extend_translation_with_x_dependent_coefficients(cfg1d, seed, m):
+    # filter1d's drift, diffusion and running cost move with x: G^e is G at
+    # the shifted measure with the jet composed with x -> x - m, up to the
+    # rounding of (x + m) - m in that route
+    rng = np.random.default_rng(seed)
+    coeffs = ham.make_bounded_filter_coeffs()
+    mu = random_probability_measure(rng)
+    jet = _kappa_jet(rng, cfg1d)
+    grid = np.linspace(-2.0, 2.0, 41)
+    lhs = ham.Ge_extend(mu, np.array([m]), jet, coeffs, grid)
+    rhs = shifted_closure_G(mu, np.array([m]), jet.p, jet.q, jet.M, coeffs, grid)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_assumption_i_identical_jets(rng):
@@ -278,6 +289,71 @@ def test_assumption_ii_bounded_coeffs_fit(cfg1d, rng):
     c = ham.fit_linear_modulus(records)
     assert np.isfinite(c)
     assert ham.verify_linear_modulus(records, c).passed
+
+
+RECORD_GRID = np.linspace(-2.0, 2.0, 41)
+
+
+def _atoms(rng, d, n):
+    """A probability measure with exactly n atoms on [-2, 2]^d."""
+    return ms.SignedAtomicMeasure(d, rng.uniform(-2.0, 2.0, (n, d)), rng.dirichlet(np.ones(n)), True)
+
+
+def _assert_record_matches_closures(coeffs, th, io, eps, cfg):
+    rec = ham.check_assumption_ii_filtering(coeffs, th, io, eps, cfg, RECORD_GRID)
+    difference, scale = filtering_gap_by_closures(coeffs, th, io, eps, cfg, RECORD_GRID)
+    assert abs(rec.difference - difference) <= 1e-13 * scale
+    assert rec.d_F == fm.d_F(th, io, cfg)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+@pytest.mark.parametrize("name", ["lq1d", "filter1d"])
+def test_assumption_ii_record_matches_shifted_closures(cfg1d, name, n_atoms):
+    # the one-pass record against the closure route: shifted measures, jets
+    # composed with x -> x - m and one kappa_eval pass per order and side
+    coeffs = ham.COEFFS_REGISTRY[name]()
+    rng = np.random.default_rng(100 * n_atoms)
+    for eps in (0.5, 0.1, 0.02):
+        for _ in range(4):
+            mu, nu = _atoms(rng, 1, n_atoms), _atoms(rng, 1, n_atoms)
+            th = ms.Theta(0.0, mu, rng.uniform(-1, 1, 1))
+            io = ms.Theta(0.0, nu, rng.uniform(-1, 1, 1))
+            _assert_record_matches_closures(coeffs, th, io, eps, cfg1d)
+
+
+def _filter2d() -> ham.FilteringCoeffs:
+    """filter1d's shape in d = 2: x-dependent drift, diagonal diffusion and cost."""
+
+    def b(X, a):
+        return a[:, None] * (0.5 + 0.5 / (1.0 + X * X)) + 0.4 * np.sin(X)
+
+    def sig(X, a):
+        return (1.0 + 0.3 * np.sin(X))[:, :, None] * np.eye(2)
+
+    def r(X, a):
+        return 0.3 * np.cos(X[:, 0]) + a**2 * (1.0 + 0.2 * np.cos(X[:, 1])) / 1.2
+
+    def sig_t(a):
+        return np.full((len(a), 2, 1), 0.5)
+
+    def l(X):
+        return np.tanh(np.sum(X * X, axis=1))
+
+    return ham.FilteringCoeffs(2, 2, 1, b, sig, sig_t, r, l)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    eps=st.sampled_from([0.5, 0.1, 0.02]),
+)
+def test_assumption_ii_record_matches_shifted_closures_in_2d(seed, sizes, eps):
+    rng = np.random.default_rng(seed)
+    mu, nu = (_atoms(rng, 2, n) for n in sizes)
+    th = ms.Theta(0.0, mu, rng.uniform(-1, 1, 2))
+    io = ms.Theta(0.0, nu, rng.uniform(-1, 1, 2))
+    _assert_record_matches_closures(_filter2d(), th, io, eps, fm.default_config(2))
 
 
 def _kappa_jet(rng, cfg):

@@ -37,10 +37,10 @@ REPO = PACKAGE.parent.parent
 
 # public names that nothing calls yet, each with the ROADMAP item that owes it a caller
 AWAITING_A_CALLER = {
-    "fwlab.prediction_game.rescaled_value": "item 5: game-sim reports the sqrt(T) sweep through it",
-    "fwlab.sobolev.multiplication_ratio": "item 8: commutator-check gives a verdict",
-    "fwlab.hamiltonians.check_coefficient_assumptions": "item 8: a check target reports it",
-    "fwlab.comparison_harness.ishii_matrix_check": "item 10 keeps it: one of the paper's own steps",
+    "fwlab.prediction_game.rescaled_value": "item 7: game-sim reports the sqrt(T) sweep through it",
+    "fwlab.sobolev.multiplication_ratio": "item 10: commutator-check gives a verdict",
+    "fwlab.hamiltonians.check_coefficient_assumptions": "item 10: a check target reports it",
+    "fwlab.comparison_harness.ishii_matrix_check": "item 2 keeps it: one of the paper's own steps",
 }
 
 

@@ -399,3 +399,15 @@ def test_dissipation_matches_composed_operator_chain_2d():
     b = sb.GridFunction(BOX2, np.stack([0.5 * np.cos(xs), -0.4 * np.sin(ys)], -1))
     eta = ms.SignedAtomicMeasure(2, [[-0.6, 0.4], [0.8, -0.3], [0.1, 1.2]], [1.0, -0.7, -0.3])
     _assert_matches_composed_chain(eta, a, b, 4, 0.5)
+
+
+def test_cached_multipliers_are_their_formulas_and_read_only():
+    # dissipation_check and the norms read these per (box, s) and per box
+    for box in (DISSIPATION_BOX, BOX2):
+        xis, xi_sq = sb._wave_numbers(box)
+        xi = np.stack(np.broadcast_arrays(*xis))
+        cached = [sb._weight(box, s) for s in (-4.0, -3.0, 0.5)] + list(sb._derivative_multipliers(box))
+        formulas = [(1.0 + xi_sq) ** s for s in (-4.0, -3.0, 0.5)] + [1j * xi, -xi[:, None] * xi[None]]
+        for got, want in zip(cached, formulas):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert not got.flags.writeable

@@ -218,10 +218,10 @@ def K_filtering(controls, mu: SignedAtomicMeasure, jet: JetArgs, coeffs: Filteri
     """Per-control pairing: running cost, drift against p, diffusion against q,
     plus the common-noise trace against M; exact on the atoms.  ``controls`` is
     a 1-d array and the result holds one value per control; the jet fields p
-    and q are evaluated once, and each coefficient closure once on the atoms
-    tiled over the controls."""
+    and q are evaluated once, then ``_filtering_pairing`` makes one pass over
+    the atoms tiled over the controls, with mu as its single side."""
     grid, X = _controls(controls, mu), mu.locations
-    return _filtering_pairing(grid, X, mu.weights, jet.p(X), jet.q(X), jet.M, coeffs)
+    return _filtering_pairing(grid, X, [mu.weights], jet.p(X), jet.q(X), jet.M, coeffs)[0]
 
 
 def _controls(controls, mu: SignedAtomicMeasure) -> np.ndarray:
@@ -233,9 +233,13 @@ def _controls(controls, mu: SignedAtomicMeasure) -> np.ndarray:
     return grid
 
 
-def _filtering_pairing(grid, X, w, p, q, M, coeffs: FilteringCoeffs) -> np.ndarray:
-    """``K_filtering`` with the coefficients read at the atoms X (n, d) of
-    weights w, and the jet values p (n, d) and q (n, d, d) given there."""
+def _filtering_pairing(grid, X, weights, p, q, M, coeffs: FilteringCoeffs) -> np.ndarray:
+    """``K_filtering`` of several sides in one control-grid pass, one row per side.
+
+    The atoms X (n, d) and the jet values p (n, d) and q (n, d, d) there
+    stack the sides in order, side s taking the next len(weights[s]) rows; M
+    is (d, d), or (S, d, d) with one per side.  Each closure is evaluated once
+    on the stack tiled over the controls."""
     C, n = grid.size, X.shape[0]
     Xc, ac = np.tile(X, (C, 1)), np.repeat(grid, n)
     pv = np.tile(np.asarray(p, dtype=float), (C, 1))
@@ -243,11 +247,14 @@ def _filtering_pairing(grid, X, w, p, q, M, coeffs: FilteringCoeffs) -> np.ndarr
     sv = np.asarray(coeffs.sigma(Xc, ac), dtype=float)
     drift = np.einsum("ni,ni->n", np.asarray(coeffs.b(Xc, ac), dtype=float), pv)
     diffusion = np.einsum("nik,nki->n", qv, np.einsum("nij,nkj->nik", sv, sv))
-    integrand = np.asarray(coeffs.r(Xc, ac), dtype=float) + drift + 0.5 * diffusion
+    integrand = (np.asarray(coeffs.r(Xc, ac), dtype=float) + drift + 0.5 * diffusion).reshape(C, n)
     st = np.asarray(coeffs.sigma_tilde(grid), dtype=float)
-    common = np.trace(st @ np.swapaxes(st, 1, 2) @ M, axis1=1, axis2=2)
-    # one dot product per control, so a control's value does not depend on the batch
-    return np.vecdot(integrand.reshape(C, n), w) + 0.5 * common
+    common = np.trace(st @ np.swapaxes(st, 1, 2) @ np.asarray(M)[..., None, :, :], axis1=-2, axis2=-1)
+    # one dot product per control over a side's own contiguous rows, so a
+    # value has the bits of its control and its side alone
+    ends = np.cumsum([len(w) for w in weights])
+    rows = [np.vecdot(integrand[:, hi - len(w) : hi], w) for hi, w in zip(ends, weights)]
+    return np.stack(rows) + 0.5 * common
 
 
 def G_filtering(
@@ -261,6 +268,15 @@ def G_filtering(
     return float(np.min(K_filtering(grid, mu, jet, coeffs)))
 
 
+def _shifted(mu: SignedAtomicMeasure, m, control_grid) -> tuple:
+    """The checked control grid, and the atoms of mu shifted by m."""
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    grid = _controls(np.atleast_1d(control_grid), mu)
+    if m.size != mu.dim or not grid.size:
+        raise ValueError(f"need a shift in R^{mu.dim} and a nonempty control grid")
+    return grid, mu.locations + m
+
+
 def Ge_extend(
     mu: SignedAtomicMeasure,
     m,
@@ -270,16 +286,8 @@ def Ge_extend(
 ) -> float:
     """G at the translated measure, with p and q composed with x -> x - m:
     the coefficients are read at the shifted atoms x_i + m, the jet at x_i."""
-    return _Ge(mu, m, jet.p(mu.locations), jet.q(mu.locations), jet.M, coeffs, control_grid)
-
-
-def _Ge(mu: SignedAtomicMeasure, m, p, q, M, coeffs: FilteringCoeffs, control_grid) -> float:
-    """``Ge_extend`` given the jet values p and q at the atoms of mu."""
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    grid = _controls(np.atleast_1d(control_grid), mu)
-    if m.size != mu.dim or not grid.size:
-        raise ValueError(f"need a shift in R^{mu.dim} and a nonempty control grid")
-    return float(np.min(_filtering_pairing(grid, mu.locations + m, mu.weights, p, q, M, coeffs)))
+    (grid, Y), X = _shifted(mu, m, control_grid), mu.locations
+    return float(np.min(_filtering_pairing(grid, Y, [mu.weights], jet.p(X), jet.q(X), jet.M, coeffs)))
 
 
 def check_assumption_i_filtering(
@@ -291,20 +299,20 @@ def check_assumption_i_filtering(
 
     Each sample is (mu, m, jet1, jet2); the reported constant is the largest
     ratio of |G^e difference| to
-    (1 + |m| + int |x| dmu) (|p1-p2|_l + |q1-q2|_l + |M1-M2|).
+    (1 + |m| + int |x| dmu) (|p1-p2|_l + |q1-q2|_l + |M1-M2|), both G^e from
+    one ``_filtering_pairing`` pass with the shifted atoms as two sides.
     The check fails only if no finite constant fits (non-finite ratio).
     """
     ratios = []
     failures = []
     for mu, m, jet1, jet2 in samples:
-        m = np.atleast_1d(np.asarray(m, dtype=float))
-        lhs = abs(
-            Ge_extend(mu, m, jet1, coeffs, control_grid)
-            - Ge_extend(mu, m, jet2, coeffs, control_grid)
-        )
-        p1, q1, p2, q2 = jet1.p, jet1.q, jet2.p, jet2.q
-        dp = linear_growth_norm(lambda X: np.asarray(p1(X)) - np.asarray(p2(X)), mu.dim, mu.locations)
-        dq = linear_growth_norm(lambda X: np.asarray(q1(X)) - np.asarray(q2(X)), mu.dim, mu.locations)
+        (grid, Y), X = _shifted(mu, m, control_grid), mu.locations
+        p, q = np.concatenate([jet1.p(X), jet2.p(X)]), np.concatenate([jet1.q(X), jet2.q(X)])
+        Ms = [jet1.M, jet2.M]
+        K = _filtering_pairing(grid, np.concatenate([Y, Y]), [mu.weights] * 2, p, q, Ms, coeffs)
+        lhs = abs(float(np.min(K[0])) - float(np.min(K[1])))
+        dp = linear_growth_norm(lambda Z: np.asarray(jet1.p(Z)) - np.asarray(jet2.p(Z)), mu.dim, X)
+        dq = linear_growth_norm(lambda Z: np.asarray(jet1.q(Z)) - np.asarray(jet2.q(Z)), mu.dim, X)
         dM = float(np.linalg.norm(jet1.M - jet2.M))
         scale = (1.0 + float(np.linalg.norm(m)) + abs(mu.abs_moment())) * (dp + dq + dM)
         if scale == 0.0:
@@ -349,27 +357,21 @@ def check_assumption_ii_filtering(
 
     Returns the raw difference together with the modulus argument
     z = d_F^2/eps + d_F and the moment factor; a linear modulus is fitted
-    over a family of records by the caller.
+    over a family of records by the caller.  A record is one kernel pass
+    and one ``_filtering_pairing`` pass, with theta and iota as its sides.
     """
     mu, nu = theta.measure, iota.measure
     kernel = fm.make_kappa(mu, nu, eps, cfg)
+    (grid, X), (_, Y) = _shifted(mu, theta.m, control_grid), _shifted(nu, iota.m, control_grid)
     # one kernel pass gives the jets at the atoms of both measures
     p, q = fm.kappa_jets(kernel, np.concatenate([mu.locations, nu.locations]))
-    n, M = mu.n_atoms, np.zeros((mu.dim, mu.dim))
-    g_theta = _Ge(mu, theta.m, p[:n], q[:n], M, coeffs, control_grid)
-    g_iota = _Ge(nu, iota.m, p[n:], q[n:], M, coeffs, control_grid)
+    sides, M = [mu.weights, nu.weights], np.zeros((mu.dim, mu.dim))
+    K = _filtering_pairing(grid, np.concatenate([X, Y]), sides, p, q, M, coeffs)
+    g_theta, g_iota = float(np.min(K[0])), float(np.min(K[1]))
     dist = fm.d_F_from_rho(theta, iota, kernel.rho)
-    z = dist * dist / eps + dist
-    moment = (
-        1.0
-        + float(np.linalg.norm(theta.m))
-        + float(np.linalg.norm(iota.m))
-        + mu.abs_moment()
-        + nu.abs_moment()
-    )
-    return HamiltonianGapRecord(
-        difference=g_theta - g_iota, d_F=dist, z=z, moment_factor=moment, epsilon=eps
-    )
+    moment = 1.0 + float(np.linalg.norm(theta.m)) + float(np.linalg.norm(iota.m))
+    moment = moment + mu.abs_moment() + nu.abs_moment()
+    return HamiltonianGapRecord(g_theta - g_iota, dist, dist * dist / eps + dist, moment, eps)
 
 
 def fit_linear_modulus(records: list) -> float:
@@ -482,14 +484,15 @@ def hat_weights(a: SimplexAction, i: int) -> tuple:
     return hat_i, 1.0 - hat_i
 
 
-def _regret_data(mu: SignedAtomicMeasure, q, M) -> tuple:
-    """The mean matrix of q under mu and M, checked against mu's dimension."""
+def _regret_data(mu: SignedAtomicMeasure, q_at_atoms, M) -> tuple:
+    """The mean matrix under mu of q's values at its atoms, and M, checked
+    against mu's dimension."""
     if not mu.probability:
         raise ValueError("regret pairing expects a probability measure")
     M = np.asarray(M, dtype=float)
     if M.shape != (mu.dim, mu.dim):
         raise ValueError(f"M must be {mu.dim}x{mu.dim}, got shape {M.shape}")
-    qbar = np.einsum("n,nij->ij", mu.weights, np.asarray(q(mu.locations), dtype=float))
+    qbar = np.einsum("n,nij->ij", mu.weights, np.asarray(q_at_atoms, dtype=float))
     if qbar.shape != M.shape:
         raise ValueError(f"q must take {mu.dim}x{mu.dim} values, got shape {qbar.shape}")
     return qbar, M
@@ -530,7 +533,7 @@ def K_regret(i: int, W, mu: SignedAtomicMeasure, q, M: np.ndarray):
     see ``_pairing``).  ``W`` is a (B, 2^K) array of mixed actions, one per
     row, and the result holds one value per row.
     """
-    return _pairing(i, _validated_weights(mu.dim, W, 2), *_regret_data(mu, q, M))
+    return _pairing(i, _validated_weights(mu.dim, W, 2), *_regret_data(mu, q(mu.locations), M))
 
 
 @dataclass(frozen=True)
@@ -602,7 +605,7 @@ def G_regret(
     of all faces of the action simplex (see ``_regret_argmax``), so it is
     attained by an explicit action.  ``cfg`` is ignored.  Needs K <= 4.
     """
-    return _regret_argmax(*_regret_data(mu, q, M))[0]
+    return _regret_argmax(*_regret_data(mu, q(mu.locations), M))[0]
 
 
 _REGRET_RTOL = 1e-9  # check_assumptions_regret: relative slack on the Lipschitz bound
@@ -640,10 +643,13 @@ def check_assumptions_regret(samples: list, metric_cfgs: dict) -> CheckReport:
         if lhs > bound * (1.0 + _REGRET_RTOL) + 1e-15:
             failures.append({"sample": idx, "check": "lipschitz", "lhs": lhs, "bound": bound})
 
+        # one kernel pass gives the Hessian at the atoms of both measures,
+        # each side paired as K_regret pairs it
         kernel = fm.make_kappa(mu, nu, s["eps"], metric_cfgs[K_n])
-        hess = fm.kappa_hessian_field(kernel)
-        i, W = s["i"], s["a"].weights[None]
-        gap = float(K_regret(i, W, mu, hess, s["M"])[0] - K_regret(i, W, nu, hess, s["M"])[0])
+        hess = fm.kappa_hessian_field(kernel)(np.concatenate([mu.locations, nu.locations]))
+        W, n = _validated_weights(mu.dim, s["a"].weights[None], 2), mu.n_atoms
+        k_mu = _pairing(s["i"], W, *_regret_data(mu, hess[:n], s["M"]))[0]
+        gap = float(k_mu - _pairing(s["i"], W, *_regret_data(nu, hess[n:], s["M"]))[0])
         max_sign_gap = max(max_sign_gap, gap)
         if gap > _REGRET_SIGN_TOL:
             failures.append({"sample": idx, "check": "sign", "gap": gap})

@@ -210,7 +210,9 @@ def _stage_values(M: np.ndarray) -> np.ndarray:
     for count in np.flatnonzero(np.bincount(counts)[1:]) + 1:
         games = np.flatnonzero(counts == count)
         stacked = b[first[games, None] + np.arange(count)]
-        values[games] = np.matmul(stacked, M[games]).max(axis=2).min(axis=1)
+        # a sequential minimum from inf, as over one game alone: without the
+        # start value the reduction may pick the other sign of a zero
+        values[games] = np.matmul(stacked, M[games]).max(axis=2).min(axis=1, initial=math.inf)
     return values
 
 

@@ -7,7 +7,8 @@ frequencies xi = 2*pi*integer/length: (1 + |xi|^2)^{s/2} realizes the
 smoothing scale, i xi_j a derivative and -|xi|^2 the Laplacian, and Sobolev
 norms follow from the same weights by Parseval.  They back the product,
 Leibniz, commutator and dissipation checks; the dissipation pairing and both
-of its norms come from a single transform of the mollified density.
+of its norms come from one forward and one inverse transform of the
+mollified density.
 """
 
 from __future__ import annotations
@@ -155,13 +156,13 @@ def _weight(box: Box, s: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _derivative_multipliers(box: Box) -> tuple:
-    """i xi (d, *nodes) and -xi xi^T (d, d, *nodes): the spectral gradient and Hessian."""
+def _derivative_multipliers(box: Box) -> np.ndarray:
+    """i xi (d, *nodes) stacked over -xi xi^T (d * d, *nodes), the spectral
+    gradient and Hessian as one (d + d^2, *nodes) complex array (read-only, cached)."""
     xi = np.stack(np.broadcast_arrays(*_wave_numbers(box)[0]))
-    gradient, hessian = 1j * xi, -xi[:, None] * xi[None]
-    gradient.setflags(write=False)
-    hessian.setflags(write=False)
-    return gradient, hessian
+    stacked = np.concatenate([1j * xi, (-xi[:, None] * xi[None]).reshape(-1, *box.nodes)])
+    stacked.setflags(write=False)
+    return stacked
 
 
 def _spectrum(f: GridFunction) -> np.ndarray:
@@ -201,16 +202,17 @@ def l2_inner(f: GridFunction, g: GridFunction) -> float:
     return float(np.real(np.vdot(f.values, g.values)) * f.box.cell_volume())
 
 
-def _norm_sq(fhat: np.ndarray, box: Box, s: float) -> float:
-    """|f|_s^2 from the grid spectrum fhat = fftn(f) by Parseval on the grid:
-    |J_{-s} f|_{L^2}^2 = cellvol/N * sum (1+|xi|^2)^s |fhat|^2."""
-    total = float(np.sum(_weight(box, s) * (fhat.real**2 + fhat.imag**2)))
+def _norm_sq(power: np.ndarray, box: Box, s: float) -> float:
+    """|f|_s^2 from the power spectrum |fhat|^2 of fhat = fftn(f) by Parseval
+    on the grid: |J_{-s} f|_{L^2}^2 = cellvol/N * sum (1+|xi|^2)^s |fhat|^2."""
+    total = float(np.sum(_weight(box, s) * power))
     return total * box.cell_volume() / float(np.prod(box.nodes))
 
 
 def sobolev_norm(f: GridFunction, s: float) -> float:
     """|f|_s as the grid L^2 norm of the order-s multiplier applied to f."""
-    return math.sqrt(max(_norm_sq(_spectrum(f), f.box, s), 0.0))
+    fhat = _spectrum(f)
+    return math.sqrt(max(_norm_sq(fhat.real**2 + fhat.imag**2, f.box, s), 0.0))
 
 
 def mollify(eta: SignedAtomicMeasure, eps: float, box: Box) -> GridFunction:
@@ -343,8 +345,9 @@ def dissipation_check(
     fitted across a family must give
     lhs + (delta/4) |eta|_{1-lam}^2 <= c |eta|_{-lam}^2
     (see ``dissipation_constant_check``).  ``a`` whose least quadratic form
-    falls below ``delta`` is rejected.  Both norms and the pairing come from
-    one transform of the mollified density.
+    falls below ``delta`` is rejected.  One forward transform of the
+    mollified density, one inverse transform of its smoothed gradient and
+    Hessian together, and one power spectrum for both norms.
     """
     box = a.box
     d = box.dim
@@ -358,19 +361,17 @@ def dissipation_check(
 
     dens = mollify(eta, eps_moll, box)
     dhat = np.fft.fftn(dens.values)
-    i_xi, minus_xi_xi = _derivative_multipliers(box)
-    # the smoothed spectrum J_{2 lam} dens and its gradient and Hessian, each
-    # component axis leading and transformed back over the grid axes only
+    # the gradient and the Hessian of J_{2 lam} dens along one leading
+    # component axis, transformed back over the grid axes only
     smoothed = _weight(box, -float(lam)) * dhat
-    grad = np.fft.ifftn(i_xi * smoothed, axes=tuple(range(1, d + 1))).real
-    hess = np.fft.ifftn(minus_xi_xi * smoothed, axes=tuple(range(2, d + 2))).real
+    jets = np.fft.ifftn(_derivative_multipliers(box) * smoothed, axes=tuple(range(1, d + 1))).real
+    grad, hess = jets[:d], jets[d:].reshape((d, d) + box.nodes)
     a_term = 0.5 * np.einsum("...ij,ij...->...", a.values, hess)
     b_term = np.einsum("...i,i...->...", b.values, grad)
 
     lhs = float(np.sum((a_term + b_term) * dens.values) * box.cell_volume())
-    n_loss = _norm_sq(dhat, box, 1.0 - lam)
-    n_weak = _norm_sq(dhat, box, -float(lam))
-    return DissipationRecord(lhs, n_loss, n_weak, ell)
+    power = dhat.real**2 + dhat.imag**2
+    return DissipationRecord(lhs, _norm_sq(power, box, 1.0 - lam), _norm_sq(power, box, -float(lam)), ell)
 
 
 def _dissipation_design() -> list:

@@ -17,7 +17,10 @@ running scores, and the particle-filter oracle steps one run at a time, the
 coefficient-check oracle evaluates one control at a time, the filtering gap
 oracle shifts the measures and composes the kernel's jet closures with the
 shift instead of reading one jet pass at the atoms, the signed-difference
-oracle merges atoms with ``np.unique`` instead of a sorted merge, the ascent
+oracle merges atoms with ``np.unique`` instead of a sorted merge, the
+two-pass record oracle runs each side of a filtering gap through its own
+control-grid pass, the two-transform dissipation oracle brings the gradient
+and the Hessian back by separate inverse transforms, the ascent
 oracle runs one start at a time on scalar points, the SLSQP oracle calls
 ``scipy.optimize.minimize`` once per start, the regret supremum oracles
 maximize quadratics on segments and on triangles of side marginals instead
@@ -38,6 +41,7 @@ from scipy import integrate, interpolate, optimize, special
 
 from fwlab import fourier_metric as fm
 from fwlab import hamiltonians as ham
+from fwlab import sobolev as sb
 from fwlab.measures import SignedAtomicMeasure
 
 
@@ -826,8 +830,9 @@ def uniform_adversary_regret(T: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the signed difference by np.unique, and the filtering gap record by shifted
-# measures and composed jet closures
+# the signed difference by np.unique, the filtering gap record by shifted
+# measures and composed jet closures and by one pass per side, and the
+# dissipation record by two inverse transforms
 # ---------------------------------------------------------------------------
 
 
@@ -870,6 +875,65 @@ def filtering_gap_by_closures(coeffs, theta, iota, eps, cfg, control_grid) -> tu
         for point in (theta, iota)
     ]
     return sides[0] - sides[1], max(abs(sides[0]), abs(sides[1]))
+
+
+def one_side_pairing(grid, X, w, p, q, M, coeffs) -> np.ndarray:
+    """The per-control filtering pairing of one measure, atoms X and weights w,
+    with the jet values p and q at the atoms: one control-grid pass that
+    contracts all of its rows."""
+    C, n = grid.size, X.shape[0]
+    Xc, ac = np.tile(X, (C, 1)), np.repeat(grid, n)
+    pv = np.tile(np.asarray(p, dtype=float), (C, 1))
+    qv = np.tile(np.asarray(q, dtype=float), (C, 1, 1))
+    sv = np.asarray(coeffs.sigma(Xc, ac), dtype=float)
+    drift = np.einsum("ni,ni->n", np.asarray(coeffs.b(Xc, ac), dtype=float), pv)
+    diffusion = np.einsum("nik,nki->n", qv, np.einsum("nij,nkj->nik", sv, sv))
+    integrand = np.asarray(coeffs.r(Xc, ac), dtype=float) + drift + 0.5 * diffusion
+    st = np.asarray(coeffs.sigma_tilde(grid), dtype=float)
+    common = np.trace(st @ np.swapaxes(st, 1, 2) @ M, axis1=1, axis2=2)
+    return np.vecdot(integrand.reshape(C, n), w) + 0.5 * common
+
+
+def filtering_record_by_two_passes(coeffs, theta, iota, eps, cfg, control_grid):
+    """``check_assumption_ii_filtering``'s record with one ``one_side_pairing``
+    pass per side, each at its shifted atoms and its rows of one kernel pass."""
+    mu, nu = theta.measure, iota.measure
+    kernel = fm.make_kappa(mu, nu, eps, cfg)
+    p, q = fm.kappa_jets(kernel, np.concatenate([mu.locations, nu.locations]))
+    n, M, grid = mu.n_atoms, np.zeros((mu.dim, mu.dim)), np.atleast_1d(control_grid)
+    g_theta, g_iota = (
+        float(np.min(one_side_pairing(grid, eta.locations + shift, eta.weights, pj, qj, M, coeffs)))
+        for eta, shift, pj, qj in ((mu, theta.m, p[:n], q[:n]), (nu, iota.m, p[n:], q[n:]))
+    )
+    dist = fm.d_F_from_rho(theta, iota, kernel.rho)
+    moment = 1.0 + float(np.linalg.norm(theta.m)) + float(np.linalg.norm(iota.m))
+    moment = moment + mu.abs_moment() + nu.abs_moment()
+    return ham.HamiltonianGapRecord(g_theta - g_iota, dist, dist * dist / eps + dist, moment, eps)
+
+
+def dissipation_by_two_transforms(eta, a, b, lam, delta, eps_moll):
+    """``dissipation_check``'s record with the gradient and the Hessian of the
+    smoothed spectrum transformed back separately, and each norm squaring the
+    spectrum again."""
+    box, d = a.box, a.dim
+    ell = sb._ellipticity_minimum(a.values)
+    if ell < delta - 1e-12:
+        raise ValueError(f"matrix field not {delta}-elliptic (min quadratic form {ell})")
+    dens = sb.mollify(eta, eps_moll, box)
+    dhat = np.fft.fftn(dens.values)
+    xi = np.stack(np.broadcast_arrays(*sb._wave_numbers(box)[0]))
+    smoothed = sb._weight(box, -float(lam)) * dhat
+    grad = np.fft.ifftn(1j * xi * smoothed, axes=tuple(range(1, d + 1))).real
+    hess = np.fft.ifftn(-xi[:, None] * xi[None] * smoothed, axes=tuple(range(2, d + 2))).real
+    a_term = 0.5 * np.einsum("...ij,ij...->...", a.values, hess)
+    b_term = np.einsum("...i,i...->...", b.values, grad)
+    lhs = float(np.sum((a_term + b_term) * dens.values) * box.cell_volume())
+
+    def norm_sq(s):
+        total = float(np.sum(sb._weight(box, s) * (dhat.real**2 + dhat.imag**2)))
+        return total * box.cell_volume() / float(np.prod(box.nodes))
+
+    return sb.DissipationRecord(lhs, norm_sq(1.0 - lam), norm_sq(-float(lam)), ell)
 
 
 # ---------------------------------------------------------------------------

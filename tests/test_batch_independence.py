@@ -8,7 +8,7 @@ the raw bytes of every output.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_probability_measure
@@ -131,6 +131,38 @@ def test_K_filtering_rows_are_independent(seed, B, name):
     coeffs = ham.COEFFS_REGISTRY[name]()
     batched = ham.K_filtering(controls, mu, jet, coeffs)
     _assert_rows_alone(batched, lambda k: ham.K_filtering(controls[k : k + 1], mu, jet, coeffs), B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=SEEDS,
+    sizes=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    name=st.sampled_from(sorted(ham.COEFFS_REGISTRY)),
+)
+def test_filtering_sides_are_independent(seed, sizes, name):
+    # a side stacked beside a measure with another atom count, each at its own
+    # shift, reads the bits of that side alone, per control and in Ge_extend
+    rng = np.random.default_rng(seed)
+    assume(sizes[0] != sizes[1])
+    mus = [
+        ms.SignedAtomicMeasure(1, rng.uniform(-2.0, 2.0, (n, 1)), rng.dirichlet(np.ones(n)), True)
+        for n in sizes
+    ]
+    kernel = fm.make_kappa(*mus, 0.3, fm.default_config(1))
+    M = np.array([[rng.uniform(-1.0, 1.0)]])
+    jet = ham.JetArgs(fm.kappa_gradient_field(kernel), fm.kappa_hessian_field(kernel), M)
+    shifts = rng.uniform(-1.0, 1.0, (2, 1))
+    coeffs, grid = ham.COEFFS_REGISTRY[name](), np.linspace(-2.0, 2.0, 41)
+    X = np.concatenate([mu.locations for mu in mus])
+    stacked = ham._filtering_pairing(
+        grid, np.concatenate([mu.locations + m for mu, m in zip(mus, shifts)]),
+        [mu.weights for mu in mus], jet.p(X), jet.q(X), M, coeffs,
+    )
+    for row, mu, m in zip(stacked, mus, shifts):
+        X = mu.locations
+        alone = ham._filtering_pairing(grid, X + m, [mu.weights], jet.p(X), jet.q(X), M, coeffs)
+        assert row.tobytes() == alone[0].tobytes()
+        assert np.min(row).tobytes() == np.float64(ham.Ge_extend(mu, m, jet, coeffs, grid)).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,6 +12,7 @@ from _oracles import (
     K_regret_conditional,
     V_vectors,
     filtering_gap_by_closures,
+    filtering_record_by_two_passes,
     per_control_coefficient_stats,
     shifted_closure_G,
     simplex_lattice,
@@ -356,6 +357,24 @@ def test_assumption_ii_record_matches_shifted_closures_in_2d(seed, sizes, eps):
     _assert_record_matches_closures(_filter2d(), th, io, eps, fm.default_config(2))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2]),
+    sizes=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    eps=st.sampled_from([0.5, 0.1, 0.02]),
+)
+def test_assumption_ii_record_is_the_two_pass_record_bit_for_bit(seed, d, sizes, eps):
+    # both sides in one control-grid pass against one pass per side
+    rng = np.random.default_rng(seed)
+    mu, nu = (_atoms(rng, d, n) for n in sizes)
+    th = ms.Theta(0.0, mu, rng.uniform(-1, 1, d))
+    io = ms.Theta(0.0, nu, rng.uniform(-1, 1, d))
+    coeffs, cfg = (ham.make_bounded_filter_coeffs(), _filter2d())[d - 1], fm.default_config(d)
+    rec = ham.check_assumption_ii_filtering(coeffs, th, io, eps, cfg, RECORD_GRID)
+    assert rec == filtering_record_by_two_passes(coeffs, th, io, eps, cfg, RECORD_GRID)
+
+
 def _kappa_jet(rng, cfg):
     mu, nu = (random_probability_measure(rng) for _ in range(2))
     ker = fm.make_kappa(mu, nu, float(rng.uniform(0.02, 0.5)), cfg)
@@ -659,7 +678,7 @@ def test_K_regret_off_the_simplex_stays_under_the_scaled_supremum():
     # and with 1e-13 extra mass does not exceed mass * G_regret by 1e-15, also
     # where the side without action i is nearly empty
     for s in ham.regret_samples(4, 200, np.random.default_rng(11)):
-        qbar, M = ham._regret_data(s["mu"], s["q1"], s["M1"])
+        qbar, M = ham._regret_data(s["mu"], s["q1"](s["mu"].locations), s["M1"])
         G, i, W = ham._regret_argmax(qbar, M)
         member, _ = ham._direction(4, i)
         rows = W + 1e-13 * np.eye(16)  # the extra mass on each subset in turn
@@ -718,7 +737,7 @@ def test_G_regret_is_attained_and_dominates_every_action(K, seed):
     rng, mu, q, M, B = _regret_problem(K, seed)
     scale = K * (1.0 + np.linalg.norm(M) + np.linalg.norm(B))
     value = ham.G_regret(mu, q, M)
-    best, i, w = ham._regret_argmax(*ham._regret_data(mu, q, M))
+    best, i, w = ham._regret_argmax(*ham._regret_data(mu, q(mu.locations), M))
     assert best == value
     assert ham.K_regret(i, w[None], mu, q, M)[0] == value
     W = np.vstack([simplex_lattice(2**K, LATTICE_LEVELS[K]), rng.dirichlet(np.ones(2**K), 20)])
@@ -794,6 +813,21 @@ def test_check_assumptions_regret_small_sample(rng):
     assert rep.passed, rep.failures[:3]
     assert rep.stats["max_sign_gap"] <= 1e-9
     assert rep.stats["max_lipschitz_ratio"] <= 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(K=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_regret_sign_gap_is_the_two_pass_gap_bit_for_bit(K, seed):
+    # one Hessian pass at the stacked atoms against one K_regret per side,
+    # each with its own pass of the Hessian field, nu drawn with its own atom count
+    rng = np.random.default_rng(seed)
+    cfgs = {K: fm.default_config(K)}
+    for s in ham.regret_samples(K, 3, rng):
+        s["nu"] = random_probability_measure(rng, dim=K, max_atoms=4)
+        hess = fm.kappa_hessian_field(fm.make_kappa(s["mu"], s["nu"], s["eps"], cfgs[K]))
+        i, W = s["i"], s["a"].weights[None]
+        k_mu, k_nu = (ham.K_regret(i, W, eta, hess, s["M"])[0] for eta in (s["mu"], s["nu"]))
+        assert ham.check_assumptions_regret([s], cfgs).stats["max_sign_gap"] == float(k_mu - k_nu)
 
 
 def test_check_assumptions_regret_trivial_cases(rng):

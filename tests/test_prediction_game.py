@@ -308,6 +308,16 @@ def test_stacked_stage_values_match_one_game_at_a_time(games):
     assert pg._stage_values(games).tobytes() == alone.tobytes()
 
 
+def test_a_zero_stage_value_keeps_the_sign_it_has_alone():
+    # the row maxima of this game hold both +0.0 and -0.0 (a product with
+    # -DBL_MIN underflows); the stack once took the minimum in another order
+    M = np.array([[0.0, 0.0, -2.2250738585072014e-308], [0.0, 0.0, 2.625]])
+    games = np.stack([M, M[::-1], np.ones((2, 3))])
+    alone = np.array([single_stage_value(G) for G in games])
+    assert pg._stage_values(games).tobytes() == alone.tobytes()
+    assert pg._stage_values(M[None]).tobytes() == alone[:1].tobytes()
+
+
 def test_exact_value_saddle_certificate():
     # hand-built one-round matrix for vertex subsets from a zero point mass:
     # picking i against subset j pays max over coordinates of e_j - 1_{i in j}

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from _oracles import total_mass
+from _oracles import dissipation_by_two_transforms, total_mass
 from fwlab import measures as ms
 from fwlab import sobolev as sb
 
@@ -390,24 +390,52 @@ def test_dissipation_matches_composed_operator_chain(x, y, lam):
     _assert_matches_composed_chain(eta, a, b, lam, 4 * DISSIPATION_BOX.spacings()[0])
 
 
-def test_dissipation_matches_composed_operator_chain_2d():
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([3, 4, 5]))
+def test_dissipation_record_is_the_two_transform_record_bit_for_bit(seed, lam):
+    # one inverse transform of the stacked gradient and Hessian, and one power
+    # spectrum for both norms, against two transforms and a spectrum per norm
+    a, b = _elliptic_fields(DISSIPATION_BOX)
+    eps = 4 * DISSIPATION_BOX.spacings()[0]
+    for eta in sb.random_dipoles(3, np.random.default_rng(seed)):
+        rec = sb.dissipation_check(eta, a, b, lam, 1.0, eps)
+        assert rec == dissipation_by_two_transforms(eta, a, b, lam, 1.0, eps)
+
+
+def _fields_2d():
     xs, ys = np.meshgrid(*BOX2.axes(), indexing="ij")
     off = 0.3 * np.sin(xs) * np.cos(ys)
-    a = sb.GridFunction(
-        BOX2, np.stack([np.stack([1.5 + 0.2 * np.cos(ys), off], -1), np.stack([off, 2.0 + 0.1 * np.sin(xs)], -1)], -2)
-    )
-    b = sb.GridFunction(BOX2, np.stack([0.5 * np.cos(xs), -0.4 * np.sin(ys)], -1))
+    rows = [np.stack([1.5 + 0.2 * np.cos(ys), off], -1), np.stack([off, 2.0 + 0.1 * np.sin(xs)], -1)]
+    drift = np.stack([0.5 * np.cos(xs), -0.4 * np.sin(ys)], -1)
+    return sb.GridFunction(BOX2, np.stack(rows, -2)), sb.GridFunction(BOX2, drift)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_atoms=st.integers(1, 4))
+def test_dissipation_record_is_the_two_transform_record_bit_for_bit_2d(seed, n_atoms):
+    rng = np.random.default_rng(seed)
+    eta = ms.SignedAtomicMeasure(2, rng.uniform(-2.0, 2.0, (n_atoms, 2)), rng.uniform(-1.0, 1.0, n_atoms))
+    a, b = _fields_2d()
+    rec = sb.dissipation_check(eta, a, b, 4, 1.0, 0.5)
+    assert rec == dissipation_by_two_transforms(eta, a, b, 4, 1.0, 0.5)
+
+
+def test_dissipation_matches_composed_operator_chain_2d():
+    a, b = _fields_2d()
     eta = ms.SignedAtomicMeasure(2, [[-0.6, 0.4], [0.8, -0.3], [0.1, 1.2]], [1.0, -0.7, -0.3])
     _assert_matches_composed_chain(eta, a, b, 4, 0.5)
 
 
 def test_cached_multipliers_are_their_formulas_and_read_only():
-    # dissipation_check and the norms read these per (box, s) and per box
+    # dissipation_check and the norms read these per (box, s) and per box;
+    # the derivative multiplier stacks i xi over -xi xi^T, cast to complex
     for box in (DISSIPATION_BOX, BOX2):
         xis, xi_sq = sb._wave_numbers(box)
         xi = np.stack(np.broadcast_arrays(*xis))
-        cached = [sb._weight(box, s) for s in (-4.0, -3.0, 0.5)] + list(sb._derivative_multipliers(box))
-        formulas = [(1.0 + xi_sq) ** s for s in (-4.0, -3.0, 0.5)] + [1j * xi, -xi[:, None] * xi[None]]
+        hessian = (-xi[:, None] * xi[None]).reshape(-1, *box.nodes).astype(complex)
+        stacked = np.concatenate([1j * xi, hessian])
+        cached = [sb._weight(box, s) for s in (-4.0, -3.0, 0.5)] + [sb._derivative_multipliers(box)]
+        formulas = [(1.0 + xi_sq) ** s for s in (-4.0, -3.0, 0.5)] + [stacked]
         for got, want in zip(cached, formulas):
             assert got.tobytes() == want.tobytes() and got.shape == want.shape
             assert not got.flags.writeable

@@ -238,8 +238,8 @@ def _filtering_pairing(grid, X, weights, p, q, M, coeffs: FilteringCoeffs) -> np
 
     The atoms X (n, d) and the jet values p (n, d) and q (n, d, d) there
     stack the sides in order, side s taking the next len(weights[s]) rows; M
-    is (d, d), or (S, d, d) with one per side.  Each closure is evaluated once
-    on the stack tiled over the controls."""
+    (d, d) is common to all sides.  Each closure is evaluated once on the
+    stack tiled over the controls."""
     C, n = grid.size, X.shape[0]
     Xc, ac = np.tile(X, (C, 1)), np.repeat(grid, n)
     pv = np.tile(np.asarray(p, dtype=float), (C, 1))
@@ -249,7 +249,7 @@ def _filtering_pairing(grid, X, weights, p, q, M, coeffs: FilteringCoeffs) -> np
     diffusion = np.einsum("nik,nki->n", qv, np.einsum("nij,nkj->nik", sv, sv))
     integrand = (np.asarray(coeffs.r(Xc, ac), dtype=float) + drift + 0.5 * diffusion).reshape(C, n)
     st = np.asarray(coeffs.sigma_tilde(grid), dtype=float)
-    common = np.trace(st @ np.swapaxes(st, 1, 2) @ np.asarray(M)[..., None, :, :], axis1=-2, axis2=-1)
+    common = np.trace(st @ np.swapaxes(st, 1, 2) @ M, axis1=1, axis2=2)
     # one dot product per control over a side's own contiguous rows, so a
     # value has the bits of its control and its side alone
     ends = np.cumsum([len(w) for w in weights])
@@ -299,20 +299,20 @@ def check_assumption_i_filtering(
 
     Each sample is (mu, m, jet1, jet2); the reported constant is the largest
     ratio of |G^e difference| to
-    (1 + |m| + int |x| dmu) (|p1-p2|_l + |q1-q2|_l + |M1-M2|), both G^e from
-    one ``_filtering_pairing`` pass with the shifted atoms as two sides.
+    (1 + |m| + int |x| dmu) (|p1-p2|_l + |q1-q2|_l + |M1-M2|).
     The check fails only if no finite constant fits (non-finite ratio).
     """
     ratios = []
     failures = []
     for mu, m, jet1, jet2 in samples:
-        (grid, Y), X = _shifted(mu, m, control_grid), mu.locations
-        p, q = np.concatenate([jet1.p(X), jet2.p(X)]), np.concatenate([jet1.q(X), jet2.q(X)])
-        Ms = [jet1.M, jet2.M]
-        K = _filtering_pairing(grid, np.concatenate([Y, Y]), [mu.weights] * 2, p, q, Ms, coeffs)
-        lhs = abs(float(np.min(K[0])) - float(np.min(K[1])))
-        dp = linear_growth_norm(lambda Z: np.asarray(jet1.p(Z)) - np.asarray(jet2.p(Z)), mu.dim, X)
-        dq = linear_growth_norm(lambda Z: np.asarray(jet1.q(Z)) - np.asarray(jet2.q(Z)), mu.dim, X)
+        m = np.atleast_1d(np.asarray(m, dtype=float))
+        lhs = abs(
+            Ge_extend(mu, m, jet1, coeffs, control_grid)
+            - Ge_extend(mu, m, jet2, coeffs, control_grid)
+        )
+        p1, q1, p2, q2 = jet1.p, jet1.q, jet2.p, jet2.q
+        dp = linear_growth_norm(lambda X: np.asarray(p1(X)) - np.asarray(p2(X)), mu.dim, mu.locations)
+        dq = linear_growth_norm(lambda X: np.asarray(q1(X)) - np.asarray(q2(X)), mu.dim, mu.locations)
         dM = float(np.linalg.norm(jet1.M - jet2.M))
         scale = (1.0 + float(np.linalg.norm(m)) + abs(mu.abs_moment())) * (dp + dq + dM)
         if scale == 0.0:
@@ -369,9 +369,17 @@ def check_assumption_ii_filtering(
     K = _filtering_pairing(grid, np.concatenate([X, Y]), sides, p, q, M, coeffs)
     g_theta, g_iota = float(np.min(K[0])), float(np.min(K[1]))
     dist = fm.d_F_from_rho(theta, iota, kernel.rho)
-    moment = 1.0 + float(np.linalg.norm(theta.m)) + float(np.linalg.norm(iota.m))
-    moment = moment + mu.abs_moment() + nu.abs_moment()
-    return HamiltonianGapRecord(g_theta - g_iota, dist, dist * dist / eps + dist, moment, eps)
+    z = dist * dist / eps + dist
+    moment = (
+        1.0
+        + float(np.linalg.norm(theta.m))
+        + float(np.linalg.norm(iota.m))
+        + mu.abs_moment()
+        + nu.abs_moment()
+    )
+    return HamiltonianGapRecord(
+        difference=g_theta - g_iota, d_F=dist, z=z, moment_factor=moment, epsilon=eps
+    )
 
 
 def fit_linear_modulus(records: list) -> float:
@@ -484,15 +492,14 @@ def hat_weights(a: SimplexAction, i: int) -> tuple:
     return hat_i, 1.0 - hat_i
 
 
-def _regret_data(mu: SignedAtomicMeasure, q_at_atoms, M) -> tuple:
-    """The mean matrix under mu of q's values at its atoms, and M, checked
-    against mu's dimension."""
+def _regret_data(mu: SignedAtomicMeasure, q, M) -> tuple:
+    """The mean matrix of q under mu and M, checked against mu's dimension."""
     if not mu.probability:
         raise ValueError("regret pairing expects a probability measure")
     M = np.asarray(M, dtype=float)
     if M.shape != (mu.dim, mu.dim):
         raise ValueError(f"M must be {mu.dim}x{mu.dim}, got shape {M.shape}")
-    qbar = np.einsum("n,nij->ij", mu.weights, np.asarray(q_at_atoms, dtype=float))
+    qbar = np.einsum("n,nij->ij", mu.weights, np.asarray(q(mu.locations), dtype=float))
     if qbar.shape != M.shape:
         raise ValueError(f"q must take {mu.dim}x{mu.dim} values, got shape {qbar.shape}")
     return qbar, M
@@ -533,7 +540,7 @@ def K_regret(i: int, W, mu: SignedAtomicMeasure, q, M: np.ndarray):
     see ``_pairing``).  ``W`` is a (B, 2^K) array of mixed actions, one per
     row, and the result holds one value per row.
     """
-    return _pairing(i, _validated_weights(mu.dim, W, 2), *_regret_data(mu, q(mu.locations), M))
+    return _pairing(i, _validated_weights(mu.dim, W, 2), *_regret_data(mu, q, M))
 
 
 @dataclass(frozen=True)
@@ -605,7 +612,7 @@ def G_regret(
     of all faces of the action simplex (see ``_regret_argmax``), so it is
     attained by an explicit action.  ``cfg`` is ignored.  Needs K <= 4.
     """
-    return _regret_argmax(*_regret_data(mu, q(mu.locations), M))[0]
+    return _regret_argmax(*_regret_data(mu, q, M))[0]
 
 
 _REGRET_RTOL = 1e-9  # check_assumptions_regret: relative slack on the Lipschitz bound
@@ -643,13 +650,12 @@ def check_assumptions_regret(samples: list, metric_cfgs: dict) -> CheckReport:
         if lhs > bound * (1.0 + _REGRET_RTOL) + 1e-15:
             failures.append({"sample": idx, "check": "lipschitz", "lhs": lhs, "bound": bound})
 
-        # one kernel pass gives the Hessian at the atoms of both measures,
-        # each side paired as K_regret pairs it
+        # one Hessian pass at the atoms of both measures; each side reads its rows
         kernel = fm.make_kappa(mu, nu, s["eps"], metric_cfgs[K_n])
         hess = fm.kappa_hessian_field(kernel)(np.concatenate([mu.locations, nu.locations]))
-        W, n = _validated_weights(mu.dim, s["a"].weights[None], 2), mu.n_atoms
-        k_mu = _pairing(s["i"], W, *_regret_data(mu, hess[:n], s["M"]))[0]
-        gap = float(k_mu - _pairing(s["i"], W, *_regret_data(nu, hess[n:], s["M"]))[0])
+        i, W, n = s["i"], s["a"].weights[None], mu.n_atoms
+        k_mu = K_regret(i, W, mu, lambda _: hess[:n], s["M"])[0]
+        gap = float(k_mu - K_regret(i, W, nu, lambda _: hess[n:], s["M"])[0])
         max_sign_gap = max(max_sign_gap, gap)
         if gap > _REGRET_SIGN_TOL:
             failures.append({"sample": idx, "check": "sign", "gap": gap})

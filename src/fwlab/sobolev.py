@@ -371,7 +371,9 @@ def dissipation_check(
 
     lhs = float(np.sum((a_term + b_term) * dens.values) * box.cell_volume())
     power = dhat.real**2 + dhat.imag**2
-    return DissipationRecord(lhs, _norm_sq(power, box, 1.0 - lam), _norm_sq(power, box, -float(lam)), ell)
+    n_loss = _norm_sq(power, box, 1.0 - lam)
+    n_weak = _norm_sq(power, box, -float(lam))
+    return DissipationRecord(lhs, n_loss, n_weak, ell)
 
 
 def _dissipation_design() -> list:

@@ -906,9 +906,20 @@ def filtering_record_by_two_passes(coeffs, theta, iota, eps, cfg, control_grid):
         for eta, shift, pj, qj in ((mu, theta.m, p[:n], q[:n]), (nu, iota.m, p[n:], q[n:]))
     )
     dist = fm.d_F_from_rho(theta, iota, kernel.rho)
-    moment = 1.0 + float(np.linalg.norm(theta.m)) + float(np.linalg.norm(iota.m))
-    moment = moment + mu.abs_moment() + nu.abs_moment()
-    return ham.HamiltonianGapRecord(g_theta - g_iota, dist, dist * dist / eps + dist, moment, eps)
+    moment = (
+        1.0
+        + float(np.linalg.norm(theta.m))
+        + float(np.linalg.norm(iota.m))
+        + mu.abs_moment()
+        + nu.abs_moment()
+    )
+    return ham.HamiltonianGapRecord(
+        difference=g_theta - g_iota,
+        d_F=dist,
+        z=dist * dist / eps + dist,
+        moment_factor=moment,
+        epsilon=eps,
+    )
 
 
 def dissipation_by_two_transforms(eta, a, b, lam, delta, eps_moll):

@@ -678,7 +678,7 @@ def test_K_regret_off_the_simplex_stays_under_the_scaled_supremum():
     # and with 1e-13 extra mass does not exceed mass * G_regret by 1e-15, also
     # where the side without action i is nearly empty
     for s in ham.regret_samples(4, 200, np.random.default_rng(11)):
-        qbar, M = ham._regret_data(s["mu"], s["q1"](s["mu"].locations), s["M1"])
+        qbar, M = ham._regret_data(s["mu"], s["q1"], s["M1"])
         G, i, W = ham._regret_argmax(qbar, M)
         member, _ = ham._direction(4, i)
         rows = W + 1e-13 * np.eye(16)  # the extra mass on each subset in turn
@@ -737,7 +737,7 @@ def test_G_regret_is_attained_and_dominates_every_action(K, seed):
     rng, mu, q, M, B = _regret_problem(K, seed)
     scale = K * (1.0 + np.linalg.norm(M) + np.linalg.norm(B))
     value = ham.G_regret(mu, q, M)
-    best, i, w = ham._regret_argmax(*ham._regret_data(mu, q(mu.locations), M))
+    best, i, w = ham._regret_argmax(*ham._regret_data(mu, q, M))
     assert best == value
     assert ham.K_regret(i, w[None], mu, q, M)[0] == value
     W = np.vstack([simplex_lattice(2**K, LATTICE_LEVELS[K]), rng.dirichlet(np.ones(2**K), 20)])

@@ -41,7 +41,6 @@ AWAITING_A_CALLER = {
     "fwlab.sobolev.multiplication_ratio": "item 10: commutator-check gives a verdict",
     "fwlab.hamiltonians.check_coefficient_assumptions": "item 10: a check target reports it",
     "fwlab.comparison_harness.ishii_matrix_check": "item 2 keeps it: one of the paper's own steps",
-    "fwlab.hamiltonians.Ge_extend": "item 5: hjb-check reads G^e at shifted states (t, mu, m)",
 }
 
 

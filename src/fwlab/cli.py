@@ -201,6 +201,8 @@ def _run_metric(out: Path, meta: dict, /, *, cases: list, dim: int = 1, config: 
 def _random_grid_pairs(seed: int, count: int, length: float, n: int, band: int | None):
     """``count`` pairs of random functions on the centred box of ``n`` nodes,
     band-limited to ``band`` (n // 4 when None), drawn from substream (seed, 0)."""
+    if count < 1:
+        raise ScenarioError(f"scenario key 'count' must be at least 1, got {count}")
     rng = substream(seed, 0)
     box = sb.box1d(length, n)
     band = box.nodes[0] // 4 if band is None else band

@@ -34,7 +34,6 @@ __all__ = [
     "lq_value",
     "lqg_value_oracle",
     "lqg_feedback_policy",
-    "SmoothCandidate",
     "viscosity_residual",
     "constant_policy",
     "lq_candidate",
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 _DIVERGENCE_GUARD = 1e6
-# viscosity_residual's spot check of the derivative closures
+# viscosity_residual's spot check of the candidate's jet
 _CONSISTENCY_TOL = 1e-3
 
 
@@ -324,75 +323,41 @@ POLICY_REGISTRY = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmoothCandidate:
-    """A candidate solution with analytic derivative closures.
-
-    ``value(t, mu)`` and ``dt(t, mu)`` are scalars; ``p(t, mu)`` and
-    ``q(t, mu)`` return batched fields (the measure-derivative gradient and
-    Hessian); ``hess_m(t, mu)`` is the (d, d) second derivative along uniform
-    translations of the measure.
-    """
-
-    value: Callable
-    dt: Callable
-    p: Callable
-    q: Callable
-    hess_m: Callable
+def _check_close(fd, closure, tol: float, what: str):
+    """Raise ValueError naming ``what`` if a finite difference and the jet's
+    value differ by more than tol (1 + |closure|), in the max norm."""
+    if np.max(np.abs(fd - closure)) > tol * (1.0 + np.max(np.abs(closure))):
+        raise ValueError(f"inconsistent {what}: fd={fd}, closure={closure}")
 
 
-def _consistency_check(phi: SmoothCandidate, t: float, mu: SignedAtomicMeasure, tol: float):
+def _consistency_check(jet: Callable, t: float, mu: SignedAtomicMeasure, tol: float):
     h = 1e-4
     # time slot, probed just inside the domain so the stencil stays valid at t = 0
     t_probe = t + 2 * h
-    fd_t = (phi.value(t_probe + h, mu) - phi.value(t_probe - h, mu)) / (2 * h)
-    an_t = phi.dt(t_probe, mu)
-    if abs(fd_t - an_t) > tol * (1.0 + abs(an_t)):
-        raise ValueError(f"dt closure inconsistent: fd={fd_t}, closure={an_t}")
-    d = mu.dim
-    pfield = phi.p(t, mu)
-    # first variation along single-atom moves
-    j = 0
-    for axis in range(d):
-        locs_plus = mu.locations.copy()
-        locs_minus = mu.locations.copy()
-        locs_plus[j, axis] += h
-        locs_minus[j, axis] -= h
-        mp = SignedAtomicMeasure(d, locs_plus, mu.weights, True)
-        mm = SignedAtomicMeasure(d, locs_minus, mu.weights, True)
-        fd = (phi.value(t, mp) - phi.value(t, mm)) / (2 * h)
-        an = mu.weights[j] * float(np.asarray(pfield(mu.locations))[j, axis])
-        if abs(fd - an) > tol * (1.0 + abs(an)):
-            raise ValueError(f"p closure inconsistent along atom 0 axis {axis}: fd={fd}, closure={an}")
-    # spatial gradient of p against q
-    qfield = phi.q(t, mu)
+    fd_t = (jet(t_probe + h, mu)[0] - jet(t_probe - h, mu)[0]) / (2 * h)
+    _check_close(fd_t, jet(t_probe, mu)[1], tol, "dt closure")
+    v0, _, pfield, qfield, hess_m = jet(t, mu)
     x0 = mu.locations[:1]
-    for axis in range(d):
-        e = np.zeros(d)
-        e[axis] = h
+
+    # the value with the atoms moved by shift: one (d,) row, or one row per atom
+    value_at = lambda shift: jet(t, SignedAtomicMeasure(mu.dim, mu.locations + shift, mu.weights, True))[0]
+    for axis, e in enumerate(h * np.eye(mu.dim)):
+        # first variation along a move of atom 0 alone
+        atom0 = e * np.eye(mu.n_atoms, 1)
+        fd = (value_at(atom0) - value_at(-atom0)) / (2 * h)
+        an = mu.weights[0] * float(np.asarray(pfield(mu.locations))[0, axis])
+        _check_close(fd, an, tol, f"p closure along atom 0 axis {axis}")
+        # spatial gradient of p against q
         fd = (np.asarray(pfield(x0 + e))[0] - np.asarray(pfield(x0 - e))[0]) / (2 * h)
-        an = np.asarray(qfield(x0))[0][:, axis]
-        if np.max(np.abs(fd - an)) > tol * (1.0 + np.max(np.abs(an))):
-            raise ValueError(f"q closure inconsistent along axis {axis}")
-    # translation Hessian
-    for axis in range(d):
-        e = np.zeros(d)
-        e[axis] = h
-        vp = phi.value(t, _translate(mu, e))
-        vm = phi.value(t, _translate(mu, -e))
-        v0 = phi.value(t, mu)
-        fd = (vp - 2 * v0 + vm) / (h * h)
-        an = float(np.asarray(phi.hess_m(t, mu))[axis, axis])
-        if abs(fd - an) > 100 * tol * (1.0 + abs(an)):
-            raise ValueError(f"translation Hessian inconsistent along axis {axis}: fd={fd}, closure={an}")
-
-
-def _translate(mu: SignedAtomicMeasure, e: np.ndarray) -> SignedAtomicMeasure:
-    return SignedAtomicMeasure(mu.dim, mu.locations + e, mu.weights, mu.probability)
+        _check_close(fd, np.asarray(qfield(x0))[0][:, axis], tol, f"q closure along axis {axis}")
+        # translation Hessian
+        fd = (value_at(e) - 2 * v0 + value_at(-e)) / (h * h)
+        an = float(np.asarray(hess_m)[axis, axis])
+        _check_close(fd, an, 100 * tol, f"translation Hessian along axis {axis}")
 
 
 def viscosity_residual(
-    phi: SmoothCandidate,
+    jet: Callable,
     t: float,
     mu: SignedAtomicMeasure,
     coeffs: FilteringCoeffs,
@@ -400,36 +365,31 @@ def viscosity_residual(
 ) -> float:
     """Equation residual -dt(phi) - G(mu, derivatives of phi) at (t, mu).
 
-    Derivative closures are spot-checked against finite differences of the
-    value closure along measure perturbations (time probed at t + O(1e-4),
-    so t should sit below the horizon by at least that much) before use; a
-    classical solution drives the residual to zero as the control grid
-    refines.
+    ``jet(t, mu)`` returns the candidate's whole jet from one call: the
+    value and d/dt as scalars, the measure-derivative gradient p and Hessian
+    q as batched fields X (n, d) -> (n, d) and (n, d, d), and the (d, d)
+    second derivative hess_m along uniform translations of the measure.  The
+    derivatives are spot-checked against finite differences of the value
+    along measure perturbations (time probed at t + O(1e-4), so t should sit
+    below the horizon by at least that much) before use; a classical
+    solution drives the residual to zero as the control grid refines.  mu
+    must be a probability measure.
     """
-    _consistency_check(phi, t, mu, _CONSISTENCY_TOL)
-    jet = JetArgs(phi.p(t, mu), phi.q(t, mu), np.atleast_2d(phi.hess_m(t, mu)))
-    return -phi.dt(t, mu) - G_filtering(mu, jet, coeffs, control_grid)
+    _consistency_check(jet, t, mu, _CONSISTENCY_TOL)
+    _, dt, p, q, hess_m = jet(t, mu)
+    return -dt - G_filtering(mu, JetArgs(p, q, np.atleast_2d(hess_m)), coeffs, control_grid)
 
 
-def lq_candidate(lq: LQParams) -> SmoothCandidate:
-    """The LQ reference value as a smooth candidate with analytic derivatives."""
+def lq_candidate(lq: LQParams) -> Callable:
+    """The LQ reference value as a smooth candidate: the jet
+    ``(t, mu) -> (value, d/dt, p, q, hess_m)`` that ``viscosity_residual``
+    reads, from one ``lq_value`` call at the mean and variance of mu."""
 
-    def value(t, mu):
-        return float(lq_value(t, *_mean_var(mu), lq)[0])
-
-    def dt(t, mu):
-        return float(lq_value(t, *_mean_var(mu), lq)[1])
-
-    def p(t, mu):
+    def jet(t, mu):
         mean, var = _mean_var(mu)
-        slope = lq_value(t, mean, var, lq)[2]
+        value, dt, slope, curvature = lq_value(t, mean, var, lq)
+        p = lambda X: slope + 2.0 * (X - mean)
+        q = lambda X: np.full((X.shape[0], 1, 1), 2.0)
+        return float(value), float(dt), p, q, np.array([[curvature]])
 
-        return lambda X: slope + 2.0 * (X - mean)
-
-    def q(t, mu):
-        return lambda X: np.full((X.shape[0], 1, 1), 2.0)
-
-    def hess_m(t, mu):
-        return np.array([[lq_value(t, *_mean_var(mu), lq)[3]]])
-
-    return SmoothCandidate(value, dt, p, q, hess_m)
+    return jet

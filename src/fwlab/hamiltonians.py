@@ -179,18 +179,6 @@ def linear_growth_norm(f: Callable, dim: int, extra_points: np.ndarray | None = 
     return float(np.max(mags / (1.0 + np.linalg.norm(X, axis=1))))
 
 
-def _nearly_symmetric(M: np.ndarray) -> bool:
-    """``np.allclose(M, M.T, atol=1e-12)`` without its set-up: each entry
-    equals its transpose entry (equal infinities included) or lies within
-    1e-12 + 1e-5 |M.T| of a finite one; a nan entry never passes."""
-    T = M.T
-    if (M == T).all():
-        return True
-    with np.errstate(invalid="ignore"):  # inf - inf
-        close = (np.abs(M - T) <= 1e-12 + 1e-5 * np.abs(T)) & np.isfinite(T)
-    return bool((close | (M == T)).all())
-
-
 @dataclass(frozen=True)
 class JetArgs:
     """Derivative arguments (p, q, M) fed to a Hamiltonian.
@@ -207,7 +195,7 @@ class JetArgs:
         M = np.atleast_2d(np.asarray(self.M, dtype=float))
         if M.shape[0] != M.shape[1]:
             raise ValueError("M must be square")
-        if not _nearly_symmetric(M):
+        if not np.allclose(M, M.T, atol=1e-12):
             raise ValueError("M must be symmetric")
         M = M.copy()
         M.setflags(write=False)
@@ -302,6 +290,8 @@ def check_assumption_i_filtering(
     (1 + |m| + int |x| dmu) (|p1-p2|_l + |q1-q2|_l + |M1-M2|).
     The check fails only if no finite constant fits (non-finite ratio).
     """
+    if not samples:
+        raise ValueError("check_assumption_i_filtering needs at least one sample")
     ratios = []
     failures = []
     for mu, m, jet1, jet2 in samples:
@@ -396,7 +386,10 @@ _MODULUS_RTOL = 1e-9  # verify_linear_modulus: relative slack on each record's b
 
 
 def verify_linear_modulus(records: list, constant: float) -> CheckReport:
-    """No record may exceed difference <= constant * z * moment_factor."""
+    """No record may exceed difference <= constant * z * moment_factor; at
+    least one record is needed."""
+    if not records:
+        raise ValueError("verify_linear_modulus needs at least one record")
     failures = [
         {"difference": rec.difference, "bound": constant * rec.z * rec.moment_factor, "eps": rec.epsilon}
         for rec in records
@@ -628,8 +621,11 @@ def check_assumptions_regret(samples: list, metric_cfgs: dict) -> CheckReport:
     2^{3K-2} (1 + int |x| dmu)(|q1-q2|_l + |M1-M2|);
     (ii) swapping mu for nu in the pairing with the pair's own penalization
     Hessian never increases it beyond 1e-9.  ``metric_cfgs`` maps K to
-    the spectral weight the kernels are built from.
+    the spectral weight the kernels are built from.  At least one sample is
+    needed.
     """
+    if not samples:
+        raise ValueError("check_assumptions_regret needs at least one sample")
     failures = []
     max_lip_ratio = 0.0
     max_sign_gap = -math.inf

@@ -125,12 +125,24 @@ def measure_to_json(m: SignedAtomicMeasure) -> str:
 
 
 def measure_from_json(doc: str | dict) -> SignedAtomicMeasure:
+    """The measure of a ``measure_to_json`` object, read strictly: ``dim`` a
+    JSON integer, ``atoms`` a list of rows of dim + 1 JSON numbers (location,
+    then weight), ``probability`` true or false (false when absent) and no
+    other key.  A ValueError names the key at fault."""
     data = json.loads(doc) if isinstance(doc, str) else doc
-    dim = int(data["dim"])
-    atoms = data["atoms"]
-    if atoms:
-        arr = np.asarray(atoms, dtype=float)
-        locs, ws = arr[:, :dim], arr[:, dim]
-    else:
-        locs, ws = np.zeros((0, dim)), np.zeros(0)
-    return SignedAtomicMeasure(dim, locs, ws, bool(data.get("probability", False)))
+    unknown = [key for key in data if key not in ("dim", "atoms", "probability")]
+    if unknown:
+        raise ValueError(f"measure key {unknown[0]!r} is not one of 'dim', 'atoms', 'probability'")
+    dim, atoms, probability = data.get("dim"), data.get("atoms"), data.get("probability", False)
+    if type(dim) is not int:
+        raise ValueError(f"measure key 'dim' must be an integer, got {dim!r}")
+    if type(probability) is not bool:
+        raise ValueError(f"measure key 'probability' must be true or false, got {probability!r}")
+    rows_ok = isinstance(atoms, list) and all(
+        type(row) is list and len(row) == dim + 1 and all(type(v) in (int, float) for v in row)
+        for row in atoms
+    )
+    if not rows_ok:
+        raise ValueError(f"measure key 'atoms' must be a list of rows of {dim + 1} numbers, got {atoms!r}")
+    arr = np.asarray(atoms, dtype=float).reshape(len(atoms), dim + 1)
+    return SignedAtomicMeasure(dim, arr[:, :dim], arr[:, dim], probability)

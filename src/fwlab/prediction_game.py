@@ -122,6 +122,8 @@ def monte_carlo_regret(
     """
     if T < 0 or runs < 1:
         raise ValueError("need T >= 0 and runs >= 1")
+    if not m0.probability:
+        raise ValueError("initial condition must be a probability measure")
     K = m0.dim
     if adversary.n_actions != K:
         raise ValueError("adversary action has wrong number of base actions")
@@ -250,7 +252,7 @@ def exact_value_small(
     the stage matrix is one broadcast over the belief, M[i, a] = sum_g p_g
     sum_J w_aJ max_k(g_k + E_Jk - E_Ji).  The grid restricts the adversary,
     so the result lower-bounds the unrestricted value.  Point-mass initial
-    distributions only, K <= 3, T <= 6, at most 100 000 candidate vertices
+    probability laws only, K <= 3, T <= 6, at most 100 000 candidate vertices
     per stage game (grids of up to 82 actions at K = 3, 445 at K = 2) and
     450 000 over all stage games, counted as the levels are expanded, before
     any stage game is solved (T = 6 at K = 2 and T = 4 at K = 3 on the vertex
@@ -259,8 +261,8 @@ def exact_value_small(
     {"value": v, "matrix": rows}.  Raises FloatingPointError if a stage value
     is not finite.
     """
-    if m0.n_atoms != 1:
-        raise ValueError("exact values need a point-mass initial distribution")
+    if m0.n_atoms != 1 or not m0.probability:
+        raise ValueError("exact values need a point-mass initial probability distribution")
     K = m0.dim
     if K > _MAX_ACTIONS or T > _MAX_HORIZON:
         raise ValueError(f"instance exceeds size limits K<={_MAX_ACTIONS}, T<={_MAX_HORIZON}")

@@ -413,8 +413,11 @@ def dissipation_constant_check(
     may exceed c (1 + 1e-9) + 1e-12.  ``stats`` carries c and each held-out
     record and ratio.  The design is the family's sup only at lam 4 (delta
     1.0-1.2); at lam 3 held-out dipoles at finite separation exceed it, so
-    the check can fail there on a correct program.
+    the check can fail there on a correct program.  At least one held-out
+    measure is needed.
     """
+    if not held_out:
+        raise ValueError("dissipation_constant_check needs at least one held-out measure")
     xs = box.axes()[0]
     a = GridFunction(box, (1.5 + 0.3 * np.sin(xs))[:, None, None])
     b = GridFunction(box, (0.5 * np.cos(xs))[:, None])

@@ -674,3 +674,55 @@ def test_hamiltonian_regret_cli_rejects_M_of_the_wrong_shape(tmp_path, capsys):
     path = _regret_scenario(tmp_path, 2, np.eye(3).tolist())
     assert cli.run(path, out_dir=tmp_path) == cli.EXIT_INPUT_ERROR
     assert "(3, 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mu,key",
+    [
+        ({"dim": 1.9, "atoms": [[0.0, 1.0]], "probability": True}, "dim"),
+        ({"dim": 1, "atoms": [[0.0, 1.0]], "probability": "no"}, "probability"),
+        ({"dim": 1, "atoms": [[0.0, 1.0]], "probabilty": True}, "probabilty"),
+        ({"dim": 1, "atoms": [[0.0, True]], "probability": True}, "atoms"),
+    ],
+    ids=["fractional-dim", "string-probability", "misspelt-probability", "bool-in-atoms"],
+)
+def test_measure_of_the_wrong_form_exits_1(tmp_path, capsys, mu, key):
+    argv = ["hamiltonian", "--scenario", str(SCENARIOS / "hamiltonian_lq.json")]
+    argv += ["--set", _cases(name="x", mu=mu), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"measure key {key!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command,scenario,m0",
+    [
+        ("dp-value", "dp_value.json", {"dim": 2, "atoms": [[0.0, 0.0, -3.0]]}),
+        ("game-sim", "game_sim.json", {"dim": 2, "atoms": [[0.0, 0.0, -1.0], [1.0, 1.0, 2.0]]}),
+    ],
+)
+def test_game_from_a_signed_initial_law_exits_1(tmp_path, capsys, command, scenario, m0):
+    argv = [command, "--scenario", str(SCENARIOS / scenario), "--set", "m0=" + json.dumps(m0)]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "probability" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command,scenario,override",
+    [
+        ("hamiltonian", "hamiltonian_regret_check.json", "samples=0"),
+        ("dissipation-check", "dissipation_check.json", "count=0"),
+        ("sobolev-check", "sobolev_check.json", "count=0"),
+        ("commutator-check", "commutator_check.json", "count=0"),
+    ],
+)
+def test_check_over_no_samples_exits_1(tmp_path, capsys, command, scenario, override):
+    # before, each exited 0 with no rows, or regret-check with max_sign_gap -inf
+    argv = [command, "--scenario", str(SCENARIOS / scenario), "--set", override]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "at least" in err
+    assert not (tmp_path / "out").exists()

@@ -329,28 +329,42 @@ def test_mc_cost_matches_oracle_small():
 
 
 def test_residual_constant_candidate():
-    const = fs.SmoothCandidate(
-        value=lambda t, mu: 2.0,
-        dt=lambda t, mu: 0.0,
-        p=lambda t, mu: (lambda X: np.zeros_like(np.atleast_2d(X))),
-        q=lambda t, mu: (lambda X: np.zeros((np.atleast_2d(X).shape[0], 1, 1))),
-        hess_m=lambda t, mu: np.zeros((1, 1)),
-    )
+    def const(t, mu):
+        return (
+            2.0,
+            0.0,
+            lambda X: np.zeros_like(np.atleast_2d(X)),
+            lambda X: np.zeros((np.atleast_2d(X).shape[0], 1, 1)),
+            np.zeros((1, 1)),
+        )
+
     coeffs = ham.make_lq_coeffs()
     res = fs.viscosity_residual(const, 0.3, MU2, coeffs, np.linspace(-2, 2, 401))
     assert res == pytest.approx(0.0, abs=1e-14)  # -inf_a a^2 over a grid with 0
 
 
+def _second_moment_jet(d, broken=None, dt=0.0):
+    """The jet of the candidate int |x|^2 dmu in dimension d, with d/dt = ``dt``;
+    ``broken`` names a field ("p", "q" or "hess_m") whose last axis is scaled by 1.5."""
+    scale = {field: np.ones(d) for field in ("p", "q", "hess_m")}
+    if broken:
+        scale[broken][-1] = 1.5
+
+    def jet(t, mu):
+        return (
+            mu.second_moment(),
+            dt,
+            lambda X: 2.0 * np.atleast_2d(X) * scale["p"],
+            lambda X: np.broadcast_to(2.0 * np.diag(scale["q"]), (np.atleast_2d(X).shape[0], d, d)),
+            2.0 * np.diag(scale["hess_m"]),
+        )
+
+    return jet
+
+
 def test_residual_second_moment_hand_case():
     coeffs = _null_coeffs(sigma=1.0, sigma_tilde=1.0)
-    cand = fs.SmoothCandidate(
-        value=lambda t, mu: mu.second_moment(),
-        dt=lambda t, mu: 0.0,
-        p=lambda t, mu: (lambda X: 2.0 * np.atleast_2d(X)),
-        q=lambda t, mu: (lambda X: np.full((np.atleast_2d(X).shape[0], 1, 1), 2.0)),
-        hess_m=lambda t, mu: np.array([[2.0]]),
-    )
-    res = fs.viscosity_residual(cand, 0.3, MU2, coeffs, np.linspace(-2, 2, 5))
+    res = fs.viscosity_residual(_second_moment_jet(1), 0.3, MU2, coeffs, np.linspace(-2, 2, 5))
     assert res == pytest.approx(-2.0, abs=1e-10)
 
 
@@ -368,13 +382,51 @@ def test_residual_shrinks_quadratically(rng):
 
 
 def test_residual_rejects_inconsistent_closures():
-    broken = fs.SmoothCandidate(
-        value=lambda t, mu: mu.second_moment(),
-        dt=lambda t, mu: 5.0,  # wrong
-        p=lambda t, mu: (lambda X: 2.0 * np.atleast_2d(X)),
-        q=lambda t, mu: (lambda X: np.full((np.atleast_2d(X).shape[0], 1, 1), 2.0)),
-        hess_m=lambda t, mu: np.array([[2.0]]),
-    )
+    broken = _second_moment_jet(1, dt=5.0)  # the value does not depend on t
     coeffs = ham.make_lq_coeffs()
     with pytest.raises(ValueError, match="dt closure"):
         fs.viscosity_residual(broken, 0.3, MU2, coeffs, np.linspace(-2, 2, 5))
+
+
+GRID = np.linspace(-4, 4, 101)
+# atom 0 sits off every axis, so a wrong p shows in the first variation
+_OFF_AXIS = {
+    1: ms.SignedAtomicMeasure(1, [[0.6], [-0.2]], [0.5, 0.5], probability=True),
+    2: ms.SignedAtomicMeasure(2, [[0.6, -0.4], [0.1, 0.3]], [0.5, 0.5], probability=True),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "broken,name", [("p", "p closure"), ("q", "q closure"), ("hess_m", "translation Hessian")]
+)
+def test_spot_check_names_the_inconsistent_field(d, broken, name):
+    # the consistent jet passes the spot check; breaking the last axis of one
+    # field fails it there, naming that field
+    mu, tol = _OFF_AXIS[d], fs._CONSISTENCY_TOL
+    fs._consistency_check(_second_moment_jet(d), 0.3, mu, tol)
+    with pytest.raises(ValueError, match=f"inconsistent {name} along (atom 0 )?axis {d - 1}:"):
+        fs._consistency_check(_second_moment_jet(d, broken), 0.3, mu, tol)
+    with pytest.raises(ValueError, match=name):
+        fs.viscosity_residual(_second_moment_jet(d, broken), 0.3, mu, ham.make_lq_coeffs(), GRID)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 0.9))
+def test_lq_candidate_value_is_the_oracle(seed, t):
+    mu = random_probability_measure(np.random.default_rng(seed))
+    assert fs.lq_candidate(LQ)(t, mu)[0] == fs.lqg_value_oracle(t, mu, LQ)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 0.9))
+def test_residual_is_the_equation_at_the_lq_value_jet(seed, t):
+    # -V_t - G_filtering at the jet built from lq_value directly
+    mu = random_probability_measure(np.random.default_rng(seed))
+    coeffs = ham.make_lq_coeffs(sigma=LQ.sigma, sigma_tilde=LQ.sigma_tilde)
+    mean = float(mu.mean()[0])
+    _, V_t, slope, curvature = fs.lq_value(t, mean, mu.second_moment() - mean * mean, LQ)
+    p = lambda X: slope + 2.0 * (X - mean)
+    jet = ham.JetArgs(p, lambda X: np.full((X.shape[0], 1, 1), 2.0), [[curvature]])
+    expected = -float(V_t) - ham.G_filtering(mu, jet, coeffs, GRID)
+    assert fs.viscosity_residual(fs.lq_candidate(LQ), t, mu, coeffs, GRID) == expected

@@ -292,6 +292,16 @@ def test_assumption_ii_bounded_coeffs_fit(cfg1d, rng):
     assert ham.verify_linear_modulus(records, c).passed
 
 
+def test_checks_over_no_samples_are_input_errors():
+    # each passed before: no failures over no samples
+    with pytest.raises(ValueError, match="at least one"):
+        ham.check_assumption_i_filtering(LQ, [], GRID)
+    with pytest.raises(ValueError, match="at least one"):
+        ham.verify_linear_modulus([], 1.0)
+    with pytest.raises(ValueError, match="at least one"):
+        ham.check_assumptions_regret([], {2: fm.default_config(2)})
+
+
 RECORD_GRID = np.linspace(-2.0, 2.0, 41)
 
 

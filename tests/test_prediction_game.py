@@ -331,6 +331,23 @@ def test_exact_value_saddle_certificate():
     assert Fraction(pg.exact_value_small(1, ZERO2, grid)) == rational_stage_value(M)
 
 
+@pytest.mark.parametrize(
+    "m0",
+    [
+        ms.SignedAtomicMeasure(2, [[0.0, 0.0]], [-3.0]),
+        ms.SignedAtomicMeasure(2, [[0.0, 0.0], [1.0, 1.0]], [-1.0, 2.0]),
+        ms.dirac(np.zeros(2), probability=False),
+    ],
+    ids=["negative-point-mass", "signed-pair", "unit-mass-not-flagged"],
+)
+def test_game_engines_need_a_probability_initial_law(m0):
+    adversary = pg.ADVERSARY_REGISTRY["first-action"](2)
+    with pytest.raises(ValueError, match="probability"):
+        pg.monte_carlo_regret(5, m0, pg.exp_weights_forecaster(2), adversary, 10, 4)
+    with pytest.raises(ValueError, match="probability"):
+        pg.exact_value_small(2, m0, _vertex_grid(2))
+
+
 def test_exact_value_size_limits():
     big_grid = [ham.vertex_action(2, m) for m in range(4)]
     with pytest.raises(ValueError):

@@ -439,3 +439,8 @@ def test_cached_multipliers_are_their_formulas_and_read_only():
         for got, want in zip(cached, formulas):
             assert got.tobytes() == want.tobytes() and got.shape == want.shape
             assert not got.flags.writeable
+
+
+def test_dissipation_constant_check_over_no_measures_is_an_input_error():
+    with pytest.raises(ValueError, match="at least one"):
+        sb.dissipation_constant_check([], sb.box1d(32.0, 1024), 4, 1.2, 0.125)

@@ -89,9 +89,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_int(text: str) -> int:
+    """An integer literal that ``int()`` reads and a float can hold."""
+    try:
+        value = int(text)
+        float(value)
+    except (ValueError, OverflowError):
+        raise ScenarioError(f"integer of {len(text)} characters is beyond the float range") from None
+    return value
+
+
 def _loads(raw: str):
     """Parse JSON, rejecting NaN, Infinity and numbers that overflow to them."""
-    return json.loads(raw, parse_constant=_finite_float, parse_float=_finite_float)
+    return json.loads(raw, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_float_int)
 
 
 def _apply_override(scenario: dict, key: str, raw: str) -> None:
@@ -156,6 +166,8 @@ def _lookup(registry: dict, name: str, what: str):
 
 def _cases(case, entries: list) -> list:
     """Each ``cases`` entry bound against, and read by, the function ``case``."""
+    if not entries:
+        raise ScenarioError("scenario key 'cases' must list at least one case")
     return [case(**_bind(case, entry, "cases.")) for entry in entries]
 
 

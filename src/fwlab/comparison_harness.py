@@ -60,12 +60,10 @@ class DiscretizedFunction:
     extended candidate at a batch of B points, the measures with weights
     w (B, n) translated by m (B, d) at times t (B,), and returns
     ``(value, d/dt, d/dw, d/dm)`` shaped (B,), (B,), (B, n) and (B, d).
-    ``bound`` is the declared sup bound on the optimization domain.
     """
 
     support: np.ndarray  # (n, d)
     eval_fn: Callable
-    bound: float
 
     def __post_init__(self):
         sup = np.atleast_2d(np.asarray(self.support, dtype=float))
@@ -117,7 +115,7 @@ class DoublingConfig:
     n_polish: int = 6  # best ascent results refined by a constrained local solver
 
     def __post_init__(self):
-        for name, least in (("n_starts", 1), ("n_polish", 1), ("max_iters", 0)):
+        for name, least in (("n_starts", 1), ("n_polish", 1), ("max_iters", 0), ("m_box", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
@@ -444,6 +442,8 @@ def lq_discretized_candidate(
     support = np.atleast_2d(np.asarray(support, dtype=float))
     if support.shape[1] != 1:
         raise ValueError("the LQ candidate is scalar")
+    if support.shape[0] == 0:
+        raise ValueError("the support must hold at least one atom")
     x = support[:, 0]
     x2 = x * x
     raw_bound = (
@@ -468,7 +468,7 @@ def lq_discretized_candidate(
         d_w = scale * (v_mean[:, None] * x + x2 - 2.0 * wx[:, None] * x)
         return val, d_t, d_w, scale * v_mean[:, None]
 
-    return DiscretizedFunction(support, eval_fn, 1.0 + abs(slack) + scale * raw_bound)
+    return DiscretizedFunction(support, eval_fn)
 
 
 def ishii_matrix_check(X: np.ndarray, Y: np.ndarray, eps: float, alpha: float) -> bool:

@@ -17,7 +17,7 @@ no held-out violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
 
@@ -34,7 +34,6 @@ __all__ = [
     "K_filtering",
     "G_filtering",
     "Ge_extend",
-    "check_coefficient_assumptions",
     "check_assumption_i_filtering",
     "check_assumption_ii_filtering",
     "HamiltonianGapRecord",
@@ -71,9 +70,6 @@ class FilteringCoeffs:
     ``l(X)`` returns (n,).  ``sigma_tilde(a)`` takes an (m,) control array
     and returns (m, d, d2).  Every caller passes arrays of exactly these
     shapes, so a closure need not coerce its arguments.
-    ``bounds`` and ``lip`` declare per-coefficient sup bounds and Lipschitz
-    constants (in x, uniform over controls); ``delta`` the ellipticity
-    constant of sigma sigma^T.
     """
 
     d: int
@@ -84,75 +80,6 @@ class FilteringCoeffs:
     sigma_tilde: Callable
     r: Callable
     l: Callable
-    bounds: dict = field(default_factory=dict)
-    lip: dict = field(default_factory=dict)
-    delta: float = 0.0
-
-
-# random state pairs drawn by check_coefficient_assumptions, uniform on [-3, 3]^d
-_COEFF_PROBE_POINTS = 64
-_COEFF_PROBE_SCALE = 3.0
-
-
-def _sizes(values: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a batch, whatever its trailing shape."""
-    return np.linalg.norm(values.reshape(len(values), -1), axis=1)
-
-
-def check_coefficient_assumptions(
-    coeffs: FilteringCoeffs,
-    control_grid: np.ndarray,
-    rng: np.random.Generator,
-) -> CheckReport:
-    """Sampled boundedness and Lipschitz checks, exact ellipticity.
-
-    Each declared sup bound in ``coeffs.bounds`` and each declared Lipschitz
-    constant in ``coeffs.lip`` is checked against its own coefficient.  b,
-    sigma and r are sampled on random state pairs for every control on the
-    grid, in one evaluation of each closure on the pairs tiled over the
-    controls; l on the pairs alone; sigma_tilde on the control grid.  Sizes
-    are Euclidean norms of b, Frobenius norms of sigma and sigma_tilde and
-    absolute values of r and l.  The least eigenvalue of sigma sigma^T at
-    each probe point is checked against ``coeffs.delta``.  A declared
-    constant for a coefficient the check does not sample is a ValueError.
-    """
-    X, Y = rng.uniform(-_COEFF_PROBE_SCALE, _COEFF_PROBE_SCALE, (2, _COEFF_PROBE_POINTS, coeffs.d))
-    grid = np.atleast_1d(np.asarray(control_grid, dtype=float))
-    Xc, Yc, ac = np.tile(X, (grid.size, 1)), np.tile(Y, (grid.size, 1)), np.repeat(grid, len(X))
-    dist = np.linalg.norm(X - Y, axis=1)
-    dist = np.where(dist < 1e-12, np.inf, dist)
-    tiled = np.tile(dist, grid.size)
-    pairs = {
-        "b": (coeffs.b(Xc, ac), coeffs.b(Yc, ac), tiled),
-        "sigma": (coeffs.sigma(Xc, ac), coeffs.sigma(Yc, ac), tiled),
-        "r": (coeffs.r(Xc, ac), coeffs.r(Yc, ac), tiled),
-        "l": (coeffs.l(X), coeffs.l(Y), dist),
-    }
-    worst, lip = {}, {}
-    for key, (vx, vy, span) in pairs.items():
-        worst[key] = float(np.max(_sizes(vx)))
-        lip[key] = float(np.max(_sizes(vx - vy) / span))
-    worst["sigma_tilde"] = float(np.max(_sizes(coeffs.sigma_tilde(grid))))
-    unknown = sorted(set(coeffs.bounds) - set(worst)) + sorted(set(coeffs.lip) - set(lip))
-    if unknown:
-        raise ValueError(f"no check samples the declared constant of {unknown}")
-    sx = pairs["sigma"][0]
-    min_ell = float(np.min(np.linalg.eigvalsh(np.einsum("nij,nkj->nik", sx, sx))))
-    failures = []
-    for constant, observed, declared in (("bound", worst, coeffs.bounds), ("lipschitz", lip, coeffs.lip)):
-        for key, limit in declared.items():
-            if observed[key] > limit * (1 + 1e-9):
-                failures.append(
-                    {"coefficient": key, "constant": constant, "observed": observed[key], "declared": limit}
-                )
-    if min_ell < coeffs.delta - 1e-12:
-        failures.append({"coefficient": "ellipticity", "observed": min_ell, "declared": coeffs.delta})
-    return CheckReport(
-        "filtering-coefficients",
-        not failures,
-        stats={**worst, "lip": lip, "ellipticity_min": min_ell},
-        failures=failures,
-    )
 
 
 _PROBE_VALUES = (1.0, 5.0, 25.0)
@@ -752,9 +679,6 @@ def make_lq_coeffs(
         sigma_tilde=sig_t,
         r=r,
         l=l,
-        bounds={"sigma": sigma, "sigma_tilde": sigma_tilde},
-        lip={"b": 0.0, "sigma": 0.0, "r": 0.0},
-        delta=sigma * sigma,
     )
 
 
@@ -789,9 +713,6 @@ def make_bounded_filter_coeffs() -> FilteringCoeffs:
         sigma_tilde=sig_t,
         r=r,
         l=l,
-        bounds={"b": 4.0 * 1.0 + 0.4, "sigma": 1.3, "sigma_tilde": 0.5, "r": 16.5, "l": 1.0},
-        lip={"b": 4.4, "sigma": 0.3, "r": 16.5, "l": 2.0},
-        delta=0.49,
     )
 
 

@@ -144,5 +144,8 @@ def measure_from_json(doc: str | dict) -> SignedAtomicMeasure:
     )
     if not rows_ok:
         raise ValueError(f"measure key 'atoms' must be a list of rows of {dim + 1} numbers, got {atoms!r}")
-    arr = np.asarray(atoms, dtype=float).reshape(len(atoms), dim + 1)
+    try:
+        arr = np.asarray(atoms, dtype=float).reshape(len(atoms), dim + 1)
+    except OverflowError:
+        raise ValueError("measure key 'atoms' holds an integer beyond the float range") from None
     return SignedAtomicMeasure(dim, arr[:, :dim], arr[:, dim], probability)

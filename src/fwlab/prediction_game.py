@@ -7,10 +7,9 @@ vector, Monte Carlo regret of a forecaster against a fixed mixed subset action,
 exact small-instance values by backward induction over public histories with
 stage matrix games, each of at most three rows and solved exactly by vertex
 enumeration, on beliefs held as arrays of integer gap offsets from the initial
-point mass, and the arithmetic rescaling to the long-horizon normalization.
-Forecasters read a running score vector, never the game history, so a run of
-T rounds costs O(T), and all Monte Carlo runs advance together as (runs, K)
-arrays, each run on uniforms from its own substream.
+point mass.  Forecasters read a running score vector, never the game
+history, so a run of T rounds costs O(T), and all Monte Carlo runs advance
+together as (runs, K) arrays, each run on uniforms from its own substream.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "step",
     "monte_carlo_regret",
     "exact_value_small",
-    "rescaled_value",
     "uniform_forecaster",
     "follow_the_leader_forecaster",
     "exp_weights_forecaster",
@@ -392,24 +390,6 @@ def exact_value_small(
         np.add.at(M, (slice(None), *cells), probs * values[child])
         values = solve(M, level)
     return float(values[0])
-
-
-# ---------------------------------------------------------------------------
-# rescaling
-# ---------------------------------------------------------------------------
-
-
-def rescaled_value(values: dict) -> dict:
-    """Divide horizon-indexed values by sqrt(T): {T: {s: v}} -> {s: {T: v/sqrt(T)}}.
-
-    Pure arithmetic; the inputs must already be evaluated at round ceil(s T)
-    from the sqrt(T)-scaled initial measure.
-    """
-    out: dict = {}
-    for T, by_s in values.items():
-        for s, v in by_s.items():
-            out.setdefault(s, {})[T] = v / math.sqrt(T)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ measures are confined to the central half of the box so boundary wrap stays
 below tolerance.  Every operator is one Fourier multiplier built from the box
 frequencies xi = 2*pi*integer/length: (1 + |xi|^2)^{s/2} realizes the
 smoothing scale, i xi_j a derivative and -|xi|^2 the Laplacian, and Sobolev
-norms follow from the same weights by Parseval.  They back the product,
-Leibniz, commutator and dissipation checks; the dissipation pairing and both
+norms follow from the same weights by Parseval.  They back the Leibniz,
+commutator and dissipation checks; the dissipation pairing and both
 of its norms come from one forward and one inverse transform of the
 mollified density.
 """
@@ -33,7 +33,6 @@ __all__ = [
     "spectral_laplacian",
     "l2_inner",
     "mollify",
-    "multiplication_ratio",
     "leibniz_identity_check",
     "commutator_residual",
     "DissipationRecord",
@@ -238,36 +237,6 @@ def mollify(eta: SignedAtomicMeasure, eps: float, box: Box) -> GridFunction:
     return GridFunction(box, np.sum(dens, axis=0))
 
 
-def multiplication_ratio(
-    u: GridFunction, v: GridFunction, s1: float, s2: float, s: float
-) -> float:
-    """|uv|_s / (|u|_{s1} |v|_{s2}) for exponents in the product-estimate range.
-
-    The admissible range is s < 0, s_i >= s, min(s1, s2) < 0,
-    s1 + s2 - s > d/2 and s1 + s2 >= 0; anything else is rejected with the
-    violated inequality named.
-    """
-    d = u.dim
-    constraints = [
-        (s < 0, f"s < 0 (got s={s})"),
-        (s1 >= s, f"s1 >= s (got s1={s1}, s={s})"),
-        (s2 >= s, f"s2 >= s (got s2={s2}, s={s})"),
-        (min(s1, s2) < 0, f"min(s1, s2) < 0 (got {min(s1, s2)})"),
-        (s1 + s2 - s > d / 2.0, f"s1 + s2 - s > d/2 (got {s1 + s2 - s} <= {d / 2.0})"),
-        (s1 + s2 >= 0, f"s1 + s2 >= 0 (got {s1 + s2})"),
-    ]
-    for ok, msg in constraints:
-        if not ok:
-            raise ValueError(f"product-estimate constraint violated: {msg}")
-    if u.box != v.box:
-        raise ValueError("grid mismatch")
-    denom = sobolev_norm(u, s1) * sobolev_norm(v, s2)
-    if denom == 0.0:
-        return 0.0
-    prod = GridFunction(u.box, u.values * v.values)
-    return sobolev_norm(prod, s) / denom
-
-
 def leibniz_identity_check(f: GridFunction, h: GridFunction, tol: float = 1e-11) -> CheckReport:
     """Pointwise check of (I - Lap)(f h) = f (I - Lap) h - 2 grad f . grad h - Lap f h.
 
@@ -459,6 +428,8 @@ def _field_ellipticity(shape: tuple, dtype: str, data: bytes) -> float:
 
 def random_band_limited(box: Box, band: int, rng: np.random.Generator) -> GridFunction:
     """Real random function with spectrum supported on frequency indices <= band."""
+    if band < 0:
+        raise ValueError(f"band must be >= 0, got {band}")
     shape = box.nodes
     spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     low = [np.minimum(np.arange(n), n - np.arange(n)) <= band for n in shape]

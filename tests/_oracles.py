@@ -488,16 +488,17 @@ def scalar_run_costs(t, mu, policy, coeffs, cfg, law_summary) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the coefficient assumption check one control at a time
+# the coefficient constants, one control at a time
 # ---------------------------------------------------------------------------
 
 
 def per_control_coefficient_stats(coeffs, control_grid, rng) -> dict:
-    """The stats of ``check_coefficient_assumptions``, one control at a time.
+    """Sampled sup bounds, Lipschitz constants and ellipticity of a coefficient set.
 
-    Draws the same 64 state pairs on [-3, 3]^d and keeps running maxima per
+    Draws 64 state pairs on [-3, 3]^d and keeps running maxima per
     coefficient (and the running least eigenvalue of sigma sigma^T) over the
-    controls; sigma_tilde is evaluated one control at a time.
+    controls, one control at a time.  Sizes are Euclidean norms of b,
+    Frobenius norms of sigma and sigma_tilde and absolute values of r and l.
     """
     X, Y = rng.uniform(-3.0, 3.0, (2, 64, coeffs.d))
     worst = {"b": 0.0, "sigma": 0.0, "r": 0.0, "sigma_tilde": 0.0}

@@ -410,7 +410,7 @@ def test_metric_case_with_one_of_theta_and_iota_exits_1(tmp_path, capsys, given)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("override", ["n_starts=0", "max_iters=-1"])
+@pytest.mark.parametrize("override", ["n_starts=0", "max_iters=-1", "m_box=-1", "support=[]"])
 def test_degenerate_doubling_config_exits_1(tmp_path, capsys, override):
     argv = ["comparison-doubling", "--scenario", str(SCENARIOS / "comparison_doubling.json")]
     assert cli.main(argv + ["--set", override, "--out", str(tmp_path / "out")]) == cli.EXIT_INPUT_ERROR
@@ -726,3 +726,46 @@ def test_check_over_no_samples_exits_1(tmp_path, capsys, command, scenario, over
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "at least" in err
     assert not (tmp_path / "out").exists()
+
+
+def _exits_1_naming(tmp_path, capsys, argv, name):
+    """``argv`` exits 1 with one ``error:`` line that names ``name``, leaving no output directory."""
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("digits", [400, 5000], ids=["beyond-the-float-range", "beyond-int-digit-limit"])
+def test_oversized_integer_in_a_scenario_exits_1(tmp_path, capsys, digits):
+    # before, each printed a traceback: OverflowError from float(), or ValueError from int()
+    path = tmp_path / "huge.json"
+    text = (SCENARIOS / "sobolev_check.json").read_text()
+    path.write_text(text.replace('"count":5', '"count":5,"tol":1' + "0" * digits, 1))
+    _exits_1_naming(tmp_path, capsys, ["sobolev-check", "--scenario", str(path)], "integer")
+
+
+def test_oversized_integer_atom_exits_1(tmp_path, capsys):
+    mu = '{"dim": 1, "atoms": [[1' + "0" * 400 + ', 1.0]], "probability": true}'
+    override = f'cases=[{{"name": "x", "mu": {mu}, "nu": {mu}}}]'
+    argv = ["metric", "--scenario", str(SCENARIOS / "metric.json"), "--set", override]
+    _exits_1_naming(tmp_path, capsys, argv, "integer")
+
+
+@pytest.mark.parametrize("kind", ["metric", "filtering", "regret"])
+def test_empty_cases_exit_1(tmp_path, capsys, kind):
+    # before, each wrote a CSV with a header and no rows
+    scenario = {
+        "metric": SCENARIOS / "metric.json",
+        "filtering": SCENARIOS / "hamiltonian_lq.json",
+        "regret": _write(tmp_path, "regret.json", {"target": "hamiltonian", "schema": 1, "kind": "regret"}),
+    }[kind]
+    argv = ["metric" if kind == "metric" else "hamiltonian", "--scenario", str(scenario), "--set", "cases=[]"]
+    _exits_1_naming(tmp_path, capsys, argv, "'cases'")
+
+
+@pytest.mark.parametrize("command", ["sobolev-check", "commutator-check"])
+def test_negative_band_exits_1(tmp_path, capsys, command):
+    # before, both exited 0 over zero functions, every residual 0.0
+    scenario = SCENARIOS / f"{command.replace('-', '_')}.json"
+    _exits_1_naming(tmp_path, capsys, [command, "--scenario", str(scenario), "--set", "band=-1"], "band")

@@ -310,7 +310,7 @@ def _constant(value):
     def eval_fn(t, w, m):
         return np.full(t.shape, value), np.zeros(t.shape), np.zeros_like(w), np.zeros_like(m)
 
-    return ch.DiscretizedFunction(SUPPORT, eval_fn, abs(value))
+    return ch.DiscretizedFunction(SUPPORT, eval_fn)
 
 
 def test_constant_difference_value():
@@ -554,16 +554,26 @@ def test_ishii_matrix_validation():
 
 
 def test_discretized_function_bound_holds(rng):
-    u, _ = _pair()
+    # the rescaled LQ value is at most osc in size on the harness domain, so
+    # the candidate stays within 1 + |slack| + osc
+    slack, osc = 0.25, 0.25
+    u = ch.lq_discretized_candidate(SUPPORT, LQ, slack=slack, m_box=CFG.m_box, osc=osc)
     t, w, m = (np.array(column) for column in zip(*_probes(rng, 200)))
-    assert np.all(np.abs(u.eval_fn(t, w, m)[0]) <= u.bound + 1e-12)
+    assert np.all(np.abs(u.eval_fn(t, w, m)[0]) <= 1.0 + abs(slack) + osc + 1e-12)
 
 
-@pytest.mark.parametrize("field, value", [("n_starts", 0), ("n_polish", 0), ("max_iters", -1)])
+@pytest.mark.parametrize(
+    "field, value", [("n_starts", 0), ("n_polish", 0), ("max_iters", -1), ("m_box", -1.0)]
+)
 def test_doubling_config_rejects_degenerate_settings(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= "):
         ch.DoublingConfig(**{field: value})
-    ch.DoublingConfig(n_starts=1, n_polish=1, max_iters=0)  # the least allowed settings
+    ch.DoublingConfig(n_starts=1, n_polish=1, max_iters=0, m_box=0.0)  # the least allowed settings
+
+
+def test_lq_candidate_needs_a_support_atom():
+    with pytest.raises(ValueError, match="support"):
+        ch.lq_discretized_candidate(np.zeros((0, 1)), LQ)
 
 
 def test_doubling_rejects_mismatched_support():

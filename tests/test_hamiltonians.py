@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -449,89 +448,26 @@ def test_G_filtering_evaluates_the_jet_once(cfg1d, rng):
     assert calls == {"p": 1, "q": 1}
 
 
-def test_coefficient_checker_accepts_and_rejects(rng):
-    ok = ham.check_coefficient_assumptions(LQ, GRID[::40], rng)
-    assert ok.passed, ok.failures
-    bad = ham.FilteringCoeffs(
-        d=1,
-        d1=1,
-        d2=1,
-        b=LQ.b,
-        sigma=LQ.sigma,
-        sigma_tilde=LQ.sigma_tilde,
-        r=LQ.r,
-        l=LQ.l,
-        bounds={"sigma": 0.5},  # declared tighter than reality
-        delta=4.0,  # declared stronger than sigma^2
-    )
-    rep = ham.check_coefficient_assumptions(bad, GRID[::40], rng)
-    assert not rep.passed
+# the sup bounds, Lipschitz constants (in x, uniform over controls) and least
+# eigenvalue of sigma sigma^T that each shipped coefficient set keeps
+SHIPPED_CONSTANTS = {
+    "lq1d": (LQ, {"sigma": 1.0, "sigma_tilde": 1.0}, {"b": 0.0, "sigma": 0.0, "r": 0.0}, 1.0),
+    "filter1d": (
+        ham.make_bounded_filter_coeffs(),
+        {"b": 4.4, "sigma": 1.3, "sigma_tilde": 0.5, "r": 16.5, "l": 1.0},
+        {"b": 4.4, "sigma": 0.3, "r": 16.5, "l": 2.0},
+        0.49,
+    ),
+}
 
 
-def test_coefficient_checker_enforces_each_declared_constant(rng):
-    base = ham.make_bounded_filter_coeffs()
-    assert ham.check_coefficient_assumptions(base, GRID[::40], rng).passed
-    # sigma = 1 + 0.3 sin(10 x) is Lipschitz with constant 3 against the declared
-    # 0.3; the largest declared constant (r's 16.5) must not cover it
-    wiggly = dataclasses.replace(base, sigma=lambda X, a: (1.0 + 0.3 * np.sin(10.0 * X))[:, :, None])
-    rep = ham.check_coefficient_assumptions(wiggly, GRID[::40], rng)
-    assert not rep.passed
-    assert [(f["coefficient"], f["constant"]) for f in rep.failures] == [("sigma", "lipschitz")]
-    assert 2.0 < rep.stats["lip"]["sigma"] <= 3.0
-    # the declared sigma_tilde bound is sup-checked over the control grid
-    tight = dataclasses.replace(base, bounds={**base.bounds, "sigma_tilde": 0.4})
-    rep = ham.check_coefficient_assumptions(tight, GRID[::40], rng)
-    assert [(f["coefficient"], f["constant"]) for f in rep.failures] == [("sigma_tilde", "bound")]
-    assert rep.stats["sigma_tilde"] == 0.5
-    with pytest.raises(ValueError):
-        ham.check_coefficient_assumptions(
-            dataclasses.replace(base, lip={**base.lip, "sigma_tilde": 0.0}), GRID[::40], rng
-        )
-
-
-# sigma sigma^T with eigenvalues (OFF_AXIS_DELTA - 1e-3, 4) along axes rotated
-# off the coordinate ones, so only a near-worst direction sees the defect
-OFF_AXIS_DELTA = 0.5
-
-
-def _off_axis_coeffs(declared):
-    theta = 0.7
-    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    sig = rot @ np.diag([np.sqrt(OFF_AXIS_DELTA - 1e-3), 2.0])
-    return ham.FilteringCoeffs(
-        d=2,
-        d1=2,
-        d2=1,
-        b=lambda X, a: np.zeros_like(X),
-        sigma=lambda X, a: np.broadcast_to(sig, (len(X), 2, 2)),
-        sigma_tilde=lambda a: np.zeros((len(a), 2, 1)),
-        r=lambda X, a: np.zeros(len(X)),
-        l=lambda X: np.zeros(len(X)),
-        delta=declared,
-    )
-
-
-@pytest.mark.parametrize(
-    "coeffs",
-    [LQ, ham.make_bounded_filter_coeffs(), _off_axis_coeffs(OFF_AXIS_DELTA)],
-    ids=["lq1d", "filter1d", "off-axis-2d"],
-)
-def test_coefficient_checker_matches_the_per_control_loop(coeffs):
-    got = ham.check_coefficient_assumptions(coeffs, GRID[::40], np.random.default_rng(5))
-    assert got.stats == per_control_coefficient_stats(coeffs, GRID[::40], np.random.default_rng(5))
-
-
-def test_coefficient_checker_rejects_off_axis_ellipticity_in_2d(rng):
-    rep = ham.check_coefficient_assumptions(_off_axis_coeffs(OFF_AXIS_DELTA), GRID[::40], rng)
-    assert not rep.passed
-    assert [f["coefficient"] for f in rep.failures] == ["ellipticity"]
-
-
-def test_coefficient_checker_ellipticity_is_exact_in_2d(rng):
-    rep = ham.check_coefficient_assumptions(_off_axis_coeffs(OFF_AXIS_DELTA), GRID[::40], rng)
-    assert rep.stats["ellipticity_min"] == pytest.approx(OFF_AXIS_DELTA - 1e-3, rel=1e-12)
-    rep = ham.check_coefficient_assumptions(_off_axis_coeffs(OFF_AXIS_DELTA - 1e-3), GRID[::40], rng)
-    assert rep.passed, rep.failures
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONSTANTS))
+def test_shipped_coefficients_meet_their_constants(name):
+    coeffs, bounds, lip, delta = SHIPPED_CONSTANTS[name]
+    stats = per_control_coefficient_stats(coeffs, GRID[::40], np.random.default_rng(5))
+    assert {key: stats[key] for key in bounds if stats[key] > bounds[key] * (1 + 1e-9)} == {}
+    assert {key: stats["lip"][key] for key in lip if stats["lip"][key] > lip[key] * (1 + 1e-9)} == {}
+    assert stats["ellipticity_min"] >= delta - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,12 @@ def test_json_round_trip(rng):
     assert back.probability
 
 
+def test_atom_beyond_the_float_range_names_atoms():
+    # before, an OverflowError from np.asarray
+    with pytest.raises(ValueError, match="measure key 'atoms'"):
+        ms.measure_from_json({"dim": 1, "atoms": [[10**400, 1.0]], "probability": True})
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_measure_json_round_trip_is_exact(data):

@@ -497,12 +497,3 @@ def test_exact_value_dump_table():
     assert value == pytest.approx(0.5)
     assert () in table and "matrix" in table[()]
     assert table[()]["value"] == value == pg.exact_value_small(1, ZERO2, grid)
-
-
-def test_rescaled_value_arithmetic():
-    values = {25: {0.0: 5.0, 0.5: 2.5}, 100: {0.0: 20.0}}
-    out = pg.rescaled_value(values)
-    assert out[0.0][25] == pytest.approx(1.0)
-    assert out[0.5][25] == pytest.approx(0.5)
-    assert out[0.0][100] == pytest.approx(2.0)
-    assert pg.rescaled_value({1: {1.0: 0.0}})[1.0][1] == 0.0

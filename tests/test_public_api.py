@@ -37,10 +37,7 @@ REPO = PACKAGE.parent.parent
 
 # public names that nothing calls yet, each with the ROADMAP item that owes it a caller
 AWAITING_A_CALLER = {
-    "fwlab.prediction_game.rescaled_value": "item 7: game-sim reports the sqrt(T) sweep through it",
-    "fwlab.sobolev.multiplication_ratio": "item 10: commutator-check gives a verdict",
-    "fwlab.hamiltonians.check_coefficient_assumptions": "item 10: a check target reports it",
-    "fwlab.comparison_harness.ishii_matrix_check": "item 2 keeps it: one of the paper's own steps",
+    "fwlab.comparison_harness.ishii_matrix_check": "item 3: the second-order check of each maximizer",
 }
 
 

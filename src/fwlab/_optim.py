@@ -1,5 +1,5 @@
 """Projected-gradient ascent and an active-set quasi-Newton polish over
-batches of starts.
+batches of starts, and the stacked solve of simplex-point systems.
 
 The caller passes one callable that returns the objective and its exact
 gradient together for each row of a batch of points; the package has no
@@ -38,6 +38,21 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     at_rho = css.reshape(-1)[np.arange(0, css.size, n) + rho.reshape(-1) - 1]
     theta = at_rho.reshape(rho.shape) / rho
     return np.maximum(v - theta[..., None], 0.0)
+
+
+def simplex_points(A: np.ndarray, rhs: np.ndarray, k: int, tol: float) -> tuple:
+    """Solve the systems of the (S, m, m) stack A with nonzero determinant in
+    one call, against ``rhs`` ((S, m, c), or (m, c) for all), and keep the
+    solutions whose first k entries are all >= -tol, clipped at 0 and rescaled
+    to sum 1.  Returns (the kept systems' indices, ascending, (N, k) points).
+    """
+    with np.errstate(divide="ignore"):  # det takes the log of a subnormal pivot product
+        live = np.flatnonzero(np.linalg.det(A) != 0.0)
+    rhs = rhs[live] if rhs.ndim == A.ndim else rhs
+    x = np.linalg.solve(A[live], rhs)[:, :k, 0]
+    kept = np.all(x >= -tol, axis=1)
+    x = np.maximum(x[kept], 0.0)
+    return live[kept], x / x.sum(axis=1, keepdims=True)
 
 
 def projected_gradient_ascent(value_and_grad, x0: np.ndarray, project, *, max_iters: int):

@@ -11,9 +11,9 @@ with their types and defaults, and ``_bind`` checks every key, at every level
 of the scenario, against them before any numerics run.
 
 Exit codes: 0 success, 1 input or usage error (a key the target never reads,
-a missing key or a value of the wrong type is one), 2 a numerical check
-failed, 3 an internal numerical fault (a diverging simulation or a non-finite
-stage-game value).
+a missing key, a value of the wrong type or a run too large for memory), 2 a
+numerical check failed, 3 an internal numerical fault (a diverging simulation
+or a non-finite stage-game value).
 """
 
 from __future__ import annotations
@@ -450,6 +450,9 @@ def run(scenario_file, overrides=(), out_dir=None, dump=False, expected_target=N
                     break
     except (ScenarioError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (RecursionError, NotImplementedError):
         raise

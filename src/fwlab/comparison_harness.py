@@ -16,6 +16,7 @@ other BLAS kernels), so a point has the same bits alone as in any batch.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,15 +42,8 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # ``optimize`` is no longer used here; bench/tracing.py still wraps
-    # ``optimize.minimize``, so it resolves on that lookup alone.  It goes with
-    # the next benchmark change (ROADMAP items 10-11).
-    if name == "optimize":
-        from scipy import optimize
-
-        return optimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# nothing calls it: bench/tracing.py wraps it, until ROADMAP item 1's benchmark change
+optimize = types.SimpleNamespace(minimize=None)
 
 
 @dataclass(frozen=True)

@@ -114,8 +114,8 @@ def _run_paths(
     it; the coefficient closures see a view of the states that the step then
     moves, so they must not keep it either.  A state that is not finite or
     exceeds the divergence guard in absolute value raises FloatingPointError.
-    The paths end at the horizon: t must lie in [0, horizon] and (horizon -
-    t) / dt be an integer within 1e-9 relative, else ValueError.
+    The paths end at the horizon, else ValueError: t lies in [0, horizon] and
+    (horizon - t) / dt is an integer, within 1e-9 relative, that fits an array.
     """
     if not mu.probability:
         raise ValueError("initial condition must be a probability measure")
@@ -126,6 +126,8 @@ def _run_paths(
     if abs(steps - n_steps) > 1e-9 * max(steps, 1.0):
         raise ValueError(f"dt {cfg.dt!r} does not divide horizon - t = {cfg.horizon - t!r} evenly")
     R, N, d = len(runs), cfg.n_particles, coeffs.d
+    if R * n_steps * coeffs.d2 > np.iinfo(np.intp).max // 8:  # the normals' bytes
+        raise ValueError(f"dt {cfg.dt!r} gives {steps:.3g} steps, more than an array can hold")
 
     # substreams 1 and 0 are read once here, and only substream 2 is kept
     p0 = mu.weights / mu.weights.sum()

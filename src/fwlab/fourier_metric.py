@@ -48,14 +48,8 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # bench/tracing.py still wraps ``_quadrature`` and ``char_fn_batch``, which
-    # the closed-form kernel replaced; each resolves to None, which the tracer
-    # wraps and nothing calls.  Both go with the next benchmark change (ROADMAP
-    # item 13).
-    if name in ("_quadrature", "char_fn_batch"):
-        return None
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# nothing calls them: bench/tracing.py wraps them, until ROADMAP item 1's benchmark change
+_quadrature = char_fn_batch = None
 
 
 def lambda_for_dim(d: int) -> int:

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import fourier_metric as fm
+from ._optim import simplex_points
 from .measures import SignedAtomicMeasure, Theta
 from .reports import CheckReport
 
@@ -485,10 +486,10 @@ def _regret_argmax(qbar: np.ndarray, M: np.ndarray) -> tuple:
     without i, at h = 0.  That maximum is a KKT point of some face F:
     2 Q_FF p - lambda 1 = -l_F, 1^T p = 1, whose system is nonsingular on a
     smallest such face.  Each face of each direction, padded with p_j = 0 off
-    F, is one (n+1) x (n+1) system of one batched solve; the solutions in the
-    simplex (within ``_FACE_TOL``, then clipped onto it) are scored by
-    ``_pairing``, bit for bit ``K_regret`` there.  K <= 4, as there are
-    2^(2^(K-1)) - 1 faces per direction.
+    F, is one (n+1) x (n+1) system of one ``simplex_points`` call (direction
+    index // faces); its points (within ``_FACE_TOL`` of the simplex, clipped
+    onto it) are scored by ``_pairing``, bit for bit ``K_regret`` there.
+    K <= 4, as there are 2^(2^(K-1)) - 1 faces per direction.
     """
     K = qbar.shape[0]
     if K > 4:
@@ -505,16 +506,10 @@ def _regret_argmax(qbar: np.ndarray, M: np.ndarray) -> tuple:
     )
     A[..., :n, n], A[..., n, :n] = -faces, faces
     rhs = np.append(np.where(faces, -ell[:, None], 0.0), np.ones((K, len(faces), 1)), axis=2)
-    direction = np.repeat(np.arange(K), len(faces))
-    A, rhs = A.reshape(-1, n + 1, n + 1), rhs.reshape(-1, n + 1, 1)
-    with np.errstate(divide="ignore"):  # det takes the log of a subnormal pivot product
-        live = np.linalg.det(A) != 0.0
-    p = np.linalg.solve(A[live], rhs[live])[:, :n, 0]
-    inside = np.all((p >= -_FACE_TOL) & (p <= 1.0 + _FACE_TOL), axis=1) & (p.max(axis=1) > 0)
-    p = np.maximum(p[inside], 0.0)
-    direction = direction[live][inside]  # still sorted, so values line up with W
+    kept, p = simplex_points(A.reshape(-1, n + 1, n + 1), rhs.reshape(-1, n + 1, 1), n, _FACE_TOL)
+    direction = kept // len(faces)  # ascending, so values line up with W
     W = np.zeros((len(p), 2**K))
-    W[np.arange(len(p))[:, None], sides[direction]] = p / p.sum(axis=1, keepdims=True)
+    W[np.arange(len(p))[:, None], sides[direction]] = p
     values = np.concatenate([_pairing(i + 1, W[direction == i], qbar, M) for i in range(K)])
     k = int(np.argmax(values))
     return float(values[k]), int(direction[k]) + 1, W[k]

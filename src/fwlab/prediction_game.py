@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._optim import simplex_points
 from ._rng import mean_stderr, substream
 from .hamiltonians import SimplexAction, hat_weights, subset_vectors, uniform_action, vertex_action
 from .measures import SignedAtomicMeasure
@@ -39,15 +40,8 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # ``linprog`` is no longer used here; bench/tracing.py still wraps it as
-    # the ``prediction_game.lp`` span, so it resolves on that lookup alone.  It
-    # goes with the next benchmark change (ROADMAP items 10-11).
-    if name == "linprog":
-        from scipy.optimize import linprog
-
-        return linprog
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# nothing calls it: bench/tracing.py wraps it, until ROADMAP item 1's benchmark change
+linprog = None
 
 
 @dataclass(frozen=True)
@@ -182,10 +176,10 @@ def _stage_values(M: np.ndarray) -> np.ndarray:
     Each minimum sits at a vertex of the pointed polyhedron {(b, v) : v >=
     M^T b, b >= 0, sum b = 1}, where sum b = 1 and K more tight constraints,
     at least one a column, form a nonsingular (K+1) x (K+1) system.  The
-    candidate systems of all the games are solved in one batch, singular ones
-    skipped, and a game's value is the least max_j (M^T b)_j over its
-    solutions b that are mixtures, each clipped onto the simplex so that no
-    term undercuts the value.  The products b M are stacked over the games
+    candidate systems of all the games go to one ``simplex_points`` call
+    (game index // len(rows)), and a game's value is the least max_j (M^T b)_j
+    over its mixtures b (within ``_MIX_TOL``, clipped onto the simplex so that
+    no term undercuts the value).  The products b M are stacked over the games
     with equally many mixtures, so each game gets the bits it gets alone.
     Returns (G,) values, inf or nan where M is not finite.
     """
@@ -196,14 +190,8 @@ def _stage_values(M: np.ndarray) -> np.ndarray:
     A = np.empty((G, len(rows), K + 1, K + 1))
     A[..., 0, :K], A[..., 0, K] = 1.0, 0.0
     A[:, :, 1:] = bank[:, rows]
-    A = A.reshape(-1, K + 1, K + 1)
-    with np.errstate(divide="ignore"):  # det takes the log of a subnormal pivot product
-        solvable = np.linalg.det(A) != 0.0
-    game = np.repeat(np.arange(G), len(rows))[solvable]
-    b = np.linalg.solve(A[solvable], np.eye(K + 1, 1))[:, :K, 0]
-    mixed = np.all(b >= -_MIX_TOL, axis=1)
-    b, game = np.maximum(b[mixed], 0.0), game[mixed]
-    b /= b.sum(axis=1, keepdims=True)
+    kept, b = simplex_points(A.reshape(-1, K + 1, K + 1), np.eye(K + 1, 1), K, _MIX_TOL)
+    game = kept // len(rows)
     counts = np.bincount(game, minlength=G)
     first = np.cumsum(counts) - counts
     values = np.full(G, math.inf)

@@ -313,10 +313,10 @@ def dissipation_check(
     (d, d) matrix field, ``b`` of a (d,) vector field.  A single constant c
     fitted across a family must give
     lhs + (delta/4) |eta|_{1-lam}^2 <= c |eta|_{-lam}^2
-    (see ``dissipation_constant_check``).  ``a`` whose least quadratic form
-    falls below ``delta`` is rejected.  One forward transform of the
-    mollified density, one inverse transform of its smoothed gradient and
-    Hessian together, and one power spectrum for both norms.
+    (see ``dissipation_constant_check``).  ``delta`` <= 0, or ``a`` whose least
+    quadratic form falls below ``delta``, is rejected.  One forward transform
+    of the mollified density, one inverse transform of its smoothed gradient
+    and Hessian together, and one power spectrum for both norms.
     """
     box = a.box
     d = box.dim
@@ -324,6 +324,8 @@ def dissipation_check(
         raise ValueError("matrix field must have shape nodes + (d, d)")
     if b.values.shape != box.nodes + (d,):
         raise ValueError("vector field must have shape nodes + (d,)")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
     ell = _field_ellipticity(a.values.shape, a.values.dtype.str, a.values.tobytes())
     if ell < delta - 1e-12:
         raise ValueError(f"matrix field not {delta}-elliptic (min quadratic form {ell})")

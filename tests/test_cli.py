@@ -440,6 +440,29 @@ def test_filter_sim_off_the_horizon_grid_exits_1(tmp_path, capsys, override):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("dt", ["1e-300", "2e-19"])
+def test_filter_sim_with_more_steps_than_an_array_holds_exits_1(tmp_path, capsys, dt):
+    # 1e300 steps overflow the index, 5e18 the byte count of the normals;
+    # both are rejected before any array is allocated
+    argv = ["filter-sim", "--scenario", str(SCENARIOS / "filter_sim.json"), "--set", f"sim.dt={dt}"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # stands in for an allocation the machine cannot hold, without making it
+    def exhausted(M):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(pg, "_stage_values", exhausted)
+    code = cli.run(SCENARIOS / "dp_value.json", out_dir=tmp_path / "out")
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 7.28 TiB\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("existing", [None, "empty", "with-a-file"])
 def test_failed_run_removes_only_the_directories_it_made(tmp_path, existing):
     # an input error raised by the target after the output directory was
@@ -600,6 +623,15 @@ def test_dissipation_check_cli(tmp_path):
     assert code == cli.EXIT_OK
     meta = read_csv_meta(tmp_path / "dissipation_check.csv")
     assert float(meta["fitted_c"]) > 0
+
+
+@pytest.mark.parametrize("delta", ["0", "-1"])
+def test_dissipation_check_with_a_non_positive_delta_exits_1(tmp_path, capsys, delta):
+    argv = ["dissipation-check", "--scenario", str(SCENARIOS / "dissipation_check.json")]
+    assert cli.main(argv + ["--set", f"delta={delta}", "--out", str(tmp_path)]) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta must be positive") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_dissipation_check_held_out_near_the_weakest_diffusion(tmp_path):

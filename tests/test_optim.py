@@ -1,9 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab._optim import active_set_polish, project_simplex, projected_gradient_ascent
+from fwlab._optim import active_set_polish, project_simplex, projected_gradient_ascent, simplex_points
 
 from _oracles import scalar_projected_gradient_ascent
 
@@ -273,3 +276,54 @@ def test_polish_out_of_calls_reports_no_convergence():
     hessians = np.tile(100.0 * np.eye(starts.shape[1]), (len(starts), 1, 1))  # short first steps
     _, _, converged = active_set_polish(fun_and_grad, starts, lo, hi, eq, hessians, max_calls=2)
     assert not converged.any()
+
+
+def test_simplex_points_of_an_all_singular_stack_are_empty():
+    kept, points = simplex_points(np.zeros((4, 3, 3)), np.eye(3, 1), 2, 1e-9)
+    assert kept.shape == (0,) and points.shape == (0, 2)
+
+
+@pytest.mark.parametrize("tol, kept_rows", [(1e-9, [0]), (1e-12, [])])
+def test_simplex_points_keeps_a_solution_just_outside_within_tol(tol, kept_rows):
+    # the solution (1 + 1e-10, -1e-10) sits 1e-10 outside the simplex
+    rhs = np.array([[[1.0 + 1e-10], [-1e-10], [7.0]]])
+    kept, points = simplex_points(np.eye(3)[None], rhs, 2, tol)
+    assert kept.tolist() == kept_rows
+    if kept_rows:
+        assert points.tolist() == [[1.0, 0.0]]  # clipped at 0, rescaled to sum 1
+
+
+@pytest.mark.parametrize("shared_rhs", [False, True])
+def test_simplex_points_index_the_input_stack_ascending(shared_rhs):
+    rng = np.random.default_rng(7)
+    S, m, k = 40, 4, 3
+    A = rng.standard_normal((S, m, m))
+    A[::5] = 0.0  # singular systems, skipped
+    rhs = np.eye(m, 1) if shared_rhs else rng.uniform(0.0, 1.0, (S, m, 1))
+    kept, points = simplex_points(A, rhs, k, 1e-9)
+    assert np.all(np.diff(kept) > 0)
+    alone = []
+    for s in range(S):
+        if np.linalg.det(A[s]) != 0.0:
+            x = np.linalg.solve(A[s], rhs if shared_rhs else rhs[s])[:k, 0]
+            if np.all(x >= -1e-9):
+                alone.append(s)
+                x = np.maximum(x, 0.0)
+                assert points[len(alone) - 1].tobytes() == (x / x.sum()).tobytes()
+    assert 0 < len(alone) < S and kept.tolist() == alone
+
+
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "fwlab"
+
+
+def test_only_simplex_points_takes_a_determinant():
+    # singular systems are screened in one place, so the regret supremum and
+    # the stage games drop the same ones
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(SOURCES.glob("*.py"))
+        if path.name != "_optim.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"np\.linalg\.det\b", line)
+    ]
+    assert "np.linalg.det(" in SOURCES.joinpath("_optim.py").read_text() and found == []

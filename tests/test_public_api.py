@@ -114,33 +114,23 @@ def test_every_public_name_has_a_caller():
     assert sorted(AWAITING_A_CALLER) == idle
 
 
-# the lazy SciPy imports the package keeps, as (module, function, bound name):
-# the two attributes bench/tracing.py patches
-LAZY_SCIPY_IMPORTS = {
-    ("comparison_harness", "__getattr__", "optimize"),
-    ("prediction_game", "__getattr__", "linprog"),
-}
+def test_no_module_imports_scipy():
+    # SciPy is a test extra: the package runs on numpy alone
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert found == []
 
 
-def _scipy_imports(node, module: str, function: str | None = None):
-    """(module, enclosing function or None, bound name) per SciPy import under node."""
-    for sub in ast.iter_child_nodes(node):
-        if isinstance(sub, ast.Import):
-            aliases = [a for a in sub.names if a.name.split(".")[0] == "scipy"]
-        elif isinstance(sub, ast.ImportFrom):
-            aliases = sub.names if (sub.module or "").split(".")[0] == "scipy" else []
-        else:
-            inner = sub.name if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-            yield from _scipy_imports(sub, module, inner)
-            continue
-        for a in aliases:
-            bound = a.asname or (a.name if isinstance(sub, ast.ImportFrom) else "scipy")
-            yield module, function, bound
-
-
-def test_scipy_is_imported_only_at_the_lazy_sites():
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        found |= set(_scipy_imports(ast.parse(path.read_text()), path.stem))
-    assert sorted(site for site in found if site[1] is None) == [], "module-level SciPy imports"
-    assert found == LAZY_SCIPY_IMPORTS
+def test_no_module_resolves_names_at_lookup():
+    hooks = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+    ]
+    assert hooks == []

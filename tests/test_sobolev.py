@@ -224,6 +224,19 @@ def test_dissipation_ellipticity_rejection():
         sb.dissipation_check(eta, a, b, 4, 1.2, 4 * box.spacings()[0])
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0])
+def test_dissipation_rejects_a_non_positive_delta(delta):
+    # with delta <= 0 any field would pass the ellipticity guard and the
+    # (delta/4) |eta|^2_{1-lam} term would be subtracted, not added
+    box = sb.box1d(32.0, 1024)
+    a, b = _elliptic_fields(box)
+    eta = ms.SignedAtomicMeasure(1, [[0.0], [0.5]], [1.0, -1.0])
+    with pytest.raises(ValueError, match="delta"):
+        sb.dissipation_check(eta, a, b, 4, delta, 4 * box.spacings()[0])
+    with pytest.raises(ValueError, match="delta"):
+        sb.dissipation_constant_check([eta], box, 4, delta, 4 * box.spacings()[0])
+
+
 def test_dissipation_fitted_constant_family(rng):
     box = sb.box1d(32.0, 1024)
     a, b = _elliptic_fields(box)

@@ -12,8 +12,8 @@ of the scenario, against them before any numerics run.
 
 Exit codes: 0 success, 1 input or usage error (a key the target never reads,
 a missing key, a value of the wrong type or a run too large for memory), 2 a
-numerical check failed, 3 an internal numerical fault (a diverging simulation
-or a non-finite stage-game value).
+numerical check failed, 3 an internal numerical fault (a diverging simulation,
+a non-finite stage-game value or any other exception the run raises).
 """
 
 from __future__ import annotations
@@ -187,20 +187,23 @@ def _theta(measure, /, *, t: float, m: list[float]) -> Theta:
 def _metric_case(
     *, mu: dict, nu: dict, name: str = "case", theta: dict | None = None, iota: dict | None = None
 ) -> tuple:
-    """The case's name, its two measures and its (theta, iota) pair, or None without one."""
+    """The case's name, its two measures of one dimension and its (theta, iota) pair or None."""
     if (theta is None) != (iota is None):
         raise ScenarioError("scenario keys 'cases.theta' and 'cases.iota' must be given together")
     mu, nu = measure_from_json(mu), measure_from_json(nu)
+    if nu.dim != mu.dim:
+        raise ScenarioError(f"scenario key 'cases.nu' has dimension {nu.dim}, not mu's {mu.dim}")
     if theta is None:
         return name, mu, nu, None
     theta = _theta(mu, **_bind(_theta, theta, "cases.theta."))
     return name, mu, nu, (theta, _theta(nu, **_bind(_theta, iota, "cases.iota.")))
 
 
-def _run_metric(out: Path, meta: dict, /, *, cases: list, dim: int = 1, config: dict = {}) -> int:
-    cfg = _fourier_config(dim, **_bind(_fourier_config, config, "config."))
+def _run_metric(out: Path, meta: dict, /, *, cases: list, config: dict = {}) -> int:
+    weight = _bind(_fourier_config, config, "config.")
     rows = []
     for name, mu, nu, pair in _cases(_metric_case, cases):
+        cfg = _fourier_config(mu.dim, **weight)
         inputs = (measure_to_json(mu) + measure_to_json(nu)).encode()
         inputs_hash = hashlib.sha256(inputs).hexdigest()[:12]
         rows.append([name, "rho_F", inputs_hash, fm.rho_F(mu, nu, cfg), meta["config_hash"]])
@@ -326,12 +329,12 @@ def _run_hamiltonian(out: Path, meta: dict, /, *, kind: str = "filtering", **key
 
 def _run_filter_sim(
     out: Path, meta: dict, /, *, sim: fs.SimConfig, mu: dict, coeffs: str = "lq1d",
-    coeffs_params: dict = {}, lq: dict = {}, policy: str = "zero", t: float = 0.0,
+    coeffs_params: dict = {}, policy: str = "zero", policy_params: dict = {}, t: float = 0.0,
 ) -> int:
     factory = _lookup(ham.COEFFS_REGISTRY, coeffs, "coefficient set")
     coefficients = factory(**_bind(factory, coeffs_params, "coeffs_params."))
-    lq = fs.LQParams(horizon=sim.horizon, **_bind(fs.LQParams, lq, "lq."))
-    control = _lookup(fs.POLICY_REGISTRY, policy, "policy")(lq)
+    make_policy = _lookup(fs.POLICY_REGISTRY, policy, "policy")
+    control = make_policy(sim.horizon, **_bind(make_policy, policy_params, "policy_params."))
     costs, rows = fs.sample_costs(t, measure_from_json(mu), control, coefficients, sim)
     _write_csv(out / "filter_sim.csv", ["time", "mean", "variance", "cost_to_date"], rows, meta)
     est, stderr = mean_stderr(costs)
@@ -340,21 +343,22 @@ def _run_filter_sim(
 
 
 def _run_game_sim(
-    out: Path, meta: dict, /, *, K: int, T: int, m0: dict, runs: int = 1000, seed: int = 0,
+    out: Path, meta: dict, /, *, T: int, m0: dict, runs: int = 1000, seed: int = 0,
     forecaster: str = "uniform", adversary: str = "full-set",
 ) -> int:
     m0 = measure_from_json(m0)
-    play = _lookup(pg.FORECASTER_REGISTRY, forecaster, "forecaster")(K)
-    respond = _lookup(pg.ADVERSARY_REGISTRY, adversary, "adversary")(K)
+    play = _lookup(pg.FORECASTER_REGISTRY, forecaster, "forecaster")(m0.dim)
+    respond = _lookup(pg.ADVERSARY_REGISTRY, adversary, "adversary")(m0.dim)
     est, stderr = pg.monte_carlo_regret(T, m0, play, respond, runs, seed)
     _write_csv(out / "game_sim.csv", ["T", "estimate", "std_error"], [[T, est, stderr]], meta)
     return EXIT_OK
 
 
 def _run_dp_value(
-    out: Path, meta: dict, dump: bool = False, /, *, K: int, T: int, m0: dict, grid: str = "vertices"
+    out: Path, meta: dict, dump: bool = False, /, *, T: int, m0: dict, grid: str = "vertices"
 ) -> int:
     m0 = measure_from_json(m0)
+    K = m0.dim
     masks = _lookup({"vertices": range(2**K), "full-set-only": [2**K - 1]}, grid, "adversary grid")
     table = {} if dump else None
     value = pg.exact_value_small(T, m0, [ham.vertex_action(K, mask) for mask in masks], table)
@@ -454,9 +458,7 @@ def run(scenario_file, overrides=(), out_dir=None, dump=False, expected_target=N
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (RecursionError, NotImplementedError):
-        raise
-    except (FloatingPointError, RuntimeError) as exc:
+    except Exception as exc:
         print(f"error: numerical fault: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAULT
 

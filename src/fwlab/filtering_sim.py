@@ -70,13 +70,11 @@ class ControlPolicy:
         return np.clip(np.asarray(self.rule(t, summary), dtype=float), self.lo, self.hi)
 
 
-_CONSTANT_CONTROL_BOUND = 4.0  # constant_policy clips its control to [-4, 4]
+_CONTROL_BOUND = 4.0  # every shipped policy clips its control to [-4, 4]
 
 
 def constant_policy(value: float) -> ControlPolicy:
-    return ControlPolicy(
-        lambda t, s: np.full(len(s.mean), value), -_CONSTANT_CONTROL_BOUND, _CONSTANT_CONTROL_BOUND
-    )
+    return ControlPolicy(lambda t, s: np.full(len(s.mean), value), -_CONTROL_BOUND, _CONTROL_BOUND)
 
 
 @dataclass(frozen=True)
@@ -238,20 +236,17 @@ def estimate_cost(
 class LQParams:
     """Scalar family: drift = control, constant noise loadings, quadratic costs.
 
-    Running cost is control_weight * a^2, terminal cost x^2.  The control box
-    [-control_bound, control_bound] must be wide enough that the unconstrained
-    feedback stays interior for the states of interest.
+    Running cost is control_weight * a^2, terminal cost x^2.
     """
 
     sigma: float = 1.0
     sigma_tilde: float = 1.0
     horizon: float = 1.0
     control_weight: float = 1.0
-    control_bound: float = 4.0
 
     def __post_init__(self):
-        if self.control_weight <= 0 or self.horizon <= 0 or self.control_bound <= 0:
-            raise ValueError("LQ parameters must be positive")
+        if self.control_weight <= 0 or self.horizon <= 0:
+            raise ValueError("control_weight and horizon must be positive")
         if self.sigma < 0 or self.sigma_tilde < 0:
             raise ValueError("noise loadings must be nonnegative")
 
@@ -305,19 +300,22 @@ def lqg_value_oracle(t: float, mu: SignedAtomicMeasure, lq: LQParams) -> float:
 
 
 def lqg_feedback_policy(lq: LQParams) -> ControlPolicy:
-    """Optimal mean-feedback a = -P(t) mean / control_weight, clipped to the box."""
+    """Optimal mean-feedback a = -P(t) mean / control_weight, clipped to [-4, 4], a box wide
+    enough for the states of interest.  Reads only ``lq``'s horizon and control weight."""
 
     def rule(t, summary: LawSummary):
         slope = lq_value(t, summary.mean[:, 0], 0.0, lq)[2]
         return -slope / (2.0 * lq.control_weight)
 
-    return ControlPolicy(rule, -lq.control_bound, lq.control_bound)
+    return ControlPolicy(rule, -_CONTROL_BOUND, _CONTROL_BOUND)
 
 
-POLICY_REGISTRY = {
-    "zero": lambda lq=None: constant_policy(0.0),
-    "lqg-feedback": lambda lq: lqg_feedback_policy(lq),
-}
+def _lqg_feedback(horizon: float, /, *, control_weight: float = 1.0) -> ControlPolicy:
+    return lqg_feedback_policy(LQParams(horizon=horizon, control_weight=control_weight))
+
+
+# each factory takes the horizon, then the policy's keys as keyword-only parameters: its schema
+POLICY_REGISTRY = {"zero": lambda horizon, /: constant_policy(0.0), "lqg-feedback": _lqg_feedback}
 
 
 # ---------------------------------------------------------------------------

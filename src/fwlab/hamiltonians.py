@@ -363,6 +363,8 @@ class SimplexAction:
     weights: np.ndarray
 
     def __post_init__(self):
+        if self.n_actions < 1:
+            raise ValueError(f"n_actions must be at least 1, got {self.n_actions}")
         w = _validated_weights(self.n_actions, np.ravel(self.weights), 1).copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -392,9 +394,9 @@ def _direction(K: int, i: int) -> tuple:
 
 
 def vertex_action(K: int, mask: int) -> SimplexAction:
-    w = np.zeros(2**K)
-    w[mask] = 1.0
-    return SimplexAction(K, w)
+    if not 0 <= mask < 2**K:
+        raise ValueError(f"subset mask {mask} is outside [0, 2^{K})")
+    return SimplexAction(K, np.arange(2**K) == mask)
 
 
 def uniform_action(K: int) -> SimplexAction:

@@ -250,8 +250,8 @@ def exact_value_small(
     if m0.n_atoms != 1 or not m0.probability:
         raise ValueError("exact values need a point-mass initial probability distribution")
     K = m0.dim
-    if K > _MAX_ACTIONS or T > _MAX_HORIZON:
-        raise ValueError(f"instance exceeds size limits K<={_MAX_ACTIONS}, T<={_MAX_HORIZON}")
+    if not 0 <= T <= _MAX_HORIZON or K > _MAX_ACTIONS:
+        raise ValueError(f"need 0 <= T <= {_MAX_HORIZON} and K <= {_MAX_ACTIONS}, got T={T}, K={K}")
     if not adversary_grid or any(a.n_actions != K for a in adversary_grid):
         raise ValueError(f"adversary grid must be a nonempty list of {K}-action mixtures")
     n = len(adversary_grid)

@@ -24,8 +24,10 @@ and the Hessian back by separate inverse transforms, the ascent
 oracle runs one start at a time on scalar points, the SLSQP oracle calls
 ``scipy.optimize.minimize`` once per start, the regret supremum oracles
 maximize quadratics on segments and on triangles of side marginals instead
-of enumerating faces, and the Monte Carlo regret oracle sums binomial terms
-in exact rationals.  The measure and kernel summaries at the end are
+of enumerating faces, and the Monte Carlo regret oracle and the two
+closed-form values the exact game value is held to (Cover's value and the
+singleton adversary's regret) sum binomial and multinomial terms in exact
+rationals.  The measure and kernel summaries at the end are
 quantities only tests check against, so they live here and not in the
 package.
 """
@@ -578,7 +580,6 @@ def lq_total_value_dp(t0, mu_mean, mu_var, lq, **kw) -> float:
         lq.horizon,
         lq.sigma_tilde,
         lq.control_weight,
-        lq.control_bound,
         **kw,
     )
     return w + mu_var + lq.sigma**2 * (lq.horizon - t0)
@@ -828,6 +829,36 @@ def uniform_adversary_regret(T: int) -> Fraction:
     """
     total = sum(math.comb(2 * T, b) * abs(b - T) for b in range(2 * T + 1))
     return Fraction(total, 2 ** (2 * T + 1))
+
+
+def cover_value(T: int) -> Fraction:
+    """E|S_T| / 2 = sum_k C(T, k) |2k - T| / 2^(T+1), S_T a sum of T fair
+    signs, as an exact fraction.
+
+    Cover's minimax regret of predicting T binary outcomes against two
+    experts that always disagree.  At K = 2 only the singleton subsets move
+    the gap difference, by -1 or +1, so this is the value of the game on
+    the vertex grid from zero gaps.
+    """
+    total = sum(math.comb(T, k) * abs(2 * k - T) for k in range(T + 1))
+    return Fraction(total, 2 ** (T + 1))
+
+
+def singleton_adversary_regret(T: int, K: int) -> Fraction:
+    """E max_i N_i - T/K with N ~ Multinomial(T, 1/K), as an exact fraction.
+
+    Against the adversary that names one action uniformly at random each
+    round, action i's total gain is N_i and the forecaster's expected gain
+    is T/K whatever it plays, so this is that adversary's expected final max
+    gap from zero gaps: a lower bound on the game's value over any grid
+    that holds the K singletons.
+    """
+    total = 0
+    for counts in itertools.product(range(T + 1), repeat=K):
+        if sum(counts) == T:
+            ways = math.factorial(T) // math.prod(math.factorial(c) for c in counts)
+            total += ways * max(counts)
+    return Fraction(total, K**T) - Fraction(T, K)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_metric_in_two_dimensions_needs_an_integrable_weight(tmp_path, capsys, l
     # integral gave finite distances; lambda = 2 is the smallest that is
     point = {"dim": 2, "atoms": [[0.0, 0.0, 1.0]], "probability": True}
     other = {"dim": 2, "atoms": [[1.0, 0.0, 1.0]], "probability": True}
-    overrides = ["dim=2", f"config.lambda={lam}", _cases(mu=point, nu=other)]
+    overrides = [f"config.lambda={lam}", _cases(mu=point, nu=other)]
     assert cli.run(SCENARIOS / "metric.json", overrides, out_dir=tmp_path / "out") == code
     err = capsys.readouterr().err
     if code == cli.EXIT_OK:
@@ -104,14 +104,14 @@ OUTPUT_DIGESTS = {
         "dissipation_check.csv": "26075927471d695bb5e989f9a3325d44cd175bf1fb82db58e377b27af747fabf",
     },
     "dp_value.json": {
-        "dp_value.csv": "9183ffbe12c29481cd8549a5a8a9471e6661bb73a96b5a7dbd4ed774195b6cf1",
+        "dp_value.csv": "05b888ea738cc28d0e80f47cbaa403e1fbfc4b024b8284e426439105d2e9aa4f",
     },
     "filter_sim.json": {
-        "filter_sim.csv": "7fbdc391fff58640fffa0350e92fcb8f0025ab9bc1a59e64d8b56b49becbf21d",
-        "filter_sim_summary.json": "5d136c84f5a952753f0c2e9821ca3085b934d45904a24dcf939b269c673b2a7a",
+        "filter_sim.csv": "8a4b3973e76898ec728eeba2608b5ff6449952fe11789c8fe513ba6f077b36f6",
+        "filter_sim_summary.json": "961daa1590a4352cbc7f504ea0cf0adc57f792caf7d4d5ba2554486e9269af04",
     },
     "game_sim.json": {
-        "game_sim.csv": "8eb3db6726e266f098fb7740f6bf980e1f95d13e93b5690fd608a2293dd752bd",
+        "game_sim.csv": "715a2e726346ecd8b4327e670df6d4e85fdf58b1495b413f88391947ce9bbdcf",
     },
     "hamiltonian_lq.json": {
         "hamiltonian.csv": "2499f313afe67966d6e053e5cc91787d5c59f6f67d12d540a49a53585ff75983",
@@ -120,7 +120,7 @@ OUTPUT_DIGESTS = {
         "hamiltonian.csv": "c1d4dfe8e3841b279086e0308b51586cff9d53fefee9a20c1937c7d449c31504",
     },
     "metric.json": {
-        "metric.csv": "4cb907b028de4c15e210c8dd0612b706d4fa95bf6809239f9fa8f1904bc20c63",
+        "metric.csv": "f73a02ae6b5d94e27c068ff73b6b766e5b6b5a099df705eb93c5a0729b459bd5",
     },
     "sobolev_check.json": {
         "sobolev_check.csv": "f3f139a03a33c33373e288c759f44c2025c18a3f99cf2fe68a3992542c1233c7",
@@ -344,6 +344,35 @@ def test_key_the_target_never_reads_exits_1(tmp_path, capsys, command, scenario,
 
 
 @pytest.mark.parametrize(
+    "command,scenario,overrides,key",
+    [
+        ("dp-value", "dp_value.json", ["K=2"], "K"),
+        ("game-sim", "game_sim.json", ["K=2"], "K"),
+        ("metric", "metric.json", ["dim=1"], "dim"),
+        ("filter-sim", "filter_sim.json", ["lq.sigma=1"], "lq"),
+        ("comparison-doubling", "comparison_doubling.json", ["lq.control_bound=4"], "lq.control_bound"),
+        (
+            "filter-sim",
+            "filter_sim.json",
+            ["policy=zero", "policy_params.control_weight=2"],
+            "policy_params.control_weight",
+        ),
+    ],
+    ids=["dp-value-K", "game-sim-K", "metric-dim", "filter-sim-lq", "control-bound", "zero-policy-weight"],
+)
+def test_key_that_repeats_a_measure_or_changes_nothing_exits_1(
+    tmp_path, capsys, command, scenario, overrides, key
+):
+    # K is m0's dimension and dim each case's own; the lq noise loadings and
+    # the control bound left every output row in place; and the zero policy
+    # reads no key.  Before, each was read, or silently ignored
+    argv = [command, "--scenario", str(SCENARIOS / scenario)]
+    for override in overrides:
+        argv += ["--set", override]
+    _exits_1_naming(tmp_path, capsys, argv, f"scenario key {key!r} is not read by this target")
+
+
+@pytest.mark.parametrize(
     "command,scenario,override,key",
     [
         ("comparison-doubling", "comparison_doubling.json", "n_starts=3.5", "n_starts"),
@@ -376,11 +405,11 @@ def test_key_of_the_wrong_type_exits_1(tmp_path, capsys, command, scenario, over
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("drop", ["K", "sim.dt"])
+@pytest.mark.parametrize("drop", ["T", "sim.dt"])
 def test_missing_key_exits_1(tmp_path, capsys, drop):
-    name = "game_sim.json" if drop == "K" else "filter_sim.json"
+    name = "game_sim.json" if drop == "T" else "filter_sim.json"
     scenario = json.loads((SCENARIOS / name).read_text())
-    node = scenario if drop == "K" else scenario["sim"]
+    node = scenario if drop == "T" else scenario["sim"]
     del node[drop.split(".")[-1]]
     assert cli.run(_write(tmp_path, name, scenario), out_dir=tmp_path / "out") == cli.EXIT_INPUT_ERROR
     err = capsys.readouterr().err
@@ -498,7 +527,7 @@ def test_engineered_check_failure_exits_2(tmp_path):
 def test_diverging_simulation_exits_3(tmp_path, capsys):
     code = cli.run(
         SCENARIOS / "filter_sim.json",
-        overrides=["coeffs_params.sigma=1e8", "lq.sigma=1e8"],
+        overrides=["coeffs_params.sigma=1e8"],
         out_dir=tmp_path,
     )
     assert code == cli.EXIT_NUMERICAL_FAULT
@@ -544,7 +573,7 @@ def test_non_finite_stage_value_exits_3(tmp_path, capsys, monkeypatch):
 def test_dp_value_over_the_stage_game_budget_exits_1(tmp_path, capsys):
     # T = 5 on the eight-vertex grid at K = 3
     scenario = json.loads((SCENARIOS / "dp_value.json").read_text())
-    scenario.update(K=3, T=5, m0={"dim": 3, "atoms": [[0.0, 0.0, 0.0, 1.0]], "probability": True})
+    scenario.update(T=5, m0={"dim": 3, "atoms": [[0.0, 0.0, 0.0, 1.0]], "probability": True})
     code = cli.run(_write(tmp_path, "dp3.json", scenario), out_dir=tmp_path / "out")
     assert code == cli.EXIT_INPUT_ERROR
     err = capsys.readouterr().err
@@ -581,6 +610,47 @@ def test_filter_sim_outputs(tmp_path):
     assert len(lines) > header_idx + 5
     summary = json.loads((tmp_path / "filter_sim_summary.json").read_text())
     assert {"estimate", "std_error", "config_hash"} <= set(summary)
+
+
+def test_filter_sim_policy_reads_its_control_weight(tmp_path):
+    small = ["sim.runs=2", "sim.n_particles=50", "sim.dt=0.1"]
+    runs = {}
+    for weight in (None, 1, 2):
+        override = [] if weight is None else [f"policy_params.control_weight={weight}"]
+        assert cli.run(SCENARIOS / "filter_sim.json", small + override, out_dir=tmp_path / str(weight)) == 0
+        lines = (tmp_path / str(weight) / "filter_sim.csv").read_text().splitlines()
+        runs[weight] = lines[_header_index(lines) :]
+    # the default weight is 1, and a weight of 2 changes the feedback gain
+    assert runs[1] == runs[None] and runs[2] != runs[None]
+
+
+def test_metric_case_of_two_dimensions_exits_1(tmp_path, capsys):
+    # each case's weight comes from its own measures, so they must agree
+    other = {"dim": 2, "atoms": [[1.0, 0.0, 1.0]], "probability": True}
+    argv = ["metric", "--scenario", str(SCENARIOS / "metric.json"), "--set", _cases(mu=_POINT, nu=other)]
+    _exits_1_naming(tmp_path, capsys, argv, "'cases.nu'")
+
+
+@pytest.mark.parametrize("T", [-1, -3])
+def test_dp_value_with_a_negative_horizon_exits_1(tmp_path, capsys, T):
+    # before, T = -1 wrote -1,1.5 and T = -3 wrote -3,0.5, each exiting 0
+    argv = ["dp-value", "--scenario", str(SCENARIOS / "dp_value.json"), "--set", f"T={T}"]
+    _exits_1_naming(tmp_path, capsys, argv, "0 <= T")
+
+
+@pytest.mark.parametrize(
+    "error", [IndexError("index 4 is out of bounds"), RecursionError("maximum recursion depth exceeded")]
+)
+def test_any_exception_of_a_run_exits_3(tmp_path, capsys, monkeypatch, error):
+    # before, the IndexError escaped and the RecursionError was re-raised,
+    # each printing a traceback
+    def runner(out, meta, /, **keys):
+        raise error
+
+    monkeypatch.setitem(cli.DISPATCH, "dp-value", runner)
+    assert cli.run(SCENARIOS / "dp_value.json", out_dir=tmp_path / "out") == cli.EXIT_NUMERICAL_FAULT
+    assert capsys.readouterr().err == f"error: numerical fault: {error}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_dp_value_and_dump(tmp_path):

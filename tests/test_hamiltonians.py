@@ -806,3 +806,17 @@ def test_simplex_action_validation():
         ham.SimplexAction(2, [0.5, 0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
         ham.SimplexAction(2, [1.0, 0.0])
+
+
+def test_simplex_action_needs_an_action():
+    # unchecked, an action over no base actions was accepted with one weight
+    with pytest.raises(ValueError, match="n_actions"):
+        ham.SimplexAction(0, [1.0])
+
+
+@pytest.mark.parametrize("mask", [-1, 4, 7])
+def test_vertex_action_rejects_a_mask_outside_the_subsets(mask):
+    # unchecked, mask -1 gave the mask-3 action through negative indexing,
+    # and 4 or 7 a bare IndexError
+    with pytest.raises(ValueError, match="mask"):
+        ham.vertex_action(2, mask)

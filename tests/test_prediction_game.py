@@ -11,11 +11,13 @@ from scipy import stats
 from scipy.optimize import linprog
 
 from _oracles import (
+    cover_value,
     history_forecaster,
     rational_stage_value,
     recursive_exact_value,
     sequence_form_value,
     single_stage_value,
+    singleton_adversary_regret,
     uniform_adversary_regret,
 )
 from fwlab import hamiltonians as ham
@@ -155,6 +157,56 @@ def test_uniform_adversary_regret_small_horizons():
     assert uniform_adversary_regret(0) == 0
     assert uniform_adversary_regret(1) == Fraction(1, 4)
     assert uniform_adversary_regret(2) == Fraction(3, 8)
+
+
+@pytest.mark.parametrize("T", range(1, 7))
+def test_exact_value_at_two_actions_is_covers_value(T):
+    # 0.5, 0.5, 0.75, 0.75, 0.9375, 0.9375; the DP's rounding was at most 2.2e-16
+    value, cover = pg.exact_value_small(T, ZERO2, _vertex_grid(2)), float(cover_value(T))
+    assert abs(value - cover) <= 2 * math.ulp(cover)
+
+
+@pytest.mark.parametrize("T", range(1, 5))
+def test_exact_value_at_three_actions_is_at_least_the_singleton_adversary_regret(T):
+    # the value against the bound: 0.667/0.667, 0.833/0.667, 1.000/0.889, 1.125/1.037
+    value = pg.exact_value_small(T, ms.dirac(np.zeros(3)), _vertex_grid(3))
+    bound = float(singleton_adversary_regret(T, 3))
+    assert value >= bound - 2 * math.ulp(bound)
+
+
+def test_cover_and_singleton_values_small_horizons():
+    assert cover_value(1) == cover_value(2) == Fraction(1, 2)
+    assert cover_value(3) == Fraction(3, 4)
+    # T = 1: max N = 1; T = 2: max N is 2 w.p. 1/3 and 1 otherwise
+    assert singleton_adversary_regret(1, 3) == Fraction(2, 3)
+    assert singleton_adversary_regret(2, 3) == Fraction(4, 3) - Fraction(2, 3)
+
+
+# the game's one-round second moment: at K = 2, from zero gaps, with
+# A = [[1, -1], [-1, 1]] and phi(x) = x^T A x / 2
+_SPREAD = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_SPLIT = ham.SimplexAction(2, [0.0, 0.5, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("b", [(0.5, 0.5), (0.2, 0.8), (1.0, 0.0)])
+@pytest.mark.parametrize(
+    "adversary, moment, moment_at_M0", [(ham.uniform_action(2), 0.25, 0.125), (_SPLIT, 0.5, 0.0)],
+    ids=["uniform", "split"],
+)
+def test_K_regret_is_the_one_round_second_moment(b, adversary, moment, moment_at_M0):
+    # E phi(new gaps) over the 200 x 200 midpoint grid of step's two uniforms,
+    # which is exact for its finite laws: the forecaster draws with b, the
+    # adversary's subset with its weights
+    mid = (np.arange(200) + 0.5) / 200
+    u = np.stack(np.meshgrid(mid, mid, indexing="ij"), axis=-1).reshape(-1, 2)
+    gaps, _ = pg.step(np.zeros((len(u), 2)), np.tile(b, (len(u), 1)), adversary, u)
+    assert 0.5 * np.einsum("ri,ij,rj->r", gaps, _SPREAD, gaps).mean() == pytest.approx(moment, abs=1e-15)
+    # K_regret with M = qbar = A reads the same moment in either direction
+    q = lambda X: np.broadcast_to(_SPREAD, (len(X), 2, 2))
+    for i in (1, 2):
+        W = adversary.weights[None]
+        assert ham.K_regret(i, W, ZERO2, q, _SPREAD)[0] == pytest.approx(moment, abs=1e-15)
+        assert ham.K_regret(i, W, ZERO2, q, np.zeros((2, 2)))[0] == pytest.approx(moment_at_M0, abs=1e-15)
 
 
 def test_monte_carlo_reproducible():
@@ -346,6 +398,13 @@ def test_game_engines_need_a_probability_initial_law(m0):
         pg.monte_carlo_regret(5, m0, pg.exp_weights_forecaster(2), adversary, 10, 4)
     with pytest.raises(ValueError, match="probability"):
         pg.exact_value_small(2, m0, _vertex_grid(2))
+
+
+@pytest.mark.parametrize("T", [-1, -3])
+def test_exact_value_rejects_a_negative_horizon(T):
+    # unchecked, T = -1 returned 1.5 and T = -3 returned 0.5
+    with pytest.raises(ValueError, match="0 <= T"):
+        pg.exact_value_small(T, ZERO2, _vertex_grid(2))
 
 
 def test_exact_value_size_limits():

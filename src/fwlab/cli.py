@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import hashlib
 import inspect
-import itertools
 import json
 import math
 import sys
@@ -75,10 +74,12 @@ def _write_csv(path: Path, header: list, rows: list, meta: dict) -> None:
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", newline="\n")
 
 
@@ -359,6 +360,8 @@ def _run_dp_value(
 ) -> int:
     m0 = measure_from_json(m0)
     K = m0.dim
+    if K > pg._MAX_ACTIONS:  # checked before the 2^K-action grid is built
+        raise ScenarioError(f"scenario key 'm0' has dimension {K}; dp-value needs K <= {pg._MAX_ACTIONS}")
     masks = _lookup({"vertices": range(2**K), "full-set-only": [2**K - 1]}, grid, "adversary grid")
     table = {} if dump else None
     value = pg.exact_value_small(T, m0, [ham.vertex_action(K, mask) for mask in masks], table)
@@ -439,19 +442,10 @@ def run(scenario_file, overrides=(), out_dir=None, dump=False, expected_target=N
             "config_hash": _config_hash(scenario),
             "seed": getattr(kwargs.get("sim"), "seed", kwargs.get("seed", 0)),
         }
+        # the writers make the output directory, so a run that fails before
+        # it writes leaves none
         out = Path(out_dir) if out_dir else Path.cwd()
-        created = list(itertools.takewhile(lambda p: not p.exists(), (out, *out.parents)))
-        out.mkdir(parents=True, exist_ok=True)
-        try:
-            return runner(out, meta, *((dump,) if dump else ()), **kwargs)
-        finally:
-            # a run that wrote nothing leaves no directory it made; rmdir
-            # refuses one that is not empty, and that ends the walk up
-            for path in created:
-                try:
-                    path.rmdir()
-                except OSError:
-                    break
+        return runner(out, meta, *((dump,) if dump else ()), **kwargs)
     except (ScenarioError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -117,6 +117,8 @@ def _run_paths(
     """
     if not mu.probability:
         raise ValueError("initial condition must be a probability measure")
+    if mu.dim != coeffs.d:
+        raise ValueError(f"initial law of dimension {mu.dim} for coefficients of dimension {coeffs.d}")
     if not 0.0 <= t <= cfg.horizon:
         raise ValueError(f"start time {t!r} is outside [0, horizon {cfg.horizon!r}]")
     steps = (cfg.horizon - t) / cfg.dt

@@ -40,7 +40,6 @@ __all__ = [
     "HamiltonianGapRecord",
     "fit_linear_modulus",
     "verify_linear_modulus",
-    "hat_weights",
     "K_regret",
     "G_regret",
     "RegretSolverConfig",
@@ -156,7 +155,11 @@ def _filtering_pairing(grid, X, weights, p, q, M, coeffs: FilteringCoeffs) -> np
     stack the sides in order, side s taking the next len(weights[s]) rows; M
     (d, d) is common to all sides.  Each closure is evaluated once on the
     stack tiled over the controls."""
-    C, n = grid.size, X.shape[0]
+    C, (n, d) = grid.size, X.shape
+    if (d, M.shape) != (coeffs.d, (coeffs.d, coeffs.d)):
+        raise ValueError(
+            f"coefficients of dimension {coeffs.d} got atoms of dimension {d} and M of shape {M.shape}"
+        )
     Xc, ac = np.tile(X, (C, 1)), np.repeat(grid, n)
     pv = np.tile(np.asarray(p, dtype=float), (C, 1))
     qv = np.tile(np.asarray(q, dtype=float), (C, 1, 1))
@@ -336,12 +339,24 @@ def verify_linear_modulus(records: list, constant: float) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
+# subset actions need K <= 16 base actions: a 65 536-row subset table of 8 MB
+_MAX_BASE_ACTIONS = 16
+
+
+def _n_subsets(K: int) -> int:
+    """2^K, checked against ``_MAX_BASE_ACTIONS`` before anything of that size is made."""
+    if K > _MAX_BASE_ACTIONS:
+        raise ValueError(f"subset actions need K <= {_MAX_BASE_ACTIONS} base actions, got K = {K}")
+    return 2**K
+
+
 def _validated_weights(K: int, w, ndim: int) -> np.ndarray:
     """Mixed actions over the 2^K subsets as an ``ndim``-d float array, one
     action per row if 2-d: nonnegative weights summing to one within 1e-12."""
+    n = _n_subsets(K)
     w = np.asarray(w, dtype=float)
-    if w.ndim != ndim or w.shape[-1] != 2**K:
-        raise ValueError(f"need {2 ** K} weights per action in {ndim} dims, got shape {w.shape}")
+    if w.ndim != ndim or w.shape[-1] != n:
+        raise ValueError(f"need {n} weights per action in {ndim} dims, got shape {w.shape}")
     if (w < 0).any():
         raise ValueError("weights must be nonnegative")
     sums = w.sum(axis=-1)
@@ -374,7 +389,7 @@ class SimplexAction:
 def subset_vectors(K: int) -> np.ndarray:
     """Read-only (2^K, K) matrix whose row ``mask`` is the indicator vector of
     the subset: column i-1 holds bit i-1 of the mask, i.e. action i."""
-    E = (np.arange(2**K)[:, None] >> np.arange(K) & 1).astype(float)
+    E = (np.arange(_n_subsets(K))[:, None] >> np.arange(K) & 1).astype(float)
     E.setflags(write=False)
     return E
 
@@ -394,25 +409,15 @@ def _direction(K: int, i: int) -> tuple:
 
 
 def vertex_action(K: int, mask: int) -> SimplexAction:
-    if not 0 <= mask < 2**K:
+    n = _n_subsets(K)
+    if not 0 <= mask < n:
         raise ValueError(f"subset mask {mask} is outside [0, 2^{K})")
-    return SimplexAction(K, np.arange(2**K) == mask)
+    return SimplexAction(K, np.arange(n) == mask)
 
 
 def uniform_action(K: int) -> SimplexAction:
-    return SimplexAction(K, np.full(2**K, 1.0 / 2**K))
-
-
-def hat_weights(a: SimplexAction, i: int) -> tuple:
-    """Total weight on subsets containing i, and its complement.
-
-    The complement is returned as 1 - hat(i) so the pair always sums to one
-    exactly in floating point; it agrees with the direct sum over subsets not
-    containing i up to the simplex mass tolerance.
-    """
-    member, _ = _direction(a.n_actions, i)
-    hat_i = float(np.sum(a.weights[member]))
-    return hat_i, 1.0 - hat_i
+    n = _n_subsets(K)
+    return SimplexAction(K, np.full(n, 1.0 / n))
 
 
 def _regret_data(mu: SignedAtomicMeasure, q, M) -> tuple:
@@ -627,7 +632,7 @@ def regret_samples(K: int, n: int, rng: np.random.Generator) -> list:
                 "M": M1,
                 "eps": float(rng.uniform(0.05, 0.5)),
                 "i": int(rng.integers(1, K + 1)),
-                "a": SimplexAction(K, rng.dirichlet(np.ones(2**K))),
+                "a": SimplexAction(K, rng.dirichlet(np.ones(_n_subsets(K)))),
             }
         )
     return samples

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._optim import simplex_points
 from ._rng import mean_stderr, substream
-from .hamiltonians import SimplexAction, hat_weights, subset_vectors, uniform_action, vertex_action
+from .hamiltonians import SimplexAction, subset_vectors, uniform_action, vertex_action
 from .measures import SignedAtomicMeasure
 
 __all__ = [
@@ -228,24 +228,27 @@ def exact_value_small(
     actions, with chance resolving the signal, and its value is found
     exactly by ``_stage_values`` without a linear program.  A belief is a
     sorted array of codes of integer offsets o in [-T, T]^K of the gap vector
-    from m0's atom, so every gap g0 + o is exact, and the matching masses.
-    Beliefs are expanded level by level, histories in lexicographic order;
-    the children of a whole level come from one ``np.unique`` over the
-    parents' codes plus the shifts of a signal table built once, and beliefs
-    of one level with equal codes and masses equal to 12 decimals share one
-    stage game, labelled by their first history.  The stage games of a level
-    are then solved in one batch, deepest level first.  With one round left
-    the stage matrix is one broadcast over the belief, M[i, a] = sum_g p_g
-    sum_J w_aJ max_k(g_k + E_Jk - E_Ji).  The grid restricts the adversary,
-    so the result lower-bounds the unrestricted value.  Point-mass initial
-    probability laws only, K <= 3, T <= 6, at most 100 000 candidate vertices
-    per stage game (grids of up to 82 actions at K = 3, 445 at K = 2) and
-    450 000 over all stage games, counted as the levels are expanded, before
-    any stage game is solved (T = 6 at K = 2 and T = 4 at K = 3 on the vertex
-    grids).  A ``table`` dict passed in is filled with one entry per solved
-    stage game, keyed by its public history of (grid index, signal) pairs:
-    {"value": v, "matrix": rows}.  Raises FloatingPointError if a stage value
-    is not finite.
+    from m0's atom, so every gap g0 + o is exact, and the matching positive
+    masses.  A signal is observed only when its side of the subsets (those
+    with i in J on success, the rest on failure) holds positive weight, and
+    that weight is its probability.  Beliefs are expanded level by level,
+    histories in lexicographic order; the children of a whole level come from
+    one ``np.unique`` over the parents' codes plus the shifts of a signal
+    table built once, and beliefs of one level with equal codes and masses
+    equal to 12 decimals share one stage game, labelled by their first
+    history.  The stage games of a level are then solved in one batch, deepest
+    level first.  With one round left the stage matrix is one broadcast over
+    the belief, M[i, a] = sum_g p_g sum_J w_aJ max_k(g_k + E_Jk - E_Ji).  The
+    grid restricts the adversary, so the result lower-bounds the unrestricted
+    value.  Point-mass initial probability laws only, K <= 3, T <= 6, at most
+    100 000 candidate vertices per stage game (grids of up to 82 actions at
+    K = 3, 445 at K = 2) and 450 000 over all stage games, counted as the
+    levels are expanded, before any stage game is solved (T = 6 on the vertex
+    grids from zero gaps: 146 stage games at K = 2 and 1 156 at K = 3).  A
+    ``table`` dict passed in is filled with one entry per solved stage game,
+    keyed by its public history of (grid index, signal) pairs:
+    {"value": v, "matrix": rows}.  Raises FloatingPointError if a stage
+    value is not finite.
     """
     if m0.n_atoms != 1 or not m0.probability:
         raise ValueError("exact values need a point-mass initial probability distribution")
@@ -264,24 +267,21 @@ def exact_value_small(
     powers = base ** np.arange(K, dtype=np.int64)  # offset o has code sum_k (o_k + T) base^k
     E = subset_vectors(K)
     subset_codes = E.astype(np.int64) @ powers
-    # per signal of positive probability, in stage-matrix order: its history
-    # step (grid index, signal), its stage-matrix cell (i - 1, grid index),
-    # its probability, the code shifts E_J - 1_{i in J} of the 2^(K-1)
-    # subsets J it allows and their conditional weights; the last round
-    # needs none
+    # per signal whose side of the subsets holds positive weight, in
+    # stage-matrix order: its history step (grid index, signal), its
+    # stage-matrix cell (i - 1, grid index), its probability (that weight),
+    # the code shifts E_J - 1_{i in J} of the 2^(K-1) subsets J on its side
+    # and their conditional weights; the last round needs none
     steps, cells, probs, shifts, cond = [], [], [], [], []
     for ai, a in enumerate(adversary_grid if T > 1 else []):
         for i in range(1, K + 1):
             member = E[:, i - 1].astype(bool)
-            for y, prob, sel in zip((i, -i), hat_weights(a, i), (member, ~member)):
+            for y, sel in ((i, member), (-i, ~member)):
                 w = a.weights[sel]
-                if prob > 0:
-                    total = w.sum()
-                    if total <= 0:
-                        raise ValueError("observed signal has zero probability under the mixture")
+                if (total := w.sum()) > 0:
                     steps.append((ai, y))
                     cells.append((i - 1, ai))
-                    probs.append(prob)
+                    probs.append(total)
                     shifts.append(subset_codes[sel] - (y > 0) * powers.sum())
                     cond.append(w / total)
     S, shifts, cond, probs = len(steps), np.array(shifts), np.array(cond), np.array(probs)
@@ -308,6 +308,8 @@ def exact_value_small(
                 ((pair * stride + codes[at, None])[..., None] + shifts).ravel(), return_inverse=True
             )
             child_mass = np.bincount(where, (mass[at, None, None] * cond).ravel())
+            # a child keeps only the offsets of positive mass
+            key, child_mass = key[child_mass > 0], child_mass[child_mass > 0]
             child_codes = key % stride
             bounds = np.searchsorted(key // stride, np.arange(lo * S, hi * S + 1))
             code_bytes = child_codes.tobytes()

@@ -352,8 +352,9 @@ def recursive_exact_value(T: int, m0: SignedAtomicMeasure, grid: list, table=Non
     Each distinct stage game is solved alone by ``single_stage_value`` once
     its children are; a belief's children are built one (signal) at a time
     before the memo lookup.  Beliefs are the same integer-offset code arrays
-    and masses, keyed by their codes and their masses rounded to 12
-    decimals, so the memo keys, the ``table`` labels (each belief's first
+    of positive masses, keyed by their codes and their masses rounded to 12
+    decimals, and a signal's probability is the weight on its side of the
+    subsets, so the memo keys, the ``table`` labels (each belief's first
     history in depth-first order) and the values are the package's.  No
     size limit is checked.
     """
@@ -369,11 +370,11 @@ def recursive_exact_value(T: int, m0: SignedAtomicMeasure, grid: list, table=Non
     for ai, a in enumerate(grid if T > 1 else []):
         for i in range(1, K + 1):
             member = E[:, i - 1].astype(bool)
-            for y, prob, sel in zip((i, -i), ham.hat_weights(a, i), (member, ~member)):
+            for y, sel in ((i, member), (-i, ~member)):
                 w = a.weights[sel]
-                if prob > 0:
+                if w.sum() > 0:
                     shift = subset_codes[sel] - (y > 0) * powers.sum()
-                    signals.append((ai, i - 1, y, prob, shift, w / w.sum()))
+                    signals.append((ai, i - 1, y, w.sum(), shift, w / w.sum()))
     weights = np.array([a.weights for a in grid])
     incs = E[:, None, :] - E[:, :, None]
     memo: dict = {}
@@ -394,6 +395,7 @@ def recursive_exact_value(T: int, m0: SignedAtomicMeasure, grid: list, table=Non
             for ai, row, y, prob, shifts, cond in signals:
                 child, where = np.unique((codes[:, None] + shifts).ravel(), return_inverse=True)
                 child_mass = np.bincount(where, (mass[:, None] * cond).ravel())
+                child, child_mass = child[child_mass > 0], child_mass[child_mass > 0]
                 M[row, ai] += prob * value(child, child_mass, rounds_left - 1, label + ((ai, y),))
         val = single_stage_value(M)
         memo[key] = val

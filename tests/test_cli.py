@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -570,15 +571,34 @@ def test_non_finite_stage_value_exits_3(tmp_path, capsys, monkeypatch):
     assert err == "error: numerical fault: stage game after history ((0, -1),) has value nan\n"
 
 
-def test_dp_value_over_the_stage_game_budget_exits_1(tmp_path, capsys):
-    # T = 5 on the eight-vertex grid at K = 3
+def test_dp_value_at_three_actions_over_five_rounds_exits_0(tmp_path):
+    # T = 5 on the eight-vertex grid at K = 3: 555 stage games, where beliefs
+    # that kept offsets of zero mass needed 6 760 and were refused
     scenario = json.loads((SCENARIOS / "dp_value.json").read_text())
     scenario.update(T=5, m0={"dim": 3, "atoms": [[0.0, 0.0, 0.0, 1.0]], "probability": True})
-    code = cli.run(_write(tmp_path, "dp3.json", scenario), out_dir=tmp_path / "out")
-    assert code == cli.EXIT_INPUT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"{pg._MAX_STAGE_SYSTEMS} candidate vertex systems" in err
+    assert cli.run(_write(tmp_path, "dp3.json", scenario), out_dir=tmp_path / "out") == cli.EXIT_OK
+    assert (tmp_path / "out" / "dp_value.csv").read_text().splitlines()[-1] == "5,1.25"
+
+
+def test_dp_value_refuses_a_large_m0_before_building_its_grid(tmp_path, capsys):
+    # unchecked, the 4 096 vertex actions of 4 096 weights each took 162 MB
+    # before the exact value refused K = 12
+    m0 = {"dim": 12, "atoms": [[0.0] * 12 + [1.0]], "probability": True}
+    argv = ["dp-value", "--scenario", str(SCENARIOS / "dp_value.json"), "--set", "m0=" + json.dumps(m0)]
+    tracemalloc.start()
+    try:
+        _exits_1_naming(tmp_path, capsys, argv, "'m0'")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+def test_game_sim_refuses_more_base_actions_than_subset_actions_allow(tmp_path, capsys):
+    # before, 17 dimensions exited 0 with 2^17 subset weights per action
+    m0 = {"dim": 17, "atoms": [[0.0] * 17 + [1.0]], "probability": True}
+    argv = ["game-sim", "--scenario", str(SCENARIOS / "game_sim.json"), "--set", "m0=" + json.dumps(m0)]
+    _exits_1_naming(tmp_path, capsys, argv + ["--set", "runs=1", "--set", "T=1"], "K <= 16")
 
 
 def test_set_override_changes_output(tmp_path):
@@ -624,6 +644,22 @@ def test_filter_sim_policy_reads_its_control_weight(tmp_path):
     assert runs[1] == runs[None] and runs[2] != runs[None]
 
 
+_POINT2 = {"dim": 2, "atoms": [[1.0, 2.0, 1.0]], "probability": True}
+
+
+def test_hamiltonian_of_one_dimensional_coefficients_on_a_plane_measure_exits_1(tmp_path, capsys):
+    # before, numpy broadcast the lq1d closures over the 2-d atoms and wrote G = -1.2496
+    argv = ["hamiltonian", "--scenario", str(SCENARIOS / "hamiltonian_lq.json"), "--set", _cases(mu=_POINT2)]
+    _exits_1_naming(tmp_path, capsys, argv, "dimension 1 got atoms of dimension 2")
+
+
+def test_filter_sim_of_one_dimensional_coefficients_on_a_plane_measure_exits_1(tmp_path, capsys):
+    # before, the run failed on "cannot reshape array of size 8000 into shape (4000,1)"
+    argv = ["filter-sim", "--scenario", str(SCENARIOS / "filter_sim.json")]
+    argv += ["--set", "mu=" + json.dumps(_POINT2)]
+    _exits_1_naming(tmp_path, capsys, argv, "dimension 2 for coefficients of dimension 1")
+
+
 def test_metric_case_of_two_dimensions_exits_1(tmp_path, capsys):
     # each case's weight comes from its own measures, so they must agree
     other = {"dim": 2, "atoms": [[1.0, 0.0, 1.0]], "probability": True}
@@ -658,7 +694,7 @@ def test_dp_value_and_dump(tmp_path):
     assert not (tmp_path / "dp_value_table.json").exists()
     assert cli.run(SCENARIOS / "dp_value.json", out_dir=tmp_path, dump=True) == 0
     table = json.loads((tmp_path / "dp_value_table.json").read_text())
-    assert table == {"n_nodes": 9, "value": 0.5}
+    assert table == {"n_nodes": 6, "value": 0.5}
 
 
 def _sobolev_rows(out):

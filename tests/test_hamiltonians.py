@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -210,6 +211,45 @@ def test_assumption_i_M_only_difference(rng):
     rep = ham.check_assumption_i_filtering(LQ, [(mu, np.zeros(1), j1, j2)], GRID)
     assert rep.passed
     assert rep.stats["fitted_constant"] <= 0.5 + 1e-12
+
+
+def test_assumption_i_fails_on_a_gap_of_zero_scale(rng, monkeypatch):
+    # jets differing in p only, with every jet distance read as 0: the gap
+    # has no finite constant
+    monkeypatch.setattr(ham, "linear_growth_norm", lambda f, dim, extra_points=None: 0.0)
+    mu = random_probability_measure(rng)
+    j1, j2 = _standard_jet(p_slope=1.0), _standard_jet(p_slope=2.0)
+    lhs = abs(ham.Ge_extend(mu, np.zeros(1), j1, LQ, GRID) - ham.Ge_extend(mu, np.zeros(1), j2, LQ, GRID))
+    rep = ham.check_assumption_i_filtering(LQ, [(mu, np.zeros(1), j1, j2)], GRID)
+    assert not rep.passed and lhs > 1e-12
+    assert rep.failures == [{"lhs": lhs, "scale": 0.0}]
+    assert rep.stats["fitted_constant"] == 0.0
+
+
+def test_assumption_i_fails_on_a_non_finite_ratio(rng):
+    # a p field of NaNs makes both the gap and its scale NaN
+    mu = random_probability_measure(rng)
+    nan_jet = ham.JetArgs(lambda X: np.full(X.shape, np.nan), _standard_jet().q, np.ones((1, 1)))
+    rep = ham.check_assumption_i_filtering(LQ, [(mu, np.zeros(1), _standard_jet(), nan_jet)], GRID)
+    assert not rep.passed
+    [failure] = rep.failures
+    assert set(failure) == {"lhs", "scale"} and math.isnan(failure["lhs"]) and math.isnan(failure["scale"])
+
+
+def test_filtering_coefficients_act_on_their_own_dimension(rng):
+    # unchecked, numpy broadcast the 1-d closures over the atoms of a plane
+    # measure and returned a value that belongs to no model
+    mu2 = random_probability_measure(rng, dim=2)
+    with pytest.raises(ValueError, match="dimension 1 got atoms of dimension 2"):
+        ham.G_filtering(mu2, _standard_jet(), LQ, GRID)
+    with pytest.raises(ValueError, match="dimension 1 got atoms of dimension 2"):
+        ham.Ge_extend(mu2, np.zeros(2), _standard_jet(), LQ, GRID)
+    th = ms.Theta(0.0, mu2, np.zeros(2))
+    with pytest.raises(ValueError, match="dimension 1 got atoms of dimension 2"):
+        ham.check_assumption_ii_filtering(LQ, th, th, 0.1, fm.default_config(2), GRID)
+    mu = random_probability_measure(rng)
+    with pytest.raises(ValueError, match=r"dimension 1 got atoms of dimension 1 and M of shape \(2, 2\)"):
+        ham.K_filtering(GRID, mu, _standard_jet(M=np.eye(2)), LQ)
 
 
 def _jet_samples(rng, n):
@@ -475,45 +515,6 @@ def test_shipped_coefficients_meet_their_constants(name):
 # ---------------------------------------------------------------------------
 
 
-def test_hat_weights_examples():
-    assert ham.hat_weights(ham.vertex_action(2, 0b01), 1) == (1.0, 0.0)
-    assert ham.hat_weights(ham.vertex_action(2, 0), 1) == (0.0, 1.0)
-    assert ham.hat_weights(ham.uniform_action(2), 1) == (0.5, 0.5)
-    with pytest.raises(ValueError):
-        ham.hat_weights(ham.uniform_action(2), 3)
-
-
-def test_hat_weights_partition_exact(rng):
-    for _ in range(50):
-        K = int(rng.integers(2, 4))
-        a = ham.SimplexAction(K, rng.dirichlet(np.ones(2**K)))
-        for i in range(1, K + 1):
-            hi, hmi = ham.hat_weights(a, i)
-            assert hi + hmi == 1.0
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    action=st.integers(1, 3).flatmap(
-        lambda K: st.tuples(
-            st.just(K),
-            st.lists(st.floats(0.0, 1e3), min_size=2**K, max_size=2**K).filter(
-                lambda w: sum(w) > 0
-            ),
-        )
-    )
-)
-def test_hat_weights_sum_to_one(action):
-    K, raw = action
-    w = np.asarray(raw) / np.sum(raw)
-    a = ham.SimplexAction(K, w)
-    masks = np.arange(2**K)
-    for i in range(1, K + 1):
-        hi, hmi = ham.hat_weights(a, i)
-        assert hi + hmi == 1.0
-        assert hmi == pytest.approx(np.sum(a.weights[(masks >> (i - 1) & 1) == 0]), abs=1e-12)
-
-
 def test_subset_vectors_table():
     for K in range(1, 5):
         E = ham.subset_vectors(K)
@@ -545,11 +546,11 @@ def test_V_vectors_norm_bound_and_cleared_identity(rng):
         E = ham.subset_vectors(K)
         masks = np.arange(2**K)
         for i in range(1, K + 1):
-            hi, hmi = ham.hat_weights(a, i)
+            member = (masks >> (i - 1) & 1).astype(bool)
+            hi = a.weights[member].sum()
             vi, vmi = V_vectors(a, i)
             assert np.linalg.norm(vi) <= 2.0 ** (K - 1) + 1e-12
             assert np.linalg.norm(vmi) <= 2.0 ** (K - 1) + 1e-12
-            member = (masks >> (i - 1) & 1).astype(bool)
             cleared = a.weights[member] @ (1.0 - E[member])
             assert np.allclose(hi * vi, cleared, atol=2e-16, rtol=4e-16)
 
@@ -797,6 +798,59 @@ def test_check_assumptions_regret_trivial_cases(rng):
     rep = ham.check_assumptions_regret([sample], cfgs)
     assert rep.passed
     assert rep.stats["max_sign_gap"] == pytest.approx(0.0, abs=1e-15)
+
+
+def _sign_and_lipschitz_sample(rng):
+    """A sample of two equal measures, equal jets and the uniform action."""
+    mu = random_probability_measure(rng, dim=2)
+    q = lambda X: np.broadcast_to(np.eye(2), (np.atleast_2d(X).shape[0], 2, 2))
+    return {"K": 2, "mu": mu, "nu": mu, "q1": q, "q2": q, "M1": np.eye(2), "M2": np.eye(2),
+            "M": np.eye(2), "eps": 0.1, "i": 1, "a": ham.uniform_action(2)}
+
+
+def test_check_assumptions_regret_fails_the_lipschitz_bound(rng, monkeypatch):
+    # equal jets bound the gap by 0, and G_regret is made to answer 0 then 1
+    values = iter([0.0, 1.0])
+    monkeypatch.setattr(ham, "G_regret", lambda mu, q, M: next(values))
+    rep = ham.check_assumptions_regret([_sign_and_lipschitz_sample(rng)], {2: fm.default_config(2)})
+    assert not rep.passed
+    assert rep.failures == [{"sample": 0, "check": "lipschitz", "lhs": 1.0, "bound": 0.0}]
+
+
+def test_check_assumptions_regret_fails_the_sign_check(rng, monkeypatch):
+    # a kernel Hessian of I at mu's atoms and 0 at nu's: with M = I the
+    # pairing at mu exceeds the pairing at nu
+    sample = _sign_and_lipschitz_sample(rng)
+    n = sample["mu"].n_atoms
+
+    def hessian_field(kernel):
+        return lambda X: np.where((np.arange(len(X)) < n)[:, None, None], np.eye(2), 0.0)
+
+    monkeypatch.setattr(fm, "kappa_hessian_field", hessian_field)
+    rep = ham.check_assumptions_regret([sample], {2: fm.default_config(2)})
+    W, mu = sample["a"].weights[None], sample["mu"]
+
+    def constant(c):
+        return lambda X: np.broadcast_to(c * np.eye(2), (len(X), 2, 2))
+
+    k_mu, k_nu = (ham.K_regret(1, W, mu, constant(c), np.eye(2))[0] for c in (1.0, 0.0))
+    gap = float(k_mu - k_nu)
+    assert not rep.passed and gap > 1e-9
+    assert rep.failures == [{"sample": 0, "check": "sign", "gap": gap}]
+
+
+def test_subset_actions_need_at_most_sixteen_base_actions():
+    # unchecked, each made 2^K entries whatever K was
+    makers = [
+        ham.subset_vectors,
+        ham.uniform_action,
+        lambda K: ham.vertex_action(K, 0),
+        lambda K: ham.SimplexAction(K, [1.0]),
+    ]
+    for make in makers:
+        with pytest.raises(ValueError, match="K <= 16"):
+            make(17)
+    assert ham.uniform_action(16).weights.size == 2**16
 
 
 def test_simplex_action_validation():

@@ -166,9 +166,10 @@ def test_exact_value_at_two_actions_is_covers_value(T):
     assert abs(value - cover) <= 2 * math.ulp(cover)
 
 
-@pytest.mark.parametrize("T", range(1, 5))
+@pytest.mark.parametrize("T", range(1, 7))
 def test_exact_value_at_three_actions_is_at_least_the_singleton_adversary_regret(T):
-    # the value against the bound: 0.667/0.667, 0.833/0.667, 1.000/0.889, 1.125/1.037
+    # the value against the bound: 0.667/0.667, 0.833/0.667, 1.000/0.889,
+    # 1.125/1.037, 1.250/1.111, 1.354/1.235
     value = pg.exact_value_small(T, ms.dirac(np.zeros(3)), _vertex_grid(3))
     bound = float(singleton_adversary_regret(T, 3))
     assert value >= bound - 2 * math.ulp(bound)
@@ -425,7 +426,7 @@ def test_exact_value_size_limits():
         pg.exact_value_small(1, ms.dirac(np.zeros(3)), [ham.vertex_action(3, 0)] * 83)
 
 
-@pytest.mark.parametrize("K, counts", [(2, [1, 9, 43, 147]), (3, [1, 25, 250])], ids=["K2", "K3"])
+@pytest.mark.parametrize("K, counts", [(2, [1, 6, 19, 44]), (3, [1, 14, 71])], ids=["K2", "K3"])
 def test_exact_value_memo_counts(K, counts):
     # distinct stage games solved from zero gaps on the vertex grid, T = 1, 2, ...
     for T, count in enumerate(counts, start=1):
@@ -529,12 +530,42 @@ def test_exact_value_below_1e_12_matches_the_sequence_form_lp(T, g0):
     assert main != pg.exact_value_small(T, ms.dirac(np.zeros(len(g0))), grid)
 
 
+# actions whose whole weight sits on one side of an action's signal: masks 3
+# and 6 both hold action 2 at K = 3, and masks 1 and 3 both hold action 1 at
+# K = 2, with a total 5e-13 short of one.  Read as one minus the other side,
+# the empty side's probability was 1.1e-16 and 5e-13, and the DP raised
+_ONE_SIDED = [
+    (3, [0.0, 0.0, 0.0, 0.19583650425799073, 0.0, 0.0, 0.8041634957420092, 0.0]),
+    (2, [0.0, 0.5, 0.0, 0.5 - 5e-13]),
+]
+
+
+@pytest.mark.parametrize("T", [2, 3])
+@pytest.mark.parametrize("K, weights", _ONE_SIDED, ids=["K3", "K2"])
+def test_exact_value_observes_no_signal_from_an_empty_side(K, weights, T):
+    # against the same grid with every weight raised by 1e-9, which leaves no
+    # side empty (0.4941087762 against 0.4941087771 at K = 3, T = 2)
+    w = np.array(weights)
+    twin = (w + 1e-9) / (w + 1e-9).sum()
+    rest = [ham.vertex_action(K, 0), ham.vertex_action(K, 1)]
+    g0 = np.zeros(K)
+    value = pg.exact_value_small(T, ms.dirac(g0), [ham.SimplexAction(K, w)] + rest)
+    near = pg.exact_value_small(T, ms.dirac(g0), [ham.SimplexAction(K, twin)] + rest)
+    assert math.isfinite(value) and abs(value - near) <= 1e-8
+    oracle = sequence_form_value(T, g0, [twin] + [a.weights for a in rest])
+    assert near == pytest.approx(oracle, abs=5e-9)
+
+
+# the eight vertices and the uniform action at K = 3: 219 candidate vertex
+# systems per stage game, so T = 5 needs more than the 2 054 games the budget admits
+_OVER_BUDGET = (5, ms.dirac(np.zeros(3)), _vertex_grid(3) + [ham.uniform_action(3)])
+
+
 def test_exact_value_refuses_before_solving_any_stage_game(monkeypatch):
     solved = []
     monkeypatch.setattr(pg, "_stage_values", lambda M: solved.append(len(M)))
-    # T = 5 on the eight-vertex grid at K = 3 needs 6 760 stage games
     with pytest.raises(ValueError, match="candidate vertex systems"):
-        pg.exact_value_small(5, ms.dirac(np.zeros(3)), _vertex_grid(3))
+        pg.exact_value_small(*_OVER_BUDGET)
     assert solved == []
 
 
@@ -542,11 +573,9 @@ def test_exact_value_stage_game_budget():
     table = {}
     value = pg.exact_value_small(6, ZERO2, _vertex_grid(2), table)
     assert value == pytest.approx(0.9375, abs=1e-12)
-    assert len(table) == 966
-    # T = 5 on the eight-vertex grid at K = 3 needs 6 760 stage games of 164
-    # candidate vertex systems each
+    assert len(table) == 146
     with pytest.raises(ValueError, match="candidate vertex systems"):
-        pg.exact_value_small(5, ms.dirac(np.zeros(3)), _vertex_grid(3))
+        pg.exact_value_small(*_OVER_BUDGET)
 
 
 def test_exact_value_dump_table():

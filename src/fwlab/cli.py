@@ -13,7 +13,8 @@ of the scenario, against them before any numerics run.
 Exit codes: 0 success, 1 input or usage error (a key the target never reads,
 a missing key, a value of the wrong type or a run too large for memory), 2 a
 numerical check failed, 3 an internal numerical fault (a diverging simulation,
-a non-finite stage-game value or any other exception the run raises).
+a non-finite stage-game value, a singular linear solve or any other exception
+the run raises).
 """
 
 from __future__ import annotations
@@ -355,16 +356,13 @@ def _run_game_sim(
     return EXIT_OK
 
 
-def _run_dp_value(
-    out: Path, meta: dict, dump: bool = False, /, *, T: int, m0: dict, grid: str = "vertices"
-) -> int:
+def _run_dp_value(out: Path, meta: dict, dump: bool = False, /, *, T: int, m0: dict) -> int:
     m0 = measure_from_json(m0)
     K = m0.dim
-    if K > pg._MAX_ACTIONS:  # checked before the 2^K-action grid is built
+    if K > pg._MAX_ACTIONS:  # checked before the 2^K-vertex grid is built
         raise ScenarioError(f"scenario key 'm0' has dimension {K}; dp-value needs K <= {pg._MAX_ACTIONS}")
-    masks = _lookup({"vertices": range(2**K), "full-set-only": [2**K - 1]}, grid, "adversary grid")
     table = {} if dump else None
-    value = pg.exact_value_small(T, m0, [ham.vertex_action(K, mask) for mask in masks], table)
+    value = pg.exact_value_small(T, m0, [ham.vertex_action(K, mask) for mask in range(2**K)], table)
     if dump:
         _write_json(out / "dp_value_table.json", {"value": value, "n_nodes": len(table)})
     _write_csv(out / "dp_value.csv", ["T", "value"], [[T, value]], meta)
@@ -446,6 +444,9 @@ def run(scenario_file, overrides=(), out_dir=None, dump=False, expected_target=N
         # it writes leaves none
         out = Path(out_dir) if out_dir else Path.cwd()
         return runner(out, meta, *((dump,) if dump else ()), **kwargs)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but raised by the numerics
+        print(f"error: numerical fault: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAULT
     except (ScenarioError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

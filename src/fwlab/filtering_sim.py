@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _DIVERGENCE_GUARD = 1e6
+_CONTROL_BOUND = 4.0
 # viscosity_residual's spot check of the candidate's jet
 _CONSISTENCY_TOL = 1e-3
 
@@ -58,23 +59,17 @@ class ControlPolicy:
     """Measurable feedback on the empirical conditional law.
 
     ``rule(t, summary)`` sees the summaries of all runs at once and returns
-    one scalar control per run, as a (runs,) array.  Controls must lie
-    inside [lo, hi] (clipped defensively on use).
+    one scalar control per run, as a (runs,) array, clipped to [-4, 4] on use.
     """
 
     rule: Callable
-    lo: float
-    hi: float
 
     def __call__(self, t: float, summary: LawSummary) -> np.ndarray:
-        return np.clip(np.asarray(self.rule(t, summary), dtype=float), self.lo, self.hi)
-
-
-_CONTROL_BOUND = 4.0  # every shipped policy clips its control to [-4, 4]
+        return np.clip(np.asarray(self.rule(t, summary), dtype=float), -_CONTROL_BOUND, _CONTROL_BOUND)
 
 
 def constant_policy(value: float) -> ControlPolicy:
-    return ControlPolicy(lambda t, s: np.full(len(s.mean), value), -_CONTROL_BOUND, _CONTROL_BOUND)
+    return ControlPolicy(lambda t, s: np.full(len(s.mean), value))
 
 
 @dataclass(frozen=True)
@@ -197,18 +192,12 @@ def sample_costs(
         mean = X[0].mean(axis=0)
         var = float(np.mean((X[0] - mean) ** 2))
         rows.append((clock, float(mean[0]), var, float(running[0].mean())))
-    return _run_costs(X, running, coeffs), rows
-
-
-def _run_costs(X: np.ndarray, running: np.ndarray, coeffs: FilteringCoeffs) -> list:
-    """Per-run particle averages of running plus terminal cost, from the
-    final (runs, N, d) states and (runs, N) running costs of ``_run_paths``."""
     terminal = np.asarray(coeffs.l(X.reshape(-1, coeffs.d)), dtype=float).reshape(running.shape)
     costs = (running + terminal).mean(axis=1).tolist()
     for run, cost in enumerate(costs):
         if not math.isfinite(cost):
             raise FloatingPointError(f"run {run} has a non-finite cost; check coefficients")
-    return costs
+    return costs, rows
 
 
 def estimate_cost(
@@ -224,9 +213,7 @@ def estimate_cost(
     mean over runs of per-run particle averages, aggregated with exact
     summation so the result does not depend on run ordering.
     """
-    for _, X, running in _run_paths(t, mu, policy, coeffs, cfg, range(cfg.runs)):
-        pass
-    return mean_stderr(_run_costs(X, running, coeffs))
+    return mean_stderr(sample_costs(t, mu, policy, coeffs, cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +296,7 @@ def lqg_feedback_policy(lq: LQParams) -> ControlPolicy:
         slope = lq_value(t, summary.mean[:, 0], 0.0, lq)[2]
         return -slope / (2.0 * lq.control_weight)
 
-    return ControlPolicy(rule, -_CONTROL_BOUND, _CONTROL_BOUND)
+    return ControlPolicy(rule)
 
 
 def _lqg_feedback(horizon: float, /, *, control_weight: float = 1.0) -> ControlPolicy:

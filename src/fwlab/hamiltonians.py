@@ -85,19 +85,17 @@ class FilteringCoeffs:
 _PROBE_VALUES = (1.0, 5.0, 25.0)
 
 
-def _probe_points(dim: int, extra: np.ndarray | None = None) -> np.ndarray:
-    """The origin, then +-v e_axis for v in ``_PROBE_VALUES``, axis by axis."""
+def _probe_points(dim: int, extra: np.ndarray) -> np.ndarray:
+    """The origin, then +-v e_axis for v in ``_PROBE_VALUES``, axis by axis, then ``extra``."""
     steps = np.ravel(np.outer(_PROBE_VALUES, (1.0, -1.0)))
     axes = np.repeat(np.arange(dim), steps.size)
     pts = np.zeros((1 + axes.size, dim))
     pts[np.arange(1, 1 + axes.size), axes] = np.tile(steps, dim)
-    if extra is not None and extra.size:
-        pts = np.vstack([pts, np.atleast_2d(extra)])
-    return pts
+    return np.vstack([pts, extra])
 
 
-def linear_growth_norm(f: Callable, dim: int, extra_points: np.ndarray | None = None) -> float:
-    """sup |f(x)| / (1 + |x|) estimated on the standard probe set plus extras."""
+def linear_growth_norm(f: Callable, dim: int, extra_points: np.ndarray) -> float:
+    """sup |f(x)| / (1 + |x|) estimated on the standard probe set plus ``extra_points``."""
     X = _probe_points(dim, extra_points)
     vals = np.asarray(f(X), dtype=float)
     mags = np.abs(vals) if vals.ndim == 1 else np.linalg.norm(

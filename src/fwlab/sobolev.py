@@ -100,7 +100,7 @@ def box1d(length: float = 32.0, n: int = 1024) -> Box:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Values of a function on the box grid.
+    """Real values of a function on the box grid.
 
     Scalar fields have ``values.shape == box.nodes``; vector or matrix fields
     carry extra trailing component axes.  Spectral operators act on scalar
@@ -114,8 +114,8 @@ class GridFunction:
         vals = np.asarray(self.values)
         if vals.shape[: self.box.dim] != self.box.nodes:
             raise ValueError(f"values shape {vals.shape} != box nodes {self.box.nodes}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("grid values must be finite")
+        if np.iscomplexobj(vals) or not np.all(np.isfinite(vals)):
+            raise ValueError("grid values must be real and finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -126,9 +126,6 @@ class GridFunction:
 
     def is_scalar(self) -> bool:
         return self.values.shape == self.box.nodes
-
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values)
 
 
 @functools.lru_cache(maxsize=8)
@@ -171,19 +168,16 @@ def _spectrum(f: GridFunction) -> np.ndarray:
 
 
 def _multiply(f: GridFunction, mult) -> GridFunction:
-    """The Fourier multiplier ``mult`` applied to f; real f gives a real result."""
-    out = np.fft.ifftn(mult * _spectrum(f))
-    return GridFunction(f.box, out if np.iscomplexobj(f.values) else out.real)
+    """The real part of the Fourier multiplier ``mult`` applied to f."""
+    return GridFunction(f.box, np.fft.ifftn(mult * _spectrum(f)).real)
 
 
 def bessel_potential(f: GridFunction, s: float) -> GridFunction:
-    """Multiplier (1 + |xi|^2)^{s/2} in frequency; s = 0 is the identity.
+    """Multiplier (1 + |xi|^2)^{s/2} in frequency; s = 0 is the identity up to rounding.
 
     Positive s roughens, negative s smooths; composition adds orders and the
     map is invertible on the grid for every real s.
     """
-    if s == 0.0 and f.is_scalar():
-        return f
     return _multiply(f, _weight(f.box, s / 2.0))
 
 
@@ -198,7 +192,7 @@ def spectral_laplacian(f: GridFunction) -> GridFunction:
 def l2_inner(f: GridFunction, g: GridFunction) -> float:
     if f.box != g.box:
         raise ValueError("grid mismatch")
-    return float(np.real(np.vdot(f.values, g.values)) * f.box.cell_volume())
+    return float(np.vdot(f.values, g.values) * f.box.cell_volume())
 
 
 def _norm_sq(power: np.ndarray, box: Box, s: float) -> float:
@@ -442,16 +436,12 @@ def random_band_limited(box: Box, band: int, rng: np.random.Generator) -> GridFu
     return GridFunction(box, vals / scale)
 
 
-def refine_grid(f: GridFunction, factor: int = 2) -> GridFunction:
-    """Resample a band-limited grid function on a factor-times finer grid."""
-    if factor < 1 or (factor & (factor - 1)) != 0:
-        raise ValueError("factor must be a power of two")
-    if factor == 1:
-        return f
+def refine_grid(f: GridFunction) -> GridFunction:
+    """Resample a band-limited grid function on a grid twice as fine along each axis."""
     old = f.box.nodes
     # zero-pad the centred spectrum; the Nyquist bin lands on -n/2
-    pad = [((factor - 1) * n // 2,) * 2 for n in old]
+    pad = [(n // 2,) * 2 for n in old]
     spec = np.fft.ifftshift(np.pad(np.fft.fftshift(_spectrum(f)), pad))
-    vals = np.fft.ifftn(spec) * (factor ** len(old))
-    box = Box(f.box.origin, f.box.lengths, tuple(n * factor for n in old))
-    return GridFunction(box, vals.real if f.is_real() else vals)
+    vals = np.fft.ifftn(spec) * (2 ** len(old))
+    box = Box(f.box.origin, f.box.lengths, tuple(2 * n for n in old))
+    return GridFunction(box, vals.real)

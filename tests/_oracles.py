@@ -156,9 +156,11 @@ def fixed_support_d_F_sq(t1, w1, m1, t2, w2, m2, support, cfg) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hat(action_weights: np.ndarray, K: int, i: int) -> float:
-    masks = np.arange(2**K)
-    return float(np.sum(action_weights[(masks >> (i - 1) & 1).astype(bool)]))
+def _sides(action_weights: np.ndarray, K: int, i: int) -> tuple:
+    """The weights held by the subsets containing i and by the rest: the
+    probabilities of signals i and -i."""
+    member = (np.arange(2**K) >> (i - 1) & 1).astype(bool)
+    return float(np.sum(action_weights[member])), float(np.sum(action_weights[~member]))
 
 
 def _subset_vec(K: int, mask: int) -> np.ndarray:
@@ -201,8 +203,8 @@ def sequence_form_value(T: int, g0, grid_weights: list) -> float:
             info = histories[h]
             for ai, w in enumerate(grid):
                 for i in range(1, K + 1):
-                    hat_i = _hat(w, K, i)
-                    for y, pr in ((i, hat_i), (-i, 1.0 - hat_i)):
+                    hat_i, hat_mi = _sides(w, K, i)
+                    for y, pr in ((i, hat_i), (-i, hat_mi)):
                         if pr <= 0.0:
                             continue
                         child = h + ((ai, y),)
@@ -622,8 +624,7 @@ def V_vectors(a, i: int) -> tuple:
     K = a.n_actions
     E = np.array([_subset_vec(K, mask) for mask in range(2**K)])
     sel = E[:, i - 1].astype(bool)
-    hat_i = float(np.sum(a.weights[sel]))
-    hat_mi = 1.0 - hat_i
+    hat_i, hat_mi = _sides(a.weights, K, i)
     u_i = a.weights[sel] @ (1.0 - E[sel])  # sum a(j) e_{j^C} over j containing i
     u_mi = a.weights[~sel] @ E[~sel]  # sum a(j) e_j over j not containing i
     v_i = u_i / hat_i if hat_i > 0 else np.zeros(K)
@@ -642,8 +643,7 @@ def K_regret_conditional(i: int, a, mu, q, M) -> float:
     sel = E[:, i - 1].astype(bool)
     qbar = np.einsum("n,nij->ij", mu.weights, np.asarray(q(mu.locations), dtype=float))
     M = np.asarray(M, dtype=float)
-    hat_i = float(np.sum(a.weights[sel]))
-    hat_mi = 1.0 - hat_i
+    hat_i, hat_mi = _sides(a.weights, K, i)
     v_i, v_mi = V_vectors(a, i)
     comp = 1.0 - E[sel]
     pair_i = np.einsum("jp,pq,jq->j", comp, qbar, comp - v_i)

@@ -14,6 +14,7 @@ from fwlab import cli
 from fwlab import comparison_harness as ch
 from fwlab import fourier_metric as fm
 from fwlab import prediction_game as pg
+from fwlab import sobolev as sb
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RHO_D0_D1 = 0.17007722980167875
@@ -105,7 +106,7 @@ OUTPUT_DIGESTS = {
         "dissipation_check.csv": "26075927471d695bb5e989f9a3325d44cd175bf1fb82db58e377b27af747fabf",
     },
     "dp_value.json": {
-        "dp_value.csv": "05b888ea738cc28d0e80f47cbaa403e1fbfc4b024b8284e426439105d2e9aa4f",
+        "dp_value.csv": "006b196a3e21cec0ffeccf0d4049b97ba73d1da086ad199dbe134063e18145d3",
     },
     "filter_sim.json": {
         "filter_sim.csv": "8a4b3973e76898ec728eeba2608b5ff6449952fe11789c8fe513ba6f077b36f6",
@@ -686,6 +687,32 @@ def test_any_exception_of_a_run_exits_3(tmp_path, capsys, monkeypatch, error):
     monkeypatch.setitem(cli.DISPATCH, "dp-value", runner)
     assert cli.run(SCENARIOS / "dp_value.json", out_dir=tmp_path / "out") == cli.EXIT_NUMERICAL_FAULT
     assert capsys.readouterr().err == f"error: numerical fault: {error}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("override", ["eps_sequence=[1e-200]", "slack=1e50"], ids=["tiny-eps", "huge-slack"])
+def test_singular_polish_solve_exits_3(tmp_path, capsys, override):
+    # numpy's LinAlgError is a ValueError, but it comes from the numerics and
+    # names no scenario key
+    code = cli.run(SCENARIOS / "comparison_doubling.json", [override], out_dir=tmp_path / "out")
+    assert code == cli.EXIT_NUMERICAL_FAULT
+    assert capsys.readouterr().err == "error: numerical fault: Singular matrix\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_dissipation_check_failure_exits_2(tmp_path, monkeypatch):
+    first = sb._dissipation_design()[0]
+    monkeypatch.setattr(sb, "_dissipation_design", lambda: [first])
+    assert cli.run(SCENARIOS / "dissipation_check.json", out_dir=tmp_path) == cli.EXIT_CHECK_FAILED
+    assert (tmp_path / "dissipation_check.csv").exists()
+
+
+def test_dp_value_has_no_grid_key(tmp_path, capsys):
+    # dp-value always plays the 2^K vertex grid
+    code = cli.run(SCENARIOS / "dp_value.json", ["grid=vertices"], out_dir=tmp_path / "out")
+    assert code == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'grid'" in err
     assert not list(tmp_path.iterdir())
 
 

@@ -554,6 +554,8 @@ def test_exact_value_observes_no_signal_from_an_empty_side(K, weights, T):
     assert math.isfinite(value) and abs(value - near) <= 1e-8
     oracle = sequence_form_value(T, g0, [twin] + [a.weights for a in rest])
     assert near == pytest.approx(oracle, abs=5e-9)
+    # the LP also skips a signal whose side holds no weight (2.5e-13 apart at K = 2, T = 2)
+    assert value == pytest.approx(sequence_form_value(T, g0, [w] + [a.weights for a in rest]), abs=1e-10)
 
 
 # the eight vertices and the uniform action at K = 3: 219 candidate vertex

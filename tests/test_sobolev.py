@@ -9,6 +9,7 @@ from scipy import integrate
 from _oracles import dissipation_by_two_transforms, total_mass
 from fwlab import measures as ms
 from fwlab import sobolev as sb
+from fwlab._rng import substream
 
 BOX = sb.box1d(32.0, 512)
 BOX2 = sb.Box((-8.0, -6.0), (16.0, 12.0), (64, 64))
@@ -259,7 +260,7 @@ def test_random_band_limited_rejects_a_negative_band(rng):
 
 def test_refine_grid_preserves_band_limited(rng):
     f = sb.random_band_limited(BOX, 40, rng)
-    fine = sb.refine_grid(f, 2)
+    fine = sb.refine_grid(f)
     assert fine.box.nodes == (1024,)
     assert np.max(np.abs(fine.values[::2] - f.values)) <= 1e-12
 
@@ -299,7 +300,7 @@ def test_leibniz_identity_2d(rng):
 
 def test_refine_grid_preserves_band_limited_2d(rng):
     f = sb.random_band_limited(BOX2, 10, rng)
-    fine = sb.refine_grid(f, 2)
+    fine = sb.refine_grid(f)
     assert fine.box.nodes == (128, 128)
     assert np.max(np.abs(fine.values[::2, ::2] - f.values)) <= 1e-12
 
@@ -431,3 +432,19 @@ def test_cached_multipliers_are_their_formulas_and_read_only():
 def test_dissipation_constant_check_over_no_measures_is_an_input_error():
     with pytest.raises(ValueError, match="at least one"):
         sb.dissipation_constant_check([], sb.box1d(32.0, 1024), 4, 1.2, 0.125)
+
+
+def test_dissipation_constant_check_fails_when_the_design_misses_the_sup(monkeypatch):
+    # the design cut to its first member fits a negative constant, which 9 of
+    # the 10 dipoles of the shipped dissipation scenario exceed
+    first = sb._dissipation_design()[0]
+    monkeypatch.setattr(sb, "_dissipation_design", lambda: [first])
+    box = sb.box1d(32.0, 1024)
+    held_out = sb.random_dipoles(10, substream(0, 0))
+    rep = sb.dissipation_constant_check(held_out, box, 4, 1.2, 4 * box.spacings()[0])
+    c = rep.stats["fitted_c"]
+    assert not rep.passed and c == pytest.approx(-0.1667, abs=1e-4)
+    assert len(rep.failures) == 9
+    for failure in rep.failures:
+        assert set(failure) == {"case", "ratio", "bound"} and failure["bound"] == c
+        assert failure["ratio"] == rep.stats["ratios"][failure["case"]] > c

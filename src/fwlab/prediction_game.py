@@ -144,6 +144,9 @@ _BELIEF_ROUND = 12
 _BATCH = 1 << 16
 # a solved vertex counts as a mixture when no weight is below -_MIX_TOL
 _MIX_TOL = 1e-9
+# below this largest entry, 2^-970, the solves and the products b M of a stage
+# game leave the normal range and lose bits, so the game is scaled up first
+_TINY_GAME = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _n_vertex_systems(K: int, n: int) -> int:
@@ -181,9 +184,16 @@ def _stage_values(M: np.ndarray) -> np.ndarray:
     over its mixtures b (within ``_MIX_TOL``, clipped onto the simplex so that
     no term undercuts the value).  The products b M are stacked over the games
     with equally many mixtures, so each game gets the bits it gets alone.
-    Returns (G,) values, inf or nan where M is not finite.
+    The value is homogeneous in M, so a game whose largest entry is below
+    ``_TINY_GAME`` is solved scaled up by a power of two, exactly, and its
+    value scaled back in one rounding.  Returns (G,) values, inf or nan where
+    M is not finite.
     """
     G, K, n = M.shape
+    peak = np.abs(M).max(axis=(1, 2), initial=0.0)
+    shift = np.where((peak > 0.0) & (peak < _TINY_GAME), 1 - np.frexp(peak)[1], 0)
+    if shift.any():
+        M = np.ldexp(M, shift[:, None, None])
     rows = _vertex_rows(K, n)
     bank = np.zeros((G, n + K, K + 1))
     bank[:, :n, :K], bank[:, :n, K], bank[:, n:, :K] = np.swapaxes(M, 1, 2), -1.0, np.eye(K)
@@ -201,7 +211,7 @@ def _stage_values(M: np.ndarray) -> np.ndarray:
         # a sequential minimum from inf, as over one game alone: without the
         # start value the reduction may pick the other sign of a zero
         values[games] = np.matmul(stacked, M[games]).max(axis=2).min(axis=1, initial=math.inf)
-    return values
+    return np.ldexp(values, -shift) if shift.any() else values
 
 
 def _chunks(sizes: np.ndarray, limit: int):

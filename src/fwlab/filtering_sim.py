@@ -5,10 +5,11 @@ observation is the common path itself, the conditional law given that path is
 exactly the mixture over initial condition and idiosyncratic noise: particles
 driven by one shared W path and independent B paths represent it with no
 reweighting.  Policies only ever see a summary of the empirical law, so
-adaptedness to the common filtration is enforced structurally.  All runs
-advance together: one Euler step moves a (runs, N, d) state array and the
-(runs, N) running cost beside it, while every run draws from its own
-substreams, so a run's path does not depend on the other runs.
+adaptedness to the common filtration is enforced structurally.  Runs
+advance in blocks: one Euler step moves a (block, N, d) state array and the
+(block, N) running cost beside it, with the block sized so that each such
+buffer stays under 128 KiB, while every run draws from its own substreams, so
+a run's path does not depend on the other runs in its block.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 _DIVERGENCE_GUARD = 1e6
+# sample_costs steps as many runs together as keep each state-sized float64
+# buffer of _run_paths at 16 000 entries, 128 000 bytes: under glibc's
+# 131 072-byte mmap threshold, so the buffers come from the heap and are reused
+_BLOCK_POINTS = 16_000
 _CONTROL_BOUND = 4.0
 # viscosity_residual's spot check of the candidate's jet
 _CONSISTENCY_TOL = 1e-3
@@ -58,8 +63,9 @@ class LawSummary:
 class ControlPolicy:
     """Measurable feedback on the empirical conditional law.
 
-    ``rule(t, summary)`` sees the summaries of all runs at once and returns
-    one scalar control per run, as a (runs,) array, clipped to [-4, 4] on use.
+    ``rule(t, summary)`` sees the summaries of the runs stepped together at
+    once and returns one scalar control per run, as a (runs,) array, clipped
+    to [-4, 4] on use.
     """
 
     rule: Callable
@@ -186,14 +192,22 @@ def sample_costs(
     terminal cost l.  Run 0 also records (time, mean, variance, cost_to_date)
     at every Euler step: the first coordinate of the particle mean, the
     particle variance and the particle average of the running cost so far.
+    The runs step in consecutive blocks, as many at a time as keep each
+    state-sized buffer at _BLOCK_POINTS entries (at least one run); a run
+    draws only from its own substreams, so the blocks change no bit.
     """
-    rows = []
-    for clock, X, running in _run_paths(t, mu, policy, coeffs, cfg, range(cfg.runs)):
-        mean = X[0].mean(axis=0)
-        var = float(np.mean((X[0] - mean) ** 2))
-        rows.append((clock, float(mean[0]), var, float(running[0].mean())))
-    terminal = np.asarray(coeffs.l(X.reshape(-1, coeffs.d)), dtype=float).reshape(running.shape)
-    costs = (running + terminal).mean(axis=1).tolist()
+    block = max(1, _BLOCK_POINTS // (cfg.n_particles * max(coeffs.d, coeffs.d1)))
+    rows, costs = [], []
+    for lo in range(0, cfg.runs, block):
+        runs = range(lo, min(lo + block, cfg.runs))
+        for clock, X, running in _run_paths(t, mu, policy, coeffs, cfg, runs):
+            if lo == 0:
+                mean = X[0].mean(axis=0)
+                var = float(np.mean((X[0] - mean) ** 2))
+                rows.append((clock, float(mean[0]), var, float(running[0].mean())))
+        terminal = np.asarray(coeffs.l(X.reshape(-1, coeffs.d)), dtype=float).reshape(running.shape)
+        costs += (running + terminal).mean(axis=1).tolist()
+        del X, running, terminal  # before the next block allocates its own
     for run, cost in enumerate(costs):
         if not math.isfinite(cost):
             raise FloatingPointError(f"run {run} has a non-finite cost; check coefficients")

@@ -117,23 +117,46 @@ def test_per_run_costs_do_not_depend_on_the_run_count():
     assert rows3 == rows5
 
 
+def _block_points(block, n_particles, coeffs):
+    """The _BLOCK_POINTS that makes sample_costs step ``block`` runs at a time."""
+    return block * n_particles * max(coeffs.d, coeffs.d1)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    runs=st.integers(1, 4),
+    runs=st.integers(1, 5),
+    block=st.integers(1, 5),
     n_particles=st.integers(1, 30),
     n_steps=st.integers(0, 12),
     seed=st.integers(0, 2**32 - 1),
     coeffs_name=st.sampled_from(sorted(ham.COEFFS_REGISTRY)),
 )
-def test_sample_costs_match_the_scalar_run_loop(runs, n_particles, n_steps, seed, coeffs_name):
+def test_sample_costs_match_the_scalar_run_loop(runs, block, n_particles, n_steps, seed, coeffs_name):
     coeffs = ham.COEFFS_REGISTRY[coeffs_name]()
     cfg = fs.SimConfig(dt=0.05, n_particles=n_particles, horizon=0.05 * max(n_steps, 1),
                        runs=runs, seed=seed)
     t = 0.05 if n_steps == 0 else 0.0
     policy = fs.lqg_feedback_policy(LQ)
-    assert fs.sample_costs(t, MU2, policy, coeffs, cfg) == scalar_run_costs(
-        t, MU2, policy, coeffs, cfg, fs.LawSummary
-    )
+    with mock.patch.object(fs, "_BLOCK_POINTS", _block_points(block, n_particles, coeffs)):
+        blocked = fs.sample_costs(t, MU2, policy, coeffs, cfg)
+    assert blocked == scalar_run_costs(t, MU2, policy, coeffs, cfg, fs.LawSummary)
+
+
+def test_block_size_keeps_state_buffers_under_the_mmap_threshold():
+    coeffs = ham.make_lq_coeffs(sigma=1.0, sigma_tilde=0.5)
+    policy = fs.lqg_feedback_policy(LQ)
+    cfg = fs.SimConfig(dt=0.5, n_particles=1000, horizon=1.0, runs=64, seed=3)
+    with mock.patch.object(fs, "_run_paths", wraps=fs._run_paths) as run_paths:
+        fs.sample_costs(0.0, MU2, policy, coeffs, cfg)
+    # 16 runs of 1000 particles: 16 000 float64, 128 000 bytes per buffer
+    assert [list(call.args[5]) for call in run_paths.call_args_list] == [
+        list(range(lo, lo + 16)) for lo in range(0, 64, 16)
+    ]
+    # a particle count past the block budget still steps one run at a time
+    big = fs.SimConfig(dt=0.5, n_particles=20_000, horizon=1.0, runs=2, seed=3)
+    with mock.patch.object(fs, "_run_paths", wraps=fs._run_paths) as run_paths:
+        fs.sample_costs(0.0, MU2, policy, coeffs, big)
+    assert [list(call.args[5]) for call in run_paths.call_args_list] == [[0], [1]]
 
 
 def test_run_zero_rows_match_the_simulated_path():
@@ -237,10 +260,34 @@ def test_non_finite_coefficients_raise_floating_point_error():
         fs.estimate_cost(0.0, MU2, fs.constant_policy(0.0), nan_cost, cfg)
 
 
-def test_euler_step_memory_stays_within_six_state_sized_arrays():
-    # 64 runs of 1000 particles: the states, the running cost, the controls,
-    # the two step scratches and one closure output take 512 000 bytes each;
-    # a seventh such array would lift the peak past 3.6 MB
+def test_a_non_finite_cost_in_a_later_block_names_its_global_run():
+    # one particle per run sits still on an atom of MU2, the policy plays the
+    # run's mean, and the running cost is NaN only under the control 0.6
+    frozen = _null_coeffs()
+    nan_at_far_atom = ham.FilteringCoeffs(
+        1, 1, 1, b=frozen.b, sigma=frozen.sigma, sigma_tilde=frozen.sigma_tilde,
+        r=lambda X, a: np.where(a > 0.3, np.nan, 0.0), l=frozen.l,
+    )
+    policy = fs.ControlPolicy(lambda t, s: s.mean[:, 0])
+    cfg = fs.SimConfig(dt=0.1, n_particles=1, horizon=0.2, runs=12, seed=16)
+    far = [run for run in range(cfg.runs)
+           if next(fs._run_paths(0.0, MU2, policy, frozen, cfg, [run]))[1][0, 0, 0] == 0.6]
+    # blocks of two runs; the seed puts the first far atom past the first block
+    assert far and far[0] >= 2
+    with mock.patch.object(fs, "_BLOCK_POINTS", 2):
+        with pytest.raises(FloatingPointError, match=f"^run {far[0]} has a non-finite cost"):
+            fs.sample_costs(0.0, MU2, policy, nan_at_far_atom, cfg)
+
+
+def test_euler_step_memory_stays_within_one_block_of_state_sized_arrays():
+    # 64 runs of 1000 particles step in four blocks of 16 runs, so each
+    # state-sized array takes 16 000 float64, 128 000 bytes.  The peak is one
+    # block's: the states, the running cost, the controls and the two step
+    # scratches, plus the LQ running cost's a**2 and its product (an array
+    # this small is below NumPy's 256 KiB temporary elision), seven arrays or
+    # 896 000 bytes, plus about 20 000 bytes of the block's common noise,
+    # generators and rows.  An eighth such array, or a block left alive into
+    # the next one, would lift the peak past 1.02e6.
     coeffs = ham.make_lq_coeffs(sigma=1.0, sigma_tilde=0.5)
     cfg = fs.SimConfig(dt=0.1, n_particles=1000, horizon=1.0, runs=64, seed=3)
     policy = fs.lqg_feedback_policy(LQ)
@@ -251,7 +298,7 @@ def test_euler_step_memory_stays_within_six_state_sized_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.2e6
+    assert peak <= 0.96e6
 
 
 # ---------------------------------------------------------------------------

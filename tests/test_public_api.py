@@ -37,7 +37,7 @@ REPO = PACKAGE.parent.parent
 
 # public names that nothing calls yet, each with the ROADMAP item that owes it a caller
 AWAITING_A_CALLER = {
-    "fwlab.comparison_harness.ishii_matrix_check": "item 3: the second-order check of each maximizer",
+    "fwlab.comparison_harness.ishii_matrix_check": "item 5: the second-order check of each maximizer",
 }
 
 

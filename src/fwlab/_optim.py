@@ -129,7 +129,8 @@ def active_set_polish(fun_and_grad, x0: np.ndarray, lo, hi, eq_matrix, hessians,
     free variables and wrong-signed bound multiplier) is below 1e-8 and its
     step can no longer lower f beyond the rounding of f; below that
     resolution a step is taken on the model's word.  It also ends after
-    ``max_calls`` evaluations or ``_MAX_HALVINGS`` halvings of one step.
+    ``max_calls`` evaluations or ``_MAX_HALVINGS`` halvings of one step, and
+    where its step is not finite, as on a face whose KKT system is singular.
     Returns (X (R, p), values (R,), converged (R,)): converged where the KKT
     residual at the last point is below 1e-8.
     """
@@ -162,7 +163,13 @@ def active_set_polish(fun_and_grad, x0: np.ndarray, lo, hi, eq_matrix, hessians,
         K[:, :p, p:] = np.swapaxes(K[:, p:, :p], 1, 2)
         rhs = np.zeros((len(rows), p + m, 1))
         rhs[:, :p, 0] = np.where(free, -G[rows], 0.0)
-        solution = np.linalg.solve(K, rhs)[..., 0]
+        try:
+            solution = np.linalg.solve(K, rhs)[..., 0]
+        except np.linalg.LinAlgError:  # a singular system gets a nan step
+            solution = np.full((len(rows), p + m), np.nan)
+            with np.errstate(divide="ignore"):
+                live = np.linalg.det(K) != 0.0
+            solution[live] = np.linalg.solve(K[live], rhs[live])[..., 0]
         d = np.where(on, 0.0, solution[:, :p])
         grad_l = G[rows] + np.vecdot(solution[:, None, p:], A.T)
         mult = np.where(X[rows] == hi, -1.0, 1.0) * (grad_l + np.vecdot(B[rows], d[:, None, :]))
@@ -182,7 +189,7 @@ def active_set_polish(fun_and_grad, x0: np.ndarray, lo, hi, eq_matrix, hessians,
         d[keep], mult[keep], free_res[keep] = d2[inward], mult2[inward], res2[inward]
         kkt[rows] = np.maximum(free_res, np.max(-mult, axis=1))
         done = (kkt[rows] < _KKT_TOL) & (-np.vecdot(G[rows], d) <= _EPS * np.abs(F[rows]))
-        go = ~done & np.any(d != 0.0, axis=1)
+        go = ~done & np.any(d != 0.0, axis=1) & np.all(np.isfinite(d), axis=1)
         rows, d = rows[go], d[go]
         # the ratio test: the longest step before a free variable leaves the box
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,9 +7,10 @@ driven by one shared W path and independent B paths represent it with no
 reweighting.  Policies only ever see a summary of the empirical law, so
 adaptedness to the common filtration is enforced structurally.  Runs
 advance in blocks: one Euler step moves a (block, N, d) state array and the
-(block, N) running cost beside it, with the block sized so that each such
-buffer stays under 128 KiB, while every run draws from its own substreams, so
-a run's path does not depend on the other runs in its block.
+(block, N) running cost beside it in place, with the block sized so that each
+state-sized array of a step stays under 128 KiB and comes from the heap, while
+every run draws from its own substreams, so a run's path does not depend on
+the other runs in its block.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ __all__ = [
 
 _DIVERGENCE_GUARD = 1e6
 # sample_costs steps as many runs together as keep each state-sized float64
-# buffer of _run_paths at 16 000 entries, 128 000 bytes: under glibc's
-# 131 072-byte mmap threshold, so the buffers come from the heap and are reused
+# array of _run_paths at 16 000 entries, 128 000 bytes: under glibc's
+# 131 072-byte mmap threshold, so a step's arrays come from the heap
 _BLOCK_POINTS = 16_000
 _CONTROL_BOUND = 4.0
 # viscosity_residual's spot check of the candidate's jet
@@ -91,6 +92,14 @@ class SimConfig:
             raise ValueError("need 0 < dt <= horizon")
         if self.runs < 1 or self.n_particles < 1:
             raise ValueError("runs and particle count must be >= 1")
+
+
+def _normals(rngs: list, n: int, d: int) -> np.ndarray:
+    """(len(rngs) * n, d) standard normals, n rows from each generator in turn."""
+    out = np.empty((len(rngs) * n, d))
+    for k, g in enumerate(rngs):
+        g.standard_normal(out=out[k * n : (k + 1) * n])
+    return out
 
 
 def _run_paths(
@@ -142,35 +151,18 @@ def _run_paths(
         [substream(cfg.seed, run, 0).standard_normal((n_steps, coeffs.d2)) for run in runs]
     )[..., None] * sqdt
     rng_b = [substream(cfg.seed, run, 2) for run in runs]
-    # A step allocates no (runs * N)-sized array of its own.  Five such buffers
-    # live across the steps: X, running, the controls and two scratches, one
-    # holding the normals dB until sigma dB is taken and then b dt, the other
-    # r dt and then sigma dB.  Each closure output is dropped before the next
-    # closure is called, so at most six are alive at once.
-    dB_buf, noise_buf = np.empty(R * N * max(coeffs.d1, d)), np.empty(R * N * d)
-    dB = dB_buf[: R * N * coeffs.d1].reshape(R * N, coeffs.d1)
-    b_dt = dB_buf[: R * N * d].reshape(R * N, d)
-    r_dt, noise = noise_buf[: R * N], noise_buf.reshape(R * N, d)
-    controls = np.empty(R * N)
     running = np.zeros((R, N))
     yield t, X, running
     for step in range(n_steps):
         a = policy(t + step * cfg.dt, LawSummary(X.mean(axis=1)))
-        controls.reshape(R, N)[...] = a[:, None]
-        np.multiply(np.asarray(coeffs.r(flat, controls), dtype=float), cfg.dt, out=r_dt)
-        running += r_dt.reshape(R, N)
-        for k, g in enumerate(rng_b):
-            g.standard_normal(out=dB[k * N : (k + 1) * N])
-        dB *= sqdt
+        controls = np.repeat(a, N)
+        # r, sigma and b are read at the pre-step state; a closure may return
+        # an array it keeps, so its output is never written to
         sigma = np.asarray(coeffs.sigma(flat, controls), dtype=float)
-        np.einsum("nij,nj->ni", sigma, dB, out=noise)
-        del sigma
-        np.multiply(np.asarray(coeffs.b(flat, controls), dtype=float), cfg.dt, out=b_dt)
-        # X + b dt + sigma dB + sigma_tilde dW, summed in this order.  The
-        # closures' outputs are never written to: a closure may return an
-        # array it keeps.
-        flat += b_dt
-        flat += noise
+        running += np.asarray(coeffs.r(flat, controls), dtype=float).reshape(R, N) * cfg.dt
+        # X + b dt + sigma dB + sigma_tilde dW, summed in this order
+        flat += np.asarray(coeffs.b(flat, controls), dtype=float) * cfg.dt
+        flat += np.einsum("nij,nj->ni", sigma, _normals(rng_b, N, coeffs.d1) * sqdt)
         X += (np.asarray(coeffs.sigma_tilde(a), dtype=float) @ dW[:, step])[:, None, :, 0]
         if not (X.max() <= _DIVERGENCE_GUARD and X.min() >= -_DIVERGENCE_GUARD):
             raise FloatingPointError(
@@ -193,7 +185,7 @@ def sample_costs(
     at every Euler step: the first coordinate of the particle mean, the
     particle variance and the particle average of the running cost so far.
     The runs step in consecutive blocks, as many at a time as keep each
-    state-sized buffer at _BLOCK_POINTS entries (at least one run); a run
+    state-sized array at _BLOCK_POINTS entries (at least one run); a run
     draws only from its own substreams, so the blocks change no bit.
     """
     block = max(1, _BLOCK_POINTS // (cfg.n_particles * max(coeffs.d, coeffs.d1)))
@@ -307,8 +299,7 @@ def lqg_feedback_policy(lq: LQParams) -> ControlPolicy:
     enough for the states of interest.  Reads only ``lq``'s horizon and control weight."""
 
     def rule(t, summary: LawSummary):
-        slope = lq_value(t, summary.mean[:, 0], 0.0, lq)[2]
-        return -slope / (2.0 * lq.control_weight)
+        return -lq_riccati(t, lq)[0] * summary.mean[:, 0] / lq.control_weight
 
     return ControlPolicy(rule)
 

@@ -71,15 +71,6 @@ class Box:
     def dim(self) -> int:
         return len(self.nodes)
 
-    @functools.cached_property
-    def corners(self) -> tuple:
-        """The (d,) arrays origin and origin + lengths, built once per box (read-only)."""
-        lo = np.array(self.origin)
-        hi = lo + np.array(self.lengths)
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        return lo, hi
-
     def spacings(self) -> np.ndarray:
         return np.array(self.lengths) / np.array(self.nodes)
 
@@ -218,7 +209,8 @@ def mollify(eta: SignedAtomicMeasure, eps: float, box: Box) -> GridFunction:
         raise ValueError("mollification scale must be positive")
     if eta.dim != box.dim:
         raise ValueError("measure/box dimension mismatch")
-    lo, hi = box.corners
+    lo = np.array(box.origin)
+    hi = lo + np.array(box.lengths)
     margin = 6.0 * eps
     if ((eta.locations < lo + margin) | (eta.locations > hi - margin)).any():
         raise ValueError(f"atoms must be at least {margin} inside the box")

@@ -676,11 +676,17 @@ def test_dp_value_with_a_negative_horizon_exits_1(tmp_path, capsys, T):
 
 
 @pytest.mark.parametrize(
-    "error", [IndexError("index 4 is out of bounds"), RecursionError("maximum recursion depth exceeded")]
+    "error",
+    [
+        IndexError("index 4 is out of bounds"),
+        RecursionError("maximum recursion depth exceeded"),
+        np.linalg.LinAlgError("Singular matrix"),
+    ],
 )
 def test_any_exception_of_a_run_exits_3(tmp_path, capsys, monkeypatch, error):
     # before, the IndexError escaped and the RecursionError was re-raised,
-    # each printing a traceback
+    # each printing a traceback; numpy's LinAlgError is a ValueError, but it
+    # comes from the numerics and names no scenario key
     def runner(out, meta, /, **keys):
         raise error
 
@@ -690,14 +696,19 @@ def test_any_exception_of_a_run_exits_3(tmp_path, capsys, monkeypatch, error):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("override", ["eps_sequence=[1e-200]", "slack=1e50"], ids=["tiny-eps", "huge-slack"])
-def test_singular_polish_solve_exits_3(tmp_path, capsys, override):
-    # numpy's LinAlgError is a ValueError, but it comes from the numerics and
-    # names no scenario key
-    code = cli.run(SCENARIOS / "comparison_doubling.json", [override], out_dir=tmp_path / "out")
-    assert code == cli.EXIT_NUMERICAL_FAULT
-    assert capsys.readouterr().err == "error: numerical fault: Singular matrix\n"
-    assert not list(tmp_path.iterdir())
+@pytest.mark.parametrize(
+    "override, n_rows", [("eps_sequence=[1e-200]", 1), ("slack=1e50", 2)], ids=["tiny-eps", "huge-slack"]
+)
+def test_singular_polish_face_reports_unconverged_rows(tmp_path, capsys, override, n_rows):
+    # before, one singular KKT system in the polish raised LinAlgError for
+    # every run and the check exited 3 with no rows
+    code = cli.run(SCENARIOS / "comparison_doubling.json", [override], out_dir=tmp_path)
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "comparison_doubling.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[_header_index(lines) + 1 :]]
+    assert len(rows) == n_rows
+    assert all(row[4] == "false" for row in rows)
 
 
 def test_dissipation_check_failure_exits_2(tmp_path, monkeypatch):

@@ -282,23 +282,31 @@ def test_a_non_finite_cost_in_a_later_block_names_its_global_run():
 def test_euler_step_memory_stays_within_one_block_of_state_sized_arrays():
     # 64 runs of 1000 particles step in four blocks of 16 runs, so each
     # state-sized array takes 16 000 float64, 128 000 bytes.  The peak is one
-    # block's: the states, the running cost, the controls and the two step
-    # scratches, plus the LQ running cost's a**2 and its product (an array
-    # this small is below NumPy's 256 KiB temporary elision), seven arrays or
-    # 896 000 bytes, plus about 20 000 bytes of the block's common noise,
-    # generators and rows.  An eighth such array, or a block left alive into
-    # the next one, would lift the peak past 1.02e6.
-    coeffs = ham.make_lq_coeffs(sigma=1.0, sigma_tilde=0.5)
+    # step of one block.  The states, the running cost, the controls and
+    # sigma's output live through a step; the running cost, the drift and the
+    # noise term each add their temporaries in turn (arrays this small are
+    # below NumPy's 256 KiB temporary elision).  lq1d's add two at most (a**2
+    # and its product, b and b dt, dB and dB sqrt(dt)): six arrays, 768 000
+    # bytes.  filter1d's running cost 0.3 cos x + a**2 (1 + 0.2 cos x) / 1.2
+    # holds four at once (0.3 cos x, a**2, cos x and 0.2 cos x): eight arrays,
+    # 1 024 000 bytes.  Each bound adds half an array, 64 000 bytes, for the
+    # block's common noise, generators and rows (about 20 000 bytes), so one
+    # more array, or a step or block left alive into the next one, fails.
+    cases = {
+        "lq1d": (ham.make_lq_coeffs(sigma=1.0, sigma_tilde=0.5), 0.832e6),
+        "filter1d": (ham.make_bounded_filter_coeffs(), 1.088e6),
+    }
     cfg = fs.SimConfig(dt=0.1, n_particles=1000, horizon=1.0, runs=64, seed=3)
     policy = fs.lqg_feedback_policy(LQ)
-    fs.estimate_cost(0.0, MU2, policy, coeffs, cfg)
-    tracemalloc.start()
-    try:
+    for name, (coeffs, bound) in cases.items():
         fs.estimate_cost(0.0, MU2, policy, coeffs, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.96e6
+        tracemalloc.start()
+        try:
+            fs.estimate_cost(0.0, MU2, policy, coeffs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, name
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,28 @@ def test_polish_out_of_calls_reports_no_convergence():
     assert not converged.any()
 
 
+@settings(max_examples=30, deadline=None)
+@given(**FACES)
+def test_a_singular_face_ends_only_its_own_run(seed, n, exact):
+    # a zero model leaves run 0's KKT system singular on its face: that run
+    # stops where it started, with no trial point and unconverged, and the
+    # other runs get the bits they get without it
+    fun_and_grad, starts, lo, hi, eq, hessians = _face_problem(seed, n, exact)[0]
+    hessians[0] = 0.0
+    seen = []
+
+    def recorded(X, rows):
+        seen.append(rows.copy())
+        return fun_and_grad(X, rows)
+
+    X, F, converged = active_set_polish(recorded, starts, lo, hi, eq, hessians, max_calls=200)
+    rest = active_set_polish(fun_and_grad, starts[1:], lo, hi, eq, hessians[1:], max_calls=200)
+    assert not converged[0] and not any(0 in rows for rows in seen[1:])
+    assert X[0].tobytes() == np.clip(starts[0], lo, hi).tobytes()
+    for got, alone in zip((X[1:], F[1:], converged[1:]), rest):
+        assert got.tobytes() == alone.tobytes()
+
+
 def test_simplex_points_of_an_all_singular_stack_are_empty():
     kept, points = simplex_points(np.zeros((4, 3, 3)), np.eye(3, 1), 2, 1e-9)
     assert kept.shape == (0,) and points.shape == (0, 2)

@@ -70,7 +70,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _require_finite(path: Path, columns: list, rows: list) -> None:
+    """Raise FloatingPointError, a numerical fault, at the first non-finite
+    float of the rows, naming the file and the column."""
+    for row in rows:
+        for column, value in zip(columns, row):
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise FloatingPointError(f"{path.name} column {column!r} holds {value}")
+
+
 def _write_csv(path: Path, header: list, rows: list, meta: dict) -> None:
+    _require_finite(path, header, rows)
     lines = [f"# {k}={v}" for k, v in sorted(meta.items())]
     lines.append(",".join(header))
     for row in rows:
@@ -80,6 +90,7 @@ def _write_csv(path: Path, header: list, rows: list, meta: dict) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    _require_finite(path, list(payload), [list(payload.values())])
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", newline="\n")
 

@@ -20,6 +20,7 @@ same family, since d/dr f_a = -r f_{a-1}.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,13 @@ class FourierConfig:
         if self.lam < 1:
             raise ValueError("lam must be a positive integer")
         _require_moment(self, 0)
+        # the Matern constant c must be a normal float and the peak
+        # 2^(nu-1) Gamma(nu) = C(0) / c finite: lam <= 150 at dim 1 to 3
+        d, lam, log2 = self.dim, self.lam, math.log(2.0)
+        log_c = -d / 2.0 * math.log(2.0 * math.pi) + (1 - lam) * log2 - math.lgamma(lam)
+        log_peak = (lam - d / 2.0 - 1.0) * log2 + math.lgamma(lam - d / 2.0)
+        if log_c < math.log(sys.float_info.min) or log_peak > math.log(sys.float_info.max):
+            raise ValueError(f"lam = {lam} at dimension {d} puts the Matern kernel beyond the float range")
 
 
 def _require_moment(cfg: FourierConfig, power: int) -> None:

@@ -4,12 +4,13 @@ Per round the forecaster mixes over actions, the adversary mixes over winning
 subsets; the forecaster observes the adversary's mixture and a signed success
 signal, never the realized subset.  Shipped: the exact step dynamics on a gap
 vector, Monte Carlo regret of a forecaster against a fixed mixed subset action,
-exact small-instance values by backward induction over public histories with
-stage matrix games, each of at most three rows and solved exactly by vertex
-enumeration, on beliefs held as arrays of integer gap offsets from the initial
-point mass.  Forecasters read a running score vector, never the game
-history, so a run of T rounds costs O(T), and all Monte Carlo runs advance
-together as (runs, K) arrays, each run on uniforms from its own substream.
+exact small-instance values on pure subset actions by backward induction over
+public histories with stage matrix games, each of at most three rows and
+solved exactly by vertex enumeration, on states held as integer gap offsets
+from the initial point mass.  Forecasters read a running score vector, never
+the game history, so a run of T rounds costs O(T), and all Monte Carlo runs
+advance together as (runs, K) arrays, each run on uniforms from its own
+substream.
 """
 
 from __future__ import annotations
@@ -134,13 +135,11 @@ def monte_carlo_regret(
 
 
 # size limits of exact_value_small: actions, rounds, candidate vertex systems
-# per stage game and over all stage games; the digits belief masses are
-# rounded to in the memo keys; and the elements of one batched array
+# per stage game and over all stage games; and the elements of one batched array
 _MAX_ACTIONS = 3
 _MAX_HORIZON = 6
 _MAX_VERTEX_SYSTEMS = 100_000
 _MAX_STAGE_SYSTEMS = 450_000
-_BELIEF_ROUND = 12
 _BATCH = 1 << 16
 # a solved vertex counts as a mixture when no weight is below -_MIX_TOL
 _MIX_TOL = 1e-9
@@ -214,51 +213,39 @@ def _stage_values(M: np.ndarray) -> np.ndarray:
     return np.ldexp(values, -shift) if shift.any() else values
 
 
-def _chunks(sizes: np.ndarray, limit: int):
-    """Consecutive index ranges [lo, hi) of ``sizes`` whose sums stay within
-    ``limit``, one item at least per range."""
-    ends = np.cumsum(sizes)
-    lo = 0
-    while lo < len(sizes):
-        hi = max(int(np.searchsorted(ends, ends[lo] - sizes[lo] + limit, side="right")), lo + 1)
-        yield lo, hi
-        lo = hi
-
-
 def exact_value_small(
     T: int,
     m0: SignedAtomicMeasure,
     adversary_grid: list,
     table: dict | None = None,
 ) -> float:
-    """Exact inf-sup regret value against a finite adversary grid.
+    """Exact inf-sup regret value against a finite grid of pure subset actions.
 
-    Backward induction over public belief states: each stage is a finite
-    zero-sum matrix game between the K pure forecaster actions and the grid
-    actions, with chance resolving the signal, and its value is found
-    exactly by ``_stage_values`` without a linear program.  A belief is a
-    sorted array of codes of integer offsets o in [-T, T]^K of the gap vector
-    from m0's atom, so every gap g0 + o is exact, and the matching positive
-    masses.  A signal is observed only when its side of the subsets (those
-    with i in J on success, the rest on failure) holds positive weight, and
-    that weight is its probability.  Beliefs are expanded level by level,
-    histories in lexicographic order; the children of a whole level come from
-    one ``np.unique`` over the parents' codes plus the shifts of a signal
-    table built once, and beliefs of one level with equal codes and masses
-    equal to 12 decimals share one stage game, labelled by their first
-    history.  The stage games of a level are then solved in one batch, deepest
-    level first.  With one round left the stage matrix is one broadcast over
-    the belief, M[i, a] = sum_g p_g sum_J w_aJ max_k(g_k + E_Jk - E_Ji).  The
-    grid restricts the adversary, so the result lower-bounds the unrestricted
-    value.  Point-mass initial probability laws only, K <= 3, T <= 6, at most
-    100 000 candidate vertices per stage game (grids of up to 82 actions at
-    K = 3, 445 at K = 2) and 450 000 over all stage games, counted as the
-    levels are expanded, before any stage game is solved (T = 6 on the vertex
-    grids from zero gaps: 146 stage games at K = 2 and 1 156 at K = 3).  A
-    ``table`` dict passed in is filled with one entry per solved stage game,
-    keyed by its public history of (grid index, signal) pairs:
-    {"value": v, "matrix": rows}.  Raises FloatingPointError if a stage
-    value is not finite.
+    Backward induction over public histories: each stage is a finite zero-sum
+    matrix game between the K pure forecaster actions and the grid actions,
+    and its value is found exactly by ``_stage_values`` without a linear
+    program.  Every grid action plays one subset J, so the signal (+i when
+    the forecaster's action i is in J, -i otherwise) leaves one child per
+    (state, grid action, forecaster action) and every belief is a point mass:
+    a state is the integer offset o in [-T, T]^K of the gap vector from m0's
+    atom, held as one int64 code, so every gap g0 + o is exact.  A stage
+    entry is its child's value; with one round left it is
+    M[i, J] = max_k((g0 + o)_k + (E_Jk - E_Ji)).  Levels are expanded with
+    histories in lexicographic order, each by one ``np.unique`` over the
+    codes of its children; states of one level with equal codes share one
+    stage game, labelled by their first history, and the stage games of a
+    level are solved in one batch, deepest level first.  The grid restricts
+    the adversary, so the result lower-bounds the unrestricted value.  A
+    mixed action is refused: its signals leave a belief over offsets, which
+    the test oracle ``recursive_exact_value`` solves.  Point-mass initial
+    probability laws only, K <= 3, T <= 6, at most 100 000 candidate
+    vertices per stage game (grids of up to 82 actions at K = 3, 445 at
+    K = 2) and 450 000 over all stage games, counted as the levels are
+    expanded, before any stage game is solved (T = 6 on the vertex grids from
+    zero gaps: 146 stage games at K = 2 and 1 156 at K = 3).  A ``table``
+    dict passed in is filled with one entry per solved stage game, keyed by
+    its public history of (grid index, signal) pairs: {"value": v, "matrix":
+    rows}.  Raises FloatingPointError if a stage value is not finite.
     """
     if m0.n_atoms != 1 or not m0.probability:
         raise ValueError("exact values need a point-mass initial probability distribution")
@@ -267,6 +254,11 @@ def exact_value_small(
         raise ValueError(f"need 0 <= T <= {_MAX_HORIZON} and K <= {_MAX_ACTIONS}, got T={T}, K={K}")
     if not adversary_grid or any(a.n_actions != K for a in adversary_grid):
         raise ValueError(f"adversary grid must be a nonempty list of {K}-action mixtures")
+    weights = np.array([a.weights for a in adversary_grid])
+    for ai, w in enumerate(weights):
+        # a weight of 1e-13 beside 1.0 is a valid mixture, so the nonzero weights are counted
+        if np.count_nonzero(w) != 1 or w.max() != 1.0:
+            raise ValueError(f"exact values need pure subset actions; grid action {ai} is a mixture")
     n = len(adversary_grid)
     n_systems = _n_vertex_systems(K, n)
     if n_systems > _MAX_VERTEX_SYSTEMS:
@@ -275,99 +267,29 @@ def exact_value_small(
         return float(max(m0.locations[0]))
     g0, base = m0.locations[0], 2 * T + 1
     powers = base ** np.arange(K, dtype=np.int64)  # offset o has code sum_k (o_k + T) base^k
-    E = subset_vectors(K)
-    subset_codes = E.astype(np.int64) @ powers
-    # per signal whose side of the subsets holds positive weight, in
-    # stage-matrix order: its history step (grid index, signal), its
-    # stage-matrix cell (i - 1, grid index), its probability (that weight),
-    # the code shifts E_J - 1_{i in J} of the 2^(K-1) subsets J on its side
-    # and their conditional weights; the last round needs none
-    steps, cells, probs, shifts, cond = [], [], [], [], []
-    for ai, a in enumerate(adversary_grid if T > 1 else []):
-        for i in range(1, K + 1):
-            member = E[:, i - 1].astype(bool)
-            for y, sel in ((i, member), (-i, ~member)):
-                w = a.weights[sel]
-                if (total := w.sum()) > 0:
-                    steps.append((ai, y))
-                    cells.append((i - 1, ai))
-                    probs.append(total)
-                    shifts.append(subset_codes[sel] - (y > 0) * powers.sum())
-                    cond.append(w / total)
-    S, shifts, cond, probs = len(steps), np.array(shifts), np.array(cond), np.array(probs)
-    cells = tuple(np.array(cells, dtype=np.int64).reshape(S, 2).T)
-    stride = base**K  # every code lies in [0, stride)
-    most_games = _MAX_STAGE_SYSTEMS // n_systems
+    E = subset_vectors(K)[weights.argmax(axis=1)]  # [ai, k]: the subset each grid action plays
+    # [ai, i]: the code shift E_J - 1_{i in J} of the child and the signal seen
+    shifts = (E @ powers).astype(np.int64)[:, None] - E.astype(np.int64) * powers.sum()
+    signals = np.where(E > 0, 1, -1) * np.arange(1, K + 1)
 
-    # the distinct beliefs of the deepest level expanded so far, as their
-    # codes and masses laid end to end and the number of codes of each; per
-    # level, the first history of each belief and, but for the deepest, the
-    # index in the next level of each (belief, signal) pair's child
-    codes, mass, lengths = np.array([T * powers.sum()]), np.ones(1), np.ones(1, dtype=np.int64)
-    labels, children = [[()]], []
+    # the codes of the deepest level expanded so far; per level, the first
+    # history of each state and, but for the deepest, the index in the next
+    # level of each child, [state, forecaster action, grid action]
+    codes, labels, children = np.array([T * powers.sum()]), [[()]], []
     n_games = 1
     for _ in range(T - 1):
-        first, seen, parts, new_labels = np.cumsum(lengths) - lengths, {}, [], []
-        child = np.empty((len(lengths), S), dtype=np.int64)
-        for lo, hi in _chunks(lengths * shifts.size, _BATCH):
-            # pair lo * S + j is parent lo + j // S under signal j % S; the keys
-            # sort by pair, then by child code
-            pair = np.repeat(np.arange(lo * S, hi * S).reshape(hi - lo, S), lengths[lo:hi], axis=0)
-            at = slice(first[lo], first[hi - 1] + lengths[hi - 1])
-            key, where = np.unique(
-                ((pair * stride + codes[at, None])[..., None] + shifts).ravel(), return_inverse=True
-            )
-            child_mass = np.bincount(where, (mass[at, None, None] * cond).ravel())
-            # a child keeps only the offsets of positive mass
-            key, child_mass = key[child_mass > 0], child_mass[child_mass > 0]
-            child_codes = key % stride
-            bounds = np.searchsorted(key // stride, np.arange(lo * S, hi * S + 1))
-            code_bytes = child_codes.tobytes()
-            mass_bytes = np.round(child_mass, _BELIEF_ROUND).tobytes()
-            offsets, fresh, index_of = (8 * bounds).tolist(), [], []
-            for j, (start, end) in enumerate(zip(offsets, offsets[1:])):
-                index = seen.setdefault((code_bytes[start:end], mass_bytes[start:end]), len(seen))
-                if index == len(new_labels):
-                    new_labels.append(labels[-1][lo + j // S] + (steps[j % S],))
-                    fresh.append(j)
-                index_of.append(index)
-            if n_games + len(seen) > most_games:
-                raise ValueError(f"exact value needs over {_MAX_STAGE_SYSTEMS} candidate vertex "
-                                 f"systems in its stage games ({n_systems} per game)")
-            child[lo:hi] = np.reshape(index_of, (hi - lo, S))
-            sizes = np.diff(bounds)
-            new = np.zeros((hi - lo) * S, dtype=bool)
-            new[fresh] = True
-            elements = np.repeat(new, sizes)
-            parts.append((child_codes[elements], child_mass[elements], sizes[new]))
-        n_games += len(seen)
-        codes, mass, lengths = (np.concatenate(part) for part in zip(*parts))
-        labels.append(new_labels)
-        children.append(child)
-
-    weights = np.array([a.weights for a in adversary_grid])
-    incs = E[:, None, :] - E[:, :, None]  # [J, i, k] = E_Jk - E_Ji, the last round's gap moves
-
-    def last_round() -> np.ndarray:
-        """Stage matrices (P, K, n) of the deepest level's beliefs, which have
-        one round left, taken over the beliefs with equally many codes at once."""
-        first, out = np.cumsum(lengths) - lengths, np.empty((len(lengths), K, n))
-        for length in np.flatnonzero(np.bincount(lengths)):
-            group = np.flatnonzero(lengths == length)
-            step = max(_BATCH // (length * incs.size), 1)
-            for beliefs in (group[lo : lo + step] for lo in range(0, len(group), step)):
-                at = first[beliefs, None] + np.arange(length)
-                gaps = g0 + (codes[at][..., None] // powers % base - T)
-                moved = gaps[..., None, None, :] + incs
-                # [p, g, J, i]: the max over k one k at a time, as a reduce over
-                # an axis of length K is slow
-                final = moved[..., 0]
-                for k in range(1, K):
-                    final = np.maximum(final, moved[..., k])
-                final = final.reshape(len(beliefs), length, -1)
-                per_subset = np.matmul(mass[at][:, None, :], final).reshape(len(beliefs), -1, K)
-                out[beliefs] = np.swapaxes(weights @ per_subset, 1, 2)
-        return out
+        keys = (codes[:, None, None] + shifts).ravel()
+        _, first, where = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct children by first history
+        n_games += len(order)
+        if n_games > _MAX_STAGE_SYSTEMS // n_systems:
+            raise ValueError(f"exact value needs over {_MAX_STAGE_SYSTEMS} candidate vertex "
+                             f"systems in its stage games ({n_systems} per game)")
+        codes = keys[first[order]]
+        parent, ai, i = np.unravel_index(first[order], (len(labels[-1]), n, K))
+        labels.append([labels[-1][p] + ((a, int(signals[a, k])),)
+                       for p, a, k in zip(parent.tolist(), ai.tolist(), i.tolist())])
+        children.append(np.argsort(order)[where].reshape(-1, n, K).swapaxes(1, 2))
 
     def solve(M: np.ndarray, labels: list) -> np.ndarray:
         step = max(_BATCH // (n_systems * (K + 1) ** 2), 1)
@@ -382,13 +304,11 @@ def exact_value_small(
                 table[label] = {"value": value, "matrix": rows}
         return values
 
-    values = solve(last_round(), labels[-1])
+    # [state, i, ai, k]: the gaps after the last round, added in this order
+    gaps = g0 + (codes[:, None] // powers % base - T)
+    values = solve((gaps[:, None, None, :] + (E - E.T[:, :, None])).max(axis=3), labels[-1])
     for level, child in zip(labels[-2::-1], children[::-1]):
-        M = np.zeros((len(level), K, n))
-        # each entry sums the two signals of one action and grid index, so
-        # its value does not depend on the order they are added in
-        np.add.at(M, (slice(None), *cells), probs * values[child])
-        values = solve(M, level)
+        values = solve(values[child], level)
     return float(values[0])
 
 

@@ -349,22 +349,29 @@ def single_stage_value(M: np.ndarray) -> float:
 
 
 def recursive_exact_value(T: int, m0: SignedAtomicMeasure, grid: list, table=None) -> float:
-    """``prediction_game.exact_value_small`` by depth-first recursion with a memo.
+    """The exact game value against any grid, mixed actions included, by
+    depth-first recursion with a memo: the reference for
+    ``prediction_game.exact_value_small``, which plays pure actions only.
 
-    Each distinct stage game is solved alone by ``single_stage_value`` once
-    its children are; a belief's children are built one (signal) at a time
-    before the memo lookup.  Beliefs are the same integer-offset code arrays
-    of positive masses, keyed by their codes and their masses rounded to 12
-    decimals, and a signal's probability is the weight on its side of the
-    subsets, so the memo keys, the ``table`` labels (each belief's first
-    history in depth-first order) and the values are the package's.  No
-    size limit is checked.
+    The initial gap is drawn from the probability law m0 and known to
+    neither player.  No signal depends on it, so a belief is m0 times a
+    belief over integer offsets o of the gap vector, and a terminal offset
+    pays sum_x m0(x) max_k (x + o)_k, the atoms averaged right after the max
+    (one atom keeps the point-mass bits).  Each distinct stage game is solved
+    alone by ``single_stage_value`` once its children are; a belief's
+    children are built one (signal) at a time before the memo lookup.
+    Beliefs are integer-offset code arrays of positive masses, keyed by their
+    codes and their masses rounded to 12 decimals, and a signal's
+    probability is the weight on its side of the subsets.  On pure actions
+    from a point mass the memo keys, the ``table`` labels (each belief's
+    first history in depth-first order) and the values are the package's.
+    No size limit is checked.
     """
-    K = m0.dim
+    K, atoms, law = m0.dim, m0.locations, m0.weights / m0.weights.sum()
     if T == 0:
-        return float(max(m0.locations[0]))
+        return float(law @ atoms.max(axis=1))
     n = len(grid)
-    g0, base = m0.locations[0], 2 * T + 1
+    base = 2 * T + 1
     powers = base ** np.arange(K, dtype=np.int64)
     E = ham.subset_vectors(K)
     subset_codes = E.astype(np.int64) @ powers
@@ -382,8 +389,8 @@ def recursive_exact_value(T: int, m0: SignedAtomicMeasure, grid: list, table=Non
     memo: dict = {}
 
     def last_round(codes: np.ndarray, mass: np.ndarray) -> np.ndarray:
-        gaps = g0 + (codes[:, None] // powers % base - T)
-        final = (gaps[:, None, None, :] + incs).max(axis=3)
+        gaps = atoms[:, None, :] + (codes[:, None] // powers % base - T)
+        final = np.tensordot(law, (gaps[..., None, None, :] + incs).max(axis=-1), axes=1)
         return (weights @ np.tensordot(mass, final, axes=1)).T
 
     def value(codes: np.ndarray, mass: np.ndarray, rounds_left: int, label: tuple) -> float:

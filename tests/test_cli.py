@@ -564,6 +564,23 @@ def test_non_finite_scenario_literal_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lam", [160, 100000])
+def test_metric_exponent_beyond_the_float_range_exits_1(tmp_path, capsys, lam):
+    # before, lambda = 160 wrote nan distances and exited 0, and 100000 exited 3
+    argv = ["metric", "--scenario", str(SCENARIOS / "metric.json"), "--set", f"config.lambda={lam}"]
+    _exits_1_naming(tmp_path, capsys, argv, "beyond the float range")
+
+
+def test_non_finite_output_exits_3(tmp_path, capsys):
+    # before, this wrote origin,G_filtering,nan and exited 0
+    bounds = ["--set", "control_lo=1e308", "--set", "control_hi=-1e308"]
+    argv = ["hamiltonian", "--scenario", str(SCENARIOS / "hamiltonian_lq.json"), *bounds]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_NUMERICAL_FAULT
+    err = capsys.readouterr().err
+    assert err == "error: numerical fault: hamiltonian.csv column 'value' holds nan\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_stage_value_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pg, "_stage_values", lambda M: np.full(len(M), np.nan))
     code = cli.run(SCENARIOS / "dp_value.json", out_dir=tmp_path)

@@ -325,6 +325,27 @@ def test_config_validation():
         fm.FourierConfig(0, 4)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_largest_admitted_exponent_keeps_the_kernel_in_the_float_range(d):
+    # lam = 150 is the largest whose Matern constant is a normal float; C(0)
+    # is then 7e-15 to 9e-14 from the weight's mass over (2 pi)^d, a relative
+    # bound of 2e-13.  Unchecked, lam = 152 gave nan distances and lam = 172
+    # overflowed math.gamma
+    cfg = fm.FourierConfig(d, 150)
+    assert math.isfinite(fm.rho_F(ms.dirac(np.zeros(d)), ms.dirac(np.ones(d)), cfg))
+    peak = fm.kernel_matrix(np.zeros((1, d)), np.zeros((1, d)), cfg)[0, 0]
+    assert peak == pytest.approx(fm.weight_mass(cfg) / (2 * math.pi) ** d, rel=2e-13)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        fm.FourierConfig(d, 151)
+
+
+def test_default_configs_keep_the_kernel_in_the_float_range():
+    # from d = 224 the Matern constant of lambda_for_dim(d) is subnormal
+    fm.default_config(223)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        fm.default_config(224)
+
+
 @pytest.mark.parametrize("d, lam", [(2, 1), (3, 1), (4, 2), (1, 1), (2, 2), (3, 2), (4, 3), (6, 4)])
 def test_weights_that_cannot_be_integrated_are_rejected(d, lam):
     # with j = 2 lam - d the weight integrates against |k|^i exactly for i < j,

@@ -283,21 +283,26 @@ def _vertex_grid(K):
     return [ham.vertex_action(K, m) for m in range(2**K)]
 
 
+def _is_pure(grid):
+    return all(np.count_nonzero(a.weights) == 1 for a in grid)
+
+
 def test_exact_value_matches_sequence_form_lp():
     # the mixed action's hat weights (0.6, 0.5) lie strictly inside (0, 1),
     # so the last round weighs both signals of each action
     mix = ham.SimplexAction(2, np.array([0.1, 0.4, 0.3, 0.2]))
     grid2 = [ham.vertex_action(2, 1), ham.vertex_action(2, 2), mix]
+    # the package plays the vertex grids, the belief-state oracle the mixed grid
     cases = [
-        (1, np.zeros(2), _vertex_grid(2)),
-        (2, np.zeros(2), _vertex_grid(2)),
-        (4, np.array([0.25, -0.5]), _vertex_grid(2)),
-        (2, np.array([0.3, -0.2, 0.1]), _vertex_grid(3)),
-        (2, np.zeros(2), grid2),
-        (3, np.zeros(2), grid2),
+        (pg.exact_value_small, 1, np.zeros(2), _vertex_grid(2)),
+        (pg.exact_value_small, 2, np.zeros(2), _vertex_grid(2)),
+        (pg.exact_value_small, 4, np.array([0.25, -0.5]), _vertex_grid(2)),
+        (pg.exact_value_small, 2, np.array([0.3, -0.2, 0.1]), _vertex_grid(3)),
+        (recursive_exact_value, 2, np.zeros(2), grid2),
+        (recursive_exact_value, 3, np.zeros(2), grid2),
     ]
-    for T, g0, grid in cases:
-        main = pg.exact_value_small(T, ms.dirac(g0), grid)
+    for engine, T, g0, grid in cases:
+        main = engine(T, ms.dirac(g0), grid)
         oracle = sequence_form_value(T, g0, [g.weights for g in grid])
         assert main == pytest.approx(oracle, abs=5e-9)
 
@@ -441,13 +446,19 @@ def test_exact_value_memo_counts(K, counts):
         assert len(table) == count
 
 
-def _grid_actions(K):
-    """Vertex actions, or mixtures with every subset weight positive."""
-    vertex = st.integers(0, 2**K - 1).map(lambda mask: ham.vertex_action(K, mask))
-    mixed = st.lists(st.floats(0.05, 1.0), min_size=2**K, max_size=2**K).map(
+def _vertex_actions(K):
+    return st.integers(0, 2**K - 1).map(lambda mask: ham.vertex_action(K, mask))
+
+
+def _mixed_actions(K):
+    """Mixtures with every subset weight positive."""
+    return st.lists(st.floats(0.05, 1.0), min_size=2**K, max_size=2**K).map(
         lambda w: ham.SimplexAction(K, np.array(w) / np.sum(w))
     )
-    return st.lists(st.one_of(vertex, mixed), min_size=1, max_size=3)
+
+
+def _grid_actions(K):
+    return st.lists(st.one_of(_vertex_actions(K), _mixed_actions(K)), min_size=1, max_size=3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -461,9 +472,11 @@ def _grid_actions(K):
     )
 )
 def test_exact_value_matches_sequence_form_lp_on_random_instances(case):
+    # a grid with a mixture goes to the belief-state oracle
     T, start, grid = case
     g0 = np.array(start) / 100.0
-    main = pg.exact_value_small(T, ms.dirac(g0), grid)
+    engine = pg.exact_value_small if _is_pure(grid) else recursive_exact_value
+    main = engine(T, ms.dirac(g0), grid)
     oracle = sequence_form_value(T, g0, [g.weights for g in grid])
     assert main == pytest.approx(oracle, abs=5e-9)
 
@@ -472,19 +485,20 @@ def _parity_set():
     """K = 2 at T = 1..4 and K = 3 at T = 1..3, each from zero gaps and five
     two-decimal starts on the vertex grid, from a two-decimal start on two
     vertices and three Dirichlet mixtures, and from zero gaps on two mixtures
-    and the uniform action; plus two starts below 1e-12: 58 instances."""
+    and the uniform action; plus two starts below 1e-12 on the vertex grid:
+    44 vertex-grid instances and 14 mixed ones."""
     rng = np.random.default_rng(12)
-    cases = []
+    vertex, mixed = [], []
     for K, T in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]:
         starts = [np.zeros(K)] + [np.round(rng.uniform(-1.0, 1.0, K), 2) for _ in range(5)]
-        cases += [(T, g0, _vertex_grid(K)) for g0 in starts]
+        vertex += [(T, g0, _vertex_grid(K)) for g0 in starts]
         mixtures = [ham.SimplexAction(K, rng.dirichlet(np.ones(2**K))) for _ in range(4)]
         vertices = [ham.vertex_action(K, 1), ham.vertex_action(K, 2**K - 2)]
-        cases.append((T, np.round(rng.uniform(-1.0, 1.0, K), 2), vertices + mixtures[:3]))
-        cases.append((T, np.zeros(K), mixtures[2:] + [ham.uniform_action(K)]))
-    cases.append((3, np.array([7e-13, 0.0]), _vertex_grid(2)))
-    cases.append((2, np.array([3e-13, 1e-13, 0.0]), _vertex_grid(3)))
-    return cases
+        mixed.append((T, np.round(rng.uniform(-1.0, 1.0, K), 2), vertices + mixtures[:3]))
+        mixed.append((T, np.zeros(K), mixtures[2:] + [ham.uniform_action(K)]))
+    vertex.append((3, np.array([7e-13, 0.0]), _vertex_grid(2)))
+    vertex.append((2, np.array([3e-13, 1e-13, 0.0]), _vertex_grid(3)))
+    return vertex, mixed
 
 
 def _assert_same_as_recursive_dp(T, g0, grid):
@@ -496,10 +510,21 @@ def _assert_same_as_recursive_dp(T, g0, grid):
 
 
 def test_exact_value_matches_the_recursive_dp_on_the_parity_set():
-    cases = _parity_set()
-    assert len(cases) == 58
-    for T, g0, grid in cases:
+    vertex, _ = _parity_set()
+    assert len(vertex) == 44
+    for T, g0, grid in vertex:
         _assert_same_as_recursive_dp(T, g0, grid)
+
+
+def test_recursive_dp_matches_the_sequence_form_lp_on_the_mixed_parity_set():
+    # the dense LP of a mixed grid at K = 2, T = 4 takes 1.5 GB and more, so
+    # the LP checks the mixed instances up to T = 3 at K = 2 and T = 2 at K = 3
+    _, mixed = _parity_set()
+    assert len(mixed) == 14
+    for T, g0, grid in [(T, g0, grid) for T, g0, grid in mixed if T + len(g0) <= 5]:
+        main = recursive_exact_value(T, ms.dirac(g0), grid)
+        oracle = sequence_form_value(T, g0, [g.weights for g in grid])
+        assert main == pytest.approx(oracle, abs=5e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -515,7 +540,9 @@ def test_exact_value_matches_the_recursive_dp_on_the_parity_set():
                     lambda start: np.array(start) * 1e-13
                 ),
             ),
-            st.one_of(st.just(_vertex_grid(kt[0])), _grid_actions(kt[0])),
+            st.one_of(
+                st.just(_vertex_grid(kt[0])), st.lists(_vertex_actions(kt[0]), min_size=1, max_size=3)
+            ),
         )
     )
 )
@@ -549,14 +576,17 @@ _ONE_SIDED = [
 @pytest.mark.parametrize("T", [2, 3])
 @pytest.mark.parametrize("K, weights", _ONE_SIDED, ids=["K3", "K2"])
 def test_exact_value_observes_no_signal_from_an_empty_side(K, weights, T):
-    # against the same grid with every weight raised by 1e-9, which leaves no
-    # side empty (0.4941087762 against 0.4941087771 at K = 3, T = 2)
+    # the belief-state oracle against the same grid with every weight raised
+    # by 1e-9, which leaves no side empty (0.4941087762 against 0.4941087771
+    # at K = 3, T = 2); the package refuses the mixture
     w = np.array(weights)
     twin = (w + 1e-9) / (w + 1e-9).sum()
     rest = [ham.vertex_action(K, 0), ham.vertex_action(K, 1)]
     g0 = np.zeros(K)
-    value = pg.exact_value_small(T, ms.dirac(g0), [ham.SimplexAction(K, w)] + rest)
-    near = pg.exact_value_small(T, ms.dirac(g0), [ham.SimplexAction(K, twin)] + rest)
+    with pytest.raises(ValueError, match="grid action 0 is a mixture"):
+        pg.exact_value_small(T, ms.dirac(g0), [ham.SimplexAction(K, w)] + rest)
+    value = recursive_exact_value(T, ms.dirac(g0), [ham.SimplexAction(K, w)] + rest)
+    near = recursive_exact_value(T, ms.dirac(g0), [ham.SimplexAction(K, twin)] + rest)
     assert math.isfinite(value) and abs(value - near) <= 1e-8
     oracle = sequence_form_value(T, g0, [twin] + [a.weights for a in rest])
     assert near == pytest.approx(oracle, abs=5e-9)
@@ -564,9 +594,9 @@ def test_exact_value_observes_no_signal_from_an_empty_side(K, weights, T):
     assert value == pytest.approx(sequence_form_value(T, g0, [w] + [a.weights for a in rest]), abs=1e-10)
 
 
-# the eight vertices and the uniform action at K = 3: 219 candidate vertex
-# systems per stage game, so T = 5 needs more than the 2 054 games the budget admits
-_OVER_BUDGET = (5, ms.dirac(np.zeros(3)), _vertex_grid(3) + [ham.uniform_action(3)])
+# the eight vertices twice at K = 3: 968 candidate vertex systems per stage
+# game, so T = 5 needs more than the 464 games the budget admits
+_OVER_BUDGET = (5, ms.dirac(np.zeros(3)), _vertex_grid(3) * 2)
 
 
 def test_exact_value_refuses_before_solving_any_stage_game(monkeypatch):
@@ -593,3 +623,69 @@ def test_exact_value_dump_table():
     assert value == pytest.approx(0.5)
     assert () in table and "matrix" in table[()]
     assert table[()]["value"] == value == pg.exact_value_small(1, ZERO2, grid)
+
+
+@pytest.mark.parametrize(
+    "K, weights",
+    [
+        (2, [1.0, 1e-13, 0.0, 0.0]),  # valid, and its largest weight is exactly 1.0
+        (2, [0.0, 0.5, 0.5, 0.0]),
+        (3, [1.0 / 8] * 8),
+        (2, [0.0, 1.0 - 5e-13, 0.0, 0.0]),  # one subset, but a weight below 1.0
+    ],
+    ids=["tiny-second-weight", "split", "uniform", "short-vertex"],
+)
+def test_exact_value_refuses_a_mixed_action(K, weights):
+    grid = _vertex_grid(K) + [ham.SimplexAction(K, weights)]
+    with pytest.raises(ValueError, match=f"grid action {2**K} is a mixture"):
+        pg.exact_value_small(2, ms.dirac(np.zeros(K)), grid)
+
+
+def _initial_laws(K):
+    """Laws of 1-3 atoms at two-decimal points; one atom is a point mass of weight 1.0."""
+    point = st.lists(st.integers(-100, 100), min_size=K, max_size=K).map(lambda x: np.array(x) / 100.0)
+
+    def law(atoms):
+        if len(atoms) == 1:
+            return ms.dirac(atoms[0][0])
+        w = np.array([w for _, w in atoms])
+        return ms.SignedAtomicMeasure(K, [x for x, _ in atoms], w / w.sum(), probability=True)
+
+    return st.lists(st.tuples(point, st.floats(0.05, 1.0)), min_size=1, max_size=3).map(law)
+
+
+def _mixtures(K):
+    """1-2 mixtures, sometimes with the uniform action."""
+    return st.tuples(st.lists(_mixed_actions(K), min_size=1, max_size=2), st.booleans()).map(
+        lambda case: case[0] + [ham.uniform_action(K)] * case[1]
+    )
+
+
+# over 900 random instances of the property below the largest change was
+# 4.4e-16; values reach 5, where an ulp is 8.9e-16, so the bound is two of them
+_MIXTURE_GAIN = 2e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]).flatmap(
+        lambda kt: st.tuples(st.just(kt[0]), st.just(kt[1]), _initial_laws(kt[0]), _mixtures(kt[0]))
+    )
+)
+def test_mixtures_raise_no_vertex_grid_value(case):
+    # the belief-state oracle over any initial law: adding mixed actions to
+    # the vertex grid leaves the value where the pure actions put it
+    K, T, m0, mixtures = case
+    value = recursive_exact_value(T, m0, _vertex_grid(K))
+    assert abs(recursive_exact_value(T, m0, _vertex_grid(K) + mixtures) - value) <= _MIXTURE_GAIN
+    if m0.n_atoms == 1:
+        assert value == pg.exact_value_small(T, m0, _vertex_grid(K))
+
+
+def test_a_grid_of_mixtures_alone_reads_lower():
+    # positive control for the property above: without the vertices the
+    # adversary loses value (-0.134 against 0.870 here)
+    g0 = ms.dirac(np.array([0.27, -0.46, -0.92]))
+    mixture = ham.SimplexAction(3, np.random.default_rng(0).dirichlet(np.ones(8)))
+    vertices = pg.exact_value_small(4, g0, _vertex_grid(3))
+    assert recursive_exact_value(4, g0, [mixture]) < vertices - 0.5

@@ -369,11 +369,12 @@ def _run_game_sim(
 
 def _run_dp_value(out: Path, meta: dict, dump: bool = False, /, *, T: int, m0: dict) -> int:
     m0 = measure_from_json(m0)
-    K = m0.dim
-    if K > pg._MAX_ACTIONS:  # checked before the 2^K-vertex grid is built
-        raise ScenarioError(f"scenario key 'm0' has dimension {K}; dp-value needs K <= {pg._MAX_ACTIONS}")
+    try:
+        grid = pg.vertex_grid(m0.dim)
+    except ValueError as exc:
+        raise ScenarioError(f"scenario key 'm0' has dimension {m0.dim}: {exc}") from None
     table = {} if dump else None
-    value = pg.exact_value_small(T, m0, [ham.vertex_action(K, mask) for mask in range(2**K)], table)
+    value = pg.exact_value_small(T, m0, grid, table)
     if dump:
         _write_json(out / "dp_value_table.json", {"value": value, "n_nodes": len(table)})
     _write_csv(out / "dp_value.csv", ["T", "value"], [[T, value]], meta)
@@ -413,6 +414,7 @@ DISPATCH = {
 }
 
 
+@np.errstate(all="ignore")  # a float fault is reported by the run's one error line, not by warnings
 def run(scenario_file, overrides=(), out_dir=None, dump=False, expected_target=None) -> int:
     """Load a scenario, dispatch to its target, write outputs; returns exit code."""
     try:
@@ -475,14 +477,8 @@ def main(argv=None) -> int:
     for name in DISPATCH:
         p = sub.add_parser(name, help=f"run a {name} scenario")
         p.add_argument("--scenario", required=True, help="path to the scenario JSON file")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="K=V",
-            help="override a scenario key (dotted paths allowed, repeatable)",
-        )
+        p.add_argument("--set", dest="overrides", action="append", default=[], metavar="K=V",
+                       help="override a scenario key (dotted paths allowed, repeatable)")
         p.add_argument("--out", default=None, help="output directory (default: cwd)")
         if name == "dp-value":
             p.add_argument("--dump", action="store_true", help="also write the value table")

@@ -5,12 +5,11 @@ subsets; the forecaster observes the adversary's mixture and a signed success
 signal, never the realized subset.  Shipped: the exact step dynamics on a gap
 vector, Monte Carlo regret of a forecaster against a fixed mixed subset action,
 exact small-instance values on pure subset actions by backward induction over
-public histories with stage matrix games, each of at most three rows and
-solved exactly by vertex enumeration, on states held as integer gap offsets
-from the initial point mass.  Forecasters read a running score vector, never
-the game history, so a run of T rounds costs O(T), and all Monte Carlo runs
-advance together as (runs, K) arrays, each run on uniforms from its own
-substream.
+public histories with stage matrix games of K rows, each solved exactly by
+vertex enumeration, on states held as integer gap offsets from the initial
+point mass.  Forecasters read a running score vector, never the game
+history, so a run of T rounds costs O(T), and all Monte Carlo runs advance
+together as (runs, K) arrays, each run on uniforms from its own substream.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ __all__ = [
     "step",
     "monte_carlo_regret",
     "exact_value_small",
+    "vertex_grid",
     "uniform_forecaster",
     "follow_the_leader_forecaster",
     "exp_weights_forecaster",
@@ -134,10 +134,8 @@ def monte_carlo_regret(
 # ---------------------------------------------------------------------------
 
 
-# size limits of exact_value_small: actions, rounds, candidate vertex systems
-# per stage game and over all stage games; and the elements of one batched array
-_MAX_ACTIONS = 3
-_MAX_HORIZON = 6
+# size limits of exact_value_small: candidate vertex systems per stage game and
+# over all levels; and the elements of one batched array
 _MAX_VERTEX_SYSTEMS = 100_000
 _MAX_STAGE_SYSTEMS = 450_000
 _BATCH = 1 << 16
@@ -149,9 +147,20 @@ _TINY_GAME = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _n_vertex_systems(K: int, n: int) -> int:
-    """Candidate vertices of a K x n stage game: s >= 1 of the n columns
-    tight and K - s of the K rows zero."""
-    return sum(math.comb(n, s) * math.comb(K, s) for s in range(1, K + 1))
+    """Candidate vertices of a K x n stage game, s >= 1 of the n columns tight
+    and K - s of the K rows zero; a ValueError over ``_MAX_VERTEX_SYSTEMS``,
+    checked on n first, since each column is tight in at least one."""
+    count = sum(math.comb(n, s) * math.comb(K, s) for s in range(1, K + 1)) if n <= _MAX_VERTEX_SYSTEMS else n
+    if count > _MAX_VERTEX_SYSTEMS:
+        raise ValueError(f"adversary grid too large: {n} actions make over {_MAX_VERTEX_SYSTEMS} "
+                         "candidate vertex systems per stage game")
+    return count
+
+
+def vertex_grid(K: int) -> list:
+    """The 2^K pure subset actions, refused before any is built when their stage game is too large."""
+    _n_vertex_systems(K, 2**K)
+    return [vertex_action(K, mask) for mask in range(2**K)]
 
 
 @lru_cache(maxsize=16)
@@ -238,20 +247,18 @@ def exact_value_small(
     the adversary, so the result lower-bounds the unrestricted value.  A
     mixed action is refused: its signals leave a belief over offsets, which
     the test oracle ``recursive_exact_value`` solves.  Point-mass initial
-    probability laws only, K <= 3, T <= 6, at most 100 000 candidate
-    vertices per stage game (grids of up to 82 actions at K = 3, 445 at
-    K = 2) and 450 000 over all stage games, counted as the levels are
-    expanded, before any stage game is solved (T = 6 on the vertex grids from
-    zero gaps: 146 stage games at K = 2 and 1 156 at K = 3).  A ``table``
-    dict passed in is filled with one entry per solved stage game, keyed by
-    its public history of (grid index, signal) pairs: {"value": v, "matrix":
-    rows}.  Raises FloatingPointError if a stage value is not finite.
+    probability laws only, (2T + 1)^K <= 2^63, at most 100 000 candidate
+    vertices per stage game (82 grid actions at K = 3) and 450 000 over all
+    levels, each charged at least one batch, counted before any stage game
+    is solved (from zero gaps the vertex grids reach T = 27, 34, 7 and 2 at
+    K = 1, 2, 3 and 4).  A ``table`` dict passed in is filled with one entry
+    per solved stage game, keyed by its public history of (grid index,
+    signal) pairs: {"value": v, "matrix": rows}.  Raises FloatingPointError
+    if a stage value is not finite.
     """
     if m0.n_atoms != 1 or not m0.probability:
         raise ValueError("exact values need a point-mass initial probability distribution")
     K = m0.dim
-    if not 0 <= T <= _MAX_HORIZON or K > _MAX_ACTIONS:
-        raise ValueError(f"need 0 <= T <= {_MAX_HORIZON} and K <= {_MAX_ACTIONS}, got T={T}, K={K}")
     if not adversary_grid or any(a.n_actions != K for a in adversary_grid):
         raise ValueError(f"adversary grid must be a nonempty list of {K}-action mixtures")
     weights = np.array([a.weights for a in adversary_grid])
@@ -261,30 +268,32 @@ def exact_value_small(
             raise ValueError(f"exact values need pure subset actions; grid action {ai} is a mixture")
     n = len(adversary_grid)
     n_systems = _n_vertex_systems(K, n)
-    if n_systems > _MAX_VERTEX_SYSTEMS:
-        raise ValueError(f"adversary grid too large ({n} actions) for exact stage games")
+    if T < 0 or (2 * T + 1) ** K > 2**63:  # past this, int64 state codes wrap silently
+        raise ValueError(f"need 0 <= T and (2T + 1)^K <= 2^63 for int64 state codes, got T={T}, K={K}")
     if T == 0:
         return float(max(m0.locations[0]))
     g0, base = m0.locations[0], 2 * T + 1
     powers = base ** np.arange(K, dtype=np.int64)  # offset o has code sum_k (o_k + T) base^k
-    E = subset_vectors(K)[weights.argmax(axis=1)]  # [ai, k]: the subset each grid action plays
+    # [ai, k]: the subset each grid action plays, in integers, so that codes past 2^53 stay exact
+    E = subset_vectors(K)[weights.argmax(axis=1)].astype(np.int64)
     # [ai, i]: the code shift E_J - 1_{i in J} of the child and the signal seen
-    shifts = (E @ powers).astype(np.int64)[:, None] - E.astype(np.int64) * powers.sum()
+    shifts = (E @ powers)[:, None] - E * powers.sum()
     signals = np.where(E > 0, 1, -1) * np.arange(1, K + 1)
 
     # the codes of the deepest level expanded so far; per level, the first
     # history of each state and, but for the deepest, the index in the next
     # level of each child, [state, forecaster action, grid action]
     codes, labels, children = np.array([T * powers.sum()]), [[()]], []
-    n_games = 1
+    floor = _BATCH // (K + 1) ** 2  # the systems of one batch: each level is charged at least these
+    spent = max(n_systems, floor)
     for _ in range(T - 1):
         keys = (codes[:, None, None] + shifts).ravel()
         _, first, where = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first)  # the distinct children by first history
-        n_games += len(order)
-        if n_games > _MAX_STAGE_SYSTEMS // n_systems:
-            raise ValueError(f"exact value needs over {_MAX_STAGE_SYSTEMS} candidate vertex "
-                             f"systems in its stage games ({n_systems} per game)")
+        spent += max(len(order) * n_systems, floor)
+        if spent > _MAX_STAGE_SYSTEMS:
+            raise ValueError(f"exact value needs over {_MAX_STAGE_SYSTEMS} candidate vertex systems "
+                             f"in its stage games ({n_systems} per game, {floor} per level at least)")
         codes = keys[first[order]]
         parent, ai, i = np.unravel_index(first[order], (len(labels[-1]), n, K))
         labels.append([labels[-1][p] + ((a, int(signals[a, k])),)
@@ -292,13 +301,11 @@ def exact_value_small(
         children.append(np.argsort(order)[where].reshape(-1, n, K).swapaxes(1, 2))
 
     def solve(M: np.ndarray, labels: list) -> np.ndarray:
-        step = max(_BATCH // (n_systems * (K + 1) ** 2), 1)
+        step = max(floor // n_systems, 1)
         values = np.concatenate([_stage_values(M[lo : lo + step]) for lo in range(0, len(M), step)])
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            raise FloatingPointError(
-                f"stage game after history {labels[bad[0]]} has value {values[bad[0]]}"
-            )
+            raise FloatingPointError(f"stage game after history {labels[bad[0]]} has value {values[bad[0]]}")
         if table is not None:
             for label, value, rows in zip(labels, values.tolist(), M.tolist()):
                 table[label] = {"value": value, "matrix": rows}
@@ -335,11 +342,7 @@ def uniform_forecaster(K: int) -> ForecasterStrategy:
 
 def follow_the_leader_forecaster(K: int) -> ForecasterStrategy:
     """Greedy on the exactly-known expected per-action gains sum_s hat a_s(i)."""
-
-    def rule(scores):
-        return np.eye(K)[np.argmax(scores, axis=1)]
-
-    return ForecasterStrategy(rule, _expected_gains)
+    return ForecasterStrategy(lambda scores: np.eye(K)[np.argmax(scores, axis=1)], _expected_gains)
 
 
 def exp_weights_forecaster(K: int, eta: float = 0.5) -> ForecasterStrategy:

@@ -581,6 +581,18 @@ def test_non_finite_output_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_output_prints_one_error_line_and_no_warnings(tmp_path):
+    # before, three numpy RuntimeWarning lines with source paths came first
+    path = os.pathsep.join(filter(None, [str(SCENARIOS.parent / "src"), os.environ.get("PYTHONPATH")]))
+    scenario = str(SCENARIOS / "hamiltonian_lq.json")
+    argv = [sys.executable, "-m", "fwlab", "hamiltonian", "--scenario", scenario]
+    argv += ["--set", "control_lo=1e308", "--set", "control_hi=-1e308", "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == cli.EXIT_NUMERICAL_FAULT
+    assert proc.stderr == "error: numerical fault: hamiltonian.csv column 'value' holds nan\n"
+
+
 def test_non_finite_stage_value_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pg, "_stage_values", lambda M: np.full(len(M), np.nan))
     code = cli.run(SCENARIOS / "dp_value.json", out_dir=tmp_path)
@@ -598,18 +610,49 @@ def test_dp_value_at_three_actions_over_five_rounds_exits_0(tmp_path):
     assert (tmp_path / "out" / "dp_value.csv").read_text().splitlines()[-1] == "5,1.25"
 
 
+def _point(K):
+    return "m0=" + json.dumps({"dim": K, "atoms": [[0.0] * K + [1.0]], "probability": True})
+
+
+def test_dp_value_at_four_actions_exits_0(tmp_path):
+    argv = ["dp-value", "--scenario", str(SCENARIOS / "dp_value.json"), "--set", _point(4)]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
+    assert (tmp_path / "dp_value.csv").read_text().splitlines()[-1] == "2,1.0"
+
+
+def test_dp_value_at_two_actions_over_seven_rounds_exits_0(tmp_path):
+    # refused by a fixed T <= 6 before the budget alone bounded the horizon
+    argv = ["dp-value", "--scenario", str(SCENARIOS / "dp_value.json"), "--set", "T=7"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
+    T, value = (tmp_path / "dp_value.csv").read_text().splitlines()[-1].split(",")
+    assert T == "7" and float(value) == pytest.approx(35 / 32, abs=1e-15)  # Cover's value
+
+
 def test_dp_value_refuses_a_large_m0_before_building_its_grid(tmp_path, capsys):
     # unchecked, the 4 096 vertex actions of 4 096 weights each took 162 MB
-    # before the exact value refused K = 12
-    m0 = {"dim": 12, "atoms": [[0.0] * 12 + [1.0]], "probability": True}
-    argv = ["dp-value", "--scenario", str(SCENARIOS / "dp_value.json"), "--set", "m0=" + json.dumps(m0)]
-    tracemalloc.start()
-    try:
-        _exits_1_naming(tmp_path, capsys, argv, "'m0'")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5e6
+    # before the exact value refused K = 12; the 32 at K = 5 make 435 896
+    # candidate vertex systems per stage game
+    for K in (5, 12):
+        argv = ["dp-value", "--scenario", str(SCENARIOS / "dp_value.json"), "--set", _point(K)]
+        tracemalloc.start()
+        try:
+            _exits_1_naming(tmp_path, capsys, argv, "'m0'")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+
+def test_dp_value_charges_each_round_at_least_one_batch(tmp_path, capsys, monkeypatch):
+    # K = 1 keeps one state and one 2-system game a round, but each round is
+    # charged _BATCH // 4 = 16 384 systems: 27 rounds are admitted, 28 refused
+    argv = ["dp-value", "--scenario", str(SCENARIOS / "dp_value.json"), "--set", _point(1)]
+    assert cli.main(argv + ["--set", "T=27", "--out", str(tmp_path / "ok")]) == cli.EXIT_OK
+    assert (tmp_path / "ok" / "dp_value.csv").read_text().splitlines()[-1] == "27,0.0"
+    solved = []
+    monkeypatch.setattr(pg, "_stage_values", lambda M: solved.append(len(M)))
+    _exits_1_naming(tmp_path, capsys, argv + ["--set", "T=28"], "16384 per level")
+    assert solved == []
 
 
 def test_game_sim_refuses_more_base_actions_than_subset_actions_allow(tmp_path, capsys):

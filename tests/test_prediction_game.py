@@ -159,18 +159,21 @@ def test_uniform_adversary_regret_small_horizons():
     assert uniform_adversary_regret(2) == Fraction(3, 8)
 
 
-@pytest.mark.parametrize("T", range(1, 7))
+@pytest.mark.parametrize("T", range(1, 35))
 def test_exact_value_at_two_actions_is_covers_value(T):
-    # 0.5, 0.5, 0.75, 0.75, 0.9375, 0.9375; the DP's rounding was at most 2.2e-16
-    value, cover = pg.exact_value_small(T, ZERO2, _vertex_grid(2)), float(cover_value(T))
-    assert abs(value - cover) <= 2 * math.ulp(cover)
+    # every horizon the budget admits from zero gaps.  0.5, 0.5, 0.75, 0.75,
+    # 0.9375, 0.9375 up to T = 6, where the DP's rounding was at most 2 ulp;
+    # beyond, it was at most 6 ulp (T = 23 and 24) and 2.2e-15 (T = 32-34),
+    # so the bound there is 8 ulp
+    value, cover = pg.exact_value_small(T, ZERO2, pg.vertex_grid(2)), float(cover_value(T))
+    assert abs(value - cover) <= (2 if T <= 6 else 8) * math.ulp(cover)
 
 
-@pytest.mark.parametrize("T", range(1, 7))
+@pytest.mark.parametrize("T", range(1, 8))
 def test_exact_value_at_three_actions_is_at_least_the_singleton_adversary_regret(T):
     # the value against the bound: 0.667/0.667, 0.833/0.667, 1.000/0.889,
-    # 1.125/1.037, 1.250/1.111, 1.354/1.235
-    value = pg.exact_value_small(T, ms.dirac(np.zeros(3)), _vertex_grid(3))
+    # 1.125/1.037, 1.250/1.111, 1.354/1.235, 1.458/1.344
+    value = pg.exact_value_small(T, ms.dirac(np.zeros(3)), pg.vertex_grid(3))
     bound = float(singleton_adversary_regret(T, 3))
     assert value >= bound - 2 * math.ulp(bound)
 
@@ -279,10 +282,6 @@ def test_exact_value_T0_and_frozen_grid():
     assert pg.exact_value_small(3, point, frozen) == 1.2
 
 
-def _vertex_grid(K):
-    return [ham.vertex_action(K, m) for m in range(2**K)]
-
-
 def _is_pure(grid):
     return all(np.count_nonzero(a.weights) == 1 for a in grid)
 
@@ -294,10 +293,10 @@ def test_exact_value_matches_sequence_form_lp():
     grid2 = [ham.vertex_action(2, 1), ham.vertex_action(2, 2), mix]
     # the package plays the vertex grids, the belief-state oracle the mixed grid
     cases = [
-        (pg.exact_value_small, 1, np.zeros(2), _vertex_grid(2)),
-        (pg.exact_value_small, 2, np.zeros(2), _vertex_grid(2)),
-        (pg.exact_value_small, 4, np.array([0.25, -0.5]), _vertex_grid(2)),
-        (pg.exact_value_small, 2, np.array([0.3, -0.2, 0.1]), _vertex_grid(3)),
+        (pg.exact_value_small, 1, np.zeros(2), pg.vertex_grid(2)),
+        (pg.exact_value_small, 2, np.zeros(2), pg.vertex_grid(2)),
+        (pg.exact_value_small, 4, np.array([0.25, -0.5]), pg.vertex_grid(2)),
+        (pg.exact_value_small, 2, np.array([0.3, -0.2, 0.1]), pg.vertex_grid(3)),
         (recursive_exact_value, 2, np.zeros(2), grid2),
         (recursive_exact_value, 3, np.zeros(2), grid2),
     ]
@@ -316,7 +315,7 @@ def test_exact_value_solves_no_linear_program(monkeypatch, K, T):
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(pg, "linprog", counting_linprog)
-    pg.exact_value_small(T, ms.dirac(np.full(K, 0.1)), _vertex_grid(K))
+    pg.exact_value_small(T, ms.dirac(np.full(K, 0.1)), pg.vertex_grid(K))
     assert calls == []
     # positive control: a call through the module's own name is counted
     pg.linprog([1.0], bounds=[(0.0, 1.0)])
@@ -409,22 +408,23 @@ def test_game_engines_need_a_probability_initial_law(m0):
     with pytest.raises(ValueError, match="probability"):
         pg.monte_carlo_regret(5, m0, pg.exp_weights_forecaster(2), adversary, 10, 4)
     with pytest.raises(ValueError, match="probability"):
-        pg.exact_value_small(2, m0, _vertex_grid(2))
+        pg.exact_value_small(2, m0, pg.vertex_grid(2))
 
 
 @pytest.mark.parametrize("T", [-1, -3])
 def test_exact_value_rejects_a_negative_horizon(T):
     # unchecked, T = -1 returned 1.5 and T = -3 returned 0.5
     with pytest.raises(ValueError, match="0 <= T"):
-        pg.exact_value_small(T, ZERO2, _vertex_grid(2))
+        pg.exact_value_small(T, ZERO2, pg.vertex_grid(2))
 
 
 def test_exact_value_size_limits():
+    # the budget admits T = 34 at K = 2 and T = 2 at K = 4 from zero gaps
     big_grid = [ham.vertex_action(2, m) for m in range(4)]
-    with pytest.raises(ValueError):
-        pg.exact_value_small(9, ZERO2, big_grid)
-    with pytest.raises(ValueError):
-        pg.exact_value_small(1, ms.dirac(np.zeros(4)), [ham.vertex_action(4, 0)])
+    with pytest.raises(ValueError, match="candidate vertex systems"):
+        pg.exact_value_small(35, ZERO2, big_grid)
+    with pytest.raises(ValueError, match="candidate vertex systems"):
+        pg.exact_value_small(3, ms.dirac(np.zeros(4)), pg.vertex_grid(4))
     spread = ms.SignedAtomicMeasure(2, [[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5], True)
     with pytest.raises(ValueError):
         pg.exact_value_small(1, spread, big_grid)
@@ -442,7 +442,7 @@ def test_exact_value_memo_counts(K, counts):
     # distinct stage games solved from zero gaps on the vertex grid, T = 1, 2, ...
     for T, count in enumerate(counts, start=1):
         table = {}
-        pg.exact_value_small(T, ms.dirac(np.zeros(K)), _vertex_grid(K), table)
+        pg.exact_value_small(T, ms.dirac(np.zeros(K)), pg.vertex_grid(K), table)
         assert len(table) == count
 
 
@@ -467,7 +467,7 @@ def _grid_actions(K):
         lambda kt: st.tuples(
             st.just(kt[1]),
             st.lists(st.integers(-100, 100), min_size=kt[0], max_size=kt[0]),
-            st.one_of(st.just(_vertex_grid(kt[0])), _grid_actions(kt[0])),
+            st.one_of(st.just(pg.vertex_grid(kt[0])), _grid_actions(kt[0])),
         )
     )
 )
@@ -491,13 +491,13 @@ def _parity_set():
     vertex, mixed = [], []
     for K, T in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]:
         starts = [np.zeros(K)] + [np.round(rng.uniform(-1.0, 1.0, K), 2) for _ in range(5)]
-        vertex += [(T, g0, _vertex_grid(K)) for g0 in starts]
+        vertex += [(T, g0, pg.vertex_grid(K)) for g0 in starts]
         mixtures = [ham.SimplexAction(K, rng.dirichlet(np.ones(2**K))) for _ in range(4)]
         vertices = [ham.vertex_action(K, 1), ham.vertex_action(K, 2**K - 2)]
         mixed.append((T, np.round(rng.uniform(-1.0, 1.0, K), 2), vertices + mixtures[:3]))
         mixed.append((T, np.zeros(K), mixtures[2:] + [ham.uniform_action(K)]))
-    vertex.append((3, np.array([7e-13, 0.0]), _vertex_grid(2)))
-    vertex.append((2, np.array([3e-13, 1e-13, 0.0]), _vertex_grid(3)))
+    vertex.append((3, np.array([7e-13, 0.0]), pg.vertex_grid(2)))
+    vertex.append((2, np.array([3e-13, 1e-13, 0.0]), pg.vertex_grid(3)))
     return vertex, mixed
 
 
@@ -514,6 +514,46 @@ def test_exact_value_matches_the_recursive_dp_on_the_parity_set():
     assert len(vertex) == 44
     for T, g0, grid in vertex:
         _assert_same_as_recursive_dp(T, g0, grid)
+
+
+@pytest.mark.parametrize("T", [1, 2])
+def test_exact_value_at_four_actions_matches_the_recursive_dp(T):
+    # the budget admits T = 2 on the 16-vertex grid at K = 4: 0.78333 and 1.0125
+    _assert_same_as_recursive_dp(T, np.array([0.1, -0.3, 0.25, 0.0]), pg.vertex_grid(4))
+
+
+# Over 7 000 random instances of the two properties below (two-decimal starts,
+# c a multiple of 1/8 in [-8, 8]) a translation moved the value by at most 3 ulp
+# of the larger of |V(g0)|, |V(g0) + c| and 1, and left it exact in 48 % of
+# them; a permutation moved it by at most 2 ulp of max(|V(g0)|, 1).  Each
+# bound is one ulp more.
+_SHIFT_ULPS, _PERMUTATION_ULPS = 4, 3
+
+
+def _starts_and_horizons():
+    """(K, T, g0) on the vertex grids: K = 2 at T = 1-8 and K = 3 at T = 1-4, two-decimal g0."""
+    cases = [(2, T) for T in range(1, 9)] + [(3, T) for T in range(1, 5)]
+    g0 = lambda K: st.lists(st.integers(-100, 100), min_size=K, max_size=K).map(lambda x: np.array(x) / 100)
+    return st.sampled_from(cases).flatmap(lambda kt: st.tuples(st.just(kt[0]), st.just(kt[1]), g0(kt[0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_starts_and_horizons(), c=st.integers(-64, 64).map(lambda n: n / 8.0))
+def test_exact_value_is_translation_equivariant(case, c):
+    K, T, g0 = case
+    value = pg.exact_value_small(T, ms.dirac(g0), pg.vertex_grid(K))
+    shifted = pg.exact_value_small(T, ms.dirac(g0 + c), pg.vertex_grid(K))
+    assert abs(shifted - (value + c)) <= _SHIFT_ULPS * math.ulp(max(abs(value), abs(value + c), 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_starts_and_horizons(), data=st.data())
+def test_exact_value_is_permutation_invariant(case, data):
+    K, T, g0 = case
+    order = data.draw(st.permutations(range(K)))
+    value = pg.exact_value_small(T, ms.dirac(g0), pg.vertex_grid(K))
+    permuted = pg.exact_value_small(T, ms.dirac(g0[order]), pg.vertex_grid(K))
+    assert abs(permuted - value) <= _PERMUTATION_ULPS * math.ulp(max(abs(value), 1.0))
 
 
 def test_recursive_dp_matches_the_sequence_form_lp_on_the_mixed_parity_set():
@@ -541,7 +581,7 @@ def test_recursive_dp_matches_the_sequence_form_lp_on_the_mixed_parity_set():
                 ),
             ),
             st.one_of(
-                st.just(_vertex_grid(kt[0])), st.lists(_vertex_actions(kt[0]), min_size=1, max_size=3)
+                st.just(pg.vertex_grid(kt[0])), st.lists(_vertex_actions(kt[0]), min_size=1, max_size=3)
             ),
         )
     )
@@ -556,7 +596,7 @@ def test_exact_value_matches_the_recursive_dp_on_random_instances(case):
 def test_exact_value_below_1e_12_matches_the_sequence_form_lp(T, g0):
     # the LP pushes integer gap offsets and never rounds a gap, so it sees
     # starts far below 1e-12
-    grid = _vertex_grid(len(g0))
+    grid = pg.vertex_grid(len(g0))
     main = pg.exact_value_small(T, ms.dirac(np.array(g0)), grid)
     oracle = sequence_form_value(T, g0, [g.weights for g in grid])
     assert main == pytest.approx(oracle, abs=1e-15)
@@ -596,7 +636,7 @@ def test_exact_value_observes_no_signal_from_an_empty_side(K, weights, T):
 
 # the eight vertices twice at K = 3: 968 candidate vertex systems per stage
 # game, so T = 5 needs more than the 464 games the budget admits
-_OVER_BUDGET = (5, ms.dirac(np.zeros(3)), _vertex_grid(3) * 2)
+_OVER_BUDGET = (5, ms.dirac(np.zeros(3)), pg.vertex_grid(3) * 2)
 
 
 def test_exact_value_refuses_before_solving_any_stage_game(monkeypatch):
@@ -607,9 +647,23 @@ def test_exact_value_refuses_before_solving_any_stage_game(monkeypatch):
     assert solved == []
 
 
+def test_int64_state_codes_bound_the_horizon(monkeypatch):
+    # one action at K = 16: 15^16 < 2^63 < 17^16, so T = 7 is admitted and T = 8
+    # refused, whose codes would wrap.  Playing J = {1, 16}, the forecaster
+    # stays in J, and the gap of action 2 falls from 10 by one a round; with
+    # the code shifts summed in floats, past 2^53, T = 7 read 9.0
+    grid, g0 = [ham.vertex_action(16, 1 | 1 << 15)], ms.dirac(np.eye(16)[1] * 10.0)
+    assert pg.exact_value_small(7, g0, grid) == 3.0
+    solved = []
+    monkeypatch.setattr(pg, "_stage_values", lambda M: solved.append(len(M)))
+    with pytest.raises(ValueError, match="int64 state codes"):
+        pg.exact_value_small(8, g0, grid)
+    assert solved == []
+
+
 def test_exact_value_stage_game_budget():
     table = {}
-    value = pg.exact_value_small(6, ZERO2, _vertex_grid(2), table)
+    value = pg.exact_value_small(6, ZERO2, pg.vertex_grid(2), table)
     assert value == pytest.approx(0.9375, abs=1e-12)
     assert len(table) == 146
     with pytest.raises(ValueError, match="candidate vertex systems"):
@@ -636,7 +690,7 @@ def test_exact_value_dump_table():
     ids=["tiny-second-weight", "split", "uniform", "short-vertex"],
 )
 def test_exact_value_refuses_a_mixed_action(K, weights):
-    grid = _vertex_grid(K) + [ham.SimplexAction(K, weights)]
+    grid = pg.vertex_grid(K) + [ham.SimplexAction(K, weights)]
     with pytest.raises(ValueError, match=f"grid action {2**K} is a mixture"):
         pg.exact_value_small(2, ms.dirac(np.zeros(K)), grid)
 
@@ -676,10 +730,10 @@ def test_mixtures_raise_no_vertex_grid_value(case):
     # the belief-state oracle over any initial law: adding mixed actions to
     # the vertex grid leaves the value where the pure actions put it
     K, T, m0, mixtures = case
-    value = recursive_exact_value(T, m0, _vertex_grid(K))
-    assert abs(recursive_exact_value(T, m0, _vertex_grid(K) + mixtures) - value) <= _MIXTURE_GAIN
+    value = recursive_exact_value(T, m0, pg.vertex_grid(K))
+    assert abs(recursive_exact_value(T, m0, pg.vertex_grid(K) + mixtures) - value) <= _MIXTURE_GAIN
     if m0.n_atoms == 1:
-        assert value == pg.exact_value_small(T, m0, _vertex_grid(K))
+        assert value == pg.exact_value_small(T, m0, pg.vertex_grid(K))
 
 
 def test_a_grid_of_mixtures_alone_reads_lower():
@@ -687,5 +741,5 @@ def test_a_grid_of_mixtures_alone_reads_lower():
     # adversary loses value (-0.134 against 0.870 here)
     g0 = ms.dirac(np.array([0.27, -0.46, -0.92]))
     mixture = ham.SimplexAction(3, np.random.default_rng(0).dirichlet(np.ones(8)))
-    vertices = pg.exact_value_small(4, g0, _vertex_grid(3))
+    vertices = pg.exact_value_small(4, g0, pg.vertex_grid(3))
     assert recursive_exact_value(4, g0, [mixture]) < vertices - 0.5

@@ -11,7 +11,10 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator derived from (seed, key...) by seed-sequence spawning.
 
     Results depend only on the key tuple, never on call order or scheduling.
+    A negative seed raises ValueError naming it.
     """
+    if seed < 0:
+        raise ValueError(f"seed {seed!r} is negative; seeds are integers >= 0")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 

@@ -10,12 +10,19 @@ advance in blocks: one Euler step moves a (block, N, d) state array and the
 (block, N) running cost beside it in place, with the block sized so that each
 state-sized array of a step stays under 128 KiB and comes from the heap, while
 every run draws from its own substreams, so a run's path does not depend on
-the other runs in its block.
+the other runs in its block.  For the same reason a step's idiosyncratic
+normals are drawn on two threads when the process may use two CPUs: a helper
+fills the rows of the block's first half of runs while the main thread fills
+the rest, into the one array of the step, so neither the bits nor the step's
+memory change.  The coefficient and policy closures run on the main thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,12 +101,32 @@ class SimConfig:
             raise ValueError("runs and particle count must be >= 1")
 
 
-def _normals(rngs: list, n: int, d: int) -> np.ndarray:
-    """(len(rngs) * n, d) standard normals, n rows from each generator in turn."""
-    out = np.empty((len(rngs) * n, d))
+def _fill(rngs: list, out: np.ndarray, n: int):
     for k, g in enumerate(rngs):
         g.standard_normal(out=out[k * n : (k + 1) * n])
+
+
+def _normals(rngs: list, n: int, d: int, split: int, helper) -> np.ndarray:
+    """(len(rngs) * n, d) standard normals, n rows from each generator in turn.
+
+    The rows of rngs[:split] are filled by ``helper``, an executor, while
+    this thread fills the rest; it waits for the helper before returning.
+    Each generator fills only its own rows, and standard_normal releases the
+    GIL while it does, so the split moves no bit and only the wall time.
+    """
+    out = np.empty((len(rngs) * n, d))
+    head = helper.submit(_fill, rngs[:split], out[: split * n], n) if split else None
+    _fill(rngs[split:], out[split * n :], n)
+    if head is not None:
+        head.result()
     return out
+
+
+def _helper_split(n_runs: int) -> int:
+    """How many of a block's runs a helper thread draws for: the first half,
+    or none for a single run or a process allowed only one CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return n_runs // 2 if cpus > 1 else 0
 
 
 def _run_paths(
@@ -122,8 +149,12 @@ def _run_paths(
     it; the coefficient closures see a view of the states that the step then
     moves, so they must not keep it either.  A state that is not finite or
     exceeds the divergence guard in absolute value raises FloatingPointError.
-    The paths end at the horizon, else ValueError: t lies in [0, horizon] and
-    (horizon - t) / dt is an integer, within 1e-9 relative, that fits an array.
+    While it steps, a helper thread, joined when the generator ends, raises or
+    is closed, draws the idiosyncratic normals of the first half of the runs
+    (see _helper_split and _normals); the closures and the policy run on the
+    calling thread.  The paths end at the horizon, else ValueError: t lies in
+    [0, horizon] and (horizon - t) / dt is an integer, within 1e-9 relative,
+    that fits an array.
     """
     if not mu.probability:
         raise ValueError("initial condition must be a probability measure")
@@ -132,12 +163,13 @@ def _run_paths(
     if not 0.0 <= t <= cfg.horizon:
         raise ValueError(f"start time {t!r} is outside [0, horizon {cfg.horizon!r}]")
     steps = (cfg.horizon - t) / cfg.dt
+    R, N, d = len(runs), cfg.n_particles, coeffs.d
+    # the normals' bytes, checked before round() meets an infinite step count
+    if not R * steps * coeffs.d2 <= np.iinfo(np.intp).max // 8:
+        raise ValueError(f"dt {cfg.dt!r} gives {steps:.3g} steps, more than an array can hold")
     n_steps = round(steps)
     if abs(steps - n_steps) > 1e-9 * max(steps, 1.0):
         raise ValueError(f"dt {cfg.dt!r} does not divide horizon - t = {cfg.horizon - t!r} evenly")
-    R, N, d = len(runs), cfg.n_particles, coeffs.d
-    if R * n_steps * coeffs.d2 > np.iinfo(np.intp).max // 8:  # the normals' bytes
-        raise ValueError(f"dt {cfg.dt!r} gives {steps:.3g} steps, more than an array can hold")
 
     # substreams 1 and 0 are read once here, and only substream 2 is kept
     p0 = mu.weights / mu.weights.sum()
@@ -153,22 +185,25 @@ def _run_paths(
     rng_b = [substream(cfg.seed, run, 2) for run in runs]
     running = np.zeros((R, N))
     yield t, X, running
-    for step in range(n_steps):
-        a = policy(t + step * cfg.dt, LawSummary(X.mean(axis=1)))
-        controls = np.repeat(a, N)
-        # r, sigma and b are read at the pre-step state; a closure may return
-        # an array it keeps, so its output is never written to
-        sigma = np.asarray(coeffs.sigma(flat, controls), dtype=float)
-        running += np.asarray(coeffs.r(flat, controls), dtype=float).reshape(R, N) * cfg.dt
-        # X + b dt + sigma dB + sigma_tilde dW, summed in this order
-        flat += np.asarray(coeffs.b(flat, controls), dtype=float) * cfg.dt
-        flat += np.einsum("nij,nj->ni", sigma, _normals(rng_b, N, coeffs.d1) * sqdt)
-        X += (np.asarray(coeffs.sigma_tilde(a), dtype=float) @ dW[:, step])[:, None, :, 0]
-        if not (X.max() <= _DIVERGENCE_GUARD and X.min() >= -_DIVERGENCE_GUARD):
-            raise FloatingPointError(
-                f"particle state is not finite or exceeded {_DIVERGENCE_GUARD:g}; check coefficients"
-            )
-        yield t + (step + 1) * cfg.dt, X, running
+    split = _helper_split(R) if n_steps else 0
+    # leaving the with block, also on an exception or close(), joins the helper
+    with ThreadPoolExecutor(1) if split else nullcontext() as helper:
+        for step in range(n_steps):
+            a = policy(t + step * cfg.dt, LawSummary(X.mean(axis=1)))
+            controls = np.repeat(a, N)
+            # r, sigma and b are read at the pre-step state; a closure may return
+            # an array it keeps, so its output is never written to
+            sigma = np.asarray(coeffs.sigma(flat, controls), dtype=float)
+            running += np.asarray(coeffs.r(flat, controls), dtype=float).reshape(R, N) * cfg.dt
+            # X + b dt + sigma dB + sigma_tilde dW, summed in this order
+            flat += np.asarray(coeffs.b(flat, controls), dtype=float) * cfg.dt
+            flat += np.einsum("nij,nj->ni", sigma, _normals(rng_b, N, coeffs.d1, split, helper) * sqdt)
+            X += (np.asarray(coeffs.sigma_tilde(a), dtype=float) @ dW[:, step])[:, None, :, 0]
+            if not (X.max() <= _DIVERGENCE_GUARD and X.min() >= -_DIVERGENCE_GUARD):
+                raise FloatingPointError(
+                    f"particle state is not finite or exceeded {_DIVERGENCE_GUARD:g}; check coefficients"
+                )
+            yield t + (step + 1) * cfg.dt, X, running
 
 
 def sample_costs(

@@ -482,6 +482,22 @@ def test_filter_sim_with_more_steps_than_an_array_holds_exits_1(tmp_path, capsys
     assert not list(tmp_path.iterdir())
 
 
+def test_filter_sim_with_an_infinite_step_count_exits_1(tmp_path, capsys):
+    # before, round() met (horizon - t) / dt = inf and the run exited 3
+    argv = ["filter-sim", "--scenario", str(SCENARIOS / "filter_sim.json"), "--set", "sim.horizon=1e308"]
+    _exits_1_naming(tmp_path, capsys, argv, "gives inf steps, more than an array can hold")
+
+
+@pytest.mark.parametrize(
+    "command, scenario, override",
+    [("filter-sim", "filter_sim.json", "sim.seed=-1"), ("game-sim", "game_sim.json", "seed=-1")],
+)
+def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, command, scenario, override):
+    # before, NumPy's bare "expected non-negative integer" named no key
+    argv = [command, "--scenario", str(SCENARIOS / scenario), "--set", override]
+    _exits_1_naming(tmp_path, capsys, argv, "seed -1 is negative")
+
+
 def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
     # stands in for an allocation the machine cannot hold, without making it
     def exhausted(M):

@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -137,9 +139,20 @@ def test_sample_costs_match_the_scalar_run_loop(runs, block, n_particles, n_step
                        runs=runs, seed=seed)
     t = 0.05 if n_steps == 0 else 0.0
     policy = fs.lqg_feedback_policy(LQ)
-    with mock.patch.object(fs, "_BLOCK_POINTS", _block_points(block, n_particles, coeffs)):
-        blocked = fs.sample_costs(t, MU2, policy, coeffs, cfg)
-    assert blocked == scalar_run_costs(t, MU2, policy, coeffs, cfg, fs.LawSummary)
+    expected = scalar_run_costs(t, MU2, policy, coeffs, cfg, fs.LawSummary)
+    # with a helper thread drawing the first half of each block's normals, and
+    # inline on one CPU
+    for cpus in ({0, 1}, {0}):
+        with mock.patch.object(fs, "_BLOCK_POINTS", _block_points(block, n_particles, coeffs)), \
+                _cpus(cpus), mock.patch.object(fs, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pools:
+            blocked = fs.sample_costs(t, MU2, policy, coeffs, cfg)
+        assert pools.called == (len(cpus) > 1 and min(block, runs) > 1 and n_steps > 0)
+        assert blocked == expected
+
+
+def _cpus(cpus):
+    """Let the simulation see only these CPUs as usable."""
+    return mock.patch.object(fs.os, "sched_getaffinity", lambda pid: cpus, create=True)
 
 
 def test_block_size_keeps_state_buffers_under_the_mmap_threshold():
@@ -279,6 +292,39 @@ def test_a_non_finite_cost_in_a_later_block_names_its_global_run():
             fs.sample_costs(0.0, MU2, policy, nan_at_far_atom, cfg)
 
 
+def test_no_thread_outlives_a_simulation():
+    coeffs = ham.make_lq_coeffs(sigma=1.0, sigma_tilde=0.5)
+    policy = fs.lqg_feedback_policy(LQ)
+    cfg = fs.SimConfig(dt=0.1, n_particles=10, horizon=0.5, runs=6, seed=3)
+    # as in the later-block cost test: one frozen particle per run, blocks of
+    # two runs, and a drift past the divergence guard under the control 0.6
+    frozen = _null_coeffs()
+    blow_at_far_atom = ham.FilteringCoeffs(
+        1, 1, 1, b=lambda X, a: np.where(a > 0.3, 1e8, 0.0)[:, None], sigma=frozen.sigma,
+        sigma_tilde=frozen.sigma_tilde, r=frozen.r, l=frozen.l,
+    )
+    follow_mean = fs.ControlPolicy(lambda t, s: s.mean[:, 0])
+    far_cfg = fs.SimConfig(dt=0.1, n_particles=1, horizon=0.2, runs=12, seed=16)
+    before = threading.active_count()
+    with _cpus({0, 1}), mock.patch.object(fs, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pools:
+        fs.sample_costs(0.0, MU2, policy, coeffs, cfg)
+        assert pools.call_count == 1 and threading.active_count() == before
+
+        with mock.patch.object(fs, "_BLOCK_POINTS", 2), \
+                mock.patch.object(fs, "_run_paths", wraps=fs._run_paths) as run_paths, \
+                pytest.raises(FloatingPointError, match="^particle state"):
+            fs.sample_costs(0.0, MU2, follow_mean, blow_at_far_atom, far_cfg)
+        assert run_paths.call_count > 1 and pools.call_count == run_paths.call_count + 1
+        assert threading.active_count() == before
+
+        paths = fs._run_paths(0.0, MU2, policy, coeffs, cfg, range(4))
+        for _ in range(3):  # the start and two steps
+            next(paths)
+        assert threading.active_count() == before + 1
+        paths.close()
+        assert threading.active_count() == before
+
+
 def test_euler_step_memory_stays_within_one_block_of_state_sized_arrays():
     # 64 runs of 1000 particles step in four blocks of 16 runs, so each
     # state-sized array takes 16 000 float64, 128 000 bytes.  The peak is one
@@ -298,14 +344,16 @@ def test_euler_step_memory_stays_within_one_block_of_state_sized_arrays():
     }
     cfg = fs.SimConfig(dt=0.1, n_particles=1000, horizon=1.0, runs=64, seed=3)
     policy = fs.lqg_feedback_policy(LQ)
+    # with the helper thread drawing half of each step's normals, on any box
     for name, (coeffs, bound) in cases.items():
-        fs.estimate_cost(0.0, MU2, policy, coeffs, cfg)
-        tracemalloc.start()
-        try:
+        with _cpus({0, 1}):
             fs.estimate_cost(0.0, MU2, policy, coeffs, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            tracemalloc.start()
+            try:
+                fs.estimate_cost(0.0, MU2, policy, coeffs, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak <= bound, name
 
 
